@@ -168,16 +168,14 @@ def cmd_train(args) -> int:
     alpha = 1.0 if args.alpha is None else _float_list(args.alpha)[0]
     _write_resolved(cfg, args.out)
     val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
-    with open(os.path.join(args.out, "checkpoint.json"), "w") as f:
-        json.dump(model.to_dict(), f)
-    with open(os.path.join(args.out, "losses.csv"), "w") as f:
-        f.write(losses_to_csv(list(result.train_losses)))
     metrics = {
         "alpha": alpha, "n": args.n_train, "seed": args.cell_seed,
         "val_mse": val_mse, "attention_stats": result.stats.to_dict(),
     }
-    with open(os.path.join(args.out, "metrics.json"), "w") as f:
-        json.dump(metrics, f, indent=1)
+    for name, text in (("checkpoint.json", json.dumps(model.to_dict())),
+                       ("losses.csv", losses_to_csv(list(result.train_losses))),
+                       ("metrics.json", json.dumps(metrics, indent=1))):
+        experiment._atomic_write(os.path.join(args.out, name), text)
     print(f"alpha={alpha:g} n={args.n_train} seed={args.cell_seed}  "
           f"val_mse={val_mse:.6g}")
     print(f"wrote checkpoint.json, losses.csv, metrics.json to {args.out}")

@@ -349,6 +349,8 @@ def _sweep_cell_worker(args) -> tuple[str, dict]:
     cfg, alpha, n, seed = args
     key, key_inputs = _cell_key(cfg, alpha, n, seed)
     _, _, result = run_cell(alpha, n, seed, cfg)
+    if not np.isfinite(result.val_mse):
+        raise FloatingPointError(f"non-finite val_mse {result.val_mse}")
     payload = {
         "alpha": alpha, "n": n, "seed": seed,
         "val_mse": result.val_mse,
@@ -374,20 +376,21 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
     grid = [(alpha, n, s) for alpha in cfg.alpha_list for n in cfg.n_list
             for s in range(cfg.seeds)]
-    keyed = {(alpha, n, s): _cell_key(cfg, alpha, n, s)[0] for alpha, n, s in grid}
+    key_pairs = {cell: _cell_key(cfg, *cell) for cell in grid}
+    keyed = {cell: key for cell, (key, _) in key_pairs.items()}
     results: dict[tuple, dict] = {}
     failures: dict[tuple, str] = {}
 
     pending = []
-    for cell in grid:
-        path = os.path.join(out_dir, "cells", keyed[cell] + ".json")
-        if os.path.exists(path):
-            try:
-                with open(path) as f:
-                    results[cell] = json.load(f)
+    for cell, (key, key_inputs) in key_pairs.items():
+        try:
+            with open(os.path.join(out_dir, "cells", key + ".json")) as f:
+                cached = json.load(f)
+            if cached["key_inputs"] == json.loads(json.dumps(key_inputs)):
+                results[cell] = cached
                 continue
-            except (json.JSONDecodeError, OSError):
-                pass  # corrupt cell file: recompute
+        except (json.JSONDecodeError, OSError, KeyError, TypeError):
+            pass  # missing, corrupt or stale cell file: recompute
         pending.append(cell)
 
     def record(cell, key, payload):

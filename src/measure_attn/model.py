@@ -139,6 +139,11 @@ class StudentModel:
                 )
             self.params = params.copy()
         self.grads = np.zeros(self.n_params)
+        # params and grads only ever change in place, so views built once stay valid
+        self._blocks, self._grad_blocks = (
+            {n: flat[off:off + int(np.prod(shape))].reshape(shape)
+             for n, (off, shape) in self._table.items() if n != "__total__"}
+            for flat in (self.params, self.grads))
 
     @classmethod
     def init(cls, config: StudentConfig, rng_seed) -> "StudentModel":
@@ -151,26 +156,22 @@ class StudentModel:
         rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
                else np.random.default_rng(rng_seed))
         model = cls(config)
-        for name, (off, shape) in model._table.items():
-            if name == "__total__" or name.endswith(("_b1", "_b2")):
+        for name, w in model._blocks.items():
+            if name.endswith(("_b1", "_b2")):
                 continue
-            fan_out, fan_in = shape[-2], shape[-1]
-            s = np.sqrt(6.0 / (fan_in + fan_out))
-            size = int(np.prod(shape))
-            model.params[off:off + size] = rng.uniform(-s, s, size)
+            s = np.sqrt(6.0 / (w.shape[-1] + w.shape[-2]))
+            w[...] = rng.uniform(-s, s, w.shape)
         return model
 
     def block(self, name: str) -> np.ndarray:
         """Writable view of one named parameter block."""
-        off, shape = self._table[name]
-        return self.params[off:off + int(np.prod(shape))].reshape(shape)
+        return self._blocks[name]
 
     def grad_block(self, name: str) -> np.ndarray:
-        off, shape = self._table[name]
-        return self.grads[off:off + int(np.prod(shape))].reshape(shape)
+        return self._grad_blocks[name]
 
     def block_names(self) -> list[str]:
-        return [n for n in self._table if n != "__total__"]
+        return list(self._blocks)
 
     def _digest(self) -> bytes:
         return hashlib.blake2b(self.params.tobytes(), digest_size=16).digest()
@@ -187,30 +188,32 @@ class StudentModel:
         if q.shape != (cfg.input_dim,):
             raise ValueError(f"query must have shape ({cfg.input_dim},), got {q.shape}")
 
-        ctx_pre = C @ self.block("ctx_w1").T + self.block("ctx_b1")
+        b = self._blocks
+        ctx_pre = C @ b["ctx_w1"].T + b["ctx_b1"]
         ctx_act = act(ctx_pre)
-        ctx_emb = ctx_act @ self.block("ctx_w2").T + self.block("ctx_b2")
+        ctx_emb = ctx_act @ b["ctx_w2"].T + b["ctx_b2"]
 
-        qry_pre = self.block("qry_w1") @ q + self.block("qry_b1")
+        qry_pre = b["qry_w1"] @ q + b["qry_b1"]
         qry_act = act(qry_pre)
-        qry_emb = self.block("qry_w2") @ qry_act + self.block("qry_b2")
+        qry_emb = b["qry_w2"] @ qry_act + b["qry_b2"]
 
-        H, hd = cfg.n_heads, cfg.head_dim
+        H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
         scale = 1.0 / np.sqrt(hd)
-        Wq, Wk, Wv = self.block("attn_q"), self.block("attn_k"), self.block("attn_v")
-        head_q = Wq @ qry_emb                      # (H, hd)
-        head_k = np.einsum("hij,tj->hti", Wk, ctx_emb)   # (H, T, hd)
-        head_v = np.einsum("hij,tj->hti", Wv, ctx_emb)   # (H, T, hd)
-        scores = scale * np.einsum("hti,hi->ht", head_k, head_q)
+        head_q = b["attn_q"] @ qry_emb             # (H, hd)
+        # one GEMM per projection for all heads, viewed as (H, T, hd)
+        head_k, head_v = ((ctx_emb @ b[w].reshape(H * hd, dm).T)
+                          .reshape(-1, H, hd).transpose(1, 0, 2)
+                          for w in ("attn_k", "attn_v"))
+        scores = scale * (head_k @ head_q[:, :, None])[:, :, 0]
         scores -= scores.max(axis=1, keepdims=True)
         attn = np.exp(scores)
         attn /= attn.sum(axis=1, keepdims=True)    # (H, T)
-        head_out = np.einsum("ht,hti->hi", attn, head_v)  # (H, hd)
-        mixed = self.block("attn_out") @ head_out.reshape(H * hd)
+        head_out = (attn[:, None, :] @ head_v)[:, 0, :]  # (H, hd)
+        mixed = b["attn_out"] @ head_out.reshape(H * hd)
 
-        out_pre = self.block("head_w1") @ mixed + self.block("head_b1")
+        out_pre = b["head_w1"] @ mixed + b["head_b1"]
         out_act = act(out_pre)
-        pred = float((self.block("head_w2") @ out_act + self.block("head_b2"))[0])
+        pred = float((b["head_w2"] @ out_act + b["head_b2"])[0])
 
         cache = ModelCache(C, q, ctx_pre, ctx_act, ctx_emb, qry_pre, qry_act,
                            qry_emb, head_q, head_k, head_v, attn, head_out,
@@ -220,7 +223,8 @@ class StudentModel:
     def backward(self, cache: ModelCache, upstream: float) -> None:
         """Write d(prediction)/d(params) * upstream into self.grads.
 
-        Overwrites grads on every call; callers accumulate explicitly.
+        Overwrites every gradient block on every call; callers accumulate
+        explicitly.
         """
         if cache.params_digest != self._digest():
             raise ValueError(
@@ -228,57 +232,55 @@ class StudentModel:
             )
         cfg = self.config
         _, act_grad = _ACTIVATIONS[cfg.activation]
-        H, hd = cfg.n_heads, cfg.head_dim
+        H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
         scale = 1.0 / np.sqrt(hd)
-        g = self.grads
-        g[:] = 0.0
+        b, gb = self._blocks, self._grad_blocks
         up = float(upstream)
 
         # head MLP
-        d_out_act = up * self.block("head_w2")[0]
-        self.grad_block("head_w2")[0, :] = up * cache.out_act
-        self.grad_block("head_b2")[0] = up
+        d_out_act = up * b["head_w2"][0]
+        gb["head_w2"][0, :] = up * cache.out_act
+        gb["head_b2"][0] = up
         d_out_pre = d_out_act * act_grad(cache.out_pre)
-        self.grad_block("head_w1")[:] = np.outer(d_out_pre, cache.mixed)
-        self.grad_block("head_b1")[:] = d_out_pre
-        d_mixed = self.block("head_w1").T @ d_out_pre
+        gb["head_w1"][:] = np.outer(d_out_pre, cache.mixed)
+        gb["head_b1"][:] = d_out_pre
+        d_mixed = b["head_w1"].T @ d_out_pre
 
         # output projection
-        flat_out = cache.head_out.reshape(H * hd)
-        self.grad_block("attn_out")[:] = np.outer(d_mixed, flat_out)
-        d_head_out = (self.block("attn_out").T @ d_mixed).reshape(H, hd)
+        gb["attn_out"][:] = np.outer(d_mixed, cache.head_out.reshape(H * hd))
+        d_head_out = (b["attn_out"].T @ d_mixed).reshape(H, hd)
 
-        # attention: o_h = sum_t a_ht v_ht, a = softmax(scale * k q)
-        d_attn = np.einsum("hti,hi->ht", cache.head_v, d_head_out)
-        d_head_v = cache.attn[:, :, None] * d_head_out[:, None, :]
-        inner = np.einsum("ht,ht->h", cache.attn, d_attn)
-        d_scores = cache.attn * (d_attn - inner[:, None])
-        d_head_q = scale * np.einsum("ht,hti->hi", d_scores, cache.head_k)
-        d_head_k = scale * d_scores[:, :, None] * cache.head_q[:, None, :]
-
-        self.grad_block("attn_q")[:] = np.einsum("hi,j->hij", d_head_q, cache.qry_emb)
-        self.grad_block("attn_k")[:] = np.einsum("hti,tj->hij", d_head_k, cache.ctx_emb)
-        self.grad_block("attn_v")[:] = np.einsum("hti,tj->hij", d_head_v, cache.ctx_emb)
-        Wq, Wk, Wv = self.block("attn_q"), self.block("attn_k"), self.block("attn_v")
-        d_qry_emb = np.einsum("hij,hi->j", Wq, d_head_q)
-        d_ctx_emb = (np.einsum("hij,hti->tj", Wk, d_head_k)
-                     + np.einsum("hij,hti->tj", Wv, d_head_v))
+        # attention: o_h = sum_t a_ht v_ht, a = softmax(scale * k q).  d_k[h,t] =
+        # scale d_scores[h,t] q_h and d_v[h,t] = a_ht d_o_h are rank 1 per head,
+        # so they meet ctx_emb as (H, T) weights, never as (H, T, hd) tensors.
+        ctx, attn, sq = cache.ctx_emb, cache.attn, scale * cache.head_q
+        Wq, Wk, Wv = b["attn_q"], b["attn_k"], b["attn_v"]
+        u_v = (d_head_out[:, None, :] @ Wv)[:, 0, :]   # (H, dm)
+        d_attn = u_v @ ctx.T                            # (H, T)
+        d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
+        s_ctx = d_scores @ ctx                          # (H, dm)
+        d_head_q = scale * (Wk @ s_ctx[:, :, None])[:, :, 0]
+        gb["attn_q"][:] = d_head_q[:, :, None] * cache.qry_emb
+        gb["attn_k"][:] = sq[:, :, None] * s_ctx[:, None, :]
+        gb["attn_v"][:] = d_head_out[:, :, None] * (attn @ ctx)[:, None, :]
+        d_qry_emb = d_head_q.reshape(H * hd) @ Wq.reshape(H * hd, dm)
+        d_ctx_emb = d_scores.T @ (sq[:, None, :] @ Wk)[:, 0, :] + attn.T @ u_v
 
         # query MLP
-        self.grad_block("qry_w2")[:] = np.outer(d_qry_emb, cache.qry_act)
-        self.grad_block("qry_b2")[:] = d_qry_emb
-        d_qry_act = self.block("qry_w2").T @ d_qry_emb
+        gb["qry_w2"][:] = np.outer(d_qry_emb, cache.qry_act)
+        gb["qry_b2"][:] = d_qry_emb
+        d_qry_act = b["qry_w2"].T @ d_qry_emb
         d_qry_pre = d_qry_act * act_grad(cache.qry_pre)
-        self.grad_block("qry_w1")[:] = np.outer(d_qry_pre, cache.query)
-        self.grad_block("qry_b1")[:] = d_qry_pre
+        gb["qry_w1"][:] = np.outer(d_qry_pre, cache.query)
+        gb["qry_b1"][:] = d_qry_pre
 
         # context MLP
-        d_ctx_act = d_ctx_emb @ self.block("ctx_w2")
-        self.grad_block("ctx_w2")[:] = d_ctx_emb.T @ cache.ctx_act
-        self.grad_block("ctx_b2")[:] = d_ctx_emb.sum(axis=0)
+        d_ctx_act = d_ctx_emb @ b["ctx_w2"]
+        gb["ctx_w2"][:] = d_ctx_emb.T @ cache.ctx_act
+        gb["ctx_b2"][:] = d_ctx_emb.sum(axis=0)
         d_ctx_pre = d_ctx_act * act_grad(cache.ctx_pre)
-        self.grad_block("ctx_w1")[:] = d_ctx_pre.T @ cache.context
-        self.grad_block("ctx_b1")[:] = d_ctx_pre.sum(axis=0)
+        gb["ctx_w1"][:] = d_ctx_pre.T @ cache.context
+        gb["ctx_b1"][:] = d_ctx_pre.sum(axis=0)
 
     def to_dict(self) -> dict:
         return {

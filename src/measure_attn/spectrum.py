@@ -109,9 +109,14 @@ class MercerSpectrum:
         return float(out) if xa.ndim == 0 else out
 
     def basis_matrix(self) -> np.ndarray:
-        """(M, T) matrix with row j = e_j evaluated on the grid."""
-        return np.stack([self.basis_eval(j, self.domain_grid)
-                         for j in range(self.M)])
+        """(M, T) matrix with row j = e_j on the grid; built once, read-only."""
+        B = self.__dict__.get("_basis")
+        if B is None:
+            B = np.stack([self.basis_eval(j, self.domain_grid)
+                          for j in range(self.M)])
+            B.flags.writeable = False
+            object.__setattr__(self, "_basis", B)
+        return B
 
 
 def synth_density(spec: MercerSpectrum, z, clamp_eps: float = 1e-6

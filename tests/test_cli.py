@@ -128,6 +128,27 @@ def test_train_writes_artifacts(tmp_path, capsys):
     assert resolved["train"]["epochs"] == 2
 
 
+def test_train_writes_artifacts_atomically(tmp_path, capsys, monkeypatch):
+    from measure_attn import experiment
+    written = []
+    real = experiment._atomic_write
+
+    def spy(path, data):
+        written.append(os.path.basename(path))
+        real(path, data)
+
+    monkeypatch.setattr(experiment, "_atomic_write", spy)
+    out_dir = str(tmp_path / "cell")
+    code, _, _ = run(capsys, ["train", *TINY, "--n-train", "2",
+                              "--out", out_dir])
+    assert code == 0
+    assert {"checkpoint.json", "losses.csv", "metrics.json"} <= set(written)
+    json.load(open(os.path.join(out_dir, "checkpoint.json")))
+    json.load(open(os.path.join(out_dir, "metrics.json")))
+    assert open(os.path.join(out_dir, "losses.csv")).read().endswith("\n")
+    assert not [f for f in os.listdir(out_dir) if f.endswith(".part")]
+
+
 def test_train_missing_out_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--n-train", "2"])

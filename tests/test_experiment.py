@@ -364,6 +364,52 @@ def test_sweep_writes_bundle_and_resumes(tmp_path):
     assert open(os.path.join(out, "risk_curve.csv"), "rb").read() == risk_before
 
 
+def test_sweep_records_non_finite_val_mse_as_failure(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    monkeypatch.setattr(experiment, "evaluate", lambda model, data: math.nan)
+    out = str(tmp_path / "bundle")
+    summary = sweep(SMALL, out, jobs=1)
+    assert summary["cells_failed"] == 2
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert not manifest["complete"]
+    for cell in manifest["cells"].values():
+        assert cell["status"] == "failed"
+        assert "non-finite val_mse" in cell["error"]
+    assert os.listdir(os.path.join(out, "cells")) == []
+    assert 1.0 not in summary["fits"]
+
+
+def bundle_bytes(out):
+    return {os.path.relpath(os.path.join(d, f), out):
+            open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(out) for f in files}
+
+
+def test_sweep_resume_recomputes_cell_with_tampered_key_inputs(tmp_path):
+    out = str(tmp_path / "bundle")
+    sweep(SMALL, out)
+    original = bundle_bytes(out)
+    cells = sorted(os.listdir(os.path.join(out, "cells")))
+    tampered, kept = (os.path.join(out, "cells", c) for c in cells)
+    doc = json.load(open(tampered))
+    doc["key_inputs"]["n_tokens"] += 1
+    doc["val_mse"] = 123.0
+    with open(tampered, "w") as f:
+        json.dump(doc, f, sort_keys=True, indent=1)
+    kept_stamp = os.stat(kept).st_mtime_ns
+    summary = sweep(SMALL, out)
+    assert summary["cells_failed"] == 0
+    assert os.stat(kept).st_mtime_ns == kept_stamp
+    assert bundle_bytes(out) == original
+
+    # a cell file without key_inputs is not trusted either
+    del doc["key_inputs"]
+    with open(tampered, "w") as f:
+        json.dump(doc, f)
+    sweep(SMALL, out)
+    assert bundle_bytes(out) == original
+
+
 def test_sweep_reproducible_across_directories_and_jobs(tmp_path):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")

@@ -8,7 +8,9 @@ the package's own verification code.
 import numpy as np
 import pytest
 
-from measure_attn import ModelCache, StudentConfig, StudentModel, attention_rows
+from measure_attn import (AdamState, AttnHead, DiscreteMeasure, ModelCache,
+                          StudentConfig, StudentModel, adam_step,
+                          attention_rows, softmax_weights)
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -26,6 +28,73 @@ def random_batch(rng, T=6):
                                rng.choice([-1.0, 1.0], T)])
     query = np.array([0.0, float(rng.choice([-1.0, 1.0]))])
     return context, query
+
+
+def einsum_reference(model, context, query, upstream):
+    """Prediction and per-block gradients from the per-head einsum formulas.
+
+    An independent statement of the same network: every contraction over
+    heads and tokens is spelled out as an einsum on (H, T, hd) tensors.
+    """
+    cfg = model.config
+    relu = cfg.activation == "relu"
+
+    def f(x):
+        return np.maximum(x, 0.0) if relu else np.tanh(x)
+
+    def f_grad(x):
+        return (x > 0.0).astype(float) if relu else 1.0 - np.tanh(x) ** 2
+
+    w = {n: model.block(n) for n in model.block_names()}
+    H, hd = cfg.n_heads, cfg.head_dim
+    scale = 1.0 / np.sqrt(hd)
+    ctx_pre = context @ w["ctx_w1"].T + w["ctx_b1"]
+    ctx_emb = f(ctx_pre) @ w["ctx_w2"].T + w["ctx_b2"]
+    qry_pre = w["qry_w1"] @ query + w["qry_b1"]
+    qry_emb = w["qry_w2"] @ f(qry_pre) + w["qry_b2"]
+    head_q = np.einsum("hij,j->hi", w["attn_q"], qry_emb)
+    head_k = np.einsum("hij,tj->hti", w["attn_k"], ctx_emb)
+    head_v = np.einsum("hij,tj->hti", w["attn_v"], ctx_emb)
+    scores = scale * np.einsum("hti,hi->ht", head_k, head_q)
+    attn = np.exp(scores - scores.max(axis=1, keepdims=True))
+    attn /= attn.sum(axis=1, keepdims=True)
+    head_out = np.einsum("ht,hti->hi", attn, head_v)
+    mixed = w["attn_out"] @ head_out.reshape(H * hd)
+    out_pre = w["head_w1"] @ mixed + w["head_b1"]
+    pred = float(w["head_w2"][0] @ f(out_pre) + w["head_b2"][0])
+
+    g = {}
+    g["head_w2"] = upstream * f(out_pre)[None, :]
+    g["head_b2"] = np.array([upstream])
+    d_out_pre = upstream * w["head_w2"][0] * f_grad(out_pre)
+    g["head_w1"] = np.outer(d_out_pre, mixed)
+    g["head_b1"] = d_out_pre
+    d_mixed = w["head_w1"].T @ d_out_pre
+    g["attn_out"] = np.outer(d_mixed, head_out.reshape(H * hd))
+    d_head_out = (w["attn_out"].T @ d_mixed).reshape(H, hd)
+    d_attn = np.einsum("hti,hi->ht", head_v, d_head_out)
+    d_head_v = attn[:, :, None] * d_head_out[:, None, :]
+    inner = np.einsum("ht,ht->h", attn, d_attn)
+    d_scores = attn * (d_attn - inner[:, None])
+    d_head_q = scale * np.einsum("ht,hti->hi", d_scores, head_k)
+    d_head_k = scale * d_scores[:, :, None] * head_q[:, None, :]
+    g["attn_q"] = np.einsum("hi,j->hij", d_head_q, qry_emb)
+    g["attn_k"] = np.einsum("hti,tj->hij", d_head_k, ctx_emb)
+    g["attn_v"] = np.einsum("hti,tj->hij", d_head_v, ctx_emb)
+    d_qry_emb = np.einsum("hij,hi->j", w["attn_q"], d_head_q)
+    d_ctx_emb = (np.einsum("hij,hti->tj", w["attn_k"], d_head_k)
+                 + np.einsum("hij,hti->tj", w["attn_v"], d_head_v))
+    g["qry_w2"] = np.outer(d_qry_emb, f(qry_pre))
+    g["qry_b2"] = d_qry_emb
+    d_qry_pre = (w["qry_w2"].T @ d_qry_emb) * f_grad(qry_pre)
+    g["qry_w1"] = np.outer(d_qry_pre, query)
+    g["qry_b1"] = d_qry_pre
+    g["ctx_w2"] = d_ctx_emb.T @ f(ctx_pre)
+    g["ctx_b2"] = d_ctx_emb.sum(axis=0)
+    d_ctx_pre = (d_ctx_emb @ w["ctx_w2"]) * f_grad(ctx_pre)
+    g["ctx_w1"] = d_ctx_pre.T @ context
+    g["ctx_b1"] = d_ctx_pre.sum(axis=0)
+    return pred, g
 
 
 # ---------------------------------------------------------- construction
@@ -214,6 +283,69 @@ def test_gradient_agrees_on_duplicated_context():
     _, cache_dup = model.forward(np.vstack([context, context]), query)
     model.backward(cache_dup, 1.0)
     np.testing.assert_allclose(model.grads, g_single, atol=1e-10)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("n_heads", [1, 4])
+@pytest.mark.parametrize("T", [1, 7, 1000])
+def test_passes_match_einsum_reference(T, n_heads, activation):
+    cfg = StudentConfig(n_heads=n_heads, activation=activation)
+    rng = np.random.default_rng(T + 10 * n_heads)
+    model = StudentModel.init(cfg, rng)
+    context, query = random_batch(rng, T=T)
+    pred, cache = model.forward(context, query)
+    model.backward(cache, 1.7)
+    ref_pred, ref_grads = einsum_reference(model, context, query, 1.7)
+    assert pred == pytest.approx(ref_pred, rel=1e-12)
+    scale = max(np.max(np.abs(g)) for g in ref_grads.values())
+    assert set(ref_grads) == set(model.block_names())
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(model.grad_block(name), ref, rtol=1e-12,
+                                   atol=1e-12 * scale, err_msg=name)
+    assert cache.head_k.shape == cache.head_v.shape == (n_heads, T, cfg.head_dim)
+
+
+def test_block_views_track_adam_step_and_stale_cache_is_rejected():
+    rng = np.random.default_rng(12)
+    model = StudentModel.init(StudentConfig(), rng)
+    context, query = random_batch(rng)
+    views = {n: model.block(n) for n in model.block_names()}
+    before = {n: v.copy() for n, v in views.items()}
+    _, cache = model.forward(context, query)
+    model.backward(cache, 1.0)
+    state = AdamState.for_params(model.params)
+    adam_step(state, model.params, model.grads.copy())
+    assert any(not np.array_equal(views[n], before[n]) for n in views)
+    for name, view in views.items():
+        assert model.block(name) is view
+        assert np.shares_memory(view, model.params)
+    np.testing.assert_array_equal(
+        np.concatenate([views[n].ravel() for n in model.block_names()]),
+        model.params)
+    with pytest.raises(ValueError, match="stale cache"):
+        model.backward(cache, 1.0)
+
+
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_student_rows_equal_lemma_softmax_on_uniform_measure(n_heads):
+    # the student's attention row for head h is softmax_weights on the
+    # uniform empirical measure of the embedded context, with the head's
+    # query/key projections (times sqrt(scale)) zero-padded to square
+    cfg = StudentConfig(n_heads=n_heads)
+    rng = np.random.default_rng(13 + n_heads)
+    model = StudentModel.init(cfg, rng)
+    context, query = random_batch(rng, T=1000)
+    _, cache = model.forward(context, query)
+    dm, hd = cfg.d_model, cfg.head_dim
+    root = np.sqrt(1.0 / np.sqrt(hd))
+    mu = DiscreteMeasure.uniform_on(cache.ctx_emb)
+    for h in range(n_heads):
+        Q, K = np.zeros((dm, dm)), np.zeros((dm, dm))
+        Q[:hd] = root * model.block("attn_q")[h]
+        K[:hd] = root * model.block("attn_k")[h]
+        head = AttnHead(W=np.eye(dm), Q=Q, K=K, V=np.eye(dm))
+        w = softmax_weights(head, mu, cache.qry_emb)
+        np.testing.assert_allclose(w, cache.attn[h], rtol=1e-12, atol=0.0)
 
 
 def test_backward_rejects_stale_cache():

@@ -109,6 +109,17 @@ def test_sine_block_exactly_orthonormal_on_midpoint_grid():
         assert np.max(np.abs(gram - np.eye(M - 1))) <= 1e-12
 
 
+def test_basis_matrix_is_built_once_and_read_only():
+    spec = make_spec(M=8, T=20)
+    B = spec.basis_matrix()
+    assert spec.basis_matrix() is B
+    assert not B.flags.writeable
+    with pytest.raises(ValueError):
+        B[1, 0] = 0.0
+    np.testing.assert_array_equal(
+        B, np.stack([spec.basis_eval(j, spec.domain_grid) for j in range(8)]))
+
+
 def test_constant_mode_unit_norm_but_not_orthogonal_to_odd_sines():
     spec = make_spec(M=16, T=32)
     B = spec.basis_matrix()
