@@ -27,7 +27,7 @@ from .experiment import (AttentionStats, CellResult, Example,
 from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
                        flatten, product_embed, pushforward, sample_tokens,
                        wasserstein1_1d)
-from .model import ModelCache, StudentConfig, StudentModel, attention_rows
+from .model import ModelCache, StudentConfig, StudentModel
 from .optim import AdamState, TrainConfig, adam_step, evaluate, train
 from .spectrum import (MercerSpectrum, gen_norm_sq, isometry_map,
                        midpoint_grid, synth_density, truncation_bound)
@@ -40,7 +40,7 @@ __all__ = [
     "LipschitzReport", "MeasureMap", "MercerSpectrum", "MixtureContext",
     "ModelCache", "ProbeSummary", "RiskCurve", "StudentConfig",
     "StudentModel", "TrainConfig", "adam_step", "attention_map",
-    "attention_mass_stats", "attention_rows", "build_mixture",
+    "attention_mass_stats", "build_mixture",
     "build_recall_params", "compose", "evaluate", "featured_mixture",
     "fit_rate", "flatten", "gen_example", "gen_norm_sq", "isometry_map",
     "lipschitz_probe", "measure_attention", "midpoint_grid",

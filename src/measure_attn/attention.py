@@ -109,11 +109,30 @@ class AttnParams:
         return cls(heads, np.asarray(d["skip"]))
 
 
+def _softmax(scores: np.ndarray, weights=None) -> np.ndarray:
+    """Softmax along the last axis, integrated against weights if given.
+
+    Returns p_t exp(s_t) / sum_u p_u exp(s_u) (p = 1 when weights is None),
+    stabilized by subtracting the max score as in Milakov & Gimelshein,
+    "Online normalizer calculation for softmax" (2018).  The student's rows
+    are this operator on the uniform empirical measure of its tokens.
+    """
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)   # in place: one fresh (.., T) buffer per call, not two
+    if weights is not None:
+        e *= weights
+    total = e.sum(axis=-1, keepdims=True)
+    if total.min() <= 0.0:
+        raise ValueError("softmax normalizer vanished (zero-mass tilt)")
+    e /= total
+    return e
+
+
 def softmax_weights(head: AttnHead, mu: DiscreteMeasure, x) -> np.ndarray:
     """Density of the softmax-tilted measure on mu's support.
 
-    w_t = p_t exp(s_t) / sum_u p_u exp(s_u) with s_t = <Qx, K y_t>; stabilized
-    by subtracting the max score.  With Q = 0 the weights reproduce mu.
+    w_t = p_t exp(s_t) / sum_u p_u exp(s_u) with s_t = <Qx, K y_t>.  With
+    Q = 0 the weights reproduce mu.
     """
     x = np.asarray(x, dtype=np.float64)
     if mu.n_points < 1:
@@ -123,13 +142,7 @@ def softmax_weights(head: AttnHead, mu: DiscreteMeasure, x) -> np.ndarray:
             f"dimension mismatch: head {head.d_attn}, measure {mu.dim}, "
             f"query {x.shape}"
         )
-    scores = (mu.support @ head.K.T) @ (head.Q @ x)
-    scores -= scores.max()
-    w = mu.weights * np.exp(scores)
-    total = w.sum()
-    if total <= 0.0:
-        raise ValueError("softmax normalizer vanished (zero-mass tilt)")
-    return w / total
+    return _softmax((mu.support @ head.K.T) @ (head.Q @ x), mu.weights)
 
 
 def measure_attention(params: AttnParams, mu: DiscreteMeasure, x) -> np.ndarray:
@@ -352,7 +365,7 @@ def random_lipschitz_trials(n_trials: int, rng_seed, n_max: int = 8,
     entries in [-b_max, b_max].  A small fraction of trials deliberately
     duplicates x or mu to exercise the skip path of the probe.
     """
-    rng = np.random.default_rng(rng_seed) if not isinstance(rng_seed, np.random.Generator) else rng_seed
+    rng = np.random.default_rng(rng_seed)
     skipped = violations = violations_2x = 0
     max_ratio = 0.0
     max_rel = 0.0

@@ -16,11 +16,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import experiment, verify
-from .experiment import (ExperimentConfig, RiskCurve, fit_rate, gen_example,
-                         run_cell)
+from .experiment import ExperimentConfig, gen_example, risk_curves, run_cell
 from .model import StudentConfig
 from .optim import TrainConfig, losses_to_csv
 
@@ -102,13 +99,8 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _write_resolved(cfg: ExperimentConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    doc = {
-        **{k: v for k, v in asdict(cfg).items() if k not in ("student", "train")},
-        "student": asdict(cfg.student),
-        "train": asdict(cfg.train),
-    }
     experiment._atomic_write(os.path.join(out_dir, "config_resolved.json"),
-                             json.dumps(doc, sort_keys=True, indent=1) + "\n")
+                             json.dumps(asdict(cfg), sort_keys=True, indent=1) + "\n")
 
 
 def _split_suites(arg) -> list[str] | None:
@@ -183,6 +175,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _resolve_config(args)
     _write_resolved(cfg, args.out)
     summary = experiment.sweep(cfg, args.out, jobs=args.jobs)
@@ -199,29 +193,17 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_risk_csv(path: str) -> dict[float, dict[int, list[float]]]:
-    by_alpha: dict[float, dict[int, list[float]]] = {}
-    with open(path) as f:
-        for row in csv.DictReader(f):
-            a = float(row["alpha"])
-            n = int(row["n"])
-            by_alpha.setdefault(a, {}).setdefault(n, []).append(float(row["val_mse"]))
-    return by_alpha
-
-
 def cmd_analyze(args) -> int:
     risk_path = os.path.join(args.results_dir, "risk_curve.csv")
     if not os.path.isfile(risk_path):
         raise CliError(f"missing {risk_path}")
-    by_alpha = _read_risk_csv(risk_path)
-    fits, curves = {}, {}
-    for alpha in sorted(by_alpha):
-        ns = sorted(by_alpha[alpha])
-        means = [float(np.mean(by_alpha[alpha][n])) for n in ns]
-        stds = [float(np.std(by_alpha[alpha][n])) for n in ns]
-        curves[alpha] = RiskCurve(alpha, tuple(ns), tuple(means), tuple(stds))
-        if len(ns) >= 2 and all(m > 0 for m in means):
-            fits[alpha] = fit_rate(curves[alpha], alpha)
+    with open(risk_path) as f:
+        try:
+            rows = [(float(r["alpha"]), int(r["n"]), float(r["val_mse"]))
+                    for r in csv.DictReader(f)]
+        except (KeyError, TypeError, ValueError) as e:
+            raise CliError(f"malformed {risk_path}: {type(e).__name__}: {e}")
+    curves, fits = risk_curves(rows)
 
     stats_path = os.path.join(args.results_dir, "attention_stats.csv")
     stats_rows = []
@@ -339,11 +321,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         return 0
+    except (CliError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

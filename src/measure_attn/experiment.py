@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace, asdict
 import numpy as np
 
 from .measures import DiscreteMeasure, build_mixture, sample_tokens
-from .model import StudentConfig, StudentModel, attention_rows
+from .model import StudentConfig, StudentModel
 from .optim import TrainConfig, evaluate, train
 from .spectrum import MercerSpectrum, synth_density
 
@@ -64,8 +64,9 @@ class ExperimentConfig:
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
         if self.M > self.T // 2:
             raise ValueError(f"M={self.M} must satisfy M <= T/2 with T={self.T}")
-        if self.seeds < 1 or self.n_tokens < 1 or self.n_val < 1:
-            raise ValueError("seeds, n_tokens and n_val must be positive")
+        if min(self.seeds, self.n_tokens, self.n_val, self.n_stat_examples) < 1:
+            raise ValueError(
+                "seeds, n_tokens, n_val and n_stat_examples must be positive")
 
     def spectrum(self, alpha: float) -> MercerSpectrum:
         return MercerSpectrum.on_midpoint_grid(alpha=alpha, M=self.M, T=self.T)
@@ -96,8 +97,7 @@ def target_value(spec: MercerSpectrum, v1: float, z1: np.ndarray) -> float:
 
 def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Example:
     """One labelled context: mixture tokens in (x, v) order plus query (0, v1)."""
-    rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-           else np.random.default_rng(rng_seed))
+    rng = np.random.default_rng(rng_seed)
     v1 = 1.0 if rng.random() < 0.5 else -1.0
     z1 = rng.standard_normal(spec.M)
     z2 = rng.standard_normal(spec.M)
@@ -155,24 +155,23 @@ def _stats_from_rows(rows_per_example, same_masks) -> AttentionStats:
     contributes only to the other side's averages.
     """
     n_heads = rows_per_example[0].shape[0]
-    acc = {k: [[] for _ in range(n_heads)] for k in ("ws", "wd", "ms", "md")}
+    acc = {k: [] for k in ("ws", "wd", "ms", "md")}   # per-example (H,) vectors
     for rows, same in zip(rows_per_example, same_masks):
         same = np.asarray(same, dtype=bool)
-        diff = ~same
-        for h in range(n_heads):
-            if same.any():
-                acc["ws"][h].append(rows[h, same].mean())
-                acc["ms"][h].append(rows[h, same].sum())
-            if diff.any():
-                acc["wd"][h].append(rows[h, diff].mean())
-                acc["md"][h].append(rows[h, diff].sum())
+        for mask, w_key, m_key in ((same, "ws", "ms"), (~same, "wd", "md")):
+            count = np.count_nonzero(mask)
+            if count:
+                mass = rows.compress(mask, axis=1).sum(axis=1)
+                acc[m_key].append(mass)
+                acc[w_key].append(mass / count)
 
     def mean_std(key):
-        means = np.array([np.mean(acc[key][h]) if acc[key][h] else np.nan
-                          for h in range(n_heads)])
-        stds = np.array([np.std(acc[key][h]) if acc[key][h] else np.nan
-                         for h in range(n_heads)])
-        return means, stds
+        if not acc[key]:
+            return np.full(n_heads, np.nan), np.full(n_heads, np.nan)
+        # (H, N) C-contiguous, so each head reduces over examples exactly as a
+        # 1-d array of that head's values would
+        per_head = np.stack(acc[key], axis=1)
+        return per_head.mean(axis=1), per_head.std(axis=1)
 
     ws_m, ws_s = mean_std("ws")
     wd_m, wd_s = mean_std("wd")
@@ -193,7 +192,7 @@ def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
     rows_list, masks = [], []
     for ex in examples:
         _, cache = model.forward(ex.context_tokens, ex.query_token)
-        rows_list.append(attention_rows(cache))
+        rows_list.append(cache.attn)
         masks.append(ex.context_tokens[:, 1] == ex.query_token[1])
     return _stats_from_rows(rows_list, masks)
 
@@ -313,6 +312,29 @@ def fit_rate(curve: RiskCurve, alpha: float) -> FitResult:
                      residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
+def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
+    """Risk curves and rate fits from (alpha, n, val_mse) rows.
+
+    Each curve holds the mean and std over the rows of each n, in increasing
+    n; alphas keep their first-seen order.  An alpha is fitted when it has
+    at least two n values and every mean is positive.
+    """
+    by_alpha: dict[float, dict[int, list[float]]] = {}
+    for alpha, n, val_mse in rows:
+        by_alpha.setdefault(alpha, {}).setdefault(n, []).append(val_mse)
+    curves: dict[float, RiskCurve] = {}
+    fits: dict[float, FitResult] = {}
+    for alpha, by_n in by_alpha.items():
+        ns = sorted(by_n)
+        curve = RiskCurve(alpha, tuple(ns),
+                          tuple(float(np.mean(by_n[n])) for n in ns),
+                          tuple(float(np.std(by_n[n])) for n in ns))
+        curves[alpha] = curve
+        if len(ns) >= 2 and all(m > 0 for m in curve.mean_mse):
+            fits[alpha] = fit_rate(curve, alpha)
+    return curves, fits
+
+
 def _cell_key(cfg: ExperimentConfig, alpha: float, n: int, seed: int
               ) -> tuple[str, dict]:
     """Content address: every value that feeds the cell's computation.
@@ -416,23 +438,8 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
             except Exception as e:  # noqa: BLE001
                 failures[cell] = f"{type(e).__name__}: {e}"
 
-    curves: dict[float, RiskCurve] = {}
-    fits: dict[float, FitResult] = {}
-    for alpha in cfg.alpha_list:
-        means, stds, ns = [], [], []
-        for n in cfg.n_list:
-            cell_mses = [results[(alpha, n, s)]["val_mse"]
-                         for s in range(cfg.seeds) if (alpha, n, s) in results]
-            if not cell_mses:
-                continue
-            ns.append(n)
-            means.append(float(np.mean(cell_mses)))
-            stds.append(float(np.std(cell_mses)))
-        curve = RiskCurve(alpha, tuple(ns), tuple(means), tuple(stds))
-        curves[alpha] = curve
-        if len(ns) >= 2 and all(m > 0 for m in means):
-            fits[alpha] = fit_rate(curve, alpha)
-
+    curves, fits = risk_curves((alpha, n, results[(alpha, n, s)]["val_mse"])
+                               for alpha, n, s in keyed if (alpha, n, s) in results)
     _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures)
     return {"curves": curves, "fits": fits, "failures": failures,
             "cells_total": len(grid), "cells_failed": len(failures)}
@@ -447,7 +454,7 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
             for s in range(cfg.seeds):
                 cell = (alpha, n, s)
                 if cell in results:
-                    w.writerow([f"{alpha:g}", n, s, _fmt(results[cell]["val_mse"])])
+                    w.writerow([_fmt(alpha), n, s, _fmt(results[cell]["val_mse"])])
     _atomic_write(os.path.join(out_dir, "risk_curve.csv"), risk.getvalue())
 
     stats = io.StringIO()
@@ -463,7 +470,7 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
             for h in range(per_seed[0].n_heads):
                 def agg(attr):
                     return _fmt(np.mean([getattr(st, attr)[h] for st in per_seed]))
-                w.writerow([f"{alpha:g}", n, h,
+                w.writerow([_fmt(alpha), n, h,
                             agg("w_same_mean"), agg("w_diff_mean"),
                             agg("w_same_std"), agg("w_diff_std"),
                             agg("m_same_mean"), agg("m_diff_mean")])

@@ -17,12 +17,6 @@ WEIGHT_TOL = 1e-9
 TAG_DOT_TOL = 1e-12
 
 
-def _as_generator(rng_seed) -> np.random.Generator:
-    if isinstance(rng_seed, np.random.Generator):
-        return rng_seed
-    return np.random.default_rng(rng_seed)
-
-
 @dataclass(frozen=True)
 class DiscreteMeasure:
     """Weighted point set; a probability measure unless tagged otherwise.
@@ -202,7 +196,7 @@ def sample_tokens(ctx: MixtureContext, n_tokens: int, rng_seed) -> np.ndarray:
     """
     if n_tokens < 1:
         raise ValueError(f"n_tokens must be >= 1, got {n_tokens}")
-    rng = _as_generator(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     comp_idx = rng.choice(ctx.n_components, size=n_tokens, p=ctx.mix_weights)
     u = rng.random(n_tokens)
     out = np.empty((n_tokens, ctx.tag_dim + ctx.content_dim))

@@ -13,10 +13,12 @@ No layer norm, no dropout, no biases inside the attention projections.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+
+from .attention import _softmax
 
 
 def _relu(x):
@@ -113,13 +115,7 @@ class ModelCache:
     mixed: np.ndarray
     out_pre: np.ndarray
     out_act: np.ndarray
-    prediction: float
     params_digest: bytes
-
-
-def attention_rows(cache: ModelCache) -> np.ndarray:
-    """Per-head softmax rows over context positions, shape (n_heads, T)."""
-    return cache.attn
 
 
 class StudentModel:
@@ -153,8 +149,7 @@ class StudentModel:
         s = sqrt(6 / (fan_in + fan_out)); the (H, hd, dm) projection stacks
         use per-head fans.
         """
-        rng = (rng_seed if isinstance(rng_seed, np.random.Generator)
-               else np.random.default_rng(rng_seed))
+        rng = np.random.default_rng(rng_seed)
         model = cls(config)
         for name, w in model._blocks.items():
             if name.endswith(("_b1", "_b2")):
@@ -204,10 +199,7 @@ class StudentModel:
         head_k, head_v = ((ctx_emb @ b[w].reshape(H * hd, dm).T)
                           .reshape(-1, H, hd).transpose(1, 0, 2)
                           for w in ("attn_k", "attn_v"))
-        scores = scale * (head_k @ head_q[:, :, None])[:, :, 0]
-        scores -= scores.max(axis=1, keepdims=True)
-        attn = np.exp(scores)
-        attn /= attn.sum(axis=1, keepdims=True)    # (H, T)
+        attn = _softmax(scale * (head_k @ head_q[:, :, None])[:, :, 0])  # (H, T)
         head_out = (attn[:, None, :] @ head_v)[:, 0, :]  # (H, hd)
         mixed = b["attn_out"] @ head_out.reshape(H * hd)
 
@@ -217,7 +209,7 @@ class StudentModel:
 
         cache = ModelCache(C, q, ctx_pre, ctx_act, ctx_emb, qry_pre, qry_act,
                            qry_emb, head_q, head_k, head_v, attn, head_out,
-                           mixed, out_pre, out_act, pred, self._digest())
+                           mixed, out_pre, out_act, self._digest())
         return pred, cache
 
     def backward(self, cache: ModelCache, upstream: float) -> None:
@@ -283,16 +275,7 @@ class StudentModel:
         gb["ctx_b1"][:] = d_ctx_pre.sum(axis=0)
 
     def to_dict(self) -> dict:
-        return {
-            "config": {
-                "d_model": self.config.d_model,
-                "d_hidden": self.config.d_hidden,
-                "n_heads": self.config.n_heads,
-                "input_dim": self.config.input_dim,
-                "activation": self.config.activation,
-            },
-            "params": self.params.tolist(),
-        }
+        return {"config": asdict(self.config), "params": self.params.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "StudentModel":

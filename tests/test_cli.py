@@ -79,6 +79,13 @@ def test_gen_out_file(tmp_path, capsys):
     assert len(doc["context_tokens"]) == 30
 
 
+def test_gen_out_in_missing_directory_is_io_error(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.json")
+    code, _, err = run(capsys, ["gen", "--n-tokens", "30", "--out", path])
+    assert code == 2
+    assert "error:" in err and path in err
+
+
 def test_gen_reduced_profile_token_count(capsys):
     code, out, _ = run(capsys, ["gen", "--profile", "reduced", "--seed", "0"])
     assert code == 0
@@ -149,6 +156,15 @@ def test_train_writes_artifacts_atomically(tmp_path, capsys, monkeypatch):
     assert not [f for f in os.listdir(out_dir) if f.endswith(".part")]
 
 
+def test_train_out_is_existing_file_is_io_error(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    code, _, err = run(capsys, ["train", *TINY, "--n-train", "2",
+                                "--out", str(path)])
+    assert code == 2
+    assert "error:" in err and str(path) in err
+
+
 def test_train_missing_out_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--n-train", "2"])
@@ -157,17 +173,19 @@ def test_train_missing_out_is_usage_error():
 
 # ------------------------------------------------------------------ sweep
 
-def sweep_argv(out_dir, extra=()):
-    return ["sweep", "--alpha", "1.0", "--n", "2,4", "--seeds", "1",
-            *TINY, "--n-stat-examples", "5", "--out", out_dir, *extra]
+def sweep_argv(out_dir, alpha="1.0", n_stat_examples="5", extra=()):
+    return ["sweep", "--alpha", alpha, "--n", "2,4", "--seeds", "1", *TINY,
+            "--n-stat-examples", n_stat_examples, "--out", out_dir, *extra]
 
 
-def test_sweep_bundle_then_analyze(tmp_path, capsys):
+@pytest.mark.parametrize("alpha", ["1.0", "0.3333333333"])
+def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
+    label = f"{float(alpha):g}"
     out_dir = str(tmp_path / "bundle")
-    code, out, _ = run(capsys, sweep_argv(out_dir))
+    code, out, _ = run(capsys, sweep_argv(out_dir, alpha))
     assert code == 0
     assert "sweep: 2/2 cells" in out
-    assert "alpha=1:" in out and "bundle written" in out
+    assert f"alpha={label}:" in out and "bundle written" in out
     for name in ("risk_curve.csv", "attention_stats.csv", "fit.json",
                  "scaling_axis.dat", "manifest.json", "config_resolved.json"):
         assert os.path.isfile(os.path.join(out_dir, name)), name
@@ -176,7 +194,7 @@ def test_sweep_bundle_then_analyze(tmp_path, capsys):
     cells_dir = os.path.join(out_dir, "cells")
     stamps = {c: os.stat(os.path.join(cells_dir, c)).st_mtime_ns
               for c in os.listdir(cells_dir)}
-    code2, out2, _ = run(capsys, sweep_argv(out_dir))
+    code2, out2, _ = run(capsys, sweep_argv(out_dir, alpha))
     assert code2 == 0 and "sweep: 2/2 cells" in out2
     for c, ns in stamps.items():
         assert os.stat(os.path.join(cells_dir, c)).st_mtime_ns == ns
@@ -185,22 +203,47 @@ def test_sweep_bundle_then_analyze(tmp_path, capsys):
     code3, table, _ = run(capsys, ["analyze", out_dir])
     assert code3 == 0
     assert "risk scaling fits" in table
-    assert "curve alpha=1:" in table
+    assert f"curve alpha={label}:" in table
     assert "attention masses" in table
     code4, js, _ = run(capsys, ["analyze", out_dir, "--format", "json"])
     assert code4 == 0
     doc = json.loads(js)
-    assert doc["curves"]["1"]["n"] == [2, 4]
-    assert set(doc["fits"]["1"]) == {"A", "C", "residual_rms"}
+    assert doc["curves"][label]["n"] == [2, 4]
+    assert set(doc["fits"][label]) == {"A", "C", "residual_rms"}
     fit_doc = json.load(open(os.path.join(out_dir, "fit.json")))
     (planted,) = fit_doc.values()
-    assert doc["fits"]["1"]["C"] == pytest.approx(planted["C"], rel=1e-12)
+    assert doc["fits"][label]["C"] == pytest.approx(planted["C"], rel=1e-12)
+
+
+@pytest.mark.parametrize("n_stat_examples, jobs, named", [
+    ("5", "0", "--jobs"), ("5", "-1", "--jobs"), ("0", "1", "n_stat_examples")],
+    ids=["jobs-0", "jobs-negative", "n-stat-examples-0"])
+def test_sweep_rejects_nonpositive_counts(tmp_path, capsys, n_stat_examples,
+                                          jobs, named):
+    out_dir = tmp_path / "bundle"
+    argv = sweep_argv(str(out_dir), n_stat_examples=n_stat_examples,
+                      extra=("--jobs", jobs))
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert named in err
+    assert not out_dir.exists()   # rejected before any cell is trained
 
 
 def test_analyze_missing_bundle_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, ["analyze", str(tmp_path / "nope")])
     assert code == 2
     assert "risk_curve.csv" in err
+
+
+@pytest.mark.parametrize("text", [
+    "alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,oops\n",
+    "n,seed,val_mse\n4,0,0.5\n8,0,0.25\n",
+], ids=["non-numeric-val-mse", "no-alpha-column"])
+def test_analyze_malformed_risk_csv_is_usage_error(tmp_path, capsys, text):
+    (tmp_path / "risk_curve.csv").write_text(text)
+    code, _, err = run(capsys, ["analyze", str(tmp_path)])
+    assert code == 2
+    assert "malformed" in err and "risk_curve.csv" in err
 
 
 def test_analyze_recovers_planted_collinear_fit(tmp_path, capsys):

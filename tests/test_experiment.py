@@ -72,6 +72,8 @@ def test_experiment_config_validation():
         ExperimentConfig(M=20, T=32)
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(n_stat_examples=0)
 
 
 def test_target_value_zero_coefficients_and_oddness():
@@ -147,6 +149,48 @@ def test_stats_with_single_sided_example():
     stats = _stats_from_rows(rows, masks)
     assert stats.m_same_mean[0] == pytest.approx((1.0 + 0.5) / 2)
     assert stats.m_diff_mean[0] == pytest.approx(0.5)  # second example only
+
+
+def stats_loop_reference(rows_per_example, same_masks):
+    """Per-head, per-example loop with boolean-mask indexing."""
+    n_heads = rows_per_example[0].shape[0]
+    acc = {k: [[] for _ in range(n_heads)] for k in ("ws", "wd", "ms", "md")}
+    for rows, same in zip(rows_per_example, same_masks):
+        diff = ~same
+        for h in range(n_heads):
+            if same.any():
+                acc["ws"][h].append(rows[h, same].mean())
+                acc["ms"][h].append(rows[h, same].sum())
+            if diff.any():
+                acc["wd"][h].append(rows[h, diff].mean())
+                acc["md"][h].append(rows[h, diff].sum())
+
+    def agg(key, fn):
+        return np.array([fn(v) if v else np.nan for v in acc[key]])
+
+    return {"w_same_mean": agg("ws", np.mean), "w_diff_mean": agg("wd", np.mean),
+            "w_same_std": agg("ws", np.std), "w_diff_std": agg("wd", np.std),
+            "m_same_mean": agg("ms", np.mean), "m_diff_mean": agg("md", np.mean),
+            "m_same_std": agg("ms", np.std), "m_diff_std": agg("md", np.std)}
+
+
+@pytest.mark.parametrize("one_sided", ["none", "some", "all_same"])
+def test_stats_match_loop_reference_bitwise(one_sided):
+    rng = np.random.default_rng(11)
+    H, T = 4, 257
+    rows, masks = [], []
+    for i in range(37):
+        logits = rng.normal(size=(H, T)) * 3.0
+        rows.append(np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True))
+        same = rng.random(T) < rng.uniform(0.1, 0.9)
+        if one_sided == "all_same" or (one_sided == "some" and i % 5 == 0):
+            same[:] = True
+        if one_sided == "some" and i % 7 == 3:
+            same[:] = False
+        masks.append(same)
+    stats = _stats_from_rows(rows, masks)
+    for key, want in stats_loop_reference(rows, masks).items():
+        assert np.array_equal(getattr(stats, key), want, equal_nan=True), key
 
 
 def test_uniform_attention_balanced_tags_mass_statistics():

@@ -10,7 +10,7 @@ import pytest
 
 from measure_attn import (AdamState, AttnHead, DiscreteMeasure, ModelCache,
                           StudentConfig, StudentModel, adam_step,
-                          attention_rows, softmax_weights)
+                          softmax_weights)
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -169,8 +169,7 @@ def test_single_context_token_gets_full_attention():
     model = StudentModel.init(StudentConfig(), rng)
     context = np.array([[0.4, 1.0]])
     _, cache = model.forward(context, np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(attention_rows(cache),
-                                  np.ones((4, 1)))
+    np.testing.assert_array_equal(cache.attn, np.ones((4, 1)))
 
 
 def test_attention_rows_are_simplex_rows():
@@ -178,7 +177,7 @@ def test_attention_rows_are_simplex_rows():
     model = StudentModel.init(StudentConfig(), rng)
     context, query = random_batch(rng, T=9)
     _, cache = model.forward(context, query)
-    rows = attention_rows(cache)
+    rows = cache.attn
     assert rows.shape == (4, 9)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(rows >= 0.0)
@@ -189,7 +188,7 @@ def test_identical_tokens_get_uniform_attention():
     model = StudentModel.init(StudentConfig(), rng)
     context = np.tile([[0.3, 1.0]], (7, 1))
     _, cache = model.forward(context, np.array([0.0, -1.0]))
-    np.testing.assert_allclose(attention_rows(cache), 1.0 / 7.0, rtol=1e-12)
+    np.testing.assert_allclose(cache.attn, 1.0 / 7.0, rtol=1e-12)
 
 
 def test_prediction_invariant_to_context_permutation():
@@ -209,7 +208,7 @@ def test_prediction_invariant_to_context_duplication():
     pred, _ = model.forward(context, query)
     pred_dup, cache = model.forward(np.vstack([context, context]), query)
     assert pred_dup == pytest.approx(pred, abs=1e-12)
-    rows = attention_rows(cache)
+    rows = cache.attn
     # each duplicated token carries half its original weight
     np.testing.assert_allclose(rows[:, :5], rows[:, 5:], rtol=1e-12)
 
