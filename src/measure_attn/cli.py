@@ -38,14 +38,6 @@ def _env_seed() -> int | None:
         raise CliError(f"{ENV_SEED} must be an integer, got {raw!r}")
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.split(",") if x.strip())
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
-
-
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
@@ -60,35 +52,26 @@ def _load_config_file(path: str | None) -> dict:
 
 def _resolve_config(args) -> ExperimentConfig:
     """Merge defaults < config file < --profile < flags < env seed."""
-    merged = _load_config_file(getattr(args, "config", None))
-    if getattr(args, "profile", None) == "reduced":
+    flags = {k: v for k, v in vars(args).items() if v is not None}
+    merged = _load_config_file(flags.get("config"))
+    if flags.get("profile") == "reduced":
         merged["n_tokens"] = 1000
         merged["n_val"] = 500
-    flag_map = {
-        "alpha": ("alpha_list", _float_list),
-        "n": ("n_list", _int_list),
-        "seeds": ("seeds", int),
-        "n_tokens": ("n_tokens", int),
-        "n_val": ("n_val", int),
-        "n_stat_examples": ("n_stat_examples", int),
-        "seed": ("seed", int),
-        "clamp_eps": ("clamp_eps", float),
-    }
-    for attr, (key, conv) in flag_map.items():
-        val = getattr(args, attr, None)
-        if val is not None:
-            merged[key] = conv(val) if isinstance(val, str) else val
-    train_over = {k: v for k, v in (
-        ("epochs", getattr(args, "epochs", None)),
-        ("batch_size", getattr(args, "batch_size", None)),
-        ("lr0", getattr(args, "lr0", None)),
-        ("decay_per_epoch", getattr(args, "decay", None)),
-        ("noise_std", getattr(args, "noise_std", None)),
-    ) if v is not None}
-    env = _env_seed()
-    if env is not None:
-        merged["seed"] = env
+    train_over = {k: flags[k] for k in ("epochs", "batch_size", "lr0",
+                                        "decay_per_epoch", "noise_std")
+                  if k in flags}
     try:
+        for attr, key, conv in (("alpha", "alpha_list", float),
+                                ("n", "n_list", int)):
+            if attr in flags:
+                merged[key] = tuple(conv(x) for x in flags[attr].split(",")
+                                    if x.strip())
+        merged.update((k, flags[k]) for k in (
+            "seeds", "n_tokens", "n_val", "n_stat_examples", "seed",
+            "clamp_eps") if k in flags)
+        env = _env_seed()
+        if env is not None:
+            merged["seed"] = env
         student = StudentConfig(**merged.pop("student", {}))
         train = replace(ExperimentConfig().train,
                         **{**merged.pop("train", {}), **train_over})
@@ -135,7 +118,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = _resolve_config(args)
-    alpha = cfg.alpha_list[0] if args.alpha is None else _float_list(args.alpha)[0]
+    alpha = cfg.alpha_list[0]
     ex = gen_example(cfg.spectrum(alpha), cfg, cfg.seed)
     doc = {
         "alpha": alpha,
@@ -156,8 +139,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.n_train < 1:
+        raise CliError(f"--n-train must be at least 1, got {args.n_train}")
+    if args.cell_seed < 0:
+        raise CliError(f"--cell-seed must be non-negative, got {args.cell_seed}")
     cfg = _resolve_config(args)
-    alpha = 1.0 if args.alpha is None else _float_list(args.alpha)[0]
+    alpha = 1.0 if args.alpha is None else cfg.alpha_list[0]
     _write_resolved(cfg, args.out)
     val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
     metrics = {
@@ -193,23 +180,30 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _read_csv(path: str, columns: dict) -> tuple[list[dict], list[dict]]:
+    """A CSV file's rows as read, and the named columns of each converted."""
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    try:
+        return rows, [{k: conv(r[k]) for k, conv in columns.items()} for r in rows]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(f"malformed {path}: {type(e).__name__}: {e}")
+
+
 def cmd_analyze(args) -> int:
     risk_path = os.path.join(args.results_dir, "risk_curve.csv")
     if not os.path.isfile(risk_path):
         raise CliError(f"missing {risk_path}")
-    with open(risk_path) as f:
-        try:
-            rows = [(float(r["alpha"]), int(r["n"]), float(r["val_mse"]))
-                    for r in csv.DictReader(f)]
-        except (KeyError, TypeError, ValueError) as e:
-            raise CliError(f"malformed {risk_path}: {type(e).__name__}: {e}")
-    curves, fits = risk_curves(rows)
+    _, risk = _read_csv(risk_path, {"alpha": float, "n": int, "val_mse": float})
+    curves, fits = risk_curves((r["alpha"], r["n"], r["val_mse"]) for r in risk)
 
     stats_path = os.path.join(args.results_dir, "attention_stats.csv")
-    stats_rows = []
+    stats_rows, stats = [], []
     if os.path.isfile(stats_path):
-        with open(stats_path) as f:
-            stats_rows = list(csv.DictReader(f))
+        stats_rows, stats = _read_csv(stats_path, {
+            "alpha": float, "n": int, "head": int,
+            **{k: float for k in ("w_same_mean", "w_diff_mean", "w_same_std",
+                                  "w_diff_std", "m_same_mean", "m_diff_mean")}})
 
     if args.format == "json":
         doc = {
@@ -233,21 +227,20 @@ def cmd_analyze(args) -> int:
         pts = "  ".join(f"n={n}: {m:.4g}"
                         for n, m in zip(curve.n_values, curve.mean_mse))
         print(f"curve alpha={alpha:g}:  {pts}")
-    if stats_rows:
+    if stats:
         # show the most-trained block: prefer alpha=1, then the largest n
-        keys = {(float(r["alpha"]), int(r["n"])) for r in stats_rows}
+        keys = {(r["alpha"], r["n"]) for r in stats}
         ones = [k for k in keys if k[0] == 1.0]
         show = max(ones) if ones else max(keys)
         print(f"\nattention masses at alpha={show[0]:g}, n={show[1]} "
               "(means over validation examples)")
         print(f"{'head':>4} {'w_same':>12} {'w_diff':>12} {'m_same':>9} "
               f"{'m_diff':>9}")
-        for r in stats_rows:
-            if (float(r["alpha"]), int(r["n"])) == show:
-                print(f"{r['head']:>4} {float(r['w_same_mean']):>12.3e} "
-                      f"{float(r['w_diff_mean']):>12.3e} "
-                      f"{float(r['m_same_mean']):>9.4f} "
-                      f"{float(r['m_diff_mean']):>9.4f}")
+        for r in stats:
+            if (r["alpha"], r["n"]) == show:
+                print(f"{r['head']:>4} {r['w_same_mean']:>12.3e} "
+                      f"{r['w_diff_mean']:>12.3e} {r['m_same_mean']:>9.4f} "
+                      f"{r['m_diff_mean']:>9.4f}")
     return 0
 
 
@@ -283,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--epochs", type=int)
             sp.add_argument("--batch-size", dest="batch_size", type=int)
             sp.add_argument("--lr0", type=float)
-            sp.add_argument("--decay", type=float,
+            sp.add_argument("--decay", dest="decay_per_epoch", type=float,
                             help="learning-rate decay per epoch")
             sp.add_argument("--noise-std", dest="noise_std", type=float)
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure, build_mixture, sample_tokens
 from .model import StudentConfig, StudentModel
-from .optim import TrainConfig, evaluate, train
+from .optim import TrainConfig, train
 from .spectrum import MercerSpectrum, synth_density
 
 # Fixed stream labels for per-cell SeedSequence derivation.
@@ -67,6 +67,8 @@ class ExperimentConfig:
         if min(self.seeds, self.n_tokens, self.n_val, self.n_stat_examples) < 1:
             raise ValueError(
                 "seeds, n_tokens, n_val and n_stat_examples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def spectrum(self, alpha: float) -> MercerSpectrum:
         return MercerSpectrum.on_midpoint_grid(alpha=alpha, M=self.M, T=self.T)
@@ -148,53 +150,54 @@ class AttentionStats:
         return cls(**{k: np.asarray(v, dtype=np.float64) for k, v in d.items()})
 
 
-def _stats_from_rows(rows_per_example, same_masks) -> AttentionStats:
-    """Aggregate per-head row statistics given same-tag masks.
+def _validate(model: StudentModel, examples, n_stat: int = 0, queries=None
+              ) -> tuple[float, AttentionStats | None]:
+    """Clean MSE over examples, and attention stats over the first n_stat.
 
-    Each rows entry is (n_heads, T); an example with an empty side
-    contributes only to the other side's averages.
+    One forward pass per example.  For the first n_stat examples the rows
+    are reduced at once to per-head masses on the context tokens whose tag
+    equals the query's and on the rest; an example with an empty side
+    counts only on the other side.  queries, when given, replaces each
+    example's query token.  Stats are None when n_stat is 0.
     """
-    n_heads = rows_per_example[0].shape[0]
-    acc = {k: [] for k in ("ws", "wd", "ms", "md")}   # per-example (H,) vectors
-    for rows, same in zip(rows_per_example, same_masks):
-        same = np.asarray(same, dtype=bool)
-        for mask, w_key, m_key in ((same, "ws", "ms"), (~same, "wd", "md")):
+    n = len(examples)
+    if n == 0:
+        raise ValueError("examples is empty")
+    acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (H,) each
+    total = 0.0
+    for i, ex in enumerate(examples):
+        query = ex.query_token if queries is None else queries[i]
+        pred, cache = model.forward(ex.context_tokens, query)
+        total += (pred - ex.target) ** 2
+        if i >= n_stat:
+            continue
+        same = ex.context_tokens[:, 1] == query[1]
+        for mask, side in ((same, "same"), (~same, "diff")):
             count = np.count_nonzero(mask)
             if count:
-                mass = rows.compress(mask, axis=1).sum(axis=1)
-                acc[m_key].append(mass)
-                acc[w_key].append(mass / count)
-
-    def mean_std(key):
-        if not acc[key]:
-            return np.full(n_heads, np.nan), np.full(n_heads, np.nan)
+                mass = cache.attn.compress(mask, axis=1).sum(axis=1)
+                acc[f"m_{side}"].append(mass)
+                acc[f"w_{side}"].append(mass / count)
+    if n_stat < 1:
+        return total / n, None
+    stats = {}
+    for key, vals in acc.items():
         # (H, N) C-contiguous, so each head reduces over examples exactly as a
         # 1-d array of that head's values would
-        per_head = np.stack(acc[key], axis=1)
-        return per_head.mean(axis=1), per_head.std(axis=1)
-
-    ws_m, ws_s = mean_std("ws")
-    wd_m, wd_s = mean_std("wd")
-    ms_m, ms_s = mean_std("ms")
-    md_m, md_s = mean_std("md")
-    return AttentionStats(ws_m, wd_m, ws_s, wd_s, ms_m, md_m, ms_s, md_s)
+        per_head = (np.stack(vals, axis=1) if vals
+                    else np.full((cache.attn.shape[0], 1), np.nan))
+        stats[f"{key}_mean"], stats[f"{key}_std"] = (per_head.mean(axis=1),
+                                                     per_head.std(axis=1))
+    return total / n, AttentionStats(**stats)
 
 
 def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
     """Same-tag vs different-tag attention masses on given examples.
 
-    Context tokens are partitioned by whether their tag equals the query's
-    tag; the query token itself is never among the keys, so rows cover the
+    The query token itself is never among the keys, so rows cover the
     partition exactly and m_same + m_diff = 1 per head and example.
     """
-    if len(examples) == 0:
-        raise ValueError("examples is empty")
-    rows_list, masks = [], []
-    for ex in examples:
-        _, cache = model.forward(ex.context_tokens, ex.query_token)
-        rows_list.append(cache.attn)
-        masks.append(ex.context_tokens[:, 1] == ex.query_token[1])
-    return _stats_from_rows(rows_list, masks)
+    return _validate(model, examples, len(examples))[1]
 
 
 def query_shuffle_eval(model: StudentModel, examples, seed: int = 0,
@@ -213,13 +216,8 @@ def query_shuffle_eval(model: StudentModel, examples, seed: int = 0,
         permutation = np.asarray(permutation)
         if sorted(permutation.tolist()) != list(range(n)):
             raise ValueError("not a permutation of the example indices")
-    mse_orig = evaluate(model, examples)
-    total = 0.0
-    for i, ex in enumerate(examples):
-        donor = examples[int(permutation[i])]
-        pred, _ = model.forward(ex.context_tokens, donor.query_token)
-        total += (pred - ex.target) ** 2
-    return mse_orig, total / n
+    donors = [examples[int(j)].query_token for j in permutation]
+    return _validate(model, examples)[0], _validate(model, examples, 0, donors)[0]
 
 
 @dataclass(frozen=True)
@@ -248,8 +246,9 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
              ) -> tuple[float, StudentModel, CellResult]:
     """Train one grid cell and collect validation MSE and attention stats.
 
-    The validation set depends on (alpha, seed) but not on n, so risk curves
-    across n are measured on a shared yardstick.
+    One forward pass per validation example yields both; the stats cover
+    the first n_stat_examples.  The validation set depends on (alpha, seed)
+    but not on n, so risk curves across n are measured on a shared yardstick.
     """
     spec = cfg.spectrum(alpha)
     train_set = _gen(cfg, spec, n, _cell_seedseq(cfg, alpha, n, seed, _STREAM_TRAIN))
@@ -261,8 +260,7 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
     loop_seed = int(_cell_seedseq(cfg, alpha, n, seed, _STREAM_LOOP)
                     .generate_state(1, np.uint64)[0])
     model, losses = train(model, train_set, replace(cfg.train, seed=loop_seed))
-    val_mse = evaluate(model, val_set)
-    stats = attention_mass_stats(model, val_set[:min(cfg.n_stat_examples, cfg.n_val)])
+    val_mse, stats = _validate(model, val_set, cfg.n_stat_examples)
     result = CellResult(alpha, n, seed, val_mse, tuple(losses), stats)
     return val_mse, model, result
 

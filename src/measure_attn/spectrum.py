@@ -155,15 +155,13 @@ def gen_norm_sq(spec: MercerSpectrum, b, a: float) -> float:
     return float(np.sum((lam ** (-a / 2.0) * b[1:]) ** 2))
 
 
-def isometry_map(spec: MercerSpectrum, b, b_norm: float, c_norm: float,
-                 a_from: float | None = None) -> np.ndarray:
+def isometry_map(spec: MercerSpectrum, b, b_norm: float, c_norm: float
+                 ) -> np.ndarray:
     """Coefficient map b_j -> lambda_j**((c_norm - b_norm)/2) * b_j.
 
     Carries the b_norm-generalized norm isometrically onto the c_norm one:
     gen_norm_sq(output, c_norm) == gen_norm_sq(input, b_norm) exactly in
-    arithmetic.  a_from records which norm ball the input was taken from
-    (the image then lies in the ball of exponent a_from - b_norm + c_norm);
-    it does not affect the returned coefficients.
+    arithmetic.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (spec.M,):

@@ -165,6 +165,24 @@ def test_train_out_is_existing_file_is_io_error(tmp_path, capsys):
     assert "error:" in err and str(path) in err
 
 
+@pytest.mark.parametrize("extra, env_seed, named", [
+    (("--n-train", "0"), None, "--n-train"),
+    (("--cell-seed", "-1"), None, "--cell-seed"),
+    (("--seed", "-1"), None, "seed"),
+    ((), "-1", "seed"),
+], ids=["n-train-0", "cell-seed-negative", "seed-negative",
+        "env-seed-negative"])
+def test_train_rejects_bad_sizes_and_seeds(tmp_path, capsys, monkeypatch,
+                                           extra, env_seed, named):
+    if env_seed is not None:
+        monkeypatch.setenv(ENV_SEED, env_seed)
+    out_dir = tmp_path / "cell"
+    code, _, err = run(capsys, ["train", *TINY, *extra, "--out", str(out_dir)])
+    assert code == 2
+    assert "error:" in err and named in err
+    assert not out_dir.exists()   # rejected before anything is written
+
+
 def test_train_missing_out_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--n-train", "2"])
@@ -246,6 +264,19 @@ def test_analyze_malformed_risk_csv_is_usage_error(tmp_path, capsys, text):
     assert "malformed" in err and "risk_curve.csv" in err
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_analyze_malformed_stats_csv_is_usage_error(tmp_path, capsys, fmt):
+    (tmp_path / "risk_curve.csv").write_text(
+        "alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,0.25\n")
+    (tmp_path / "attention_stats.csv").write_text(
+        "alpha,n,head,w_same_mean,w_diff_mean,w_same_std,w_diff_std,"
+        "m_same_mean,m_diff_mean\n1,8,0,oops,1e-3,0,0,0.5,0.5\n")
+    code, out, err = run(capsys, ["analyze", str(tmp_path), "--format", fmt])
+    assert code == 2
+    assert "malformed" in err and "attention_stats.csv" in err
+    assert out == ""   # rejected before anything is printed
+
+
 def test_analyze_recovers_planted_collinear_fit(tmp_path, capsys):
     A, C = 1.0, 2.0
     n_values = [4, 16, 64, 256]
@@ -291,12 +322,21 @@ def test_missing_config_file_is_usage_error(capsys):
     assert "config file" in err
 
 
-def test_invalid_config_value_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["gen", "--config", "{config}"],
+    ["gen", "--alpha", "abc"],
+    ["sweep", "--n", "4,x", "--out", "{out}"],
+], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
+        "sweep-n-non-numeric"])
+def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"n_list": [8, 4]}))
-    code, _, err = run(capsys, ["gen", "--config", str(cfg_path)])
+    out_dir = tmp_path / "bundle"
+    code, _, err = run(capsys, [a.format(config=cfg_path, out=out_dir)
+                                for a in argv])
     assert code == 2
     assert "bad configuration" in err
+    assert not out_dir.exists()
 
 
 def test_help_exits_zero():

@@ -8,6 +8,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from measure_attn import (
     StudentModel,
     TrainConfig,
     attention_mass_stats,
+    evaluate,
     fit_rate,
     gen_example,
     query_shuffle_eval,
@@ -27,7 +29,8 @@ from measure_attn import (
     sweep,
     target_value,
 )
-from measure_attn.experiment import _stats_from_rows
+from measure_attn.experiment import (_STREAM_VAL, _cell_seedseq, _gen,
+                                     _validate)
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -74,6 +77,8 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n_stat_examples=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(seed=-1)
 
 
 def test_target_value_zero_coefficients_and_oddness():
@@ -119,6 +124,23 @@ def test_gen_example_conditional_target_mean():
 
 
 # ------------------------------------------------------- attention stats
+
+def _stats_from_rows(rows_per_example, same_masks):
+    """_validate's stats for examples whose forward passes return given rows.
+
+    Each example's tags are +1 where its mask is True and -1 elsewhere, and
+    its query tag is +1, so the mask is exactly its same-tag partition.
+    """
+    items = [Item(np.column_stack([np.zeros(mask.size), np.where(mask, 1.0, -1.0)]),
+                  np.array([0.0, 1.0]), 0.0) for mask in same_masks]
+    rows = iter(rows_per_example)
+
+    class FixedRows:
+        def forward(self, context_tokens, query_token):
+            return 0.0, SimpleNamespace(attn=next(rows))
+
+    return _validate(FixedRows(), items, len(items))[1]
+
 
 def test_stats_from_hand_built_rows():
     rows = [np.array([[0.5, 0.5, 0.0, 0.0]])]
@@ -273,6 +295,34 @@ def test_shuffle_deterministic_in_seed():
 
 # --------------------------------------------------------------- run_cell
 
+def test_run_cell_runs_one_forward_pass_per_validation_example(monkeypatch):
+    calls = []
+    forward = StudentModel.forward
+
+    def counting(self, context_tokens, query_token):
+        calls.append(len(context_tokens))
+        return forward(self, context_tokens, query_token)
+
+    monkeypatch.setattr(StudentModel, "forward", counting)
+    n = 2
+    run_cell(1.0, n, 0, SMALL)
+    assert len(calls) == n * SMALL.train.epochs + SMALL.n_val
+
+
+def test_run_cell_mse_and_stats_match_separate_passes():
+    val_mse, model, result = run_cell(1.0, 4, 0, SMALL)
+    val_set = _gen(SMALL, SMALL.spectrum(1.0), SMALL.n_val,
+                   _cell_seedseq(SMALL, 1.0, 0, 0, _STREAM_VAL))
+    assert val_mse == evaluate(model, val_set)
+    stat_set = val_set[:SMALL.n_stat_examples]
+    rows = [model.forward(ex.context_tokens, ex.query_token)[1].attn
+            for ex in stat_set]
+    masks = [ex.context_tokens[:, 1] == ex.query_token[1] for ex in stat_set]
+    for key, want in stats_loop_reference(rows, masks).items():
+        assert np.array_equal(getattr(result.stats, key), want,
+                              equal_nan=True), key
+
+
 def test_run_cell_deterministic_and_consistent():
     mse1, model1, res1 = run_cell(1.0, 2, 0, SMALL)
     mse2, model2, res2 = run_cell(1.0, 2, 0, SMALL)
@@ -410,7 +460,9 @@ def test_sweep_writes_bundle_and_resumes(tmp_path):
 
 def test_sweep_records_non_finite_val_mse_as_failure(tmp_path, monkeypatch):
     from measure_attn import experiment
-    monkeypatch.setattr(experiment, "evaluate", lambda model, data: math.nan)
+    validate = experiment._validate
+    monkeypatch.setattr(experiment, "_validate",
+                        lambda *args: (math.nan, validate(*args)[1]))
     out = str(tmp_path / "bundle")
     summary = sweep(SMALL, out, jobs=1)
     assert summary["cells_failed"] == 2

@@ -298,15 +298,6 @@ def test_isometry_map_round_trip():
     np.testing.assert_allclose(back, b, rtol=1e-12)
 
 
-def test_isometry_map_a_from_is_inert():
-    spec = make_spec()
-    b = np.arange(spec.M, dtype=np.float64)
-    b[0] = 0.0
-    np.testing.assert_array_equal(
-        isometry_map(spec, b, 1.0, -1.0),
-        isometry_map(spec, b, 1.0, -1.0, a_from=2.0))
-
-
 # ------------------------------------------------------- truncation_bound
 
 def test_truncation_bound_frozen_value():
