@@ -28,7 +28,7 @@ from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
                        flatten, product_embed, pushforward, sample_tokens,
                        wasserstein1_1d)
 from .model import ModelCache, StudentConfig, StudentModel
-from .optim import AdamState, TrainConfig, adam_step, evaluate, train
+from .optim import AdamState, TrainConfig, adam_step, train
 from .spectrum import (MercerSpectrum, gen_norm_sq, isometry_map,
                        midpoint_grid, synth_density, truncation_bound)
 
@@ -41,7 +41,7 @@ __all__ = [
     "ModelCache", "ProbeSummary", "RiskCurve", "StudentConfig",
     "StudentModel", "TrainConfig", "adam_step", "attention_map",
     "attention_mass_stats", "build_mixture",
-    "build_recall_params", "compose", "evaluate", "featured_mixture",
+    "build_recall_params", "compose", "featured_mixture",
     "fit_rate", "flatten", "gen_example", "gen_norm_sq", "isometry_map",
     "lipschitz_probe", "measure_attention", "midpoint_grid",
     "pointwise_map", "product_embed", "pushforward", "query_shuffle_eval",

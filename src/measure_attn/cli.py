@@ -12,9 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import experiment, verify
 from .experiment import ExperimentConfig, gen_example, risk_curves, run_cell
@@ -73,8 +74,7 @@ def _resolve_config(args) -> ExperimentConfig:
         if env is not None:
             merged["seed"] = env
         student = StudentConfig(**merged.pop("student", {}))
-        train = replace(ExperimentConfig().train,
-                        **{**merged.pop("train", {}), **train_over})
+        train = TrainConfig(**{**merged.pop("train", {}), **train_over})
         return ExperimentConfig(student=student, train=train, **merged)
     except (TypeError, ValueError) as e:
         raise CliError(f"bad configuration: {e}")
@@ -190,11 +190,17 @@ def _read_csv(path: str, columns: dict) -> tuple[list[dict], list[dict]]:
         raise CliError(f"malformed {path}: {type(e).__name__}: {e}")
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(x := float(text)):
+        raise ValueError(f"non-finite value {text!r}")
+    return x
+
+
 def cmd_analyze(args) -> int:
     risk_path = os.path.join(args.results_dir, "risk_curve.csv")
     if not os.path.isfile(risk_path):
         raise CliError(f"missing {risk_path}")
-    _, risk = _read_csv(risk_path, {"alpha": float, "n": int, "val_mse": float})
+    _, risk = _read_csv(risk_path, {"alpha": float, "n": int, "val_mse": _finite})
     curves, fits = risk_curves((r["alpha"], r["n"], r["val_mse"]) for r in risk)
 
     stats_path = os.path.join(args.results_dir, "attention_stats.csv")

@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace, asdict
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -48,10 +48,7 @@ class ExperimentConfig:
     n_stat_examples: int = 1000
     seed: int = 0
     student: StudentConfig = field(default_factory=StudentConfig)
-    # tuned so that risk reliably halves from n=4 to n=64 at alpha=1 with
-    # 3 seeds on both the default and the reduced token profile
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        batch_size=4, lr0=5e-3, decay_per_epoch=0.95))
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
@@ -69,6 +66,10 @@ class ExperimentConfig:
                 "seeds, n_tokens, n_val and n_stat_examples must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.clamp_eps > 0:
+            raise ValueError(f"clamp_eps must be positive, got {self.clamp_eps}")
+        for alpha in self.alpha_list:
+            self.spectrum(alpha)  # MercerSpectrum checks alpha, M and T
 
     def spectrum(self, alpha: float) -> MercerSpectrum:
         return MercerSpectrum.on_midpoint_grid(alpha=alpha, M=self.M, T=self.T)
@@ -259,7 +260,7 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
         np.random.default_rng(_cell_seedseq(cfg, alpha, n, seed, _STREAM_INIT)))
     loop_seed = int(_cell_seedseq(cfg, alpha, n, seed, _STREAM_LOOP)
                     .generate_state(1, np.uint64)[0])
-    model, losses = train(model, train_set, replace(cfg.train, seed=loop_seed))
+    model, losses = train(model, train_set, cfg.train, loop_seed)
     val_mse, stats = _validate(model, val_set, cfg.n_stat_examples)
     result = CellResult(alpha, n, seed, val_mse, tuple(losses), stats)
     return val_mse, model, result
@@ -335,18 +336,13 @@ def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
 
 def _cell_key(cfg: ExperimentConfig, alpha: float, n: int, seed: int
               ) -> tuple[str, dict]:
-    """Content address: every value that feeds the cell's computation.
-
-    The loop seed is derived inside run_cell, so cfg.train.seed is excluded.
-    """
-    train_dict = asdict(cfg.train)
-    train_dict.pop("seed")
+    """Content address: every value that feeds the cell's computation."""
     payload = {
         "alpha": float(alpha), "n": int(n), "seed": int(seed),
         "M": cfg.M, "T": cfg.T, "n_tokens": cfg.n_tokens, "n_val": cfg.n_val,
         "clamp_eps": cfg.clamp_eps, "global_seed": cfg.seed,
         "n_stat_examples": cfg.n_stat_examples,
-        "student": asdict(cfg.student), "train": train_dict,
+        "student": asdict(cfg.student), "train": asdict(cfg.train),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16], payload

@@ -228,10 +228,13 @@ def test_criterion_8_query_shuffle_degrades_tenfold(cells):
     normalized token histogram, and a normalized histogram is invariant to
     the coefficient scale.  The context-conditional Bayes predictor
     therefore keeps a mean squared error around 0.077 on this
-    configuration, while predicting the unconditional mean scores about
-    0.34; shuffling queries can only move a trained student between those
-    two floors, capping the achievable degradation near 3-4x regardless of
-    training quality.  The assertion message records the measured ratios.
+    configuration, while routing by the query's sign and predicting the
+    target's mean magnitude scores 2 sum lambda_j^2 ~ 0.313 (predicting
+    the unconditional mean, which is 0, scores E[Y^2] = (sum lambda_j)^2 +
+    2 sum lambda_j^2 ~ 0.652); shuffling queries can only move a trained
+    student between those two floors, capping the achievable degradation
+    near 3-4x regardless of training quality.  The assertion message
+    records the measured ratios.
     """
     spec = CFG.spectrum(1.0)
     rng = np.random.default_rng(20260815)

@@ -256,7 +256,10 @@ def test_analyze_missing_bundle_is_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     "alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,oops\n",
     "n,seed,val_mse\n4,0,0.5\n8,0,0.25\n",
-], ids=["non-numeric-val-mse", "no-alpha-column"])
+    "alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,inf\n",
+    "alpha,n,seed,val_mse\n1,4,0,nan\n1,8,0,0.25\n",
+], ids=["non-numeric-val-mse", "no-alpha-column", "inf-val-mse",
+        "nan-val-mse"])
 def test_analyze_malformed_risk_csv_is_usage_error(tmp_path, capsys, text):
     (tmp_path / "risk_curve.csv").write_text(text)
     code, _, err = run(capsys, ["analyze", str(tmp_path)])
@@ -322,15 +325,32 @@ def test_missing_config_file_is_usage_error(capsys):
     assert "config file" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["gen", "--config", "{config}"],
-    ["gen", "--alpha", "abc"],
-    ["sweep", "--n", "4,x", "--out", "{out}"],
+@pytest.mark.parametrize("argv, config", [
+    (["gen", "--config", "{config}"], {"n_list": [8, 4]}),
+    (["gen", "--alpha", "abc"], {}),
+    (["sweep", "--n", "4,x", "--out", "{out}"], {}),
+    (["gen", "--alpha=-1"], {}),
+    (["gen", "--alpha", "0"], {}),
+    (["gen", "--alpha", "nan"], {}),
+    (["gen", "--clamp-eps", "0"], {}),
+    (["gen", "--config", "{config}"], {"M": 0}),
+    (["train", "--decay", "2", "--out", "{out}"], {}),
+    (["train", "--lr0", "nan", "--out", "{out}"], {}),
+    (["train", "--lr0=-1", "--out", "{out}"], {}),
+    (["train", "--noise-std", "nan", "--out", "{out}"], {}),
+    (["sweep", "--clamp-eps", "0", "--out", "{out}"], {}),
+    (["train", "--config", "{config}", "--out", "{out}"], {"train": {"seed": 3}}),
+    (["train", "--config", "{config}", "--out", "{out}"],
+     {"train": {"batch_size": None}}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
-        "sweep-n-non-numeric"])
-def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv):
+        "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
+        "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
+        "train-decay-above-one", "train-lr0-nan", "train-lr0-negative",
+        "train-noise-std-nan", "sweep-clamp-eps-zero", "config-train-seed",
+        "config-train-batch-size-null"])
+def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"n_list": [8, 4]}))
+    cfg_path.write_text(json.dumps(config))
     out_dir = tmp_path / "bundle"
     code, _, err = run(capsys, [a.format(config=cfg_path, out=out_dir)
                                 for a in argv])

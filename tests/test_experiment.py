@@ -6,8 +6,9 @@ sweep bundle's persistence and reproducibility.
 
 import json
 import math
+import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +21,6 @@ from measure_attn import (
     StudentModel,
     TrainConfig,
     attention_mass_stats,
-    evaluate,
     fit_rate,
     gen_example,
     query_shuffle_eval,
@@ -79,6 +79,15 @@ def test_experiment_config_validation():
         ExperimentConfig(n_stat_examples=0)
     with pytest.raises(ValueError):
         ExperimentConfig(seed=-1)
+    for alpha in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            ExperimentConfig(alpha_list=(1.0, alpha))
+    with pytest.raises(ValueError):
+        ExperimentConfig(M=0)
+    for eps in (0.0, -1e-6, math.nan):
+        with pytest.raises(ValueError):
+            ExperimentConfig(clamp_eps=eps)
+    assert ExperimentConfig().train == TrainConfig()
 
 
 def test_target_value_zero_coefficients_and_oddness():
@@ -313,7 +322,7 @@ def test_run_cell_mse_and_stats_match_separate_passes():
     val_mse, model, result = run_cell(1.0, 4, 0, SMALL)
     val_set = _gen(SMALL, SMALL.spectrum(1.0), SMALL.n_val,
                    _cell_seedseq(SMALL, 1.0, 0, 0, _STREAM_VAL))
-    assert val_mse == evaluate(model, val_set)
+    assert val_mse == _validate(model, val_set)[0]
     stat_set = val_set[:SMALL.n_stat_examples]
     rows = [model.forward(ex.context_tokens, ex.query_token)[1].attn
             for ex in stat_set]
@@ -516,6 +525,37 @@ def test_sweep_reproducible_across_directories_and_jobs(tmp_path):
         b1 = open(os.path.join(out1, name), "rb").read()
         b2 = open(os.path.join(out2, name), "rb").read()
         assert b1 == b2, name
+
+
+@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
+                    reason="pool workers must inherit the patched run_cell")
+def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+
+    cell_run = experiment.run_cell
+
+    def dying(alpha, n, seed, cfg):
+        if (n, seed) == (4, 1):
+            os._exit(1)   # the worker dies without raising
+        return cell_run(alpha, n, seed, cfg)
+
+    out = str(tmp_path / "bundle")
+    monkeypatch.setattr(experiment, "run_cell", dying)
+    summary = sweep(cfg, out, jobs=2)
+    assert summary["cells_failed"] >= 1
+    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    assert not manifest["complete"]
+    failed = [c for c in manifest["cells"].values() if c["status"] == "failed"]
+    assert failed and all("BrokenProcessPool" in c["error"] for c in failed)
+    assert not [f for d, _, files in os.walk(out) for f in files
+                if f.startswith(".tmp-")]
+
+    monkeypatch.setattr(experiment, "run_cell", cell_run)
+    assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
+    assert bundle_bytes(out) == bundle_bytes(clean)
 
 
 def test_sweep_curves_match_cell_results(tmp_path):

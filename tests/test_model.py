@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from measure_attn import (AdamState, AttnHead, DiscreteMeasure, ModelCache,
-                          StudentConfig, StudentModel, adam_step,
-                          softmax_weights)
+                          StudentConfig, StudentModel, TrainConfig,
+                          adam_step, softmax_weights)
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -312,8 +312,8 @@ def test_block_views_track_adam_step_and_stale_cache_is_rejected():
     before = {n: v.copy() for n, v in views.items()}
     _, cache = model.forward(context, query)
     model.backward(cache, 1.0)
-    state = AdamState.for_params(model.params)
-    adam_step(state, model.params, model.grads.copy())
+    state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
+    adam_step(state, model.params, model.grads.copy(), TrainConfig(), 0)
     assert any(not np.array_equal(views[n], before[n]) for n in views)
     for name, view in views.items():
         assert model.block(name) is view

@@ -1,5 +1,6 @@
 """Adam step against a scalar reference implementation, the training loop's
-determinism and overfitting behavior, and the loss-trace CSV layout.
+determinism and overfitting behavior, the clean validation MSE, and the
+loss-trace CSV layout.
 
 The Adam oracle below recomputes the bias-corrected update with plain
 floats; the training oracle is a single-example overfit that must reach
@@ -17,9 +18,9 @@ from measure_attn import (
     StudentModel,
     TrainConfig,
     adam_step,
-    evaluate,
     train,
 )
+from measure_attn.experiment import _validate
 from measure_attn.optim import losses_to_csv
 
 
@@ -42,19 +43,19 @@ def make_dataset(rng, n, T=5):
 
 # -------------------------------------------------------------- adam_step
 
+def fresh_state(params):
+    return AdamState(np.zeros_like(params), np.zeros_like(params))
+
+
 def test_adam_sign_limit_update_magnitude():
     # beta1 = beta2 = 0, eps -> 0: the update is exactly lr_t * sign(g)
+    cfg = TrainConfig(lr0=0.01, decay_per_epoch=0.9, beta1=0.0, beta2=0.0,
+                      eps=1e-16)
     params = np.zeros(3)
-    state = AdamState.for_params(params, lr0=0.01, decay=0.9,
-                                 beta1=0.0, beta2=0.0, eps=1e-16)
-    adam_step(state, params, np.array([1.0, 1.0, -1.0]))
+    adam_step(fresh_state(params), params, np.array([1.0, 1.0, -1.0]), cfg, 0)
     np.testing.assert_allclose(params, [-0.01, -0.01, 0.01], rtol=1e-12)
-    state.epoch = 3
     params2 = np.zeros(1)
-    state2 = AdamState.for_params(params2, lr0=0.01, decay=0.9,
-                                  beta1=0.0, beta2=0.0, eps=1e-16)
-    state2.epoch = 3
-    adam_step(state2, params2, np.array([1.0]))
+    adam_step(fresh_state(params2), params2, np.array([1.0]), cfg, 3)
     assert abs(params2[0]) == pytest.approx(0.01 * 0.9**3, rel=1e-12)
 
 
@@ -63,15 +64,16 @@ def test_adam_matches_scalar_reference_over_steps():
     params = rng.standard_normal(4)
     ref = params.copy()
     lr0, decay, b1, b2, eps = 3e-3, 0.95, 0.9, 0.999, 1e-8
-    state = AdamState.for_params(params, lr0=lr0, decay=decay,
-                                 beta1=b1, beta2=b2, eps=eps)
+    cfg = TrainConfig(lr0=lr0, decay_per_epoch=decay, beta1=b1, beta2=b2,
+                      eps=eps)
+    state = fresh_state(params)
     m = np.zeros(4)
     v = np.zeros(4)
     for t in range(1, 8):
         g = rng.standard_normal(4)
         epoch = (t - 1) // 3
-        state.epoch = epoch
-        adam_step(state, params, g.copy())
+        assert adam_step(state, params, g.copy(), cfg, epoch) is None
+        assert state.t == t
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g**2
         m_hat = m / (1 - b1**t)
@@ -82,20 +84,29 @@ def test_adam_matches_scalar_reference_over_steps():
 
 def test_adam_rejects_bad_gradients_without_side_effects():
     params = np.ones(2)
-    state = AdamState.for_params(params)
+    state = fresh_state(params)
     with pytest.raises(ValueError):
-        adam_step(state, params, np.array([1.0, np.nan]))
+        adam_step(state, params, np.array([1.0, np.nan]), TrainConfig(), 0)
     np.testing.assert_array_equal(params, np.ones(2))
     assert state.t == 0
+    np.testing.assert_array_equal(state.m, np.zeros(2))
+    np.testing.assert_array_equal(state.v, np.zeros(2))
     with pytest.raises(ValueError):
-        adam_step(state, params, np.ones(3))
+        adam_step(state, params, np.ones(3), TrainConfig(), 0)
 
 
 def test_adam_state_validation():
+    # the step-size decay Adam reads is checked where it lives, in TrainConfig
+    for decay in (0.0, 1.5):
+        with pytest.raises(ValueError):
+            TrainConfig(decay_per_epoch=decay)
+    # moments sized for other params are refused before any update
+    params = np.ones(2)
+    state = AdamState(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        AdamState.for_params(np.zeros(2), decay=0.0)
-    with pytest.raises(ValueError):
-        AdamState.for_params(np.zeros(2), decay=1.5)
+        adam_step(state, params, np.ones(2), TrainConfig(), 0)
+    np.testing.assert_array_equal(params, np.ones(2))
+    assert state.t == 0
 
 
 # ------------------------------------------------------------ TrainConfig
@@ -103,11 +114,23 @@ def test_adam_state_validation():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        TrainConfig(noise_std=-0.1)
+    for noise in (-0.1, float("nan")):
+        with pytest.raises(ValueError):
+            TrainConfig(noise_std=noise)
+    for lr0 in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ValueError):
+            TrainConfig(lr0=lr0)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=None)
+    for decay in (0.0, 1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError):
+            TrainConfig(decay_per_epoch=decay)
+    with pytest.raises(TypeError):
+        TrainConfig(seed=0)  # the loop seed is train's argument
     assert TrainConfig(epochs=0).epochs == 0  # degenerate no-op is legal
+    assert TrainConfig(decay_per_epoch=1.0).decay_per_epoch == 1.0
 
 
 # ------------------------------------------------------------------ train
@@ -116,7 +139,7 @@ def test_zero_epochs_leaves_model_unchanged():
     rng = np.random.default_rng(1)
     model = StudentModel.init(StudentConfig(), rng)
     before = model.params.copy()
-    _, losses = train(model, make_dataset(rng, 4), TrainConfig(epochs=0))
+    _, losses = train(model, make_dataset(rng, 4), TrainConfig(epochs=0), 0)
     np.testing.assert_array_equal(model.params, before)
     assert losses == []
 
@@ -125,7 +148,7 @@ def test_loss_trace_length_equals_epochs():
     rng = np.random.default_rng(2)
     model = StudentModel.init(StudentConfig(), rng)
     _, losses = train(model, make_dataset(rng, 6),
-                      TrainConfig(epochs=7, batch_size=3))
+                      TrainConfig(epochs=7, batch_size=3), 0)
     assert len(losses) == 7
     assert all(np.isfinite(l) and l >= 0.0 for l in losses)
 
@@ -133,52 +156,51 @@ def test_loss_trace_length_equals_epochs():
 def test_train_deterministic_in_seed():
     rng = np.random.default_rng(3)
     dataset = make_dataset(rng, 5)
-    cfg = TrainConfig(epochs=3, batch_size=2, seed=11)
-    m1, l1 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg)
-    m2, l2 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg)
+    cfg = TrainConfig(epochs=3, batch_size=2)
+    m1, l1 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 11)
+    m2, l2 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 11)
     np.testing.assert_array_equal(m1.params, m2.params)
     assert l1 == l2
-    m3, _ = train(StudentModel.init(StudentConfig(), 7), dataset,
-                  TrainConfig(epochs=3, batch_size=2, seed=12))
+    m3, _ = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 12)
     assert not np.array_equal(m1.params, m3.params)
 
 
 def test_single_example_overfit_within_500_steps():
-    # constant learning rate (decay 1.0): the default per-epoch decay 0.9
+    # constant learning rate (decay 1.0): the default per-epoch decay 0.95
     # freezes the step size long before 500 single-example epochs
     rng = np.random.default_rng(4)
     model = StudentModel.init(StudentConfig(), rng)
     dataset = make_dataset(rng, 1)
     cfg = TrainConfig(epochs=500, batch_size=1, lr0=1e-2,
                       decay_per_epoch=1.0, noise_std=0.0)
-    _, losses = train(model, dataset, cfg)
+    _, losses = train(model, dataset, cfg, 0)
     assert losses[-1] < 1e-3
-    assert evaluate(model, dataset) < 1e-3
+    assert _validate(model, dataset)[0] < 1e-3
 
 
 def test_train_rejects_empty_dataset():
     model = StudentModel.init(StudentConfig(), 0)
     with pytest.raises(ValueError):
-        train(model, [], TrainConfig(epochs=1))
+        train(model, [], TrainConfig(epochs=1), 0)
     with pytest.raises(ValueError):
-        evaluate(model, [])
+        _validate(model, [])
 
 
-# --------------------------------------------------------------- evaluate
+# ------------------------------------------ clean MSE (experiment._validate)
 
 def test_evaluate_zero_model_is_mean_squared_target():
     rng = np.random.default_rng(5)
     dataset = make_dataset(rng, 8)
     model = StudentModel(StudentConfig())  # all-zero params predict 0
     want = float(np.mean([item.target**2 for item in dataset]))
-    assert evaluate(model, dataset) == pytest.approx(want, rel=1e-15)
+    assert _validate(model, dataset)[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_evaluate_ignores_training_noise():
     rng = np.random.default_rng(6)
     dataset = make_dataset(rng, 3)
     model = StudentModel.init(StudentConfig(), rng)
-    assert evaluate(model, dataset) == evaluate(model, dataset)
+    assert _validate(model, dataset)[0] == _validate(model, dataset)[0]
 
 
 # ----------------------------------------------------------------- losses
