@@ -114,10 +114,20 @@ def _softmax(scores: np.ndarray, weights=None) -> np.ndarray:
 
     Returns p_t exp(s_t) / sum_u p_u exp(s_u) (p = 1 when weights is None),
     stabilized by subtracting the max score as in Milakov & Gimelshein,
-    "Online normalizer calculation for softmax" (2018).  The student's rows
-    are this operator on the uniform empirical measure of its tokens.
+    "Online normalizer calculation for softmax" (2018).  With weights the
+    max runs over the points that carry mass, and the others get exp(-inf)
+    = 0, so a zero-weight point with the highest score cannot underflow the
+    rest.  The student's rows are this operator on the empirical measure of
+    its tokens.
     """
-    e = scores - scores.max(axis=-1, keepdims=True)
+    if weights is None:
+        e = scores - scores.max(axis=-1, keepdims=True)
+    else:
+        e = np.where(weights > 0, scores, -np.inf)
+        top = e.max(axis=-1, keepdims=True)
+        if np.isneginf(top).any():
+            raise ValueError("softmax normalizer vanished (zero-mass tilt)")
+        e -= top
     np.exp(e, out=e)   # in place: one fresh (.., T) buffer per call, not two
     if weights is not None:
         e *= weights

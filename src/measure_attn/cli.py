@@ -51,10 +51,13 @@ def _load_config_file(path: str | None) -> dict:
         raise CliError(f"config file is not valid JSON: {e}")
 
 
-def _resolve_config(args) -> ExperimentConfig:
-    """Merge defaults < config file < --profile < flags < env seed."""
+def _resolve_config(args, **defaults) -> ExperimentConfig:
+    """Merge defaults < config file < --profile < flags < env seed.
+
+    defaults, when given, replace the built-in defaults of those fields.
+    """
     flags = {k: v for k, v in vars(args).items() if v is not None}
-    merged = _load_config_file(flags.get("config"))
+    merged = {**defaults, **_load_config_file(flags.get("config"))}
     if flags.get("profile") == "reduced":
         merged["n_tokens"] = 1000
         merged["n_val"] = 500
@@ -143,8 +146,11 @@ def cmd_train(args) -> int:
         raise CliError(f"--n-train must be at least 1, got {args.n_train}")
     if args.cell_seed < 0:
         raise CliError(f"--cell-seed must be non-negative, got {args.cell_seed}")
-    cfg = _resolve_config(args)
-    alpha = 1.0 if args.alpha is None else cfg.alpha_list[0]
+    cfg = _resolve_config(args, alpha_list=(1.0,))
+    if len(cfg.alpha_list) != 1:
+        raise CliError(f"bad configuration: train takes one alpha, got "
+                       f"{list(cfg.alpha_list)}")
+    alpha = cfg.alpha_list[0]
     _write_resolved(cfg, args.out)
     val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
     metrics = {

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .measures import DiscreteMeasure, build_mixture, sample_tokens
+from .measures import DiscreteMeasure, _histograms, build_mixture, sample_tokens
 from .model import StudentConfig, StudentModel
 from .optim import TrainConfig, train
 from .spectrum import MercerSpectrum, synth_density
@@ -151,42 +151,72 @@ class AttentionStats:
         return cls(**{k: np.asarray(v, dtype=np.float64) for k, v in d.items()})
 
 
+# validation examples per batched pass: bounds peak memory, not an option
+_CHUNK = 64
+
+
+def _tag_masses(attn, counts, tags, query_tags):
+    """Tag-split masses of rows attn (H, B, A) over atoms with these tags.
+
+    Side "same" of example b is the atoms whose tag equals query_tags[b],
+    side "diff" the rest.  Returns each side's (H, b) masses m_* and
+    per-token weights w_* over the b examples with tokens on that side.
+    Masses are summed per run of equal tags, one run per tag since atoms
+    are sorted by tag, and one (runs, B) mask assigns the runs to sides.
+    """
+    cuts = [0, *(np.flatnonzero(np.diff(tags)) + 1), tags.size]
+    runs = list(zip(cuts, cuts[1:]))
+    same = tags[cuts[:-1], None] == query_tags
+    mass = np.stack([attn[..., a:b].sum(axis=-1) for a, b in runs])  # (runs, H, B)
+    count = np.stack([counts[:, a:b].sum(axis=-1) for a, b in runs])  # (runs, B)
+    out = {}
+    for side, mask in (("same", same), ("diff", ~same)):
+        m = np.where(mask[:, None], mass, 0.0).sum(axis=0)
+        c = np.where(mask, count, 0).sum(axis=0)
+        m = m[:, c > 0]
+        out[f"m_{side}"], out[f"w_{side}"] = m, m / c[c > 0]
+    return out
+
+
 def _validate(model: StudentModel, examples, n_stat: int = 0, queries=None
               ) -> tuple[float, AttentionStats | None]:
     """Clean MSE over examples, and attention stats over the first n_stat.
 
-    One forward pass per example.  For the first n_stat examples the rows
-    are reduced at once to per-head masses on the context tokens whose tag
-    equals the query's and on the rest; an example with an empty side
-    counts only on the other side.  queries, when given, replaces each
+    Each chunk of _CHUNK examples is one batched pass over its histograms
+    (more when its contexts share few atoms).  For the first n_stat
+    examples the rows are reduced to per-head masses on the context tokens
+    whose tag equals the query's and on the rest; an example with an empty
+    side counts only on the other side.  queries, when given, replaces each
     example's query token.  Stats are None when n_stat is 0.
     """
     n = len(examples)
     if n == 0:
         raise ValueError("examples is empty")
-    acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (H,) each
+    queries = np.array([ex.query_token for ex in examples] if queries is None
+                       else queries, dtype=np.float64)
+    targets = np.array([ex.target for ex in examples])
+    acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (H, b) each
     total = 0.0
-    for i, ex in enumerate(examples):
-        query = ex.query_token if queries is None else queries[i]
-        pred, cache = model.forward(ex.context_tokens, query)
-        total += (pred - ex.target) ** 2
-        if i >= n_stat:
-            continue
-        same = ex.context_tokens[:, 1] == query[1]
-        for mask, side in ((same, "same"), (~same, "diff")):
-            count = np.count_nonzero(mask)
-            if count:
-                mass = cache.attn.compress(mask, axis=1).sum(axis=1)
-                acc[f"m_{side}"].append(mass)
-                acc[f"w_{side}"].append(mass / count)
+    for start in range(0, n, _CHUNK):
+        chunk = [ex.context_tokens for ex in examples[start:start + _CHUNK]]
+        for lo, hi, atoms, counts in _histograms(chunk, start):
+            pred, cache = model.forward(atoms, queries[lo:hi], counts)
+            total += float(np.sum((pred - targets[lo:hi]) ** 2))
+            k = min(hi, n_stat) - lo   # examples of this pass that feed the stats
+            if k > 0:
+                masses = _tag_masses(cache.attn[:, :k], counts[:k], atoms[:, 1],
+                                     queries[lo:lo + k, 1])
+                for key, val in masses.items():
+                    acc[key].append(val)
     if n_stat < 1:
         return total / n, None
     stats = {}
     for key, vals in acc.items():
         # (H, N) C-contiguous, so each head reduces over examples exactly as a
         # 1-d array of that head's values would
-        per_head = (np.stack(vals, axis=1) if vals
-                    else np.full((cache.attn.shape[0], 1), np.nan))
+        per_head = np.concatenate(vals, axis=1)
+        if per_head.shape[1] == 0:
+            per_head = np.full((per_head.shape[0], 1), np.nan)
         stats[f"{key}_mean"], stats[f"{key}_std"] = (per_head.mean(axis=1),
                                                      per_head.std(axis=1))
     return total / n, AttentionStats(**stats)

@@ -95,8 +95,10 @@ def _layout(cfg: StudentConfig) -> dict[str, tuple[int, tuple[int, ...]]]:
 class ModelCache:
     """Intermediates of one forward pass, consumed by backward.
 
-    params_digest pins the exact parameter bytes the pass used; backward
-    refuses a cache whose parameters have since changed.
+    Query-side arrays lead with the batch axis and attention-side ones carry
+    it after the head axis, as attn (H, B, A); an unbatched pass has no
+    batch axis.  params_digest pins the exact parameter bytes the pass used;
+    backward refuses a cache whose parameters have since changed.
     """
 
     context: np.ndarray
@@ -171,52 +173,72 @@ class StudentModel:
     def _digest(self) -> bytes:
         return hashlib.blake2b(self.params.tobytes(), digest_size=16).digest()
 
-    def forward(self, context_tokens, query_token) -> tuple[float, ModelCache]:
+    def forward(self, context, query, weights=None
+                ) -> tuple[float | np.ndarray, ModelCache]:
+        """Prediction for a query attending over a context, and the cache.
+
+        The context is a measure on the points context (A, input_dim): each
+        point weighs 1 when weights is None, as tokens do, and weights[a]
+        otherwise.  Queries (B, input_dim) with weights (B, A) make one
+        batched pass over B measures on the same points and return B
+        predictions; a query (input_dim,) returns a float.
+        """
         cfg = self.config
         act, _ = _ACTIVATIONS[cfg.activation]
-        C = np.asarray(context_tokens, dtype=np.float64)
-        q = np.asarray(query_token, dtype=np.float64)
+        C = np.asarray(context, dtype=np.float64)
+        q = np.asarray(query, dtype=np.float64)
         if C.ndim != 2 or C.shape[1] != cfg.input_dim or C.shape[0] < 1:
             raise ValueError(
                 f"context must be (T, {cfg.input_dim}) with T >= 1, got {C.shape}"
             )
-        if q.shape != (cfg.input_dim,):
-            raise ValueError(f"query must have shape ({cfg.input_dim},), got {q.shape}")
+        if q.ndim not in (1, 2) or q.shape[-1] != cfg.input_dim or q.size == 0:
+            raise ValueError(f"query must have shape ({cfg.input_dim},) or "
+                             f"(B, {cfg.input_dim}), got {q.shape}")
+        lead, A = q.shape[:-1], C.shape[0]
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != lead + (A,):
+                raise ValueError(
+                    f"weights must have shape {lead + (A,)}, got {weights.shape}")
 
         b = self._blocks
         ctx_pre = C @ b["ctx_w1"].T + b["ctx_b1"]
         ctx_act = act(ctx_pre)
         ctx_emb = ctx_act @ b["ctx_w2"].T + b["ctx_b2"]
 
-        qry_pre = b["qry_w1"] @ q + b["qry_b1"]
+        qry_pre = q @ b["qry_w1"].T + b["qry_b1"]
         qry_act = act(qry_pre)
-        qry_emb = b["qry_w2"] @ qry_act + b["qry_b2"]
+        qry_emb = qry_act @ b["qry_w2"].T + b["qry_b2"]
 
         H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
         scale = 1.0 / np.sqrt(hd)
-        head_q = b["attn_q"] @ qry_emb             # (H, hd)
-        # one GEMM per projection for all heads, viewed as (H, T, hd)
+        # one GEMM per projection for all heads; queries viewed as (H, B, hd),
+        # keys and values as (H, A, hd)
+        head_q = np.moveaxis(b["attn_q"] @ qry_emb.T, 1, -1)
         head_k, head_v = ((ctx_emb @ b[w].reshape(H * hd, dm).T)
                           .reshape(-1, H, hd).transpose(1, 0, 2)
                           for w in ("attn_k", "attn_v"))
-        attn = _softmax(scale * (head_k @ head_q[:, :, None])[:, :, 0])  # (H, T)
-        head_out = (attn[:, None, :] @ head_v)[:, 0, :]  # (H, hd)
-        mixed = b["attn_out"] @ head_out.reshape(H * hd)
+        scores = head_q.reshape(H, -1, hd) @ head_k.transpose(0, 2, 1)
+        attn = _softmax(scale * scores.reshape((H,) + lead + (A,)), weights)
+        head_out = (attn.reshape(H, -1, A) @ head_v).reshape((H,) + lead + (hd,))
+        mixed = (np.moveaxis(head_out, 0, -2).reshape(lead + (H * hd,))
+                 @ b["attn_out"].T)
 
-        out_pre = b["head_w1"] @ mixed + b["head_b1"]
+        out_pre = mixed @ b["head_w1"].T + b["head_b1"]
         out_act = act(out_pre)
-        pred = float((b["head_w2"] @ out_act + b["head_b2"])[0])
+        pred = (out_act @ b["head_w2"].T + b["head_b2"])[..., 0]
 
         cache = ModelCache(C, q, ctx_pre, ctx_act, ctx_emb, qry_pre, qry_act,
                            qry_emb, head_q, head_k, head_v, attn, head_out,
                            mixed, out_pre, out_act, self._digest())
-        return pred, cache
+        return (pred if lead else float(pred)), cache
 
-    def backward(self, cache: ModelCache, upstream: float) -> None:
+    def backward(self, cache: ModelCache, upstream) -> None:
         """Write d(prediction)/d(params) * upstream into self.grads.
 
-        Overwrites every gradient block on every call; callers accumulate
-        explicitly.
+        upstream has the shape of the predictions; a batched pass writes the
+        sum over its examples.  Overwrites every gradient block on every
+        call; callers accumulate explicitly.
         """
         if cache.params_digest != self._digest():
             raise ValueError(
@@ -227,44 +249,55 @@ class StudentModel:
         H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
         scale = 1.0 / np.sqrt(hd)
         b, gb = self._blocks, self._grad_blocks
-        up = float(upstream)
+        up = np.asarray(upstream, dtype=np.float64)
+        lead = cache.query.shape[:-1]
+        if up.shape != lead:
+            raise ValueError(f"upstream must have shape {lead}, got {up.shape}")
+        B, A = up.size, cache.context.shape[0]
+
+        def batch_sum_outer(x, y):   # sum over the batch of outer(x_b, y_b)
+            return x.reshape(B, -1).T @ y.reshape(B, -1)
 
         # head MLP
-        d_out_act = up * b["head_w2"][0]
-        gb["head_w2"][0, :] = up * cache.out_act
-        gb["head_b2"][0] = up
-        d_out_pre = d_out_act * act_grad(cache.out_pre)
-        gb["head_w1"][:] = np.outer(d_out_pre, cache.mixed)
-        gb["head_b1"][:] = d_out_pre
-        d_mixed = b["head_w1"].T @ d_out_pre
+        d_out_pre = up[..., None] * b["head_w2"][0] * act_grad(cache.out_pre)
+        gb["head_w2"][:] = batch_sum_outer(up, cache.out_act)
+        gb["head_b2"][0] = up.sum()
+        gb["head_w1"][:] = batch_sum_outer(d_out_pre, cache.mixed)
+        gb["head_b1"][:] = d_out_pre.reshape(B, -1).sum(axis=0)
+        d_mixed = d_out_pre @ b["head_w1"]
 
         # output projection
-        gb["attn_out"][:] = np.outer(d_mixed, cache.head_out.reshape(H * hd))
-        d_head_out = (b["attn_out"].T @ d_mixed).reshape(H, hd)
+        gb["attn_out"][:] = batch_sum_outer(d_mixed, np.moveaxis(cache.head_out, 0, -2))
+        d_head_out = np.moveaxis((d_mixed @ b["attn_out"]).reshape(lead + (H, hd)),
+                                 -2, 0).reshape(H, B, hd)
 
-        # attention: o_h = sum_t a_ht v_ht, a = softmax(scale * k q).  d_k[h,t] =
-        # scale d_scores[h,t] q_h and d_v[h,t] = a_ht d_o_h are rank 1 per head,
-        # so they meet ctx_emb as (H, T) weights, never as (H, T, hd) tensors.
-        ctx, attn, sq = cache.ctx_emb, cache.attn, scale * cache.head_q
+        # attention: o_hb = sum_a a_hba v_ha, a = softmax(scale * k q).  The
+        # key and value gradients d_k[h,a] = scale sum_b d_scores[h,b,a] q_hb
+        # and d_v[h,a] = sum_b a_hba d_o_hb have rank B per head, so they meet
+        # ctx_emb as (H, B, A) weights, never as (H, A, hd) tensors.
+        ctx, attn = cache.ctx_emb, cache.attn.reshape(H * B, A)
+        sq = scale * cache.head_q.reshape(H, B, hd)
         Wq, Wk, Wv = b["attn_q"], b["attn_k"], b["attn_v"]
-        u_v = (d_head_out[:, None, :] @ Wv)[:, 0, :]   # (H, dm)
-        d_attn = u_v @ ctx.T                            # (H, T)
+        u_v = d_head_out @ Wv                                   # (H, B, dm)
+        d_attn = u_v.reshape(H * B, dm) @ ctx.T                 # (H B, A)
         d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
-        s_ctx = d_scores @ ctx                          # (H, dm)
-        d_head_q = scale * (Wk @ s_ctx[:, :, None])[:, :, 0]
-        gb["attn_q"][:] = d_head_q[:, :, None] * cache.qry_emb
-        gb["attn_k"][:] = sq[:, :, None] * s_ctx[:, None, :]
-        gb["attn_v"][:] = d_head_out[:, :, None] * (attn @ ctx)[:, None, :]
-        d_qry_emb = d_head_q.reshape(H * hd) @ Wq.reshape(H * hd, dm)
-        d_ctx_emb = d_scores.T @ (sq[:, None, :] @ Wk)[:, 0, :] + attn.T @ u_v
+        s_ctx = (d_scores @ ctx).reshape(H, B, dm)
+        d_head_q = scale * (Wk @ s_ctx.transpose(0, 2, 1))      # (H, hd, B)
+        gb["attn_q"][:] = d_head_q @ cache.qry_emb.reshape(B, dm)
+        gb["attn_k"][:] = sq.transpose(0, 2, 1) @ s_ctx
+        gb["attn_v"][:] = (d_head_out.transpose(0, 2, 1)
+                           @ (attn @ ctx).reshape(H, B, dm))
+        d_qry_emb = (np.moveaxis(d_head_q, 2, 0).reshape(lead + (H * hd,))
+                     @ Wq.reshape(H * hd, dm))
+        d_ctx_emb = (d_scores.T @ (sq @ Wk).reshape(H * B, dm)
+                     + attn.T @ u_v.reshape(H * B, dm))
 
         # query MLP
-        gb["qry_w2"][:] = np.outer(d_qry_emb, cache.qry_act)
-        gb["qry_b2"][:] = d_qry_emb
-        d_qry_act = b["qry_w2"].T @ d_qry_emb
-        d_qry_pre = d_qry_act * act_grad(cache.qry_pre)
-        gb["qry_w1"][:] = np.outer(d_qry_pre, cache.query)
-        gb["qry_b1"][:] = d_qry_pre
+        gb["qry_w2"][:] = batch_sum_outer(d_qry_emb, cache.qry_act)
+        gb["qry_b2"][:] = d_qry_emb.reshape(B, dm).sum(axis=0)
+        d_qry_pre = (d_qry_emb @ b["qry_w2"]) * act_grad(cache.qry_pre)
+        gb["qry_w1"][:] = batch_sum_outer(d_qry_pre, cache.query)
+        gb["qry_b1"][:] = d_qry_pre.reshape(B, -1).sum(axis=0)
 
         # context MLP
         d_ctx_act = d_ctx_emb @ b["ctx_w2"]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _histograms
 from .model import StudentModel
 
 
@@ -80,14 +81,18 @@ def train(model: StudentModel, dataset, cfg: TrainConfig, seed: int
 
     Each epoch reshuffles the dataset, each presentation jitters the target
     with fresh N(0, noise_std^2) noise, and each minibatch takes one Adam
-    step on the mean squared loss.  The recorded loss is the mean over the
-    epoch's (noisy) presentations.
+    step on the mean squared loss.  The contexts are counted once over
+    their shared atoms, so a minibatch is one batched pass.  The recorded
+    loss is the mean over the epoch's (noisy) presentations.
     """
     n = len(dataset)
     if n == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
+    groups = _histograms([ex.context_tokens for ex in dataset])
+    queries = np.array([ex.query_token for ex in dataset], dtype=np.float64)
+    targets = np.array([ex.target for ex in dataset], dtype=np.float64)
     losses: list[float] = []
     grad_sum = np.zeros_like(model.params)
     for epoch in range(cfg.epochs):
@@ -95,15 +100,18 @@ def train(model: StudentModel, dataset, cfg: TrainConfig, seed: int
         epoch_sq = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
+            noisy = targets[idx]
+            if cfg.noise_std > 0:
+                noisy = noisy + cfg.noise_std * rng.standard_normal(idx.size)
             grad_sum[:] = 0.0
-            for i in idx:
-                ex = dataset[int(i)]
-                target = ex.target
-                if cfg.noise_std > 0:
-                    target = target + cfg.noise_std * rng.standard_normal()
-                pred, cache = model.forward(ex.context_tokens, ex.query_token)
-                resid = pred - target
-                epoch_sq += resid * resid
+            for lo, hi, atoms, counts in groups:   # one if contexts share atoms
+                mine = (lo <= idx) & (idx < hi)
+                if not mine.any():
+                    continue
+                pred, cache = model.forward(atoms, queries[idx[mine]],
+                                            counts[idx[mine] - lo])
+                resid = pred - noisy[mine]
+                epoch_sq += float(resid @ resid)
                 model.backward(cache, 2.0 * resid / idx.size)
                 grad_sum += model.grads
             adam_step(state, model.params, grad_sum, cfg, epoch)

@@ -33,6 +33,7 @@ from measure_attn import (
     softmax_weights,
     temperature_for_error,
 )
+from measure_attn.attention import _softmax
 
 
 def eye_head(d):
@@ -141,6 +142,40 @@ def test_softmax_survives_extreme_temperature():
     w = softmax_weights(head, mu, np.array([1.0]))
     assert np.all(np.isfinite(w))
     assert w[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_softmax_ignores_zero_weight_point_with_highest_score():
+    # the massless point at 1000 must not underflow the two that carry mass
+    mu = DiscreteMeasure(np.array([[0.0], [1.0], [1000.0]]),
+                         np.array([0.5, 0.5, 0.0]))
+    w = softmax_weights(eye_head(1), mu, np.array([1.0]))
+    e = math.e
+    np.testing.assert_allclose(w, [1 / (1 + e), e / (1 + e), 0.0], rtol=1e-12)
+    assert w[2] == 0.0
+
+
+def test_softmax_rejects_rows_without_mass():
+    scores = np.array([[0.0, 1.0], [2.0, 3.0]])
+    with pytest.raises(ValueError, match="vanished"):
+        _softmax(scores, np.array([[0.5, 0.5], [0.0, 0.0]]))
+
+
+def stabilized_softmax_reference(scores, weights=None):
+    """The kernel's arithmetic before it skipped massless points."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    if weights is not None:
+        e = e * weights
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (4, 1000), (4, 3, 64)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_softmax_unchanged_without_zero_weights(shape, weighted):
+    rng = np.random.default_rng(sum(shape))
+    scores = 5.0 * rng.standard_normal(shape)
+    weights = rng.uniform(0.01, 1.0, shape[-1:]) if weighted else None
+    np.testing.assert_array_equal(_softmax(scores.copy(), weights),
+                                  stabilized_softmax_reference(scores, weights))
 
 
 def test_softmax_dimension_mismatch():

@@ -183,6 +183,27 @@ def test_train_rejects_bad_sizes_and_seeds(tmp_path, capsys, monkeypatch,
     assert not out_dir.exists()   # rejected before anything is written
 
 
+@pytest.mark.parametrize("extra, config, alpha", [
+    ((), None, 1.0),
+    (("--alpha", "2"), None, 2.0),
+    ((), {"alpha_list": [2.0]}, 2.0),
+    (("--alpha", "0.5"), {"alpha_list": [2.0]}, 0.5),
+], ids=["default", "flag", "config-file", "flag-over-config-file"])
+def test_train_uses_the_alpha_it_is_given(tmp_path, capsys, extra, config,
+                                          alpha):
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        extra = (*extra, "--config", str(tmp_path / "cfg.json"))
+    out_dir = tmp_path / "cell"
+    code, out, _ = run(capsys, ["train", *TINY, "--n-train", "2", *extra,
+                                "--out", str(out_dir)])
+    assert code == 0
+    assert f"alpha={alpha:g} " in out
+    assert json.loads((out_dir / "metrics.json").read_text())["alpha"] == alpha
+    resolved = json.loads((out_dir / "config_resolved.json").read_text())
+    assert resolved["alpha_list"] == [alpha]
+
+
 def test_train_missing_out_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--n-train", "2"])
@@ -342,12 +363,16 @@ def test_missing_config_file_is_usage_error(capsys):
     (["train", "--config", "{config}", "--out", "{out}"], {"train": {"seed": 3}}),
     (["train", "--config", "{config}", "--out", "{out}"],
      {"train": {"batch_size": None}}),
+    (["train", "--alpha", "0.5,1", "--out", "{out}"], {}),
+    (["train", "--config", "{config}", "--out", "{out}"],
+     {"alpha_list": [1.0, 2.0]}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
         "train-decay-above-one", "train-lr0-nan", "train-lr0-negative",
         "train-noise-std-nan", "sweep-clamp-eps-zero", "config-train-seed",
-        "config-train-batch-size-null"])
+        "config-train-batch-size-null", "train-two-alphas",
+        "config-train-two-alphas"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

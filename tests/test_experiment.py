@@ -29,7 +29,7 @@ from measure_attn import (
     sweep,
     target_value,
 )
-from measure_attn.experiment import (_STREAM_VAL, _cell_seedseq, _gen,
+from measure_attn.experiment import (_CHUNK, _STREAM_VAL, _cell_seedseq, _gen,
                                      _validate)
 
 SMALL = ExperimentConfig(
@@ -135,18 +135,25 @@ def test_gen_example_conditional_target_mean():
 # ------------------------------------------------------- attention stats
 
 def _stats_from_rows(rows_per_example, same_masks):
-    """_validate's stats for examples whose forward passes return given rows.
+    """_validate's stats for examples whose batched passes return given rows.
 
-    Each example's tags are +1 where its mask is True and -1 elsewhere, and
-    its query tag is +1, so the mask is exactly its same-tag partition.
+    Token t of an example is (t, +1) where its mask is True and (t, -1)
+    elsewhere, and its query tag is +1, so the mask is exactly its same-tag
+    partition.  The stand-in model hands _validate (H, B, A) rows that put
+    each example's row value for token t on that token's atom.
     """
-    items = [Item(np.column_stack([np.zeros(mask.size), np.where(mask, 1.0, -1.0)]),
+    items = [Item(np.column_stack([np.arange(mask.size), np.where(mask, 1.0, -1.0)]),
                   np.array([0.0, 1.0]), 0.0) for mask in same_masks]
-    rows = iter(rows_per_example)
+    given = iter(zip(items, rows_per_example))
 
     class FixedRows:
-        def forward(self, context_tokens, query_token):
-            return 0.0, SimpleNamespace(attn=next(rows))
+        def forward(self, atoms, queries, counts):
+            index = {tuple(a): i for i, a in enumerate(atoms)}
+            attn = np.zeros((rows_per_example[0].shape[0],) + counts.shape)
+            for b in range(len(queries)):
+                item, rows = next(given)
+                attn[:, b, [index[tuple(t)] for t in item.context_tokens]] = rows
+            return np.zeros(len(queries)), SimpleNamespace(attn=attn)
 
     return _validate(FixedRows(), items, len(items))[1]
 
@@ -304,18 +311,22 @@ def test_shuffle_deterministic_in_seed():
 
 # --------------------------------------------------------------- run_cell
 
-def test_run_cell_runs_one_forward_pass_per_validation_example(monkeypatch):
-    calls = []
+def test_run_cell_runs_one_batched_pass_per_minibatch_and_validation_chunk(
+        monkeypatch):
+    # 2T tokens per context, so every set of contexts fits one pass over the
+    # 2T shared atoms
+    cfg = replace(SMALL, n_tokens=2 * SMALL.T, n_val=_CHUNK + 3)
+    sizes = []
     forward = StudentModel.forward
 
-    def counting(self, context_tokens, query_token):
-        calls.append(len(context_tokens))
-        return forward(self, context_tokens, query_token)
+    def counting(self, context, query, weights=None):
+        sizes.append(weights.shape[0])
+        return forward(self, context, query, weights)
 
     monkeypatch.setattr(StudentModel, "forward", counting)
-    n = 2
-    run_cell(1.0, n, 0, SMALL)
-    assert len(calls) == n * SMALL.train.epochs + SMALL.n_val
+    n, bs = 4, cfg.train.batch_size
+    run_cell(1.0, n, 0, cfg)
+    assert sizes == [bs] * (n // bs * cfg.train.epochs) + [_CHUNK, 3]
 
 
 def test_run_cell_mse_and_stats_match_separate_passes():
@@ -323,13 +334,40 @@ def test_run_cell_mse_and_stats_match_separate_passes():
     val_set = _gen(SMALL, SMALL.spectrum(1.0), SMALL.n_val,
                    _cell_seedseq(SMALL, 1.0, 0, 0, _STREAM_VAL))
     assert val_mse == _validate(model, val_set)[0]
+    token_mse = np.mean([(model.forward(ex.context_tokens, ex.query_token)[0]
+                          - ex.target) ** 2 for ex in val_set])
+    assert val_mse == pytest.approx(token_mse, rel=1e-12)
     stat_set = val_set[:SMALL.n_stat_examples]
     rows = [model.forward(ex.context_tokens, ex.query_token)[1].attn
             for ex in stat_set]
     masks = [ex.context_tokens[:, 1] == ex.query_token[1] for ex in stat_set]
     for key, want in stats_loop_reference(rows, masks).items():
-        assert np.array_equal(getattr(result.stats, key), want,
-                              equal_nan=True), key
+        np.testing.assert_allclose(getattr(result.stats, key), want,
+                                   rtol=1e-12, atol=0, err_msg=key)
+
+
+def test_validate_passes_stay_within_their_tokens_on_continuous_contexts(
+        monkeypatch):
+    # continuous contexts share no atoms, so a chunk splits into passes whose
+    # weights never hold more entries than the passes have tokens
+    rng = np.random.default_rng(14)
+    model = StudentModel.init(StudentConfig(), rng)
+    items = balanced_items(_CHUNK + 9, T=6, rng=rng)
+    passes = []
+    forward = StudentModel.forward
+
+    def spy(self, context, query, weights=None):
+        passes.append((weights.size, weights.sum()))
+        return forward(self, context, query, weights)
+
+    monkeypatch.setattr(StudentModel, "forward", spy)
+    mse = _validate(model, items)[0]
+    monkeypatch.undo()
+    assert all(size <= tokens for size, tokens in passes)
+    assert sum(tokens for _, tokens in passes) == 6 * len(items)
+    token_mse = np.mean([(model.forward(it.context_tokens, it.query_token)[0]
+                          - it.target) ** 2 for it in items])
+    assert mse == pytest.approx(token_mse, rel=1e-12)
 
 
 def test_run_cell_deterministic_and_consistent():

@@ -23,6 +23,7 @@ from measure_attn import (
     sample_tokens,
     wasserstein1_1d,
 )
+from measure_attn.measures import _histograms
 
 
 def random_measure(rng, n, lo=-1.0, hi=1.0):
@@ -226,6 +227,45 @@ def test_sample_tokens_rejects_empty_request():
     ctx, _ = build_mixture([DiscreteMeasure.dirac(0.5)], np.array([[1.0]]), 0)
     with pytest.raises(ValueError):
         sample_tokens(ctx, 0, rng_seed=0)
+
+
+# ------------------------------------------------- histograms over atoms
+
+def check_histograms(contexts, groups):
+    """Groups cover contexts in order, each context's tokens are its counts
+    on its group's atoms, and no counts array outgrows its group's tokens."""
+    assert [g[0] for g in groups] == [0] + [g[1] for g in groups[:-1]]
+    assert groups[-1][1] == len(contexts)
+    for lo, hi, atoms, counts in groups:
+        assert counts.size <= sum(len(c) for c in contexts[lo:hi])
+        assert np.array_equal(np.lexsort(atoms.T), np.arange(len(atoms)))
+        assert len(np.unique(atoms, axis=0)) == len(atoms)
+        for context, row in zip(contexts[lo:hi], counts):
+            tokens = context[np.lexsort(context.T)]
+            assert np.array_equal(np.repeat(atoms, row, axis=0), tokens)
+
+
+def test_histograms_of_continuous_contexts_stay_within_their_tokens():
+    # no two contexts share a token, so counts over shared atoms would grow
+    # quadratically; each group must be split down to its own tokens
+    rng = np.random.default_rng(8)
+    contexts = [np.column_stack([rng.uniform(0, 1, T), rng.choice([-1.0, 1.0], T)])
+                for T in rng.integers(1, 30, 41)]
+    contexts[3] = np.vstack([contexts[3], contexts[3][:2]])   # repeated tokens
+    groups = _histograms(contexts)
+    check_histograms(contexts, groups)
+    assert len(groups) > 1
+
+
+def test_histograms_of_grid_contexts_share_one_set_of_atoms():
+    rng = np.random.default_rng(9)
+    grid = (np.arange(32) + 0.5) / 32
+    contexts = [np.column_stack([rng.choice(grid, T), rng.choice([-1.0, 1.0], T)])
+                for T in (100, 80, 120, 64, 90, 100, 70, 110, 95, 85, 75)]
+    groups = _histograms(contexts)
+    check_histograms(contexts, groups)
+    [(_, _, atoms, _)] = groups
+    assert len(atoms) == 64
 
 
 # -------------------------------------------------------------------- W1

@@ -8,9 +8,11 @@ the package's own verification code.
 import numpy as np
 import pytest
 
-from measure_attn import (AdamState, AttnHead, DiscreteMeasure, ModelCache,
-                          StudentConfig, StudentModel, TrainConfig,
-                          adam_step, softmax_weights)
+from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
+                          ExperimentConfig, ModelCache, StudentConfig,
+                          StudentModel, TrainConfig, adam_step, gen_example,
+                          softmax_weights)
+from measure_attn.measures import _histograms
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -302,6 +304,95 @@ def test_passes_match_einsum_reference(T, n_heads, activation):
         np.testing.assert_allclose(model.grad_block(name), ref, rtol=1e-12,
                                    atol=1e-12 * scale, err_msg=name)
     assert cache.head_k.shape == cache.head_v.shape == (n_heads, T, cfg.head_dim)
+
+
+# ------------------------------------------------ batched pass over atoms
+
+def gen_contexts(rng, B):
+    cfg = ExperimentConfig(n_tokens=300)
+    examples = [gen_example(cfg.spectrum(1.0), cfg, rng) for _ in range(B)]
+    [(_, _, atoms, counts)] = _histograms([ex.context_tokens for ex in examples])
+    return ([ex.context_tokens for ex in examples],
+            np.array([ex.query_token for ex in examples]), atoms, counts)
+
+
+def continuous_contexts(rng, B):
+    """random_batch contexts on the union of their tokens, a zero weight
+    wherever a context lacks an atom."""
+    contexts, queries = zip(*(random_batch(rng, T=int(rng.integers(1, 9)))
+                              for _ in range(B)))
+    atoms, inverse = np.unique(np.concatenate(contexts), axis=0,
+                               return_inverse=True)
+    owner = np.repeat(np.arange(B), [len(c) for c in contexts])
+    counts = np.zeros((B, len(atoms)))
+    np.add.at(counts, (owner, inverse.reshape(-1)), 1.0)
+    return list(contexts), np.array(queries), atoms, counts
+
+
+@pytest.mark.parametrize("make", [gen_contexts, continuous_contexts],
+                         ids=["gen_example", "continuous"])
+@pytest.mark.parametrize("n_heads", [1, 4])
+def test_batched_pass_matches_token_passes(make, n_heads):
+    rng = np.random.default_rng(20 + n_heads)
+    model = StudentModel.init(StudentConfig(n_heads=n_heads), rng)
+    contexts, queries, atoms, counts = make(rng, 5)
+    upstream = rng.standard_normal(len(contexts))
+    preds, cache = model.forward(atoms, queries, counts)
+    assert preds.shape == (5,) and cache.attn.shape == (n_heads, 5, len(atoms))
+    model.backward(cache, upstream)
+    summed = model.grads.copy()
+    want, token_preds = np.zeros_like(summed), []
+    for context, query, up in zip(contexts, queries, upstream):
+        pred, cache = model.forward(context, query)
+        model.backward(cache, up)
+        want += model.grads
+        token_preds.append(pred)
+    np.testing.assert_allclose(preds, token_preds, rtol=1e-12)
+    np.testing.assert_allclose(summed, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_batched_gradient_matches_finite_differences(activation):
+    rng = np.random.default_rng(31)
+    model = StudentModel.init(StudentConfig(activation=activation), rng)
+    B, A = 3, 6
+    atoms, _ = random_batch(rng, T=A)
+    weights = rng.uniform(0.0, 1.0, (B, A)) * (rng.random((B, A)) < 0.7)
+    weights[:, 0] += 0.1   # every row carries mass; the rest are non-uniform
+    queries = np.column_stack([rng.uniform(-1, 1, B),
+                               rng.choice([-1.0, 1.0], B)])
+    upstream = rng.standard_normal(B)
+    _, cache = model.forward(atoms, queries, weights)
+    model.backward(cache, upstream)
+    analytic = model.grads.copy()
+    worst = 0.0
+    for coord in range(model.n_params):
+        theta = model.params[coord]
+        sides = []
+        for step in (1e-5, -1e-5):
+            model.params[coord] = theta + step
+            sides.append(model.forward(atoms, queries, weights)[0] @ upstream)
+        model.params[coord] = theta
+        fd = (sides[0] - sides[1]) / 2e-5
+        worst = max(worst, abs(analytic[coord] - fd)
+                    / max(abs(analytic[coord]), abs(fd), 1e-8))
+    assert worst <= 1e-4
+
+
+def test_batched_pass_input_validation():
+    model = StudentModel.init(StudentConfig(), np.random.default_rng(0))
+    atoms = np.array([[0.1, 1.0], [0.2, -1.0]])
+    queries = np.array([[0.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(ValueError, match="weights"):
+        model.forward(atoms, queries, np.ones((2, 3)))
+    with pytest.raises(ValueError, match="weights"):
+        model.forward(atoms, queries[0], np.ones((2, 2)))
+    with pytest.raises(ValueError, match="query"):
+        model.forward(atoms, np.zeros((0, 2)), np.ones((0, 2)))
+    _, cache = model.forward(atoms, queries, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="upstream"):
+        model.backward(cache, 1.0)
 
 
 def test_block_views_track_adam_step_and_stale_cache_is_rejected():

@@ -14,10 +14,12 @@ import pytest
 
 from measure_attn import (
     AdamState,
+    ExperimentConfig,
     StudentConfig,
     StudentModel,
     TrainConfig,
     adam_step,
+    gen_example,
     train,
 )
 from measure_attn.experiment import _validate
@@ -163,6 +165,47 @@ def test_train_deterministic_in_seed():
     assert l1 == l2
     m3, _ = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 12)
     assert not np.array_equal(m1.params, m3.params)
+
+
+def token_train_reference(model, dataset, cfg, seed):
+    """The training loop on raw tokens: one pass per presentation."""
+    rng = np.random.default_rng(seed)
+    state = fresh_state(model.params)
+    losses = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(len(dataset))
+        epoch_sq = 0.0
+        for start in range(0, len(dataset), cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            grad_sum = np.zeros_like(model.params)
+            for i in idx:
+                ex = dataset[int(i)]
+                target = ex.target + cfg.noise_std * rng.standard_normal()
+                pred, cache = model.forward(ex.context_tokens, ex.query_token)
+                epoch_sq += (pred - target) ** 2
+                model.backward(cache, 2.0 * (pred - target) / idx.size)
+                grad_sum += model.grads
+            adam_step(state, model.params, grad_sum, cfg, epoch)
+        losses.append(epoch_sq / len(dataset))
+    return model, losses
+
+
+@pytest.mark.parametrize("source", ["continuous", "gen_example"])
+def test_train_matches_token_passes(source):
+    rng = np.random.default_rng(13)
+    if source == "continuous":
+        dataset = make_dataset(rng, 7)   # shares no atoms: passes split
+    else:
+        exp = ExperimentConfig(n_tokens=100)
+        dataset = [gen_example(exp.spectrum(1.0), exp, rng) for _ in range(7)]
+    cfg = TrainConfig(epochs=4, batch_size=3)
+    batched, losses = train(StudentModel.init(StudentConfig(), 5), dataset,
+                            cfg, 17)
+    token, token_losses = token_train_reference(
+        StudentModel.init(StudentConfig(), 5), dataset, cfg, 17)
+    np.testing.assert_allclose(losses, token_losses, rtol=1e-12)
+    np.testing.assert_allclose(batched.params, token.params, rtol=1e-9,
+                               atol=1e-12)
 
 
 def test_single_example_overfit_within_500_steps():
