@@ -26,9 +26,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _histograms, build_mixture, sample_tokens
+from .measures import DiscreteMeasure, build_mixture, sample_tokens
 from .model import StudentConfig, StudentModel
-from .optim import TrainConfig, train
+from .optim import TrainConfig, _batches, train
 from .spectrum import MercerSpectrum, synth_density
 
 # Fixed stream labels for per-cell SeedSequence derivation.
@@ -52,11 +52,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if len(self.alpha_list) == 0:
             raise ValueError("alpha_list is empty")
         if len(self.n_list) == 0:
             raise ValueError("n_list is empty")
+        for name in ("M", "T", "n_tokens", "n_list", "n_val", "seeds",
+                     "n_stat_examples", "seed"):
+            if not np.issubdtype(np.asarray(getattr(self, name)).dtype, np.integer):
+                raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
+        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
         if self.M > self.T // 2:
@@ -86,7 +90,11 @@ class Hidden:
 
 @dataclass(frozen=True)
 class Example:
+    """One labelled context, as tokens and as counts[a] of tokens equal atoms[a]."""
+
     context_tokens: np.ndarray  # (n_tokens, 2) rows (x, v)
+    atoms: np.ndarray           # (2T, 2) grid tokens, tag -1 first; shared, read-only
+    counts: np.ndarray          # (2T,) integer
     query_token: np.ndarray     # (0, v1)
     target: float
     hidden: Hidden
@@ -98,8 +106,19 @@ def target_value(spec: MercerSpectrum, v1: float, z1: np.ndarray) -> float:
     return float(v1 * np.sum(lam[1:] * np.asarray(z1)[1:] ** 2))
 
 
+def _grid_atoms(spec: MercerSpectrum) -> np.ndarray:
+    """The 2T tokens (x, v) on spec's grid, tag -1 first; built once, read-only."""
+    atoms = spec.__dict__.get("_atoms")
+    if atoms is None:
+        grid = spec.domain_grid
+        atoms = np.column_stack([np.tile(grid, 2), np.repeat([-1.0, 1.0], grid.size)])
+        atoms.flags.writeable = False
+        object.__setattr__(spec, "_atoms", atoms)
+    return atoms
+
+
 def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Example:
-    """One labelled context: mixture tokens in (x, v) order plus query (0, v1)."""
+    """One labelled context: (x, v) tokens and their atom counts, query (0, v1)."""
     rng = np.random.default_rng(rng_seed)
     v1 = 1.0 if rng.random() < 0.5 else -1.0
     z1 = rng.standard_normal(spec.M)
@@ -115,9 +134,13 @@ def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Exampl
     tagged = sample_tokens(ctx, cfg.n_tokens, rng)
     # canonical token order is (tag, content); this experiment stores (x, v)
     tokens = tagged[:, ::-1].copy()
+    atoms = _grid_atoms(spec)
+    # x + v, x in [0, 1], orders points as atoms; a sort beats a search per token
+    keys, atom_keys = np.sort(tokens[:, 0] + tokens[:, 1]), atoms[:, 0] + atoms[:, 1]
+    counts = np.searchsorted(keys, atom_keys, "right") - np.searchsorted(keys, atom_keys)
     query = np.array([0.0, v1])
     y = target_value(spec, v1, z1)
-    return Example(tokens, query, y, Hidden(z1, z2, v1))
+    return Example(tokens, atoms, counts, query, y, Hidden(z1, z2, v1))
 
 
 @dataclass(frozen=True)
@@ -161,8 +184,8 @@ def _tag_masses(attn, counts, tags, query_tags):
     Side "same" of example b is the atoms whose tag equals query_tags[b],
     side "diff" the rest.  Returns each side's (H, b) masses m_* and
     per-token weights w_* over the b examples with tokens on that side.
-    Masses are summed per run of equal tags, one run per tag since atoms
-    are sorted by tag, and one (runs, B) mask assigns the runs to sides.
+    Masses are summed per run of equal tags (atoms are sorted by tag), and
+    one (runs, B) mask assigns the runs to sides.
     """
     cuts = [0, *(np.flatnonzero(np.diff(tags)) + 1), tags.size]
     runs = list(zip(cuts, cuts[1:]))
@@ -182,34 +205,26 @@ def _validate(model: StudentModel, examples, n_stat: int = 0, queries=None
               ) -> tuple[float, AttentionStats | None]:
     """Clean MSE over examples, and attention stats over the first n_stat.
 
-    Each chunk of _CHUNK examples is one batched pass over its histograms
-    (more when its contexts share few atoms).  For the first n_stat
-    examples the rows are reduced to per-head masses on the context tokens
-    whose tag equals the query's and on the rest; an example with an empty
-    side counts only on the other side.  queries, when given, replaces each
-    example's query token.  Stats are None when n_stat is 0.
+    Each slice of _CHUNK examples is one batched pass over their counts on
+    the atoms they share.  For the first n_stat examples the rows are
+    reduced to per-head masses on the context tokens whose tag equals the
+    query's and on the rest; an example with an empty side counts only on
+    the other side.  queries, when given, replaces each example's query
+    token.  Stats are None when n_stat is 0.
     """
-    n = len(examples)
-    if n == 0:
-        raise ValueError("examples is empty")
-    queries = np.array([ex.query_token for ex in examples] if queries is None
-                       else queries, dtype=np.float64)
-    targets = np.array([ex.target for ex in examples])
     acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (H, b) each
     total = 0.0
-    for start in range(0, n, _CHUNK):
-        chunk = [ex.context_tokens for ex in examples[start:start + _CHUNK]]
-        for lo, hi, atoms, counts in _histograms(chunk, start):
-            pred, cache = model.forward(atoms, queries[lo:hi], counts)
-            total += float(np.sum((pred - targets[lo:hi]) ** 2))
-            k = min(hi, n_stat) - lo   # examples of this pass that feed the stats
-            if k > 0:
-                masses = _tag_masses(cache.attn[:, :k], counts[:k], atoms[:, 1],
-                                     queries[lo:lo + k, 1])
-                for key, val in masses.items():
-                    acc[key].append(val)
+    for i, (atoms, counts, q, y) in enumerate(_batches(examples, _CHUNK, queries)):
+        pred, cache = model.forward(atoms, q, counts)
+        total += float(np.sum((pred - y) ** 2))
+        k = n_stat - i * _CHUNK   # examples of this pass that feed the stats
+        if k > 0:
+            masses = _tag_masses(cache.attn[:, :k], counts[:k], atoms[:, 1],
+                                 q[:k, 1])
+            for key, val in masses.items():
+                acc[key].append(val)
     if n_stat < 1:
-        return total / n, None
+        return total / len(examples), None
     stats = {}
     for key, vals in acc.items():
         # (H, N) C-contiguous, so each head reduces over examples exactly as a
@@ -219,7 +234,7 @@ def _validate(model: StudentModel, examples, n_stat: int = 0, queries=None
             per_head = np.full((per_head.shape[0], 1), np.nan)
         stats[f"{key}_mean"], stats[f"{key}_std"] = (per_head.mean(axis=1),
                                                      per_head.std(axis=1))
-    return total / n, AttentionStats(**stats)
+    return total / len(examples), AttentionStats(**stats)
 
 
 def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
@@ -277,9 +292,9 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
              ) -> tuple[float, StudentModel, CellResult]:
     """Train one grid cell and collect validation MSE and attention stats.
 
-    One forward pass per validation example yields both; the stats cover
-    the first n_stat_examples.  The validation set depends on (alpha, seed)
-    but not on n, so risk curves across n are measured on a shared yardstick.
+    One batched pass per validation chunk yields both; the stats cover the
+    first n_stat_examples.  The validation set depends on (alpha, seed) but
+    not on n, so risk curves across n are measured on a shared yardstick.
     """
     spec = cfg.spectrum(alpha)
     train_set = _gen(cfg, spec, n, _cell_seedseq(cfg, alpha, n, seed, _STREAM_TRAIN))

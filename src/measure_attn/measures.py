@@ -213,66 +213,6 @@ def sample_tokens(ctx: MixtureContext, n_tokens: int, rng_seed) -> np.ndarray:
     return out
 
 
-# contexts keyed together: their sorts stay in cache and their temporaries small
-_BLOCK = 8
-
-
-def _atoms(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows, sorted by the last column, then the one before it,
-    and so on, and the index of each row among them.
-
-    A row's key combines a 1-d np.unique per column; np.unique(axis=0) is
-    about 30 times slower on 10^6 rows.
-    """
-    key, size = np.zeros(len(rows), dtype=np.int64), 1
-    for column in rows.T[::-1]:
-        values, inverse = np.unique(column, return_inverse=True)
-        key, size = key * values.size + inverse.reshape(-1), size * values.size
-        if size > len(rows):   # renumber the keys in use 0, 1, ...
-            used = np.bincount(key) > 0
-            key, size = (np.cumsum(used) - 1)[key], int(used.sum())
-    used = np.bincount(key, minlength=size) > 0
-    first = np.empty(size, dtype=np.int64)
-    first[key] = np.arange(len(rows))
-    if not used.all():
-        key = (np.cumsum(used) - 1)[key]
-    return rows[first[used]], key
-
-
-def _histograms(contexts, lo: int = 0) -> list:
-    """Token arrays as integer counts over shared atoms.
-
-    Returns (start, stop, atoms, counts) groups covering contexts in order:
-    counts (stop - start, A) are the token counts of contexts[start:stop]
-    on atoms (A, d), the distinct tokens of those contexts in _atoms order.
-    Each block of _BLOCK contexts is counted on its own atoms first, so no
-    temporary grows with more than a block's tokens.  A group whose atoms
-    outnumber its mean context length is halved, so no counts array holds
-    more entries than its group has tokens.
-    """
-    local = []
-    for s in range(0, len(contexts), _BLOCK):
-        block = contexts[s:s + _BLOCK]
-        atoms, index = _atoms(np.concatenate(block))
-        owner = np.repeat(np.arange(len(block)), [len(c) for c in block])
-        counts = np.bincount(owner * len(atoms) + index,
-                             minlength=len(block) * len(atoms))
-        local.append((atoms, counts.reshape(len(block), -1)))
-    atoms, index = _atoms(np.concatenate([a for a, _ in local]))
-    n, A = len(contexts), len(atoms)
-    if n > 1 and n * A > sum(len(c) for c in contexts):
-        half = n // 2
-        return (_histograms(contexts[:half], lo)
-                + _histograms(contexts[half:], lo + half))
-    counts = np.zeros((n, A), dtype=np.int64)
-    row = col = 0
-    for block_counts in (c for _, c in local):
-        b, a = block_counts.shape
-        counts[row:row + b, index[col:col + a]] = block_counts
-        row, col = row + b, col + a
-    return [(lo, lo + n, atoms, counts)]
-
-
 def _varying_column(a: np.ndarray, b: np.ndarray) -> int | None:
     """Index of the single column where the union of rows varies.
 

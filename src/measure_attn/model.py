@@ -50,8 +50,9 @@ class StudentConfig:
 
     def __post_init__(self):
         for name in ("d_model", "d_hidden", "n_heads", "input_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"

@@ -2,8 +2,8 @@
 
 TrainConfig holds every training setting and AdamState only Adam's moments.
 The loop trains on squared loss with fresh Gaussian noise added to each
-target presentation.  Datasets are any sequence of objects exposing
-context_tokens, query_token and target.
+target presentation.  Datasets are sequences of examples exposing shared
+atoms, their counts on them, query_token and target.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _histograms
 from .model import StudentModel
 
 
@@ -41,8 +40,8 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if not isinstance(self.epochs, int) or self.epochs < 0:
+            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be an integer >= 1, got {self.batch_size!r}")
@@ -75,26 +74,38 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     params -= lr_t * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
+def _batches(examples, size: int, queries=None):
+    """(atoms, counts, queries, targets) of each slice of size examples;
+    raises ValueError before the first when there are no examples or their
+    atoms differ.  queries, when given, replaces the examples' queries."""
+    if len(examples) == 0:
+        raise ValueError("no examples")
+    atoms = examples[0].atoms
+    if any(ex.atoms is not atoms and not np.array_equal(ex.atoms, atoms)
+           for ex in examples):
+        raise ValueError("examples carry their contexts on different atoms")
+    queries = np.array([ex.query_token for ex in examples] if queries is None
+                       else queries, dtype=np.float64)
+    targets = np.array([ex.target for ex in examples], dtype=np.float64)
+    for lo in range(0, len(examples), size):
+        counts = np.array([ex.counts for ex in examples[lo:lo + size]])
+        yield atoms, counts, queries[lo:lo + size], targets[lo:lo + size]
+
+
 def train(model: StudentModel, dataset, cfg: TrainConfig, seed: int
           ) -> tuple[StudentModel, list[float]]:
     """Seeded minibatch training; returns the model and per-epoch mean loss.
 
     Each epoch reshuffles the dataset, each presentation jitters the target
-    with fresh N(0, noise_std^2) noise, and each minibatch takes one Adam
-    step on the mean squared loss.  The contexts are counted once over
-    their shared atoms, so a minibatch is one batched pass.  The recorded
-    loss is the mean over the epoch's (noisy) presentations.
+    with fresh N(0, noise_std^2) noise, and each minibatch is one batched
+    pass over its counts and one Adam step on the mean squared loss.  The
+    recorded loss is the mean over the epoch's (noisy) presentations.
     """
+    atoms, counts, queries, targets = next(_batches(dataset, len(dataset)))
     n = len(dataset)
-    if n == 0:
-        raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
-    groups = _histograms([ex.context_tokens for ex in dataset])
-    queries = np.array([ex.query_token for ex in dataset], dtype=np.float64)
-    targets = np.array([ex.target for ex in dataset], dtype=np.float64)
     losses: list[float] = []
-    grad_sum = np.zeros_like(model.params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         epoch_sq = 0.0
@@ -103,18 +114,11 @@ def train(model: StudentModel, dataset, cfg: TrainConfig, seed: int
             noisy = targets[idx]
             if cfg.noise_std > 0:
                 noisy = noisy + cfg.noise_std * rng.standard_normal(idx.size)
-            grad_sum[:] = 0.0
-            for lo, hi, atoms, counts in groups:   # one if contexts share atoms
-                mine = (lo <= idx) & (idx < hi)
-                if not mine.any():
-                    continue
-                pred, cache = model.forward(atoms, queries[idx[mine]],
-                                            counts[idx[mine] - lo])
-                resid = pred - noisy[mine]
-                epoch_sq += float(resid @ resid)
-                model.backward(cache, 2.0 * resid / idx.size)
-                grad_sum += model.grads
-            adam_step(state, model.params, grad_sum, cfg, epoch)
+            pred, cache = model.forward(atoms, queries[idx], counts[idx])
+            resid = pred - noisy
+            epoch_sq += float(resid @ resid)
+            model.backward(cache, 2.0 * resid / idx.size)
+            adam_step(state, model.params, model.grads, cfg, epoch)
         losses.append(epoch_sq / n)
     return model, losses
 

@@ -11,6 +11,7 @@ import math
 import os
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,7 +266,7 @@ def test_criterion_9_sweep_is_bitwise_reproducible(tmp_path):
     sweep(cfg, out2, jobs=2)
     for name in ("risk_curve.csv", "attention_stats.csv", "fit.json",
                  "scaling_axis.dat"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(os.path.join(out1, name)).read_bytes()
+        b2 = Path(os.path.join(out2, name)).read_bytes()
         assert b1 == b2, f"criterion 9: {name} differs between runs"
     print("criterion 9: 4/4 bundle files byte-identical")

@@ -6,6 +6,7 @@ runs in-process through main(argv).
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_gen_out_file(tmp_path, capsys):
                                 "--out", path])
     assert code == 0
     assert "wrote" in out
-    doc = json.load(open(path))
+    doc = json.loads(Path(path).read_text())
     assert len(doc["context_tokens"]) == 30
 
 
@@ -121,16 +122,17 @@ def test_train_writes_artifacts(tmp_path, capsys):
     for name in ("config_resolved.json", "checkpoint.json", "losses.csv",
                  "metrics.json"):
         assert os.path.isfile(os.path.join(out_dir, name)), name
-    losses = open(os.path.join(out_dir, "losses.csv")).read().splitlines()
+    losses = Path(os.path.join(out_dir, "losses.csv")).read_text().splitlines()
     assert losses[0] == "epoch,train_loss"
     assert len(losses) == 3  # header + 2 epochs
-    metrics = json.load(open(os.path.join(out_dir, "metrics.json")))
+    metrics = json.loads(Path(os.path.join(out_dir, "metrics.json")).read_text())
     assert metrics["n"] == 2 and metrics["val_mse"] >= 0.0
     assert "m_same_mean" in metrics["attention_stats"]
     model = StudentModel.from_dict(
-        json.load(open(os.path.join(out_dir, "checkpoint.json"))))
+        json.loads(Path(os.path.join(out_dir, "checkpoint.json")).read_text()))
     assert np.all(np.isfinite(model.params))
-    resolved = json.load(open(os.path.join(out_dir, "config_resolved.json")))
+    resolved = json.loads(
+        Path(os.path.join(out_dir, "config_resolved.json")).read_text())
     assert resolved["n_tokens"] == 60
     assert resolved["train"]["epochs"] == 2
 
@@ -150,9 +152,9 @@ def test_train_writes_artifacts_atomically(tmp_path, capsys, monkeypatch):
                               "--out", out_dir])
     assert code == 0
     assert {"checkpoint.json", "losses.csv", "metrics.json"} <= set(written)
-    json.load(open(os.path.join(out_dir, "checkpoint.json")))
-    json.load(open(os.path.join(out_dir, "metrics.json")))
-    assert open(os.path.join(out_dir, "losses.csv")).read().endswith("\n")
+    json.loads(Path(os.path.join(out_dir, "checkpoint.json")).read_text())
+    json.loads(Path(os.path.join(out_dir, "metrics.json")).read_text())
+    assert Path(os.path.join(out_dir, "losses.csv")).read_text().endswith("\n")
     assert not [f for f in os.listdir(out_dir) if f.endswith(".part")]
 
 
@@ -249,7 +251,7 @@ def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
     doc = json.loads(js)
     assert doc["curves"][label]["n"] == [2, 4]
     assert set(doc["fits"][label]) == {"A", "C", "residual_rms"}
-    fit_doc = json.load(open(os.path.join(out_dir, "fit.json")))
+    fit_doc = json.loads(Path(os.path.join(out_dir, "fit.json")).read_text())
     (planted,) = fit_doc.values()
     assert doc["fits"][label]["C"] == pytest.approx(planted["C"], rel=1e-12)
 
@@ -366,13 +368,26 @@ def test_missing_config_file_is_usage_error(capsys):
     (["train", "--alpha", "0.5,1", "--out", "{out}"], {}),
     (["train", "--config", "{config}", "--out", "{out}"],
      {"alpha_list": [1.0, 2.0]}),
+    (["sweep", "--config", "{config}", "--out", "{out}"], {"seeds": 1.5}),
+    (["sweep", "--config", "{config}", "--out", "{out}"], {"n_tokens": 100.5}),
+    (["sweep", "--config", "{config}", "--out", "{out}"], {"n_list": [2.7, 4]}),
+    (["sweep", "--config", "{config}", "--out", "{out}"],
+     {"train": {"epochs": 2.5}}),
+    (["sweep", "--config", "{config}", "--out", "{out}"],
+     {"n_stat_examples": 2.5}),
+    (["sweep", "--config", "{config}", "--out", "{out}"], {"M": 4.0, "T": 8}),
+    (["sweep", "--config", "{config}", "--out", "{out}"],
+     {"student": {"d_model": 8.0}}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
         "train-decay-above-one", "train-lr0-nan", "train-lr0-negative",
         "train-noise-std-nan", "sweep-clamp-eps-zero", "config-train-seed",
         "config-train-batch-size-null", "train-two-alphas",
-        "config-train-two-alphas"])
+        "config-train-two-alphas", "sweep-seeds-fractional",
+        "sweep-n-tokens-fractional", "sweep-n-list-fractional",
+        "sweep-train-epochs-fractional", "sweep-n-stat-examples-fractional",
+        "sweep-M-float", "sweep-student-d-model-float"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

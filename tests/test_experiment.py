@@ -1,7 +1,8 @@
 """Synthetic experiment: example generation against Monte-Carlo moments,
-attention-mass bookkeeping on hand-built rows, query-shuffle ablation,
-single-cell training, rate fits against a brute-force grid search, and the
-sweep bundle's persistence and reproducibility.
+contexts as counts on shared atoms, attention-mass bookkeeping on hand-built
+rows, query-shuffle ablation, single-cell training, rate fits against a
+brute-force grid search, and the sweep bundle's persistence and
+reproducibility.
 """
 
 import json
@@ -9,6 +10,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,6 +30,7 @@ from measure_attn import (
     scaling_axis,
     sweep,
     target_value,
+    train,
 )
 from measure_attn.experiment import (_CHUNK, _STREAM_VAL, _cell_seedseq, _gen,
                                      _validate)
@@ -44,11 +47,24 @@ SMALL = ExperimentConfig(
 )
 
 
+GRID = (np.arange(32) + 0.5) / 32
+# x on GRID with tag -1, then with tag +1, as gen_example orders its atoms
+ATOMS = np.column_stack([np.tile(GRID, 2), np.repeat([-1.0, 1.0], GRID.size)])
+
+
 @dataclass(frozen=True)
 class Item:
     context_tokens: np.ndarray
+    atoms: np.ndarray
+    counts: np.ndarray
     query_token: np.ndarray
     target: float
+
+
+def on_atoms(context, atoms, query, target):
+    """An Item whose counts are its context's tokens counted on atoms."""
+    counts = (context[:, None] == atoms).all(axis=-1).sum(axis=0)
+    return Item(context, atoms, counts, query, target)
 
 
 def balanced_items(n_examples, T, query_tag=1.0, rng=None):
@@ -56,9 +72,9 @@ def balanced_items(n_examples, T, query_tag=1.0, rng=None):
     items = []
     for _ in range(n_examples):
         tags = np.repeat([1.0, -1.0], T // 2)
-        context = np.column_stack([rng.uniform(0, 1, T), tags])
-        items.append(Item(context, np.array([0.0, query_tag]),
-                          float(rng.standard_normal())))
+        context = np.column_stack([rng.choice(GRID, T), tags])
+        items.append(on_atoms(context, ATOMS, np.array([0.0, query_tag]),
+                              float(rng.standard_normal())))
     return items
 
 
@@ -139,11 +155,16 @@ def _stats_from_rows(rows_per_example, same_masks):
 
     Token t of an example is (t, +1) where its mask is True and (t, -1)
     elsewhere, and its query tag is +1, so the mask is exactly its same-tag
-    partition.  The stand-in model hands _validate (H, B, A) rows that put
-    each example's row value for token t on that token's atom.
+    partition.  The examples share the atoms (t, -1) and (t, +1) for every
+    t, and the stand-in model hands _validate (H, B, A) rows that put each
+    example's row value for token t on that token's atom.
     """
-    items = [Item(np.column_stack([np.arange(mask.size), np.where(mask, 1.0, -1.0)]),
-                  np.array([0.0, 1.0]), 0.0) for mask in same_masks]
+    size = max(mask.size for mask in same_masks)
+    atoms = np.column_stack([np.tile(np.arange(size), 2),
+                             np.repeat([-1.0, 1.0], size)])
+    items = [on_atoms(np.column_stack([np.arange(mask.size),
+                                       np.where(mask, 1.0, -1.0)]),
+                      atoms, np.array([0.0, 1.0]), 0.0) for mask in same_masks]
     given = iter(zip(items, rows_per_example))
 
     class FixedRows:
@@ -227,8 +248,13 @@ def test_stats_match_loop_reference_bitwise(one_sided):
             same[:] = False
         masks.append(same)
     stats = _stats_from_rows(rows, masks)
+    # a side's sum over the shared atoms also adds a zero for each atom of
+    # that side the example lacks, which regroups numpy's pairwise sum: a
+    # few ulp apart, and bitwise only when no example lacks one ("all_same")
     for key, want in stats_loop_reference(rows, masks).items():
-        assert np.array_equal(getattr(stats, key), want, equal_nan=True), key
+        np.testing.assert_allclose(getattr(stats, key), want,
+                                   rtol=4 * np.finfo(np.float64).eps, atol=0,
+                                   equal_nan=True, err_msg=key)
 
 
 def test_uniform_attention_balanced_tags_mass_statistics():
@@ -346,30 +372,6 @@ def test_run_cell_mse_and_stats_match_separate_passes():
                                    rtol=1e-12, atol=0, err_msg=key)
 
 
-def test_validate_passes_stay_within_their_tokens_on_continuous_contexts(
-        monkeypatch):
-    # continuous contexts share no atoms, so a chunk splits into passes whose
-    # weights never hold more entries than the passes have tokens
-    rng = np.random.default_rng(14)
-    model = StudentModel.init(StudentConfig(), rng)
-    items = balanced_items(_CHUNK + 9, T=6, rng=rng)
-    passes = []
-    forward = StudentModel.forward
-
-    def spy(self, context, query, weights=None):
-        passes.append((weights.size, weights.sum()))
-        return forward(self, context, query, weights)
-
-    monkeypatch.setattr(StudentModel, "forward", spy)
-    mse = _validate(model, items)[0]
-    monkeypatch.undo()
-    assert all(size <= tokens for size, tokens in passes)
-    assert sum(tokens for _, tokens in passes) == 6 * len(items)
-    token_mse = np.mean([(model.forward(it.context_tokens, it.query_token)[0]
-                          - it.target) ** 2 for it in items])
-    assert mse == pytest.approx(token_mse, rel=1e-12)
-
-
 def test_run_cell_deterministic_and_consistent():
     mse1, model1, res1 = run_cell(1.0, 2, 0, SMALL)
     mse2, model2, res2 = run_cell(1.0, 2, 0, SMALL)
@@ -387,6 +389,59 @@ def test_run_cell_seed_changes_result():
     mse_a, _, _ = run_cell(1.0, 2, 0, SMALL)
     mse_b, _, _ = run_cell(1.0, 2, 1, SMALL)
     assert mse_a != mse_b
+
+
+# ------------------------------------------- contexts as counts on atoms
+
+def test_gen_example_counts_its_tokens_on_shared_atoms():
+    spec = SMALL.spectrum(1.0)
+    a, b = (gen_example(spec, SMALL, seed) for seed in (123, 124))
+    for ex in (a, b):
+        assert np.issubdtype(ex.counts.dtype, np.integer)
+        assert ex.counts.sum() == SMALL.n_tokens
+        by_tag_then_x = ex.context_tokens[np.lexsort(ex.context_tokens.T)]
+        np.testing.assert_array_equal(np.repeat(ex.atoms, ex.counts, axis=0),
+                                      by_tag_then_x)
+    assert a.atoms is b.atoms and a.atoms.shape == (2 * SMALL.T, 2)
+    assert not a.atoms.flags.writeable
+
+
+def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
+    rng = np.random.default_rng(15)
+    examples = _gen(SMALL, SMALL.spectrum(1.0), _CHUNK + 2, 15)
+    # the odd one out sits in the second validation chunk
+    examples[-1] = replace(examples[-1], atoms=examples[-1].atoms[::-1].copy())
+    model = StudentModel.init(StudentConfig(), rng)
+    before = model.params.copy()
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran before the atoms were checked")
+
+    monkeypatch.setattr(StudentModel, "forward", no_pass)
+    with pytest.raises(ValueError, match="atoms"):
+        train(model, examples, SMALL.train, 0)
+    with pytest.raises(ValueError, match="atoms"):
+        _validate(model, examples, 5)
+    with pytest.raises(ValueError, match="atoms"):
+        query_shuffle_eval(model, examples)
+    np.testing.assert_array_equal(model.params, before)
+
+
+def test_train_and_validation_read_counts_not_tokens():
+    # every result is the same without the tokens: contexts are counted
+    # once, when they are generated
+    examples = _gen(SMALL, SMALL.spectrum(1.0), _CHUNK + 5, 16)
+    bare = [replace(ex, context_tokens=None) for ex in examples]
+    cfg = replace(SMALL.train, epochs=3)
+    m1, l1 = train(StudentModel.init(SMALL.student, 1), examples[:6], cfg, 2)
+    m2, l2 = train(StudentModel.init(SMALL.student, 1), bare[:6], cfg, 2)
+    assert l1 == l2
+    np.testing.assert_array_equal(m1.params, m2.params)
+    mse, stats = _validate(m1, examples, 10)
+    bare_mse, bare_stats = _validate(m1, bare, 10)
+    assert mse == bare_mse and stats.to_dict() == bare_stats.to_dict()
+    assert (query_shuffle_eval(m1, examples, seed=3)
+            == query_shuffle_eval(m1, bare, seed=3))
 
 
 # ------------------------------------------------------------------- fits
@@ -486,10 +541,10 @@ def test_sweep_writes_bundle_and_resumes(tmp_path):
         assert os.path.exists(os.path.join(out, name)), name
     cells = sorted(os.listdir(os.path.join(out, "cells")))
     assert len(cells) == 2
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
     assert manifest["complete"]
     assert all(c["status"] == "done" for c in manifest["cells"].values())
-    fit_doc = json.load(open(os.path.join(out, "fit.json")))
+    fit_doc = json.loads(Path(os.path.join(out, "fit.json")).read_text())
     assert len(fit_doc) == 1
     (entry,) = fit_doc.values()
     assert set(entry) >= {"A", "C", "residual_rms"}
@@ -497,12 +552,12 @@ def test_sweep_writes_bundle_and_resumes(tmp_path):
     # resume: identical config must reuse every cell file untouched
     stamps = {c: os.stat(os.path.join(out, "cells", c)).st_mtime_ns
               for c in cells}
-    risk_before = open(os.path.join(out, "risk_curve.csv"), "rb").read()
+    risk_before = Path(os.path.join(out, "risk_curve.csv")).read_bytes()
     summary2 = sweep(SMALL, out)
     assert summary2["cells_failed"] == 0
     for c in cells:
         assert os.stat(os.path.join(out, "cells", c)).st_mtime_ns == stamps[c]
-    assert open(os.path.join(out, "risk_curve.csv"), "rb").read() == risk_before
+    assert Path(os.path.join(out, "risk_curve.csv")).read_bytes() == risk_before
 
 
 def test_sweep_records_non_finite_val_mse_as_failure(tmp_path, monkeypatch):
@@ -513,7 +568,7 @@ def test_sweep_records_non_finite_val_mse_as_failure(tmp_path, monkeypatch):
     out = str(tmp_path / "bundle")
     summary = sweep(SMALL, out, jobs=1)
     assert summary["cells_failed"] == 2
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
     assert not manifest["complete"]
     for cell in manifest["cells"].values():
         assert cell["status"] == "failed"
@@ -524,7 +579,7 @@ def test_sweep_records_non_finite_val_mse_as_failure(tmp_path, monkeypatch):
 
 def bundle_bytes(out):
     return {os.path.relpath(os.path.join(d, f), out):
-            open(os.path.join(d, f), "rb").read()
+            Path(os.path.join(d, f)).read_bytes()
             for d, _, files in os.walk(out) for f in files}
 
 
@@ -534,7 +589,7 @@ def test_sweep_resume_recomputes_cell_with_tampered_key_inputs(tmp_path):
     original = bundle_bytes(out)
     cells = sorted(os.listdir(os.path.join(out, "cells")))
     tampered, kept = (os.path.join(out, "cells", c) for c in cells)
-    doc = json.load(open(tampered))
+    doc = json.loads(Path(tampered).read_text())
     doc["key_inputs"]["n_tokens"] += 1
     doc["val_mse"] = 123.0
     with open(tampered, "w") as f:
@@ -560,8 +615,8 @@ def test_sweep_reproducible_across_directories_and_jobs(tmp_path):
     sweep(SMALL, out2, jobs=2)
     for name in ("risk_curve.csv", "attention_stats.csv", "fit.json",
                  "scaling_axis.dat"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(os.path.join(out1, name)).read_bytes()
+        b2 = Path(os.path.join(out2, name)).read_bytes()
         assert b1 == b2, name
 
 
@@ -584,7 +639,7 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "run_cell", dying)
     summary = sweep(cfg, out, jobs=2)
     assert summary["cells_failed"] >= 1
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
     assert not manifest["complete"]
     failed = [c for c in manifest["cells"].values() if c["status"] == "failed"]
     assert failed and all("BrokenProcessPool" in c["error"] for c in failed)

@@ -12,7 +12,6 @@ from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
                           ExperimentConfig, ModelCache, StudentConfig,
                           StudentModel, TrainConfig, adam_step, gen_example,
                           softmax_weights)
-from measure_attn.measures import _histograms
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -311,9 +310,9 @@ def test_passes_match_einsum_reference(T, n_heads, activation):
 def gen_contexts(rng, B):
     cfg = ExperimentConfig(n_tokens=300)
     examples = [gen_example(cfg.spectrum(1.0), cfg, rng) for _ in range(B)]
-    [(_, _, atoms, counts)] = _histograms([ex.context_tokens for ex in examples])
     return ([ex.context_tokens for ex in examples],
-            np.array([ex.query_token for ex in examples]), atoms, counts)
+            np.array([ex.query_token for ex in examples]), examples[0].atoms,
+            np.array([ex.counts for ex in examples]))
 
 
 def continuous_contexts(rng, B):

@@ -26,20 +26,29 @@ from measure_attn.experiment import _validate
 from measure_attn.optim import losses_to_csv
 
 
+# x on an 8-point grid with tag -1, then with tag +1
+ATOMS = np.column_stack([np.tile((np.arange(8) + 0.5) / 8, 2),
+                         np.repeat([-1.0, 1.0], 8)])
+
+
 @dataclass(frozen=True)
 class Item:
     context_tokens: np.ndarray
+    atoms: np.ndarray
+    counts: np.ndarray
     query_token: np.ndarray
     target: float
 
 
 def make_dataset(rng, n, T=5):
+    """n contexts of T tokens drawn from the shared ATOMS."""
     items = []
     for _ in range(n):
-        context = np.column_stack([rng.uniform(0, 1, T),
-                                   rng.choice([-1.0, 1.0], T)])
+        drawn = rng.integers(len(ATOMS), size=T)
         query = np.array([0.0, float(rng.choice([-1.0, 1.0]))])
-        items.append(Item(context, query, float(rng.standard_normal())))
+        items.append(Item(ATOMS[drawn], ATOMS,
+                          np.bincount(drawn, minlength=len(ATOMS)), query,
+                          float(rng.standard_normal())))
     return items
 
 
@@ -190,11 +199,11 @@ def token_train_reference(model, dataset, cfg, seed):
     return model, losses
 
 
-@pytest.mark.parametrize("source", ["continuous", "gen_example"])
+@pytest.mark.parametrize("source", ["make_dataset", "gen_example"])
 def test_train_matches_token_passes(source):
     rng = np.random.default_rng(13)
-    if source == "continuous":
-        dataset = make_dataset(rng, 7)   # shares no atoms: passes split
+    if source == "make_dataset":
+        dataset = make_dataset(rng, 7)
     else:
         exp = ExperimentConfig(n_tokens=100)
         dataset = [gen_example(exp.spectrum(1.0), exp, rng) for _ in range(7)]
