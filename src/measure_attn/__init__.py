@@ -25,8 +25,7 @@ from .experiment import (AttentionStats, CellResult, Example,
                          query_shuffle_eval, run_cell, scaling_axis, sweep,
                          target_value)
 from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
-                       flatten, product_embed, pushforward, sample_tokens,
-                       wasserstein1_1d)
+                       flatten, product_embed, pushforward, wasserstein1_1d)
 from .model import ModelCache, StudentConfig, StudentModel
 from .optim import AdamState, TrainConfig, adam_step, train
 from .spectrum import (MercerSpectrum, gen_norm_sq, isometry_map,
@@ -46,7 +45,7 @@ __all__ = [
     "lipschitz_probe", "measure_attention", "midpoint_grid",
     "pointwise_map", "product_embed", "pushforward", "query_shuffle_eval",
     "random_lipschitz_trials", "recall_feature_map", "run_cell",
-    "sample_tokens", "scaling_axis", "softmax_weights", "sweep",
+    "scaling_axis", "softmax_weights", "sweep",
     "synth_density", "target_value", "temperature_for_error", "train",
     "truncation_bound", "wasserstein1_1d", "__version__",
 ]

@@ -22,11 +22,10 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .measures import DiscreteMeasure, build_mixture, sample_tokens
 from .model import StudentConfig, StudentModel
 from .optim import TrainConfig, _batches, train
 from .spectrum import MercerSpectrum, synth_density
@@ -65,9 +64,10 @@ class ExperimentConfig:
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
         if self.M > self.T // 2:
             raise ValueError(f"M={self.M} must satisfy M <= T/2 with T={self.T}")
-        if min(self.seeds, self.n_tokens, self.n_val, self.n_stat_examples) < 1:
+        if min(self.seeds, self.n_tokens, min(self.n_list), self.n_val,
+               self.n_stat_examples) < 1:
             raise ValueError(
-                "seeds, n_tokens, n_val and n_stat_examples must be positive")
+                "seeds, n_tokens, n_list, n_val and n_stat_examples must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.clamp_eps > 0:
@@ -92,7 +92,8 @@ class Hidden:
 class Example:
     """One labelled context, as tokens and as counts[a] of tokens equal atoms[a]."""
 
-    context_tokens: np.ndarray  # (n_tokens, 2) rows (x, v)
+    # (n_tokens, 2) rows (x, v); None in run_cell's sets, which read only counts
+    context_tokens: np.ndarray | None
     atoms: np.ndarray           # (2T, 2) grid tokens, tag -1 first; shared, read-only
     counts: np.ndarray          # (2T,) integer
     query_token: np.ndarray     # (0, v1)
@@ -118,29 +119,33 @@ def _grid_atoms(spec: MercerSpectrum) -> np.ndarray:
 
 
 def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Example:
-    """One labelled context: (x, v) tokens and their atom counts, query (0, v1)."""
+    """One labelled context: (x, v) tokens and their atom counts, query (0, v1).
+
+    The context is the mixture of two pmfs on the grid, synth_density of z1
+    under tag v1 and of z2 under tag -v1, with weight 1/2 each.  Each token
+    draws its component, then its grid point by inverse cdf on that pmf; the
+    two give the token's atom index, from which tokens and counts are read.
+    """
     rng = np.random.default_rng(rng_seed)
     v1 = 1.0 if rng.random() < 0.5 else -1.0
     z1 = rng.standard_normal(spec.M)
     z2 = rng.standard_normal(spec.M)
     z1[0] = 0.0
     z2[0] = 0.0
-    pmf1 = synth_density(spec, z1, cfg.clamp_eps)
-    pmf2 = synth_density(spec, z2, cfg.clamp_eps)
-    grid_pts = spec.domain_grid[:, None]
-    comp1 = DiscreteMeasure(grid_pts, pmf1)
-    comp2 = DiscreteMeasure(grid_pts, pmf2)
-    ctx, _ = build_mixture([comp1, comp2], np.array([[v1], [-v1]]), star_index=0)
-    tagged = sample_tokens(ctx, cfg.n_tokens, rng)
-    # canonical token order is (tag, content); this experiment stores (x, v)
-    tokens = tagged[:, ::-1].copy()
+    comp = rng.choice(2, size=cfg.n_tokens, p=[0.5, 0.5])
+    u = rng.random(cfg.n_tokens)
+    index = np.empty(cfg.n_tokens, dtype=np.intp)
+    for i, (z, tag) in enumerate(((z1, v1), (z2, -v1))):
+        cdf = np.cumsum(synth_density(spec, z, cfg.clamp_eps))
+        cdf[-1] = max(cdf[-1], 1.0)  # guard against cumsum rounding below 1
+        mask = comp == i
+        pos = np.minimum(np.searchsorted(cdf, u[mask], side="right"), spec.T - 1)
+        index[mask] = pos + (spec.T if tag > 0 else 0)  # atoms: tag -1 first
     atoms = _grid_atoms(spec)
-    # x + v, x in [0, 1], orders points as atoms; a sort beats a search per token
-    keys, atom_keys = np.sort(tokens[:, 0] + tokens[:, 1]), atoms[:, 0] + atoms[:, 1]
-    counts = np.searchsorted(keys, atom_keys, "right") - np.searchsorted(keys, atom_keys)
+    counts = np.bincount(index, minlength=atoms.shape[0])
     query = np.array([0.0, v1])
     y = target_value(spec, v1, z1)
-    return Example(tokens, atoms, counts, query, y, Hidden(z1, z2, v1))
+    return Example(atoms[index], atoms, counts, query, y, Hidden(z1, z2, v1))
 
 
 @dataclass(frozen=True)
@@ -284,8 +289,10 @@ def _cell_seedseq(cfg: ExperimentConfig, alpha: float, n: int, seed: int,
 
 def _gen(cfg: ExperimentConfig, spec: MercerSpectrum, count: int,
          ss: np.random.SeedSequence) -> list[Example]:
+    """count examples on one stream, as counts only (tokens dropped)."""
     rng = np.random.default_rng(ss)
-    return [gen_example(spec, cfg, rng) for _ in range(count)]
+    return [replace(gen_example(spec, cfg, rng), context_tokens=None)
+            for _ in range(count)]
 
 
 def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig

@@ -1,8 +1,8 @@
 """Discrete measures on R^d and tagged mixture contexts.
 
 A DiscreteMeasure is a finite weighted point set; a MixtureContext is a
-family of content measures on R^{d2}, one per tag vector in R^{d1}, from
-which tokens (tag || content) are drawn.  Tags must be near-orthogonal so a
+family of content measures on R^{d2}, one per tag vector in R^{d1}; its
+points are tokens (tag || content).  Tags must be near-orthogonal so a
 query built from one tag can single out its component.
 """
 
@@ -186,31 +186,6 @@ def flatten(ctx: MixtureContext) -> DiscreteMeasure:
     weights = np.concatenate(
         [ctx.mix_weights[i] * p.weights for i, p in enumerate(parts)])
     return DiscreteMeasure(support, weights)
-
-
-def sample_tokens(ctx: MixtureContext, n_tokens: int, rng_seed) -> np.ndarray:
-    """n_tokens i.i.d. draws (tag_i || content point) from the mixture.
-
-    Each token draws its component from mix_weights, then a content point by
-    inverse-cdf on that component's weights.  Fully determined by the seed.
-    """
-    if n_tokens < 1:
-        raise ValueError(f"n_tokens must be >= 1, got {n_tokens}")
-    rng = np.random.default_rng(rng_seed)
-    comp_idx = rng.choice(ctx.n_components, size=n_tokens, p=ctx.mix_weights)
-    u = rng.random(n_tokens)
-    out = np.empty((n_tokens, ctx.tag_dim + ctx.content_dim))
-    for i, comp in enumerate(ctx.components):
-        mask = comp_idx == i
-        if not np.any(mask):
-            continue
-        cdf = np.cumsum(comp.weights)
-        cdf[-1] = max(cdf[-1], 1.0)  # guard against cumsum rounding below 1
-        pos = np.searchsorted(cdf, u[mask], side="right")
-        pos = np.minimum(pos, comp.n_points - 1)
-        out[mask, :ctx.tag_dim] = ctx.tags[i]
-        out[mask, ctx.tag_dim:] = comp.support[pos]
-    return out
 
 
 def _varying_column(a: np.ndarray, b: np.ndarray) -> int | None:

@@ -378,6 +378,8 @@ def test_missing_config_file_is_usage_error(capsys):
     (["sweep", "--config", "{config}", "--out", "{out}"], {"M": 4.0, "T": 8}),
     (["sweep", "--config", "{config}", "--out", "{out}"],
      {"student": {"d_model": 8.0}}),
+    (["sweep", "--config", "{config}", "--out", "{out}"], {"n_list": [0, 4]}),
+    (["sweep", "--n", "0,4", "--out", "{out}"], {}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -387,7 +389,8 @@ def test_missing_config_file_is_usage_error(capsys):
         "config-train-two-alphas", "sweep-seeds-fractional",
         "sweep-n-tokens-fractional", "sweep-n-list-fractional",
         "sweep-train-epochs-fractional", "sweep-n-stat-examples-fractional",
-        "sweep-M-float", "sweep-student-d-model-float"])
+        "sweep-M-float", "sweep-student-d-model-float",
+        "sweep-n-list-zero", "sweep-n-zero"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -5,6 +5,7 @@ brute-force grid search, and the sweep bundle's persistence and
 reproducibility.
 """
 
+import hashlib
 import json
 import math
 import multiprocessing
@@ -29,6 +30,7 @@ from measure_attn import (
     run_cell,
     scaling_axis,
     sweep,
+    synth_density,
     target_value,
     train,
 )
@@ -85,12 +87,17 @@ def test_experiment_config_validation():
         ExperimentConfig(n_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(n_list=(8, 4))
+    for n_list in ((0, 4), (-3, 4)):
+        with pytest.raises(ValueError, match="n_list"):
+            ExperimentConfig(n_list=n_list)
     with pytest.raises(ValueError):
         ExperimentConfig(alpha_list=())
     with pytest.raises(ValueError):
         ExperimentConfig(M=20, T=32)
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=0)
+    with pytest.raises(ValueError, match="n_tokens"):
+        ExperimentConfig(n_tokens=0)
     with pytest.raises(ValueError):
         ExperimentConfig(n_stat_examples=0)
     with pytest.raises(ValueError):
@@ -131,6 +138,36 @@ def test_gen_example_layout_and_determinism():
     ex2 = gen_example(spec, SMALL, 123)
     np.testing.assert_array_equal(ex.context_tokens, ex2.context_tokens)
     assert ex.target == ex2.target
+
+
+def test_gen_example_stream_is_pinned():
+    # one example's tokens, counts and target; a change to the random
+    # stream, or to how draws become tokens and counts, changes the digest
+    ex = gen_example(SMALL.spectrum(1.0), SMALL, 123)
+    digest = hashlib.sha256()
+    for blob in (ex.context_tokens.tobytes(), ex.counts.tobytes(),
+                 repr(ex.target).encode()):
+        digest.update(blob)
+    assert digest.hexdigest() == (
+        "fc5186f9dea055a2b0b8d2226e3f78e9a3e08fbde58168842b0d0fba4a379efb")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gen_example_tokens_follow_the_component_pmfs(seed):
+    cfg = replace(SMALL, n_tokens=20_000)
+    spec = cfg.spectrum(1.0)
+    ex = gen_example(spec, cfg, seed)
+    tags = ex.context_tokens[:, 1]
+    # each token picks the v1 component with probability 1/2
+    sigma = math.sqrt(0.25 / cfg.n_tokens)
+    assert abs(np.mean(tags == ex.hidden.v1) - 0.5) <= 4 * sigma
+    for tag, z in ((ex.hidden.v1, ex.hidden.z1), (-ex.hidden.v1, ex.hidden.z2)):
+        counts = ex.counts[ex.atoms[:, 1] == tag]  # the tag's T grid points
+        n = counts.sum()
+        assert n == np.sum(tags == tag)
+        p = synth_density(spec, z, cfg.clamp_eps)
+        band = 4 * np.sqrt(n * p * (1 - p))
+        assert np.all(np.abs(counts - n * p) <= band), tag
 
 
 def test_gen_example_conditional_target_mean():
@@ -357,8 +394,10 @@ def test_run_cell_runs_one_batched_pass_per_minibatch_and_validation_chunk(
 
 def test_run_cell_mse_and_stats_match_separate_passes():
     val_mse, model, result = run_cell(1.0, 4, 0, SMALL)
-    val_set = _gen(SMALL, SMALL.spectrum(1.0), SMALL.n_val,
-                   _cell_seedseq(SMALL, 1.0, 0, 0, _STREAM_VAL))
+    # run_cell's validation set, with its tokens
+    rng = np.random.default_rng(_cell_seedseq(SMALL, 1.0, 0, 0, _STREAM_VAL))
+    val_set = [gen_example(SMALL.spectrum(1.0), SMALL, rng)
+               for _ in range(SMALL.n_val)]
     assert val_mse == _validate(model, val_set)[0]
     token_mse = np.mean([(model.forward(ex.context_tokens, ex.query_token)[0]
                           - ex.target) ** 2 for ex in val_set])
@@ -430,8 +469,15 @@ def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
 def test_train_and_validation_read_counts_not_tokens():
     # every result is the same without the tokens: contexts are counted
     # once, when they are generated
-    examples = _gen(SMALL, SMALL.spectrum(1.0), _CHUNK + 5, 16)
+    rng = np.random.default_rng(16)
+    examples = [gen_example(SMALL.spectrum(1.0), SMALL, rng)
+                for _ in range(_CHUNK + 5)]
     bare = [replace(ex, context_tokens=None) for ex in examples]
+    # run_cell's sets are these examples, on the same stream, without tokens
+    for kept, ex in zip(_gen(SMALL, SMALL.spectrum(1.0), 3, 16), examples):
+        assert kept.context_tokens is None and ex.context_tokens is not None
+        np.testing.assert_array_equal(kept.counts, ex.counts)
+        assert kept.target == ex.target
     cfg = replace(SMALL.train, epochs=3)
     m1, l1 = train(StudentModel.init(SMALL.student, 1), examples[:6], cfg, 2)
     m2, l2 = train(StudentModel.init(SMALL.student, 1), bare[:6], cfg, 2)

@@ -1,11 +1,8 @@
-"""Discrete measures, tagged mixtures, token sampling and the 1-D W1.
+"""Discrete measures, tagged mixtures and the 1-D W1.
 
 W1 values are checked against hand-computed quantile couplings and against
-scipy.stats.wasserstein_distance as an independent second oracle; sampling
-frequencies are checked against binomial confidence bands at fixed seeds.
+scipy.stats.wasserstein_distance as an independent second oracle.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -15,12 +12,14 @@ from scipy import stats
 
 from measure_attn import (
     DiscreteMeasure,
+    ExperimentConfig,
     MixtureContext,
     build_mixture,
     flatten,
+    gen_example,
     product_embed,
     pushforward,
-    sample_tokens,
+    synth_density,
     wasserstein1_1d,
 )
 
@@ -186,48 +185,6 @@ def test_flatten_total_weight_and_layout():
                                rtol=1e-15)
 
 
-def test_sample_tokens_dirac_contents_and_tag_frequency():
-    comps = [DiscreteMeasure.dirac(0.5), DiscreteMeasure.dirac(0.5)]
-    ctx, _ = build_mixture(comps, np.array([[1.0], [-1.0]]), star_index=0)
-    tokens = sample_tokens(ctx, 10_000, rng_seed=123)
-    assert tokens.shape == (10_000, 2)
-    np.testing.assert_array_equal(tokens[:, 1], np.full(10_000, 0.5))
-    assert set(np.unique(tokens[:, 0])) == {-1.0, 1.0}
-    # binomial p=1/2, N=1e4: 3 sigma is 0.015, band below is looser
-    frac = np.mean(tokens[:, 0] == 1.0)
-    assert 0.47 <= frac <= 0.53
-
-
-def test_sample_tokens_conditional_content_frequencies():
-    support = np.array([0.2, 0.5, 0.9])
-    weights = np.array([0.2, 0.3, 0.5])
-    comps = [DiscreteMeasure(support, weights), DiscreteMeasure.dirac(0.5)]
-    ctx, _ = build_mixture(comps, np.array([[1.0], [-1.0]]), star_index=0)
-    tokens = sample_tokens(ctx, 20_000, rng_seed=7)
-    plus = tokens[tokens[:, 0] == 1.0]
-    for x, w in zip(support, weights):
-        freq = np.mean(plus[:, 1] == x)
-        sigma = math.sqrt(w * (1 - w) / plus.shape[0])
-        assert abs(freq - w) <= 4 * sigma
-
-
-def test_sample_tokens_deterministic_in_seed():
-    rng = np.random.default_rng(5)
-    comps = [random_measure(rng, 4, 0.0, 1.0), random_measure(rng, 3, 0.0, 1.0)]
-    ctx, _ = build_mixture(comps, np.array([[1.0], [-1.0]]), star_index=1)
-    a = sample_tokens(ctx, 50, rng_seed=99)
-    b = sample_tokens(ctx, 50, rng_seed=99)
-    np.testing.assert_array_equal(a, b)
-    c = sample_tokens(ctx, 50, rng_seed=100)
-    assert not np.array_equal(a, c)
-
-
-def test_sample_tokens_rejects_empty_request():
-    ctx, _ = build_mixture([DiscreteMeasure.dirac(0.5)], np.array([[1.0]]), 0)
-    with pytest.raises(ValueError):
-        sample_tokens(ctx, 0, rng_seed=0)
-
-
 # -------------------------------------------------------------------- W1
 
 def test_w1_between_diracs_is_distance():
@@ -302,12 +259,12 @@ def test_w1_rejects_dimension_mismatch_and_unnormalized():
 def test_w1_conditioning_on_tag_recovers_component_distance():
     # tokens of one tag, viewed as an empirical measure on the content
     # coordinate, converge to that component in W1
-    support = np.array([0.2, 0.5, 0.9])
-    weights = np.array([0.2, 0.3, 0.5])
-    comp = DiscreteMeasure(support, weights)
-    ctx, _ = build_mixture([comp, DiscreteMeasure.dirac(0.7)],
-                           np.array([[1.0], [-1.0]]), star_index=0)
-    tokens = sample_tokens(ctx, 40_000, rng_seed=21)
-    contents = tokens[tokens[:, 0] == 1.0][:, 1]
+    cfg = ExperimentConfig(alpha_list=(1.0,), n_tokens=40_000)
+    spec = cfg.spectrum(1.0)
+    ex = gen_example(spec, cfg, 21)
+    comp = DiscreteMeasure(spec.domain_grid,
+                           synth_density(spec, ex.hidden.z1, cfg.clamp_eps))
+    tokens = ex.context_tokens
+    contents = tokens[tokens[:, 1] == ex.hidden.v1][:, 0]
     empirical = DiscreteMeasure.uniform_on(contents)
     assert wasserstein1_1d(empirical, comp) <= 0.02
