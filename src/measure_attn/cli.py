@@ -133,8 +133,10 @@ def cmd_gen(args) -> int:
     }
     text = json.dumps(doc, indent=1)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        try:
+            experiment._atomic_write(args.out, text + "\n")
+        except OSError as e:  # the error names the temporary file, not --out
+            raise CliError(f"cannot write {args.out}: {e.strerror or e}") from e
         print(f"wrote {args.out}")
     else:
         print(text)

@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -118,6 +118,13 @@ def _grid_atoms(spec: MercerSpectrum) -> np.ndarray:
     return atoms
 
 
+# examples per generated chunk, not an option: a chunk holds about 24 bytes
+# per token (uniforms and sort keys), and at 1000 tokens 16 rows keep a sweep
+# worker's peak RSS within 0.2 MB of one example at a time; 64 cost 1.1 MB
+# and ran no faster
+_GEN_CHUNK = 16
+
+
 def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Example:
     """One labelled context: (x, v) tokens and their atom counts, query (0, v1).
 
@@ -126,26 +133,85 @@ def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Exampl
     draws its component, then its grid point by inverse cdf on that pmf; the
     two give the token's atom index, from which tokens and counts are read.
     """
-    rng = np.random.default_rng(rng_seed)
-    v1 = 1.0 if rng.random() < 0.5 else -1.0
-    z1 = rng.standard_normal(spec.M)
-    z2 = rng.standard_normal(spec.M)
-    z1[0] = 0.0
-    z2[0] = 0.0
-    comp = rng.choice(2, size=cfg.n_tokens, p=[0.5, 0.5])
-    u = rng.random(cfg.n_tokens)
-    index = np.empty(cfg.n_tokens, dtype=np.intp)
-    for i, (z, tag) in enumerate(((z1, v1), (z2, -v1))):
-        cdf = np.cumsum(synth_density(spec, z, cfg.clamp_eps))
-        cdf[-1] = max(cdf[-1], 1.0)  # guard against cumsum rounding below 1
-        mask = comp == i
-        pos = np.minimum(np.searchsorted(cdf, u[mask], side="right"), spec.T - 1)
-        index[mask] = pos + (spec.T if tag > 0 else 0)  # atoms: tag -1 first
+    return _gen_chunk(spec, cfg, np.random.default_rng(rng_seed), 1, tokens=True)[0]
+
+
+def _gen_chunk(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
+               rows: int, tokens: bool = False) -> list[Example]:
+    """rows examples on rng, each drawn as gen_example draws it.
+
+    Each example takes random() for v1, standard_normal(M) for z1 and z2,
+    then 2 * n_tokens uniforms: one per token choosing its component (the
+    second when u >= 1/2, as rng.choice(2, p=[.5, .5]) reads it), then one
+    per token for its inverse cdf.  Pmfs, counts and targets follow as array
+    work over the rows; context_tokens is None unless tokens is set.
+    """
+    n = cfg.n_tokens
+    v = np.empty(rows)
+    z = np.empty((rows, 2, spec.M))
+    u = np.empty((rows, 2, n))
+    for r in range(rows):
+        v[r] = rng.random()
+        rng.standard_normal(out=z[r, 0])
+        rng.standard_normal(out=z[r, 1])
+        rng.random(out=u[r])
+    v1 = np.where(v < 0.5, 1.0, -1.0)
+    z[:, :, 0] = 0.0
+    cdf = np.cumsum(synth_density(spec, z, cfg.clamp_eps), axis=-1)
+    # cdf[:, b] is for atom block b (tag -1, then +1); component 0 has tag v1
+    flip = v1 > 0
+    cdf = np.where(flip[:, None, None], cdf[:, ::-1], cdf)
+    block = (u[:, 0] >= 0.5) ^ flip[:, None]
+    counts, index = _inverse_cdf(cdf, block, u[:, 1], tokens)
     atoms = _grid_atoms(spec)
-    counts = np.bincount(index, minlength=atoms.shape[0])
-    query = np.array([0.0, v1])
-    y = target_value(spec, v1, z1)
-    return Example(atoms[index], atoms, counts, query, y, Hidden(z1, z2, v1))
+    return [Example(atoms[index[r]] if tokens else None, atoms, counts[r],
+                    np.array([0.0, v1[r]]), target_value(spec, v1[r], z[r, 0]),
+                    Hidden(z[r, 0], z[r, 1], float(v1[r])))
+            for r in range(rows)]
+
+
+def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray,
+                 with_index: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Atom counts of uniform draws under per-row, per-block cdfs, exactly.
+
+    cdf is (R, 2, T), block (R, n) picks each draw's cdf and u (R, n) holds
+    uniforms from Generator.random.  Draw (r, i) lands on atom
+    block * T + min(searchsorted(cdf[r, block], u, side="right"), T - 1), and
+    the result is counts (R, 2T) with, when asked, those atoms (R, n).
+
+    A uniform double is k * 2**-53 with integer k, so cdf <= u exactly when
+    k >= ceil(cdf * 2**53).  Key k + (2 * row + block) * 2**53 places every
+    draw in its own (row, block) range; one sort of the keys and one
+    searchsorted of each atom's end key replace a binary search per draw.
+    The end keys are clipped at 2**53, the end of a block, so that a cdf
+    rounded above 1 cannot reach into the next block and the last atom
+    takes the rest of its block.
+    """
+    R, n = u.shape
+    T = cdf.shape[-1]
+    first_key = np.arange(2 * R, dtype=np.int64).reshape(R, 2) << 53  # of (row, block)
+    ends = np.minimum(np.ceil(cdf * 2.0**53), 2.0**53)
+    ends[..., -1] = 2.0**53
+    ends = ends.astype(np.int64) + first_key[..., None]
+    # built in place: the keys are the chunk's largest working array
+    keys = np.empty(u.shape, dtype=np.int64)
+    np.multiply(u, 2.0**53, out=keys, casting="unsafe")  # exact: k is an integer
+    keys += first_key[:, :1]
+    np.add(keys, 1 << 53, out=keys, where=block)
+    if with_index:
+        order = np.argsort(keys, axis=None)
+        keys = keys.ravel()[order]
+    else:
+        keys.sort(axis=-1)
+        keys = keys.ravel()
+    pos = np.zeros(2 * R * T + 1, dtype=np.intp)
+    pos[1:] = np.searchsorted(keys, ends.ravel())  # draws before each atom's end
+    counts = np.diff(pos)
+    if not with_index:
+        return counts.reshape(R, 2 * T), None
+    index = np.empty(R * n, dtype=np.intp)
+    index[order] = np.repeat(np.tile(np.arange(2 * T), R), counts)
+    return counts.reshape(R, 2 * T), index.reshape(R, n)
 
 
 @dataclass(frozen=True)
@@ -289,10 +355,13 @@ def _cell_seedseq(cfg: ExperimentConfig, alpha: float, n: int, seed: int,
 
 def _gen(cfg: ExperimentConfig, spec: MercerSpectrum, count: int,
          ss: np.random.SeedSequence) -> list[Example]:
-    """count examples on one stream, as counts only (tokens dropped)."""
+    """count examples on one stream, as counts only (no tokens).
+
+    They are generated _GEN_CHUNK at a time, so working memory stays bounded.
+    """
     rng = np.random.default_rng(ss)
-    return [replace(gen_example(spec, cfg, rng), context_tokens=None)
-            for _ in range(count)]
+    return [ex for start in range(0, count, _GEN_CHUNK)
+            for ex in _gen_chunk(spec, cfg, rng, min(_GEN_CHUNK, count - start))]
 
 
 def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig

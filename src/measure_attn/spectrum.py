@@ -124,19 +124,22 @@ def synth_density(spec: MercerSpectrum, z, clamp_eps: float = 1e-6
     """Probability mass function of the clamped truncated expansion.
 
     Evaluates mu~(x_t) = sum_j lambda_j * z_j * e_j(x_t) on the grid, floors
-    it at clamp_eps and normalizes.  z must have length M with z[0] = 0; the
-    all-clamped case is legal and yields the uniform pmf.
+    it at clamp_eps and normalizes.  z has shape (..., M) with z[..., 0] = 0
+    and the result shape (..., T), one pmf per row; the all-clamped case is
+    legal and yields the uniform pmf.
     """
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (spec.M,):
-        raise ValueError(f"coefficients must have shape ({spec.M},), got {z.shape}")
-    if z[0] != 0.0:
+    if z.ndim < 1 or z.shape[-1] != spec.M:
+        raise ValueError(f"coefficients must have shape (..., {spec.M}), got {z.shape}")
+    if np.any(z[..., 0] != 0.0):
         raise ValueError("mode-0 coefficient must be zero")
     if not clamp_eps > 0:
         raise ValueError(f"clamp_eps must be positive, got {clamp_eps}")
-    vals = (spec.eigenvalues() * z) @ spec.basis_matrix()
+    # (..., 1, M) @ (M, T) runs one vector-matrix product per row, so each
+    # row is bitwise the 1-d result (a 2-d GEMM sums in another order)
+    vals = ((spec.eigenvalues() * z)[..., None, :] @ spec.basis_matrix())[..., 0, :]
     clamped = np.maximum(vals, clamp_eps)
-    return clamped / clamped.sum()
+    return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
 def gen_norm_sq(spec: MercerSpectrum, b, a: float) -> float:

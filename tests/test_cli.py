@@ -70,14 +70,27 @@ def test_gen_stdout_payload_and_determinism(capsys):
     assert code2 == 0 and out2 == out
 
 
-def test_gen_out_file(tmp_path, capsys):
+def test_gen_out_file(tmp_path, capsys, monkeypatch):
+    from measure_attn import experiment
+    written = []
+    real = experiment._atomic_write
+
+    def spy(path, data):
+        written.append(path)
+        real(path, data)
+
+    monkeypatch.setattr(experiment, "_atomic_write", spy)
+    argv = ["gen", "--seed", "1", "--n-tokens", "30"]
+    _, stdout_json, _ = run(capsys, argv)
     path = str(tmp_path / "ex.json")
-    code, out, _ = run(capsys, ["gen", "--seed", "1", "--n-tokens", "30",
-                                "--out", path])
+    code, out, _ = run(capsys, [*argv, "--out", path])
     assert code == 0
     assert "wrote" in out
+    assert written == [path]
+    assert Path(path).read_text() == stdout_json
     doc = json.loads(Path(path).read_text())
     assert len(doc["context_tokens"]) == 30
+    assert os.listdir(tmp_path) == ["ex.json"]  # no .tmp-*.part left
 
 
 def test_gen_out_in_missing_directory_is_io_error(tmp_path, capsys):

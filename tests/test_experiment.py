@@ -1,5 +1,6 @@
-"""Synthetic experiment: example generation against Monte-Carlo moments,
-contexts as counts on shared atoms, attention-mass bookkeeping on hand-built
+"""Synthetic experiment: example generation against Monte-Carlo moments and
+against a per-example reference generator, the exact inverse cdf on
+adversarial draws, contexts as counts on shared atoms, attention-mass bookkeeping on hand-built
 rows, query-shuffle ablation, single-cell training, rate fits against a
 brute-force grid search, and the sweep bundle's persistence and
 reproducibility.
@@ -10,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -34,8 +36,8 @@ from measure_attn import (
     target_value,
     train,
 )
-from measure_attn.experiment import (_CHUNK, _STREAM_VAL, _cell_seedseq, _gen,
-                                     _validate)
+from measure_attn.experiment import (_CHUNK, _GEN_CHUNK, _STREAM_VAL, _cell_seedseq,
+                                     _gen, _inverse_cdf, _validate)
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -183,6 +185,137 @@ def test_gen_example_conditional_target_mean():
         mean_want = v1 * float(lam.sum())
         sigma = math.sqrt(2.0 * float((lam**2).sum()) / ys.size)
         assert abs(ys.mean() - mean_want) <= 3.0 * sigma
+
+
+def reference_example(spec, cfg, rng):
+    """One example drawn token by token, as gen_example once drew it.
+
+    Returns tokens, counts, query, target and (z1, z2, v1); the oracle for
+    the chunked generator, which must keep its stream and its arithmetic.
+    """
+    v1 = 1.0 if rng.random() < 0.5 else -1.0
+    z1 = rng.standard_normal(spec.M)
+    z2 = rng.standard_normal(spec.M)
+    z1[0] = 0.0
+    z2[0] = 0.0
+    comp = rng.choice(2, size=cfg.n_tokens, p=[0.5, 0.5])
+    u = rng.random(cfg.n_tokens)
+    index = np.empty(cfg.n_tokens, dtype=np.intp)
+    for i, (z, tag) in enumerate(((z1, v1), (z2, -v1))):
+        cdf = np.cumsum(synth_density(spec, z, cfg.clamp_eps))
+        cdf[-1] = max(cdf[-1], 1.0)
+        mask = comp == i
+        pos = np.minimum(np.searchsorted(cdf, u[mask], side="right"), spec.T - 1)
+        index[mask] = pos + (spec.T if tag > 0 else 0)
+    return (ATOMS[index], np.bincount(index, minlength=2 * spec.T),
+            np.array([0.0, v1]), target_value(spec, v1, z1), (z1, z2, v1))
+
+
+def assert_same_example(ex, ref):
+    _, counts, query, target, (z1, z2, v1) = ref
+    assert ex.counts.dtype == counts.dtype
+    np.testing.assert_array_equal(ex.counts, counts)
+    np.testing.assert_array_equal(ex.query_token, query)
+    assert ex.target == target
+    np.testing.assert_array_equal(ex.hidden.z1, z1)
+    np.testing.assert_array_equal(ex.hidden.z2, z2)
+    assert ex.hidden.v1 == v1
+
+
+@pytest.mark.parametrize("n_tokens", [1, 77, 1000])
+def test_gen_keeps_the_per_example_stream_across_chunks(n_tokens):
+    cfg = replace(SMALL, n_tokens=n_tokens)
+    spec = cfg.spectrum(1.0)
+    C = _GEN_CHUNK
+    for count in (1, C - 1, C, C + 1, 2 * C + 3):
+        examples = _gen(cfg, spec, count, np.random.SeedSequence(count))
+        assert len(examples) == count
+        rng = np.random.default_rng(np.random.SeedSequence(count))
+        for ex in examples:
+            assert ex.context_tokens is None
+            assert_same_example(ex, reference_example(spec, cfg, rng))
+    for seed, alpha in enumerate((0.5, 1.0, 2.0)):
+        spec = cfg.spectrum(alpha)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ex = gen_example(spec, cfg, rng)
+        ref = reference_example(spec, cfg, ref_rng)
+        assert_same_example(ex, ref)
+        np.testing.assert_array_equal(ex.context_tokens, ref[0])
+        assert rng.random() == ref_rng.random()  # the stream is left where it was
+
+
+def test_gen_working_memory_does_not_grow_with_count():
+    cfg = replace(SMALL, n_tokens=1000)
+    spec = cfg.spectrum(1.0)
+    _gen(cfg, spec, 1, 0)  # build the basis and atoms outside the measurement
+
+    def working_bytes(count):
+        tracemalloc.start()
+        try:
+            examples = _gen(cfg, spec, count, 0)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(examples) == count
+        return peak - kept
+
+    one_chunk = working_bytes(_GEN_CHUNK)
+    # one batch of all 8 chunks would need about 8x one chunk's 24 bytes per token
+    assert working_bytes(8 * _GEN_CHUNK) <= one_chunk + 64 * 1024
+
+
+def reference_atoms(cdf, block, u):
+    """Each draw's atom by a binary search on its own block's cdf."""
+    T = cdf.shape[-1]
+    want = np.empty(u.shape, dtype=np.intp)
+    for r, i in np.ndindex(*u.shape):
+        b = int(block[r, i])
+        want[r, i] = b * T + min(np.searchsorted(cdf[r, b], u[r, i], side="right"),
+                                 T - 1)
+    return want
+
+
+def test_inverse_cdf_is_exact_on_adversarial_draws():
+    # uniforms are k * 2**-53; draws sit on each cdf entry's neighbours on
+    # that grid (on the entry itself where it is a uniform), at 0 and at the
+    # largest uniform, in both blocks of every row
+    T, step = 8, 2.0**-53
+    top = 1.0 - step                          # the largest uniform
+    cdf = np.cumsum(np.random.default_rng(3).dirichlet(np.ones(T), size=3), axis=-1)
+    on_grid = np.sort(np.random.default_rng(4).integers(2**52, 2**53, T)) * step
+    rows = np.stack([
+        cdf[:2],                              # row 0: entries off the grid
+        np.stack([on_grid, cdf[2]]),          # row 1: entries that are uniforms
+        np.stack([np.r_[cdf[0, :-2], np.nextafter(1.0, 2.0), 1.0],  # rounded above 1
+                  np.r_[cdf[1, :-1], top]]),  # last entry rounded below 1
+    ])
+    draws = []
+    for r, b in np.ndindex(3, 2):
+        below = np.floor(rows[r, b] / step) * step
+        near = [below, below - step, below + step, [0.0, top]]
+        if r == 1 and b == 0:
+            near += [on_grid, np.nextafter(on_grid, 0.0)]  # an entry and one ulp below
+        draws.append(np.unique(np.clip(np.concatenate(near), 0.0, top)))
+    n = max(d.size for d in draws)
+    u = np.zeros((3, 2 * n))
+    block = np.zeros((3, 2 * n), dtype=bool)
+    for r, b in np.ndindex(3, 2):
+        d = draws[2 * r + b]
+        u[r, b * n:b * n + d.size] = d
+        block[r, b * n:(b + 1) * n] = b
+    for r in range(3):  # interleave the blocks, so neither arrives sorted
+        perm = np.random.default_rng(r).permutation(2 * n)
+        u[r], block[r] = u[r, perm], block[r, perm]
+    assert np.all(u / step == np.floor(u / step))
+    want = reference_atoms(rows, block, u)
+    for m in (2 * n, 1):  # every draw, then one token per row
+        want_counts = np.stack([np.bincount(w, minlength=2 * T) for w in want[:, :m]])
+        counts, index = _inverse_cdf(rows, block[:, :m], u[:, :m], True)
+        np.testing.assert_array_equal(index, want[:, :m])
+        np.testing.assert_array_equal(counts, want_counts)
+        counts, index = _inverse_cdf(rows, block[:, :m], u[:, :m])
+        assert index is None
+        np.testing.assert_array_equal(counts, want_counts)
 
 
 # ------------------------------------------------------- attention stats

@@ -189,6 +189,32 @@ def test_synth_density_is_strictly_positive_pmf(seed, eps):
     assert np.all(p > 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_synth_density_rows_match_single_calls(alpha):
+    # stacked rows are bitwise the 1-d calls, and both are bitwise this 1-d
+    # product: one vector-matrix product per row, not a GEMM or an einsum,
+    # whose summation orders differ in the last digits
+    spec = make_spec(alpha=alpha)
+
+    def single(z):
+        vals = np.maximum((spec.eigenvalues() * z) @ spec.basis_matrix(), 1e-6)
+        return vals / vals.sum()
+
+    z = np.random.default_rng(7).standard_normal((4, 3, spec.M))
+    z[..., 0] = 0.0
+    z[2, 1] = 0.0
+    z[2, 1, 1] = -1.0  # clamped everywhere: the uniform pmf
+    p = synth_density(spec, z, 1e-6)
+    assert p.shape == (4, 3, spec.T)
+    for idx in np.ndindex(4, 3):
+        np.testing.assert_array_equal(p[idx], synth_density(spec, z[idx], 1e-6))
+        np.testing.assert_array_equal(p[idx], single(z[idx]))
+    np.testing.assert_allclose(p[2, 1], np.full(spec.T, 1.0 / spec.T), rtol=1e-14)
+    z[3, 2, 0] = 0.5  # one row with a mode-0 coefficient rejects the stack
+    with pytest.raises(ValueError, match="mode-0"):
+        synth_density(spec, z)
+
+
 def test_synth_density_rejects_bad_coefficients():
     spec = make_spec()
     z = np.zeros(spec.M)
