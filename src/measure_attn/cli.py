@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n", help="comma-separated training sizes")
     ps.add_argument("--seeds", type=int, help="seeds per cell")
     ps.add_argument("--n-stat-examples", dest="n_stat_examples", type=int)
-    ps.add_argument("--jobs", type=int, default=1, help="parallel cells")
+    ps.add_argument("--jobs", type=int, default=1, help="parallel (alpha, seed) rows")
     ps.add_argument("--out", default="sweep_out", help="output directory")
     ps.set_defaults(fn=cmd_sweep)
 

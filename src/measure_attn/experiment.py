@@ -15,6 +15,7 @@ curves per alpha feed a least-squares fit of log L on t = (log n)^(alpha/(alpha+
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -103,8 +104,12 @@ class Example:
 
 def target_value(spec: MercerSpectrum, v1: float, z1: np.ndarray) -> float:
     """Y = v1 * sum_{j>=1} lambda_j * z1_j^2; odd in v1 by construction."""
-    lam = spec.eigenvalues()
-    return float(v1 * np.sum(lam[1:] * np.asarray(z1)[1:] ** 2))
+    return float(_targets(spec.eigenvalues(), v1, np.asarray(z1)))
+
+
+def _targets(lam: np.ndarray, v1, z1: np.ndarray):
+    """target_value of stacked rows, bitwise (a matmul with lam would not be)."""
+    return v1 * np.sum(lam[1:] * z1[..., 1:] ** 2, axis=-1)
 
 
 def _grid_atoms(spec: MercerSpectrum) -> np.ndarray:
@@ -164,8 +169,9 @@ def _gen_chunk(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Gener
     block = (u[:, 0] >= 0.5) ^ flip[:, None]
     counts, index = _inverse_cdf(cdf, block, u[:, 1], tokens)
     atoms = _grid_atoms(spec)
+    targets = _targets(spec.eigenvalues(), v1, z[:, 0])
     return [Example(atoms[index[r]] if tokens else None, atoms, counts[r],
-                    np.array([0.0, v1[r]]), target_value(spec, v1[r], z[r, 0]),
+                    np.array([0.0, v1[r]]), float(targets[r]),
                     Hidden(z[r, 0], z[r, 1], float(v1[r])))
             for r in range(rows)]
 
@@ -370,12 +376,27 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
 
     One batched pass per validation chunk yields both; the stats cover the
     first n_stat_examples.  The validation set depends on (alpha, seed) but
-    not on n, so risk curves across n are measured on a shared yardstick.
+    not on n, so risk curves across n are measured on a shared yardstick;
+    a sweep generates it once per (alpha, seed) row and gets, for each n,
+    what run_cell returns.
     """
     spec = cfg.spectrum(alpha)
+    model, result = _train_and_validate(cfg, spec, alpha, n, seed,
+                                        _val_set(cfg, spec, alpha, seed))
+    return result.val_mse, model, result
+
+
+def _val_set(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: float,
+             seed: int) -> list[Example]:
+    """The validation set of every n at (alpha, seed): its stream has n = 0."""
+    return _gen(cfg, spec, cfg.n_val, _cell_seedseq(cfg, alpha, 0, seed, _STREAM_VAL))
+
+
+def _train_and_validate(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: float,
+                        n: int, seed: int, val_set: list[Example]
+                        ) -> tuple[StudentModel, CellResult]:
+    """Cell (alpha, n, seed) trained on its own streams and scored on val_set."""
     train_set = _gen(cfg, spec, n, _cell_seedseq(cfg, alpha, n, seed, _STREAM_TRAIN))
-    val_set = _gen(cfg, spec, cfg.n_val,
-                   _cell_seedseq(cfg, alpha, 0, seed, _STREAM_VAL))
     model = StudentModel.init(
         cfg.student,
         np.random.default_rng(_cell_seedseq(cfg, alpha, n, seed, _STREAM_INIT)))
@@ -383,8 +404,7 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
                     .generate_state(1, np.uint64)[0])
     model, losses = train(model, train_set, cfg.train, loop_seed)
     val_mse, stats = _validate(model, val_set, cfg.n_stat_examples)
-    result = CellResult(alpha, n, seed, val_mse, tuple(losses), stats)
-    return val_mse, model, result
+    return model, CellResult(alpha, n, seed, val_mse, tuple(losses), stats)
 
 
 @dataclass(frozen=True)
@@ -470,10 +490,14 @@ def _cell_key(cfg: ExperimentConfig, alpha: float, n: int, seed: int
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write path through a temporary file, with the mode open() would give."""
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    umask = os.umask(0)  # mkstemp makes the file 0600; read the umask to undo it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w") as f:
+            os.chmod(tmp, 0o666 & ~umask)
             f.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -482,20 +506,32 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _sweep_cell_worker(args) -> tuple[str, dict]:
-    cfg, alpha, n, seed = args
-    key, key_inputs = _cell_key(cfg, alpha, n, seed)
-    _, _, result = run_cell(alpha, n, seed, cfg)
-    if not np.isfinite(result.val_mse):
-        raise FloatingPointError(f"non-finite val_mse {result.val_mse}")
-    payload = {
-        "alpha": alpha, "n": n, "seed": seed,
-        "val_mse": result.val_mse,
-        "train_losses": list(result.train_losses),
-        "attention_stats": result.stats.to_dict(),
-        "key_inputs": key_inputs,
-    }
-    return key, payload
+def _sweep_cell_worker(args) -> list[tuple[int, dict | None, str | None]]:
+    """One (alpha, seed) row of a sweep: (n, payload, error) per pending n.
+
+    A cell that raises or whose val_mse is not finite gets its error text,
+    and the row goes on to its next n.
+    """
+    cfg, alpha, seed, ns = args
+    spec = cfg.spectrum(alpha)
+    val_set = _val_set(cfg, spec, alpha, seed)
+    cells = []
+    for n in ns:
+        try:
+            _, result = _train_and_validate(cfg, spec, alpha, n, seed, val_set)
+            if not np.isfinite(result.val_mse):
+                raise FloatingPointError(f"non-finite val_mse {result.val_mse}")
+        except Exception as e:  # noqa: BLE001 - cell failures are data
+            cells.append((n, None, f"{type(e).__name__}: {e}"))
+            continue
+        cells.append((n, {
+            "alpha": alpha, "n": n, "seed": seed,
+            "val_mse": result.val_mse,
+            "train_losses": list(result.train_losses),
+            "attention_stats": result.stats.to_dict(),
+            "key_inputs": _cell_key(cfg, alpha, n, seed)[1],
+        }, None))
+    return cells
 
 
 def _fmt(x: float) -> str:
@@ -504,6 +540,9 @@ def _fmt(x: float) -> str:
 
 def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run the (alpha, n, seed) grid and persist the result bundle.
+
+    Pending cells run as (alpha, seed) rows, jobs rows at a time: a row
+    generates its validation set once and trains every pending n on it.
 
     Writes cells/<key>.json per cell (atomic, reused on resume when the key
     matches), risk_curve.csv, attention_stats.csv, fit.json, a gnuplot-ready
@@ -530,28 +569,28 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
             pass  # missing, corrupt or stale cell file: recompute
         pending.append(cell)
 
-    def record(cell, key, payload):
-        path = os.path.join(out_dir, "cells", key + ".json")
-        _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
-        results[cell] = payload
-
-    if jobs > 1 and pending:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {cell: pool.submit(_sweep_cell_worker, (cfg, *cell))
-                       for cell in pending}
-            for cell, fut in futures.items():
-                try:
-                    key, payload = fut.result()
-                    record(cell, key, payload)
-                except Exception as e:  # noqa: BLE001 - cell failures are data
-                    failures[cell] = f"{type(e).__name__}: {e}"
-    else:
-        for cell in pending:
+    rows: dict[tuple[float, int], list[int]] = {}
+    for alpha, n, s in pending:
+        rows.setdefault((alpha, s), []).append(n)
+    tasks = [(cfg, alpha, s, tuple(ns)) for (alpha, s), ns in rows.items()]
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and tasks else None
+    with pool or contextlib.nullcontext():
+        futures = [pool.submit(_sweep_cell_worker, task) if pool else None
+                   for task in tasks]
+        for task, fut in zip(tasks, futures):
+            _, alpha, s, ns = task
             try:
-                key, payload = _sweep_cell_worker((cfg, *cell))
-                record(cell, key, payload)
-            except Exception as e:  # noqa: BLE001
-                failures[cell] = f"{type(e).__name__}: {e}"
+                cells = fut.result() if fut else _sweep_cell_worker(task)
+            except Exception as e:  # noqa: BLE001 - the whole row failed
+                cells = [(n, None, f"{type(e).__name__}: {e}") for n in ns]
+            for n, payload, error in cells:
+                cell = (alpha, n, s)
+                if error is not None:
+                    failures[cell] = error
+                    continue
+                path = os.path.join(out_dir, "cells", keyed[cell] + ".json")
+                _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
+                results[cell] = payload
 
     curves, fits = risk_curves((alpha, n, results[(alpha, n, s)]["val_mse"])
                                for alpha, n, s in keyed if (alpha, n, s) in results)

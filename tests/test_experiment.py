@@ -36,8 +36,9 @@ from measure_attn import (
     target_value,
     train,
 )
-from measure_attn.experiment import (_CHUNK, _GEN_CHUNK, _STREAM_VAL, _cell_seedseq,
-                                     _gen, _inverse_cdf, _validate)
+from measure_attn.experiment import (_CHUNK, _GEN_CHUNK, _STREAM_LOOP, _STREAM_VAL,
+                                     _atomic_write, _cell_key, _cell_seedseq, _gen,
+                                     _inverse_cdf, _targets, _validate)
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -125,6 +126,21 @@ def test_target_value_zero_coefficients_and_oddness():
     lam = spec.eigenvalues()
     oracle = sum(lam[j] * z[j] ** 2 for j in range(1, spec.M))
     assert y == pytest.approx(oracle, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_stacked_targets_are_per_row_targets_bitwise(alpha):
+    # _gen_chunk computes a chunk's targets in one expression; each must be
+    # the 1-d sum that target_value takes of its row
+    spec = SMALL.spectrum(alpha)
+    lam = spec.eigenvalues()
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal((4000, spec.M))
+    v1 = np.where(rng.random(4000) < 0.5, 1.0, -1.0)
+    stacked = _targets(lam, v1, z)
+    for v, row, y in zip(v1, z, stacked):
+        assert y == v * np.sum(lam[1:] * row[1:] ** 2)
+        assert y == target_value(spec, v, row)
 
 
 def test_gen_example_layout_and_determinism():
@@ -799,23 +815,27 @@ def test_sweep_reproducible_across_directories_and_jobs(tmp_path):
         assert b1 == b2, name
 
 
-@pytest.mark.skipif(multiprocessing.get_context().get_start_method() != "fork",
-                    reason="pool workers must inherit the patched run_cell")
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_context().get_start_method() != "fork",
+    reason="pool workers must inherit the monkeypatched functions")
+
+
+@FORK_ONLY
 def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     from measure_attn import experiment
     cfg = replace(SMALL, seeds=2)
     clean = str(tmp_path / "clean")
     sweep(cfg, clean, jobs=1)
 
-    cell_run = experiment.run_cell
+    cell_run = experiment._train_and_validate
 
-    def dying(alpha, n, seed, cfg):
+    def dying(cfg, spec, alpha, n, seed, val_set):
         if (n, seed) == (4, 1):
             os._exit(1)   # the worker dies without raising
-        return cell_run(alpha, n, seed, cfg)
+        return cell_run(cfg, spec, alpha, n, seed, val_set)
 
     out = str(tmp_path / "bundle")
-    monkeypatch.setattr(experiment, "run_cell", dying)
+    monkeypatch.setattr(experiment, "_train_and_validate", dying)
     summary = sweep(cfg, out, jobs=2)
     assert summary["cells_failed"] >= 1
     manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
@@ -825,9 +845,99 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     assert not [f for d, _, files in os.walk(out) for f in files
                 if f.startswith(".tmp-")]
 
-    monkeypatch.setattr(experiment, "run_cell", cell_run)
+    monkeypatch.setattr(experiment, "_train_and_validate", cell_run)
     assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
     assert bundle_bytes(out) == bundle_bytes(clean)
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+@pytest.mark.parametrize("fault, reason", [
+    ("nan", "non-finite val_mse"),
+    ("raise", "RuntimeError: injected training fault"),
+])
+def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
+                                                   fault, reason):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+
+    # the fault hits (n=2, seed=1), the first n of its row: the row must go on
+    def loop_seed(n, seed):
+        ss = _cell_seedseq(cfg, 1.0, n, seed, _STREAM_LOOP)
+        return int(ss.generate_state(1, np.uint64)[0])
+
+    faulty_seed = loop_seed(2, 1)
+    assert faulty_seed not in {loop_seed(n, s) for n, s in ((2, 0), (4, 0), (4, 1))}
+    real_train = experiment.train
+
+    def faulty_train(model, examples, train_cfg, seed):
+        if seed != faulty_seed:
+            return real_train(model, examples, train_cfg, seed)
+        if fault == "raise":
+            raise RuntimeError("injected training fault")
+        model, losses = real_train(model, examples, train_cfg, seed)
+        model.params[:] = np.nan
+        return model, losses
+
+    monkeypatch.setattr(experiment, "train", faulty_train)
+    out = str(tmp_path / "bundle")
+    summary = sweep(cfg, out, jobs=jobs)
+    assert summary["cells_failed"] == 1
+    manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
+    status = {(c["n"], c["seed"]): c for c in manifest["cells"].values()}
+    assert status.pop((2, 1))["status"] == "failed"
+    assert reason in manifest["cells"][_cell_key(cfg, 1.0, 2, 1)[0]]["error"]
+    assert all(c["status"] == "done" for c in status.values()) and len(status) == 3
+    cells = bundle_bytes(os.path.join(out, "cells"))
+    clean_cells = bundle_bytes(os.path.join(clean, "cells"))
+    del clean_cells[_cell_key(cfg, 1.0, 2, 1)[0] + ".json"]
+    assert cells == clean_cells
+
+
+def test_sweep_draws_each_rows_validation_set_once(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    drawn = []
+    real_gen = experiment._gen
+
+    def spy(cfg_, spec, count, ss):
+        drawn.append(count)
+        return real_gen(cfg_, spec, count, ss)
+
+    monkeypatch.setattr(experiment, "_gen", spy)
+    out = str(tmp_path / "bundle")
+    sweep(cfg, out, jobs=1)
+    # per (alpha, seed) row: its validation set, then each n's training set
+    assert drawn == [cfg.n_val, 2, 4] * 2
+    clean = bundle_bytes(out)
+
+    # resume with only the largest n of the second row pending
+    cells = os.path.join(out, "cells")
+    os.remove(os.path.join(cells, _cell_key(cfg, 1.0, 4, 1)[0] + ".json"))
+    stamps = {f: os.stat(os.path.join(cells, f)).st_mtime_ns for f in os.listdir(cells)}
+    drawn.clear()
+    assert sweep(cfg, out, jobs=1)["cells_failed"] == 0
+    assert drawn == [cfg.n_val, 4]
+    assert {f: os.stat(os.path.join(cells, f)).st_mtime_ns for f in stamps} == stamps
+    assert bundle_bytes(out) == clean
+
+
+def test_atomic_write_gives_files_the_umask_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        out = str(tmp_path / "bundle")
+        sweep(SMALL, out)
+        modes = {f: os.stat(os.path.join(d, f)).st_mode & 0o777
+                 for d, _, files in os.walk(out) for f in files}
+        assert len(modes) == 7 and set(modes.values()) == {0o640}
+        os.umask(0o022)
+        path = str(tmp_path / "bundle" / "fit.json")
+        _atomic_write(path, "{}")   # replaces a file written under another umask
+        assert os.stat(path).st_mode & 0o777 == 0o644
+        assert Path(path).read_text() == "{}"
+    finally:
+        os.umask(old)
 
 
 def test_sweep_curves_match_cell_results(tmp_path):
