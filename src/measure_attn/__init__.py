@@ -13,10 +13,9 @@ The package has three layers:
 ``measure-attn --help`` describes the command-line surface.
 """
 
-from .attention import (AttnHead, AttnParams, LipschitzReport, MeasureMap,
-                        ProbeSummary, attention_map, build_recall_params,
-                        compose, featured_mixture, lipschitz_probe,
-                        measure_attention, pointwise_map,
+from .attention import (AttnHead, AttnParams, LipschitzReport, ProbeSummary,
+                        build_recall_params, featured_mixture,
+                        lipschitz_probe, measure_attention,
                         random_lipschitz_trials, recall_feature_map,
                         softmax_weights, temperature_for_error)
 from .experiment import (AttentionStats, CellResult, Example,
@@ -36,14 +35,14 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "AttentionStats", "AttnHead", "AttnParams", "CellResult",
     "DiscreteMeasure", "Example", "ExperimentConfig", "FitResult",
-    "LipschitzReport", "MeasureMap", "MercerSpectrum", "MixtureContext",
+    "LipschitzReport", "MercerSpectrum", "MixtureContext",
     "ModelCache", "ProbeSummary", "RiskCurve", "StudentConfig",
-    "StudentModel", "TrainConfig", "adam_step", "attention_map",
+    "StudentModel", "TrainConfig", "adam_step",
     "attention_mass_stats", "build_mixture",
-    "build_recall_params", "compose", "featured_mixture",
+    "build_recall_params", "featured_mixture",
     "fit_rate", "flatten", "gen_example", "gen_norm_sq", "isometry_map",
     "lipschitz_probe", "measure_attention", "midpoint_grid",
-    "pointwise_map", "product_embed", "pushforward", "query_shuffle_eval",
+    "product_embed", "pushforward", "query_shuffle_eval",
     "random_lipschitz_trials", "recall_feature_map", "run_cell",
     "scaling_axis", "softmax_weights", "sweep",
     "synth_density", "target_value", "temperature_for_error", "train",

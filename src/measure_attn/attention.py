@@ -8,10 +8,10 @@ where the softmax normalizer integrates against mu, so the measure's weights
 enter the kernel normalization rather than reweighting a finite softmax.  On
 a uniformly weighted support this reduces to ordinary attention.
 
-Also here: composition of (measure, point) -> point maps via pushforward,
-hand-built parameters whose softmax selects one mixture component almost
-exactly, and an empirical probe of the joint Lipschitz bound in
-(W1 distance, query distance).
+Also here: hand-built parameters whose softmax selects one mixture
+component almost exactly, and an empirical probe of the joint Lipschitz
+bound in (W1 distance, query distance).  One kernel evaluates every head of
+one instance or of a stack of zero-padded instances in a single pass.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import DiscreteMeasure, MixtureContext, flatten, pushforward, wasserstein1_1d
+from .measures import (DiscreteMeasure, MixtureContext, _w1_line, flatten,
+                       pushforward, wasserstein1_1d)
 from .spectrum import MercerSpectrum
 
 
@@ -83,30 +84,31 @@ class AttnParams:
 
     def entry_bound(self) -> float:
         """B_a: largest absolute entry over the head matrices."""
-        if not self.heads:
-            return 0.0
-        return max(float(np.max(np.abs(m))) for h in self.heads
-                   for m in (h.W, h.Q, h.K, h.V))
+        return float(_entry_bound(_stack_heads(self.heads, self.d_attn)))
 
     def sparsity_bound(self) -> int:
         """S_a: largest nonzero count over the head matrices."""
-        if not self.heads:
-            return 0
-        return max(int(np.count_nonzero(m)) for h in self.heads
-                   for m in (h.W, h.Q, h.K, h.V))
+        return int(_sparsity_bound(_stack_heads(self.heads, self.d_attn)))
 
-    def to_dict(self) -> dict:
-        return {
-            "heads": [{n: getattr(h, n).tolist() for n in ("W", "Q", "K", "V")}
-                      for h in self.heads],
-            "skip": self.skip.tolist(),
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttnParams":
-        heads = tuple(AttnHead(**{n: np.asarray(hd[n]) for n in ("W", "Q", "K", "V")})
-                      for hd in d["heads"])
-        return cls(heads, np.asarray(d["skip"]))
+def _stack_heads(heads, d: int) -> np.ndarray:
+    """Head matrices as one (H, 4, d, d) array, each head's W, Q, K, V."""
+    return np.array([(h.W, h.Q, h.K, h.V) for h in heads]).reshape(-1, 4, d, d)
+
+
+def _abs_max(a: np.ndarray, axis) -> np.ndarray:
+    """max |a| over axis, 0 when empty, without an |a| copy of a."""
+    return np.maximum(a.max(axis=axis, initial=0.0), -a.min(axis=axis, initial=0.0))
+
+
+def _entry_bound(heads: np.ndarray) -> np.ndarray:
+    """B_a of stacked heads (..., H, 4, d, d); 0 without heads."""
+    return _abs_max(heads, (-4, -3, -2, -1))
+
+
+def _sparsity_bound(heads: np.ndarray) -> np.ndarray:
+    """S_a of stacked heads (..., H, 4, d, d); 0 without heads."""
+    return np.count_nonzero(heads, axis=(-2, -1)).max(axis=(-2, -1), initial=0)
 
 
 def _softmax(scores: np.ndarray, weights=None) -> np.ndarray:
@@ -132,10 +134,52 @@ def _softmax(scores: np.ndarray, weights=None) -> np.ndarray:
     if weights is not None:
         e *= weights
     total = e.sum(axis=-1, keepdims=True)
-    if total.min() <= 0.0:
+    if total.min(initial=np.inf) <= 0.0:
         raise ValueError("softmax normalizer vanished (zero-mass tilt)")
     e /= total
     return e
+
+
+def _T(m: np.ndarray) -> np.ndarray:
+    return m.swapaxes(-1, -2)
+
+
+def _tilt(heads, support, weights, x) -> np.ndarray:
+    """Every head's softmax density on the support, over leading axes.
+
+    heads (..., H, 4, d, d) stack each head's W, Q, K, V; the support
+    (..., n, d), weights (..., n) and query (..., d) broadcast against the
+    heads' leading axes.  Returns (..., H, n).  The score <Q x, K y> is taken
+    as <K^T Q x, y>, so no (H, n, d) projection of the support is formed.
+    """
+    kq = _T(heads[..., 2, :, :]) @ (heads[..., 1, :, :] @ x[..., None, :, None])
+    return _softmax((support[..., None, :, :] @ kq)[..., 0], weights[..., None, :])
+
+
+def _attend(heads, skip, support, weights, x) -> np.ndarray:
+    """Attn(mu, x) over leading axes, shapes as in _tilt and skip (..., d, d).
+
+    Every product is a matrix-vector one per head, so a head's arithmetic
+    does not depend on how many heads share its stack, and the heads add
+    onto A x one at a time in their order: zero-padded heads add exact
+    zeros after the real ones.
+    """
+    w = _tilt(heads, support, weights, x)
+    pooled = (w[..., None, :] @ support[..., None, :, :])[..., 0, :]   # (..., H, d)
+    per_head = (heads[..., 0, :, :] @ (heads[..., 3, :, :] @ pooled[..., None]))[..., 0]
+    out = (skip @ x[..., None])[..., 0]
+    for h in range(per_head.shape[-2]):
+        out += per_head[..., h, :]
+    return out
+
+
+def _query(d: int, mu: DiscreteMeasure, x, what: str) -> np.ndarray:
+    """x as a float vector, checked against the operator's dimension d."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (d,) or mu.dim != d:
+        raise ValueError(
+            f"dimension mismatch: {what} {d}, measure {mu.dim}, query {x.shape}")
+    return x
 
 
 def softmax_weights(head: AttnHead, mu: DiscreteMeasure, x) -> np.ndarray:
@@ -144,30 +188,15 @@ def softmax_weights(head: AttnHead, mu: DiscreteMeasure, x) -> np.ndarray:
     w_t = p_t exp(s_t) / sum_u p_u exp(s_u) with s_t = <Qx, K y_t>.  With
     Q = 0 the weights reproduce mu.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if mu.n_points < 1:
-        raise ValueError("empty support")
-    if x.shape != (head.d_attn,) or mu.dim != head.d_attn:
-        raise ValueError(
-            f"dimension mismatch: head {head.d_attn}, measure {mu.dim}, "
-            f"query {x.shape}"
-        )
-    return _softmax((mu.support @ head.K.T) @ (head.Q @ x), mu.weights)
+    x = _query(head.d_attn, mu, x, "head")
+    return _tilt(_stack_heads((head,), head.d_attn), mu.support, mu.weights, x)[0]
 
 
 def measure_attention(params: AttnParams, mu: DiscreteMeasure, x) -> np.ndarray:
-    """Attn(mu, x) evaluated exactly on the discrete support."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.d_attn,) or mu.dim != params.d_attn:
-        raise ValueError(
-            f"dimension mismatch: params {params.d_attn}, measure {mu.dim}, "
-            f"query {x.shape}"
-        )
-    out = params.skip @ x
-    for head in params.heads:
-        w = softmax_weights(head, mu, x)
-        out += head.W @ (head.V @ (w @ mu.support))
-    return out
+    """Attn(mu, x) evaluated exactly on the discrete support, all heads at once."""
+    x = _query(params.d_attn, mu, x, "params")
+    return _attend(_stack_heads(params.heads, params.d_attn), params.skip,
+                   mu.support, mu.weights, x)
 
 
 def temperature_for_error(I: int, eps2: float) -> float:
@@ -248,49 +277,6 @@ def featured_mixture(spec: MercerSpectrum, ctx: MixtureContext, D: int
 
 
 @dataclass(frozen=True)
-class MeasureMap:
-    """A (measure, point) -> point map with declared dimensions."""
-
-    fn: Callable[[DiscreteMeasure, np.ndarray], np.ndarray]
-    in_dim: int
-    out_dim: int
-
-    def __call__(self, mu: DiscreteMeasure, x) -> np.ndarray:
-        return self.fn(mu, np.asarray(x, dtype=np.float64))
-
-
-def attention_map(params: AttnParams) -> MeasureMap:
-    return MeasureMap(lambda mu, x: measure_attention(params, mu, x),
-                      params.d_attn, params.d_attn)
-
-
-def pointwise_map(f: Callable[[np.ndarray], np.ndarray], in_dim: int,
-                  out_dim: int) -> MeasureMap:
-    """Lift a measure-independent map (an MLP, a projection) to a MeasureMap."""
-    return MeasureMap(lambda mu, x: np.atleast_1d(np.asarray(f(x), dtype=np.float64)),
-                      in_dim, out_dim)
-
-
-def compose(g2: MeasureMap, g1: MeasureMap) -> MeasureMap:
-    """(g2 after g1)(nu, x) = g2(g1(nu, .)_# nu, g1(nu, x)).
-
-    The intermediate measure is the pushforward of nu through g1 with nu
-    itself as the measure argument, so measure-independent stages reduce to
-    mapping each token.
-    """
-    if g1.out_dim != g2.in_dim:
-        raise ValueError(
-            f"composition dimension mismatch: {g1.out_dim} feeds {g2.in_dim}"
-        )
-
-    def composed(nu: DiscreteMeasure, x: np.ndarray) -> np.ndarray:
-        mu1 = pushforward(nu, lambda p: g1.fn(nu, p))
-        return g2.fn(mu1, g1.fn(nu, x))
-
-    return MeasureMap(composed, g1.in_dim, g2.out_dim)
-
-
-@dataclass(frozen=True)
 class LipschitzReport:
     """One probe trial: observed ratio against the certified bound."""
 
@@ -305,23 +291,42 @@ class LipschitzReport:
         return (not self.skipped) and self.ratio > self.bound
 
 
-def _lipschitz_bound(params: AttnParams, b_x: float, b_y: float) -> float:
+def _lipschitz_bound(heads, n_heads, skip, b_x, b_y) -> np.ndarray:
     """Explicit joint-Lipschitz constant of Attn in (W1, ||dx||_2).
 
-    The two exponential terms bound the measure part (normalizer shift and
-    integrand shift); the trailing term is the exact contribution of the
-    skip matrix, which the exponential terms do not cover when the heads
-    are small or absent.
+    Over leading axes: heads (..., H, 4, d, d) of which n_heads (...) are
+    real, the rest zero.  The two exponential terms bound the measure part
+    (normalizer shift and integrand shift); the trailing term is the exact
+    contribution of the skip matrix, which the exponential terms do not
+    cover when the heads are small or absent.
     """
-    H = params.n_heads
-    Sa = float(params.sparsity_bound())
-    Ba = params.entry_bound()
+    Sa = _sparsity_bound(heads).astype(np.float64)
+    Ba = _entry_bound(heads)
     g = Sa ** 2 * Ba ** 2 * b_x * b_y
     with np.errstate(over="ignore"):
-        term_norm = H * Sa ** 4 * Ba ** 4 * b_x * b_y * np.exp(4.0 * g)
-        term_int = H * (1.0 + g) * Sa ** 2 * Ba ** 2 * np.exp(2.0 * g)
-    skip_term = float(np.count_nonzero(params.skip)) * float(np.max(np.abs(params.skip), initial=0.0))
-    return float(term_norm + term_int + skip_term)
+        term_norm = n_heads * Sa ** 4 * Ba ** 4 * b_x * b_y * np.exp(4.0 * g)
+        term_int = n_heads * (1.0 + g) * Sa ** 2 * Ba ** 2 * np.exp(2.0 * g)
+    skip_term = np.count_nonzero(skip, axis=(-2, -1)) * _abs_max(skip, (-2, -1))
+    return term_norm + term_int + skip_term
+
+
+def _probe(heads, n_heads, skip, support, weights, x, w1):
+    """The probe over leading axes: (ratio, bound, dx, skipped).
+
+    Each instance pairs two measures, support (..., 2, n, d) with weights
+    (..., 2, n), and two queries x (..., 2, d); w1 (...) is their W1.  The
+    heads are as in _lipschitz_bound and skip is (..., d, d).
+    """
+    out = _attend(heads[..., None, :, :, :, :], skip[..., None, :, :],
+                  support, weights, x)
+    dx = np.linalg.norm(x[..., 0, :] - x[..., 1, :], axis=-1)
+    denom = w1 + dx
+    bound = _lipschitz_bound(heads, n_heads, skip, _abs_max(x, (-2, -1)),
+                             _abs_max(support, (-3, -2, -1)))
+    skipped = denom == 0.0
+    shift = np.abs(out[..., 0, :] - out[..., 1, :]).max(axis=-1)
+    ratio = np.where(skipped, 0.0, shift / np.where(skipped, 1.0, denom))
+    return ratio, bound, dx, skipped
 
 
 def lipschitz_probe(params: AttnParams, mu1: DiscreteMeasure,
@@ -332,19 +337,20 @@ def lipschitz_probe(params: AttnParams, mu1: DiscreteMeasure,
     A zero denominator (identical inputs) skips the trial.  mu1, mu2 must be
     admissible for the one-dimensional W1 (vary in at most one coordinate).
     """
-    x1 = np.asarray(x1, dtype=np.float64)
-    x2 = np.asarray(x2, dtype=np.float64)
+    d = params.d_attn
+    x = np.stack([_query(d, mu, v, "params") for mu, v in ((mu1, x1), (mu2, x2))])
     w1 = wasserstein1_1d(mu1, mu2)
-    dx = float(np.linalg.norm(x1 - x2))
-    denom = w1 + dx
-    b_x = max(float(np.max(np.abs(x1))), float(np.max(np.abs(x2))))
-    b_y = max(float(np.max(np.abs(mu1.support))), float(np.max(np.abs(mu2.support))))
-    bound = _lipschitz_bound(params, b_x, b_y)
-    if denom == 0.0:
-        return LipschitzReport(0.0, bound, w1, dx, skipped=True)
-    diff = measure_attention(params, mu1, x1) - measure_attention(params, mu2, x2)
-    ratio = float(np.max(np.abs(diff))) / denom
-    return LipschitzReport(ratio, bound, w1, dx, skipped=False)
+    # the shorter support repeats its last point at weight 0
+    n = max(mu1.n_points, mu2.n_points)
+    support = np.stack([np.pad(mu.support, ((0, n - mu.n_points), (0, 0)), mode="edge")
+                        for mu in (mu1, mu2)])
+    weights = np.stack([np.pad(mu.weights, (0, n - mu.n_points)) for mu in (mu1, mu2)])
+    # a stack of one instance, so that the batch's vector loops do the math
+    ratio, bound, dx, skipped = _probe(
+        _stack_heads(params.heads, d)[None], np.array([params.n_heads]),
+        params.skip[None], support[None], weights[None], x[None], np.array([w1]))
+    return LipschitzReport(float(ratio[0]), float(bound[0]), w1, float(dx[0]),
+                           bool(skipped[0]))
 
 
 @dataclass(frozen=True)
@@ -357,12 +363,92 @@ class ProbeSummary:
     max_ratio_over_bound: float
 
 
-def _random_sparse(rng: np.random.Generator, d: int, b_max: float) -> np.ndarray:
-    m = np.zeros((d, d))
-    nnz = int(rng.integers(1, 4))
-    flat = rng.choice(d * d, size=nnz, replace=False)
-    m.flat[flat] = rng.uniform(-b_max, b_max, size=nnz)
-    return m
+def _draw_trials(rng: np.random.Generator, n_trials: int, n_max: int,
+                 d_max: int, b_max: float, h_max: int):
+    """Random small instances as zero-padded arrays, drawn trial by trial.
+
+    Returns heads (N, h_max, 4, d_max, d_max), n_heads (N,), skip
+    (N, d_max, d_max), support (N, 2, n_max, d_max), weights (N, 2, n_max),
+    queries x (N, 2, d_max) and the varying coordinate (N,).  Padding is
+    exact: zero heads add 0, zero coordinates change no score or bound, and
+    a measure's padded points repeat its last point at weight 0.
+    """
+    heads = np.zeros((n_trials, h_max, 4, d_max, d_max))
+    n_heads = np.zeros(n_trials, dtype=np.int64)
+    skip = np.zeros((n_trials, d_max, d_max))
+    support = np.zeros((n_trials, 2, n_max, d_max))
+    weights = np.zeros((n_trials, 2, n_max))
+    x = np.zeros((n_trials, 2, d_max))
+    coord = np.zeros(n_trials, dtype=np.int64)
+    slots = np.arange(n_max)
+
+    def sparse(m, d, scale):   # 1-3 nonzeros in the leading (d, d) block of m
+        nnz = int(rng.integers(1, 4))
+        rows, cols = np.divmod(rng.choice(d * d, size=nnz, replace=False), d)
+        m[rows, cols] = rng.uniform(-scale, scale, size=nnz)
+
+    def measure(i, k, d, base, c):   # shares base, varies in coordinate c
+        n = int(rng.integers(1, n_max + 1))
+        support[i, k, :, :d] = base
+        support[i, k, :, c] = rng.uniform(-1.0, 1.0, n)[np.minimum(slots, n - 1)]
+        weights[i, k, :n] = rng.dirichlet(np.ones(n))
+
+    for i in range(n_trials):
+        d = int(rng.integers(2, d_max + 1))
+        n_heads[i] = int(rng.integers(1, h_max + 1))
+        scale = rng.uniform(0.1, b_max)
+        for head in heads[i, :n_heads[i]]:
+            for m in head:   # W, Q, K, V
+                sparse(m, d, scale)
+        sparse(skip[i], d, scale)
+        base = rng.uniform(-1.0, 1.0, d)
+        coord[i] = int(rng.integers(d))
+        measure(i, 0, d, base, coord[i])
+        if rng.random() < 0.05:
+            support[i, 1], weights[i, 1] = support[i, 0], weights[i, 0]
+        else:
+            measure(i, 1, d, base, coord[i])
+        x[i, 0, :d] = rng.uniform(-1.0, 1.0, d)
+        if rng.random() < 0.1:
+            x[i, 1] = x[i, 0]
+        else:
+            x[i, 1, :d] = rng.uniform(-1.0, 1.0, d)
+    return heads, n_heads, skip, support, weights, x, coord
+
+
+# trials drawn and probed per pass: the padded arrays of 250 trials take
+# 0.5 MB, where all 1,000 trials of the verify suite take 2 MB
+_TRIALS_PER_PASS = 250
+
+
+def _probe_trials(n_trials: int, rng_seed, n_max: int = 8, d_max: int = 4,
+                  b_max: float = 1.0, h_max: int = 2):
+    """Draw the trials and probe them in stacked passes: (ratio, bound, skipped).
+
+    The passes take the trials in order from one generator, so they draw
+    what one pass over all trials would.
+    """
+    rng = np.random.default_rng(rng_seed)
+    parts = []
+    for start in range(0, n_trials, _TRIALS_PER_PASS):
+        n = min(_TRIALS_PER_PASS, n_trials - start)
+        heads, n_heads, skip, support, weights, x, coord = _draw_trials(
+            rng, n, n_max, d_max, b_max, h_max)
+        line = np.take_along_axis(support, coord[:, None, None, None], axis=-1)
+        w1 = _w1_line(line.reshape(n, -1),
+                      np.concatenate([weights[:, 0], -weights[:, 1]], axis=-1))
+        ratio, bound, _, skipped = _probe(heads, n_heads, skip, support, weights, x, w1)
+        parts.append((ratio, bound, skipped))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
+def _summarize(ratio, bound, skipped) -> ProbeSummary:
+    live = ~skipped
+    r, b = ratio[live], bound[live]
+    pos = b > 0
+    return ProbeSummary(int(ratio.size), int(skipped.sum()), int(np.sum(r > b)),
+                        int(np.sum(r > 2.0 * b)), float(r.max(initial=0.0)),
+                        float((r[pos] / b[pos]).max(initial=0.0)))
 
 
 def random_lipschitz_trials(n_trials: int, rng_seed, n_max: int = 8,
@@ -373,42 +459,7 @@ def random_lipschitz_trials(n_trials: int, rng_seed, n_max: int = 8,
     Supports share a random base point and vary in one random coordinate so
     the exact 1-D W1 applies.  Queries and supports live in [-1, 1]^d, head
     entries in [-b_max, b_max].  A small fraction of trials deliberately
-    duplicates x or mu to exercise the skip path of the probe.
+    duplicates x or mu to exercise the skip path of the probe.  The trials
+    are evaluated as zero-padded arrays, in stacked passes.
     """
-    rng = np.random.default_rng(rng_seed)
-    skipped = violations = violations_2x = 0
-    max_ratio = 0.0
-    max_rel = 0.0
-    for _ in range(n_trials):
-        d = int(rng.integers(2, d_max + 1))
-        n_heads = int(rng.integers(1, h_max + 1))
-        scale = rng.uniform(0.1, b_max)
-        heads = tuple(AttnHead(*(_random_sparse(rng, d, scale) for _ in range(4)))
-                      for _ in range(n_heads))
-        params = AttnParams(heads, _random_sparse(rng, d, scale))
-        base = rng.uniform(-1.0, 1.0, d)
-        coord = int(rng.integers(d))
-
-        def rand_measure() -> DiscreteMeasure:
-            n = int(rng.integers(1, n_max + 1))
-            pts = np.tile(base, (n, 1))
-            pts[:, coord] = rng.uniform(-1.0, 1.0, n)
-            return DiscreteMeasure(pts, rng.dirichlet(np.ones(n)))
-
-        mu1 = rand_measure()
-        mu2 = mu1 if rng.random() < 0.05 else rand_measure()
-        x1 = rng.uniform(-1.0, 1.0, d)
-        x2 = x1.copy() if rng.random() < 0.1 else rng.uniform(-1.0, 1.0, d)
-        rep = lipschitz_probe(params, mu1, mu2, x1, x2)
-        if rep.skipped:
-            skipped += 1
-            continue
-        max_ratio = max(max_ratio, rep.ratio)
-        if rep.bound > 0:
-            max_rel = max(max_rel, rep.ratio / rep.bound)
-        if rep.ratio > rep.bound:
-            violations += 1
-        if rep.ratio > 2.0 * rep.bound:
-            violations_2x += 1
-    return ProbeSummary(n_trials, skipped, violations, violations_2x,
-                        max_ratio, max_rel)
+    return _summarize(*_probe_trials(n_trials, rng_seed, n_max, d_max, b_max, h_max))

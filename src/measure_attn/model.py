@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import _softmax
+from .attention import _T, _softmax
 
 
 def _relu(x):
@@ -92,6 +92,76 @@ def _layout(cfg: StudentConfig) -> dict[str, tuple[int, tuple[int, ...]]]:
     return table
 
 
+def _block_views(table, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """name -> view of its block in flat (..., P); leading axes ride along."""
+    lead = flat.shape[:-1]
+    return {n: flat[..., off:off + int(np.prod(shape))].reshape(lead + shape)
+            for n, (off, shape) in table.items() if n != "__total__"}
+
+
+def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
+             weights) -> dict[str, np.ndarray]:
+    """The student's forward arithmetic for one model or a stack of models.
+
+    Every block of b is a model's own block or carries one leading stack
+    axis S.  The points C (A, input_dim), the queries q (B, input_dim) and
+    the weights (B, A) or None are shared by the stack.  Returns the
+    intermediates by name: the context side is (S, A, .), the query side
+    (S, B, .), the attention side (S, H, B, .) and pred (S, B), each without
+    S when b is unstacked.  A stacked row is computed with the same calls
+    on the same operands as the unstacked pass, so it is bitwise that pass.
+    """
+    act, _ = _ACTIVATIONS[cfg.activation]
+    H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
+    stack, A = b["head_b2"].shape[:-1], C.shape[0]
+
+    def affine(x, w, bias):   # x @ w^T + bias, the bias broadcast over rows
+        return x @ _T(b[w]) + b[bias][..., None, :]
+
+    ctx_pre = affine(C, "ctx_w1", "ctx_b1")
+    ctx_act = act(ctx_pre)
+    ctx_emb = affine(ctx_act, "ctx_w2", "ctx_b2")
+
+    qry_pre = affine(q, "qry_w1", "qry_b1")
+    qry_act = act(qry_pre)
+    qry_emb = affine(qry_act, "qry_w2", "qry_b2")
+
+    scale = 1.0 / np.sqrt(hd)
+    # one GEMM per projection for all heads; queries viewed as (H, B, hd),
+    # keys and values as (H, A, hd)
+    head_q = _T(b["attn_q"] @ _T(qry_emb)[..., None, :, :])
+    head_k, head_v = (np.swapaxes((ctx_emb @ _T(b[w].reshape(stack + (H * hd, dm))))
+                                  .reshape(stack + (A, H, hd)), -3, -2)
+                      for w in ("attn_k", "attn_v"))
+    attn = _softmax(scale * (head_q @ _T(head_k)), weights)
+    head_out = attn @ head_v
+    mixed = (np.swapaxes(head_out, -3, -2).reshape(stack + (-1, H * hd))
+             @ _T(b["attn_out"]))
+
+    out_pre = affine(mixed, "head_w1", "head_b1")
+    out_act = act(out_pre)
+    pred = affine(out_act, "head_w2", "head_b2")[..., 0]
+    return dict(ctx_pre=ctx_pre, ctx_act=ctx_act, ctx_emb=ctx_emb,
+                qry_pre=qry_pre, qry_act=qry_act, qry_emb=qry_emb,
+                head_q=head_q, head_k=head_k, head_v=head_v, attn=attn,
+                head_out=head_out, mixed=mixed, out_pre=out_pre,
+                out_act=out_act, pred=pred)
+
+
+def _stacked_predictions(cfg: StudentConfig, thetas: np.ndarray, context,
+                         query) -> np.ndarray:
+    """Predictions of S parameter vectors thetas (S, P) in one pass.
+
+    Row s is bitwise StudentModel(cfg, thetas[s]).forward(context, query)[0]
+    for a query (input_dim,) or (B, input_dim).
+    """
+    q = np.asarray(query, dtype=np.float64)
+    f = _forward(_block_views(_layout(cfg), thetas), cfg,
+                 np.asarray(context, dtype=np.float64),
+                 q.reshape(-1, cfg.input_dim), None)
+    return f["pred"].reshape(thetas.shape[:-1] + q.shape[:-1])
+
+
 @dataclass
 class ModelCache:
     """Intermediates of one forward pass, consumed by backward.
@@ -139,10 +209,8 @@ class StudentModel:
             self.params = params.copy()
         self.grads = np.zeros(self.n_params)
         # params and grads only ever change in place, so views built once stay valid
-        self._blocks, self._grad_blocks = (
-            {n: flat[off:off + int(np.prod(shape))].reshape(shape)
-             for n, (off, shape) in self._table.items() if n != "__total__"}
-            for flat in (self.params, self.grads))
+        self._blocks = _block_views(self._table, self.params)
+        self._grad_blocks = _block_views(self._table, self.grads)
 
     @classmethod
     def init(cls, config: StudentConfig, rng_seed) -> "StudentModel":
@@ -185,7 +253,6 @@ class StudentModel:
         predictions; a query (input_dim,) returns a float.
         """
         cfg = self.config
-        act, _ = _ACTIVATIONS[cfg.activation]
         C = np.asarray(context, dtype=np.float64)
         q = np.asarray(query, dtype=np.float64)
         if C.ndim != 2 or C.shape[1] != cfg.input_dim or C.shape[0] < 1:
@@ -202,36 +269,15 @@ class StudentModel:
                 raise ValueError(
                     f"weights must have shape {lead + (A,)}, got {weights.shape}")
 
-        b = self._blocks
-        ctx_pre = C @ b["ctx_w1"].T + b["ctx_b1"]
-        ctx_act = act(ctx_pre)
-        ctx_emb = ctx_act @ b["ctx_w2"].T + b["ctx_b2"]
-
-        qry_pre = q @ b["qry_w1"].T + b["qry_b1"]
-        qry_act = act(qry_pre)
-        qry_emb = qry_act @ b["qry_w2"].T + b["qry_b2"]
-
-        H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
-        scale = 1.0 / np.sqrt(hd)
-        # one GEMM per projection for all heads; queries viewed as (H, B, hd),
-        # keys and values as (H, A, hd)
-        head_q = np.moveaxis(b["attn_q"] @ qry_emb.T, 1, -1)
-        head_k, head_v = ((ctx_emb @ b[w].reshape(H * hd, dm).T)
-                          .reshape(-1, H, hd).transpose(1, 0, 2)
-                          for w in ("attn_k", "attn_v"))
-        scores = head_q.reshape(H, -1, hd) @ head_k.transpose(0, 2, 1)
-        attn = _softmax(scale * scores.reshape((H,) + lead + (A,)), weights)
-        head_out = (attn.reshape(H, -1, A) @ head_v).reshape((H,) + lead + (hd,))
-        mixed = (np.moveaxis(head_out, 0, -2).reshape(lead + (H * hd,))
-                 @ b["attn_out"].T)
-
-        out_pre = mixed @ b["head_w1"].T + b["head_b1"]
-        out_act = act(out_pre)
-        pred = (out_act @ b["head_w2"].T + b["head_b2"])[..., 0]
-
-        cache = ModelCache(C, q, ctx_pre, ctx_act, ctx_emb, qry_pre, qry_act,
-                           qry_emb, head_q, head_k, head_v, attn, head_out,
-                           mixed, out_pre, out_act, self._digest())
+        f = _forward(self._blocks, cfg, C, q.reshape(-1, cfg.input_dim), weights)
+        if not lead:   # the query went through as a batch of one row
+            for name in ("qry_pre", "qry_act", "qry_emb", "mixed", "out_pre",
+                         "out_act", "pred"):
+                f[name] = f[name][0]
+            for name in ("head_q", "attn", "head_out"):
+                f[name] = f[name][:, 0]
+        pred = f.pop("pred")
+        cache = ModelCache(context=C, query=q, params_digest=self._digest(), **f)
         return (pred if lead else float(pred)), cache
 
     def backward(self, cache: ModelCache, upstream) -> None:

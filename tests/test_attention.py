@@ -1,5 +1,5 @@
 """Measure attention: softmax tilting, the recall construction and its
-closed-form star mass, composition of measure maps, and the Lipschitz probe.
+closed-form star mass, and the Lipschitz probe with its batched trials.
 
 The softmax oracle is an unstabilized scalar loop; the recall oracle is the
 direct weighted sum over the starred component; the star-mass value
@@ -19,21 +19,18 @@ from measure_attn import (
     AttnParams,
     DiscreteMeasure,
     MercerSpectrum,
-    attention_map,
     build_mixture,
     build_recall_params,
-    compose,
     featured_mixture,
     lipschitz_probe,
     measure_attention,
-    pointwise_map,
-    pushforward,
     random_lipschitz_trials,
     recall_feature_map,
     softmax_weights,
     temperature_for_error,
 )
-from measure_attn.attention import _softmax
+from measure_attn.attention import (_draw_trials, _probe, _probe_trials, _softmax,
+                                    _stack_heads)
 
 
 def eye_head(d):
@@ -68,16 +65,6 @@ def test_entry_and_sparsity_bounds():
     empty = AttnParams((), np.eye(2))
     assert empty.entry_bound() == 0.0
     assert empty.sparsity_bound() == 0
-
-
-def test_params_serialization_round_trip():
-    params = random_params(np.random.default_rng(0), d=3)
-    back = AttnParams.from_dict(params.to_dict())
-    np.testing.assert_array_equal(back.skip, params.skip)
-    for h1, h2 in zip(back.heads, params.heads):
-        for name in ("W", "Q", "K", "V"):
-            np.testing.assert_array_equal(getattr(h1, name),
-                                          getattr(h2, name))
 
 
 # -------------------------------------------------------- softmax_weights
@@ -322,48 +309,6 @@ def test_recall_skip_passes_query_through():
     np.testing.assert_allclose(out[:I + 1], q_feat[:I + 1], rtol=1e-12)
 
 
-# ------------------------------------------------------------ composition
-
-def test_compose_pointwise_after_attention():
-    rng = np.random.default_rng(9)
-    d = 3
-    params = random_params(rng, d)
-    f = lambda v: v[:2] ** 2  # noqa: E731
-    g = compose(pointwise_map(f, d, 2), attention_map(params))
-    mu = DiscreteMeasure(rng.uniform(-1, 1, (4, d)), rng.dirichlet(np.ones(4)))
-    x = rng.uniform(-1, 1, d)
-    np.testing.assert_allclose(g(mu, x),
-                               f(measure_attention(params, mu, x)),
-                               rtol=1e-12)
-
-
-def test_compose_attention_after_pointwise_is_pushforward():
-    rng = np.random.default_rng(10)
-    d = 3
-    params = random_params(rng, d)
-    A = rng.standard_normal((d, d))
-    f = lambda v: A @ v  # noqa: E731
-    g = compose(attention_map(params), pointwise_map(f, d, d))
-    mu = DiscreteMeasure(rng.uniform(-1, 1, (4, d)), rng.dirichlet(np.ones(4)))
-    x = rng.uniform(-1, 1, d)
-    manual = measure_attention(params, pushforward(mu, f), A @ x)
-    np.testing.assert_allclose(g(mu, x), manual, rtol=1e-12)
-
-
-def test_compose_identity_maps():
-    ident = pointwise_map(lambda v: v, 2, 2)
-    g = compose(ident, ident)
-    mu = DiscreteMeasure.dirac([0.1, 0.2])
-    x = np.array([0.5, -0.5])
-    np.testing.assert_array_equal(g(mu, x), x)
-
-
-def test_compose_dimension_mismatch():
-    with pytest.raises(ValueError):
-        compose(pointwise_map(lambda v: v, 3, 3),
-                pointwise_map(lambda v: v, 2, 2))
-
-
 # -------------------------------------------------------- Lipschitz probe
 
 def test_probe_skips_identical_inputs():
@@ -410,3 +355,62 @@ def test_random_trials_campaign_no_violations():
     assert summary.violations_2x == 0
     assert summary.trials - summary.skipped >= 500
     assert summary.max_ratio_over_bound <= 1.0
+
+
+def test_random_trials_seed13_summary_is_pinned():
+    # values of the per-trial evaluation that the batched one replaced
+    summary = random_lipschitz_trials(1000, rng_seed=13)
+    assert (summary.trials, summary.skipped, summary.violations,
+            summary.violations_2x) == (1000, 5, 0, 0)
+    assert summary.max_ratio == pytest.approx(0.9301218281572431, rel=1e-12)
+    assert summary.max_ratio_over_bound == pytest.approx(0.43043694616754513,
+                                                         rel=1e-12)
+
+
+def test_probe_equals_its_trial_in_the_batch():
+    n = 300   # seed 1 has 2 skipped trials among these
+    heads, n_heads, skip, support, weights, x, _ = _draw_trials(
+        np.random.default_rng(1), n, n_max=8, d_max=4, b_max=1.0, h_max=2)
+    ratio, bound, skipped = _probe_trials(n, 1)
+    assert 0 < skipped.sum() < n
+    for i in range(n):
+        params = AttnParams(tuple(AttnHead(*h) for h in heads[i, :n_heads[i]]),
+                            skip[i])
+        mu1, mu2 = (DiscreteMeasure(support[i, k], weights[i, k]) for k in (0, 1))
+        rep = lipschitz_probe(params, mu1, mu2, x[i, 0], x[i, 1])
+        assert (rep.ratio, rep.bound, rep.skipped) == (ratio[i], bound[i], skipped[i])
+
+
+def test_probe_padding_is_exact():
+    # a trial cropped to its own dimension and support sizes gives the
+    # padded trial's report
+    rng = np.random.default_rng(12)
+    d = 2
+    params = random_params(rng, d, n_heads=1)
+    mu1 = DiscreteMeasure(np.column_stack([rng.uniform(-1, 1, 3), np.full(3, 0.4)]),
+                          rng.dirichlet(np.ones(3)))
+    mu2 = DiscreteMeasure(np.array([[0.2, 0.4]]), np.array([1.0]))
+    x1, x2 = rng.uniform(-1, 1, (2, d))
+    rep = lipschitz_probe(params, mu1, mu2, x1, x2)
+
+    def pad(m, shape):
+        out = np.zeros(shape)
+        out[tuple(slice(0, k) for k in m.shape)] = m
+        return out
+
+    zero_head = AttnHead(*(np.zeros((3, 3)) for _ in range(4)))
+    padded = AttnParams(tuple(AttnHead(*(pad(getattr(h, a), (3, 3)) for a in "WQKV"))
+                              for h in params.heads) + (zero_head,),
+                        pad(params.skip, (3, 3)))
+    wide = [DiscreteMeasure(pad(mu.support, (mu.n_points, 3)), mu.weights)
+            for mu in (mu1, mu2)]
+    heads = _stack_heads(padded.heads, 3)
+    support = np.stack([np.pad(mu.support, ((0, 3 - mu.n_points), (0, 0)), mode="edge")
+                        for mu in wide])
+    weights = np.stack([np.pad(mu.weights, (0, 3 - mu.n_points)) for mu in wide])
+    ratio, bound, dx, skipped = _probe(heads, params.n_heads, padded.skip, support,
+                                       weights, np.stack([pad(x1, (3,)), pad(x2, (3,))]),
+                                       rep.w1)
+    assert not skipped and dx == pytest.approx(rep.dx, rel=1e-15)
+    assert ratio == pytest.approx(rep.ratio, rel=1e-13)
+    assert bound == pytest.approx(rep.bound, rel=1e-15)

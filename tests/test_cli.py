@@ -39,11 +39,13 @@ def test_verify_single_suite_passes(capsys):
     assert "all suites passed" in out
 
 
-def test_verify_injected_fault_fails_with_named_check(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "truncation",
-                                "--inject-fault", "truncation"])
+@pytest.mark.parametrize("suite", ["orthonormality", "isometry", "truncation",
+                                   "recall", "lipschitz", "gradient"])
+def test_verify_injected_fault_fails_with_named_check(capsys, suite):
+    code, out, _ = run(capsys, ["verify", "--suite", suite,
+                                "--inject-fault", suite])
     assert code == 1
-    assert "FAIL" in out
+    assert suite in out and "FAIL" in out
     assert "FAILED" in out  # the specific check is listed
     assert "SUITE FAILURES" in out
 

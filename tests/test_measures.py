@@ -22,6 +22,7 @@ from measure_attn import (
     synth_density,
     wasserstein1_1d,
 )
+from measure_attn.measures import _w1_line
 
 
 def random_measure(rng, n, lo=-1.0, hi=1.0):
@@ -63,14 +64,6 @@ def test_measure_arrays_are_immutable():
         mu.support[0, 0] = 0.9
     with pytest.raises(ValueError):
         mu.weights[0] = 0.9
-
-
-def test_json_round_trip_is_exact():
-    rng = np.random.default_rng(0)
-    mu = random_measure(rng, 5)
-    back = DiscreteMeasure.from_json(mu.to_json())
-    np.testing.assert_array_equal(back.support, mu.support)
-    np.testing.assert_array_equal(back.weights, mu.weights)
 
 
 # ------------------------------------------------------------ pushforward
@@ -268,3 +261,47 @@ def test_w1_conditioning_on_tag_recovers_component_distance():
     contents = tokens[tokens[:, 1] == ex.hidden.v1][:, 0]
     empirical = DiscreteMeasure.uniform_on(contents)
     assert wasserstein1_1d(empirical, comp) <= 0.02
+
+
+def _cdf_at(values, weights, grid):
+    order = np.argsort(values, kind="stable")
+    cum = np.cumsum(weights[order])
+    idx = np.searchsorted(values[order], grid, side="right")
+    out = np.zeros_like(grid)
+    nz = idx > 0
+    out[nz] = cum[idx[nz] - 1]
+    return out
+
+
+def grid_cdf_w1(a, wa, b, wb):
+    """The W1 formula the merged-points sweep replaced: |F_mu - F_nu|
+    evaluated on the grid of distinct points, times the grid gaps."""
+    grid = np.unique(np.concatenate([a, b]))
+    gap = np.abs(_cdf_at(a, wa, grid) - _cdf_at(b, wb, grid))
+    return float(np.sum(gap[:-1] * np.diff(grid)))
+
+
+def test_w1_matches_grid_cdf_reference_with_ties_zero_weights_and_diracs():
+    rng = np.random.default_rng(17)
+    rows = []
+    for trial in range(300):
+        n, m = (int(k) for k in rng.integers(1, 9, 2))
+        if trial % 3 == 0:   # ties within and across the two supports
+            a, b = rng.integers(0, 4, n) / 4.0, rng.integers(0, 4, m) / 4.0
+        else:
+            a, b = rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
+        wa, wb = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+        if trial % 2 == 0 and n > 1:   # a massless point
+            wa[0] = 0.0
+            wa /= wa.sum()
+        want = grid_cdf_w1(a, wa, b, wb)
+        got = wasserstein1_1d(DiscreteMeasure(a, wa), DiscreteMeasure(b, wb))
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+        rows.append((a, wa, b, wb, got))
+    # one stacked sweep over zero-padded rows gives each row's distance
+    width = 16
+    values, signed = np.zeros((len(rows), width)), np.zeros((len(rows), width))
+    for i, (a, wa, b, wb, _) in enumerate(rows):
+        v, w = np.concatenate([a, b]), np.concatenate([wa, -wb])
+        values[i], signed[i, :v.size] = v[np.minimum(np.arange(width), v.size - 1)], w
+    np.testing.assert_array_equal(_w1_line(values, signed), [r[-1] for r in rows])

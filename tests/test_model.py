@@ -12,6 +12,7 @@ from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
                           ExperimentConfig, ModelCache, StudentConfig,
                           StudentModel, TrainConfig, adam_step, gen_example,
                           softmax_weights)
+from measure_attn.model import _stacked_predictions
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -349,6 +350,25 @@ def test_batched_pass_matches_token_passes(make, n_heads):
     np.testing.assert_allclose(preds, token_preds, rtol=1e-12)
     np.testing.assert_allclose(summed, want, rtol=1e-12,
                                atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("config", [{}, {"n_heads": 1, "d_hidden": 5}],
+                         ids=["default", "one-head"])
+def test_stacked_rows_are_forward_bitwise(activation, config):
+    cfg = StudentConfig(activation=activation, **config)
+    rng = np.random.default_rng(41)
+    thetas = np.stack([StudentModel.init(cfg, rng).params for _ in range(6)])
+    thetas[1] = thetas[0]
+    thetas[1, 7] += 1e-5   # a perturbed row, as the gradient check builds
+    context, query = random_batch(rng, T=7)
+    queries = np.column_stack([np.zeros(3), rng.choice([-1.0, 1.0], 3)])
+    for q in (query, queries):
+        stacked = _stacked_predictions(cfg, thetas, context, q)
+        assert stacked.shape == (6,) + q.shape[:-1]
+        for theta, row in zip(thetas, stacked):
+            pred, _ = StudentModel(cfg, theta).forward(context, q)
+            assert np.asarray(pred).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
