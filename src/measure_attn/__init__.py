@@ -26,7 +26,7 @@ from .experiment import (AttentionStats, CellResult, Example,
 from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
                        flatten, product_embed, pushforward, wasserstein1_1d)
 from .model import ModelCache, StudentConfig, StudentModel
-from .optim import AdamState, TrainConfig, adam_step, train
+from .optim import AdamState, Dataset, TrainConfig, adam_step, train
 from .spectrum import (MercerSpectrum, gen_norm_sq, isometry_map,
                        midpoint_grid, synth_density, truncation_bound)
 
@@ -34,7 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "AttentionStats", "AttnHead", "AttnParams", "CellResult",
-    "DiscreteMeasure", "Example", "ExperimentConfig", "FitResult",
+    "Dataset", "DiscreteMeasure", "Example", "ExperimentConfig", "FitResult",
     "LipschitzReport", "MercerSpectrum", "MixtureContext",
     "ModelCache", "ProbeSummary", "RiskCurve", "StudentConfig",
     "StudentModel", "TrainConfig", "adam_step",

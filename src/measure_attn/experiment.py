@@ -23,12 +23,12 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .model import StudentConfig, StudentModel
-from .optim import TrainConfig, _batches, train
+from .optim import Dataset, TrainConfig, train
 from .spectrum import MercerSpectrum, synth_density
 
 # Fixed stream labels for per-cell SeedSequence derivation.
@@ -93,8 +93,7 @@ class Hidden:
 class Example:
     """One labelled context, as tokens and as counts[a] of tokens equal atoms[a]."""
 
-    # (n_tokens, 2) rows (x, v); None in run_cell's sets, which read only counts
-    context_tokens: np.ndarray | None
+    context_tokens: np.ndarray  # (n_tokens, 2) rows (x, v)
     atoms: np.ndarray           # (2T, 2) grid tokens, tag -1 first; shared, read-only
     counts: np.ndarray          # (2T,) integer
     query_token: np.ndarray     # (0, v1)
@@ -138,18 +137,24 @@ def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Exampl
     draws its component, then its grid point by inverse cdf on that pmf; the
     two give the token's atom index, from which tokens and counts are read.
     """
-    return _gen_chunk(spec, cfg, np.random.default_rng(rng_seed), 1, tokens=True)[0]
+    counts, v1, z, index = _gen_chunk(spec, cfg, np.random.default_rng(rng_seed), 1,
+                                      tokens=True)
+    atoms = _grid_atoms(spec)
+    return Example(atoms[index[0]], atoms, counts[0], np.array([0.0, v1[0]]),
+                   target_value(spec, v1[0], z[0, 0]),
+                   Hidden(z[0, 0], z[0, 1], float(v1[0])))
 
 
 def _gen_chunk(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
-               rows: int, tokens: bool = False) -> list[Example]:
+               rows: int, tokens: bool = False):
     """rows examples on rng, each drawn as gen_example draws it.
 
     Each example takes random() for v1, standard_normal(M) for z1 and z2,
     then 2 * n_tokens uniforms: one per token choosing its component (the
     second when u >= 1/2, as rng.choice(2, p=[.5, .5]) reads it), then one
-    per token for its inverse cdf.  Pmfs, counts and targets follow as array
-    work over the rows; context_tokens is None unless tokens is set.
+    per token for its inverse cdf.  Pmfs and counts follow as array work over
+    the rows, which come back as counts (rows, 2T), v1, z (rows, 2, M) and,
+    if tokens is set, each token's atom index (rows, n_tokens), else None.
     """
     n = cfg.n_tokens
     v = np.empty(rows)
@@ -168,12 +173,7 @@ def _gen_chunk(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Gener
     cdf = np.where(flip[:, None, None], cdf[:, ::-1], cdf)
     block = (u[:, 0] >= 0.5) ^ flip[:, None]
     counts, index = _inverse_cdf(cdf, block, u[:, 1], tokens)
-    atoms = _grid_atoms(spec)
-    targets = _targets(spec.eigenvalues(), v1, z[:, 0])
-    return [Example(atoms[index[r]] if tokens else None, atoms, counts[r],
-                    np.array([0.0, v1[r]]), float(targets[r]),
-                    Hidden(z[r, 0], z[r, 1], float(v1[r])))
-            for r in range(rows)]
+    return counts, v1, z, index
 
 
 def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray,
@@ -278,30 +278,30 @@ def _tag_masses(attn, counts, tags, query_tags):
     return out
 
 
-def _validate(model: StudentModel, examples, n_stat: int = 0, queries=None
+def _validate(model: StudentModel, data: Dataset, n_stat: int = 0
               ) -> tuple[float, AttentionStats | None]:
-    """Clean MSE over examples, and attention stats over the first n_stat.
+    """Clean MSE over data, and attention stats over its first n_stat rows.
 
-    Each slice of _CHUNK examples is one batched pass over their counts on
-    the atoms they share.  For the first n_stat examples the rows are
-    reduced to per-head masses on the context tokens whose tag equals the
-    query's and on the rest; an example with an empty side counts only on
-    the other side.  queries, when given, replaces each example's query
-    token.  Stats are None when n_stat is 0.
+    Each slice of _CHUNK rows is one batched pass over their counts.  For the
+    first n_stat rows the attention is reduced to per-head masses on the
+    context tokens whose tag equals the query's and on the rest; a context
+    with an empty side counts only on the other side.  Stats are None when
+    n_stat is 0.
     """
     acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (H, b) each
     total = 0.0
-    for i, (atoms, counts, q, y) in enumerate(_batches(examples, _CHUNK, queries)):
-        pred, cache = model.forward(atoms, q, counts)
-        total += float(np.sum((pred - y) ** 2))
-        k = n_stat - i * _CHUNK   # examples of this pass that feed the stats
+    for lo in range(0, len(data.targets), _CHUNK):
+        counts, q = data.counts[lo:lo + _CHUNK], data.queries[lo:lo + _CHUNK]
+        pred, cache = model.forward(data.atoms, q, counts)
+        total += float(np.sum((pred - data.targets[lo:lo + _CHUNK]) ** 2))
+        k = n_stat - lo   # rows of this pass that feed the stats
         if k > 0:
-            masses = _tag_masses(cache.attn[:, :k], counts[:k], atoms[:, 1],
+            masses = _tag_masses(cache.attn[:, :k], counts[:k], data.atoms[:, 1],
                                  q[:k, 1])
             for key, val in masses.items():
                 acc[key].append(val)
     if n_stat < 1:
-        return total / len(examples), None
+        return total / len(data.targets), None
     stats = {}
     for key, vals in acc.items():
         # (H, N) C-contiguous, so each head reduces over examples exactly as a
@@ -311,7 +311,7 @@ def _validate(model: StudentModel, examples, n_stat: int = 0, queries=None
             per_head = np.full((per_head.shape[0], 1), np.nan)
         stats[f"{key}_mean"], stats[f"{key}_std"] = (per_head.mean(axis=1),
                                                      per_head.std(axis=1))
-    return total / len(examples), AttentionStats(**stats)
+    return total / len(data.targets), AttentionStats(**stats)
 
 
 def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
@@ -320,7 +320,7 @@ def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
     The query token itself is never among the keys, so rows cover the
     partition exactly and m_same + m_diff = 1 per head and example.
     """
-    return _validate(model, examples, len(examples))[1]
+    return _validate(model, Dataset.of(examples), len(examples))[1]
 
 
 def query_shuffle_eval(model: StudentModel, examples, seed: int = 0,
@@ -328,7 +328,7 @@ def query_shuffle_eval(model: StudentModel, examples, seed: int = 0,
     """Clean MSE with original queries vs queries permuted across examples.
 
     The permutation is uniform over permutations (fixed points allowed),
-    drawn from the seed unless one is passed explicitly.
+    drawn from the seed unless one is passed explicitly as 1-d integers.
     """
     n = len(examples)
     if n < 2:
@@ -337,10 +337,12 @@ def query_shuffle_eval(model: StudentModel, examples, seed: int = 0,
         permutation = np.random.default_rng(seed).permutation(n)
     else:
         permutation = np.asarray(permutation)
-        if sorted(permutation.tolist()) != list(range(n)):
+        if (not np.issubdtype(permutation.dtype, np.integer)
+                or not np.array_equal(np.sort(permutation), np.arange(n))):
             raise ValueError("not a permutation of the example indices")
-    donors = [examples[int(j)].query_token for j in permutation]
-    return _validate(model, examples)[0], _validate(model, examples, 0, donors)[0]
+    data = Dataset.of(examples)
+    shuffled = replace(data, queries=data.queries[permutation])
+    return _validate(model, data)[0], _validate(model, shuffled)[0]
 
 
 @dataclass(frozen=True)
@@ -360,14 +362,17 @@ def _cell_seedseq(cfg: ExperimentConfig, alpha: float, n: int, seed: int,
 
 
 def _gen(cfg: ExperimentConfig, spec: MercerSpectrum, count: int,
-         ss: np.random.SeedSequence) -> list[Example]:
-    """count examples on one stream, as counts only (no tokens).
+         ss: np.random.SeedSequence) -> Dataset:
+    """count examples on one stream, as gen_example draws them, without tokens.
 
     They are generated _GEN_CHUNK at a time, so working memory stays bounded.
     """
     rng = np.random.default_rng(ss)
-    return [ex for start in range(0, count, _GEN_CHUNK)
-            for ex in _gen_chunk(spec, cfg, rng, min(_GEN_CHUNK, count - start))]
+    chunks = [_gen_chunk(spec, cfg, rng, min(_GEN_CHUNK, count - start))
+              for start in range(0, count, _GEN_CHUNK)]
+    counts, v1, z = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
+    return Dataset(_grid_atoms(spec), counts, np.column_stack([np.zeros(count), v1]),
+                   _targets(spec.eigenvalues(), v1, z[:, 0]))
 
 
 def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
@@ -387,13 +392,13 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
 
 
 def _val_set(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: float,
-             seed: int) -> list[Example]:
+             seed: int) -> Dataset:
     """The validation set of every n at (alpha, seed): its stream has n = 0."""
     return _gen(cfg, spec, cfg.n_val, _cell_seedseq(cfg, alpha, 0, seed, _STREAM_VAL))
 
 
 def _train_and_validate(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: float,
-                        n: int, seed: int, val_set: list[Example]
+                        n: int, seed: int, val_set: Dataset
                         ) -> tuple[StudentModel, CellResult]:
     """Cell (alpha, n, seed) trained on its own streams and scored on val_set."""
     train_set = _gen(cfg, spec, n, _cell_seedseq(cfg, alpha, n, seed, _STREAM_TRAIN))

@@ -18,16 +18,14 @@ TAG_DOT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point set; a probability measure unless tagged otherwise.
+    """Weighted point set, a probability measure.
 
     support has shape (N, d); a 1-D array of N scalars is accepted and
-    reshaped to (N, 1).  weights are nonnegative and, when normalized=True,
-    sum to 1 within 1e-9.
+    reshaped to (N, 1).  weights are nonnegative and sum to 1 within 1e-9.
     """
 
     support: np.ndarray
     weights: np.ndarray
-    normalized: bool = True
 
     def __post_init__(self):
         pts = np.asarray(self.support, dtype=np.float64)
@@ -42,7 +40,7 @@ class DiscreteMeasure:
             )
         if np.any(w < 0.0):
             raise ValueError("weights must be nonnegative")
-        if self.normalized and abs(w.sum() - 1.0) > WEIGHT_TOL:
+        if abs(w.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {WEIGHT_TOL}")
         pts.flags.writeable = False
         w.flags.writeable = False
@@ -74,15 +72,14 @@ def pushforward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
     Duplicate images are kept as repeated support points, not merged.
     """
     rows = [np.atleast_1d(np.asarray(f(p), dtype=np.float64)) for p in mu.support]
-    return DiscreteMeasure(np.stack(rows), mu.weights, mu.normalized)
+    return DiscreteMeasure(np.stack(rows), mu.weights)
 
 
 def product_embed(mu0: DiscreteMeasure, v) -> DiscreteMeasure:
     """delta_v tensor mu0: prepend the tag v to every support point."""
     v = np.atleast_1d(np.asarray(v, dtype=np.float64))
     tiled = np.broadcast_to(v, (mu0.n_points, v.size))
-    return DiscreteMeasure(np.hstack([tiled, mu0.support]), mu0.weights,
-                           mu0.normalized)
+    return DiscreteMeasure(np.hstack([tiled, mu0.support]), mu0.weights)
 
 
 @dataclass(frozen=True)
@@ -105,8 +102,6 @@ class MixtureContext:
         d2 = comps[0].dim
         if any(c.dim != d2 for c in comps):
             raise ValueError("components must share content dimension")
-        if any(not c.normalized for c in comps):
-            raise ValueError("components must be probability measures")
         tags = np.asarray(self.tags, dtype=np.float64)
         if tags.ndim == 1:
             tags = tags[:, None]
@@ -214,8 +209,6 @@ def wasserstein1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if not (mu.normalized and nu.normalized):
-        raise ValueError("W1 requires probability measures")
     if mu.dim == 1:
         col = 0 if np.ptp(np.vstack([mu.support, nu.support])) > 0 else None
     else:

@@ -2,8 +2,8 @@
 
 TrainConfig holds every training setting and AdamState only Adam's moments.
 The loop trains on squared loss with fresh Gaussian noise added to each
-target presentation.  Datasets are sequences of examples exposing shared
-atoms, their counts on them, query_token and target.
+target presentation.  A Dataset holds a set of contexts as arrays: counts
+on shared atoms, queries and targets.
 """
 
 from __future__ import annotations
@@ -74,25 +74,31 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     params -= lr_t * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
-def _batches(examples, size: int, queries=None):
-    """(atoms, counts, queries, targets) of each slice of size examples;
-    raises ValueError before the first when there are no examples or their
-    atoms differ.  queries, when given, replaces the examples' queries."""
-    if len(examples) == 0:
-        raise ValueError("no examples")
-    atoms = examples[0].atoms
-    if any(ex.atoms is not atoms and not np.array_equal(ex.atoms, atoms)
-           for ex in examples):
-        raise ValueError("examples carry their contexts on different atoms")
-    queries = np.array([ex.query_token for ex in examples] if queries is None
-                       else queries, dtype=np.float64)
-    targets = np.array([ex.target for ex in examples], dtype=np.float64)
-    for lo in range(0, len(examples), size):
-        counts = np.array([ex.counts for ex in examples[lo:lo + size]])
-        yield atoms, counts, queries[lo:lo + size], targets[lo:lo + size]
+@dataclass(frozen=True)
+class Dataset:
+    """N labelled contexts: counts[i, a] of context i's tokens equal atoms[a]."""
+
+    atoms: np.ndarray    # (A, d), shared by every context
+    counts: np.ndarray   # (N, A) integer
+    queries: np.ndarray  # (N, d)
+    targets: np.ndarray  # (N,)
+
+    @classmethod
+    def of(cls, examples) -> "Dataset":
+        """The examples' atoms, counts, query_token and target, stacked; raises
+        ValueError when there are no examples or their atoms differ."""
+        if len(examples) == 0:
+            raise ValueError("no examples")
+        atoms = examples[0].atoms
+        if any(ex.atoms is not atoms and not np.array_equal(ex.atoms, atoms)
+               for ex in examples):
+            raise ValueError("examples carry their contexts on different atoms")
+        return cls(atoms, np.array([ex.counts for ex in examples]),
+                   np.array([ex.query_token for ex in examples], dtype=np.float64),
+                   np.array([ex.target for ex in examples], dtype=np.float64))
 
 
-def train(model: StudentModel, dataset, cfg: TrainConfig, seed: int
+def train(model: StudentModel, dataset: Dataset, cfg: TrainConfig, seed: int
           ) -> tuple[StudentModel, list[float]]:
     """Seeded minibatch training; returns the model and per-epoch mean loss.
 
@@ -101,8 +107,7 @@ def train(model: StudentModel, dataset, cfg: TrainConfig, seed: int
     pass over its counts and one Adam step on the mean squared loss.  The
     recorded loss is the mean over the epoch's (noisy) presentations.
     """
-    atoms, counts, queries, targets = next(_batches(dataset, len(dataset)))
-    n = len(dataset)
+    n = len(dataset.targets)
     rng = np.random.default_rng(seed)
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
     losses: list[float] = []
@@ -111,10 +116,11 @@ def train(model: StudentModel, dataset, cfg: TrainConfig, seed: int
         epoch_sq = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            noisy = targets[idx]
+            noisy = dataset.targets[idx]
             if cfg.noise_std > 0:
                 noisy = noisy + cfg.noise_std * rng.standard_normal(idx.size)
-            pred, cache = model.forward(atoms, queries[idx], counts[idx])
+            pred, cache = model.forward(dataset.atoms, dataset.queries[idx],
+                                        dataset.counts[idx])
             resid = pred - noisy
             epoch_sq += float(resid @ resid)
             model.backward(cache, 2.0 * resid / idx.size)

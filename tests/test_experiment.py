@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from measure_attn import (
+    Dataset,
     ExperimentConfig,
     RiskCurve,
     StudentConfig,
@@ -38,7 +39,7 @@ from measure_attn import (
 )
 from measure_attn.experiment import (_CHUNK, _GEN_CHUNK, _STREAM_LOOP, _STREAM_VAL,
                                      _atomic_write, _cell_key, _cell_seedseq, _gen,
-                                     _inverse_cdf, _targets, _validate)
+                                     _gen_chunk, _inverse_cdf, _targets, _validate)
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -227,12 +228,17 @@ def reference_example(spec, cfg, rng):
             np.array([0.0, v1]), target_value(spec, v1, z1), (z1, z2, v1))
 
 
+def assert_same_row(counts, query, target, ref):
+    _, ref_counts, ref_query, ref_target, _ = ref
+    assert counts.dtype == ref_counts.dtype
+    np.testing.assert_array_equal(counts, ref_counts)
+    np.testing.assert_array_equal(query, ref_query)
+    assert target == ref_target
+
+
 def assert_same_example(ex, ref):
-    _, counts, query, target, (z1, z2, v1) = ref
-    assert ex.counts.dtype == counts.dtype
-    np.testing.assert_array_equal(ex.counts, counts)
-    np.testing.assert_array_equal(ex.query_token, query)
-    assert ex.target == target
+    assert_same_row(ex.counts, ex.query_token, ex.target, ref)
+    z1, z2, v1 = ref[-1]
     np.testing.assert_array_equal(ex.hidden.z1, z1)
     np.testing.assert_array_equal(ex.hidden.z2, z2)
     assert ex.hidden.v1 == v1
@@ -244,12 +250,19 @@ def test_gen_keeps_the_per_example_stream_across_chunks(n_tokens):
     spec = cfg.spectrum(1.0)
     C = _GEN_CHUNK
     for count in (1, C - 1, C, C + 1, 2 * C + 3):
-        examples = _gen(cfg, spec, count, np.random.SeedSequence(count))
-        assert len(examples) == count
+        data = _gen(cfg, spec, count, np.random.SeedSequence(count))
+        assert len(data.targets) == count
         rng = np.random.default_rng(np.random.SeedSequence(count))
-        for ex in examples:
-            assert ex.context_tokens is None
-            assert_same_example(ex, reference_example(spec, cfg, rng))
+        refs = [reference_example(spec, cfg, rng) for _ in range(count)]
+        for row, ref in zip(zip(data.counts, data.queries, data.targets), refs):
+            assert_same_row(*row, ref)
+        # one chunk of count rows also keeps each example's latents
+        rng = np.random.default_rng(np.random.SeedSequence(count))
+        _, v1, z, index = _gen_chunk(spec, cfg, rng, count)
+        assert index is None
+        for r, (_, _, _, _, (z1, z2, v)) in enumerate(refs):
+            np.testing.assert_array_equal(z[r], [z1, z2])
+            assert v1[r] == v
     for seed, alpha in enumerate((0.5, 1.0, 2.0)):
         spec = cfg.spectrum(alpha)
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -268,11 +281,11 @@ def test_gen_working_memory_does_not_grow_with_count():
     def working_bytes(count):
         tracemalloc.start()
         try:
-            examples = _gen(cfg, spec, count, 0)
+            data = _gen(cfg, spec, count, 0)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(examples) == count
+        assert len(data.targets) == count
         return peak - kept
 
     one_chunk = working_bytes(_GEN_CHUNK)
@@ -362,7 +375,7 @@ def _stats_from_rows(rows_per_example, same_masks):
                 attn[:, b, [index[tuple(t)] for t in item.context_tokens]] = rows
             return np.zeros(len(queries)), SimpleNamespace(attn=attn)
 
-    return _validate(FixedRows(), items, len(items))[1]
+    return _validate(FixedRows(), Dataset.of(items), len(items))[1]
 
 
 def test_stats_from_hand_built_rows():
@@ -509,8 +522,9 @@ def test_shuffle_validation():
     items = balanced_items(3, T=4)
     with pytest.raises(ValueError):
         query_shuffle_eval(model, items[:1])
-    with pytest.raises(ValueError):
-        query_shuffle_eval(model, items, permutation=np.array([0, 0, 2]))
+    for bad in ([0, 0, 2], [1.0, 0.0, 2.0], [True, False, True], [[0, 1, 2]]):
+        with pytest.raises(ValueError, match="not a permutation"):
+            query_shuffle_eval(model, items, permutation=np.array(bad))
 
 
 def test_shuffle_deterministic_in_seed():
@@ -547,7 +561,7 @@ def test_run_cell_mse_and_stats_match_separate_passes():
     rng = np.random.default_rng(_cell_seedseq(SMALL, 1.0, 0, 0, _STREAM_VAL))
     val_set = [gen_example(SMALL.spectrum(1.0), SMALL, rng)
                for _ in range(SMALL.n_val)]
-    assert val_mse == _validate(model, val_set)[0]
+    assert val_mse == _validate(model, Dataset.of(val_set))[0]
     token_mse = np.mean([(model.forward(ex.context_tokens, ex.query_token)[0]
                           - ex.target) ** 2 for ex in val_set])
     assert val_mse == pytest.approx(token_mse, rel=1e-12)
@@ -596,7 +610,8 @@ def test_gen_example_counts_its_tokens_on_shared_atoms():
 
 def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
     rng = np.random.default_rng(15)
-    examples = _gen(SMALL, SMALL.spectrum(1.0), _CHUNK + 2, 15)
+    examples = [gen_example(SMALL.spectrum(1.0), SMALL, rng)
+                for _ in range(_CHUNK + 2)]
     # the odd one out sits in the second validation chunk
     examples[-1] = replace(examples[-1], atoms=examples[-1].atoms[::-1].copy())
     model = StudentModel.init(StudentConfig(), rng)
@@ -606,37 +621,48 @@ def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
         raise AssertionError("a pass ran before the atoms were checked")
 
     monkeypatch.setattr(StudentModel, "forward", no_pass)
+    # train and _validate read a Dataset, and Dataset.of refuses to stack these
     with pytest.raises(ValueError, match="atoms"):
-        train(model, examples, SMALL.train, 0)
+        Dataset.of(examples)
     with pytest.raises(ValueError, match="atoms"):
-        _validate(model, examples, 5)
+        attention_mass_stats(model, examples)
     with pytest.raises(ValueError, match="atoms"):
         query_shuffle_eval(model, examples)
     np.testing.assert_array_equal(model.params, before)
 
 
-def test_train_and_validation_read_counts_not_tokens():
-    # every result is the same without the tokens: contexts are counted
-    # once, when they are generated
-    rng = np.random.default_rng(16)
-    examples = [gen_example(SMALL.spectrum(1.0), SMALL, rng)
-                for _ in range(_CHUNK + 5)]
-    bare = [replace(ex, context_tokens=None) for ex in examples]
-    # run_cell's sets are these examples, on the same stream, without tokens
-    for kept, ex in zip(_gen(SMALL, SMALL.spectrum(1.0), 3, 16), examples):
-        assert kept.context_tokens is None and ex.context_tokens is not None
-        np.testing.assert_array_equal(kept.counts, ex.counts)
-        assert kept.target == ex.target
+def test_gen_dataset_is_stacked_gen_example_draws():
+    # _gen's Dataset, which holds no tokens, is bitwise Dataset.of of the
+    # Examples gen_example draws on the same stream, and every result on the
+    # one is the result on the other
+    spec = SMALL.spectrum(1.0)
+    sets = {}
+    for count in (1, 15, 16, 17, 35, _CHUNK + 5):
+        data = _gen(SMALL, spec, count, np.random.SeedSequence(count))
+        rng = np.random.default_rng(np.random.SeedSequence(count))
+        examples = [gen_example(spec, SMALL, rng) for _ in range(count)]
+        assert all(ex.context_tokens.shape == (SMALL.n_tokens, 2) for ex in examples)
+        stacked = Dataset.of(examples)
+        assert data.atoms is stacked.atoms
+        for name in ("counts", "queries", "targets"):
+            got, want = getattr(data, name), getattr(stacked, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        sets[count] = data, examples, stacked
+    data, _, stacked = sets[17]
     cfg = replace(SMALL.train, epochs=3)
-    m1, l1 = train(StudentModel.init(SMALL.student, 1), examples[:6], cfg, 2)
-    m2, l2 = train(StudentModel.init(SMALL.student, 1), bare[:6], cfg, 2)
+    m1, l1 = train(StudentModel.init(SMALL.student, 1), data, cfg, 2)
+    m2, l2 = train(StudentModel.init(SMALL.student, 1), stacked, cfg, 2)
     assert l1 == l2
     np.testing.assert_array_equal(m1.params, m2.params)
-    mse, stats = _validate(m1, examples, 10)
-    bare_mse, bare_stats = _validate(m1, bare, 10)
-    assert mse == bare_mse and stats.to_dict() == bare_stats.to_dict()
+    data, examples, stacked = sets[_CHUNK + 5]  # two validation passes
+    mse, stats = _validate(m1, data, 10)
+    stacked_mse, stacked_stats = _validate(m1, stacked, 10)
+    assert mse == stacked_mse and stats.to_dict() == stacked_stats.to_dict()
+    perm = np.random.default_rng(3).permutation(len(data.targets))
+    shuffled = replace(data, queries=data.queries[perm])
     assert (query_shuffle_eval(m1, examples, seed=3)
-            == query_shuffle_eval(m1, bare, seed=3))
+            == (mse, _validate(m1, shuffled)[0]))
 
 
 # ------------------------------------------------------------------- fits
@@ -802,6 +828,17 @@ def test_sweep_resume_recomputes_cell_with_tampered_key_inputs(tmp_path):
     sweep(SMALL, out)
     assert bundle_bytes(out) == original
 
+    # nor is one cut to half its bytes (not JSON) or one holding a list
+    text = Path(tampered).read_bytes()
+    Path(tampered).write_bytes(text[:len(text) // 2])
+    Path(kept).write_text("[]")
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(Path(tampered).read_text())
+    with pytest.raises(TypeError):
+        json.loads(Path(kept).read_text())["key_inputs"]
+    assert sweep(SMALL, out)["cells_failed"] == 0
+    assert bundle_bytes(out) == original
+
 
 def test_sweep_reproducible_across_directories_and_jobs(tmp_path):
     out1 = str(tmp_path / "a")
@@ -854,6 +891,7 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
 @pytest.mark.parametrize("fault, reason", [
     ("nan", "non-finite val_mse"),
     ("raise", "RuntimeError: injected training fault"),
+    ("nan_grad", "ValueError: non-finite gradient"),
 ])
 def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
                                                    fault, reason):
@@ -871,12 +909,15 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
     assert faulty_seed not in {loop_seed(n, s) for n, s in ((2, 0), (4, 0), (4, 1))}
     real_train = experiment.train
 
-    def faulty_train(model, examples, train_cfg, seed):
+    def faulty_train(model, dataset, train_cfg, seed):
         if seed != faulty_seed:
-            return real_train(model, examples, train_cfg, seed)
+            return real_train(model, dataset, train_cfg, seed)
         if fault == "raise":
             raise RuntimeError("injected training fault")
-        model, losses = real_train(model, examples, train_cfg, seed)
+        if fault == "nan_grad":
+            nan_targets = replace(dataset, targets=np.full_like(dataset.targets, np.nan))
+            return real_train(model, nan_targets, train_cfg, seed)
+        model, losses = real_train(model, dataset, train_cfg, seed)
         model.params[:] = np.nan
         return model, losses
 

@@ -14,6 +14,7 @@ import pytest
 
 from measure_attn import (
     AdamState,
+    Dataset,
     ExperimentConfig,
     StudentConfig,
     StudentModel,
@@ -41,7 +42,7 @@ class Item:
 
 
 def make_dataset(rng, n, T=5):
-    """n contexts of T tokens drawn from the shared ATOMS."""
+    """n contexts of T tokens drawn from the shared ATOMS, as Items."""
     items = []
     for _ in range(n):
         drawn = rng.integers(len(ATOMS), size=T)
@@ -150,7 +151,8 @@ def test_zero_epochs_leaves_model_unchanged():
     rng = np.random.default_rng(1)
     model = StudentModel.init(StudentConfig(), rng)
     before = model.params.copy()
-    _, losses = train(model, make_dataset(rng, 4), TrainConfig(epochs=0), 0)
+    _, losses = train(model, Dataset.of(make_dataset(rng, 4)),
+                      TrainConfig(epochs=0), 0)
     np.testing.assert_array_equal(model.params, before)
     assert losses == []
 
@@ -158,7 +160,7 @@ def test_zero_epochs_leaves_model_unchanged():
 def test_loss_trace_length_equals_epochs():
     rng = np.random.default_rng(2)
     model = StudentModel.init(StudentConfig(), rng)
-    _, losses = train(model, make_dataset(rng, 6),
+    _, losses = train(model, Dataset.of(make_dataset(rng, 6)),
                       TrainConfig(epochs=7, batch_size=3), 0)
     assert len(losses) == 7
     assert all(np.isfinite(l) and l >= 0.0 for l in losses)
@@ -166,7 +168,7 @@ def test_loss_trace_length_equals_epochs():
 
 def test_train_deterministic_in_seed():
     rng = np.random.default_rng(3)
-    dataset = make_dataset(rng, 5)
+    dataset = Dataset.of(make_dataset(rng, 5))
     cfg = TrainConfig(epochs=3, batch_size=2)
     m1, l1 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 11)
     m2, l2 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 11)
@@ -208,8 +210,8 @@ def test_train_matches_token_passes(source):
         exp = ExperimentConfig(n_tokens=100)
         dataset = [gen_example(exp.spectrum(1.0), exp, rng) for _ in range(7)]
     cfg = TrainConfig(epochs=4, batch_size=3)
-    batched, losses = train(StudentModel.init(StudentConfig(), 5), dataset,
-                            cfg, 17)
+    batched, losses = train(StudentModel.init(StudentConfig(), 5),
+                            Dataset.of(dataset), cfg, 17)
     token, token_losses = token_train_reference(
         StudentModel.init(StudentConfig(), 5), dataset, cfg, 17)
     np.testing.assert_allclose(losses, token_losses, rtol=1e-12)
@@ -222,7 +224,7 @@ def test_single_example_overfit_within_500_steps():
     # freezes the step size long before 500 single-example epochs
     rng = np.random.default_rng(4)
     model = StudentModel.init(StudentConfig(), rng)
-    dataset = make_dataset(rng, 1)
+    dataset = Dataset.of(make_dataset(rng, 1))
     cfg = TrainConfig(epochs=500, batch_size=1, lr0=1e-2,
                       decay_per_epoch=1.0, noise_std=0.0)
     _, losses = train(model, dataset, cfg, 0)
@@ -231,26 +233,24 @@ def test_single_example_overfit_within_500_steps():
 
 
 def test_train_rejects_empty_dataset():
-    model = StudentModel.init(StudentConfig(), 0)
-    with pytest.raises(ValueError):
-        train(model, [], TrainConfig(epochs=1), 0)
-    with pytest.raises(ValueError):
-        _validate(model, [])
+    # train and _validate read a Dataset; an empty set of examples makes none
+    with pytest.raises(ValueError, match="no examples"):
+        Dataset.of([])
 
 
 # ------------------------------------------ clean MSE (experiment._validate)
 
 def test_evaluate_zero_model_is_mean_squared_target():
     rng = np.random.default_rng(5)
-    dataset = make_dataset(rng, 8)
+    dataset = Dataset.of(make_dataset(rng, 8))
     model = StudentModel(StudentConfig())  # all-zero params predict 0
-    want = float(np.mean([item.target**2 for item in dataset]))
+    want = float(np.mean(dataset.targets**2))
     assert _validate(model, dataset)[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_evaluate_ignores_training_noise():
     rng = np.random.default_rng(6)
-    dataset = make_dataset(rng, 3)
+    dataset = Dataset.of(make_dataset(rng, 3))
     model = StudentModel.init(StudentConfig(), rng)
     assert _validate(model, dataset)[0] == _validate(model, dataset)[0]
 
