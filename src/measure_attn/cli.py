@@ -45,10 +45,14 @@ def _load_config_file(path: str | None) -> dict:
     if not os.path.isfile(path):
         raise CliError(f"config file not found: {path}")
     try:
-        with open(path) as f:
-            return json.load(f)
-    except json.JSONDecodeError as e:
-        raise CliError(f"config file is not valid JSON: {e}")
+        with open(path, encoding="utf-8") as f:
+            doc = json.load(f)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise CliError(f"config file {path} is not valid JSON: {e}")
+    if not isinstance(doc, dict):
+        raise CliError(f"config file {path} must hold a JSON object, "
+                       f"got {type(doc).__name__}")
+    return doc
 
 
 def _resolve_config(args, **defaults) -> ExperimentConfig:
@@ -190,11 +194,13 @@ def cmd_sweep(args) -> int:
 
 def _read_csv(path: str, columns: dict) -> tuple[list[dict], list[dict]]:
     """A CSV file's rows as read, and the named columns of each converted."""
-    with open(path) as f:
-        rows = list(csv.DictReader(f))
+    # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError; on
+    # Python 3.10 a NUL byte raises csv.Error
     try:
+        with open(path, encoding="utf-8") as f:
+            rows = list(csv.DictReader(f))
         return rows, [{k: conv(r[k]) for k, conv in columns.items()} for r in rows]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, csv.Error) as e:
         raise CliError(f"malformed {path}: {type(e).__name__}: {e}")
 
 
@@ -204,18 +210,30 @@ def _finite(text: str) -> float:
     return x
 
 
+def _alpha(text: str) -> float:
+    if not (x := _finite(text)) > 0:
+        raise ValueError(f"alpha must be positive, got {text!r}")
+    return x
+
+
+def _n(text: str) -> int:
+    if (x := int(text)) < 1:
+        raise ValueError(f"n must be at least 1, got {text!r}")
+    return x
+
+
 def cmd_analyze(args) -> int:
     risk_path = os.path.join(args.results_dir, "risk_curve.csv")
     if not os.path.isfile(risk_path):
         raise CliError(f"missing {risk_path}")
-    _, risk = _read_csv(risk_path, {"alpha": float, "n": int, "val_mse": _finite})
+    _, risk = _read_csv(risk_path, {"alpha": _alpha, "n": _n, "val_mse": _finite})
     curves, fits = risk_curves((r["alpha"], r["n"], r["val_mse"]) for r in risk)
 
     stats_path = os.path.join(args.results_dir, "attention_stats.csv")
     stats_rows, stats = [], []
     if os.path.isfile(stats_path):
         stats_rows, stats = _read_csv(stats_path, {
-            "alpha": float, "n": int, "head": int,
+            "alpha": _alpha, "n": _n, "head": int,
             **{k: float for k in ("w_same_mean", "w_diff_mean", "w_same_std",
                                   "w_diff_std", "m_same_mean", "m_diff_mean")}})
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -148,6 +149,68 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
                 out_act=out_act, pred=pred)
 
 
+def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,
+              q: np.ndarray, up: np.ndarray) -> None:
+    """The student's backward arithmetic: writes d(sum_b up[b] pred[b])/d(b)
+    into the blocks gb, overwriting each.
+
+    b is one model's blocks and f the intermediates _forward returned for the
+    points C (A, input_dim) and the queries q (B, input_dim); up is (B,).
+    """
+    _, act_grad = _ACTIVATIONS[cfg.activation]
+    H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
+    scale = 1.0 / np.sqrt(hd)
+    B, A = up.size, C.shape[0]
+
+    # head MLP
+    d_out_pre = up[:, None] * b["head_w2"][0] * act_grad(f["out_pre"])
+    gb["head_w2"][:] = up[:, None].T @ f["out_act"]
+    gb["head_b2"][0] = up.sum()
+    gb["head_w1"][:] = d_out_pre.T @ f["mixed"]
+    gb["head_b1"][:] = d_out_pre.sum(axis=0)
+    d_mixed = d_out_pre @ b["head_w1"]
+
+    # output projection
+    gb["attn_out"][:] = d_mixed.T @ f["head_out"].transpose(1, 0, 2).reshape(B, H * hd)
+    d_head_out = (d_mixed @ b["attn_out"]).reshape(B, H, hd).transpose(1, 0, 2)
+
+    # attention: o_hb = sum_a a_hba v_ha, a = softmax(scale * k q).  The
+    # key and value gradients d_k[h,a] = scale sum_b d_scores[h,b,a] q_hb
+    # and d_v[h,a] = sum_b a_hba d_o_hb have rank B per head, so they meet
+    # ctx_emb as (H, B, A) weights, never as (H, A, hd) tensors.
+    ctx, attn = f["ctx_emb"], f["attn"].reshape(H * B, A)
+    sq = scale * f["head_q"]
+    Wq, Wk, Wv = b["attn_q"], b["attn_k"], b["attn_v"]
+    u_v = d_head_out @ Wv                                   # (H, B, dm)
+    d_attn = u_v.reshape(H * B, dm) @ ctx.T                 # (H B, A)
+    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
+    s_ctx = (d_scores @ ctx).reshape(H, B, dm)
+    d_head_q = scale * (Wk @ s_ctx.transpose(0, 2, 1))      # (H, hd, B)
+    gb["attn_q"][:] = d_head_q @ f["qry_emb"]
+    gb["attn_k"][:] = sq.transpose(0, 2, 1) @ s_ctx
+    gb["attn_v"][:] = (d_head_out.transpose(0, 2, 1)
+                       @ (attn @ ctx).reshape(H, B, dm))
+    d_qry_emb = (d_head_q.transpose(2, 0, 1).reshape(B, H * hd)
+                 @ Wq.reshape(H * hd, dm))
+    d_ctx_emb = (d_scores.T @ (sq @ Wk).reshape(H * B, dm)
+                 + attn.T @ u_v.reshape(H * B, dm))
+
+    # query MLP
+    gb["qry_w2"][:] = d_qry_emb.T @ f["qry_act"]
+    gb["qry_b2"][:] = d_qry_emb.sum(axis=0)
+    d_qry_pre = (d_qry_emb @ b["qry_w2"]) * act_grad(f["qry_pre"])
+    gb["qry_w1"][:] = d_qry_pre.T @ q
+    gb["qry_b1"][:] = d_qry_pre.sum(axis=0)
+
+    # context MLP
+    d_ctx_act = d_ctx_emb @ b["ctx_w2"]
+    gb["ctx_w2"][:] = d_ctx_emb.T @ f["ctx_act"]
+    gb["ctx_b2"][:] = d_ctx_emb.sum(axis=0)
+    d_ctx_pre = d_ctx_act * act_grad(f["ctx_pre"])
+    gb["ctx_w1"][:] = d_ctx_pre.T @ C
+    gb["ctx_b1"][:] = d_ctx_pre.sum(axis=0)
+
+
 def _stacked_predictions(cfg: StudentConfig, thetas: np.ndarray, context,
                          query) -> np.ndarray:
     """Predictions of S parameter vectors thetas (S, P) in one pass.
@@ -162,33 +225,15 @@ def _stacked_predictions(cfg: StudentConfig, thetas: np.ndarray, context,
     return f["pred"].reshape(thetas.shape[:-1] + q.shape[:-1])
 
 
-@dataclass
-class ModelCache:
+class ModelCache(SimpleNamespace):
     """Intermediates of one forward pass, consumed by backward.
 
-    Query-side arrays lead with the batch axis and attention-side ones carry
-    it after the head axis, as attn (H, B, A); an unbatched pass has no
-    batch axis.  params_digest pins the exact parameter bytes the pass used;
-    backward refuses a cache whose parameters have since changed.
+    Holds _forward's arrays by name, pred included, with the batch axis
+    always present (a query (input_dim,) is a batch of one), plus the
+    context, the query as given and params_digest, the exact parameter bytes
+    the pass used; backward refuses a cache whose parameters have since
+    changed.
     """
-
-    context: np.ndarray
-    query: np.ndarray
-    ctx_pre: np.ndarray
-    ctx_act: np.ndarray
-    ctx_emb: np.ndarray
-    qry_pre: np.ndarray
-    qry_act: np.ndarray
-    qry_emb: np.ndarray
-    head_q: np.ndarray
-    head_k: np.ndarray
-    head_v: np.ndarray
-    attn: np.ndarray
-    head_out: np.ndarray
-    mixed: np.ndarray
-    out_pre: np.ndarray
-    out_act: np.ndarray
-    params_digest: bytes
 
 
 class StudentModel:
@@ -270,15 +315,8 @@ class StudentModel:
                     f"weights must have shape {lead + (A,)}, got {weights.shape}")
 
         f = _forward(self._blocks, cfg, C, q.reshape(-1, cfg.input_dim), weights)
-        if not lead:   # the query went through as a batch of one row
-            for name in ("qry_pre", "qry_act", "qry_emb", "mixed", "out_pre",
-                         "out_act", "pred"):
-                f[name] = f[name][0]
-            for name in ("head_q", "attn", "head_out"):
-                f[name] = f[name][:, 0]
-        pred = f.pop("pred")
         cache = ModelCache(context=C, query=q, params_digest=self._digest(), **f)
-        return (pred if lead else float(pred)), cache
+        return (f["pred"] if lead else float(f["pred"][0])), cache
 
     def backward(self, cache: ModelCache, upstream) -> None:
         """Write d(prediction)/d(params) * upstream into self.grads.
@@ -291,68 +329,26 @@ class StudentModel:
             raise ValueError(
                 "stale cache: parameters changed since the forward pass"
             )
-        cfg = self.config
-        _, act_grad = _ACTIVATIONS[cfg.activation]
-        H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
-        scale = 1.0 / np.sqrt(hd)
-        b, gb = self._blocks, self._grad_blocks
         up = np.asarray(upstream, dtype=np.float64)
         lead = cache.query.shape[:-1]
         if up.shape != lead:
             raise ValueError(f"upstream must have shape {lead}, got {up.shape}")
-        B, A = up.size, cache.context.shape[0]
+        _backward(self._blocks, self._grad_blocks, self.config, vars(cache),
+                  cache.context, cache.query.reshape(-1, self.config.input_dim),
+                  up.reshape(-1))
 
-        def batch_sum_outer(x, y):   # sum over the batch of outer(x_b, y_b)
-            return x.reshape(B, -1).T @ y.reshape(B, -1)
+    def _squared_loss_grads(self, atoms, queries, weights, targets) -> np.ndarray:
+        """One training pass: writes the gradient of the mean squared loss
+        of B predictions into self.grads and returns pred - targets (B,).
 
-        # head MLP
-        d_out_pre = up[..., None] * b["head_w2"][0] * act_grad(cache.out_pre)
-        gb["head_w2"][:] = batch_sum_outer(up, cache.out_act)
-        gb["head_b2"][0] = up.sum()
-        gb["head_w1"][:] = batch_sum_outer(d_out_pre, cache.mixed)
-        gb["head_b1"][:] = d_out_pre.reshape(B, -1).sum(axis=0)
-        d_mixed = d_out_pre @ b["head_w1"]
-
-        # output projection
-        gb["attn_out"][:] = batch_sum_outer(d_mixed, np.moveaxis(cache.head_out, 0, -2))
-        d_head_out = np.moveaxis((d_mixed @ b["attn_out"]).reshape(lead + (H, hd)),
-                                 -2, 0).reshape(H, B, hd)
-
-        # attention: o_hb = sum_a a_hba v_ha, a = softmax(scale * k q).  The
-        # key and value gradients d_k[h,a] = scale sum_b d_scores[h,b,a] q_hb
-        # and d_v[h,a] = sum_b a_hba d_o_hb have rank B per head, so they meet
-        # ctx_emb as (H, B, A) weights, never as (H, A, hd) tensors.
-        ctx, attn = cache.ctx_emb, cache.attn.reshape(H * B, A)
-        sq = scale * cache.head_q.reshape(H, B, hd)
-        Wq, Wk, Wv = b["attn_q"], b["attn_k"], b["attn_v"]
-        u_v = d_head_out @ Wv                                   # (H, B, dm)
-        d_attn = u_v.reshape(H * B, dm) @ ctx.T                 # (H B, A)
-        d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
-        s_ctx = (d_scores @ ctx).reshape(H, B, dm)
-        d_head_q = scale * (Wk @ s_ctx.transpose(0, 2, 1))      # (H, hd, B)
-        gb["attn_q"][:] = d_head_q @ cache.qry_emb.reshape(B, dm)
-        gb["attn_k"][:] = sq.transpose(0, 2, 1) @ s_ctx
-        gb["attn_v"][:] = (d_head_out.transpose(0, 2, 1)
-                           @ (attn @ ctx).reshape(H, B, dm))
-        d_qry_emb = (np.moveaxis(d_head_q, 2, 0).reshape(lead + (H * hd,))
-                     @ Wq.reshape(H * hd, dm))
-        d_ctx_emb = (d_scores.T @ (sq @ Wk).reshape(H * B, dm)
-                     + attn.T @ u_v.reshape(H * B, dm))
-
-        # query MLP
-        gb["qry_w2"][:] = batch_sum_outer(d_qry_emb, cache.qry_act)
-        gb["qry_b2"][:] = d_qry_emb.reshape(B, dm).sum(axis=0)
-        d_qry_pre = (d_qry_emb @ b["qry_w2"]) * act_grad(cache.qry_pre)
-        gb["qry_w1"][:] = batch_sum_outer(d_qry_pre, cache.query)
-        gb["qry_b1"][:] = d_qry_pre.reshape(B, -1).sum(axis=0)
-
-        # context MLP
-        d_ctx_act = d_ctx_emb @ b["ctx_w2"]
-        gb["ctx_w2"][:] = d_ctx_emb.T @ cache.ctx_act
-        gb["ctx_b2"][:] = d_ctx_emb.sum(axis=0)
-        d_ctx_pre = d_ctx_act * act_grad(cache.ctx_pre)
-        gb["ctx_w1"][:] = d_ctx_pre.T @ cache.context
-        gb["ctx_b1"][:] = d_ctx_pre.sum(axis=0)
+        The arithmetic of forward then backward with upstream 2 resid / B,
+        with no input checks and no cache.
+        """
+        f = _forward(self._blocks, self.config, atoms, queries, weights)
+        resid = f["pred"] - targets
+        _backward(self._blocks, self._grad_blocks, self.config, f, atoms,
+                  queries, 2.0 * resid / len(targets))
+        return resid
 
     def to_dict(self) -> dict:
         return {"config": asdict(self.config), "params": self.params.tolist()}

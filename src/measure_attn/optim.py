@@ -119,11 +119,9 @@ def train(model: StudentModel, dataset: Dataset, cfg: TrainConfig, seed: int
             noisy = dataset.targets[idx]
             if cfg.noise_std > 0:
                 noisy = noisy + cfg.noise_std * rng.standard_normal(idx.size)
-            pred, cache = model.forward(dataset.atoms, dataset.queries[idx],
-                                        dataset.counts[idx])
-            resid = pred - noisy
+            resid = model._squared_loss_grads(dataset.atoms, dataset.queries[idx],
+                                              dataset.counts[idx], noisy)
             epoch_sq += float(resid @ resid)
-            model.backward(cache, 2.0 * resid / idx.size)
             adam_step(state, model.params, model.grads, cfg, epoch)
         losses.append(epoch_sq / n)
     return model, losses

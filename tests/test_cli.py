@@ -296,22 +296,40 @@ def test_analyze_missing_bundle_is_usage_error(tmp_path, capsys):
     "n,seed,val_mse\n4,0,0.5\n8,0,0.25\n",
     "alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,inf\n",
     "alpha,n,seed,val_mse\n1,4,0,nan\n1,8,0,0.25\n",
+    "alpha,n,seed,val_mse\n1,0,0,0.5\n1,8,0,0.25\n",
+    "alpha,n,seed,val_mse\n1,-4,0,0.5\n1,8,0,0.25\n",
+    "alpha,n,seed,val_mse\n-1,4,0,0.5\n-1,8,0,0.25\n",
+    "alpha,n,seed,val_mse\n0,4,0,0.5\n0,8,0,0.25\n",
+    "alpha,n,seed,val_mse\nnan,4,0,0.5\nnan,8,0,0.25\n",
+    "alpha,n,seed,val_mse\ninf,4,0,0.5\ninf,8,0,0.25\n",
+    b"alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,0.\xff25\n",
+    b"alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,0.\x0025\n",
 ], ids=["non-numeric-val-mse", "no-alpha-column", "inf-val-mse",
-        "nan-val-mse"])
+        "nan-val-mse", "n-zero", "n-negative", "alpha-negative", "alpha-zero",
+        "alpha-nan", "alpha-inf", "not-utf8", "nul-byte"])
 def test_analyze_malformed_risk_csv_is_usage_error(tmp_path, capsys, text):
-    (tmp_path / "risk_curve.csv").write_text(text)
+    (tmp_path / "risk_curve.csv").write_bytes(
+        text if isinstance(text, bytes) else text.encode())
     code, _, err = run(capsys, ["analyze", str(tmp_path)])
     assert code == 2
     assert "malformed" in err and "risk_curve.csv" in err
 
 
-@pytest.mark.parametrize("fmt", ["table", "json"])
-def test_analyze_malformed_stats_csv_is_usage_error(tmp_path, capsys, fmt):
+@pytest.mark.parametrize("fmt, row", [
+    ("table", b"1,8,0,oops,1e-3,0,0,0.5,0.5"),
+    ("json", b"1,8,0,oops,1e-3,0,0,0.5,0.5"),
+    ("table", b"1,8,0,0.\xff5,1e-3,0,0,0.5,0.5"),
+    ("json", b"1,8,0,0.\x005,1e-3,0,0,0.5,0.5"),
+    ("table", b"1,0,0,0.5,1e-3,0,0,0.5,0.5"),
+    ("json", b"nan,8,0,0.5,1e-3,0,0,0.5,0.5"),
+], ids=["table", "json", "table-not-utf8", "json-nul-byte", "table-n-zero",
+        "json-alpha-nan"])
+def test_analyze_malformed_stats_csv_is_usage_error(tmp_path, capsys, fmt, row):
     (tmp_path / "risk_curve.csv").write_text(
         "alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,0.25\n")
-    (tmp_path / "attention_stats.csv").write_text(
-        "alpha,n,head,w_same_mean,w_diff_mean,w_same_std,w_diff_std,"
-        "m_same_mean,m_diff_mean\n1,8,0,oops,1e-3,0,0,0.5,0.5\n")
+    (tmp_path / "attention_stats.csv").write_bytes(
+        b"alpha,n,head,w_same_mean,w_diff_mean,w_same_std,w_diff_std,"
+        b"m_same_mean,m_diff_mean\n" + row + b"\n")
     code, out, err = run(capsys, ["analyze", str(tmp_path), "--format", fmt])
     assert code == 2
     assert "malformed" in err and "attention_stats.csv" in err
@@ -361,6 +379,25 @@ def test_missing_config_file_is_usage_error(capsys):
     code, _, err = run(capsys, ["gen", "--config", "/no/such/file.json"])
     assert code == 2
     assert "config file" in err
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'"x"', b"3", b"null",
+                                     b'{"seed": "\xff"}'],
+                         ids=["list", "string", "number", "null", "not-utf8"])
+@pytest.mark.parametrize("command", ["gen", "train", "sweep"])
+def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
+                                                      command, content):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(content)
+    out_dir = tmp_path / "bundle"
+    argv = [command, "--config", str(cfg_path)]
+    if command != "gen":
+        argv += ["--out", str(out_dir)]
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert f"config file {cfg_path}" in err
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("argv, config", [

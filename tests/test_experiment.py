@@ -539,17 +539,18 @@ def test_shuffle_deterministic_in_seed():
 
 def test_run_cell_runs_one_batched_pass_per_minibatch_and_validation_chunk(
         monkeypatch):
+    from measure_attn import model
     # 2T tokens per context, so every set of contexts fits one pass over the
     # 2T shared atoms
     cfg = replace(SMALL, n_tokens=2 * SMALL.T, n_val=_CHUNK + 3)
     sizes = []
-    forward = StudentModel.forward
+    forward = model._forward
 
-    def counting(self, context, query, weights=None):
+    def counting(b, cfg, C, q, weights):
         sizes.append(weights.shape[0])
-        return forward(self, context, query, weights)
+        return forward(b, cfg, C, q, weights)
 
-    monkeypatch.setattr(StudentModel, "forward", counting)
+    monkeypatch.setattr(model, "_forward", counting)
     n, bs = 4, cfg.train.batch_size
     run_cell(1.0, n, 0, cfg)
     assert sizes == [bs] * (n // bs * cfg.train.epochs) + [_CHUNK, 3]
@@ -566,7 +567,7 @@ def test_run_cell_mse_and_stats_match_separate_passes():
                           - ex.target) ** 2 for ex in val_set])
     assert val_mse == pytest.approx(token_mse, rel=1e-12)
     stat_set = val_set[:SMALL.n_stat_examples]
-    rows = [model.forward(ex.context_tokens, ex.query_token)[1].attn
+    rows = [model.forward(ex.context_tokens, ex.query_token)[1].attn[:, 0]
             for ex in stat_set]
     masks = [ex.context_tokens[:, 1] == ex.query_token[1] for ex in stat_set]
     for key, want in stats_loop_reference(rows, masks).items():

@@ -171,7 +171,7 @@ def test_single_context_token_gets_full_attention():
     model = StudentModel.init(StudentConfig(), rng)
     context = np.array([[0.4, 1.0]])
     _, cache = model.forward(context, np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(cache.attn, np.ones((4, 1)))
+    np.testing.assert_array_equal(cache.attn[:, 0], np.ones((4, 1)))
 
 
 def test_attention_rows_are_simplex_rows():
@@ -179,7 +179,7 @@ def test_attention_rows_are_simplex_rows():
     model = StudentModel.init(StudentConfig(), rng)
     context, query = random_batch(rng, T=9)
     _, cache = model.forward(context, query)
-    rows = cache.attn
+    rows = cache.attn[:, 0]
     assert rows.shape == (4, 9)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-10)
     assert np.all(rows >= 0.0)
@@ -210,7 +210,7 @@ def test_prediction_invariant_to_context_duplication():
     pred, _ = model.forward(context, query)
     pred_dup, cache = model.forward(np.vstack([context, context]), query)
     assert pred_dup == pytest.approx(pred, abs=1e-12)
-    rows = cache.attn
+    rows = cache.attn[:, 0]
     # each duplicated token carries half its original weight
     np.testing.assert_allclose(rows[:, :5], rows[:, 5:], rtol=1e-12)
 
@@ -453,8 +453,8 @@ def test_student_rows_equal_lemma_softmax_on_uniform_measure(n_heads):
         Q[:hd] = root * model.block("attn_q")[h]
         K[:hd] = root * model.block("attn_k")[h]
         head = AttnHead(W=np.eye(dm), Q=Q, K=K, V=np.eye(dm))
-        w = softmax_weights(head, mu, cache.qry_emb)
-        np.testing.assert_allclose(w, cache.attn[h], rtol=1e-12, atol=0.0)
+        w = softmax_weights(head, mu, cache.qry_emb[0])
+        np.testing.assert_allclose(w, cache.attn[h, 0], rtol=1e-12, atol=0.0)
 
 
 def test_backward_rejects_stale_cache():

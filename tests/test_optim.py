@@ -219,6 +219,64 @@ def test_train_matches_token_passes(source):
                                atol=1e-12)
 
 
+def public_train_reference(model, dataset, cfg, seed):
+    """train's loop written with the public batched forward and backward."""
+    rng = np.random.default_rng(seed)
+    state = fresh_state(model.params)
+    n = len(dataset.targets)
+    losses = []
+    for epoch in range(cfg.epochs):
+        order = rng.permutation(n)
+        epoch_sq = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            noisy = (dataset.targets[idx]
+                     + cfg.noise_std * rng.standard_normal(idx.size))
+            pred, cache = model.forward(dataset.atoms, dataset.queries[idx],
+                                        dataset.counts[idx])
+            resid = pred - noisy
+            epoch_sq += float(resid @ resid)
+            model.backward(cache, 2.0 * resid / idx.size)
+            adam_step(state, model.params, model.grads, cfg, epoch)
+        losses.append(epoch_sq / n)
+    return model, losses
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_train_step_is_the_public_passes_bitwise(activation, monkeypatch):
+    rng = np.random.default_rng(23)
+    items = make_dataset(rng, 7)
+    dataset = Dataset.of(items)
+    cfg = TrainConfig(epochs=3, batch_size=3, noise_std=0.05)  # last batch: 1
+    student = StudentConfig(activation=activation)
+    digests = []
+    digest = StudentModel._digest
+    monkeypatch.setattr(StudentModel, "_digest",
+                        lambda self: digests.append(1) or digest(self))
+    lean, losses = train(StudentModel.init(student, 5), dataset, cfg, 17)
+    assert digests == []   # a training step builds no cache
+    public, public_losses = public_train_reference(
+        StudentModel.init(student, 5), dataset, cfg, 17)
+    assert losses == public_losses
+    np.testing.assert_array_equal(lean.params, public.params)
+
+    # a 1-d query is a batch of one, on counts and on tokens alike
+    for ex in items[:3]:
+        for args in ((ex.atoms, ex.query_token, ex.counts),
+                     (ex.context_tokens, ex.query_token, None)):
+            pred, cache = lean.forward(*args)
+            assert isinstance(pred, float)
+            assert cache.attn.shape == (student.n_heads, 1, len(args[0]))
+            lean.backward(cache, 1.5)
+            one = lean.grads.copy()
+            batch = (args[0], args[1][None],
+                     None if args[2] is None else args[2][None])
+            preds, cache = lean.forward(*batch)
+            assert preds.tolist() == [pred]
+            lean.backward(cache, np.array([1.5]))
+            np.testing.assert_array_equal(lean.grads, one)
+
+
 def test_single_example_overfit_within_500_steps():
     # constant learning rate (decay 1.0): the default per-epoch decay 0.95
     # freezes the step size long before 500 single-example epochs
