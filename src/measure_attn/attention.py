@@ -365,7 +365,15 @@ class ProbeSummary:
 
 def _draw_trials(rng: np.random.Generator, n_trials: int, n_max: int,
                  d_max: int, b_max: float, h_max: int):
-    """Random small instances as zero-padded arrays, drawn trial by trial.
+    """Random small instances as zero-padded arrays, one array draw per field.
+
+    A trial has d ~ U{2..d_max}, n_heads ~ U{1..h_max} and scale ~
+    U(0.1, b_max).  The W, Q, K, V of each real head and the skip matrix
+    get 1-3 distinct nonzero cells, uniform in the leading (d, d) block,
+    with entries U(-scale, scale).  Two measures of U{1..n_max} points with
+    Dirichlet(1, ..., 1) weights share a base point in U(-1, 1)^d and vary
+    in one coordinate; the second equals the first with probability 0.05,
+    and the queries in U(-1, 1)^d are equal with probability 0.1.
 
     Returns heads (N, h_max, 4, d_max, d_max), n_heads (N,), skip
     (N, d_max, d_max), support (N, 2, n_max, d_max), weights (N, 2, n_max),
@@ -373,46 +381,52 @@ def _draw_trials(rng: np.random.Generator, n_trials: int, n_max: int,
     exact: zero heads add 0, zero coordinates change no score or bound, and
     a measure's padded points repeat its last point at weight 0.
     """
-    heads = np.zeros((n_trials, h_max, 4, d_max, d_max))
-    n_heads = np.zeros(n_trials, dtype=np.int64)
-    skip = np.zeros((n_trials, d_max, d_max))
-    support = np.zeros((n_trials, 2, n_max, d_max))
-    weights = np.zeros((n_trials, 2, n_max))
-    x = np.zeros((n_trials, 2, d_max))
-    coord = np.zeros(n_trials, dtype=np.int64)
-    slots = np.arange(n_max)
+    N = n_trials
+    d = rng.integers(2, d_max + 1, N)
+    n_heads = rng.integers(1, h_max + 1, N)
+    scale = rng.uniform(0.1, b_max, N)
+    in_d = np.arange(d_max) < d[:, None]
 
-    def sparse(m, d, scale):   # 1-3 nonzeros in the leading (d, d) block of m
-        nnz = int(rng.integers(1, 4))
-        rows, cols = np.divmod(rng.choice(d * d, size=nnz, replace=False), d)
-        m[rows, cols] = rng.uniform(-scale, scale, size=nnz)
+    def sparse(mats, live):   # 1-3 distinct nonzeros in the (d, d) block of live mats
+        nnz = rng.integers(1, 4, live.shape)
+        picks = np.zeros(live.shape + (3,), dtype=np.int64)
+        for j in range(3):
+            # uniform over the d*d - j cells left: step past each earlier
+            # pick, in ascending order, that is not above the draw
+            u = rng.integers(0, (d * d - j)[:, None], live.shape)
+            for s in np.moveaxis(np.sort(picks[..., :j], axis=-1), -1, 0):
+                u += u >= s
+            picks[..., j] = u
+        vals = rng.uniform(-scale[:, None, None], scale[:, None, None], picks.shape)
+        i, k, j = np.nonzero(live[..., None] & (np.arange(3) < nnz[..., None]))
+        rows, cols = np.divmod(picks[i, k, j], d[i])
+        mats[i, k, rows, cols] = vals[i, k, j]
 
-    def measure(i, k, d, base, c):   # shares base, varies in coordinate c
-        n = int(rng.integers(1, n_max + 1))
-        support[i, k, :, :d] = base
-        support[i, k, :, c] = rng.uniform(-1.0, 1.0, n)[np.minimum(slots, n - 1)]
-        weights[i, k, :n] = rng.dirichlet(np.ones(n))
+    heads = np.zeros((N, h_max, 4, d_max, d_max))
+    skip = np.zeros((N, d_max, d_max))
+    sparse(heads.reshape(N, 4 * h_max, d_max, d_max),
+           np.arange(4 * h_max) < 4 * n_heads[:, None])
+    sparse(skip[:, None], np.ones((N, 1), dtype=bool))
 
-    for i in range(n_trials):
-        d = int(rng.integers(2, d_max + 1))
-        n_heads[i] = int(rng.integers(1, h_max + 1))
-        scale = rng.uniform(0.1, b_max)
-        for head in heads[i, :n_heads[i]]:
-            for m in head:   # W, Q, K, V
-                sparse(m, d, scale)
-        sparse(skip[i], d, scale)
-        base = rng.uniform(-1.0, 1.0, d)
-        coord[i] = int(rng.integers(d))
-        measure(i, 0, d, base, coord[i])
-        if rng.random() < 0.05:
-            support[i, 1], weights[i, 1] = support[i, 0], weights[i, 0]
-        else:
-            measure(i, 1, d, base, coord[i])
-        x[i, 0, :d] = rng.uniform(-1.0, 1.0, d)
-        if rng.random() < 0.1:
-            x[i, 1] = x[i, 0]
-        else:
-            x[i, 1, :d] = rng.uniform(-1.0, 1.0, d)
+    # two measures that share a base point and vary in coordinate coord
+    base = np.where(in_d, rng.uniform(-1.0, 1.0, (N, d_max)), 0.0)
+    coord = rng.integers(0, d, N)
+    n = rng.integers(1, n_max + 1, (N, 2))
+    # padded slots repeat the last point
+    last = np.minimum(np.arange(n_max), n[..., None] - 1)
+    points = np.take_along_axis(rng.uniform(-1.0, 1.0, (N, 2, n_max)), last, axis=-1)
+    support = np.where((np.arange(d_max) == coord[:, None])[:, None, None, :],
+                       points[..., None], base[:, None, None, :])
+    # Dirichlet(1, ..., 1) weights as normalized standard exponentials
+    weights = np.where(np.arange(n_max) < n[..., None],
+                       rng.standard_exponential((N, 2, n_max)), 0.0)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    same_mu = rng.random(N) < 0.05
+    support[same_mu, 1], weights[same_mu, 1] = support[same_mu, 0], weights[same_mu, 0]
+
+    x = np.where(in_d[:, None, :], rng.uniform(-1.0, 1.0, (N, 2, d_max)), 0.0)
+    same_x = rng.random(N) < 0.1
+    x[same_x, 1] = x[same_x, 0]
     return heads, n_heads, skip, support, weights, x, coord
 
 
@@ -425,8 +439,9 @@ def _probe_trials(n_trials: int, rng_seed, n_max: int = 8, d_max: int = 4,
                   b_max: float = 1.0, h_max: int = 2):
     """Draw the trials and probe them in stacked passes: (ratio, bound, skipped).
 
-    The passes take the trials in order from one generator, so they draw
-    what one pass over all trials would.
+    Each pass draws its trials as whole arrays from the one generator, so
+    the trials depend on the pass size as well as the seed: passes of 250
+    and 50 draw other trials than one pass of 300 would.
     """
     rng = np.random.default_rng(rng_seed)
     parts = []
@@ -460,6 +475,6 @@ def random_lipschitz_trials(n_trials: int, rng_seed, n_max: int = 8,
     the exact 1-D W1 applies.  Queries and supports live in [-1, 1]^d, head
     entries in [-b_max, b_max].  A small fraction of trials deliberately
     duplicates x or mu to exercise the skip path of the probe.  The trials
-    are evaluated as zero-padded arrays, in stacked passes.
+    are drawn and evaluated as zero-padded arrays, in stacked passes.
     """
     return _summarize(*_probe_trials(n_trials, rng_seed, n_max, d_max, b_max, h_max))

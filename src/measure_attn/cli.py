@@ -94,7 +94,7 @@ def _write_resolved(cfg: ExperimentConfig, out_dir: str) -> None:
 
 
 def _split_suites(arg) -> list[str] | None:
-    if not arg:
+    if arg is None:
         return None
     names: list[str] = []
     for item in arg:
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated suite names (default: all); "
                          f"available: {', '.join(verify.SUITE_NAMES)}")
     pv.add_argument("--inject-fault", choices=list(verify.SUITE_NAMES),
-                    help="deliberately corrupt one suite (tests the failure "
-                         "reporting)")
+                    help="deliberately corrupt one of the selected suites "
+                         "(tests the failure reporting)")
     pv.add_argument("--verbose", action="store_true",
                     help="print every check, not only failures")
     pv.set_defaults(fn=cmd_verify)

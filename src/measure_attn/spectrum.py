@@ -86,10 +86,14 @@ class MercerSpectrum:
         return float(np.exp(-self.c * float(j) ** self.alpha))
 
     def eigenvalues(self) -> np.ndarray:
-        """All M eigenvalues as a vector, lambda_0 first."""
-        j = np.arange(self.M, dtype=np.float64)
-        lam = np.exp(-self.c * j ** self.alpha)
-        lam[0] = 1.0
+        """All M eigenvalues as a vector, lambda_0 first; built once, read-only."""
+        lam = self.__dict__.get("_eigenvalues")
+        if lam is None:
+            j = np.arange(self.M, dtype=np.float64)
+            lam = np.exp(-self.c * j ** self.alpha)
+            lam[0] = 1.0
+            lam.flags.writeable = False
+            object.__setattr__(self, "_eigenvalues", lam)
         return lam
 
     def basis_eval(self, j: int, x):

@@ -273,8 +273,14 @@ _SUITES = {
 
 
 def run_suites(names=None, fault: str | None = None) -> list[SuiteResult]:
-    names = list(names) if names else list(SUITE_NAMES)
+    """Run the named suites once each, in order (default: all of them)."""
+    names = list(SUITE_NAMES) if names is None else list(dict.fromkeys(names))
+    if not names:
+        raise ValueError(f"no suite selected; available: {list(SUITE_NAMES)}")
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; available: {list(SUITE_NAMES)}")
+    if fault is not None and fault not in names:
+        raise ValueError(f"fault {fault!r} is injected into no selected suite; "
+                         f"selected: {names}")
     return [_SUITES[n](fault) for n in names]

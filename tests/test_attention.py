@@ -358,19 +358,84 @@ def test_random_trials_campaign_no_violations():
 
 
 def test_random_trials_seed13_summary_is_pinned():
-    # values of the per-trial evaluation that the batched one replaced
+    # values of the array drawer's trials at seed 13
     summary = random_lipschitz_trials(1000, rng_seed=13)
     assert (summary.trials, summary.skipped, summary.violations,
-            summary.violations_2x) == (1000, 5, 0, 0)
-    assert summary.max_ratio == pytest.approx(0.9301218281572431, rel=1e-12)
-    assert summary.max_ratio_over_bound == pytest.approx(0.43043694616754513,
+            summary.violations_2x) == (1000, 3, 0, 0)
+    assert summary.max_ratio == pytest.approx(0.935494289524539, rel=1e-12)
+    assert summary.max_ratio_over_bound == pytest.approx(0.29754888596508405,
                                                          rel=1e-12)
 
 
+def within_5_sigma(count, total, p):
+    return abs(count - total * p) <= 5.0 * math.sqrt(total * p * (1.0 - p))
+
+
+def test_drawn_trials_are_the_probe_family():
+    N, n_max, d_max, b_max, h_max = 20_000, 8, 4, 1.0, 2
+    heads, n_heads, skip, support, weights, x, coord = _draw_trials(
+        np.random.default_rng(5), N, n_max, d_max, b_max, h_max)
+    # the base point and the varying coordinate are nonzero inside the
+    # trial's dimension d, and every coordinate beyond it is zero
+    nonzero = support[:, 0, 0] != 0.0
+    d = nonzero.sum(axis=1)
+    in_d = np.arange(d_max) < d[:, None]
+    assert np.array_equal(nonzero, in_d)
+    assert np.all(x[~np.broadcast_to(in_d[:, None], x.shape)] == 0.0)
+    assert np.all(coord < d)
+
+    # 1-3 nonzeros in the (d, d) block of each live matrix, none outside
+    # it, none in the heads beyond n_heads
+    mats = np.concatenate([heads.reshape(N, 4 * h_max, d_max, d_max),
+                           skip[:, None]], axis=1)
+    live = np.concatenate([np.arange(4 * h_max) < 4 * n_heads[:, None],
+                           np.ones((N, 1), dtype=bool)], axis=1)
+    block = in_d[:, None, :, None] & in_d[:, None, None, :]
+    nnz = np.count_nonzero(mats * block, axis=(-2, -1))
+    assert np.all(mats[~np.broadcast_to(block, mats.shape)] == 0.0)
+    assert np.all((nnz[live] >= 1) & (nnz[live] <= 3))
+    assert np.all(nnz[~live] == 0)
+    assert np.abs(mats).max() <= b_max
+    # each cell of the block is as likely as any other: E[nnz] / d^2 = 2 / d^2
+    for dd in range(2, d_max + 1):
+        m = mats[d == dd][live[d == dd]][:, :dd, :dd] != 0.0
+        assert all(within_5_sigma(c, len(m), 2.0 / dd ** 2)
+                   for c in m.sum(axis=0).ravel())
+
+    # supports differ from their base point only in coord
+    off = np.arange(d_max) != coord[:, None]
+    assert np.all((support == support[:, :1, :1])[np.broadcast_to(
+        off[:, None, None], support.shape)])
+    # padded points repeat the last real point at weight 0; real weights
+    # are positive and sum to 1
+    n = np.count_nonzero(weights, axis=-1)
+    real = np.arange(n_max) < n[..., None]
+    assert np.all(weights[real] > 0.0)
+    np.testing.assert_allclose(weights.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+    last = np.take_along_axis(support, (n - 1)[..., None, None], axis=2)
+    assert np.all((support == last)[~real])
+
+    same_mu = (np.all(support[:, 0] == support[:, 1], axis=(-2, -1))
+               & np.all(weights[:, 0] == weights[:, 1], axis=-1))
+    same_x = np.all(x[:, 0] == x[:, 1], axis=-1)
+    assert within_5_sigma(same_mu.sum(), N, 0.05)
+    assert within_5_sigma(same_x.sum(), N, 0.1)
+    for values, lo, hi in ((d, 2, d_max), (n_heads, 1, h_max), (nnz[live], 1, 3),
+                           (n[:, 0], 1, n_max), (n[~same_mu, 1], 1, n_max)):
+        p = 1.0 / (hi - lo + 1)
+        assert all(within_5_sigma(np.sum(values == v), values.size, p)
+                   for v in range(lo, hi + 1))
+
+
 def test_probe_equals_its_trial_in_the_batch():
-    n = 300   # seed 1 has 2 skipped trials among these
-    heads, n_heads, skip, support, weights, x, _ = _draw_trials(
-        np.random.default_rng(1), n, n_max=8, d_max=4, b_max=1.0, h_max=2)
+    # the reference trials are drawn pass by pass on one generator, as
+    # _probe_trials draws them: 250, then 50
+    n = 300   # seed 1 has 1 skipped trial among these
+    rng = np.random.default_rng(1)
+    passes = [_draw_trials(rng, k, n_max=8, d_max=4, b_max=1.0, h_max=2)
+              for k in (250, 50)]
+    heads, n_heads, skip, support, weights, x, _ = (np.concatenate(p)
+                                                    for p in zip(*passes))
     ratio, bound, skipped = _probe_trials(n, 1)
     assert 0 < skipped.sum() < n
     for i in range(n):

@@ -56,6 +56,25 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--suite", "lipschitz", "--inject-fault", "gradient"],
+    ["--suite", ""],
+    ["--suite", " , "],
+])
+def test_verify_bad_suite_selection_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, ["verify", *argv])
+    assert code == 2
+    assert "error:" in err
+    assert "passed" not in out
+
+
+def test_verify_repeated_suite_runs_once(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "truncation,truncation",
+                                "--suite", "truncation"])
+    assert code == 0
+    assert out.count("truncation") == 1
+
+
 # -------------------------------------------------------------------- gen
 
 def test_gen_stdout_payload_and_determinism(capsys):

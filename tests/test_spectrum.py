@@ -120,6 +120,18 @@ def test_basis_matrix_is_built_once_and_read_only():
         B, np.stack([spec.basis_eval(j, spec.domain_grid) for j in range(8)]))
 
 
+def test_eigenvalues_are_built_once_and_read_only():
+    spec = make_spec(M=8, T=20)
+    lam = spec.eigenvalues()
+    assert spec.eigenvalues() is lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[1] = 0.0
+    j = np.arange(8, dtype=np.float64)
+    np.testing.assert_array_equal(lam[1:], np.exp(-spec.c * j ** spec.alpha)[1:])
+    assert lam[0] == 1.0
+
+
 def test_constant_mode_unit_norm_but_not_orthogonal_to_odd_sines():
     spec = make_spec(M=16, T=32)
     B = spec.basis_matrix()
