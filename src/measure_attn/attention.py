@@ -111,28 +111,24 @@ def _sparsity_bound(heads: np.ndarray) -> np.ndarray:
     return np.count_nonzero(heads, axis=(-2, -1)).max(axis=(-2, -1), initial=0)
 
 
-def _softmax(scores: np.ndarray, weights=None) -> np.ndarray:
-    """Softmax along the last axis, integrated against weights if given.
+def _softmax(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, integrated against the weights.
 
-    Returns p_t exp(s_t) / sum_u p_u exp(s_u) (p = 1 when weights is None),
-    stabilized by subtracting the max score as in Milakov & Gimelshein,
-    "Online normalizer calculation for softmax" (2018).  With weights the
-    max runs over the points that carry mass, and the others get exp(-inf)
-    = 0, so a zero-weight point with the highest score cannot underflow the
-    rest.  The student's rows are this operator on the empirical measure of
-    its tokens.
+    Returns p_t exp(s_t) / sum_u p_u exp(s_u) with p the weights, stabilized
+    by subtracting the max score as in Milakov & Gimelshein, "Online
+    normalizer calculation for softmax" (2018).  The max runs over the
+    points that carry mass, and the others get exp(-inf) = 0, so a
+    zero-weight point with the highest score cannot underflow the rest.
+    Unit weights give the ordinary softmax bitwise: the student's rows over
+    a token list are this operator on the tokens' unit-weight measure.
     """
-    if weights is None:
-        e = scores - scores.max(axis=-1, keepdims=True)
-    else:
-        e = np.where(weights > 0, scores, -np.inf)
-        top = e.max(axis=-1, keepdims=True)
-        if np.isneginf(top).any():
-            raise ValueError("softmax normalizer vanished (zero-mass tilt)")
-        e -= top
+    e = np.where(weights > 0, scores, -np.inf)
+    top = e.max(axis=-1, keepdims=True)
+    if np.isneginf(top).any():
+        raise ValueError("softmax normalizer vanished (zero-mass tilt)")
+    e -= top
     np.exp(e, out=e)   # in place: one fresh (.., T) buffer per call, not two
-    if weights is not None:
-        e *= weights
+    e *= weights
     total = e.sum(axis=-1, keepdims=True)
     if total.min(initial=np.inf) <= 0.0:
         raise ValueError("softmax normalizer vanished (zero-mass tilt)")
@@ -454,6 +450,8 @@ def _probe_trials(n_trials: int, rng_seed, n_max: int = 8, d_max: int = 4,
                       np.concatenate([weights[:, 0], -weights[:, 1]], axis=-1))
         ratio, bound, _, skipped = _probe(heads, n_heads, skip, support, weights, x, w1)
         parts.append((ratio, bound, skipped))
+        # freed before the next pass is drawn, so passes do not overlap in memory
+        del heads, n_heads, skip, support, weights, x, coord, line, w1, _
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 

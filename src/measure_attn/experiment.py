@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -91,14 +92,18 @@ class Hidden:
 
 @dataclass(frozen=True)
 class Example:
-    """One labelled context, as tokens and as counts[a] of tokens equal atoms[a]."""
+    """One labelled context, stored as counts[a] of its tokens equal atoms[a]."""
 
-    context_tokens: np.ndarray  # (n_tokens, 2) rows (x, v)
     atoms: np.ndarray           # (2T, 2) grid tokens, tag -1 first; shared, read-only
     counts: np.ndarray          # (2T,) integer
     query_token: np.ndarray     # (0, v1)
     target: float
     hidden: Hidden
+
+    @functools.cached_property
+    def context_tokens(self) -> np.ndarray:
+        """(n_tokens, 2) rows (x, v) in atom order, built on first use."""
+        return np.repeat(self.atoms, self.counts, axis=0)
 
 
 def target_value(spec: MercerSpectrum, v1: float, z1: np.ndarray) -> float:
@@ -130,31 +135,29 @@ _GEN_CHUNK = 16
 
 
 def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Example:
-    """One labelled context: (x, v) tokens and their atom counts, query (0, v1).
+    """One labelled context: its atom counts, query (0, v1) and target.
 
     The context is the mixture of two pmfs on the grid, synth_density of z1
     under tag v1 and of z2 under tag -v1, with weight 1/2 each.  Each token
     draws its component, then its grid point by inverse cdf on that pmf; the
-    two give the token's atom index, from which tokens and counts are read.
+    two give the token's atom, and the example keeps only each atom's count.
+    It is the one-row _gen_chunk.
     """
-    counts, v1, z, index = _gen_chunk(spec, cfg, np.random.default_rng(rng_seed), 1,
-                                      tokens=True)
-    atoms = _grid_atoms(spec)
-    return Example(atoms[index[0]], atoms, counts[0], np.array([0.0, v1[0]]),
+    counts, v1, z = _gen_chunk(spec, cfg, np.random.default_rng(rng_seed), 1)
+    return Example(_grid_atoms(spec), counts[0], np.array([0.0, v1[0]]),
                    target_value(spec, v1[0], z[0, 0]),
                    Hidden(z[0, 0], z[0, 1], float(v1[0])))
 
 
 def _gen_chunk(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
-               rows: int, tokens: bool = False):
-    """rows examples on rng, each drawn as gen_example draws it.
+               rows: int):
+    """rows examples on rng, as counts (rows, 2T), v1 (rows,) and z (rows, 2, M).
 
     Each example takes random() for v1, standard_normal(M) for z1 and z2,
     then 2 * n_tokens uniforms: one per token choosing its component (the
     second when u >= 1/2, as rng.choice(2, p=[.5, .5]) reads it), then one
     per token for its inverse cdf.  Pmfs and counts follow as array work over
-    the rows, which come back as counts (rows, 2T), v1, z (rows, 2, M) and,
-    if tokens is set, each token's atom index (rows, n_tokens), else None.
+    the rows.
     """
     n = cfg.n_tokens
     v = np.empty(rows)
@@ -172,18 +175,16 @@ def _gen_chunk(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Gener
     flip = v1 > 0
     cdf = np.where(flip[:, None, None], cdf[:, ::-1], cdf)
     block = (u[:, 0] >= 0.5) ^ flip[:, None]
-    counts, index = _inverse_cdf(cdf, block, u[:, 1], tokens)
-    return counts, v1, z, index
+    return _inverse_cdf(cdf, block, u[:, 1]), v1, z
 
 
-def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray,
-                 with_index: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Atom counts of uniform draws under per-row, per-block cdfs, exactly.
 
     cdf is (R, 2, T), block (R, n) picks each draw's cdf and u (R, n) holds
     uniforms from Generator.random.  Draw (r, i) lands on atom
     block * T + min(searchsorted(cdf[r, block], u, side="right"), T - 1), and
-    the result is counts (R, 2T) with, when asked, those atoms (R, n).
+    the result counts the draws on each atom, (R, 2T).
 
     A uniform double is k * 2**-53 with integer k, so cdf <= u exactly when
     k >= ceil(cdf * 2**53).  Key k + (2 * row + block) * 2**53 places every
@@ -193,8 +194,7 @@ def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray,
     rounded above 1 cannot reach into the next block and the last atom
     takes the rest of its block.
     """
-    R, n = u.shape
-    T = cdf.shape[-1]
+    R, T = u.shape[0], cdf.shape[-1]
     first_key = np.arange(2 * R, dtype=np.int64).reshape(R, 2) << 53  # of (row, block)
     ends = np.minimum(np.ceil(cdf * 2.0**53), 2.0**53)
     ends[..., -1] = 2.0**53
@@ -204,20 +204,10 @@ def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray,
     np.multiply(u, 2.0**53, out=keys, casting="unsafe")  # exact: k is an integer
     keys += first_key[:, :1]
     np.add(keys, 1 << 53, out=keys, where=block)
-    if with_index:
-        order = np.argsort(keys, axis=None)
-        keys = keys.ravel()[order]
-    else:
-        keys.sort(axis=-1)
-        keys = keys.ravel()
+    keys.sort(axis=-1)
     pos = np.zeros(2 * R * T + 1, dtype=np.intp)
-    pos[1:] = np.searchsorted(keys, ends.ravel())  # draws before each atom's end
-    counts = np.diff(pos)
-    if not with_index:
-        return counts.reshape(R, 2 * T), None
-    index = np.empty(R * n, dtype=np.intp)
-    index[order] = np.repeat(np.tile(np.arange(2 * T), R), counts)
-    return counts.reshape(R, 2 * T), index.reshape(R, n)
+    pos[1:] = np.searchsorted(keys.ravel(), ends.ravel())  # draws before each atom's end
+    return np.diff(pos).reshape(R, 2 * T)
 
 
 @dataclass(frozen=True)
@@ -363,7 +353,7 @@ def _cell_seedseq(cfg: ExperimentConfig, alpha: float, n: int, seed: int,
 
 def _gen(cfg: ExperimentConfig, spec: MercerSpectrum, count: int,
          ss: np.random.SeedSequence) -> Dataset:
-    """count examples on one stream, as gen_example draws them, without tokens.
+    """count examples on one stream, as gen_example draws them.
 
     They are generated _GEN_CHUNK at a time, so working memory stays bounded.
     """

@@ -209,10 +209,7 @@ def wasserstein1_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """
     if mu.dim != nu.dim:
         raise ValueError(f"dimension mismatch: {mu.dim} vs {nu.dim}")
-    if mu.dim == 1:
-        col = 0 if np.ptp(np.vstack([mu.support, nu.support])) > 0 else None
-    else:
-        col = _varying_column(mu.support, nu.support)
+    col = _varying_column(mu.support, nu.support)
     if col is None:
         return 0.0
     return float(_w1_line(np.concatenate([mu.support[:, col], nu.support[:, col]]),

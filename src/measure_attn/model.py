@@ -106,7 +106,7 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
 
     Every block of b is a model's own block or carries one leading stack
     axis S.  The points C (A, input_dim), the queries q (B, input_dim) and
-    the weights (B, A) or None are shared by the stack.  Returns the
+    the weights (B, A) are shared by the stack.  Returns the
     intermediates by name: the context side is (S, A, .), the query side
     (S, B, .), the attention side (S, H, B, .) and pred (S, B), each without
     S when b is unstacked.  A stacked row is computed with the same calls
@@ -219,9 +219,10 @@ def _stacked_predictions(cfg: StudentConfig, thetas: np.ndarray, context,
     for a query (input_dim,) or (B, input_dim).
     """
     q = np.asarray(query, dtype=np.float64)
-    f = _forward(_block_views(_layout(cfg), thetas), cfg,
-                 np.asarray(context, dtype=np.float64),
-                 q.reshape(-1, cfg.input_dim), None)
+    C = np.asarray(context, dtype=np.float64)
+    queries = q.reshape(-1, cfg.input_dim)
+    f = _forward(_block_views(_layout(cfg), thetas), cfg, C, queries,
+                 np.ones((len(queries), len(C))))
     return f["pred"].reshape(thetas.shape[:-1] + q.shape[:-1])
 
 
@@ -291,11 +292,12 @@ class StudentModel:
                 ) -> tuple[float | np.ndarray, ModelCache]:
         """Prediction for a query attending over a context, and the cache.
 
-        The context is a measure on the points context (A, input_dim): each
-        point weighs 1 when weights is None, as tokens do, and weights[a]
-        otherwise.  Queries (B, input_dim) with weights (B, A) make one
-        batched pass over B measures on the same points and return B
-        predictions; a query (input_dim,) returns a float.
+        The context is a measure on the points context (A, input_dim): point
+        a weighs weights[a], or 1 when weights is None, so a token list is
+        the unit-weight measure on its tokens.  Queries (B, input_dim) with
+        weights (B, A) make one batched pass over B measures on the same
+        points and return B predictions; a query (input_dim,) returns a
+        float.
         """
         cfg = self.config
         C = np.asarray(context, dtype=np.float64)
@@ -308,11 +310,10 @@ class StudentModel:
             raise ValueError(f"query must have shape ({cfg.input_dim},) or "
                              f"(B, {cfg.input_dim}), got {q.shape}")
         lead, A = q.shape[:-1], C.shape[0]
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != lead + (A,):
-                raise ValueError(
-                    f"weights must have shape {lead + (A,)}, got {weights.shape}")
+        weights = (np.ones(lead + (A,)) if weights is None
+                   else np.asarray(weights, dtype=np.float64))
+        if weights.shape != lead + (A,):
+            raise ValueError(f"weights must have shape {lead + (A,)}, got {weights.shape}")
 
         f = _forward(self._blocks, cfg, C, q.reshape(-1, cfg.input_dim), weights)
         cache = ModelCache(context=C, query=q, params_digest=self._digest(), **f)

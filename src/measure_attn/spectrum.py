@@ -81,9 +81,7 @@ class MercerSpectrum:
         """lambda_j = exp(-c * j**alpha); lambda_0 = 1 by convention."""
         if not 0 <= j < self.M:
             raise IndexError(f"mode index {j} out of range [0, {self.M})")
-        if j == 0:
-            return 1.0
-        return float(np.exp(-self.c * float(j) ** self.alpha))
+        return float(self.eigenvalues()[j])
 
     def eigenvalues(self) -> np.ndarray:
         """All M eigenvalues as a vector, lambda_0 first; built once, read-only."""

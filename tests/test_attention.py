@@ -8,6 +8,7 @@ from that formula.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -158,10 +159,12 @@ def stabilized_softmax_reference(scores, weights=None):
 @pytest.mark.parametrize("shape", [(1,), (7,), (4, 1000), (4, 3, 64)])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_softmax_unchanged_without_zero_weights(shape, weighted):
+    # unit weights give the unweighted softmax bitwise
     rng = np.random.default_rng(sum(shape))
     scores = 5.0 * rng.standard_normal(shape)
     weights = rng.uniform(0.01, 1.0, shape[-1:]) if weighted else None
-    np.testing.assert_array_equal(_softmax(scores.copy(), weights),
+    p = np.ones(shape[-1:]) if weights is None else weights
+    np.testing.assert_array_equal(_softmax(scores.copy(), p),
                                   stabilized_softmax_reference(scores, weights))
 
 
@@ -444,6 +447,22 @@ def test_probe_equals_its_trial_in_the_batch():
         mu1, mu2 = (DiscreteMeasure(support[i, k], weights[i, k]) for k in (0, 1))
         rep = lipschitz_probe(params, mu1, mu2, x[i, 0], x[i, 1])
         assert (rep.ratio, rep.bound, rep.skipped) == (ratio[i], bound[i], skipped[i])
+
+
+def test_probe_trials_memory_does_not_grow_with_passes():
+    # a pass's arrays are freed before the next pass is drawn, so four
+    # passes peak where one does
+    _probe_trials(10, 0)   # warm up outside the measurement
+
+    def peak(n_trials):
+        tracemalloc.start()
+        try:
+            _probe_trials(n_trials, 13)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(1000) <= peak(250) + 64 * 1024
 
 
 def test_probe_padding_is_exact():

@@ -159,16 +159,39 @@ def test_gen_example_layout_and_determinism():
     assert ex.target == ex2.target
 
 
+def test_example_reads_its_tokens_from_its_counts_once():
+    ex = gen_example(SMALL.spectrum(1.0), SMALL, 5)
+    assert "context_tokens" not in vars(ex)   # built on first use, not stored
+    tokens = ex.context_tokens
+    np.testing.assert_array_equal(tokens, np.repeat(ex.atoms, ex.counts, axis=0))
+    assert ex.context_tokens is tokens
+
+
+def test_gen_example_records_keep_counts_not_tokens():
+    # counts are 64 integers a record, where a token array each keeps 17 MB
+    cfg = replace(SMALL, n_tokens=1000)
+    spec = cfg.spectrum(1.0)
+    gen_example(spec, cfg, 0)  # build the basis and atoms outside the measurement
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        examples = [gen_example(spec, cfg, rng) for _ in range(1000)]
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(examples) == 1000 and kept < 4 * 2**20
+
+
 def test_gen_example_stream_is_pinned():
-    # one example's tokens, counts and target; a change to the random
-    # stream, or to how draws become tokens and counts, changes the digest
+    # one example's tokens (in atom order), counts and target; a change to
+    # the random stream, or to how draws become counts, changes the digest
     ex = gen_example(SMALL.spectrum(1.0), SMALL, 123)
     digest = hashlib.sha256()
     for blob in (ex.context_tokens.tobytes(), ex.counts.tobytes(),
                  repr(ex.target).encode()):
         digest.update(blob)
     assert digest.hexdigest() == (
-        "fc5186f9dea055a2b0b8d2226e3f78e9a3e08fbde58168842b0d0fba4a379efb")
+        "0c36ccaf7b6ca5db7bc7b034d20d9a8e079e441cf437437818d50bfdebfddae7")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -258,8 +281,7 @@ def test_gen_keeps_the_per_example_stream_across_chunks(n_tokens):
             assert_same_row(*row, ref)
         # one chunk of count rows also keeps each example's latents
         rng = np.random.default_rng(np.random.SeedSequence(count))
-        _, v1, z, index = _gen_chunk(spec, cfg, rng, count)
-        assert index is None
+        _, v1, z = _gen_chunk(spec, cfg, rng, count)
         for r, (_, _, _, _, (z1, z2, v)) in enumerate(refs):
             np.testing.assert_array_equal(z[r], [z1, z2])
             assert v1[r] == v
@@ -269,7 +291,8 @@ def test_gen_keeps_the_per_example_stream_across_chunks(n_tokens):
         ex = gen_example(spec, cfg, rng)
         ref = reference_example(spec, cfg, ref_rng)
         assert_same_example(ex, ref)
-        np.testing.assert_array_equal(ex.context_tokens, ref[0])
+        # tokens come back in atom order: sorted by tag, then x
+        np.testing.assert_array_equal(ex.context_tokens, ref[0][np.lexsort(ref[0].T)])
         assert rng.random() == ref_rng.random()  # the stream is left where it was
 
 
@@ -339,12 +362,8 @@ def test_inverse_cdf_is_exact_on_adversarial_draws():
     want = reference_atoms(rows, block, u)
     for m in (2 * n, 1):  # every draw, then one token per row
         want_counts = np.stack([np.bincount(w, minlength=2 * T) for w in want[:, :m]])
-        counts, index = _inverse_cdf(rows, block[:, :m], u[:, :m], True)
-        np.testing.assert_array_equal(index, want[:, :m])
-        np.testing.assert_array_equal(counts, want_counts)
-        counts, index = _inverse_cdf(rows, block[:, :m], u[:, :m])
-        assert index is None
-        np.testing.assert_array_equal(counts, want_counts)
+        np.testing.assert_array_equal(_inverse_cdf(rows, block[:, :m], u[:, :m]),
+                                      want_counts)
 
 
 # ------------------------------------------------------- attention stats

@@ -68,6 +68,14 @@ def test_eigenvalues_vector_matches_scalar_loop():
         assert np.all(np.diff(spec.eigenvalues()) < 0.0)
 
 
+@pytest.mark.parametrize("c", [1.0, 2.5])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_eigenvalue_is_the_vector_entry_bitwise(alpha, c):
+    # one formula for lambda_j; alpha=1.5 is where two formulas would differ
+    spec = make_spec(alpha=alpha, c=c)
+    assert [spec.eigenvalue(j) for j in range(spec.M)] == spec.eigenvalues().tolist()
+
+
 def test_eigenvalue_mode_out_of_range():
     spec = make_spec(M=8)
     with pytest.raises(IndexError):
