@@ -203,7 +203,10 @@ def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray) -> np.ndarra
     keys = np.empty(u.shape, dtype=np.int64)
     np.multiply(u, 2.0**53, out=keys, casting="unsafe")  # exact: k is an integer
     keys += first_key[:, :1]
-    np.add(keys, 1 << 53, out=keys, where=block)
+    # + 2**53 for block 1, a row at a time: an (R, n) temporary would sit
+    # beside the keys at the chunk's memory peak
+    for row, b in zip(keys, block):
+        row += np.left_shift(b, 53, dtype=np.int64)
     keys.sort(axis=-1)
     pos = np.zeros(2 * R * T + 1, dtype=np.intp)
     pos[1:] = np.searchsorted(keys.ravel(), ends.ravel())  # draws before each atom's end

@@ -211,6 +211,24 @@ def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,
     gb["ctx_b1"][:] = d_ctx_pre.sum(axis=0)
 
 
+def _runs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A token list (T, d) as a measure: the first row of each run of
+    bitwise-equal consecutive rows (A, d), and the run lengths (A,) as
+    float weights.
+
+    One neighbour comparison per column and no sort, so rows equal as
+    floats but not in bits (0.0 and -0.0) stay separate points, and a list
+    with no adjacent repeats comes back as its own rows with unit weights.
+    """
+    bits = C.view(np.uint64)
+    edges = np.ones(len(C) + 1, dtype=bool)   # each run's start, then the end
+    edges[1:-1] = bits[1:, 0] != bits[:-1, 0]
+    for j in range(1, C.shape[1]):
+        edges[1:-1] |= bits[1:, j] != bits[:-1, j]
+    at = np.flatnonzero(edges)
+    return C.take(at[:-1], axis=0), np.diff(at).astype(np.float64)
+
+
 def _stacked_predictions(cfg: StudentConfig, thetas: np.ndarray, context,
                          query) -> np.ndarray:
     """Predictions of S parameter vectors thetas (S, P) in one pass.
@@ -219,21 +237,23 @@ def _stacked_predictions(cfg: StudentConfig, thetas: np.ndarray, context,
     for a query (input_dim,) or (B, input_dim).
     """
     q = np.asarray(query, dtype=np.float64)
-    C = np.asarray(context, dtype=np.float64)
+    C, runs = _runs(np.asarray(context, dtype=np.float64))
     queries = q.reshape(-1, cfg.input_dim)
     f = _forward(_block_views(_layout(cfg), thetas), cfg, C, queries,
-                 np.ones((len(queries), len(C))))
+                 np.broadcast_to(runs, (len(queries), len(C))))
     return f["pred"].reshape(thetas.shape[:-1] + q.shape[:-1])
 
 
 class ModelCache(SimpleNamespace):
     """Intermediates of one forward pass, consumed by backward.
 
-    Holds _forward's arrays by name, pred included, with the batch axis
-    always present (a query (input_dim,) is a batch of one), plus the
-    context, the query as given and params_digest, the exact parameter bytes
-    the pass used; backward refuses a cache whose parameters have since
-    changed.
+    Describes the pass that ran: context holds its points (A, input_dim),
+    for a token list the first token of each run, and weights (B, A) the
+    weights it used.  Holds _forward's arrays by name over those points,
+    pred included, with the batch axis always present (a query (input_dim,)
+    is a batch of one), plus the query as given and params_digest, the exact
+    parameter bytes the pass used; backward refuses a cache whose parameters
+    have since changed.
     """
 
 
@@ -293,8 +313,11 @@ class StudentModel:
         """Prediction for a query attending over a context, and the cache.
 
         The context is a measure on the points context (A, input_dim): point
-        a weighs weights[a], or 1 when weights is None, so a token list is
-        the unit-weight measure on its tokens.  Queries (B, input_dim) with
+        a weighs weights[a].  With weights None the context is a token list,
+        the unit-weight measure on its tokens, and the pass runs on its runs
+        of bitwise-equal consecutive tokens, each run one point weighted by
+        its length: the cost is linear in the runs, and a list grouped by
+        atom is bitwise the pass on its counts.  Queries (B, input_dim) with
         weights (B, A) make one batched pass over B measures on the same
         points and return B predictions; a query (input_dim,) returns a
         float.
@@ -309,14 +332,20 @@ class StudentModel:
         if q.ndim not in (1, 2) or q.shape[-1] != cfg.input_dim or q.size == 0:
             raise ValueError(f"query must have shape ({cfg.input_dim},) or "
                              f"(B, {cfg.input_dim}), got {q.shape}")
-        lead, A = q.shape[:-1], C.shape[0]
-        weights = (np.ones(lead + (A,)) if weights is None
-                   else np.asarray(weights, dtype=np.float64))
-        if weights.shape != lead + (A,):
-            raise ValueError(f"weights must have shape {lead + (A,)}, got {weights.shape}")
+        lead, queries = q.shape[:-1], q.reshape(-1, cfg.input_dim)
+        if weights is None:
+            C, runs = _runs(C)
+            weights = np.broadcast_to(runs, (len(queries), len(C)))
+        else:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != lead + (len(C),):
+                raise ValueError(
+                    f"weights must have shape {lead + (len(C),)}, got {weights.shape}")
+            weights = weights.reshape(len(queries), -1)
 
-        f = _forward(self._blocks, cfg, C, q.reshape(-1, cfg.input_dim), weights)
-        cache = ModelCache(context=C, query=q, params_digest=self._digest(), **f)
+        f = _forward(self._blocks, cfg, C, queries, weights)
+        cache = ModelCache(context=C, query=q, weights=weights,
+                           params_digest=self._digest(), **f)
         return (f["pred"] if lead else float(f["pred"][0])), cache
 
     def backward(self, cache: ModelCache, upstream) -> None:

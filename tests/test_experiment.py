@@ -586,8 +586,11 @@ def test_run_cell_mse_and_stats_match_separate_passes():
                           - ex.target) ** 2 for ex in val_set])
     assert val_mse == pytest.approx(token_mse, rel=1e-12)
     stat_set = val_set[:SMALL.n_stat_examples]
-    rows = [model.forward(ex.context_tokens, ex.query_token)[1].attn[:, 0]
-            for ex in stat_set]
+    rows = []
+    for ex in stat_set:   # per-token rows from the pass over the tokens' runs
+        cache = model.forward(ex.context_tokens, ex.query_token)[1]
+        runs = cache.weights[0].astype(int)
+        rows.append(np.repeat(cache.attn[:, 0] / cache.weights[0], runs, axis=-1))
     masks = [ex.context_tokens[:, 1] == ex.query_token[1] for ex in stat_set]
     for key, want in stats_loop_reference(rows, masks).items():
         np.testing.assert_allclose(getattr(result.stats, key), want,

@@ -5,6 +5,8 @@ The FD helper is written locally so the gradient check does not depend on
 the package's own verification code.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
                           ExperimentConfig, ModelCache, StudentConfig,
                           StudentModel, TrainConfig, adam_step, gen_example,
                           softmax_weights)
-from measure_attn.model import _stacked_predictions
+from measure_attn.model import _backward, _forward, _stacked_predictions
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -190,7 +192,9 @@ def test_identical_tokens_get_uniform_attention():
     model = StudentModel.init(StudentConfig(), rng)
     context = np.tile([[0.3, 1.0]], (7, 1))
     _, cache = model.forward(context, np.array([0.0, -1.0]))
-    np.testing.assert_allclose(cache.attn, 1.0 / 7.0, rtol=1e-12)
+    runs = cache.weights[0].astype(int)
+    rows = np.repeat(cache.attn[:, 0] / cache.weights[0], runs, axis=-1)
+    np.testing.assert_allclose(rows, 1.0 / 7.0, rtol=1e-12)
 
 
 def test_prediction_invariant_to_context_permutation():
@@ -362,13 +366,84 @@ def test_stacked_rows_are_forward_bitwise(activation, config):
     thetas[1] = thetas[0]
     thetas[1, 7] += 1e-5   # a perturbed row, as the gradient check builds
     context, query = random_batch(rng, T=7)
+    repeats = np.repeat(context, [1, 3, 1, 2, 1, 1, 4], axis=0)
     queries = np.column_stack([np.zeros(3), rng.choice([-1.0, 1.0], 3)])
-    for q in (query, queries):
-        stacked = _stacked_predictions(cfg, thetas, context, q)
+    for C, q in itertools.product((context, repeats), (query, queries)):
+        stacked = _stacked_predictions(cfg, thetas, C, q)
         assert stacked.shape == (6,) + q.shape[:-1]
         for theta, row in zip(thetas, stacked):
-            pred, _ = StudentModel(cfg, theta).forward(context, q)
+            pred, _ = StudentModel(cfg, theta).forward(C, q)
             assert np.asarray(pred).tobytes() == row.tobytes()
+
+
+def grads_of(model, *args):
+    pred, cache = model.forward(*args)
+    model.backward(cache, np.ones_like(pred))
+    return pred, cache, model.grads.copy()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_token_runs_are_the_counts_pass_bitwise(activation):
+    rng = np.random.default_rng(43)
+    model = StudentModel.init(StudentConfig(activation=activation), rng)
+    cfg = ExperimentConfig(n_tokens=300)
+    for _ in range(3):
+        ex = gen_example(cfg.spectrum(1.0), cfg, rng)
+        c = ex.counts
+        pred, cache, grads = grads_of(model, ex.context_tokens, ex.query_token)
+        want, want_cache, want_grads = grads_of(
+            model, ex.atoms[c > 0], ex.query_token[None], c[c > 0][None])
+        assert np.asarray(pred).tobytes() == want.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
+        assert cache.context.tobytes() == want_cache.context.tobytes()
+        assert cache.weights.tobytes() == want_cache.weights.tobytes()
+
+
+def test_token_runs_without_repeats_are_the_token_pass_bitwise():
+    rng = np.random.default_rng(44)
+    model = StudentModel.init(StudentConfig(), rng)
+    context, query = random_batch(rng, T=50)
+    context[1::2] = context[0::2]
+    context = context[rng.permutation(50)]
+    # drop adjacent repeats: equal rows remain, none of them adjacent
+    context = context[np.r_[True, (context[1:] != context[:-1]).any(axis=1)]]
+    assert len(np.unique(context, axis=0)) < len(context)
+    queries = np.column_stack([rng.uniform(-1, 1, 3), rng.choice([-1.0, 1.0], 3)])
+    for q in (query, queries):
+        preds, cache, grads = grads_of(model, context, q)
+        B = len(queries) if q.ndim == 2 else 1
+        f = _forward(model._blocks, model.config, context,
+                     q.reshape(B, -1), np.ones((B, len(context))))
+        _backward(model._blocks, model._grad_blocks, model.config, f, context,
+                  q.reshape(B, -1), np.ones(B))
+        assert cache.context.tobytes() == context.tobytes()
+        for name, arr in f.items():
+            assert getattr(cache, name).tobytes() == arr.tobytes(), name
+        assert grads.tobytes() == model.grads.tobytes()
+
+
+def test_token_runs_split_bitwise_unequal_rows():
+    model = StudentModel.init(StudentConfig(), np.random.default_rng(45))
+    context = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 1.0],
+                        [0.5, -1.0], [0.5, 1.0], [0.5, 1.0], [0.5, 1.0]])
+    _, cache = model.forward(context, np.array([0.0, 1.0]))
+    assert cache.weights.tolist() == [[1.0, 2.0, 1.0, 3.0]]
+    assert cache.context.tobytes() == context[[0, 1, 3, 4]].tobytes()
+    assert np.signbit(cache.context[:2, 0]).tolist() == [False, True]
+
+
+def test_token_runs_of_a_shuffled_list_match_the_grouped_list():
+    rng = np.random.default_rng(46)
+    model = StudentModel.init(StudentConfig(), rng)
+    cfg = ExperimentConfig(n_tokens=300)
+    ex = gen_example(cfg.spectrum(1.0), cfg, rng)
+    grouped = grads_of(model, ex.context_tokens, ex.query_token)
+    shuffled = ex.context_tokens[rng.permutation(cfg.n_tokens)]
+    pred, cache, grads = grads_of(model, shuffled, ex.query_token)
+    assert len(cache.context) > len(grouped[1].context)
+    assert pred == pytest.approx(grouped[0], rel=1e-12)
+    np.testing.assert_allclose(grads, grouped[2], rtol=1e-12,
+                               atol=1e-12 * np.abs(grouped[2]).max())
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])

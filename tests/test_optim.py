@@ -266,7 +266,12 @@ def test_train_step_is_the_public_passes_bitwise(activation, monkeypatch):
                      (ex.context_tokens, ex.query_token, None)):
             pred, cache = lean.forward(*args)
             assert isinstance(pred, float)
-            assert cache.attn.shape == (student.n_heads, 1, len(args[0]))
+            assert cache.attn.shape == (student.n_heads, 1, len(cache.context))
+            rows = cache.attn[:, 0]
+            if args[2] is None:   # a token list ran on its runs
+                runs = cache.weights[0].astype(int)
+                rows = np.repeat(rows / cache.weights[0], runs, axis=-1)
+            assert rows.shape == (student.n_heads, len(args[0]))
             lean.backward(cache, 1.5)
             one = lean.grads.copy()
             batch = (args[0], args[1][None],
