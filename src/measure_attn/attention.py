@@ -36,19 +36,13 @@ class AttnHead:
     V: np.ndarray
 
     def __post_init__(self):
-        mats = {}
-        d = None
         for name in ("W", "Q", "K", "V"):
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError(f"head matrix {name} must be square, got {m.shape}")
-            if d is None:
-                d = m.shape[0]
-            elif m.shape[0] != d:
+            if m.shape[0] != self.W.shape[0]:   # W is set first
                 raise ValueError("head matrices must share one dimension")
             m.flags.writeable = False
-            mats[name] = m
-        for name, m in mats.items():
             object.__setattr__(self, name, m)
 
     @property
@@ -359,9 +353,13 @@ class ProbeSummary:
     max_ratio_over_bound: float
 
 
-def _draw_trials(rng: np.random.Generator, n_trials: int, n_max: int,
-                 d_max: int, b_max: float, h_max: int):
-    """Random small instances as zero-padded arrays, one array draw per field.
+# the probe's instance family: measures of at most n_max points in at most
+# d_max dimensions, head and skip entries in [-b_max, b_max], h_max heads
+_FAMILY = (8, 4, 1.0, 2)   # (n_max, d_max, b_max, h_max)
+
+
+def _draw_trials(rng: np.random.Generator, n_trials: int):
+    """Random instances of _FAMILY as zero-padded arrays, one array draw per field.
 
     A trial has d ~ U{2..d_max}, n_heads ~ U{1..h_max} and scale ~
     U(0.1, b_max).  The W, Q, K, V of each real head and the skip matrix
@@ -378,6 +376,7 @@ def _draw_trials(rng: np.random.Generator, n_trials: int, n_max: int,
     a measure's padded points repeat its last point at weight 0.
     """
     N = n_trials
+    n_max, d_max, b_max, h_max = _FAMILY
     d = rng.integers(2, d_max + 1, N)
     n_heads = rng.integers(1, h_max + 1, N)
     scale = rng.uniform(0.1, b_max, N)
@@ -431,8 +430,7 @@ def _draw_trials(rng: np.random.Generator, n_trials: int, n_max: int,
 _TRIALS_PER_PASS = 250
 
 
-def _probe_trials(n_trials: int, rng_seed, n_max: int = 8, d_max: int = 4,
-                  b_max: float = 1.0, h_max: int = 2):
+def _probe_trials(n_trials: int, rng_seed):
     """Draw the trials and probe them in stacked passes: (ratio, bound, skipped).
 
     Each pass draws its trials as whole arrays from the one generator, so
@@ -443,8 +441,7 @@ def _probe_trials(n_trials: int, rng_seed, n_max: int = 8, d_max: int = 4,
     parts = []
     for start in range(0, n_trials, _TRIALS_PER_PASS):
         n = min(_TRIALS_PER_PASS, n_trials - start)
-        heads, n_heads, skip, support, weights, x, coord = _draw_trials(
-            rng, n, n_max, d_max, b_max, h_max)
+        heads, n_heads, skip, support, weights, x, coord = _draw_trials(rng, n)
         line = np.take_along_axis(support, coord[:, None, None, None], axis=-1)
         w1 = _w1_line(line.reshape(n, -1),
                       np.concatenate([weights[:, 0], -weights[:, 1]], axis=-1))
@@ -464,15 +461,14 @@ def _summarize(ratio, bound, skipped) -> ProbeSummary:
                         float((r[pos] / b[pos]).max(initial=0.0)))
 
 
-def random_lipschitz_trials(n_trials: int, rng_seed, n_max: int = 8,
-                            d_max: int = 4, b_max: float = 1.0,
-                            h_max: int = 2) -> ProbeSummary:
+def random_lipschitz_trials(n_trials: int, rng_seed) -> ProbeSummary:
     """Probe random small instances; the inequality itself is the oracle.
 
-    Supports share a random base point and vary in one random coordinate so
-    the exact 1-D W1 applies.  Queries and supports live in [-1, 1]^d, head
-    entries in [-b_max, b_max].  A small fraction of trials deliberately
-    duplicates x or mu to exercise the skip path of the probe.  The trials
-    are drawn and evaluated as zero-padded arrays, in stacked passes.
+    The instances are _FAMILY's.  Supports share a random base point and
+    vary in one random coordinate so the exact 1-D W1 applies.  Queries and
+    supports live in [-1, 1]^d, head entries in [-1, 1].  A small fraction
+    of trials deliberately duplicates x or mu to exercise the skip path of
+    the probe.  The trials are drawn and evaluated as zero-padded arrays, in
+    stacked passes.
     """
-    return _summarize(*_probe_trials(n_trials, rng_seed, n_max, d_max, b_max, h_max))
+    return _summarize(*_probe_trials(n_trials, rng_seed))

@@ -87,6 +87,15 @@ def _resolve_config(args, **defaults) -> ExperimentConfig:
         raise CliError(f"bad configuration: {e}")
 
 
+def _one_alpha_config(args, default: float) -> tuple[ExperimentConfig, float]:
+    """The config of a command that takes one alpha, default when none is given."""
+    cfg = _resolve_config(args, alpha_list=(default,))
+    if len(cfg.alpha_list) != 1:
+        raise CliError(f"bad configuration: {args.command} takes one alpha, "
+                       f"got {list(cfg.alpha_list)}")
+    return cfg, cfg.alpha_list[0]
+
+
 def _write_resolved(cfg: ExperimentConfig, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     experiment._atomic_write(os.path.join(out_dir, "config_resolved.json"),
@@ -96,10 +105,7 @@ def _write_resolved(cfg: ExperimentConfig, out_dir: str) -> None:
 def _split_suites(arg) -> list[str] | None:
     if arg is None:
         return None
-    names: list[str] = []
-    for item in arg:
-        names.extend(s.strip() for s in item.split(",") if s.strip())
-    return names
+    return [s.strip() for item in arg for s in item.split(",") if s.strip()]
 
 
 def cmd_verify(args) -> int:
@@ -124,8 +130,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _resolve_config(args)
-    alpha = cfg.alpha_list[0]
+    cfg, alpha = _one_alpha_config(args, 0.5)
     ex = gen_example(cfg.spectrum(alpha), cfg, cfg.seed)
     doc = {
         "alpha": alpha,
@@ -152,11 +157,7 @@ def cmd_train(args) -> int:
         raise CliError(f"--n-train must be at least 1, got {args.n_train}")
     if args.cell_seed < 0:
         raise CliError(f"--cell-seed must be non-negative, got {args.cell_seed}")
-    cfg = _resolve_config(args, alpha_list=(1.0,))
-    if len(cfg.alpha_list) != 1:
-        raise CliError(f"bad configuration: train takes one alpha, got "
-                       f"{list(cfg.alpha_list)}")
-    alpha = cfg.alpha_list[0]
+    cfg, alpha = _one_alpha_config(args, 1.0)
     _write_resolved(cfg, args.out)
     val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
     metrics = {

@@ -55,6 +55,8 @@ class ExperimentConfig:
         object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
         if len(self.alpha_list) == 0:
             raise ValueError("alpha_list is empty")
+        if len(set(self.alpha_list)) != len(self.alpha_list):
+            raise ValueError(f"alpha_list repeats an alpha: {self.alpha_list}")
         if len(self.n_list) == 0:
             raise ValueError("n_list is empty")
         for name in ("M", "T", "n_tokens", "n_list", "n_val", "seeds",
@@ -72,8 +74,8 @@ class ExperimentConfig:
                 "seeds, n_tokens, n_list, n_val and n_stat_examples must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.clamp_eps > 0:
-            raise ValueError(f"clamp_eps must be positive, got {self.clamp_eps}")
+        if not 0 < self.clamp_eps < np.inf:
+            raise ValueError(f"clamp_eps must be positive and finite, got {self.clamp_eps}")
         for alpha in self.alpha_list:
             self.spectrum(alpha)  # MercerSpectrum checks alpha, M and T
 
@@ -601,12 +603,9 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
     risk = io.StringIO()
     w = csv.writer(risk, lineterminator="\n")
     w.writerow(["alpha", "n", "seed", "val_mse"])
-    for alpha in cfg.alpha_list:
-        for n in cfg.n_list:
-            for s in range(cfg.seeds):
-                cell = (alpha, n, s)
-                if cell in results:
-                    w.writerow([_fmt(alpha), n, s, _fmt(results[cell]["val_mse"])])
+    for alpha, n, s in keyed:   # in grid order
+        if (alpha, n, s) in results:
+            w.writerow([_fmt(alpha), n, s, _fmt(results[(alpha, n, s)]["val_mse"])])
     _atomic_write(os.path.join(out_dir, "risk_curve.csv"), risk.getvalue())
 
     stats = io.StringIO()

@@ -22,23 +22,11 @@ import numpy as np
 from .attention import _T, _softmax
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
-def _relu_grad(pre):
-    return (pre > 0.0).astype(np.float64)
-
-
-def _tanh(x):
-    return np.tanh(x)
-
-
-def _tanh_grad(pre):
-    return 1.0 - np.tanh(pre) ** 2
-
-
-_ACTIVATIONS = {"relu": (_relu, _relu_grad), "tanh": (_tanh, _tanh_grad)}
+# name -> (activation, its derivative at the pre-activation)
+_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda pre: (pre > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda pre: 1.0 - np.tanh(pre) ** 2),
+}
 
 
 @dataclass(frozen=True)

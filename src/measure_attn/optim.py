@@ -45,13 +45,15 @@ class TrainConfig:
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not self.lr0 > 0:
-            raise ValueError(f"lr0 must be positive, got {self.lr0}")
-        if not 0 < self.decay_per_epoch <= 1:
-            raise ValueError(
-                f"decay_per_epoch must be in (0, 1], got {self.decay_per_epoch}")
-        if not self.noise_std >= 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        for name, ok, rule in (
+                ("lr0", 0 < self.lr0 < np.inf, "positive and finite"),
+                ("decay_per_epoch", 0 < self.decay_per_epoch <= 1, "in (0, 1]"),
+                ("noise_std", 0 <= self.noise_std < np.inf, "finite and >= 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("eps", 0 < self.eps < np.inf, "positive and finite")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,

@@ -144,35 +144,48 @@ def synth_density(spec: MercerSpectrum, z, clamp_eps: float = 1e-6
     return clamped / clamped.sum(axis=-1, keepdims=True)
 
 
-def gen_norm_sq(spec: MercerSpectrum, b, a: float) -> float:
+def _powers(lam: np.ndarray, e, rows: tuple) -> np.ndarray:
+    """lam ** e_i for each exponent of e broadcast to rows: (*rows, lam.size).
+
+    numpy raises by a scalar 0.5, 2 or -1 as sqrt, square or reciprocal, and
+    by an array of exponents elementwise, which can differ in the last bit;
+    so each distinct exponent is applied as a scalar, as one vector's is.
+    """
+    uniq, inv = np.unique(np.broadcast_to(e, rows), return_inverse=True)
+    return np.array([lam ** u for u in uniq]).reshape(-1, lam.size)[inv.reshape(rows)]
+
+
+def gen_norm_sq(spec: MercerSpectrum, b, a):
     """Squared generalized norm sum_{j>=1} lambda_j**(-a) * b_j**2.
 
     a = 0 is plain L2 on the coefficients, a = 1 the RKHS norm, a = -1 the
-    MMD norm.  Mode 0 never contributes.
+    MMD norm.  Mode 0 never contributes.  Rows b (..., M) take a broadcast
+    over them; each row is bitwise its one-vector call, which gives a float.
     """
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (spec.M,):
-        raise ValueError(f"coefficients must have shape ({spec.M},), got {b.shape}")
-    lam = spec.eigenvalues()[1:]
+    if b.ndim < 1 or b.shape[-1] != spec.M:
+        raise ValueError(f"coefficients must have shape (..., {spec.M}), got {b.shape}")
+    factors = _powers(spec.eigenvalues()[1:], -np.asarray(a) / 2.0, b.shape[:-1])
     # sum of squared factors rather than lam**(-a) * b**2: same value, but
     # the intermediate stays in float64 range when b_j itself carries a
     # large power of lambda (as after isometry_map with steep spectra)
-    return float(np.sum((lam ** (-a / 2.0) * b[1:]) ** 2))
+    out = np.sum((factors * b[..., 1:]) ** 2, axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def isometry_map(spec: MercerSpectrum, b, b_norm: float, c_norm: float
-                 ) -> np.ndarray:
+def isometry_map(spec: MercerSpectrum, b, b_norm, c_norm) -> np.ndarray:
     """Coefficient map b_j -> lambda_j**((c_norm - b_norm)/2) * b_j.
 
     Carries the b_norm-generalized norm isometrically onto the c_norm one:
     gen_norm_sq(output, c_norm) == gen_norm_sq(input, b_norm) exactly in
-    arithmetic.
+    arithmetic.  Rows b (..., M) take b_norm and c_norm broadcast over them;
+    each row is bitwise its one-vector call.
     """
     b = np.asarray(b, dtype=np.float64)
-    if b.shape != (spec.M,):
-        raise ValueError(f"coefficients must have shape ({spec.M},), got {b.shape}")
-    factors = spec.eigenvalues() ** ((c_norm - b_norm) / 2.0)
-    return factors * b
+    if b.ndim < 1 or b.shape[-1] != spec.M:
+        raise ValueError(f"coefficients must have shape (..., {spec.M}), got {b.shape}")
+    e = (np.asarray(c_norm) - b_norm) / 2.0
+    return _powers(spec.eigenvalues(), e, b.shape[:-1]) * b
 
 
 def truncation_bound(spec: MercerSpectrum, D: int, gamma_f: float,

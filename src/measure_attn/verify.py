@@ -2,9 +2,10 @@
 
 Each suite checks one lemma-level guarantee at a stated tolerance and
 returns named per-check outcomes, so a failure points at the violated
-assertion rather than at a stack trace.  The fault parameter deliberately
-corrupts one computation path; it exists so the failure reporting itself
-can be tested.
+assertion rather than at a stack trace.  Every suite draws and checks its
+random instances as arrays of a fixed size.  The fault parameter
+deliberately corrupts one computation path; it exists so the failure
+reporting itself can be tested.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ from . import attention, spectrum
 from .measures import DiscreteMeasure, build_mixture
 from .model import StudentConfig, StudentModel, _stacked_predictions
 
-SUITE_NAMES = ("orthonormality", "isometry", "truncation", "recall",
-               "lipschitz", "gradient")
+# fixed sizes: isometry draws per alpha, truncation draws per (alpha, D),
+# probe trials, and gradient seeds with their coordinates per seed
+_ISOMETRY_DRAWS, _TRUNCATION_DRAWS, _LIPSCHITZ_TRIALS = 50, 100, 1000
+_GRADIENT_SEEDS, _GRADIENT_COORDS = 10, 200
 
 
 @dataclass(frozen=True)
@@ -77,21 +80,18 @@ def suite_isometry(fault: str | None = None) -> SuiteResult:
     rng = np.random.default_rng(2024)
     for alpha in (0.5, 1.0, 2.0):
         spec = spectrum.MercerSpectrum.on_midpoint_grid(alpha, 16, 32)
-        worst_norm = 0.0
-        worst_round = 0.0
-        for _ in range(50):
-            b = rng.standard_normal(spec.M)
-            b[0] = 0.0
-            b_norm, c_norm = rng.uniform(-2, 2, 2)
-            mapped = spectrum.isometry_map(spec, b, b_norm, c_norm)
-            if fault == "isometry":
-                mapped = mapped * (1.0 + 1e-6)
-            lhs = spectrum.gen_norm_sq(spec, mapped, c_norm)
-            rhs = spectrum.gen_norm_sq(spec, b, b_norm)
-            worst_norm = max(worst_norm, abs(lhs - rhs) / max(rhs, 1e-300))
-            back = spectrum.isometry_map(spec, mapped, c_norm, b_norm)
-            worst_round = max(worst_round,
-                              float(np.max(np.abs(back - b))) / max(float(np.max(np.abs(b))), 1e-300))
+        b = rng.standard_normal((_ISOMETRY_DRAWS, spec.M))
+        b[:, 0] = 0.0
+        b_norm, c_norm = rng.uniform(-2, 2, (2, _ISOMETRY_DRAWS))
+        mapped = spectrum.isometry_map(spec, b, b_norm, c_norm)
+        if fault == "isometry":
+            mapped = mapped * (1.0 + 1e-6)
+        lhs = spectrum.gen_norm_sq(spec, mapped, c_norm)
+        rhs = spectrum.gen_norm_sq(spec, b, b_norm)
+        worst_norm = float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)))
+        back = spectrum.isometry_map(spec, mapped, c_norm, b_norm)
+        worst_round = float(np.max(np.abs(back - b).max(axis=-1)
+                                   / np.maximum(np.abs(b).max(axis=-1), 1e-300)))
         checks.append(Check(
             f"isometry_norm_preservation_alpha{alpha:g}", worst_norm <= 1e-10,
             f"worst relative norm error = {worst_norm:.3e} (tol 1e-10)"))
@@ -114,19 +114,18 @@ def suite_truncation(fault: str | None = None) -> SuiteResult:
             bound = spectrum.truncation_bound(spec, D, gamma_f, gamma_b)
             if fault == "truncation":
                 bound = bound * 1e-3
-            ok = True
-            worst = 0.0
-            for _ in range(100):
-                b = rng.standard_normal(spec.M)
-                b[0] = 0.0
-                scale = np.sqrt(spectrum.gen_norm_sq(spec, b, gamma_b))
-                b = b / scale * rng.uniform(0.0, 1.0)  # inside the unit ball
-                tail = np.sqrt(np.sum(lam[D + 1:] ** (-gamma_f) * b[D + 1:] ** 2))
-                worst = max(worst, tail / bound)
-                ok = ok and tail <= bound * (1 + 1e-12)
+            b = rng.standard_normal((_TRUNCATION_DRAWS, spec.M))
+            b[:, 0] = 0.0
+            scale = np.sqrt(spectrum.gen_norm_sq(spec, b, gamma_b))
+            # inside the unit ball
+            b = b / scale[:, None] * rng.uniform(0.0, 1.0, (_TRUNCATION_DRAWS, 1))
+            tail = np.sqrt(np.sum(lam[D + 1:] ** (-gamma_f) * b[:, D + 1:] ** 2,
+                                  axis=-1))
             checks.append(Check(
-                f"truncation_domination_alpha{alpha:g}_D{D}", ok,
-                f"worst tail/bound = {worst:.3e} over 100 draws"))
+                f"truncation_domination_alpha{alpha:g}_D{D}",
+                bool(np.all(tail <= bound * (1 + 1e-12))),
+                f"worst tail/bound = {float(np.max(tail / bound)):.3e} "
+                f"over {_TRUNCATION_DRAWS} draws"))
     return _result("truncation", checks, t0)
 
 
@@ -188,13 +187,13 @@ def suite_recall(fault: str | None = None) -> SuiteResult:
     return _result("recall", checks, t0)
 
 
-def suite_lipschitz(fault: str | None = None, trials: int = 1000) -> SuiteResult:
+def suite_lipschitz(fault: str | None = None) -> SuiteResult:
     """Joint Lipschitz inequality on random small instances, 2x slack.
 
     The trials are drawn as zero-padded arrays and probed in stacked passes.
     """
     t0 = time.perf_counter()
-    ratio, bound, skipped = attention._probe_trials(trials, rng_seed=13)
+    ratio, bound, skipped = attention._probe_trials(_LIPSCHITZ_TRIALS, rng_seed=13)
     if fault == "lipschitz":
         bound = bound * 1e-3
     summary = attention._summarize(ratio, bound, skipped)
@@ -204,7 +203,7 @@ def suite_lipschitz(fault: str | None = None, trials: int = 1000) -> SuiteResult
               f"{violations} violations beyond 2x slack in {summary.trials} trials "
               f"({summary.skipped} skipped, max ratio/bound = {summary.max_ratio_over_bound:.3e})"),
         Check("lipschitz_trials_informative",
-              summary.trials - summary.skipped >= trials // 2,
+              summary.trials - summary.skipped >= _LIPSCHITZ_TRIALS // 2,
               f"{summary.trials - summary.skipped} non-degenerate trials"),
     ]
     return _result("lipschitz", checks, t0)
@@ -215,13 +214,12 @@ def suite_lipschitz(fault: str | None = None, trials: int = 1000) -> SuiteResult
 _FD_COORDS_PER_PASS = 50
 
 
-def suite_gradient(fault: str | None = None, seeds: int = 10,
-                   coords_per_seed: int = 200) -> SuiteResult:
+def suite_gradient(fault: str | None = None) -> SuiteResult:
     """Analytic gradient vs central differences, rel. err <= 1e-4.
 
-    Runs seeds x coords_per_seed coordinate checks (default 200) on random
-    small inputs.  The differences are forward-only, the independent oracle
-    for backward: the (2k, P) matrix of the parameter vectors
+    Runs _GRADIENT_COORDS coordinate checks on each of _GRADIENT_SEEDS
+    random small inputs.  The differences are forward-only, the independent
+    oracle for backward: the (2k, P) matrix of the parameter vectors
     theta + step * e_c, then theta - step * e_c, for k of a seed's
     coordinates c goes through the student's forward arithmetic as one
     stacked pass, whose rows are bitwise StudentModel.forward's.
@@ -231,7 +229,7 @@ def suite_gradient(fault: str | None = None, seeds: int = 10,
     checks = []
     worst = 0.0
     cfg = StudentConfig()
-    for seed in range(seeds):
+    for seed in range(_GRADIENT_SEEDS):
         rng = np.random.default_rng(1000 + seed)
         model = StudentModel.init(cfg, rng)
         T = int(rng.integers(3, 9))
@@ -243,8 +241,8 @@ def suite_gradient(fault: str | None = None, seeds: int = 10,
         analytic = model.grads.copy()
         if fault == "gradient":
             analytic = analytic * (1.0 + 1e-3)
-        coords = rng.choice(model.n_params, size=coords_per_seed, replace=False)
-        for start in range(0, coords_per_seed, _FD_COORDS_PER_PASS):
+        coords = rng.choice(model.n_params, size=_GRADIENT_COORDS, replace=False)
+        for start in range(0, _GRADIENT_COORDS, _FD_COORDS_PER_PASS):
             part = coords[start:start + _FD_COORDS_PER_PASS]
             k = part.size
             thetas = np.tile(model.params, (2 * k, 1))
@@ -257,7 +255,7 @@ def suite_gradient(fault: str | None = None, seeds: int = 10,
             worst = max(worst, float(rel.max()))
     checks.append(Check(
         "gradient_matches_central_differences", worst <= 1e-4,
-        f"worst relative error = {worst:.3e} over {seeds * coords_per_seed} "
+        f"worst relative error = {worst:.3e} over {_GRADIENT_SEEDS * _GRADIENT_COORDS} "
         f"coordinates (tol 1e-4)"))
     return _result("gradient", checks, t0)
 
@@ -270,6 +268,7 @@ _SUITES = {
     "lipschitz": suite_lipschitz,
     "gradient": suite_gradient,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names=None, fault: str | None = None) -> list[SuiteResult]:

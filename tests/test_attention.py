@@ -30,8 +30,8 @@ from measure_attn import (
     softmax_weights,
     temperature_for_error,
 )
-from measure_attn.attention import (_draw_trials, _probe, _probe_trials, _softmax,
-                                    _stack_heads)
+from measure_attn.attention import (_FAMILY, _draw_trials, _probe, _probe_trials,
+                                    _softmax, _stack_heads)
 
 
 def eye_head(d):
@@ -375,9 +375,10 @@ def within_5_sigma(count, total, p):
 
 
 def test_drawn_trials_are_the_probe_family():
-    N, n_max, d_max, b_max, h_max = 20_000, 8, 4, 1.0, 2
+    N = 20_000
+    n_max, d_max, b_max, h_max = _FAMILY
     heads, n_heads, skip, support, weights, x, coord = _draw_trials(
-        np.random.default_rng(5), N, n_max, d_max, b_max, h_max)
+        np.random.default_rng(5), N)
     # the base point and the varying coordinate are nonzero inside the
     # trial's dimension d, and every coordinate beyond it is zero
     nonzero = support[:, 0, 0] != 0.0
@@ -435,8 +436,7 @@ def test_probe_equals_its_trial_in_the_batch():
     # _probe_trials draws them: 250, then 50
     n = 300   # seed 1 has 1 skipped trial among these
     rng = np.random.default_rng(1)
-    passes = [_draw_trials(rng, k, n_max=8, d_max=4, b_max=1.0, h_max=2)
-              for k in (250, 50)]
+    passes = [_draw_trials(rng, k) for k in (250, 50)]
     heads, n_heads, skip, support, weights, x, _ = (np.concatenate(p)
                                                     for p in zip(*passes))
     ratio, bound, skipped = _probe_trials(n, 1)

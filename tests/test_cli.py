@@ -451,6 +451,17 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
      {"student": {"d_model": 8.0}}),
     (["sweep", "--config", "{config}", "--out", "{out}"], {"n_list": [0, 4]}),
     (["sweep", "--n", "0,4", "--out", "{out}"], {}),
+    (["sweep", "--alpha", "1,1", "--n", "2,4", "--out", "{out}"], {}),
+    (["sweep", "--config", "{config}", "--out", "{out}"],
+     {"alpha_list": [1.0, 1.0]}),
+    (["gen", "--alpha", "0.5,2"], {}),
+    (["gen", "--config", "{config}"], {"alpha_list": [0.5, 2.0]}),
+    (["gen", "--clamp-eps", "inf"], {}),
+    (["train", "--lr0", "inf", "--out", "{out}"], {}),
+    (["train", "--noise-std", "inf", "--out", "{out}"], {}),
+    (["train", "--config", "{config}", "--out", "{out}"], {"train": {"beta1": 1.0}}),
+    (["train", "--config", "{config}", "--out", "{out}"], {"train": {"beta2": 2}}),
+    (["train", "--config", "{config}", "--out", "{out}"], {"train": {"eps": 0}}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -461,7 +472,11 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "sweep-n-tokens-fractional", "sweep-n-list-fractional",
         "sweep-train-epochs-fractional", "sweep-n-stat-examples-fractional",
         "sweep-M-float", "sweep-student-d-model-float",
-        "sweep-n-list-zero", "sweep-n-zero"])
+        "sweep-n-list-zero", "sweep-n-zero", "sweep-alpha-repeated",
+        "config-alpha-repeated", "gen-two-alphas", "config-gen-two-alphas",
+        "gen-clamp-eps-inf", "train-lr0-inf", "train-noise-std-inf",
+        "config-train-beta1-one", "config-train-beta2-two",
+        "config-train-eps-zero"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

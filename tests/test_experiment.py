@@ -96,6 +96,8 @@ def test_experiment_config_validation():
             ExperimentConfig(n_list=n_list)
     with pytest.raises(ValueError):
         ExperimentConfig(alpha_list=())
+    with pytest.raises(ValueError, match="repeats"):
+        ExperimentConfig(alpha_list=(1.0, 2.0, 1.0))
     with pytest.raises(ValueError):
         ExperimentConfig(M=20, T=32)
     with pytest.raises(ValueError):
@@ -111,7 +113,7 @@ def test_experiment_config_validation():
             ExperimentConfig(alpha_list=(1.0, alpha))
     with pytest.raises(ValueError):
         ExperimentConfig(M=0)
-    for eps in (0.0, -1e-6, math.nan):
+    for eps in (0.0, -1e-6, math.nan, math.inf):
         with pytest.raises(ValueError):
             ExperimentConfig(clamp_eps=eps)
     assert ExperimentConfig().train == TrainConfig()

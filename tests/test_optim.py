@@ -126,12 +126,19 @@ def test_adam_state_validation():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
-    for noise in (-0.1, float("nan")):
+    for noise in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             TrainConfig(noise_std=noise)
-    for lr0 in (0.0, -1e-3, float("nan")):
+    for lr0 in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             TrainConfig(lr0=lr0)
+    for beta in (-1.0, 1.0, 2.0, float("nan")):
+        for name in ("beta1", "beta2"):
+            with pytest.raises(ValueError, match=name):
+                TrainConfig(**{name: beta})
+    for eps in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eps"):
+            TrainConfig(eps=eps)
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):

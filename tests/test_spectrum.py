@@ -344,6 +344,32 @@ def test_isometry_map_round_trip():
     np.testing.assert_allclose(back, b, rtol=1e-12)
 
 
+def test_stacked_rows_are_bitwise_one_vector_calls():
+    # the per-row exponents include 0.5, 2 and -1, which numpy takes as
+    # sqrt, square and reciprocal when they come as a scalar
+    rng = np.random.default_rng(17)
+    a = np.concatenate([[0.0, 1.0, -1.0, 2.0, -2.0, -4.0],
+                        rng.uniform(-2.0, 2.0, 18)]).reshape(4, 6)
+    b_norm = rng.choice([-1.0, 0.0, 1.0], (4, 6))
+    c_norm = b_norm + 2.0 * np.concatenate(
+        [[0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0], rng.uniform(-1.0, 1.0, 17)]
+    ).reshape(4, 6)
+    for alpha in (0.5, 1.0, 2.0):
+        spec = make_spec(alpha=alpha)
+        b = rng.standard_normal((4, 6, spec.M))
+        b[..., 0] = 0.0
+        norms, shared = gen_norm_sq(spec, b, a), gen_norm_sq(spec, b, 1.0)
+        mapped = isometry_map(spec, b, b_norm, c_norm)
+        assert norms.shape == shared.shape == (4, 6)
+        for i, j in np.ndindex(4, 6):
+            one = gen_norm_sq(spec, b[i, j], float(a[i, j]))
+            assert isinstance(one, float) and norms[i, j] == one
+            assert shared[i, j] == gen_norm_sq(spec, b[i, j], 1.0)
+            np.testing.assert_array_equal(
+                mapped[i, j],
+                isometry_map(spec, b[i, j], float(b_norm[i, j]), float(c_norm[i, j])))
+
+
 # ------------------------------------------------------- truncation_bound
 
 def test_truncation_bound_frozen_value():
