@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import StudentConfig, StudentModel
 from .optim import Dataset, TrainConfig, train
-from .spectrum import MercerSpectrum, synth_density
+from .spectrum import MercerSpectrum, midpoint_grid, synth_density
 
 # Fixed stream labels for per-cell SeedSequence derivation.
 _STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP, _STREAM_SHUFFLE = range(5)
@@ -76,11 +76,14 @@ class ExperimentConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.clamp_eps < np.inf:
             raise ValueError(f"clamp_eps must be positive and finite, got {self.clamp_eps}")
+        if self.student.input_dim != 2:
+            raise ValueError("student.input_dim must be 2, the size of a token "
+                             f"(x, tag), got {self.student.input_dim}")
         for alpha in self.alpha_list:
             self.spectrum(alpha)  # MercerSpectrum checks alpha, M and T
 
     def spectrum(self, alpha: float) -> MercerSpectrum:
-        return MercerSpectrum.on_midpoint_grid(alpha=alpha, M=self.M, T=self.T)
+        return MercerSpectrum(alpha, self.M, self.T)
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,12 @@ def _targets(lam: np.ndarray, v1, z1: np.ndarray):
     return v1 * np.sum(lam[1:] * z1[..., 1:] ** 2, axis=-1)
 
 
-def _grid_atoms(spec: MercerSpectrum) -> np.ndarray:
-    """The 2T tokens (x, v) on spec's grid, tag -1 first; built once, read-only."""
-    atoms = spec.__dict__.get("_atoms")
-    if atoms is None:
-        grid = spec.domain_grid
-        atoms = np.column_stack([np.tile(grid, 2), np.repeat([-1.0, 1.0], grid.size)])
-        atoms.flags.writeable = False
-        object.__setattr__(spec, "_atoms", atoms)
+@functools.cache
+def _grid_atoms(T: int) -> np.ndarray:
+    """The 2T tokens (x, v) on midpoint_grid(T), tag -1 first; shared, read-only."""
+    grid = midpoint_grid(T)
+    atoms = np.column_stack([np.tile(grid, 2), np.repeat([-1.0, 1.0], T)])
+    atoms.flags.writeable = False
     return atoms
 
 
@@ -146,7 +147,7 @@ def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Exampl
     It is the one-row _gen_chunk.
     """
     counts, v1, z = _gen_chunk(spec, cfg, np.random.default_rng(rng_seed), 1)
-    return Example(_grid_atoms(spec), counts[0], np.array([0.0, v1[0]]),
+    return Example(_grid_atoms(spec.T), counts[0], np.array([0.0, v1[0]]),
                    target_value(spec, v1[0], z[0, 0]),
                    Hidden(z[0, 0], z[0, 1], float(v1[0])))
 
@@ -366,7 +367,7 @@ def _gen(cfg: ExperimentConfig, spec: MercerSpectrum, count: int,
     chunks = [_gen_chunk(spec, cfg, rng, min(_GEN_CHUNK, count - start))
               for start in range(0, count, _GEN_CHUNK)]
     counts, v1, z = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
-    return Dataset(_grid_atoms(spec), counts, np.column_stack([np.zeros(count), v1]),
+    return Dataset(_grid_atoms(spec.T), counts, np.column_stack([np.zeros(count), v1]),
                    _targets(spec.eigenvalues(), v1, z[:, 0]))
 
 
@@ -509,7 +510,8 @@ def _atomic_write(path: str, data: str) -> None:
 def _sweep_cell_worker(args) -> list[tuple[int, dict | None, str | None]]:
     """One (alpha, seed) row of a sweep: (n, payload, error) per pending n.
 
-    A cell that raises or whose val_mse is not finite gets its error text,
+    The payload is the cell's results; the sweep adds its key inputs.  A
+    cell that raises or whose val_mse is not finite gets its error text,
     and the row goes on to its next n.
     """
     cfg, alpha, seed, ns = args
@@ -529,7 +531,6 @@ def _sweep_cell_worker(args) -> list[tuple[int, dict | None, str | None]]:
             "val_mse": result.val_mse,
             "train_losses": list(result.train_losses),
             "attention_stats": result.stats.to_dict(),
-            "key_inputs": _cell_key(cfg, alpha, n, seed)[1],
         }, None))
     return cells
 
@@ -588,6 +589,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
                 if error is not None:
                     failures[cell] = error
                     continue
+                payload["key_inputs"] = key_pairs[cell][1]
                 path = os.path.join(out_dir, "cells", keyed[cell] + ".json")
                 _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
                 results[cell] = payload

@@ -84,15 +84,15 @@ def product_embed(mu0: DiscreteMeasure, v) -> DiscreteMeasure:
 
 @dataclass(frozen=True)
 class MixtureContext:
-    """I tagged content measures with mixture weights and a starred index.
+    """I tagged content measures, mixed uniformly, and a starred index.
 
-    tags are unit vectors with pairwise inner products <= 1e-12 (signed, so
-    the one-dimensional pair {+1, -1} qualifies).
+    The mixture is nu = I^-1 sum_i mu^(i).  tags are unit vectors with
+    pairwise inner products <= 1e-12 (signed, so the one-dimensional pair
+    {+1, -1} qualifies).
     """
 
     components: tuple[DiscreteMeasure, ...]
     tags: np.ndarray
-    mix_weights: np.ndarray
     star_index: int
 
     def __post_init__(self):
@@ -117,18 +117,11 @@ class MixtureContext:
                 "tag separation violated: pairwise inner products must be <= "
                 f"{TAG_DOT_TOL}, worst {off.max()!r}"
             )
-        w = np.asarray(self.mix_weights, dtype=np.float64)
-        if w.shape != (len(comps),):
-            raise ValueError("mix_weights must have one entry per component")
-        if np.any(w < 0.0) or abs(w.sum() - 1.0) > WEIGHT_TOL:
-            raise ValueError("mix_weights must be a probability vector")
         if not 0 <= self.star_index < len(comps):
             raise ValueError(f"star_index {self.star_index} out of range")
         tags.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "tags", tags)
-        object.__setattr__(self, "mix_weights", w)
 
     @property
     def n_components(self) -> int:
@@ -149,20 +142,20 @@ def build_mixture(components, tags, star_index: int
 
     The query is the starred tag padded with zeros on the content block.
     """
-    I = len(components)
-    ctx = MixtureContext(tuple(components), tags, np.full(I, 1.0 / I),
-                         star_index)
+    ctx = MixtureContext(tuple(components), tags, star_index)
     query = np.concatenate([ctx.tags[star_index],
                             np.zeros(ctx.content_dim)])
     return ctx, query
 
 
 def flatten(ctx: MixtureContext) -> DiscreteMeasure:
-    """The mixture as one measure on R^{d1+d2}, tags prepended."""
+    """The mixture as one measure on R^{d1+d2}, tags prepended.
+
+    Each component carries mass 1/I.
+    """
     parts = [product_embed(c, ctx.tags[i]) for i, c in enumerate(ctx.components)]
     support = np.vstack([p.support for p in parts])
-    weights = np.concatenate(
-        [ctx.mix_weights[i] * p.weights for i, p in enumerate(parts)])
+    weights = np.concatenate([(1.0 / ctx.n_components) * p.weights for p in parts])
     return DiscreteMeasure(support, weights)
 
 

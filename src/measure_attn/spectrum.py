@@ -6,14 +6,14 @@ eigenfunctions e_0 = 1 and e_j(x) = sqrt(2) * sin(pi * j * x).  Mode 0 is a
 bookkeeping slot only: coefficient vectors carry it pinned to zero and every
 norm, isometry and truncation statement here quantifies over modes j >= 1.
 
-Densities are represented as probability mass functions on a fixed evaluation
-grid, obtained by clamping the truncated expansion at a small floor and
-renormalizing.
+Densities are represented as probability mass functions on the midpoint grid
+of T points, obtained by clamping the truncated expansion at a small floor
+and renormalizing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,44 +38,31 @@ class MercerSpectrum:
     ----------
     alpha : decay exponent, lambda_j = exp(-c * j**alpha) for j >= 1.
     M : number of retained modes (indices 0..M-1).
-    domain_grid : strictly increasing evaluation points in [0, 1], length >= M.
+    T : size of the evaluation grid, midpoint_grid(T); T >= M.
     c : decay rate constant, default 1.
+
+    A spectrum is its four values: the grid is derived from T, so equality
+    and hashing go by (alpha, M, T, c).
     """
 
     alpha: float
     M: int
-    domain_grid: np.ndarray
+    T: int
     c: float = 1.0
+    domain_grid: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.c < np.inf:
+            raise ValueError(f"c must be positive and finite, got {self.c}")
         if self.M < 1:
             raise ValueError(f"M must be >= 1, got {self.M}")
-        grid = np.asarray(self.domain_grid, dtype=np.float64)
-        if grid.ndim != 1:
-            raise ValueError("domain_grid must be one-dimensional")
-        if grid.size < self.M:
-            raise ValueError(
-                f"grid length {grid.size} shorter than mode count M={self.M}"
-            )
-        if np.any(grid < 0.0) or np.any(grid > 1.0):
-            raise ValueError("domain_grid must lie in [0, 1]")
-        if np.any(np.diff(grid) <= 0.0):
-            raise ValueError("domain_grid must be strictly increasing")
+        if self.T < self.M:
+            raise ValueError(f"grid size T={self.T} smaller than mode count M={self.M}")
+        grid = midpoint_grid(self.T)
         grid.flags.writeable = False
         object.__setattr__(self, "domain_grid", grid)
-
-    @classmethod
-    def on_midpoint_grid(cls, alpha: float, M: int, T: int, c: float = 1.0
-                         ) -> "MercerSpectrum":
-        return cls(alpha=alpha, M=M, domain_grid=midpoint_grid(T), c=c)
-
-    @property
-    def T(self) -> int:
-        return self.domain_grid.size
 
     def eigenvalue(self, j: int) -> float:
         """lambda_j = exp(-c * j**alpha); lambda_0 = 1 by convention."""
@@ -121,8 +108,7 @@ class MercerSpectrum:
         return B
 
 
-def synth_density(spec: MercerSpectrum, z, clamp_eps: float = 1e-6
-                  ) -> np.ndarray:
+def synth_density(spec: MercerSpectrum, z, clamp_eps: float) -> np.ndarray:
     """Probability mass function of the clamped truncated expansion.
 
     Evaluates mu~(x_t) = sum_j lambda_j * z_j * e_j(x_t) on the grid, floors

@@ -59,7 +59,7 @@ def suite_orthonormality(fault: str | None = None) -> SuiteResult:
     t0 = time.perf_counter()
     checks = []
     for M, T in ((16, 32), (8, 64), (5, 10)):
-        spec = spectrum.MercerSpectrum.on_midpoint_grid(1.0, M, T)
+        spec = spectrum.MercerSpectrum(1.0, M, T)
         B = spec.basis_matrix()
         if fault == "orthonormality":
             B = B * (1.0 + 1e-6)
@@ -79,7 +79,7 @@ def suite_isometry(fault: str | None = None) -> SuiteResult:
     checks = []
     rng = np.random.default_rng(2024)
     for alpha in (0.5, 1.0, 2.0):
-        spec = spectrum.MercerSpectrum.on_midpoint_grid(alpha, 16, 32)
+        spec = spectrum.MercerSpectrum(alpha, 16, 32)
         b = rng.standard_normal((_ISOMETRY_DRAWS, spec.M))
         b[:, 0] = 0.0
         b_norm, c_norm = rng.uniform(-2, 2, (2, _ISOMETRY_DRAWS))
@@ -108,7 +108,7 @@ def suite_truncation(fault: str | None = None) -> SuiteResult:
     rng = np.random.default_rng(7)
     gamma_f, gamma_b = -1.0, 1.0
     for alpha in (0.5, 1.0, 2.0):
-        spec = spectrum.MercerSpectrum.on_midpoint_grid(alpha, 16, 32)
+        spec = spectrum.MercerSpectrum(alpha, 16, 32)
         lam = spec.eigenvalues()
         for D in (2, 4, 8):
             bound = spectrum.truncation_bound(spec, D, gamma_f, gamma_b)
@@ -164,7 +164,7 @@ def suite_recall(fault: str | None = None) -> SuiteResult:
     rng = np.random.default_rng(11)
     eps2 = 1e-4
     D = 8
-    spec = spectrum.MercerSpectrum.on_midpoint_grid(1.0, 16, 32)
+    spec = spectrum.MercerSpectrum(1.0, 16, 32)
     for I in (2, 4):
         ctx, featured, query, params, d1 = _recall_setup(spec, I, D, eps2, rng)
         out = attention.measure_attention(params, featured, query)

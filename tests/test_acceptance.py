@@ -46,7 +46,7 @@ CFG = replace(ExperimentConfig(), alpha_list=(1.0,), n_list=(4, 64),
 
 def recall_instance(I, D, c, rng):
     """Orthogonal-tag scalar-content mixture plus its featured flattening."""
-    spec = MercerSpectrum.on_midpoint_grid(1.0, 16, 32)
+    spec = MercerSpectrum(1.0, 16, 32)
     comps = []
     for _ in range(I):
         n = int(rng.integers(3, 7))

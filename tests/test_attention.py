@@ -242,7 +242,7 @@ def test_build_recall_params_structure_and_class_bounds():
 
 def make_recall_instance(I, D, c, rng):
     """Orthogonal-tag scalar-content mixture with its featured flattening."""
-    spec = MercerSpectrum.on_midpoint_grid(1.0, 16, 32)
+    spec = MercerSpectrum(1.0, 16, 32)
     comps = []
     for _ in range(I):
         n = int(rng.integers(3, 7))

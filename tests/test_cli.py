@@ -462,6 +462,15 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
     (["train", "--config", "{config}", "--out", "{out}"], {"train": {"beta1": 1.0}}),
     (["train", "--config", "{config}", "--out", "{out}"], {"train": {"beta2": 2}}),
     (["train", "--config", "{config}", "--out", "{out}"], {"train": {"eps": 0}}),
+    (["sweep", "--alpha", "inf", "--n", "2,4", "--out", "{out}"], {}),
+    (["gen", "--alpha", "inf"], {}),
+    (["sweep", "--config", "{config}", "--out", "{out}"],
+     {"alpha_list": [float("inf")]}),
+    (["gen", "--config", "{config}"], {"student": {"input_dim": 3}}),
+    (["train", "--config", "{config}", "--out", "{out}"],
+     {"student": {"input_dim": 3}}),
+    (["sweep", "--config", "{config}", "--out", "{out}"],
+     {"student": {"input_dim": 3}}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -476,7 +485,9 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "config-alpha-repeated", "gen-two-alphas", "config-gen-two-alphas",
         "gen-clamp-eps-inf", "train-lr0-inf", "train-noise-std-inf",
         "config-train-beta1-one", "config-train-beta2-two",
-        "config-train-eps-zero"])
+        "config-train-eps-zero", "sweep-alpha-inf", "gen-alpha-inf",
+        "config-sweep-alpha-inf", "config-gen-input-dim-3",
+        "config-train-input-dim-3", "config-sweep-input-dim-3"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -39,7 +39,8 @@ from measure_attn import (
 )
 from measure_attn.experiment import (_CHUNK, _GEN_CHUNK, _STREAM_LOOP, _STREAM_VAL,
                                      _atomic_write, _cell_key, _cell_seedseq, _gen,
-                                     _gen_chunk, _inverse_cdf, _targets, _validate)
+                                     _gen_chunk, _grid_atoms, _inverse_cdf, _targets,
+                                     _validate)
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -631,6 +632,22 @@ def test_gen_example_counts_its_tokens_on_shared_atoms():
                                       by_tag_then_x)
     assert a.atoms is b.atoms and a.atoms.shape == (2 * SMALL.T, 2)
     assert not a.atoms.flags.writeable
+
+
+def test_grid_atoms_are_one_shared_array_per_T():
+    for T in (1, 8, 32):
+        atoms = _grid_atoms(T)
+        assert atoms is _grid_atoms(T) and not atoms.flags.writeable
+        x = (np.arange(1, T + 1) - 0.5) / T   # the midpoint grid, written out
+        np.testing.assert_array_equal(atoms[:T], np.column_stack([x, -np.ones(T)]))
+        np.testing.assert_array_equal(atoms[T:], np.column_stack([x, np.ones(T)]))
+    assert _grid_atoms(8) is not _grid_atoms(32)
+    # a spectrum holds its grid and its own caches, and nothing else
+    spec = SMALL.spectrum(1.0)
+    ex = gen_example(spec, SMALL, 5)
+    assert ex.atoms is _grid_atoms(SMALL.T)
+    assert set(vars(spec)) == {"alpha", "M", "T", "c", "domain_grid",
+                               "_eigenvalues", "_basis"}
 
 
 def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):

@@ -122,7 +122,6 @@ def test_build_mixture_two_components_signed_tags():
     comps = [DiscreteMeasure.dirac(0.3), DiscreteMeasure.dirac(0.8)]
     ctx, query = build_mixture(comps, np.array([[1.0], [-1.0]]), star_index=0)
     assert ctx.n_components == 2
-    np.testing.assert_array_equal(ctx.mix_weights, [0.5, 0.5])
     np.testing.assert_array_equal(query, [1.0, 0.0])
     _, query2 = build_mixture(comps, np.array([[1.0], [-1.0]]), star_index=1)
     np.testing.assert_array_equal(query2, [-1.0, 0.0])
@@ -131,7 +130,6 @@ def test_build_mixture_two_components_signed_tags():
 def test_build_mixture_single_component():
     ctx, query = build_mixture([DiscreteMeasure.dirac(0.5)],
                                np.array([[1.0]]), star_index=0)
-    np.testing.assert_array_equal(ctx.mix_weights, [1.0])
     np.testing.assert_array_equal(query, [1.0, 0.0])
 
 
@@ -151,28 +149,36 @@ def test_mixture_context_rejects_mismatched_components():
     a = DiscreteMeasure.dirac(0.3)
     b = DiscreteMeasure.dirac([0.1, 0.2])
     with pytest.raises(ValueError):
-        MixtureContext((a, b), np.array([[1.0], [-1.0]]),
-                       np.array([0.5, 0.5]), 0)
-    with pytest.raises(ValueError):
-        MixtureContext((a, a), np.array([[1.0], [-1.0]]),
-                       np.array([0.4, 0.4]), 0)  # mix weights sum 0.8
+        MixtureContext((a, b), np.array([[1.0], [-1.0]]), 0)
 
 
 def test_flatten_total_weight_and_layout():
     rng = np.random.default_rng(4)
     comps = [random_measure(rng, 3, 0.0, 1.0), random_measure(rng, 2, 0.0, 1.0)]
-    ctx = MixtureContext(tuple(comps), np.array([[1.0], [-1.0]]),
-                         np.array([0.3, 0.7]), 0)
+    ctx = MixtureContext(tuple(comps), np.array([[1.0], [-1.0]]), 0)
     flat = flatten(ctx)
     assert flat.n_points == 5
     assert flat.weights.sum() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(flat.support[:3, 0], np.ones(3))
     np.testing.assert_array_equal(flat.support[3:, 0], -np.ones(2))
     np.testing.assert_array_equal(flat.support[:3, 1], comps[0].support[:, 0])
-    np.testing.assert_allclose(flat.weights[:3], 0.3 * comps[0].weights,
+    np.testing.assert_allclose(flat.weights[:3], 0.5 * comps[0].weights,
                                rtol=1e-15)
-    np.testing.assert_allclose(flat.weights[3:], 0.7 * comps[1].weights,
+    np.testing.assert_allclose(flat.weights[3:], 0.5 * comps[1].weights,
                                rtol=1e-15)
+
+
+@pytest.mark.parametrize("I", [1, 2, 3, 7])
+def test_flatten_weights_each_component_by_one_over_I(I):
+    # bitwise the weights that a mixture-weight vector np.full(I, 1.0 / I) gave
+    rng = np.random.default_rng(40 + I)
+    comps = [random_measure(rng, int(rng.integers(1, 6)), 0.0, 1.0)
+             for _ in range(I)]
+    ctx, _ = build_mixture(comps, np.eye(I), star_index=0)
+    uniform = np.full(I, 1.0 / I)
+    np.testing.assert_array_equal(
+        flatten(ctx).weights,
+        np.concatenate([uniform[i] * c.weights for i, c in enumerate(comps)]))
 
 
 # -------------------------------------------------------------------- W1

@@ -24,7 +24,7 @@ from measure_attn import (
 
 
 def make_spec(alpha=1.0, M=16, T=32, c=1.0):
-    return MercerSpectrum.on_midpoint_grid(alpha=alpha, M=M, T=T, c=c)
+    return MercerSpectrum(alpha=alpha, M=M, T=T, c=c)
 
 
 # ----------------------------------------------------------------- grid
@@ -155,7 +155,7 @@ def test_constant_mode_unit_norm_but_not_orthogonal_to_odd_sines():
 
 def test_synth_density_zero_coefficients_is_uniform():
     spec = make_spec()
-    p = synth_density(spec, np.zeros(spec.M))
+    p = synth_density(spec, np.zeros(spec.M), 1e-6)
     np.testing.assert_allclose(p, np.full(spec.T, 1.0 / spec.T), atol=1e-15)
 
 
@@ -232,7 +232,7 @@ def test_synth_density_rows_match_single_calls(alpha):
     np.testing.assert_allclose(p[2, 1], np.full(spec.T, 1.0 / spec.T), rtol=1e-14)
     z[3, 2, 0] = 0.5  # one row with a mode-0 coefficient rejects the stack
     with pytest.raises(ValueError, match="mode-0"):
-        synth_density(spec, z)
+        synth_density(spec, z, 1e-6)
 
 
 def test_synth_density_rejects_bad_coefficients():
@@ -240,9 +240,9 @@ def test_synth_density_rejects_bad_coefficients():
     z = np.zeros(spec.M)
     z[0] = 0.5
     with pytest.raises(ValueError):
-        synth_density(spec, z)
+        synth_density(spec, z, 1e-6)
     with pytest.raises(ValueError):
-        synth_density(spec, np.zeros(spec.M - 1))
+        synth_density(spec, np.zeros(spec.M - 1), 1e-6)
     with pytest.raises(ValueError):
         synth_density(spec, np.zeros(spec.M), clamp_eps=0.0)
 
@@ -418,17 +418,28 @@ def test_truncation_bound_validates_arguments():
 
 def test_spectrum_constructor_validation():
     with pytest.raises(ValueError):
-        MercerSpectrum.on_midpoint_grid(alpha=0.0, M=4, T=8)
+        MercerSpectrum(alpha=0.0, M=4, T=8)
     with pytest.raises(ValueError):
-        MercerSpectrum.on_midpoint_grid(alpha=1.0, M=0, T=8)
+        MercerSpectrum(alpha=1.0, M=0, T=8)
     with pytest.raises(ValueError):
-        MercerSpectrum.on_midpoint_grid(alpha=1.0, M=9, T=8)  # grid too short
+        MercerSpectrum(alpha=1.0, M=9, T=8)  # grid too short
     with pytest.raises(ValueError):
-        MercerSpectrum.on_midpoint_grid(alpha=1.0, M=4, T=8, c=-1.0)
-    with pytest.raises(ValueError):
-        MercerSpectrum(alpha=1.0, M=2, domain_grid=np.array([0.5, 0.2]))
-    with pytest.raises(ValueError):
-        MercerSpectrum(alpha=1.0, M=2, domain_grid=np.array([0.5, 1.2]))
+        MercerSpectrum(alpha=1.0, M=4, T=8, c=-1.0)
+    # alpha = inf would leave the degenerate lambda = 1, e^-1, 0, 0, ...
+    for alpha, c in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                     (1.0, math.nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            MercerSpectrum(alpha=alpha, M=4, T=8, c=c)
+
+
+def test_spectrum_equality_and_hash_go_by_its_four_values():
+    a, b = MercerSpectrum(1.0, 16, 32), MercerSpectrum(1.0, 16, 32)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    np.testing.assert_array_equal(a.domain_grid, midpoint_grid(32))
+    for other in (MercerSpectrum(2.0, 16, 32), MercerSpectrum(1.0, 8, 32),
+                  MercerSpectrum(1.0, 16, 64), MercerSpectrum(1.0, 16, 32, c=2.5)):
+        assert a != other and len({a, other}) == 2
 
 
 def test_spectrum_grid_is_immutable():
