@@ -3,7 +3,7 @@
 The package has three layers:
 
 * measure plumbing: a Mercer-style spectrum on [0, 1], discrete measures,
-  pushforwards, mixtures, and 1-d Wasserstein distance;
+  tagged mixtures, and 1-d Wasserstein distance;
 * attention: integral-form softmax attention over a discrete measure, the
   explicit associative-recall construction, and a Lipschitz probe with an
   explicit constant;
@@ -24,7 +24,7 @@ from .experiment import (AttentionStats, CellResult, Example,
                          query_shuffle_eval, run_cell, scaling_axis, sweep,
                          target_value)
 from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
-                       flatten, product_embed, pushforward, wasserstein1_1d)
+                       flatten, wasserstein1_1d)
 from .model import ModelCache, StudentConfig, StudentModel
 from .optim import AdamState, Dataset, TrainConfig, adam_step, train
 from .spectrum import (MercerSpectrum, gen_norm_sq, isometry_map,
@@ -41,8 +41,7 @@ __all__ = [
     "attention_mass_stats", "build_mixture",
     "build_recall_params", "featured_mixture",
     "fit_rate", "flatten", "gen_example", "gen_norm_sq", "isometry_map",
-    "lipschitz_probe", "measure_attention", "midpoint_grid",
-    "product_embed", "pushforward", "query_shuffle_eval",
+    "lipschitz_probe", "measure_attention", "midpoint_grid", "query_shuffle_eval",
     "random_lipschitz_trials", "recall_feature_map", "run_cell",
     "scaling_axis", "softmax_weights", "sweep",
     "synth_density", "target_value", "temperature_for_error", "train",

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import (DiscreteMeasure, MixtureContext, _w1_line, flatten,
-                       pushforward, wasserstein1_1d)
+                       wasserstein1_1d)
 from .spectrum import MercerSpectrum
 
 
@@ -240,6 +240,7 @@ def recall_feature_map(spec: MercerSpectrum, d1: int, D: int
                        ) -> Callable[[np.ndarray], np.ndarray]:
     """Map (tag || z) -> (tag || z || e_1(z)..e_D(z)) for scalar content.
 
+    The map takes rows (..., d1 + 1) and returns rows (..., d1 + 1 + D).
     The features are exact basis evaluations, so the feature block of a
     token carries the integrands whose mixture averages the recall
     construction extracts.
@@ -247,13 +248,14 @@ def recall_feature_map(spec: MercerSpectrum, d1: int, D: int
     if D >= spec.M:
         raise ValueError(f"D={D} features need modes 1..{D} but M={spec.M}")
 
-    def fmap(point: np.ndarray) -> np.ndarray:
-        point = np.asarray(point, dtype=np.float64)
-        if point.shape != (d1 + 1,):
-            raise ValueError(f"expected (tag || scalar content), got shape {point.shape}")
-        z = point[d1]
-        feats = np.array([spec.basis_eval(j, z) for j in range(1, D + 1)])
-        return np.concatenate([point, feats])
+    def fmap(points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=np.float64)
+        if points.ndim < 1 or points.shape[-1] != d1 + 1:
+            raise ValueError(f"expected (tag || scalar content), got shape {points.shape}")
+        feats = np.empty(points.shape[:-1] + (D,))   # D = 0 appends nothing
+        for j in range(1, D + 1):
+            feats[..., j - 1] = spec.basis_eval(j, points[..., d1])
+        return np.concatenate([points, feats], axis=-1)
 
     return fmap
 
@@ -263,7 +265,9 @@ def featured_mixture(spec: MercerSpectrum, ctx: MixtureContext, D: int
     """Flatten a scalar-content mixture and append its exact basis features."""
     if ctx.content_dim != 1:
         raise ValueError("feature mapping requires scalar content")
-    return pushforward(flatten(ctx), recall_feature_map(spec, ctx.tag_dim, D))
+    flat = flatten(ctx)
+    return DiscreteMeasure(recall_feature_map(spec, ctx.tag_dim, D)(flat.support),
+                           flat.weights)
 
 
 @dataclass(frozen=True)

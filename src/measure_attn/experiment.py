@@ -242,10 +242,6 @@ class AttentionStats:
             "w_same_mean", "w_diff_mean", "w_same_std", "w_diff_std",
             "m_same_mean", "m_diff_mean", "m_same_std", "m_diff_std")}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AttentionStats":
-        return cls(**{k: np.asarray(v, dtype=np.float64) for k, v in d.items()})
-
 
 # validation examples per batched pass: bounds peak memory, not an option
 _CHUNK = 64
@@ -616,13 +612,13 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
                 "w_same_std", "w_diff_std", "m_same_mean", "m_diff_mean"])
     for alpha in cfg.alpha_list:
         for n in cfg.n_list:
-            per_seed = [AttentionStats.from_dict(results[(alpha, n, s)]["attention_stats"])
+            per_seed = [results[(alpha, n, s)]["attention_stats"]
                         for s in range(cfg.seeds) if (alpha, n, s) in results]
             if not per_seed:
                 continue
-            for h in range(per_seed[0].n_heads):
-                def agg(attr):
-                    return _fmt(np.mean([getattr(st, attr)[h] for st in per_seed]))
+            for h in range(len(per_seed[0]["w_same_mean"])):
+                def agg(key):
+                    return _fmt(np.mean([st[key][h] for st in per_seed]))
                 w.writerow([_fmt(alpha), n, h,
                             agg("w_same_mean"), agg("w_diff_mean"),
                             agg("w_same_std"), agg("w_diff_std"),

@@ -66,21 +66,6 @@ class DiscreteMeasure:
         n = pts.shape[0]
         return cls(pts, np.full(n, 1.0 / n))
 
-def pushforward(mu: DiscreteMeasure, f) -> DiscreteMeasure:
-    """Image measure under a pointwise map; weights ride along unchanged.
-
-    Duplicate images are kept as repeated support points, not merged.
-    """
-    rows = [np.atleast_1d(np.asarray(f(p), dtype=np.float64)) for p in mu.support]
-    return DiscreteMeasure(np.stack(rows), mu.weights)
-
-
-def product_embed(mu0: DiscreteMeasure, v) -> DiscreteMeasure:
-    """delta_v tensor mu0: prepend the tag v to every support point."""
-    v = np.atleast_1d(np.asarray(v, dtype=np.float64))
-    tiled = np.broadcast_to(v, (mu0.n_points, v.size))
-    return DiscreteMeasure(np.hstack([tiled, mu0.support]), mu0.weights)
-
 
 @dataclass(frozen=True)
 class MixtureContext:
@@ -153,9 +138,10 @@ def flatten(ctx: MixtureContext) -> DiscreteMeasure:
 
     Each component carries mass 1/I.
     """
-    parts = [product_embed(c, ctx.tags[i]) for i, c in enumerate(ctx.components)]
-    support = np.vstack([p.support for p in parts])
-    weights = np.concatenate([(1.0 / ctx.n_components) * p.weights for p in parts])
+    comps = ctx.components
+    tags = np.repeat(ctx.tags, [c.n_points for c in comps], axis=0)
+    support = np.hstack([tags, np.vstack([c.support for c in comps])])
+    weights = np.concatenate([(1.0 / ctx.n_components) * c.weights for c in comps])
     return DiscreteMeasure(support, weights)
 
 

@@ -40,7 +40,7 @@ class StudentConfig:
     def __post_init__(self):
         for name in ("d_model", "d_hidden", "n_heads", "input_dim"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(

@@ -40,11 +40,10 @@ class TrainConfig:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if not isinstance(self.epochs, int) or self.epochs < 0:
-            raise ValueError(f"epochs must be an integer >= 0, got {self.epochs!r}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be an integer >= 1, got {self.batch_size!r}")
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)   # bool subclasses int: True would pass as 1
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name, ok, rule in (
                 ("lr0", 0 < self.lr0 < np.inf, "positive and finite"),
                 ("decay_per_epoch", 0 < self.decay_per_epoch <= 1, "in (0, 1]"),

@@ -312,6 +312,51 @@ def test_recall_skip_passes_query_through():
     np.testing.assert_allclose(out[:I + 1], q_feat[:I + 1], rtol=1e-12)
 
 
+@pytest.mark.parametrize("d1", [1, 3])
+def test_recall_feature_map_takes_rows(d1):
+    # a stack of rows (N, d1 + 1) maps bitwise as each row does alone
+    spec = MercerSpectrum(1.0, 16, 32)
+    D = 9
+    rng = np.random.default_rng(20 + d1)
+    rows = rng.uniform(0.0, 1.0, (12, d1 + 1))
+    rows[0, d1], rows[1, d1] = 0.0, 1.0
+    fmap = recall_feature_map(spec, d1, D)
+    out = fmap(rows)
+    assert out.shape == (12, d1 + 1 + D)
+    np.testing.assert_array_equal(out, np.stack([fmap(r) for r in rows]))
+    np.testing.assert_array_equal(out[:, :d1 + 1], rows)
+    np.testing.assert_array_equal(recall_feature_map(spec, d1, 0)(rows), rows)
+    for bad in (rows[:, :d1], np.hstack([rows, rows[:, :1]])):
+        with pytest.raises(ValueError, match="expected"):
+            fmap(bad)
+    outside = rows.copy()
+    outside[3, d1] = 1.5
+    with pytest.raises(ValueError, match="outside"):
+        fmap(outside)
+    with pytest.raises(ValueError, match="modes"):
+        recall_feature_map(spec, d1, spec.M)
+
+
+def test_featured_mixture_is_the_written_out_construction():
+    # tag row, content, then e_1(content)..e_D(content); each component's
+    # weights times 1/I
+    spec = MercerSpectrum(1.0, 16, 32)
+    D = 5
+    rng = np.random.default_rng(23)
+    comps = [DiscreteMeasure(rng.uniform(0.0, 1.0, n), rng.dirichlet(np.ones(n)))
+             for n in (3, 1, 4)]
+    ctx, _ = build_mixture(comps, np.eye(3), star_index=1)
+    featured = featured_mixture(spec, ctx, D)
+    rows = [[*tag, z, *(spec.basis_eval(j, z) for j in range(1, D + 1))]
+            for tag, c in zip(np.eye(3), comps) for z in c.support[:, 0]]
+    np.testing.assert_array_equal(featured.support, np.array(rows))
+    np.testing.assert_array_equal(
+        featured.weights, np.concatenate([(1.0 / 3) * c.weights for c in comps]))
+    ctx2, _ = build_mixture([DiscreteMeasure.dirac([0.2, 0.3])], np.eye(1), 0)
+    with pytest.raises(ValueError, match="scalar content"):
+        featured_mixture(spec, ctx2, D)
+
+
 # -------------------------------------------------------- Lipschitz probe
 
 def test_probe_skips_identical_inputs():

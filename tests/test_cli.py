@@ -1,6 +1,6 @@
 """Command-line interface: exit codes, config precedence, environment seed
 override, and the artifact layout written by train/sweep/analyze.  Everything
-runs in-process through main(argv).
+runs in-process through main(argv).  Also the package's exported names.
 """
 
 import json
@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import measure_attn
 from measure_attn import StudentModel, scaling_axis
 from measure_attn.cli import ENV_SEED, main
 
@@ -28,6 +29,12 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_every_exported_name_is_defined():
+    missing = [name for name in measure_attn.__all__
+               if not hasattr(measure_attn, name)]
+    assert missing == []
 
 
 # ----------------------------------------------------------------- verify
@@ -471,6 +478,12 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
      {"student": {"input_dim": 3}}),
     (["sweep", "--config", "{config}", "--out", "{out}"],
      {"student": {"input_dim": 3}}),
+    (["train", "--config", "{config}", "--out", "{out}"],
+     {"student": {"n_heads": True}}),
+    (["train", "--config", "{config}", "--out", "{out}"],
+     {"train": {"epochs": True}}),
+    (["sweep", "--config", "{config}", "--out", "{out}"],
+     {"train": {"epochs": True}}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -487,7 +500,9 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "config-train-beta1-one", "config-train-beta2-two",
         "config-train-eps-zero", "sweep-alpha-inf", "gen-alpha-inf",
         "config-sweep-alpha-inf", "config-gen-input-dim-3",
-        "config-train-input-dim-3", "config-sweep-input-dim-3"])
+        "config-train-input-dim-3", "config-sweep-input-dim-3",
+        "config-train-n-heads-bool", "config-train-epochs-bool",
+        "config-sweep-epochs-bool"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -17,8 +17,6 @@ from measure_attn import (
     build_mixture,
     flatten,
     gen_example,
-    product_embed,
-    pushforward,
     synth_density,
     wasserstein1_1d,
 )
@@ -61,59 +59,6 @@ def test_measure_arrays_are_immutable():
         mu.support[0, 0] = 0.9
     with pytest.raises(ValueError):
         mu.weights[0] = 0.9
-
-
-# ------------------------------------------------------------ pushforward
-
-def test_pushforward_identity():
-    mu = random_measure(np.random.default_rng(1), 4)
-    out = pushforward(mu, lambda p: p)
-    np.testing.assert_array_equal(out.support, mu.support)
-    np.testing.assert_array_equal(out.weights, mu.weights)
-
-
-def test_pushforward_feature_map_matches_direct_computation():
-    mu = DiscreteMeasure(np.array([0.2, 0.5, 0.9]), np.array([0.5, 0.3, 0.2]))
-    out = pushforward(mu, lambda p: np.array([p[0], p[0] ** 2]))
-    np.testing.assert_array_equal(out.support[:, 0], mu.support[:, 0])
-    np.testing.assert_array_equal(out.support[:, 1], mu.support[:, 0] ** 2)
-    np.testing.assert_array_equal(out.weights, mu.weights)
-
-
-def test_pushforward_linear_map_commutes_with_mean():
-    # for linear f, mean of f_# mu equals f(mean of mu)
-    rng = np.random.default_rng(2)
-    mu = DiscreteMeasure(rng.uniform(-1, 1, (6, 3)), rng.dirichlet(np.ones(6)))
-    A = rng.standard_normal((2, 3))
-    out = pushforward(mu, lambda p: A @ p)
-    np.testing.assert_allclose(out.weights @ out.support,
-                               A @ (mu.weights @ mu.support), rtol=1e-12)
-
-
-def test_pushforward_keeps_duplicate_images():
-    mu = DiscreteMeasure(np.array([0.1, 0.9]), np.array([0.3, 0.7]))
-    out = pushforward(mu, lambda p: np.array([0.0]))
-    assert out.n_points == 2  # not merged
-    np.testing.assert_array_equal(out.weights, mu.weights)
-
-
-# ---------------------------------------------------------- product_embed
-
-def test_product_embed_dirac():
-    out = product_embed(DiscreteMeasure.dirac(0.0), np.array([1.0, 0.0]))
-    np.testing.assert_array_equal(out.support, [[1.0, 0.0, 0.0]])
-    np.testing.assert_array_equal(out.weights, [1.0])
-
-
-def test_product_embed_prepends_tag_and_keeps_weights():
-    rng = np.random.default_rng(3)
-    mu = random_measure(rng, 5)
-    v = np.array([0.6, -0.8])
-    out = product_embed(mu, v)
-    assert out.dim == mu.dim + 2
-    np.testing.assert_array_equal(out.support[:, :2], np.tile(v, (5, 1)))
-    np.testing.assert_array_equal(out.support[:, 2:], mu.support)
-    np.testing.assert_array_equal(out.weights, mu.weights)
 
 
 # ---------------------------------------------------- mixtures and tokens
@@ -166,6 +111,15 @@ def test_flatten_total_weight_and_layout():
                                rtol=1e-15)
     np.testing.assert_allclose(flat.weights[3:], 0.5 * comps[1].weights,
                                rtol=1e-15)
+    # one-hot vector tags: each component's tag row prepended, content kept
+    comps = [random_measure(rng, n) for n in (1, 4, 2)]
+    flat = flatten(MixtureContext(tuple(comps), np.eye(3), 2))
+    assert flat.dim == 4
+    np.testing.assert_array_equal(flat.support[:, :3], np.eye(3)[[0, 1, 1, 1, 1, 2, 2]])
+    np.testing.assert_array_equal(flat.support[:, 3:],
+                                  np.vstack([c.support for c in comps]))
+    np.testing.assert_array_equal(
+        flat.weights, np.concatenate([(1.0 / 3) * c.weights for c in comps]))
 
 
 @pytest.mark.parametrize("I", [1, 2, 3, 7])
