@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from . import model as student
 from .model import StudentConfig, StudentModel
 from .optim import Dataset, TrainConfig, train
 from .spectrum import MercerSpectrum, midpoint_grid, synth_density
@@ -52,6 +53,8 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
+        if any(isinstance(a, bool) for a in self.alpha_list):   # float(True) is 1.0
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha_list}")
         object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
         if len(self.alpha_list) == 0:
             raise ValueError("alpha_list is empty")
@@ -74,7 +77,7 @@ class ExperimentConfig:
                 "seeds, n_tokens, n_list, n_val and n_stat_examples must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0 < self.clamp_eps < np.inf:
+        if isinstance(self.clamp_eps, bool) or not 0 < self.clamp_eps < np.inf:
             raise ValueError(f"clamp_eps must be positive and finite, got {self.clamp_eps}")
         if self.student.input_dim != 2:
             raise ValueError("student.input_dim must be 2, the size of a token "
@@ -274,21 +277,21 @@ def _validate(model: StudentModel, data: Dataset, n_stat: int = 0
               ) -> tuple[float, AttentionStats | None]:
     """Clean MSE over data, and attention stats over its first n_stat rows.
 
-    Each slice of _CHUNK rows is one batched pass over their counts.  For the
-    first n_stat rows the attention is reduced to per-head masses on the
-    context tokens whose tag equals the query's and on the rest; a context
-    with an empty side counts only on the other side.  Stats are None when
-    n_stat is 0.
+    Each slice of _CHUNK rows is one batched pass of the student's forward
+    arithmetic over their counts, as training runs it.  For the first n_stat
+    rows the attention is reduced to per-head masses on the context tokens
+    whose tag equals the query's and on the rest; a context with an empty
+    side counts only on the other side.  Stats are None when n_stat is 0.
     """
     acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (H, b) each
     total = 0.0
     for lo in range(0, len(data.targets), _CHUNK):
         counts, q = data.counts[lo:lo + _CHUNK], data.queries[lo:lo + _CHUNK]
-        pred, cache = model.forward(data.atoms, q, counts)
-        total += float(np.sum((pred - data.targets[lo:lo + _CHUNK]) ** 2))
+        f = student._forward(model._blocks, model.config, data.atoms, q, counts)
+        total += float(np.sum((f["pred"] - data.targets[lo:lo + _CHUNK]) ** 2))
         k = n_stat - lo   # rows of this pass that feed the stats
         if k > 0:
-            masses = _tag_masses(cache.attn[:, :k], counts[:k], data.atoms[:, 1],
+            masses = _tag_masses(f["attn"][:, :k], counts[:k], data.atoms[:, 1],
                                  q[:k, 1])
             for key, val in masses.items():
                 acc[key].append(val)

@@ -217,21 +217,6 @@ def _runs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return C.take(at[:-1], axis=0), np.diff(at).astype(np.float64)
 
 
-def _stacked_predictions(cfg: StudentConfig, thetas: np.ndarray, context,
-                         query) -> np.ndarray:
-    """Predictions of S parameter vectors thetas (S, P) in one pass.
-
-    Row s is bitwise StudentModel(cfg, thetas[s]).forward(context, query)[0]
-    for a query (input_dim,) or (B, input_dim).
-    """
-    q = np.asarray(query, dtype=np.float64)
-    C, runs = _runs(np.asarray(context, dtype=np.float64))
-    queries = q.reshape(-1, cfg.input_dim)
-    f = _forward(_block_views(_layout(cfg), thetas), cfg, C, queries,
-                 np.broadcast_to(runs, (len(queries), len(C))))
-    return f["pred"].reshape(thetas.shape[:-1] + q.shape[:-1])
-
-
 class ModelCache(SimpleNamespace):
     """Intermediates of one forward pass, consumed by backward.
 

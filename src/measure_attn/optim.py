@@ -51,7 +51,7 @@ class TrainConfig:
                 ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
                 ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
                 ("eps", 0 < self.eps < np.inf, "positive and finite")):
-            if not ok:
+            if not ok or isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
 
 

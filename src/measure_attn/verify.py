@@ -17,7 +17,7 @@ import numpy as np
 
 from . import attention, spectrum
 from .measures import DiscreteMeasure, build_mixture
-from .model import StudentConfig, StudentModel, _stacked_predictions
+from .model import StudentConfig, StudentModel, _block_views, _forward, _layout
 
 # fixed sizes: isometry draws per alpha, truncation draws per (alpha, D),
 # probe trials, and gradient seeds with their coordinates per seed
@@ -215,32 +215,38 @@ _FD_COORDS_PER_PASS = 50
 
 
 def suite_gradient(fault: str | None = None) -> SuiteResult:
-    """Analytic gradient vs central differences, rel. err <= 1e-4.
+    """Training-step gradient vs central differences, rel. err <= 1e-4.
 
-    Runs _GRADIENT_COORDS coordinate checks on each of _GRADIENT_SEEDS
-    random small inputs.  The differences are forward-only, the independent
-    oracle for backward: the (2k, P) matrix of the parameter vectors
-    theta + step * e_c, then theta - step * e_c, for k of a seed's
-    coordinates c goes through the student's forward arithmetic as one
-    stacked pass, whose rows are bitwise StudentModel.forward's.
+    Checks _GRADIENT_COORDS coordinates on each of _GRADIENT_SEEDS random
+    batches: B queries on A shared atoms, integer counts with zeros among
+    them, a target per query.  The analytic gradient is the mean squared
+    loss's, as StudentModel._squared_loss_grads writes it.  The oracle is
+    forward-only: the (2k, P) matrix of theta + step * e_c, then
+    theta - step * e_c, for k of a seed's coordinates c goes through
+    _forward as one stacked pass, and each coordinate's B prediction
+    differences meet the loss's upstream 2 (pred - y) / B.
     """
     step = 1e-5
     t0 = time.perf_counter()
     checks = []
     worst = 0.0
     cfg = StudentConfig()
+    table = _layout(cfg)
     for seed in range(_GRADIENT_SEEDS):
         rng = np.random.default_rng(1000 + seed)
         model = StudentModel.init(cfg, rng)
-        T = int(rng.integers(3, 9))
-        context = np.column_stack([rng.uniform(0, 1, T),
-                                   rng.choice([-1.0, 1.0], T)])
-        query = np.array([0.0, float(rng.choice([-1.0, 1.0]))])
-        pred, cache = model.forward(context, query)
-        model.backward(cache, 1.0)
+        A, B = int(rng.integers(3, 9)), int(rng.integers(2, 5))
+        atoms = np.column_stack([rng.uniform(0, 1, A), rng.choice([-1.0, 1.0], A)])
+        queries = np.column_stack([np.zeros(B), rng.choice([-1.0, 1.0], B)])
+        counts = rng.integers(0, 4, (B, A))
+        counts[counts.sum(axis=1) == 0, 0] = 1   # every context carries mass
+        targets = rng.standard_normal(B)
+        model._squared_loss_grads(atoms, queries, counts, targets)
         analytic = model.grads.copy()
         if fault == "gradient":
             analytic = analytic * (1.0 + 1e-3)
+        pred = _forward(model._blocks, cfg, atoms, queries, counts)["pred"]
+        upstream = 2.0 * (pred - targets) / B
         coords = rng.choice(model.n_params, size=_GRADIENT_COORDS, replace=False)
         for start in range(0, _GRADIENT_COORDS, _FD_COORDS_PER_PASS):
             part = coords[start:start + _FD_COORDS_PER_PASS]
@@ -248,8 +254,9 @@ def suite_gradient(fault: str | None = None) -> SuiteResult:
             thetas = np.tile(model.params, (2 * k, 1))
             thetas[np.arange(k), part] += step
             thetas[np.arange(k, 2 * k), part] -= step
-            pred = _stacked_predictions(cfg, thetas, context, query)
-            fd = (pred[:k] - pred[k:]) / (2.0 * step)
+            preds = _forward(_block_views(table, thetas), cfg, atoms, queries,
+                             counts)["pred"]
+            fd = (preds[:k] - preds[k:]) / (2.0 * step) @ upstream
             a = analytic[part]
             rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
             worst = max(worst, float(rel.max()))

@@ -484,6 +484,17 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
      {"train": {"epochs": True}}),
     (["sweep", "--config", "{config}", "--out", "{out}"],
      {"train": {"epochs": True}}),
+    *((["train", "--config", "{config}", "--profile", "reduced", "--n-train", "4",
+        "--n-val", "20", "--n-tokens", "50", "--out", "{out}"], config)
+      for config in ({"train": {"lr0": True, "epochs": 1}},
+                     {"train": {"decay_per_epoch": True}},
+                     {"train": {"noise_std": False}},
+                     {"train": {"beta1": False}},
+                     {"train": {"beta2": False}},
+                     {"train": {"eps": True}},
+                     {"clamp_eps": True},
+                     {"alpha_list": [True]})),
+    (["sweep", "--config", "{config}", "--out", "{out}"], {"alpha_list": [0.5, True]}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -502,7 +513,11 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "config-sweep-alpha-inf", "config-gen-input-dim-3",
         "config-train-input-dim-3", "config-sweep-input-dim-3",
         "config-train-n-heads-bool", "config-train-epochs-bool",
-        "config-sweep-epochs-bool"])
+        "config-sweep-epochs-bool", "config-train-lr0-bool",
+        "config-train-decay-bool", "config-train-noise-std-bool",
+        "config-train-beta1-bool", "config-train-beta2-bool",
+        "config-train-eps-bool", "config-train-clamp-eps-bool",
+        "config-train-alpha-bool", "config-sweep-alpha-bool"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

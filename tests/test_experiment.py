@@ -377,9 +377,11 @@ def _stats_from_rows(rows_per_example, same_masks):
     Token t of an example is (t, +1) where its mask is True and (t, -1)
     elsewhere, and its query tag is +1, so the mask is exactly its same-tag
     partition.  The examples share the atoms (t, -1) and (t, +1) for every
-    t, and the stand-in model hands _validate (H, B, A) rows that put each
-    example's row value for token t on that token's atom.
+    t, and a stand-in for the student's forward pass hands _validate
+    (H, B, A) rows that put each example's row value for token t on that
+    token's atom.
     """
+    from measure_attn import model as student
     size = max(mask.size for mask in same_masks)
     atoms = np.column_stack([np.tile(np.arange(size), 2),
                              np.repeat([-1.0, 1.0], size)])
@@ -388,16 +390,18 @@ def _stats_from_rows(rows_per_example, same_masks):
                       atoms, np.array([0.0, 1.0]), 0.0) for mask in same_masks]
     given = iter(zip(items, rows_per_example))
 
-    class FixedRows:
-        def forward(self, atoms, queries, counts):
-            index = {tuple(a): i for i, a in enumerate(atoms)}
-            attn = np.zeros((rows_per_example[0].shape[0],) + counts.shape)
-            for b in range(len(queries)):
-                item, rows = next(given)
-                attn[:, b, [index[tuple(t)] for t in item.context_tokens]] = rows
-            return np.zeros(len(queries)), SimpleNamespace(attn=attn)
+    def fixed_rows(b, cfg, atoms, queries, counts):
+        index = {tuple(a): i for i, a in enumerate(atoms)}
+        attn = np.zeros((rows_per_example[0].shape[0],) + counts.shape)
+        for j in range(len(queries)):
+            item, rows = next(given)
+            attn[:, j, [index[tuple(t)] for t in item.context_tokens]] = rows
+        return dict(pred=np.zeros(len(queries)), attn=attn)
 
-    return _validate(FixedRows(), Dataset.of(items), len(items))[1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(student, "_forward", fixed_rows)
+        stand_in = SimpleNamespace(_blocks=None, config=None)
+        return _validate(stand_in, Dataset.of(items), len(items))[1]
 
 
 def test_stats_from_hand_built_rows():

@@ -14,7 +14,7 @@ from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
                           ExperimentConfig, ModelCache, StudentConfig,
                           StudentModel, TrainConfig, adam_step, gen_example,
                           softmax_weights)
-from measure_attn.model import _backward, _forward, _stacked_predictions
+from measure_attn.model import _backward, _block_views, _forward, _layout, _runs
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -369,7 +369,11 @@ def test_stacked_rows_are_forward_bitwise(activation, config):
     repeats = np.repeat(context, [1, 3, 1, 2, 1, 1, 4], axis=0)
     queries = np.column_stack([np.zeros(3), rng.choice([-1.0, 1.0], 3)])
     for C, q in itertools.product((context, repeats), (query, queries)):
-        stacked = _stacked_predictions(cfg, thetas, C, q)
+        points, runs = _runs(C)
+        B = len(q) if q.ndim == 2 else 1
+        stacked = _forward(_block_views(_layout(cfg), thetas), cfg, points,
+                           q.reshape(B, -1), np.broadcast_to(runs, (B, len(points))))
+        stacked = stacked["pred"].reshape(thetas.shape[:-1] + q.shape[:-1])
         assert stacked.shape == (6,) + q.shape[:-1]
         for theta, row in zip(thetas, stacked):
             pred, _ = StudentModel(cfg, theta).forward(C, q)
@@ -472,6 +476,33 @@ def test_batched_gradient_matches_finite_differences(activation):
         worst = max(worst, abs(analytic[coord] - fd)
                     / max(abs(analytic[coord]), abs(fd), 1e-8))
     assert worst <= 1e-4
+
+
+real_squared_loss_grads = StudentModel._squared_loss_grads
+
+
+def _scale_one_block(self, atoms, queries, weights, targets):
+    resid = real_squared_loss_grads(self, atoms, queries, weights, targets)
+    self.grad_block("attn_k")[...] *= 1.001
+    return resid
+
+
+def _upstream_without_the_two(self, atoms, queries, weights, targets):
+    real_squared_loss_grads(self, atoms, queries, weights, targets)
+    f = _forward(self._blocks, self.config, atoms, queries, weights)
+    resid = f["pred"] - targets
+    _backward(self._blocks, self._grad_blocks, self.config, f, atoms, queries,
+              resid / len(targets))
+    return resid
+
+
+@pytest.mark.parametrize("corrupted", [_scale_one_block, _upstream_without_the_two],
+                         ids=["one-block-scaled", "upstream-resid-over-B"])
+def test_gradient_suite_checks_the_training_step(monkeypatch, corrupted):
+    from measure_attn import verify
+    assert verify.run_suites(["gradient"])[0].passed
+    monkeypatch.setattr(StudentModel, "_squared_loss_grads", corrupted)
+    assert not verify.run_suites(["gradient"])[0].passed
 
 
 def test_batched_pass_input_validation():
