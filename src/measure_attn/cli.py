@@ -15,11 +15,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from . import experiment, verify
 from .experiment import ExperimentConfig, gen_example, risk_curves, run_cell
-from .model import StudentConfig
+from .model import StudentConfig, _integer, _real
 from .optim import TrainConfig, losses_to_csv
 
 ENV_SEED = "MEASURE_ATTN_SEED"
@@ -65,18 +65,16 @@ def _resolve_config(args, **defaults) -> ExperimentConfig:
     if flags.get("profile") == "reduced":
         merged["n_tokens"] = 1000
         merged["n_val"] = 500
-    train_over = {k: flags[k] for k in ("epochs", "batch_size", "lr0",
-                                        "decay_per_epoch", "noise_std")
-                  if k in flags}
+    # a flag sets the TrainConfig or ExperimentConfig field of its own name
+    train_over = {f.name: flags[f.name] for f in fields(TrainConfig) if f.name in flags}
+    merged.update((f.name, flags[f.name]) for f in fields(ExperimentConfig)
+                  if f.name in flags)
     try:
         for attr, key, conv in (("alpha", "alpha_list", float),
                                 ("n", "n_list", int)):
             if attr in flags:
                 merged[key] = tuple(conv(x) for x in flags[attr].split(",")
                                     if x.strip())
-        merged.update((k, flags[k]) for k in (
-            "seeds", "n_tokens", "n_val", "n_stat_examples", "seed",
-            "clamp_eps") if k in flags)
         env = _env_seed()
         if env is not None:
             merged["seed"] = env
@@ -193,47 +191,41 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _read_csv(path: str, columns: dict) -> tuple[list[dict], list[dict]]:
-    """A CSV file's rows as read, and the named columns of each converted."""
+def _read_csv(path: str, columns: dict) -> list[dict]:
+    """A CSV file's rows, each holding the named columns converted."""
     # bytes that are not UTF-8 raise UnicodeDecodeError, a ValueError; on
     # Python 3.10 a NUL byte raises csv.Error
     try:
         with open(path, encoding="utf-8") as f:
-            rows = list(csv.DictReader(f))
-        return rows, [{k: conv(r[k]) for k, conv in columns.items()} for r in rows]
+            return [{k: conv(r[k]) for k, conv in columns.items()}
+                    for r in csv.DictReader(f)]
     except (KeyError, TypeError, ValueError, csv.Error) as e:
         raise CliError(f"malformed {path}: {type(e).__name__}: {e}")
 
 
 def _finite(text: str) -> float:
-    if not math.isfinite(x := float(text)):
-        raise ValueError(f"non-finite value {text!r}")
-    return x
+    return _real("value", float(text), math.isfinite, "finite")
 
 
 def _alpha(text: str) -> float:
-    if not (x := _finite(text)) > 0:
-        raise ValueError(f"alpha must be positive, got {text!r}")
-    return x
+    return _real("alpha", float(text), lambda x: 0 < x < math.inf, "positive and finite")
 
 
 def _n(text: str) -> int:
-    if (x := int(text)) < 1:
-        raise ValueError(f"n must be at least 1, got {text!r}")
-    return x
+    return _integer("n", int(text), 1)
 
 
 def cmd_analyze(args) -> int:
     risk_path = os.path.join(args.results_dir, "risk_curve.csv")
     if not os.path.isfile(risk_path):
         raise CliError(f"missing {risk_path}")
-    _, risk = _read_csv(risk_path, {"alpha": _alpha, "n": _n, "val_mse": _finite})
+    risk = _read_csv(risk_path, {"alpha": _alpha, "n": _n, "val_mse": _finite})
     curves, fits = risk_curves((r["alpha"], r["n"], r["val_mse"]) for r in risk)
 
     stats_path = os.path.join(args.results_dir, "attention_stats.csv")
-    stats_rows, stats = [], []
+    stats = []
     if os.path.isfile(stats_path):
-        stats_rows, stats = _read_csv(stats_path, {
+        stats = _read_csv(stats_path, {
             "alpha": _alpha, "n": _n, "head": int,
             **{k: float for k in ("w_same_mean", "w_diff_mean", "w_same_std",
                                   "w_diff_std", "m_same_mean", "m_diff_mean")}})
@@ -246,7 +238,7 @@ def cmd_analyze(args) -> int:
                                   "mean_mse": list(c.mean_mse),
                                   "std_mse": list(c.std_mse)}
                        for a, c in curves.items()},
-            "attention_stats": stats_rows,
+            "attention_stats": stats,
         }
         print(json.dumps(doc, indent=1, sort_keys=True))
         return 0

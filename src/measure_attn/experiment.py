@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import model as student
-from .model import StudentConfig, StudentModel
+from .model import StudentConfig, StudentModel, _integer, _real
 from .optim import Dataset, TrainConfig, train
 from .spectrum import MercerSpectrum, midpoint_grid, synth_density
 
@@ -53,37 +53,28 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        if any(isinstance(a, bool) for a in self.alpha_list):   # float(True) is 1.0
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha_list}")
-        object.__setattr__(self, "alpha_list", tuple(float(a) for a in self.alpha_list))
+        object.__setattr__(self, "alpha_list", tuple(
+            float(_real("alpha", a, lambda x: 0 < x < np.inf, "positive and finite"))
+            for a in self.alpha_list))
         if len(self.alpha_list) == 0:
             raise ValueError("alpha_list is empty")
         if len(set(self.alpha_list)) != len(self.alpha_list):
             raise ValueError(f"alpha_list repeats an alpha: {self.alpha_list}")
+        object.__setattr__(self, "n_list", tuple(_integer("n_list", n, 1)
+                                                 for n in self.n_list))
         if len(self.n_list) == 0:
             raise ValueError("n_list is empty")
-        for name in ("M", "T", "n_tokens", "n_list", "n_val", "seeds",
-                     "n_stat_examples", "seed"):
-            if not np.issubdtype(np.asarray(getattr(self, name)).dtype, np.integer):
-                raise ValueError(f"{name} must be integral, got {getattr(self, name)!r}")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
+        for name, low in (("M", 1), ("T", 1), ("n_tokens", 1), ("n_val", 1),
+                          ("seeds", 1), ("n_stat_examples", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if self.M > self.T // 2:
             raise ValueError(f"M={self.M} must satisfy M <= T/2 with T={self.T}")
-        if min(self.seeds, self.n_tokens, min(self.n_list), self.n_val,
-               self.n_stat_examples) < 1:
-            raise ValueError(
-                "seeds, n_tokens, n_list, n_val and n_stat_examples must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if isinstance(self.clamp_eps, bool) or not 0 < self.clamp_eps < np.inf:
-            raise ValueError(f"clamp_eps must be positive and finite, got {self.clamp_eps}")
+        _real("clamp_eps", self.clamp_eps, lambda x: 0 < x < np.inf, "positive and finite")
         if self.student.input_dim != 2:
             raise ValueError("student.input_dim must be 2, the size of a token "
                              f"(x, tag), got {self.student.input_dim}")
-        for alpha in self.alpha_list:
-            self.spectrum(alpha)  # MercerSpectrum checks alpha, M and T
 
     def spectrum(self, alpha: float) -> MercerSpectrum:
         return MercerSpectrum(alpha, self.M, self.T)

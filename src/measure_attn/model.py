@@ -13,6 +13,7 @@ No layer norm, no dropout, no biases inside the attention projections.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -29,6 +30,20 @@ _ACTIVATIONS = {
 }
 
 
+def _integer(name: str, value, low: int) -> int:
+    """value as an int: any integer type but bool (True is 1), at least low."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, ok, rule: str):
+    """value unchanged: any real type but bool (True is 1.0), where ok(value)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class StudentConfig:
     d_model: int = 8
@@ -39,9 +54,7 @@ class StudentConfig:
 
     def __post_init__(self):
         for name in ("d_model", "d_hidden", "n_heads", "input_dim"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), 1))
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"

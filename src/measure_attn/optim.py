@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StudentModel
+from .model import StudentModel, _integer, _real
 
 
 @dataclass
@@ -41,18 +41,15 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, low in (("epochs", 0), ("batch_size", 1)):
-            value = getattr(self, name)   # bool subclasses int: True would pass as 1
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         for name, ok, rule in (
-                ("lr0", 0 < self.lr0 < np.inf, "positive and finite"),
-                ("decay_per_epoch", 0 < self.decay_per_epoch <= 1, "in (0, 1]"),
-                ("noise_std", 0 <= self.noise_std < np.inf, "finite and >= 0"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("eps", 0 < self.eps < np.inf, "positive and finite")):
-            if not ok or isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                ("lr0", lambda x: 0 < x < np.inf, "positive and finite"),
+                ("decay_per_epoch", lambda x: 0 < x <= 1, "in (0, 1]"),
+                ("noise_std", lambda x: 0 <= x < np.inf, "finite and >= 0"),
+                ("beta1", lambda x: 0 <= x < 1, "in [0, 1)"),
+                ("beta2", lambda x: 0 <= x < 1, "in [0, 1)"),
+                ("eps", lambda x: 0 < x < np.inf, "positive and finite")):
+            _real(name, getattr(self, name), ok, rule)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,

@@ -362,6 +362,22 @@ def test_analyze_malformed_stats_csv_is_usage_error(tmp_path, capsys, fmt, row):
     assert out == ""   # rejected before anything is printed
 
 
+def test_analyze_json_gives_attention_stats_as_numbers(tmp_path, capsys):
+    (tmp_path / "risk_curve.csv").write_text(
+        "alpha,n,seed,val_mse\n1,4,0,0.5\n1,8,0,0.25\n")
+    (tmp_path / "attention_stats.csv").write_text(
+        "alpha,n,head,w_same_mean,w_diff_mean,w_same_std,w_diff_std,"
+        "m_same_mean,m_diff_mean\n1,8,0,0.5,1e-3,0,0,0.51,0.49\n")
+    code, out, _ = run(capsys, ["analyze", str(tmp_path), "--format", "json"])
+    assert code == 0
+    (row,) = json.loads(out)["attention_stats"]
+    assert row == {"alpha": 1.0, "n": 8, "head": 0, "w_same_mean": 0.5,
+                   "w_diff_mean": 1e-3, "w_same_std": 0.0, "w_diff_std": 0.0,
+                   "m_same_mean": 0.51, "m_diff_mean": 0.49}
+    assert [type(row[k]) for k in ("alpha", "n", "head", "w_diff_std")] == [
+        float, int, int, float]
+
+
 def test_analyze_recovers_planted_collinear_fit(tmp_path, capsys):
     A, C = 1.0, 2.0
     n_values = [4, 16, 64, 256]
@@ -495,6 +511,12 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
                      {"clamp_eps": True},
                      {"alpha_list": [True]})),
     (["sweep", "--config", "{config}", "--out", "{out}"], {"alpha_list": [0.5, True]}),
+    *((["sweep", "--config", "{config}", "--n-val", "20", "--n-tokens", "50",
+        "--epochs", "1", "--seeds", "1", "--out", "{out}"], config)
+      for config in ({"n_list": [True, 4]},
+                     {"alpha_list": "12"},
+                     {"alpha_list": [1, "2"]},
+                     {"n_list": "48"})),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -517,7 +539,9 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "config-train-decay-bool", "config-train-noise-std-bool",
         "config-train-beta1-bool", "config-train-beta2-bool",
         "config-train-eps-bool", "config-train-clamp-eps-bool",
-        "config-train-alpha-bool", "config-sweep-alpha-bool"])
+        "config-train-alpha-bool", "config-sweep-alpha-bool",
+        "config-sweep-n-list-bool", "config-sweep-alpha-list-string",
+        "config-sweep-alpha-string", "config-sweep-n-list-string"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -12,7 +12,7 @@ import math
 import multiprocessing
 import os
 import tracemalloc
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -118,6 +118,20 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(clamp_eps=eps)
     assert ExperimentConfig().train == TrainConfig()
+
+
+def test_numpy_integer_settings_are_stored_as_python_ints():
+    student = StudentConfig(d_model=np.int64(8))
+    train_cfg = TrainConfig(epochs=np.int64(3))
+    cfg = ExperimentConfig(M=np.int64(8), T=np.int64(16),
+                           n_list=(np.int64(4), np.int32(8)),
+                           student=student, train=train_cfg)
+    for c, name in ((student, "d_model"), (train_cfg, "epochs"), (cfg, "M"),
+                    (cfg, "T")):
+        assert type(getattr(c, name)) is int, name
+        json.dumps(asdict(c))
+    assert [type(n) for n in cfg.n_list] == [int, int]
+    _cell_key(cfg, 1.0, 4, 0)
 
 
 def test_target_value_zero_coefficients_and_oddness():
