@@ -23,7 +23,7 @@ import numpy as np
 
 from .measures import (DiscreteMeasure, MixtureContext, _w1_line, flatten,
                        wasserstein1_1d)
-from .spectrum import MercerSpectrum
+from .spectrum import MercerSpectrum, _integer, _positive, _real
 
 
 @dataclass(frozen=True)
@@ -195,10 +195,8 @@ def temperature_for_error(I: int, eps2: float) -> float:
     At this temperature the non-star components retain softmax mass
     O(eps2 / I) in total, so recall is eps2-accurate per unit mass.
     """
-    if I < 1:
-        raise ValueError(f"I must be >= 1, got {I}")
-    if not eps2 > 0:
-        raise ValueError(f"eps2 must be positive, got {eps2}")
+    I = _integer("I", I, 1)
+    _real("eps2", eps2, lambda x: x > 0, "positive")
     val = np.log(I ** 3 / eps2)
     if val <= 0:
         raise ValueError(f"error budget too loose: ln(I^3/eps2) = {val} <= 0")
@@ -218,10 +216,8 @@ def build_recall_params(d1: int, d2: int, D: int, temperature_c: float
     zeroes the feature block, so output coordinate d1+d2+h is the extracted
     coefficient integral of e_{h+1} against the starred component.
     """
-    if d1 < 1 or d2 < 0 or D < 1:
-        raise ValueError(f"bad dimensions d1={d1}, d2={d2}, D={D}")
-    if not temperature_c > 0:
-        raise ValueError(f"temperature must be positive, got {temperature_c}")
+    d1, d2, D = _integer("d1", d1, 1), _integer("d2", d2, 0), _integer("D", D, 1)
+    _real("temperature_c", temperature_c, _positive, "positive and finite")
     d = d1 + d2 + D
     tag_proj = np.zeros((d, d))
     tag_proj[:d1, :d1] = np.eye(d1)
@@ -245,6 +241,7 @@ def recall_feature_map(spec: MercerSpectrum, d1: int, D: int
     token carries the integrands whose mixture averages the recall
     construction extracts.
     """
+    d1, D = _integer("d1", d1, 1), _integer("D", D, 0)
     if D >= spec.M:
         raise ValueError(f"D={D} features need modes 1..{D} but M={spec.M}")
 
@@ -441,6 +438,7 @@ def _probe_trials(n_trials: int, rng_seed):
     the trials depend on the pass size as well as the seed: passes of 250
     and 50 draw other trials than one pass of 300 would.
     """
+    n_trials = _integer("n_trials", n_trials, 1)
     rng = np.random.default_rng(rng_seed)
     parts = []
     for start in range(0, n_trials, _TRIALS_PER_PASS):

@@ -19,8 +19,9 @@ from dataclasses import asdict, fields
 
 from . import experiment, verify
 from .experiment import ExperimentConfig, gen_example, risk_curves, run_cell
-from .model import StudentConfig, _integer, _real
+from .model import StudentConfig
 from .optim import TrainConfig, losses_to_csv
+from .spectrum import _integer, _positive, _real
 
 ENV_SEED = "MEASURE_ATTN_SEED"
 
@@ -208,7 +209,7 @@ def _finite(text: str) -> float:
 
 
 def _alpha(text: str) -> float:
-    return _real("alpha", float(text), lambda x: 0 < x < math.inf, "positive and finite")
+    return _real("alpha", float(text), _positive, "positive and finite")
 
 
 def _n(text: str) -> int:
@@ -227,8 +228,7 @@ def cmd_analyze(args) -> int:
     if os.path.isfile(stats_path):
         stats = _read_csv(stats_path, {
             "alpha": _alpha, "n": _n, "head": int,
-            **{k: float for k in ("w_same_mean", "w_diff_mean", "w_same_std",
-                                  "w_diff_std", "m_same_mean", "m_diff_mean")}})
+            **{k: float for k in experiment._STATS_COLUMNS}})
 
     if args.format == "json":
         doc = {

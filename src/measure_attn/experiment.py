@@ -24,14 +24,15 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import model as student
-from .model import StudentConfig, StudentModel, _integer, _real
+from .model import StudentConfig, StudentModel
 from .optim import Dataset, TrainConfig, train
-from .spectrum import MercerSpectrum, midpoint_grid, synth_density
+from .spectrum import (MercerSpectrum, _integer, _positive, _real, midpoint_grid,
+                       synth_density)
 
 # Fixed stream labels for per-cell SeedSequence derivation.
 _STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP, _STREAM_SHUFFLE = range(5)
@@ -54,7 +55,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha_list", tuple(
-            float(_real("alpha", a, lambda x: 0 < x < np.inf, "positive and finite"))
+            float(_real("alpha", a, _positive, "positive and finite"))
             for a in self.alpha_list))
         if len(self.alpha_list) == 0:
             raise ValueError("alpha_list is empty")
@@ -71,7 +72,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         if self.M > self.T // 2:
             raise ValueError(f"M={self.M} must satisfy M <= T/2 with T={self.T}")
-        _real("clamp_eps", self.clamp_eps, lambda x: 0 < x < np.inf, "positive and finite")
+        _real("clamp_eps", self.clamp_eps, _positive, "positive and finite")
         if self.student.input_dim != 2:
             raise ValueError("student.input_dim must be 2, the size of a token "
                              f"(x, tag), got {self.student.input_dim}")
@@ -232,9 +233,12 @@ class AttentionStats:
         return self.w_same_mean.size
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k).tolist() for k in (
-            "w_same_mean", "w_diff_mean", "w_same_std", "w_diff_std",
-            "m_same_mean", "m_diff_mean", "m_same_std", "m_diff_std")}
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
+
+
+# the per-head columns of a bundle's attention_stats.csv, in their order
+_STATS_COLUMNS = ("w_same_mean", "w_diff_mean", "w_same_std", "w_diff_std",
+                  "m_same_mean", "m_diff_mean")
 
 
 # validation examples per batched pass: bounds peak memory, not an option
@@ -309,23 +313,17 @@ def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
     return _validate(model, Dataset.of(examples), len(examples))[1]
 
 
-def query_shuffle_eval(model: StudentModel, examples, seed: int = 0,
-                       permutation=None) -> tuple[float, float]:
+def query_shuffle_eval(model: StudentModel, examples, seed: int = 0
+                       ) -> tuple[float, float]:
     """Clean MSE with original queries vs queries permuted across examples.
 
     The permutation is uniform over permutations (fixed points allowed),
-    drawn from the seed unless one is passed explicitly as 1-d integers.
+    drawn from the seed.
     """
     n = len(examples)
     if n < 2:
         raise ValueError("need at least 2 examples to shuffle queries")
-    if permutation is None:
-        permutation = np.random.default_rng(seed).permutation(n)
-    else:
-        permutation = np.asarray(permutation)
-        if (not np.issubdtype(permutation.dtype, np.integer)
-                or not np.array_equal(np.sort(permutation), np.arange(n))):
-            raise ValueError("not a permutation of the example indices")
+    permutation = np.random.default_rng(seed).permutation(n)
     data = Dataset.of(examples)
     shuffled = replace(data, queries=data.queries[permutation])
     return _validate(model, data)[0], _validate(model, shuffled)[0]
@@ -371,6 +369,7 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
     a sweep generates it once per (alpha, seed) row and gets, for each n,
     what run_cell returns.
     """
+    n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
     spec = cfg.spectrum(alpha)
     model, result = _train_and_validate(cfg, spec, alpha, n, seed,
                                         _val_set(cfg, spec, alpha, seed))
@@ -540,6 +539,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     scaling_axis.dat and a manifest marking failed cells.  Returns a summary
     dict with curves and fits.
     """
+    jobs = _integer("jobs", jobs, 1)
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
     grid = [(alpha, n, s) for alpha in cfg.alpha_list for n in cfg.n_list
             for s in range(cfg.seeds)]
@@ -602,8 +602,7 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
 
     stats = io.StringIO()
     w = csv.writer(stats, lineterminator="\n")
-    w.writerow(["alpha", "n", "head", "w_same_mean", "w_diff_mean",
-                "w_same_std", "w_diff_std", "m_same_mean", "m_diff_mean"])
+    w.writerow(["alpha", "n", "head", *_STATS_COLUMNS])
     for alpha in cfg.alpha_list:
         for n in cfg.n_list:
             per_seed = [results[(alpha, n, s)]["attention_stats"]
@@ -611,12 +610,9 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
             if not per_seed:
                 continue
             for h in range(len(per_seed[0]["w_same_mean"])):
-                def agg(key):
-                    return _fmt(np.mean([st[key][h] for st in per_seed]))
                 w.writerow([_fmt(alpha), n, h,
-                            agg("w_same_mean"), agg("w_diff_mean"),
-                            agg("w_same_std"), agg("w_diff_std"),
-                            agg("m_same_mean"), agg("m_diff_mean")])
+                            *(_fmt(np.mean([st[k][h] for st in per_seed]))
+                              for k in _STATS_COLUMNS)])
     _atomic_write(os.path.join(out_dir, "attention_stats.csv"), stats.getvalue())
 
     fit_doc = {f"{alpha:g}": {"A": fit.A, "C": fit.C,

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import _integer
+
 WEIGHT_TOL = 1e-9
 TAG_DOT_TOL = 1e-12
 
@@ -102,11 +104,13 @@ class MixtureContext:
                 "tag separation violated: pairwise inner products must be <= "
                 f"{TAG_DOT_TOL}, worst {off.max()!r}"
             )
-        if not 0 <= self.star_index < len(comps):
-            raise ValueError(f"star_index {self.star_index} out of range")
+        star = _integer("star_index", self.star_index, 0)
+        if star >= len(comps):
+            raise ValueError(f"star_index {star} out of range")
         tags.flags.writeable = False
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "tags", tags)
+        object.__setattr__(self, "star_index", star)
 
     @property
     def n_components(self) -> int:
@@ -128,7 +132,7 @@ def build_mixture(components, tags, star_index: int
     The query is the starred tag padded with zeros on the content block.
     """
     ctx = MixtureContext(tuple(components), tags, star_index)
-    query = np.concatenate([ctx.tags[star_index],
+    query = np.concatenate([ctx.tags[ctx.star_index],
                             np.zeros(ctx.content_dim)])
     return ctx, query
 

@@ -13,7 +13,6 @@ No layer norm, no dropout, no biases inside the attention projections.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Optional
@@ -21,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import _T, _softmax
+from .spectrum import _integer
 
 
 # name -> (activation, its derivative at the pre-activation)
@@ -28,20 +28,6 @@ _ACTIVATIONS = {
     "relu": (lambda x: np.maximum(x, 0.0), lambda pre: (pre > 0.0).astype(np.float64)),
     "tanh": (np.tanh, lambda pre: 1.0 - np.tanh(pre) ** 2),
 }
-
-
-def _integer(name: str, value, low: int) -> int:
-    """value as an int: any integer type but bool (True is 1), at least low."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
-
-def _real(name: str, value, ok, rule: str):
-    """value unchanged: any real type but bool (True is 1.0), where ok(value)."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not ok(value):
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StudentModel, _integer, _real
+from .model import StudentModel
+from .spectrum import _integer, _positive, _real
 
 
 @dataclass
@@ -43,12 +44,12 @@ class TrainConfig:
         for name, low in (("epochs", 0), ("batch_size", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         for name, ok, rule in (
-                ("lr0", lambda x: 0 < x < np.inf, "positive and finite"),
+                ("lr0", _positive, "positive and finite"),
                 ("decay_per_epoch", lambda x: 0 < x <= 1, "in (0, 1]"),
                 ("noise_std", lambda x: 0 <= x < np.inf, "finite and >= 0"),
                 ("beta1", lambda x: 0 <= x < 1, "in [0, 1)"),
                 ("beta2", lambda x: 0 <= x < 1, "in [0, 1)"),
-                ("eps", lambda x: 0 < x < np.inf, "positive and finite")):
+                ("eps", _positive, "positive and finite")):
             _real(name, getattr(self, name), ok, rule)
 
 

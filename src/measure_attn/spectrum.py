@@ -9,13 +9,36 @@ norm, isometry and truncation statement here quantifies over modes j >= 1.
 Densities are represented as probability mass functions on the midpoint grid
 of T points, obtained by clamping the truncated expansion at a small floor
 and renormalizing.
+
+The package checks every count, size and real setting with _integer and
+_real, kept here because this module imports nothing from the package.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _integer(name: str, value, low: int) -> int:
+    """value as an int: any integer type but bool (True is 1), at least low."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value, ok, rule: str):
+    """value unchanged: any real type but bool (True is 1.0), where ok(value)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not ok(value):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
+def _positive(x) -> bool:
+    """The ok predicate of a real setting that must be positive and finite."""
+    return 0 < x < np.inf
 
 
 def midpoint_grid(T: int) -> np.ndarray:
@@ -25,8 +48,7 @@ def midpoint_grid(T: int) -> np.ndarray:
     orthonormal under the (1/T)-weighted inner product, which is what makes
     the orthonormality checks tight instead of O(1/T)-approximate.
     """
-    if T < 1:
-        raise ValueError(f"grid size must be >= 1, got {T}")
+    T = _integer("T", T, 1)
     return (np.arange(1, T + 1) - 0.5) / T
 
 
@@ -52,14 +74,10 @@ class MercerSpectrum:
     domain_grid: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not 0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0 < self.c < np.inf:
-            raise ValueError(f"c must be positive and finite, got {self.c}")
-        if self.M < 1:
-            raise ValueError(f"M must be >= 1, got {self.M}")
-        if self.T < self.M:
-            raise ValueError(f"grid size T={self.T} smaller than mode count M={self.M}")
+        for name in ("alpha", "c"):
+            _real(name, getattr(self, name), _positive, "positive and finite")
+        object.__setattr__(self, "M", _integer("M", self.M, 1))
+        object.__setattr__(self, "T", _integer("T", self.T, self.M))
         grid = midpoint_grid(self.T)
         grid.flags.writeable = False
         object.__setattr__(self, "domain_grid", grid)
@@ -121,8 +139,7 @@ def synth_density(spec: MercerSpectrum, z, clamp_eps: float) -> np.ndarray:
         raise ValueError(f"coefficients must have shape (..., {spec.M}), got {z.shape}")
     if np.any(z[..., 0] != 0.0):
         raise ValueError("mode-0 coefficient must be zero")
-    if not clamp_eps > 0:
-        raise ValueError(f"clamp_eps must be positive, got {clamp_eps}")
+    _real("clamp_eps", clamp_eps, _positive, "positive and finite")
     # (..., 1, M) @ (M, T) runs one vector-matrix product per row, so each
     # row is bitwise the 1-d result (a 2-d GEMM sums in another order)
     vals = ((spec.eigenvalues() * z)[..., None, :] @ spec.basis_matrix())[..., 0, :]
@@ -183,11 +200,7 @@ def truncation_bound(spec: MercerSpectrum, D: int, gamma_f: float,
     Requires gamma_f < 0 < gamma_b, which makes the exponent positive, and
     D + 1 < M so the leading discarded eigenvalue exists.
     """
-    if not gamma_f < 0:
-        raise ValueError(f"gamma_f must be negative, got {gamma_f}")
-    if not gamma_b > 0:
-        raise ValueError(f"gamma_b must be positive, got {gamma_b}")
-    if D < 1:
-        raise ValueError(f"D must be >= 1, got {D}")
-    lam_next = spec.eigenvalue(D + 1)
+    _real("gamma_f", gamma_f, lambda x: x < 0, "negative")
+    _real("gamma_b", gamma_b, lambda x: x > 0, "positive")
+    lam_next = spec.eigenvalue(_integer("D", D, 1) + 1)
     return float(lam_next ** ((-gamma_f + gamma_b) / 2.0))

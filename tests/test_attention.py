@@ -221,6 +221,8 @@ def test_temperature_for_error_frozen_value_and_validation():
         temperature_for_error(2, 0.0)
     with pytest.raises(ValueError):
         temperature_for_error(1, 2.0)  # ln(1/2) < 0
+    with pytest.raises(ValueError, match="^I must be an integer >= 1"):
+        temperature_for_error(True, 1e-4)
 
 
 def test_build_recall_params_structure_and_class_bounds():
@@ -238,6 +240,19 @@ def test_build_recall_params_structure_and_class_bounds():
         assert head.Q[0, 0] == c
         assert np.count_nonzero(head.W) == 1
         assert head.W[d1 + d2 + h, d1 + d2 + h] == 1.0
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    pytest.param(build_recall_params, (3, 1, 8.0, 3.0), "D", id="recall-D-float"),
+    pytest.param(build_recall_params, (3, True, 4, 3.0), "d2", id="recall-d2-bool"),
+    pytest.param(build_recall_params, (3, 1, 4, math.inf), "temperature_c",
+                 id="recall-temperature-inf"),
+    pytest.param(random_lipschitz_trials, (0, 1), "n_trials", id="trials-0"),
+    pytest.param(random_lipschitz_trials, (10.5, 1), "n_trials", id="trials-float"),
+])
+def test_recall_params_and_probe_trials_validate_settings(fn, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        fn(*args)
 
 
 def make_recall_instance(I, D, c, rng):
@@ -335,6 +350,11 @@ def test_recall_feature_map_takes_rows(d1):
         fmap(outside)
     with pytest.raises(ValueError, match="modes"):
         recall_feature_map(spec, d1, spec.M)
+    # checked when the map is built, not on its first call
+    for bad_d1, bad_D, name in ((d1, 2.0, "D"), (d1, -1, "D"), (0, D, "d1"),
+                                (float(d1), D, "d1")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            recall_feature_map(spec, bad_d1, bad_D)
 
 
 def test_featured_mixture_is_the_written_out_construction():

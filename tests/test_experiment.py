@@ -527,15 +527,6 @@ def test_attention_stats_round_trip_and_empty_input():
 
 # ----------------------------------------------------------- query shuffle
 
-def test_shuffle_identity_permutation_matches_original():
-    rng = np.random.default_rng(4)
-    model = StudentModel.init(StudentConfig(), rng)
-    items = balanced_items(6, T=8, rng=rng)
-    orig, shuf = query_shuffle_eval(model, items,
-                                    permutation=np.arange(6))
-    assert shuf == orig
-
-
 def test_shuffle_query_independent_model_sees_no_difference():
     model = StudentModel(StudentConfig())  # predicts 0 for every query
     items = balanced_items(5, T=8)
@@ -546,14 +537,17 @@ def test_shuffle_query_independent_model_sees_no_difference():
 def test_shuffle_explicit_permutation_manual_oracle():
     rng = np.random.default_rng(5)
     model = StudentModel.init(StudentConfig(), rng)
-    a, b = balanced_items(2, T=8, rng=rng)
-    orig, shuf = query_shuffle_eval(model, [a, b],
-                                    permutation=np.array([1, 0]))
-    pa, _ = model.forward(a.context_tokens, b.query_token)
-    pb, _ = model.forward(b.context_tokens, a.query_token)
-    want = ((pa - a.target)**2 + (pb - b.target)**2) / 2
+    items = (balanced_items(2, T=8, rng=rng)
+             + balanced_items(2, T=8, query_tag=-1.0, rng=rng))
+    seed = 2
+    perm = np.random.default_rng(seed).permutation(len(items))
+    assert not np.array_equal(perm, np.arange(len(items)))
+    orig, shuf = query_shuffle_eval(model, items, seed=seed)
+    # example i keeps its context and target and takes example perm[i]'s query
+    want = np.mean([(model.forward(ex.context_tokens, items[p].query_token)[0]
+                     - ex.target) ** 2 for ex, p in zip(items, perm)])
     assert shuf == pytest.approx(want, rel=1e-15)
-    assert orig >= 0.0
+    assert 0.0 <= orig != shuf
 
 
 def test_shuffle_validation():
@@ -561,9 +555,6 @@ def test_shuffle_validation():
     items = balanced_items(3, T=4)
     with pytest.raises(ValueError):
         query_shuffle_eval(model, items[:1])
-    for bad in ([0, 0, 2], [1.0, 0.0, 2.0], [True, False, True], [[0, 1, 2]]):
-        with pytest.raises(ValueError, match="not a permutation"):
-            query_shuffle_eval(model, items, permutation=np.array(bad))
 
 
 def test_shuffle_deterministic_in_seed():
@@ -628,6 +619,22 @@ def test_run_cell_deterministic_and_consistent():
     assert len(res1.train_losses) == SMALL.train.epochs
     assert res1.val_mse == mse1
     assert res1.stats.n_heads == SMALL.student.n_heads
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda out: run_cell(1.0, 0, 0, SMALL), "n", id="run-cell-n-0"),
+    pytest.param(lambda out: run_cell(1.0, 4.0, 0, SMALL), "n", id="run-cell-n-float"),
+    pytest.param(lambda out: run_cell(1.0, 2, True, SMALL), "seed",
+                 id="run-cell-seed-bool"),
+    pytest.param(lambda out: sweep(SMALL, out, jobs=0), "jobs", id="sweep-jobs-0"),
+    pytest.param(lambda out: sweep(SMALL, out, jobs=2.5), "jobs",
+                 id="sweep-jobs-float"),
+])
+def test_run_cell_and_sweep_validate_settings(tmp_path, call, name):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call(str(out))
+    assert not out.exists()   # checked before anything is written
 
 
 def test_run_cell_seed_changes_result():

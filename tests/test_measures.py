@@ -88,6 +88,9 @@ def test_mixture_tag_validation():
         build_mixture(comps, np.array([[1.0]]), 0)  # one tag, two components
     with pytest.raises(ValueError):
         build_mixture(comps, np.array([[1.0], [-1.0]]), 2)  # star out of range
+    for star in (0.0, True):
+        with pytest.raises(ValueError, match="^star_index must be an integer >= 0"):
+            build_mixture(comps, np.array([[1.0], [-1.0]]), star)
 
 
 def test_mixture_context_rejects_mismatched_components():

@@ -44,6 +44,8 @@ def test_midpoint_grid_interior_and_even_spacing():
 def test_midpoint_grid_rejects_nonpositive_size():
     with pytest.raises(ValueError):
         midpoint_grid(0)
+    with pytest.raises(ValueError, match="^T must be an integer >= 1"):
+        midpoint_grid(4.5)   # would build 5 points ending at x = 1
 
 
 # ----------------------------------------------------------- eigenvalues
@@ -245,6 +247,10 @@ def test_synth_density_rejects_bad_coefficients():
         synth_density(spec, np.zeros(spec.M - 1), 1e-6)
     with pytest.raises(ValueError):
         synth_density(spec, np.zeros(spec.M), clamp_eps=0.0)
+    # True would floor every density at 1 and inf would give NaN pmfs
+    for clamp_eps in (True, math.inf):
+        with pytest.raises(ValueError, match="^clamp_eps must be positive and finite"):
+            synth_density(spec, np.zeros(spec.M), clamp_eps)
 
 
 # ----------------------------------------------------------- gen_norm_sq
@@ -412,6 +418,8 @@ def test_truncation_bound_validates_arguments():
         truncation_bound(spec, 0, gamma_f=-1.0, gamma_b=1.0)
     with pytest.raises(IndexError):
         truncation_bound(spec, spec.M - 1, gamma_f=-1.0, gamma_b=1.0)
+    with pytest.raises(ValueError, match="^D must be an integer >= 1"):
+        truncation_bound(spec, 2.5, gamma_f=-1.0, gamma_b=1.0)
 
 
 # ------------------------------------------------------------- validation
@@ -430,6 +438,12 @@ def test_spectrum_constructor_validation():
                      (1.0, math.nan)):
         with pytest.raises(ValueError, match="positive and finite"):
             MercerSpectrum(alpha=alpha, M=4, T=8, c=c)
+    for args, name in (((1.0, 4, 8.5), "T"),   # would build a 9-point grid
+                       ((1.0, 16.0, 32), "M"),
+                       ((True, 4, 8), "alpha"), ((1.0, True, 4), "M"),
+                       (("1", 4, 8), "alpha")):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            MercerSpectrum(*args)
 
 
 def test_spectrum_equality_and_hash_go_by_its_four_values():
@@ -440,6 +454,9 @@ def test_spectrum_equality_and_hash_go_by_its_four_values():
     for other in (MercerSpectrum(2.0, 16, 32), MercerSpectrum(1.0, 8, 32),
                   MercerSpectrum(1.0, 16, 64), MercerSpectrum(1.0, 16, 32, c=2.5)):
         assert a != other and len({a, other}) == 2
+    numpy_sized = MercerSpectrum(1.0, np.int64(16), np.int32(32))
+    assert numpy_sized == a and hash(numpy_sized) == hash(a)
+    assert type(numpy_sized.M) is int and type(numpy_sized.T) is int
 
 
 def test_spectrum_grid_is_immutable():
