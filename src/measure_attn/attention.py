@@ -23,7 +23,7 @@ import numpy as np
 
 from .measures import (DiscreteMeasure, MixtureContext, _w1_line, flatten,
                        wasserstein1_1d)
-from .spectrum import MercerSpectrum, _integer, _positive, _real
+from .spectrum import MercerSpectrum, _integer, _positive, _real, _rng
 
 
 @dataclass(frozen=True)
@@ -439,7 +439,7 @@ def _probe_trials(n_trials: int, rng_seed):
     and 50 draw other trials than one pass of 300 would.
     """
     n_trials = _integer("n_trials", n_trials, 1)
-    rng = np.random.default_rng(rng_seed)
+    rng = _rng(rng_seed)
     parts = []
     for start in range(0, n_trials, _TRIALS_PER_PASS):
         n = min(_TRIALS_PER_PASS, n_trials - start)

@@ -31,8 +31,8 @@ import numpy as np
 from . import model as student
 from .model import StudentConfig, StudentModel
 from .optim import Dataset, TrainConfig, train
-from .spectrum import (MercerSpectrum, _integer, _positive, _real, midpoint_grid,
-                       synth_density)
+from .spectrum import (MercerSpectrum, _integer, _positive, _real, _rng,
+                       midpoint_grid, synth_density)
 
 # Fixed stream labels for per-cell SeedSequence derivation.
 _STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP, _STREAM_SHUFFLE = range(5)
@@ -125,90 +125,37 @@ def _grid_atoms(T: int) -> np.ndarray:
     return atoms
 
 
-# examples per generated chunk, not an option: a chunk holds about 24 bytes
-# per token (uniforms and sort keys), and at 1000 tokens 16 rows keep a sweep
-# worker's peak RSS within 0.2 MB of one example at a time; 64 cost 1.1 MB
-# and ran no faster
-_GEN_CHUNK = 16
-
-
 def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Example:
     """One labelled context: its atom counts, query (0, v1) and target.
 
     The context is the mixture of two pmfs on the grid, synth_density of z1
-    under tag v1 and of z2 under tag -v1, with weight 1/2 each.  Each token
-    draws its component, then its grid point by inverse cdf on that pmf; the
-    two give the token's atom, and the example keeps only each atom's count.
-    It is the one-row _gen_chunk.
+    under tag v1 and of z2 under tag -v1, with weight 1/2 each, and its
+    counts are one multinomial draw of n_tokens on that mixture.  It is the
+    one-row _draw.
     """
-    counts, v1, z = _gen_chunk(spec, cfg, np.random.default_rng(rng_seed), 1)
+    counts, v1, z = _draw(spec, cfg, _rng(rng_seed), 1)
     return Example(_grid_atoms(spec.T), counts[0], np.array([0.0, v1[0]]),
                    target_value(spec, v1[0], z[0, 0]),
                    Hidden(z[0, 0], z[0, 1], float(v1[0])))
 
 
-def _gen_chunk(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
-               rows: int):
+def _draw(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
+          rows: int):
     """rows examples on rng, as counts (rows, 2T), v1 (rows,) and z (rows, 2, M).
 
-    Each example takes random() for v1, standard_normal(M) for z1 and z2,
-    then 2 * n_tokens uniforms: one per token choosing its component (the
-    second when u >= 1/2, as rng.choice(2, p=[.5, .5]) reads it), then one
-    per token for its inverse cdf.  Pmfs and counts follow as array work over
-    the rows.
+    Whole-array draws, in this order: random(rows) for v1, standard_normal
+    for z1 and z2, then one multinomial of n_tokens per row on
+    1/2 P_{v1} + 1/2 P_{-v1}.  That is the law of n_tokens tokens that each
+    pick a component with probability 1/2 and then an atom from its pmf, at
+    a cost that does not grow with n_tokens.
     """
-    n = cfg.n_tokens
-    v = np.empty(rows)
-    z = np.empty((rows, 2, spec.M))
-    u = np.empty((rows, 2, n))
-    for r in range(rows):
-        v[r] = rng.random()
-        rng.standard_normal(out=z[r, 0])
-        rng.standard_normal(out=z[r, 1])
-        rng.random(out=u[r])
-    v1 = np.where(v < 0.5, 1.0, -1.0)
+    v1 = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+    z = rng.standard_normal((rows, 2, spec.M))
     z[:, :, 0] = 0.0
-    cdf = np.cumsum(synth_density(spec, z, cfg.clamp_eps), axis=-1)
-    # cdf[:, b] is for atom block b (tag -1, then +1); component 0 has tag v1
-    flip = v1 > 0
-    cdf = np.where(flip[:, None, None], cdf[:, ::-1], cdf)
-    block = (u[:, 0] >= 0.5) ^ flip[:, None]
-    return _inverse_cdf(cdf, block, u[:, 1]), v1, z
-
-
-def _inverse_cdf(cdf: np.ndarray, block: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Atom counts of uniform draws under per-row, per-block cdfs, exactly.
-
-    cdf is (R, 2, T), block (R, n) picks each draw's cdf and u (R, n) holds
-    uniforms from Generator.random.  Draw (r, i) lands on atom
-    block * T + min(searchsorted(cdf[r, block], u, side="right"), T - 1), and
-    the result counts the draws on each atom, (R, 2T).
-
-    A uniform double is k * 2**-53 with integer k, so cdf <= u exactly when
-    k >= ceil(cdf * 2**53).  Key k + (2 * row + block) * 2**53 places every
-    draw in its own (row, block) range; one sort of the keys and one
-    searchsorted of each atom's end key replace a binary search per draw.
-    The end keys are clipped at 2**53, the end of a block, so that a cdf
-    rounded above 1 cannot reach into the next block and the last atom
-    takes the rest of its block.
-    """
-    R, T = u.shape[0], cdf.shape[-1]
-    first_key = np.arange(2 * R, dtype=np.int64).reshape(R, 2) << 53  # of (row, block)
-    ends = np.minimum(np.ceil(cdf * 2.0**53), 2.0**53)
-    ends[..., -1] = 2.0**53
-    ends = ends.astype(np.int64) + first_key[..., None]
-    # built in place: the keys are the chunk's largest working array
-    keys = np.empty(u.shape, dtype=np.int64)
-    np.multiply(u, 2.0**53, out=keys, casting="unsafe")  # exact: k is an integer
-    keys += first_key[:, :1]
-    # + 2**53 for block 1, a row at a time: an (R, n) temporary would sit
-    # beside the keys at the chunk's memory peak
-    for row, b in zip(keys, block):
-        row += np.left_shift(b, 53, dtype=np.int64)
-    keys.sort(axis=-1)
-    pos = np.zeros(2 * R * T + 1, dtype=np.intp)
-    pos[1:] = np.searchsorted(keys.ravel(), ends.ravel())  # draws before each atom's end
-    return np.diff(pos).reshape(R, 2 * T)
+    pmf = synth_density(spec, z, cfg.clamp_eps)
+    # pmf[:, 0] is component 0, tag v1; atoms put tag -1 first
+    pmf = np.where((v1 > 0)[:, None, None], pmf[:, ::-1], pmf)
+    return rng.multinomial(cfg.n_tokens, 0.5 * pmf.reshape(rows, -1)), v1, z
 
 
 @dataclass(frozen=True)
@@ -323,7 +270,7 @@ def query_shuffle_eval(model: StudentModel, examples, seed: int = 0
     n = len(examples)
     if n < 2:
         raise ValueError("need at least 2 examples to shuffle queries")
-    permutation = np.random.default_rng(seed).permutation(n)
+    permutation = _rng(seed).permutation(n)
     data = Dataset.of(examples)
     shuffled = replace(data, queries=data.queries[permutation])
     return _validate(model, data)[0], _validate(model, shuffled)[0]
@@ -347,14 +294,8 @@ def _cell_seedseq(cfg: ExperimentConfig, alpha: float, n: int, seed: int,
 
 def _gen(cfg: ExperimentConfig, spec: MercerSpectrum, count: int,
          ss: np.random.SeedSequence) -> Dataset:
-    """count examples on one stream, as gen_example draws them.
-
-    They are generated _GEN_CHUNK at a time, so working memory stays bounded.
-    """
-    rng = np.random.default_rng(ss)
-    chunks = [_gen_chunk(spec, cfg, rng, min(_GEN_CHUNK, count - start))
-              for start in range(0, count, _GEN_CHUNK)]
-    counts, v1, z = (np.concatenate([chunk[i] for chunk in chunks]) for i in range(3))
+    """count examples on one stream: _draw's rows, without their latents."""
+    counts, v1, z = _draw(spec, cfg, _rng(ss), count)
     return Dataset(_grid_atoms(spec.T), counts, np.column_stack([np.zeros(count), v1]),
                    _targets(spec.eigenvalues(), v1, z[:, 0]))
 
@@ -387,9 +328,8 @@ def _train_and_validate(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: floa
                         ) -> tuple[StudentModel, CellResult]:
     """Cell (alpha, n, seed) trained on its own streams and scored on val_set."""
     train_set = _gen(cfg, spec, n, _cell_seedseq(cfg, alpha, n, seed, _STREAM_TRAIN))
-    model = StudentModel.init(
-        cfg.student,
-        np.random.default_rng(_cell_seedseq(cfg, alpha, n, seed, _STREAM_INIT)))
+    model = StudentModel.init(cfg.student,
+                              _cell_seedseq(cfg, alpha, n, seed, _STREAM_INIT))
     loop_seed = int(_cell_seedseq(cfg, alpha, n, seed, _STREAM_LOOP)
                     .generate_state(1, np.uint64)[0])
     model, losses = train(model, train_set, cfg.train, loop_seed)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import _T, _softmax
-from .spectrum import _integer
+from .spectrum import _integer, _rng
 
 
 # name -> (activation, its derivative at the pre-activation)
@@ -258,7 +258,7 @@ class StudentModel:
         s = sqrt(6 / (fan_in + fan_out)); the (H, hd, dm) projection stacks
         use per-head fans.
         """
-        rng = np.random.default_rng(rng_seed)
+        rng = _rng(rng_seed)
         model = cls(config)
         for name, w in model._blocks.items():
             if name.endswith(("_b1", "_b2")):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import StudentModel
-from .spectrum import _integer, _positive, _real
+from .spectrum import _integer, _positive, _real, _rng
 
 
 @dataclass
@@ -107,7 +107,7 @@ def train(model: StudentModel, dataset: Dataset, cfg: TrainConfig, seed: int
     recorded loss is the mean over the epoch's (noisy) presentations.
     """
     n = len(dataset.targets)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
     losses: list[float] = []
     for epoch in range(cfg.epochs):

@@ -11,7 +11,8 @@ of T points, obtained by clamping the truncated expansion at a small floor
 and renormalizing.
 
 The package checks every count, size and real setting with _integer and
-_real, kept here because this module imports nothing from the package.
+_real, and every seed with _rng, kept here because this module imports
+nothing from the package.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ def _integer(name: str, value, low: int) -> int:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def _rng(seed) -> np.random.Generator:
+    """A Generator from seed: a Generator (itself), a SeedSequence, or _integer >= 0."""
+    if not isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        seed = _integer("seed", seed, 0)
+    return np.random.default_rng(seed)
 
 
 def _real(name: str, value, ok, rule: str):

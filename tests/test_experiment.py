@@ -1,9 +1,8 @@
 """Synthetic experiment: example generation against Monte-Carlo moments and
-against a per-example reference generator, the exact inverse cdf on
-adversarial draws, contexts as counts on shared atoms, attention-mass bookkeeping on hand-built
-rows, query-shuffle ablation, single-cell training, rate fits against a
-brute-force grid search, and the sweep bundle's persistence and
-reproducibility.
+against a token-by-token reference generator's law, contexts as counts on
+shared atoms, attention-mass bookkeeping on hand-built rows, query-shuffle
+ablation, single-cell training, rate fits against a brute-force grid
+search, and the sweep bundle's persistence and reproducibility.
 """
 
 import hashlib
@@ -21,6 +20,7 @@ import pytest
 
 from measure_attn import (
     Dataset,
+    Example,
     ExperimentConfig,
     RiskCurve,
     StudentConfig,
@@ -30,6 +30,7 @@ from measure_attn import (
     fit_rate,
     gen_example,
     query_shuffle_eval,
+    random_lipschitz_trials,
     run_cell,
     scaling_axis,
     sweep,
@@ -37,10 +38,9 @@ from measure_attn import (
     target_value,
     train,
 )
-from measure_attn.experiment import (_CHUNK, _GEN_CHUNK, _STREAM_LOOP, _STREAM_VAL,
-                                     _atomic_write, _cell_key, _cell_seedseq, _gen,
-                                     _gen_chunk, _grid_atoms, _inverse_cdf, _targets,
-                                     _validate)
+from measure_attn.experiment import (_CHUNK, _STREAM_LOOP, Hidden, _atomic_write,
+                                     _cell_key, _cell_seedseq, _draw, _gen,
+                                     _grid_atoms, _targets, _val_set, _validate)
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -148,8 +148,8 @@ def test_target_value_zero_coefficients_and_oddness():
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_stacked_targets_are_per_row_targets_bitwise(alpha):
-    # _gen_chunk computes a chunk's targets in one expression; each must be
-    # the 1-d sum that target_value takes of its row
+    # _gen computes its targets in one expression; each must be the 1-d sum
+    # that target_value takes of its row
     spec = SMALL.spectrum(alpha)
     lam = spec.eigenvalues()
     rng = np.random.default_rng(17)
@@ -208,7 +208,7 @@ def test_gen_example_stream_is_pinned():
                  repr(ex.target).encode()):
         digest.update(blob)
     assert digest.hexdigest() == (
-        "0c36ccaf7b6ca5db7bc7b034d20d9a8e079e441cf437437818d50bfdebfddae7")
+        "8483a1ec02c9eb816e8cfdf3d2e568870bdf5d02e5952255eb176a7be9e1eda5")
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -247,8 +247,9 @@ def test_gen_example_conditional_target_mean():
 def reference_example(spec, cfg, rng):
     """One example drawn token by token, as gen_example once drew it.
 
-    Returns tokens, counts, query, target and (z1, z2, v1); the oracle for
-    the chunked generator, which must keep its stream and its arithmetic.
+    Returns tokens, counts, query, target and (z1, z2, v1); each token picks
+    its component with probability 1/2, then its grid point by inverse cdf,
+    so the counts are the oracle for the law of _gen's multinomial draws.
     """
     v1 = 1.0 if rng.random() < 0.5 else -1.0
     z1 = rng.standard_normal(spec.M)
@@ -268,119 +269,41 @@ def reference_example(spec, cfg, rng):
             np.array([0.0, v1]), target_value(spec, v1, z1), (z1, z2, v1))
 
 
-def assert_same_row(counts, query, target, ref):
-    _, ref_counts, ref_query, ref_target, _ = ref
-    assert counts.dtype == ref_counts.dtype
-    np.testing.assert_array_equal(counts, ref_counts)
-    np.testing.assert_array_equal(query, ref_query)
-    assert target == ref_target
-
-
-def assert_same_example(ex, ref):
-    assert_same_row(ex.counts, ex.query_token, ex.target, ref)
-    z1, z2, v1 = ref[-1]
-    np.testing.assert_array_equal(ex.hidden.z1, z1)
-    np.testing.assert_array_equal(ex.hidden.z2, z2)
-    assert ex.hidden.v1 == v1
-
-
-@pytest.mark.parametrize("n_tokens", [1, 77, 1000])
-def test_gen_keeps_the_per_example_stream_across_chunks(n_tokens):
-    cfg = replace(SMALL, n_tokens=n_tokens)
+def test_gen_counts_follow_the_token_by_token_law():
+    # at few tokens a context's counts are far from their mean, so the joint
+    # law shows: per-atom mean counts against the oracle's, and the count on
+    # tag v1, Binomial(n, 1/2), against its mean and variance
+    cfg = replace(SMALL, n_tokens=10)
     spec = cfg.spectrum(1.0)
-    C = _GEN_CHUNK
-    for count in (1, C - 1, C, C + 1, 2 * C + 3):
-        data = _gen(cfg, spec, count, np.random.SeedSequence(count))
-        assert len(data.targets) == count
-        rng = np.random.default_rng(np.random.SeedSequence(count))
-        refs = [reference_example(spec, cfg, rng) for _ in range(count)]
-        for row, ref in zip(zip(data.counts, data.queries, data.targets), refs):
-            assert_same_row(*row, ref)
-        # one chunk of count rows also keeps each example's latents
-        rng = np.random.default_rng(np.random.SeedSequence(count))
-        _, v1, z = _gen_chunk(spec, cfg, rng, count)
-        for r, (_, _, _, _, (z1, z2, v)) in enumerate(refs):
-            np.testing.assert_array_equal(z[r], [z1, z2])
-            assert v1[r] == v
-    for seed, alpha in enumerate((0.5, 1.0, 2.0)):
-        spec = cfg.spectrum(alpha)
-        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ex = gen_example(spec, cfg, rng)
-        ref = reference_example(spec, cfg, ref_rng)
-        assert_same_example(ex, ref)
-        # tokens come back in atom order: sorted by tag, then x
-        np.testing.assert_array_equal(ex.context_tokens, ref[0][np.lexsort(ref[0].T)])
-        assert rng.random() == ref_rng.random()  # the stream is left where it was
+    N, T, n = 4000, cfg.T, cfg.n_tokens
+    data = _gen(cfg, spec, N, 0)
+    rng = np.random.default_rng(1)
+    ref = np.array([reference_example(spec, cfg, rng)[1] for _ in range(N)])
+    assert data.counts.shape == ref.shape == (N, 2 * T)
+    assert np.all(data.counts.sum(axis=1) == n)
+    se = np.sqrt((data.counts.var(axis=0) + ref.var(axis=0)) / N)
+    gap = np.abs(data.counts.mean(axis=0) - ref.mean(axis=0))
+    assert np.all(gap <= 5 * se)
+    on_v1 = np.where(data.queries[:, 1] > 0, data.counts[:, T:].sum(axis=1),
+                     data.counts[:, :T].sum(axis=1))
+    # Binomial(10, 1/2): variance 2.5, fourth central moment 17.5
+    assert abs(on_v1.mean() - n / 2) <= 5 * math.sqrt(n / 4 / N)
+    assert abs(on_v1.var() - n / 4) <= 5 * math.sqrt((17.5 - 2.5**2) / N)
 
 
-def test_gen_working_memory_does_not_grow_with_count():
-    cfg = replace(SMALL, n_tokens=1000)
+def test_gen_working_memory_does_not_grow_with_context_length():
+    cfg = replace(SMALL, n_tokens=100_000)
     spec = cfg.spectrum(1.0)
     _gen(cfg, spec, 1, 0)  # build the basis and atoms outside the measurement
-
-    def working_bytes(count):
-        tracemalloc.start()
-        try:
-            data = _gen(cfg, spec, count, 0)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert len(data.targets) == count
-        return peak - kept
-
-    one_chunk = working_bytes(_GEN_CHUNK)
-    # one batch of all 8 chunks would need about 8x one chunk's 24 bytes per token
-    assert working_bytes(8 * _GEN_CHUNK) <= one_chunk + 64 * 1024
-
-
-def reference_atoms(cdf, block, u):
-    """Each draw's atom by a binary search on its own block's cdf."""
-    T = cdf.shape[-1]
-    want = np.empty(u.shape, dtype=np.intp)
-    for r, i in np.ndindex(*u.shape):
-        b = int(block[r, i])
-        want[r, i] = b * T + min(np.searchsorted(cdf[r, b], u[r, i], side="right"),
-                                 T - 1)
-    return want
-
-
-def test_inverse_cdf_is_exact_on_adversarial_draws():
-    # uniforms are k * 2**-53; draws sit on each cdf entry's neighbours on
-    # that grid (on the entry itself where it is a uniform), at 0 and at the
-    # largest uniform, in both blocks of every row
-    T, step = 8, 2.0**-53
-    top = 1.0 - step                          # the largest uniform
-    cdf = np.cumsum(np.random.default_rng(3).dirichlet(np.ones(T), size=3), axis=-1)
-    on_grid = np.sort(np.random.default_rng(4).integers(2**52, 2**53, T)) * step
-    rows = np.stack([
-        cdf[:2],                              # row 0: entries off the grid
-        np.stack([on_grid, cdf[2]]),          # row 1: entries that are uniforms
-        np.stack([np.r_[cdf[0, :-2], np.nextafter(1.0, 2.0), 1.0],  # rounded above 1
-                  np.r_[cdf[1, :-1], top]]),  # last entry rounded below 1
-    ])
-    draws = []
-    for r, b in np.ndindex(3, 2):
-        below = np.floor(rows[r, b] / step) * step
-        near = [below, below - step, below + step, [0.0, top]]
-        if r == 1 and b == 0:
-            near += [on_grid, np.nextafter(on_grid, 0.0)]  # an entry and one ulp below
-        draws.append(np.unique(np.clip(np.concatenate(near), 0.0, top)))
-    n = max(d.size for d in draws)
-    u = np.zeros((3, 2 * n))
-    block = np.zeros((3, 2 * n), dtype=bool)
-    for r, b in np.ndindex(3, 2):
-        d = draws[2 * r + b]
-        u[r, b * n:b * n + d.size] = d
-        block[r, b * n:(b + 1) * n] = b
-    for r in range(3):  # interleave the blocks, so neither arrives sorted
-        perm = np.random.default_rng(r).permutation(2 * n)
-        u[r], block[r] = u[r, perm], block[r, perm]
-    assert np.all(u / step == np.floor(u / step))
-    want = reference_atoms(rows, block, u)
-    for m in (2 * n, 1):  # every draw, then one token per row
-        want_counts = np.stack([np.bincount(w, minlength=2 * T) for w in want[:, :m]])
-        np.testing.assert_array_equal(_inverse_cdf(rows, block[:, :m], u[:, :m]),
-                                      want_counts)
+    tracemalloc.start()
+    try:
+        data = _gen(cfg, spec, 16, 0)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(data.counts.sum(axis=1) == cfg.n_tokens)
+    # the working arrays are (16, 2T) and (16, 2, M), whatever n_tokens is
+    assert peak - kept < 2**20
 
 
 # ------------------------------------------------------- attention stats
@@ -588,21 +511,20 @@ def test_run_cell_runs_one_batched_pass_per_minibatch_and_validation_chunk(
 
 def test_run_cell_mse_and_stats_match_separate_passes():
     val_mse, model, result = run_cell(1.0, 4, 0, SMALL)
-    # run_cell's validation set, with its tokens
-    rng = np.random.default_rng(_cell_seedseq(SMALL, 1.0, 0, 0, _STREAM_VAL))
-    val_set = [gen_example(SMALL.spectrum(1.0), SMALL, rng)
-               for _ in range(SMALL.n_val)]
-    assert val_mse == _validate(model, Dataset.of(val_set))[0]
-    token_mse = np.mean([(model.forward(ex.context_tokens, ex.query_token)[0]
-                          - ex.target) ** 2 for ex in val_set])
+    # run_cell's validation set, with each row's tokens
+    val_set = _val_set(SMALL, SMALL.spectrum(1.0), 1.0, 0)
+    assert val_mse == _validate(model, val_set)[0]
+    tokens = [np.repeat(val_set.atoms, c, axis=0) for c in val_set.counts]
+    token_mse = np.mean([(model.forward(C, q)[0] - y) ** 2 for C, q, y
+                         in zip(tokens, val_set.queries, val_set.targets)])
     assert val_mse == pytest.approx(token_mse, rel=1e-12)
-    stat_set = val_set[:SMALL.n_stat_examples]
+    stat_rows = list(zip(tokens, val_set.queries))[:SMALL.n_stat_examples]
     rows = []
-    for ex in stat_set:   # per-token rows from the pass over the tokens' runs
-        cache = model.forward(ex.context_tokens, ex.query_token)[1]
+    for C, q in stat_rows:   # per-token rows from the pass over the tokens' runs
+        cache = model.forward(C, q)[1]
         runs = cache.weights[0].astype(int)
         rows.append(np.repeat(cache.attn[:, 0] / cache.weights[0], runs, axis=-1))
-    masks = [ex.context_tokens[:, 1] == ex.query_token[1] for ex in stat_set]
+    masks = [C[:, 1] == q[1] for C, q in stat_rows]
     for key, want in stats_loop_reference(rows, masks).items():
         np.testing.assert_allclose(getattr(result.stats, key), want,
                                    rtol=1e-12, atol=0, err_msg=key)
@@ -635,6 +557,25 @@ def test_run_cell_and_sweep_validate_settings(tmp_path, call, name):
     with pytest.raises(ValueError, match=f"^{name} must be an integer"):
         call(str(out))
     assert not out.exists()   # checked before anything is written
+
+
+@pytest.mark.parametrize("seed", [True, 1.5], ids=["bool", "float"])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda seed: gen_example(SMALL.spectrum(1.0), SMALL, seed),
+                 id="gen-example"),
+    pytest.param(lambda seed: query_shuffle_eval(
+        StudentModel.init(SMALL.student, 0), balanced_items(2, T=6), seed),
+                 id="query-shuffle"),
+    pytest.param(lambda seed: StudentModel.init(SMALL.student, seed), id="init"),
+    pytest.param(lambda seed: train(StudentModel.init(SMALL.student, 0),
+                                    _gen(SMALL, SMALL.spectrum(1.0), 2, 0),
+                                    SMALL.train, seed), id="train"),
+    pytest.param(lambda seed: random_lipschitz_trials(20, seed), id="probe"),
+])
+def test_every_seed_is_checked_by_one_rule(call, seed):
+    # numpy alone would take True as seed 1 and reject 1.5 with a TypeError
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0"):
+        call(seed)
 
 
 def test_run_cell_seed_changes_result():
@@ -698,15 +639,24 @@ def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
 
 
 def test_gen_dataset_is_stacked_gen_example_draws():
-    # _gen's Dataset, which holds no tokens, is bitwise Dataset.of of the
-    # Examples gen_example draws on the same stream, and every result on the
-    # one is the result on the other
+    # gen_example is _gen's one-row case, and _gen's Dataset, which holds no
+    # tokens, is bitwise Dataset.of of Examples that wrap one draw's rows:
+    # every result on the one is the result on the other
     spec = SMALL.spectrum(1.0)
+    for seed in (0, 5, 123):
+        ex, data = gen_example(spec, SMALL, seed), _gen(SMALL, spec, 1, seed)
+        assert ex.counts.tobytes() == data.counts[0].tobytes()
+        assert ex.query_token.tobytes() == data.queries[0].tobytes()
+        assert ex.target == data.targets[0]
     sets = {}
-    for count in (1, 15, 16, 17, 35, _CHUNK + 5):
+    for count in (1, 17, _CHUNK + 5):
         data = _gen(SMALL, spec, count, np.random.SeedSequence(count))
-        rng = np.random.default_rng(np.random.SeedSequence(count))
-        examples = [gen_example(spec, SMALL, rng) for _ in range(count)]
+        counts, v1, z = _draw(spec, SMALL, np.random.default_rng(
+            np.random.SeedSequence(count)), count)
+        examples = [Example(_grid_atoms(spec.T), counts[i], np.array([0.0, v1[i]]),
+                            target_value(spec, v1[i], z[i, 0]),
+                            Hidden(z[i, 0], z[i, 1], float(v1[i])))
+                    for i in range(count)]
         assert all(ex.context_tokens.shape == (SMALL.n_tokens, 2) for ex in examples)
         stacked = Dataset.of(examples)
         assert data.atoms is stacked.atoms

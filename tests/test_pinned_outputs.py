@@ -31,35 +31,35 @@ COMMANDS = (
 )
 
 PINNED = {
-    "sweep/attention_stats.csv": "c343859795aedbd4f506ae9d6e803747fb59aca9f7cae44022cedf37d28635ff",
-    "sweep/cells/02bed199dd27bcf5.json": "11cc067a500f32544d16aa4a9483f70cc9b1598caacd4c75b224e59afa42e82a",
-    "sweep/cells/06b6b75422dcdbe6.json": "1f3c2c500fae40c4798617c2e341eea26f4074101737ced223ae26a977de38ec",
-    "sweep/cells/1d487996262d6291.json": "31e4290e410669f2cbb86f553935abe11b85cf2a59ea620873fa2beba209aeed",
-    "sweep/cells/23f75c49496430bb.json": "b9f1aa6e56341e485c97f70fc3375bddcb8781585b3dfc27189339d6c85716cd",
-    "sweep/cells/2771109f52866334.json": "ca202d84382801b690e87658dfcc6441f4d9323ed254dbf20598f1773c398e85",
-    "sweep/cells/2b62df7c2c0fff9f.json": "93110745c31c5a449008bc028699943bc0213625b2f03fe9c57e8af61dc16a3b",
-    "sweep/cells/2d8570a193f6c9f2.json": "f0c7f7a0ee07796ce073cb07048b1f4ccf5b5bc4b66874ec8995bc88a342bd16",
-    "sweep/cells/2fd76abf36fec501.json": "66d5fb6577155f643aca7b775f39c7a470354ff1218c2ad3bd321104e1d616ef",
-    "sweep/cells/36eaad71160732e3.json": "58ab4b7ddbd67b18bc1696320261248e7c69d60216a301444849494f53a7b1c6",
-    "sweep/cells/3a54531dc85015e7.json": "2ca703dc01b8db5b2cbaccc6ea5c298f610e7e815e3ea4f04c2a931999585406",
-    "sweep/cells/46615aea673feb06.json": "a3b4c89788b8afff545aef556640348a6c05135c67f088e6bf1fede0b66fbb2c",
-    "sweep/cells/5e74663830ace9d4.json": "3cb666b2e85d16af5f798a535f49bbc0456cd9735d3dffd0a351051e4f288f5f",
-    "sweep/cells/648ec471c97039dd.json": "840864ca132ef07a5796d61a05c4c7e73e6ea59d84c6a70c0a218ff2aa569081",
-    "sweep/cells/7c580e718c3c4e1c.json": "093eaac87c7fe1ee4a312f9bee7162e5730f0e03f2f9b95b61f2696b6dc10212",
-    "sweep/cells/9be0945c4f2ba928.json": "fcd7de745b422ffd7fdb0c6ac5bce691ec6e9152c2fdbd87a69646451f3c6184",
-    "sweep/cells/b6b952e70ee5a150.json": "6ef52b42dfbb314ef5491fd939983fb8cb0b77e3a1946a821253be422de9c1ec",
-    "sweep/cells/cf5272d183bb7e98.json": "b027c0e1882ae83388358f34c74ab313509d9e45e98ae15a4fb6ab7fe1ede680",
-    "sweep/cells/d58a23f110a1a025.json": "7221a7b0c29255d768b85a9eb0b35fffcd8c3f794988e67b2c1667fbd5936eb2",
+    "sweep/attention_stats.csv": "838898650c3acb4bfec42ab59137a354ba14ce92b8786b4dd2bd1f56365b5f0a",
+    "sweep/cells/02bed199dd27bcf5.json": "dde0111cf612a1e07bad40c7d217fb70e9cfd11fcdfebd15ae6b6c82a071ea8f",
+    "sweep/cells/06b6b75422dcdbe6.json": "a4cd7b506e6bbbf4b01dbcca812aebb60b0bbfc6a1f466977d449f28cf0ed231",
+    "sweep/cells/1d487996262d6291.json": "1f7c19d0442ee62c7be9843af25d853d8c2d79927b41e3fc93837ce0643fc199",
+    "sweep/cells/23f75c49496430bb.json": "e043a24d09853208e46d35b47a6aed43dd3c933d8862127552ea0ecd6014f346",
+    "sweep/cells/2771109f52866334.json": "6f2e7b5fb75fbcf7fe6488e16ea0bee411fce179b63526763603ae74ea94e962",
+    "sweep/cells/2b62df7c2c0fff9f.json": "9c4aa219b5c38c5e6ed148a0fc2a3b7c9905c975eb288158363a7420f60524b8",
+    "sweep/cells/2d8570a193f6c9f2.json": "00f31e36e265e708e88b3d7f621e488bc21e5508b87e6fe5df3ad82d0dd35c25",
+    "sweep/cells/2fd76abf36fec501.json": "51a7f5bb6325761613664f24b571d81518ea5b778dd4c1bf0e61fd88ada4ccb8",
+    "sweep/cells/36eaad71160732e3.json": "defe8008e3fae4c05123547c72dad102e3f746774b1d5105253efd7eb57441c8",
+    "sweep/cells/3a54531dc85015e7.json": "f4d9e02b2790082689dc187e5a5f18b99abfb9cd1500b3ef7dbc7c5a9f5a8229",
+    "sweep/cells/46615aea673feb06.json": "bbf8cb1ce94cd7237bc047817900288576b5cc51187f0d37cb709fb0e3b74a22",
+    "sweep/cells/5e74663830ace9d4.json": "b2a05c2c2fe83d04a8a0a8972a07f51c27dbc0556670b5609c01d6b134b7d167",
+    "sweep/cells/648ec471c97039dd.json": "cb59da87890027e919172600619c70197dece6fc6598f561befe32395ba8a98c",
+    "sweep/cells/7c580e718c3c4e1c.json": "adf35319b3282db25764acf7b87cf3aa7f214d781b999b6eef0b81588bcc530b",
+    "sweep/cells/9be0945c4f2ba928.json": "fdc582a6e5bba30bea28a53fea911285b590f7ecbffd800f340e3a6fe1b56c9c",
+    "sweep/cells/b6b952e70ee5a150.json": "886fd284e5174cee2ddfa5e21f09763543dfaa105c4201aac64551fc656e1134",
+    "sweep/cells/cf5272d183bb7e98.json": "e3d3adf505f9d8714b24c7878318ae09336744d320389f94fe57187cfdd5e303",
+    "sweep/cells/d58a23f110a1a025.json": "516ed143f732058178f822423422bdc6896f53204a4257d36f915660daed8a62",
     "sweep/config_resolved.json": "f7aff656c089d19252ac7dbe4579e2eb004da72983321abf8179ef5fe76a0ba2",
-    "sweep/fit.json": "9bed19d923ca4db1edc180d5736ccd8ebf9fa875c0d933323c39805744b47a95",
+    "sweep/fit.json": "129a91bbef24d75f6f869c3f1276d05eb1f09e889468b595c6888c8b9b85ea5e",
     "sweep/manifest.json": "46893195d40371e6dd4449ecf08d1fa90a30c1313fffbca7ec62eaa9e85b6875",
-    "sweep/risk_curve.csv": "765aa61de55342537ead35cb1a7a991cda7733b57c23b046f7245b460f6104eb",
-    "sweep/scaling_axis.dat": "215853a0d7b162e8dfdd36e9ac89e70239e723fb0f4aa6d6cabb6951c75e83fa",
-    "train/checkpoint.json": "ee24b53e65cd6cc9f0f05440a2ce5e158e3888338954049fda04ac43b1fd0927",
+    "sweep/risk_curve.csv": "de0c440b13ffd0b442467bdcea139b3e1280e3508e58cce54ff5d701f1c49d6a",
+    "sweep/scaling_axis.dat": "f17532fbc1bbb80acc9b709c01ba775c6c483bebefaae4b54d229f90aa93f9d8",
+    "train/checkpoint.json": "c6fe09a2993015b26275acc4e94467f293bd6e73a8cee5f2abe371ff045d3d97",
     "train/config_resolved.json": "2a034ecd56ecc1a1f96cc018f07538760c72c20b8dbe897320ae476bca098795",
-    "train/losses.csv": "85ecee71438fb77b4fcff70d34b8ded44a9cfe0ba745fda0c51c46aa660c11a9",
-    "train/metrics.json": "5a41a261343efe118794ceaa278dd79c72ccdd7401e48cfe11b20599152deaf7",
-    "gen --seed 3 --n-tokens 100": "30f8dee0a6e79d209aecc2f79f6a1ca4f45c1c1b0abdb62d36af67f8d400ba35",
+    "train/losses.csv": "ae000ff57e816f947db007febc3b0b4a7febbc9809976878b13ebcb74a256c29",
+    "train/metrics.json": "824adf6168c3a18535dd4dae0ab3acf45558482df927ae14ad2d700ad2d1fe0b",
+    "gen --seed 3 --n-tokens 100": "2d849937866bd1ede2c4d8988f3ab527d2472eef4562a04e2926cfdc8e34f6ee",
     "verify --verbose": "a1c196729f6b041bdb670fe651b524e01631aee3e1345402e3f8717b4e97cd6b",
 }
 
