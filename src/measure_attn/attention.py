@@ -118,7 +118,7 @@ def _softmax(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """
     e = np.where(weights > 0, scores, -np.inf)
     top = e.max(axis=-1, keepdims=True)
-    if np.isneginf(top).any():
+    if (top == -np.inf).any():
         raise ValueError("softmax normalizer vanished (zero-mass tilt)")
     e -= top
     np.exp(e, out=e)   # in place: one fresh (.., T) buffer per call, not two

@@ -70,6 +70,8 @@ class ExperimentConfig:
         for name, low in (("M", 1), ("T", 1), ("n_tokens", 1), ("n_val", 1),
                           ("seeds", 1), ("n_stat_examples", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        if self.n_tokens > 2**63 - 1:   # the largest count multinomial draws
+            raise ValueError(f"n_tokens must be at most 2**63 - 1, got {self.n_tokens}")
         if self.M > self.T // 2:
             raise ValueError(f"M={self.M} must satisfy M <= T/2 with T={self.T}")
         _real("clamp_eps", self.clamp_eps, _positive, "positive and finite")
@@ -113,7 +115,7 @@ def target_value(spec: MercerSpectrum, v1: float, z1: np.ndarray) -> float:
 
 def _targets(lam: np.ndarray, v1, z1: np.ndarray):
     """target_value of stacked rows, bitwise (a matmul with lam would not be)."""
-    return v1 * np.sum(lam[1:] * z1[..., 1:] ** 2, axis=-1)
+    return v1 * (lam[1:] * z1[..., 1:] ** 2).sum(axis=-1)
 
 
 @functools.cache
@@ -154,8 +156,10 @@ def _draw(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
     z[:, :, 0] = 0.0
     pmf = synth_density(spec, z, cfg.clamp_eps)
     # pmf[:, 0] is component 0, tag v1; atoms put tag -1 first
-    pmf = np.where((v1 > 0)[:, None, None], pmf[:, ::-1], pmf)
-    return rng.multinomial(cfg.n_tokens, 0.5 * pmf.reshape(rows, -1)), v1, z
+    pmf = 0.5 * np.where((v1 > 0)[:, None, None], pmf[:, ::-1], pmf).reshape(rows, -1)
+    # one row goes in as a 1-d pmf: the same counts, drawn on a cheaper path
+    counts = rng.multinomial(cfg.n_tokens, pmf[0] if rows == 1 else pmf)
+    return counts.reshape(rows, -1), v1, z
 
 
 @dataclass(frozen=True)
@@ -368,13 +372,13 @@ def scaling_axis(alpha: float, n_values) -> np.ndarray:
 
 def fit_rate(curve: RiskCurve, alpha: float) -> FitResult:
     """Least squares of log mean risk on the transformed axis."""
-    n_vals = np.asarray(curve.n_values, dtype=np.float64)
     mse = np.asarray(curve.mean_mse, dtype=np.float64)
-    if np.unique(n_vals).size < 2:
+    # a set, not np.unique, which imports numpy.ma on first use
+    if len(set(curve.n_values)) < 2:
         raise ValueError("need at least 2 distinct n to fit a rate")
     if np.any(mse <= 0):
         raise ValueError("risk values must be positive to fit in log space")
-    t = scaling_axis(alpha, n_vals)
+    t = scaling_axis(alpha, curve.n_values)
     y = np.log(mse)
     slope, intercept = np.polyfit(t, y, 1)
     resid = y - (intercept + slope * t)

@@ -13,19 +13,21 @@ No layer norm, no dropout, no biases inside the attention projections.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .attention import _T, _softmax
+from .attention import _softmax
 from .spectrum import _integer, _rng
 
 
-# name -> (activation, its derivative at the pre-activation)
+# name -> (activation, its derivative at the pre-activation); relu's is a
+# boolean mask, which multiplies as 0.0 and 1.0 do
 _ACTIVATIONS = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda pre: (pre > 0.0).astype(np.float64)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda pre: pre > 0.0),
     "tanh": (np.tanh, lambda pre: 1.0 - np.tanh(pre) ** 2),
 }
 
@@ -103,32 +105,33 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
     H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
     stack, A = b["head_b2"].shape[:-1], C.shape[0]
 
-    def affine(x, w, bias):   # x @ w^T + bias, the bias broadcast over rows
-        return x @ _T(b[w]) + b[bias][..., None, :]
-
-    ctx_pre = affine(C, "ctx_w1", "ctx_b1")
+    # each dense layer is x @ w^T + bias, the bias broadcast over rows
+    ctx_pre = C @ b["ctx_w1"].swapaxes(-1, -2) + b["ctx_b1"][..., None, :]
     ctx_act = act(ctx_pre)
-    ctx_emb = affine(ctx_act, "ctx_w2", "ctx_b2")
+    ctx_emb = ctx_act @ b["ctx_w2"].swapaxes(-1, -2) + b["ctx_b2"][..., None, :]
 
-    qry_pre = affine(q, "qry_w1", "qry_b1")
+    qry_pre = q @ b["qry_w1"].swapaxes(-1, -2) + b["qry_b1"][..., None, :]
     qry_act = act(qry_pre)
-    qry_emb = affine(qry_act, "qry_w2", "qry_b2")
+    qry_emb = qry_act @ b["qry_w2"].swapaxes(-1, -2) + b["qry_b2"][..., None, :]
 
-    scale = 1.0 / np.sqrt(hd)
+    scale = 1.0 / math.sqrt(hd)
     # one GEMM per projection for all heads; queries viewed as (H, B, hd),
     # keys and values as (H, A, hd)
-    head_q = _T(b["attn_q"] @ _T(qry_emb)[..., None, :, :])
-    head_k, head_v = (np.swapaxes((ctx_emb @ _T(b[w].reshape(stack + (H * hd, dm))))
-                                  .reshape(stack + (A, H, hd)), -3, -2)
-                      for w in ("attn_k", "attn_v"))
-    attn = _softmax(scale * (head_q @ _T(head_k)), weights)
+    head_q = (b["attn_q"] @ qry_emb.swapaxes(-1, -2)[..., None, :, :]).swapaxes(-1, -2)
+    heads, per_head = stack + (H * hd, dm), stack + (A, H, hd)
+    head_k = ((ctx_emb @ b["attn_k"].reshape(heads).swapaxes(-1, -2))
+              .reshape(per_head).swapaxes(-3, -2))
+    head_v = ((ctx_emb @ b["attn_v"].reshape(heads).swapaxes(-1, -2))
+              .reshape(per_head).swapaxes(-3, -2))
+    attn = _softmax(scale * (head_q @ head_k.swapaxes(-1, -2)), weights)
     head_out = attn @ head_v
-    mixed = (np.swapaxes(head_out, -3, -2).reshape(stack + (-1, H * hd))
-             @ _T(b["attn_out"]))
+    mixed = (head_out.swapaxes(-3, -2).reshape(stack + (-1, H * hd))
+             @ b["attn_out"].swapaxes(-1, -2))
 
-    out_pre = affine(mixed, "head_w1", "head_b1")
+    out_pre = mixed @ b["head_w1"].swapaxes(-1, -2) + b["head_b1"][..., None, :]
     out_act = act(out_pre)
-    pred = affine(out_act, "head_w2", "head_b2")[..., 0]
+    pred = (out_act @ b["head_w2"].swapaxes(-1, -2)
+            + b["head_b2"][..., None, :])[..., 0]
     return dict(ctx_pre=ctx_pre, ctx_act=ctx_act, ctx_emb=ctx_emb,
                 qry_pre=qry_pre, qry_act=qry_act, qry_emb=qry_emb,
                 head_q=head_q, head_k=head_k, head_v=head_v, attn=attn,
@@ -139,26 +142,27 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
 def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,
               q: np.ndarray, up: np.ndarray) -> None:
     """The student's backward arithmetic: writes d(sum_b up[b] pred[b])/d(b)
-    into the blocks gb, overwriting each.
+    into the blocks gb, overwriting each in place through out=.
 
     b is one model's blocks and f the intermediates _forward returned for the
     points C (A, input_dim) and the queries q (B, input_dim); up is (B,).
     """
     _, act_grad = _ACTIVATIONS[cfg.activation]
     H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
-    scale = 1.0 / np.sqrt(hd)
+    scale = 1.0 / math.sqrt(hd)
     B, A = up.size, C.shape[0]
 
     # head MLP
     d_out_pre = up[:, None] * b["head_w2"][0] * act_grad(f["out_pre"])
-    gb["head_w2"][:] = up[:, None].T @ f["out_act"]
-    gb["head_b2"][0] = up.sum()
-    gb["head_w1"][:] = d_out_pre.T @ f["mixed"]
-    gb["head_b1"][:] = d_out_pre.sum(axis=0)
+    np.matmul(up[:, None].T, f["out_act"], out=gb["head_w2"])
+    up.sum(keepdims=True, out=gb["head_b2"])
+    np.matmul(d_out_pre.T, f["mixed"], out=gb["head_w1"])
+    d_out_pre.sum(axis=0, out=gb["head_b1"])
     d_mixed = d_out_pre @ b["head_w1"]
 
     # output projection
-    gb["attn_out"][:] = d_mixed.T @ f["head_out"].transpose(1, 0, 2).reshape(B, H * hd)
+    np.matmul(d_mixed.T, f["head_out"].transpose(1, 0, 2).reshape(B, H * hd),
+              out=gb["attn_out"])
     d_head_out = (d_mixed @ b["attn_out"]).reshape(B, H, hd).transpose(1, 0, 2)
 
     # attention: o_hb = sum_a a_hba v_ha, a = softmax(scale * k q).  The
@@ -173,29 +177,29 @@ def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,
     d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
     s_ctx = (d_scores @ ctx).reshape(H, B, dm)
     d_head_q = scale * (Wk @ s_ctx.transpose(0, 2, 1))      # (H, hd, B)
-    gb["attn_q"][:] = d_head_q @ f["qry_emb"]
-    gb["attn_k"][:] = sq.transpose(0, 2, 1) @ s_ctx
-    gb["attn_v"][:] = (d_head_out.transpose(0, 2, 1)
-                       @ (attn @ ctx).reshape(H, B, dm))
+    np.matmul(d_head_q, f["qry_emb"], out=gb["attn_q"])
+    np.matmul(sq.transpose(0, 2, 1), s_ctx, out=gb["attn_k"])
+    np.matmul(d_head_out.transpose(0, 2, 1), (attn @ ctx).reshape(H, B, dm),
+              out=gb["attn_v"])
     d_qry_emb = (d_head_q.transpose(2, 0, 1).reshape(B, H * hd)
                  @ Wq.reshape(H * hd, dm))
     d_ctx_emb = (d_scores.T @ (sq @ Wk).reshape(H * B, dm)
                  + attn.T @ u_v.reshape(H * B, dm))
 
     # query MLP
-    gb["qry_w2"][:] = d_qry_emb.T @ f["qry_act"]
-    gb["qry_b2"][:] = d_qry_emb.sum(axis=0)
+    np.matmul(d_qry_emb.T, f["qry_act"], out=gb["qry_w2"])
+    d_qry_emb.sum(axis=0, out=gb["qry_b2"])
     d_qry_pre = (d_qry_emb @ b["qry_w2"]) * act_grad(f["qry_pre"])
-    gb["qry_w1"][:] = d_qry_pre.T @ q
-    gb["qry_b1"][:] = d_qry_pre.sum(axis=0)
+    np.matmul(d_qry_pre.T, q, out=gb["qry_w1"])
+    d_qry_pre.sum(axis=0, out=gb["qry_b1"])
 
     # context MLP
     d_ctx_act = d_ctx_emb @ b["ctx_w2"]
-    gb["ctx_w2"][:] = d_ctx_emb.T @ f["ctx_act"]
-    gb["ctx_b2"][:] = d_ctx_emb.sum(axis=0)
+    np.matmul(d_ctx_emb.T, f["ctx_act"], out=gb["ctx_w2"])
+    d_ctx_emb.sum(axis=0, out=gb["ctx_b2"])
     d_ctx_pre = d_ctx_act * act_grad(f["ctx_pre"])
-    gb["ctx_w1"][:] = d_ctx_pre.T @ C
-    gb["ctx_b1"][:] = d_ctx_pre.sum(axis=0)
+    np.matmul(d_ctx_pre.T, C, out=gb["ctx_w1"])
+    d_ctx_pre.sum(axis=0, out=gb["ctx_b1"])
 
 
 def _runs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

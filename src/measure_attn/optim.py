@@ -55,18 +55,21 @@ class TrainConfig:
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
               cfg: TrainConfig, epoch: int) -> None:
-    """One bias-corrected Adam update at epoch's step size, in place.
+    """One bias-corrected Adam update at epoch's step size, in place on
+    params and on the moment arrays state.m and state.v.
 
     Rejects non-finite gradients before touching any state, so a failed
     step leaves params and moments untouched.
     """
     if params.shape != state.m.shape or grads.shape != state.m.shape:
         raise ValueError("params/grads shape does not match optimizer state")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient; step rejected")
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * grads
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * grads ** 2
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * grads
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * grads ** 2
     m_hat = state.m / (1.0 - cfg.beta1 ** state.t)
     v_hat = state.v / (1.0 - cfg.beta2 ** state.t)
     lr_t = cfg.lr0 * cfg.decay_per_epoch ** epoch
@@ -112,14 +115,17 @@ def train(model: StudentModel, dataset: Dataset, cfg: TrainConfig, seed: int
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
+        # an epoch's rows in its order, and all its noise in one draw: the
+        # stream of one standard_normal(batch) per minibatch, in one call
+        queries, counts = dataset.queries[order], dataset.counts[order]
+        noisy = dataset.targets[order]
+        if cfg.noise_std > 0:
+            noisy = noisy + cfg.noise_std * rng.standard_normal(n)
         epoch_sq = 0.0
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            noisy = dataset.targets[idx]
-            if cfg.noise_std > 0:
-                noisy = noisy + cfg.noise_std * rng.standard_normal(idx.size)
-            resid = model._squared_loss_grads(dataset.atoms, dataset.queries[idx],
-                                              dataset.counts[idx], noisy)
+            batch = slice(start, start + cfg.batch_size)
+            resid = model._squared_loss_grads(dataset.atoms, queries[batch],
+                                              counts[batch], noisy[batch])
             epoch_sq += float(resid @ resid)
             adam_step(state, model.params, model.grads, cfg, epoch)
         losses.append(epoch_sq / n)

@@ -145,7 +145,7 @@ def synth_density(spec: MercerSpectrum, z, clamp_eps: float) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim < 1 or z.shape[-1] != spec.M:
         raise ValueError(f"coefficients must have shape (..., {spec.M}), got {z.shape}")
-    if np.any(z[..., 0] != 0.0):
+    if (z[..., 0] != 0.0).any():
         raise ValueError("mode-0 coefficient must be zero")
     _real("clamp_eps", clamp_eps, _positive, "positive and finite")
     # (..., 1, M) @ (M, T) runs one vector-matrix product per row, so each

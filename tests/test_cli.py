@@ -517,6 +517,7 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
                      {"alpha_list": "12"},
                      {"alpha_list": [1, "2"]},
                      {"n_list": "48"})),
+    (["sweep", "--n-tokens", "99999999999999999999", "--out", "{out}"], {}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -541,7 +542,8 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "config-train-eps-bool", "config-train-clamp-eps-bool",
         "config-train-alpha-bool", "config-sweep-alpha-bool",
         "config-sweep-n-list-bool", "config-sweep-alpha-list-string",
-        "config-sweep-alpha-string", "config-sweep-n-list-string"])
+        "config-sweep-alpha-string", "config-sweep-n-list-string",
+        "sweep-n-tokens-beyond-int64"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -10,6 +10,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -105,6 +107,10 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=0)
     with pytest.raises(ValueError, match="n_tokens"):
         ExperimentConfig(n_tokens=0)
+    # multinomial draws counts as C longs: 2**63 - 1 is the largest it takes
+    assert ExperimentConfig(n_tokens=2**63 - 1).n_tokens == 2**63 - 1
+    with pytest.raises(ValueError, match="n_tokens"):
+        ExperimentConfig(n_tokens=2**63)
     with pytest.raises(ValueError):
         ExperimentConfig(n_stat_examples=0)
     with pytest.raises(ValueError):
@@ -764,6 +770,22 @@ def test_fit_rate_rejects_degenerate_input():
         fit_rate(RiskCurve(1.0, (4, 4), (0.5, 0.4), (0.0, 0.0)), 1.0)
     with pytest.raises(ValueError):
         fit_rate(RiskCurve(1.0, (4, 8), (0.5, 0.0), (0.0, 0.0)), 1.0)
+
+
+def test_risk_curves_leave_numpy_ma_unimported():
+    # numpy.ma costs tens of milliseconds to import, on the serial tail of
+    # every sweep and analyze; a fresh interpreter shows whether fits load it
+    code = ("import sys\n"
+            "from measure_attn.experiment import risk_curves\n"
+            "curves, fits = risk_curves([(1.0, 4, 0.5), (1.0, 8, 0.3), (1.0, 16, 0.2)])\n"
+            "assert len(fits) == 1\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ------------------------------------------------------------------ sweep

@@ -107,6 +107,22 @@ def test_adam_rejects_bad_gradients_without_side_effects():
         adam_step(state, params, np.ones(3), TrainConfig(), 0)
 
 
+def test_adam_updates_its_moments_in_place():
+    state = AdamState(np.zeros(3), np.zeros(3))
+    m, v = state.m, state.v
+    params = np.ones(3)
+    adam_step(state, params, np.array([0.5, -1.0, 2.0]), TrainConfig(), 0)
+    assert state.m is m and state.v is v
+    assert np.all(m != 0.0) and np.all(v > 0.0)
+    # a rejected step keeps the same arrays and leaves every value as it was
+    before = params.copy(), m.copy(), v.copy()
+    with pytest.raises(ValueError, match="non-finite"):
+        adam_step(state, params, np.array([0.5, np.inf, 2.0]), TrainConfig(), 1)
+    assert state.m is m and state.v is v and state.t == 1
+    for now, then in zip((params, m, v), before):
+        np.testing.assert_array_equal(now, then)
+
+
 def test_adam_state_validation():
     # the step-size decay Adam reads is checked where it lives, in TrainConfig
     for decay in (0.0, 1.5):
