@@ -21,8 +21,7 @@ from .attention import (AttnHead, AttnParams, LipschitzReport, ProbeSummary,
 from .experiment import (AttentionStats, CellResult, Example,
                          ExperimentConfig, FitResult, RiskCurve,
                          attention_mass_stats, fit_rate, gen_example,
-                         query_shuffle_eval, run_cell, scaling_axis, sweep,
-                         target_value)
+                         query_shuffle_eval, run_cell, scaling_axis, sweep)
 from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
                        flatten, wasserstein1_1d)
 from .model import ModelCache, StudentConfig, StudentModel
@@ -35,15 +34,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "AttentionStats", "AttnHead", "AttnParams", "CellResult",
     "Dataset", "DiscreteMeasure", "Example", "ExperimentConfig", "FitResult",
-    "LipschitzReport", "MercerSpectrum", "MixtureContext",
-    "ModelCache", "ProbeSummary", "RiskCurve", "StudentConfig",
-    "StudentModel", "TrainConfig", "adam_step",
-    "attention_mass_stats", "build_mixture",
-    "build_recall_params", "featured_mixture",
-    "fit_rate", "flatten", "gen_example", "gen_norm_sq", "isometry_map",
-    "lipschitz_probe", "measure_attention", "midpoint_grid", "query_shuffle_eval",
-    "random_lipschitz_trials", "recall_feature_map", "run_cell",
-    "scaling_axis", "softmax_weights", "sweep",
-    "synth_density", "target_value", "temperature_for_error", "train",
-    "truncation_bound", "wasserstein1_1d", "__version__",
+    "LipschitzReport", "MercerSpectrum", "MixtureContext", "ModelCache",
+    "ProbeSummary", "RiskCurve", "StudentConfig", "StudentModel", "TrainConfig",
+    "adam_step", "attention_mass_stats", "build_mixture", "build_recall_params",
+    "featured_mixture", "fit_rate", "flatten", "gen_example", "gen_norm_sq",
+    "isometry_map", "lipschitz_probe", "measure_attention", "midpoint_grid",
+    "query_shuffle_eval", "random_lipschitz_trials", "recall_feature_map",
+    "run_cell", "scaling_axis", "softmax_weights", "sweep", "synth_density",
+    "temperature_for_error", "train", "truncation_bound", "wasserstein1_1d",
+    "__version__",
 ]

@@ -21,7 +21,7 @@ from . import experiment, verify
 from .experiment import ExperimentConfig, gen_example, risk_curves, run_cell
 from .model import StudentConfig
 from .optim import TrainConfig, losses_to_csv
-from .spectrum import _integer, _positive, _real
+from .spectrum import _integer, _length, _positive, _real
 
 ENV_SEED = "MEASURE_ATTN_SEED"
 
@@ -152,10 +152,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.n_train < 1:
-        raise CliError(f"--n-train must be at least 1, got {args.n_train}")
-    if args.cell_seed < 0:
-        raise CliError(f"--cell-seed must be non-negative, got {args.cell_seed}")
+    try:
+        _length("--n-train", args.n_train)
+        _integer("--cell-seed", args.cell_seed, 0)
+    except ValueError as e:
+        raise CliError(str(e))
     cfg, alpha = _one_alpha_config(args, 1.0)
     _write_resolved(cfg, args.out)
     val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)

@@ -31,8 +31,8 @@ import numpy as np
 from . import model as student
 from .model import StudentConfig, StudentModel
 from .optim import Dataset, TrainConfig, train
-from .spectrum import (MercerSpectrum, _integer, _positive, _real, _rng,
-                       midpoint_grid, synth_density)
+from .spectrum import (MercerSpectrum, _integer, _length, _positive, _real,
+                       _rng, midpoint_grid, synth_density)
 
 # Fixed stream labels for per-cell SeedSequence derivation.
 _STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP, _STREAM_SHUFFLE = range(5)
@@ -61,17 +61,15 @@ class ExperimentConfig:
             raise ValueError("alpha_list is empty")
         if len(set(self.alpha_list)) != len(self.alpha_list):
             raise ValueError(f"alpha_list repeats an alpha: {self.alpha_list}")
-        object.__setattr__(self, "n_list", tuple(_integer("n_list", n, 1)
-                                                 for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(_length("n_list", n) for n in self.n_list))
         if len(self.n_list) == 0:
             raise ValueError("n_list is empty")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ValueError(f"n_list must be strictly increasing, got {self.n_list}")
-        for name, low in (("M", 1), ("T", 1), ("n_tokens", 1), ("n_val", 1),
-                          ("seeds", 1), ("n_stat_examples", 1), ("seed", 0)):
+        for name, low in (("M", 1), ("seeds", 1), ("n_stat_examples", 1), ("seed", 0)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
-        if self.n_tokens > 2**63 - 1:   # the largest count multinomial draws
-            raise ValueError(f"n_tokens must be at most 2**63 - 1, got {self.n_tokens}")
+        for name in ("T", "n_tokens", "n_val"):
+            object.__setattr__(self, name, _length(name, getattr(self, name)))
         if self.M > self.T // 2:
             raise ValueError(f"M={self.M} must satisfy M <= T/2 with T={self.T}")
         _real("clamp_eps", self.clamp_eps, _positive, "positive and finite")
@@ -108,13 +106,9 @@ class Example:
         return np.repeat(self.atoms, self.counts, axis=0)
 
 
-def target_value(spec: MercerSpectrum, v1: float, z1: np.ndarray) -> float:
-    """Y = v1 * sum_{j>=1} lambda_j * z1_j^2; odd in v1 by construction."""
-    return float(_targets(spec.eigenvalues(), v1, np.asarray(z1)))
-
-
 def _targets(lam: np.ndarray, v1, z1: np.ndarray):
-    """target_value of stacked rows, bitwise (a matmul with lam would not be)."""
+    """Y = v1 * sum_{j>=1} lambda_j * z1_j^2 of each row of z1, odd in v1; each
+    row is bitwise its 1-d call (a matmul with lam would not be)."""
     return v1 * (lam[1:] * z1[..., 1:] ** 2).sum(axis=-1)
 
 
@@ -128,30 +122,31 @@ def _grid_atoms(T: int) -> np.ndarray:
 
 
 def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Example:
-    """One labelled context: its atom counts, query (0, v1) and target.
+    """One labelled context: row 0 of a one-row _draw, with its latents.
 
     The context is the mixture of two pmfs on the grid, synth_density of z1
     under tag v1 and of z2 under tag -v1, with weight 1/2 each, and its
-    counts are one multinomial draw of n_tokens on that mixture.  It is the
-    one-row _draw.
+    counts are one multinomial draw of n_tokens on that mixture.
     """
-    counts, v1, z = _draw(spec, cfg, _rng(rng_seed), 1)
-    return Example(_grid_atoms(spec.T), counts[0], np.array([0.0, v1[0]]),
-                   target_value(spec, v1[0], z[0, 0]),
-                   Hidden(z[0, 0], z[0, 1], float(v1[0])))
+    data, v1, z = _draw(spec, cfg, _rng(rng_seed), 1)
+    # copied: a row view would keep data.queries alive too (128 B per Example)
+    return Example(data.atoms, data.counts[0], data.queries[0].copy(),
+                   float(data.targets[0]), Hidden(z[0, 0], z[0, 1], float(v1[0])))
 
 
 def _draw(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
-          rows: int):
-    """rows examples on rng, as counts (rows, 2T), v1 (rows,) and z (rows, 2, M).
+          rows: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
+    """rows examples on rng: their Dataset, latents v1 (rows,) and z (rows, 2, M).
 
-    Whole-array draws, in this order: random(rows) for v1, standard_normal
-    for z1 and z2, then one multinomial of n_tokens per row on
-    1/2 P_{v1} + 1/2 P_{-v1}.  That is the law of n_tokens tokens that each
-    pick a component with probability 1/2 and then an atom from its pmf, at
-    a cost that does not grow with n_tokens.
+    The one place a context set's counts, queries (0, v1) and targets are
+    built, beside the pmfs they come from.  Whole-array draws, in this order:
+    random(rows) for v1, standard_normal for z1 and z2, then one multinomial
+    of n_tokens per row on 1/2 P_{v1} + 1/2 P_{-v1}.  That is the law of
+    n_tokens tokens that each pick a component with probability 1/2 and then
+    an atom from its pmf, at a cost that does not grow with n_tokens.
     """
-    v1 = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+    queries = np.zeros((rows, 2))
+    v1 = queries[:, 1] = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
     z = rng.standard_normal((rows, 2, spec.M))
     z[:, :, 0] = 0.0
     pmf = synth_density(spec, z, cfg.clamp_eps)
@@ -159,7 +154,8 @@ def _draw(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
     pmf = 0.5 * np.where((v1 > 0)[:, None, None], pmf[:, ::-1], pmf).reshape(rows, -1)
     # one row goes in as a 1-d pmf: the same counts, drawn on a cheaper path
     counts = rng.multinomial(cfg.n_tokens, pmf[0] if rows == 1 else pmf)
-    return counts.reshape(rows, -1), v1, z
+    return Dataset(_grid_atoms(spec.T), counts.reshape(rows, -1), queries,
+                   _targets(spec.eigenvalues(), v1, z[:, 0])), v1, z
 
 
 @dataclass(frozen=True)
@@ -298,10 +294,8 @@ def _cell_seedseq(cfg: ExperimentConfig, alpha: float, n: int, seed: int,
 
 def _gen(cfg: ExperimentConfig, spec: MercerSpectrum, count: int,
          ss: np.random.SeedSequence) -> Dataset:
-    """count examples on one stream: _draw's rows, without their latents."""
-    counts, v1, z = _draw(spec, cfg, _rng(ss), count)
-    return Dataset(_grid_atoms(spec.T), counts, np.column_stack([np.zeros(count), v1]),
-                   _targets(spec.eigenvalues(), v1, z[:, 0]))
+    """count examples on one stream: _draw's Dataset, without its latents."""
+    return _draw(spec, cfg, _rng(ss), count)[0]
 
 
 def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
@@ -314,7 +308,7 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
     a sweep generates it once per (alpha, seed) row and gets, for each n,
     what run_cell returns.
     """
-    n, seed = _integer("n", n, 1), _integer("seed", seed, 0)
+    n, seed = _length("n", n), _integer("seed", seed, 0)
     spec = cfg.spectrum(alpha)
     model, result = _train_and_validate(cfg, spec, alpha, n, seed,
                                         _val_set(cfg, spec, alpha, seed))

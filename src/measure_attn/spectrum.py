@@ -10,9 +10,9 @@ Densities are represented as probability mass functions on the midpoint grid
 of T points, obtained by clamping the truncated expansion at a small floor
 and renormalizing.
 
-The package checks every count, size and real setting with _integer and
-_real, and every seed with _rng, kept here because this module imports
-nothing from the package.
+The package checks every count, size and real setting with _integer (and
+_length when it becomes an array length) and _real, and every seed with
+_rng, kept here because this module imports nothing from the package.
 """
 
 from __future__ import annotations
@@ -27,6 +27,13 @@ def _integer(name: str, value, low: int) -> int:
     """value as an int: any integer type but bool (True is 1), at least low."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _length(name: str, value) -> int:
+    """_integer >= 1 that fits an array length (and a multinomial count): < 2**63."""
+    if _integer(name, value, 1) > 2**63 - 1:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {value!r}")
     return int(value)
 
 

@@ -210,10 +210,11 @@ def test_train_out_is_existing_file_is_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra, env_seed, named", [
     (("--n-train", "0"), None, "--n-train"),
+    (("--n-train", "99999999999999999999"), None, "--n-train"),
     (("--cell-seed", "-1"), None, "--cell-seed"),
     (("--seed", "-1"), None, "seed"),
     ((), "-1", "seed"),
-], ids=["n-train-0", "cell-seed-negative", "seed-negative",
+], ids=["n-train-0", "n-train-beyond-int64", "cell-seed-negative", "seed-negative",
         "env-seed-negative"])
 def test_train_rejects_bad_sizes_and_seeds(tmp_path, capsys, monkeypatch,
                                            extra, env_seed, named):
@@ -518,6 +519,9 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
                      {"alpha_list": [1, "2"]},
                      {"n_list": "48"})),
     (["sweep", "--n-tokens", "99999999999999999999", "--out", "{out}"], {}),
+    (["sweep", "--config", "{config}", "--n", "4", "--alpha", "1", "--seeds", "1",
+      "--n-tokens", "50", "--n-stat-examples", "2", "--epochs", "1", "--out", "{out}"],
+     {"n_val": 99999999999999999999}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -543,7 +547,7 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "config-train-alpha-bool", "config-sweep-alpha-bool",
         "config-sweep-n-list-bool", "config-sweep-alpha-list-string",
         "config-sweep-alpha-string", "config-sweep-n-list-string",
-        "sweep-n-tokens-beyond-int64"])
+        "sweep-n-tokens-beyond-int64", "config-sweep-n-val-beyond-int64"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

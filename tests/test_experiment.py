@@ -37,7 +37,6 @@ from measure_attn import (
     scaling_axis,
     sweep,
     synth_density,
-    target_value,
     train,
 )
 from measure_attn.experiment import (_CHUNK, _STREAM_LOOP, Hidden, _atomic_write,
@@ -107,10 +106,14 @@ def test_experiment_config_validation():
         ExperimentConfig(seeds=0)
     with pytest.raises(ValueError, match="n_tokens"):
         ExperimentConfig(n_tokens=0)
-    # multinomial draws counts as C longs: 2**63 - 1 is the largest it takes
-    assert ExperimentConfig(n_tokens=2**63 - 1).n_tokens == 2**63 - 1
-    with pytest.raises(ValueError, match="n_tokens"):
-        ExperimentConfig(n_tokens=2**63)
+    # multinomial draws counts as C longs and arrays take lengths as signed
+    # 64-bit ints: 2**63 - 1 is the largest either takes
+    for name, value in (("n_tokens", lambda v: v), ("n_val", lambda v: v),
+                        ("n_list", lambda v: (4, v)), ("T", lambda v: v)):
+        cfg = ExperimentConfig(**{name: value(2**63 - 1)})
+        assert getattr(cfg, name) == value(2**63 - 1)
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(**{name: value(2**63)})
     with pytest.raises(ValueError):
         ExperimentConfig(n_stat_examples=0)
     with pytest.raises(ValueError):
@@ -142,20 +145,20 @@ def test_numpy_integer_settings_are_stored_as_python_ints():
 
 def test_target_value_zero_coefficients_and_oddness():
     spec = SMALL.spectrum(1.0)
-    assert target_value(spec, 1.0, np.zeros(spec.M)) == 0.0
+    lam = spec.eigenvalues()
+    assert _targets(lam, 1.0, np.zeros(spec.M)) == 0.0
     z = np.random.default_rng(0).standard_normal(spec.M)
     z[0] = 0.0
-    y = target_value(spec, 1.0, z)
-    assert target_value(spec, -1.0, z) == -y
-    lam = spec.eigenvalues()
+    y = _targets(lam, 1.0, z)
+    assert _targets(lam, -1.0, z) == -y
     oracle = sum(lam[j] * z[j] ** 2 for j in range(1, spec.M))
     assert y == pytest.approx(oracle, rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
 def test_stacked_targets_are_per_row_targets_bitwise(alpha):
-    # _gen computes its targets in one expression; each must be the 1-d sum
-    # that target_value takes of its row
+    # _draw computes its targets in one expression; each must be the 1-d sum
+    # that _targets takes of its row
     spec = SMALL.spectrum(alpha)
     lam = spec.eigenvalues()
     rng = np.random.default_rng(17)
@@ -164,7 +167,7 @@ def test_stacked_targets_are_per_row_targets_bitwise(alpha):
     stacked = _targets(lam, v1, z)
     for v, row, y in zip(v1, z, stacked):
         assert y == v * np.sum(lam[1:] * row[1:] ** 2)
-        assert y == target_value(spec, v, row)
+        assert y == _targets(lam, v, row)
 
 
 def test_gen_example_layout_and_determinism():
@@ -176,7 +179,7 @@ def test_gen_example_layout_and_determinism():
     np.testing.assert_array_equal(ex.query_token, [0.0, ex.hidden.v1])
     assert ex.hidden.v1 in (-1.0, 1.0)
     assert ex.hidden.z1[0] == 0.0 and ex.hidden.z2[0] == 0.0
-    assert ex.target == target_value(spec, ex.hidden.v1, ex.hidden.z1)
+    assert ex.target == _targets(spec.eigenvalues(), ex.hidden.v1, ex.hidden.z1)
     ex2 = gen_example(spec, SMALL, 123)
     np.testing.assert_array_equal(ex.context_tokens, ex2.context_tokens)
     assert ex.target == ex2.target
@@ -272,7 +275,8 @@ def reference_example(spec, cfg, rng):
         pos = np.minimum(np.searchsorted(cdf, u[mask], side="right"), spec.T - 1)
         index[mask] = pos + (spec.T if tag > 0 else 0)
     return (ATOMS[index], np.bincount(index, minlength=2 * spec.T),
-            np.array([0.0, v1]), target_value(spec, v1, z1), (z1, z2, v1))
+            np.array([0.0, v1]), float(_targets(spec.eigenvalues(), v1, z1)),
+            (z1, z2, v1))
 
 
 def test_gen_counts_follow_the_token_by_token_law():
@@ -657,10 +661,11 @@ def test_gen_dataset_is_stacked_gen_example_draws():
     sets = {}
     for count in (1, 17, _CHUNK + 5):
         data = _gen(SMALL, spec, count, np.random.SeedSequence(count))
-        counts, v1, z = _draw(spec, SMALL, np.random.default_rng(
+        drawn, v1, z = _draw(spec, SMALL, np.random.default_rng(
             np.random.SeedSequence(count)), count)
-        examples = [Example(_grid_atoms(spec.T), counts[i], np.array([0.0, v1[i]]),
-                            target_value(spec, v1[i], z[i, 0]),
+        examples = [Example(_grid_atoms(spec.T), drawn.counts[i],
+                            np.array([0.0, v1[i]]),
+                            float(_targets(spec.eigenvalues(), v1[i], z[i, 0])),
                             Hidden(z[i, 0], z[i, 1], float(v1[i])))
                     for i in range(count)]
         assert all(ex.context_tokens.shape == (SMALL.n_tokens, 2) for ex in examples)
