@@ -136,8 +136,8 @@ def cmd_gen(args) -> int:
         "context_tokens": ex.context_tokens.tolist(),
         "query_token": ex.query_token.tolist(),
         "target": ex.target,
-        "hidden": {"z1": ex.hidden.z1.tolist(), "z2": ex.hidden.z2.tolist(),
-                   "v1": ex.hidden.v1},
+        "hidden": {"z1": ex.latents[0].tolist(), "z2": ex.latents[1].tolist(),
+                   "v1": float(ex.query_token[1])},
     }
     text = json.dumps(doc, indent=1)
     if args.out:
@@ -160,10 +160,8 @@ def cmd_train(args) -> int:
     cfg, alpha = _one_alpha_config(args, 1.0)
     _write_resolved(cfg, args.out)
     val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
-    metrics = {
-        "alpha": alpha, "n": args.n_train, "seed": args.cell_seed,
-        "val_mse": val_mse, "attention_stats": result.stats.to_dict(),
-    }
+    metrics = result.to_dict()
+    del metrics["train_losses"]   # losses.csv holds them
     for name, text in (("checkpoint.json", json.dumps(model.to_dict())),
                        ("losses.csv", losses_to_csv(list(result.train_losses))),
                        ("metrics.json", json.dumps(metrics, indent=1))):

@@ -24,6 +24,7 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -36,6 +37,10 @@ from .spectrum import (MercerSpectrum, _integer, _length, _positive, _real,
 
 # Fixed stream labels for per-cell SeedSequence derivation.
 _STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP, _STREAM_SHUFFLE = range(5)
+
+# most (alpha, n, seed) cells a config may ask for: a sweep holds a key per
+# cell (about 1.2 kB each) before any cell runs
+_MAX_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,10 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name), low))
         for name in ("T", "n_tokens", "n_val"):
             object.__setattr__(self, name, _length(name, getattr(self, name)))
+        cells = len(self.alpha_list) * len(self.n_list) * self.seeds
+        if cells > _MAX_CELLS:
+            raise ValueError(f"the (alpha, n, seed) grid has {cells} cells, "
+                             f"more than {_MAX_CELLS}")
         if self.M > self.T // 2:
             raise ValueError(f"M={self.M} must satisfy M <= T/2 with T={self.T}")
         _real("clamp_eps", self.clamp_eps, _positive, "positive and finite")
@@ -82,23 +91,18 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
-class Hidden:
-    """Latents retained for diagnostics; not visible to the student."""
-
-    z1: np.ndarray
-    z2: np.ndarray
-    v1: float
-
-
-@dataclass(frozen=True)
 class Example:
-    """One labelled context, stored as counts[a] of its tokens equal atoms[a]."""
+    """One labelled context, stored as counts[a] of its tokens equal atoms[a].
+
+    latents are the draw's coefficients, kept for diagnostics and not
+    visible to the student; the tag v1 is query_token[1].
+    """
 
     atoms: np.ndarray           # (2T, 2) grid tokens, tag -1 first; shared, read-only
     counts: np.ndarray          # (2T,) integer
     query_token: np.ndarray     # (0, v1)
     target: float
-    hidden: Hidden
+    latents: np.ndarray         # (2, M): z1, the query's component, then z2
 
     @functools.cached_property
     def context_tokens(self) -> np.ndarray:
@@ -128,15 +132,16 @@ def gen_example(spec: MercerSpectrum, cfg: ExperimentConfig, rng_seed) -> Exampl
     under tag v1 and of z2 under tag -v1, with weight 1/2 each, and its
     counts are one multinomial draw of n_tokens on that mixture.
     """
-    data, v1, z = _draw(spec, cfg, _rng(rng_seed), 1)
+    data, z = _draw(spec, cfg, _rng(rng_seed), 1)
     # copied: a row view would keep data.queries alive too (128 B per Example)
     return Example(data.atoms, data.counts[0], data.queries[0].copy(),
-                   float(data.targets[0]), Hidden(z[0, 0], z[0, 1], float(v1[0])))
+                   float(data.targets[0]), z[0])
 
 
 def _draw(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
-          rows: int) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """rows examples on rng: their Dataset, latents v1 (rows,) and z (rows, 2, M).
+          rows: int) -> tuple[Dataset, np.ndarray]:
+    """rows examples on rng: their Dataset and latents z (rows, 2, M); each
+    row's tag v1 is its query's, Dataset.queries[:, 1].
 
     The one place a context set's counts, queries (0, v1) and targets are
     built, beside the pmfs they come from.  Whole-array draws, in this order:
@@ -155,7 +160,7 @@ def _draw(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
     # one row goes in as a 1-d pmf: the same counts, drawn on a cheaper path
     counts = rng.multinomial(cfg.n_tokens, pmf[0] if rows == 1 else pmf)
     return Dataset(_grid_atoms(spec.T), counts.reshape(rows, -1), queries,
-                   _targets(spec.eigenvalues(), v1, z[:, 0])), v1, z
+                   _targets(spec.eigenvalues(), v1, z[:, 0])), z
 
 
 @dataclass(frozen=True)
@@ -284,6 +289,12 @@ class CellResult:
     val_mse: float
     train_losses: tuple[float, ...]
     stats: AttentionStats
+
+    def to_dict(self) -> dict:
+        """The cell's record: a sweep's cell payload, train's metrics.json."""
+        return {"alpha": self.alpha, "n": self.n, "seed": self.seed,
+                "val_mse": self.val_mse, "train_losses": list(self.train_losses),
+                "attention_stats": self.stats.to_dict()}
 
 
 def _cell_seedseq(cfg: ExperimentConfig, alpha: float, n: int, seed: int,
@@ -453,13 +464,28 @@ def _sweep_cell_worker(args) -> list[tuple[int, dict | None, str | None]]:
         except Exception as e:  # noqa: BLE001 - cell failures are data
             cells.append((n, None, f"{type(e).__name__}: {e}"))
             continue
-        cells.append((n, {
-            "alpha": alpha, "n": n, "seed": seed,
-            "val_mse": result.val_mse,
-            "train_losses": list(result.train_losses),
-            "attention_stats": result.stats.to_dict(),
-        }, None))
+        cells.append((n, result.to_dict(), None))
     return cells
+
+
+def _row_cells(task, fut) -> list[tuple[int, dict | None, str | None]]:
+    """A row's cells: fut's result, or the row run here when fut is None.
+
+    A row whose pool broke (a worker died without raising, which fails every
+    row still pending in that pool) runs again alone in a fresh one-worker
+    pool.  A row that raises, or whose rerun breaks its pool too, fails each
+    of its cells with that error.
+    """
+    try:
+        if fut is None:
+            return _sweep_cell_worker(task)
+        try:
+            return fut.result()
+        except BrokenProcessPool:
+            with ProcessPoolExecutor(max_workers=1) as alone:
+                return alone.submit(_sweep_cell_worker, task).result()
+    except Exception as e:  # noqa: BLE001 - the whole row failed
+        return [(n, None, f"{type(e).__name__}: {e}") for n in task[3]]
 
 
 def _fmt(x: float) -> str:
@@ -470,7 +496,8 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run the (alpha, n, seed) grid and persist the result bundle.
 
     Pending cells run as (alpha, seed) rows, jobs rows at a time: a row
-    generates its validation set once and trains every pending n on it.
+    generates its validation set once and trains every pending n on it.  A
+    worker that dies fails only its own row (see _row_cells).
 
     Writes cells/<key>.json per cell (atomic, reused on resume when the key
     matches), risk_curve.csv, attention_stats.csv, fit.json, a gnuplot-ready
@@ -507,12 +534,8 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
         futures = [pool.submit(_sweep_cell_worker, task) if pool else None
                    for task in tasks]
         for task, fut in zip(tasks, futures):
-            _, alpha, s, ns = task
-            try:
-                cells = fut.result() if fut else _sweep_cell_worker(task)
-            except Exception as e:  # noqa: BLE001 - the whole row failed
-                cells = [(n, None, f"{type(e).__name__}: {e}") for n in ns]
-            for n, payload, error in cells:
+            _, alpha, s, _ = task
+            for n, payload, error in _row_cells(task, fut):
                 cell = (alpha, n, s)
                 if error is not None:
                     failures[cell] = error

@@ -77,16 +77,15 @@ def _layout(cfg: StudentConfig) -> dict[str, tuple[int, tuple[int, ...]]]:
     off = 0
     for name, shape in shapes:
         table[name] = (off, shape)
-        off += int(np.prod(shape))
-    table["__total__"] = (off, ())
+        off += math.prod(shape)
     return table
 
 
 def _block_views(table, flat: np.ndarray) -> dict[str, np.ndarray]:
     """name -> view of its block in flat (..., P); leading axes ride along."""
     lead = flat.shape[:-1]
-    return {n: flat[..., off:off + int(np.prod(shape))].reshape(lead + shape)
-            for n, (off, shape) in table.items() if n != "__total__"}
+    return {n: flat[..., off:off + math.prod(shape)].reshape(lead + shape)
+            for n, (off, shape) in table.items()}
 
 
 def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
@@ -238,8 +237,8 @@ class StudentModel:
 
     def __init__(self, config: StudentConfig, params: Optional[np.ndarray] = None):
         self.config = config
-        self._table = _layout(config)
-        self.n_params = self._table["__total__"][0]
+        table = _layout(config)
+        self.n_params = sum(math.prod(shape) for _, shape in table.values())
         if params is None:
             self.params = np.zeros(self.n_params)
         else:
@@ -251,8 +250,8 @@ class StudentModel:
             self.params = params.copy()
         self.grads = np.zeros(self.n_params)
         # params and grads only ever change in place, so views built once stay valid
-        self._blocks = _block_views(self._table, self.params)
-        self._grad_blocks = _block_views(self._table, self.grads)
+        self._blocks = _block_views(table, self.params)
+        self._grad_blocks = _block_views(table, self.grads)
 
     @classmethod
     def init(cls, config: StudentConfig, rng_seed) -> "StudentModel":

@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, config precedence, environment seed
 override, and the artifact layout written by train/sweep/analyze.  Everything
-runs in-process through main(argv).  Also the package's exported names.
+runs in-process through main(argv), except the one case that needs a
+memory-capped child process (CAPPED).  Also the package's exported names.
 """
 
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,25 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# an argv that starts with CAPPED runs in a child process with its address
+# space capped near 1 GB, as `ulimit -v 1000000` does: a regression that
+# builds a huge sweep grid before checking it then fails fast with
+# MemoryError instead of exhausting the machine's memory
+CAPPED = "capped"
+AS_CAP = 1_000_000 * 1024
+
+
+def run_capped(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-m", "measure_attn.cli", *argv], env=env,
+        capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (AS_CAP, AS_CAP)))
+    return out.returncode, out.stdout, out.stderr
 
 
 def test_every_exported_name_is_defined():
@@ -522,6 +545,8 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
     (["sweep", "--config", "{config}", "--n", "4", "--alpha", "1", "--seeds", "1",
       "--n-tokens", "50", "--n-stat-examples", "2", "--epochs", "1", "--out", "{out}"],
      {"n_val": 99999999999999999999}),
+    ([CAPPED, "sweep", "--seeds", "99999999999999999999", "--n", "4", "--alpha", "1",
+      "--out", "{out}"], {}),
 ], ids=["config-n-list-decreasing", "gen-alpha-non-numeric",
         "sweep-n-non-numeric", "gen-alpha-negative", "gen-alpha-zero",
         "gen-alpha-nan", "gen-clamp-eps-zero", "config-M-zero",
@@ -547,13 +572,18 @@ def test_config_file_not_a_json_object_is_usage_error(tmp_path, capsys,
         "config-train-alpha-bool", "config-sweep-alpha-bool",
         "config-sweep-n-list-bool", "config-sweep-alpha-list-string",
         "config-sweep-alpha-string", "config-sweep-n-list-string",
-        "sweep-n-tokens-beyond-int64", "config-sweep-n-val-beyond-int64"])
+        "sweep-n-tokens-beyond-int64", "config-sweep-n-val-beyond-int64",
+        "capped-sweep-grid-beyond-100000-cells"])
 def test_invalid_config_value_is_usage_error(tmp_path, capsys, argv, config):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))
     out_dir = tmp_path / "bundle"
-    code, _, err = run(capsys, [a.format(config=cfg_path, out=out_dir)
-                                for a in argv])
+    argv = [a.format(config=cfg_path, out=out_dir) for a in argv]
+    if argv[0] == CAPPED:
+        code, _, err = run_capped(argv[1:])
+        assert "Traceback" not in err
+    else:
+        code, _, err = run(capsys, argv)
     assert code == 2
     assert "bad configuration" in err
     assert not out_dir.exists()

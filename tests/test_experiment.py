@@ -39,7 +39,7 @@ from measure_attn import (
     synth_density,
     train,
 )
-from measure_attn.experiment import (_CHUNK, _STREAM_LOOP, Hidden, _atomic_write,
+from measure_attn.experiment import (_CHUNK, _STREAM_LOOP, _atomic_write,
                                      _cell_key, _cell_seedseq, _draw, _gen,
                                      _grid_atoms, _targets, _val_set, _validate)
 
@@ -127,6 +127,16 @@ def test_experiment_config_validation():
         with pytest.raises(ValueError):
             ExperimentConfig(clamp_eps=eps)
     assert ExperimentConfig().train == TrainConfig()
+    # a sweep keys every (alpha, n, seed) cell before any runs: at most 100,000
+    grid = dict(alpha_list=(0.5, 1.0), n_list=(2, 4, 8, 16, 32))
+    assert ExperimentConfig(**grid, seeds=10_000).seeds == 10_000
+    with pytest.raises(ValueError, match="100010 cells"):
+        ExperimentConfig(**grid, seeds=10_001)
+    one = dict(alpha_list=(1.0,), n_list=(4,))
+    assert ExperimentConfig(**one, seeds=100_000).seeds == 100_000
+    for seeds in (100_001, 99999999999999999999):
+        with pytest.raises(ValueError, match=f"grid has {seeds} cells"):
+            ExperimentConfig(**one, seeds=seeds)
 
 
 def test_numpy_integer_settings_are_stored_as_python_ints():
@@ -176,13 +186,28 @@ def test_gen_example_layout_and_determinism():
     assert ex.context_tokens.shape == (SMALL.n_tokens, 2)
     assert np.all(np.isin(ex.context_tokens[:, 0], spec.domain_grid))
     assert set(np.unique(ex.context_tokens[:, 1])) <= {-1.0, 1.0}
-    np.testing.assert_array_equal(ex.query_token, [0.0, ex.hidden.v1])
-    assert ex.hidden.v1 in (-1.0, 1.0)
-    assert ex.hidden.z1[0] == 0.0 and ex.hidden.z2[0] == 0.0
-    assert ex.target == _targets(spec.eigenvalues(), ex.hidden.v1, ex.hidden.z1)
+    assert ex.query_token[0] == 0.0 and ex.query_token[1] in (-1.0, 1.0)
+    assert ex.latents.shape == (2, spec.M)
+    assert ex.latents[0, 0] == 0.0 and ex.latents[1, 0] == 0.0
+    assert ex.target == _targets(spec.eigenvalues(), ex.query_token[1], ex.latents[0])
     ex2 = gen_example(spec, SMALL, 123)
     np.testing.assert_array_equal(ex.context_tokens, ex2.context_tokens)
     assert ex.target == ex2.target
+
+
+def test_gen_example_keeps_its_draws_latents():
+    # the latents are the draw's z row, and with the query's tag they give
+    # the target bitwise
+    spec = SMALL.spectrum(1.0)
+    lam = spec.eigenvalues()
+    for seed in (0, 5, 123):
+        ex = gen_example(spec, SMALL, seed)
+        data, z = _draw(spec, SMALL, np.random.default_rng(seed), 1)
+        assert ex.latents.shape == z[0].shape == (2, spec.M)
+        assert ex.latents.tobytes() == z[0].tobytes()
+        assert ex.query_token.tobytes() == data.queries[0].tobytes()
+        y = _targets(lam, ex.query_token[1], ex.latents[0])
+        assert np.float64(ex.target).tobytes() == np.float64(y).tobytes()
 
 
 def test_example_reads_its_tokens_from_its_counts_once():
@@ -228,8 +253,9 @@ def test_gen_example_tokens_follow_the_component_pmfs(seed):
     tags = ex.context_tokens[:, 1]
     # each token picks the v1 component with probability 1/2
     sigma = math.sqrt(0.25 / cfg.n_tokens)
-    assert abs(np.mean(tags == ex.hidden.v1) - 0.5) <= 4 * sigma
-    for tag, z in ((ex.hidden.v1, ex.hidden.z1), (-ex.hidden.v1, ex.hidden.z2)):
+    v1 = ex.query_token[1]
+    assert abs(np.mean(tags == v1) - 0.5) <= 4 * sigma
+    for tag, z in ((v1, ex.latents[0]), (-v1, ex.latents[1])):
         counts = ex.counts[ex.atoms[:, 1] == tag]  # the tag's T grid points
         n = counts.sum()
         assert n == np.sum(tags == tag)
@@ -247,7 +273,7 @@ def test_gen_example_conditional_target_mean():
     rng = np.random.default_rng(2)
     draws = [gen_example(spec, cfg, rng) for _ in range(8000)]
     for v1 in (1.0, -1.0):
-        ys = np.array([ex.target for ex in draws if ex.hidden.v1 == v1])
+        ys = np.array([ex.target for ex in draws if ex.query_token[1] == v1])
         mean_want = v1 * float(lam.sum())
         sigma = math.sqrt(2.0 * float((lam**2).sum()) / ys.size)
         assert abs(ys.mean() - mean_want) <= 3.0 * sigma
@@ -661,12 +687,13 @@ def test_gen_dataset_is_stacked_gen_example_draws():
     sets = {}
     for count in (1, 17, _CHUNK + 5):
         data = _gen(SMALL, spec, count, np.random.SeedSequence(count))
-        drawn, v1, z = _draw(spec, SMALL, np.random.default_rng(
+        drawn, z = _draw(spec, SMALL, np.random.default_rng(
             np.random.SeedSequence(count)), count)
+        v1 = drawn.queries[:, 1]
         examples = [Example(_grid_atoms(spec.T), drawn.counts[i],
                             np.array([0.0, v1[i]]),
                             float(_targets(spec.eigenvalues(), v1[i], z[i, 0])),
-                            Hidden(z[i, 0], z[i, 1], float(v1[i])))
+                            z[i])
                     for i in range(count)]
         assert all(ex.context_tokens.shape == (SMALL.n_tokens, 2) for ex in examples)
         stacked = Dataset.of(examples)
@@ -824,6 +851,20 @@ def test_sweep_writes_bundle_and_resumes(tmp_path):
     assert Path(os.path.join(out, "risk_curve.csv")).read_bytes() == risk_before
 
 
+def test_cell_result_to_dict_is_the_cell_payload(tmp_path):
+    _, _, result = run_cell(1.0, 2, 0, SMALL)
+    record = result.to_dict()
+    assert list(record) == ["alpha", "n", "seed", "val_mse", "train_losses",
+                            "attention_stats"]
+    assert record["train_losses"] == list(result.train_losses)
+    assert record["attention_stats"] == result.stats.to_dict()
+    out = str(tmp_path / "bundle")
+    sweep(SMALL, out)
+    key, key_inputs = _cell_key(SMALL, 1.0, 2, 0)
+    cell = json.loads(Path(os.path.join(out, "cells", key + ".json")).read_text())
+    assert cell == json.loads(json.dumps({**record, "key_inputs": key_inputs}))
+
+
 def test_sweep_records_non_finite_val_mse_as_failure(tmp_path, monkeypatch):
     from measure_attn import experiment
     validate = experiment._validate
@@ -924,6 +965,14 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     assert failed and all("BrokenProcessPool" in c["error"] for c in failed)
     assert not [f for d, _, files in os.walk(out) for f in files
                 if f.startswith(".tmp-")]
+    # the dying row (seed 1) breaks its rerun's pool too, so exactly its two
+    # cells fail; the other row reruns alone if it was caught in the break
+    assert summary["cells_failed"] == 2
+    assert sorted((c["n"], c["seed"]) for c in failed) == [(2, 1), (4, 1)]
+    clean_cells = bundle_bytes(os.path.join(clean, "cells"))
+    row = {_cell_key(cfg, 1.0, n, 0)[0] + ".json" for n in (2, 4)}
+    assert bundle_bytes(os.path.join(out, "cells")) == {
+        name: blob for name, blob in clean_cells.items() if name in row}
 
     monkeypatch.setattr(experiment, "_train_and_validate", cell_run)
     assert sweep(cfg, out, jobs=2)["cells_failed"] == 0

@@ -213,9 +213,9 @@ def test_w1_conditioning_on_tag_recovers_component_distance():
     spec = cfg.spectrum(1.0)
     ex = gen_example(spec, cfg, 21)
     comp = DiscreteMeasure(spec.domain_grid,
-                           synth_density(spec, ex.hidden.z1, cfg.clamp_eps))
+                           synth_density(spec, ex.latents[0], cfg.clamp_eps))
     tokens = ex.context_tokens
-    contents = tokens[tokens[:, 1] == ex.hidden.v1][:, 0]
+    contents = tokens[tokens[:, 1] == ex.query_token[1]][:, 0]
     empirical = DiscreteMeasure.uniform_on(contents)
     assert wasserstein1_1d(empirical, comp) <= 0.02
 

@@ -147,6 +147,36 @@ def test_block_views_cover_all_parameters():
     assert 7.0 in model.params
 
 
+BLOCKS = ["ctx_w1", "ctx_b1", "ctx_w2", "ctx_b2", "qry_w1", "qry_b1", "qry_w2",
+          "qry_b2", "attn_q", "attn_k", "attn_v", "attn_out", "head_w1",
+          "head_b1", "head_w2", "head_b2"]
+
+
+@pytest.mark.parametrize("config", [{}, {"n_heads": 1, "d_hidden": 5}],
+                         ids=["default", "one-head"])
+def test_layout_holds_the_blocks_and_the_model_counts_them(config):
+    cfg = StudentConfig(**config)
+    table = _layout(cfg)
+    assert list(table) == BLOCKS
+    model = StudentModel(cfg)
+    assert model.n_params == sum(int(np.prod(shape)) for _, shape in table.values())
+    # the blocks tile the flat vector in order, with no gap and no overlap
+    ends = [off + int(np.prod(shape)) for off, shape in table.values()]
+    assert [off for off, _ in table.values()] == [0, *ends[:-1]]
+    assert ends[-1] == model.n_params
+    flat = np.arange(model.n_params, dtype=np.float64)
+    stack = np.stack([flat, -flat, 2 * flat])
+    for lead, views in (((), _block_views(table, flat)),
+                        ((3,), _block_views(table, stack))):
+        assert list(views) == BLOCKS
+        for name, (_, shape) in table.items():
+            assert views[name].shape == lead + shape
+            assert np.shares_memory(views[name], flat if not lead else stack)
+        np.testing.assert_array_equal(
+            np.concatenate([v.reshape(lead + (-1,)) for v in views.values()], axis=-1),
+            flat if not lead else stack)
+
+
 # --------------------------------------------------------------- forward
 
 def test_forward_returns_finite_scalar_and_cache():
