@@ -130,10 +130,6 @@ def _softmax(scores: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return e
 
 
-def _T(m: np.ndarray) -> np.ndarray:
-    return m.swapaxes(-1, -2)
-
-
 def _tilt(heads, support, weights, x) -> np.ndarray:
     """Every head's softmax density on the support, over leading axes.
 
@@ -142,7 +138,7 @@ def _tilt(heads, support, weights, x) -> np.ndarray:
     heads' leading axes.  Returns (..., H, n).  The score <Q x, K y> is taken
     as <K^T Q x, y>, so no (H, n, d) projection of the support is formed.
     """
-    kq = _T(heads[..., 2, :, :]) @ (heads[..., 1, :, :] @ x[..., None, :, None])
+    kq = heads[..., 2, :, :].swapaxes(-1, -2) @ (heads[..., 1, :, :] @ x[..., None, :, None])
     return _softmax((support[..., None, :, :] @ kq)[..., 0], weights[..., None, :])
 
 

@@ -15,7 +15,6 @@ curves per alpha feed a least-squares fit of log L on t = (log n)^(alpha/(alpha+
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
@@ -23,7 +22,7 @@ import io
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -36,7 +35,7 @@ from .spectrum import (MercerSpectrum, _integer, _length, _positive, _real,
                        _rng, midpoint_grid, synth_density)
 
 # Fixed stream labels for per-cell SeedSequence derivation.
-_STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP, _STREAM_SHUFFLE = range(5)
+_STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP = range(4)
 
 # most (alpha, n, seed) cells a config may ask for: a sweep holds a key per
 # cell (about 1.2 kB each) before any cell runs
@@ -468,24 +467,46 @@ def _sweep_cell_worker(args) -> list[tuple[int, dict | None, str | None]]:
     return cells
 
 
-def _row_cells(task, fut) -> list[tuple[int, dict | None, str | None]]:
-    """A row's cells: fut's result, or the row run here when fut is None.
-
-    A row whose pool broke (a worker died without raising, which fails every
-    row still pending in that pool) runs again alone in a fresh one-worker
-    pool.  A row that raises, or whose rerun breaks its pool too, fails each
-    of its cells with that error.
-    """
+def _row_cells(task, run) -> list[tuple[int, dict | None, str | None]]:
+    """task's row's cells as run() returns them, or, if run raises, each of
+    the row's cells failed with that error."""
     try:
-        if fut is None:
-            return _sweep_cell_worker(task)
-        try:
-            return fut.result()
-        except BrokenProcessPool:
-            with ProcessPoolExecutor(max_workers=1) as alone:
-                return alone.submit(_sweep_cell_worker, task).result()
+        return run()
     except Exception as e:  # noqa: BLE001 - the whole row failed
         return [(n, None, f"{type(e).__name__}: {e}") for n in task[3]]
+
+
+def _alone(task) -> list[tuple[int, dict | None, str | None]]:
+    """task's row run in a fresh one-worker pool of its own."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        return pool.submit(_sweep_cell_worker, task).result()
+
+
+def _rows(tasks, jobs: int):
+    """Yield each row's task and its cells, (n, payload, error) per pending n.
+
+    jobs > 1 runs the rows in one pool of jobs workers.  A worker that dies
+    without raising breaks that pool, which fails every row still pending in
+    it; those rows run again last, each alone in a fresh one-worker pool, up
+    to jobs such pools at a time, so a row that kills its worker fails only
+    itself.  A row that raises, or whose own pool breaks too, fails each of
+    its cells with that error.
+    """
+    if jobs == 1 or not tasks:
+        for task in tasks:
+            yield task, _row_cells(task, functools.partial(_sweep_cell_worker, task))
+        return
+    broken = []
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(_sweep_cell_worker, task) for task in tasks]
+        for task, fut in zip(tasks, futures):
+            if isinstance(fut.exception(), BrokenProcessPool):
+                broken.append(task)
+            else:
+                yield task, _row_cells(task, fut.result)
+    with ThreadPoolExecutor(max_workers=jobs) as threads:
+        yield from zip(broken, threads.map(
+            lambda task: _row_cells(task, functools.partial(_alone, task)), broken))
 
 
 def _fmt(x: float) -> str:
@@ -497,7 +518,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
 
     Pending cells run as (alpha, seed) rows, jobs rows at a time: a row
     generates its validation set once and trains every pending n on it.  A
-    worker that dies fails only its own row (see _row_cells).
+    worker that dies fails only its own row (see _rows).
 
     Writes cells/<key>.json per cell (atomic, reused on resume when the key
     matches), risk_curve.csv, attention_stats.csv, fit.json, a gnuplot-ready
@@ -529,21 +550,16 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     for alpha, n, s in pending:
         rows.setdefault((alpha, s), []).append(n)
     tasks = [(cfg, alpha, s, tuple(ns)) for (alpha, s), ns in rows.items()]
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and tasks else None
-    with pool or contextlib.nullcontext():
-        futures = [pool.submit(_sweep_cell_worker, task) if pool else None
-                   for task in tasks]
-        for task, fut in zip(tasks, futures):
-            _, alpha, s, _ = task
-            for n, payload, error in _row_cells(task, fut):
-                cell = (alpha, n, s)
-                if error is not None:
-                    failures[cell] = error
-                    continue
-                payload["key_inputs"] = key_pairs[cell][1]
-                path = os.path.join(out_dir, "cells", keyed[cell] + ".json")
-                _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
-                results[cell] = payload
+    for (_, alpha, s, _), cells in _rows(tasks, jobs):
+        for n, payload, error in cells:
+            cell = (alpha, n, s)
+            if error is not None:
+                failures[cell] = error
+                continue
+            payload["key_inputs"] = key_pairs[cell][1]
+            path = os.path.join(out_dir, "cells", keyed[cell] + ".json")
+            _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
+            results[cell] = payload
 
     curves, fits = risk_curves((alpha, n, results[(alpha, n, s)]["val_mse"])
                                for alpha, n, s in keyed if (alpha, n, s) in results)

@@ -1,7 +1,7 @@
 """Truncated Mercer spectrum on [0, 1] with a sine eigenbasis.
 
 The kernel is never materialized; everything works on its spectral side:
-eigenvalues lambda_0 = 1 and lambda_j = exp(-c * j**alpha) for j >= 1,
+eigenvalues lambda_0 = 1 and lambda_j = exp(-j**alpha) for j >= 1,
 eigenfunctions e_0 = 1 and e_j(x) = sqrt(2) * sin(pi * j * x).  Mode 0 is a
 bookkeeping slot only: coefficient vectors carry it pinned to zero and every
 norm, isometry and truncation statement here quantifies over modes j >= 1.
@@ -73,46 +73,38 @@ class MercerSpectrum:
 
     Parameters
     ----------
-    alpha : decay exponent, lambda_j = exp(-c * j**alpha) for j >= 1.
+    alpha : decay exponent, lambda_j = exp(-j**alpha) for j >= 1.
     M : number of retained modes (indices 0..M-1).
     T : size of the evaluation grid, midpoint_grid(T); T >= M.
-    c : decay rate constant, default 1.
 
-    A spectrum is its four values: the grid is derived from T, so equality
-    and hashing go by (alpha, M, T, c).
+    A spectrum is its three values: the grid, the eigenvalues and the basis
+    are built from them once, read-only, so equality and hashing go by
+    (alpha, M, T).
     """
 
     alpha: float
     M: int
     T: int
-    c: float = 1.0
     domain_grid: np.ndarray = field(init=False, compare=False, repr=False)
+    _eigenvalues: np.ndarray = field(init=False, compare=False, repr=False)
+    _basis: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("alpha", "c"):
-            _real(name, getattr(self, name), _positive, "positive and finite")
+        _real("alpha", self.alpha, _positive, "positive and finite")
         object.__setattr__(self, "M", _integer("M", self.M, 1))
         object.__setattr__(self, "T", _integer("T", self.T, self.M))
-        grid = midpoint_grid(self.T)
-        grid.flags.writeable = False
-        object.__setattr__(self, "domain_grid", grid)
-
-    def eigenvalue(self, j: int) -> float:
-        """lambda_j = exp(-c * j**alpha); lambda_0 = 1 by convention."""
-        if not 0 <= j < self.M:
-            raise IndexError(f"mode index {j} out of range [0, {self.M})")
-        return float(self.eigenvalues()[j])
+        object.__setattr__(self, "domain_grid", midpoint_grid(self.T))
+        lam = np.exp(-np.arange(self.M, dtype=np.float64) ** self.alpha)
+        lam[0] = 1.0
+        object.__setattr__(self, "_eigenvalues", lam)
+        object.__setattr__(self, "_basis", np.stack(
+            [self.basis_eval(j, self.domain_grid) for j in range(self.M)]))
+        for name in ("domain_grid", "_eigenvalues", "_basis"):
+            getattr(self, name).flags.writeable = False
 
     def eigenvalues(self) -> np.ndarray:
-        """All M eigenvalues as a vector, lambda_0 first; built once, read-only."""
-        lam = self.__dict__.get("_eigenvalues")
-        if lam is None:
-            j = np.arange(self.M, dtype=np.float64)
-            lam = np.exp(-self.c * j ** self.alpha)
-            lam[0] = 1.0
-            lam.flags.writeable = False
-            object.__setattr__(self, "_eigenvalues", lam)
-        return lam
+        """All M eigenvalues as a vector, lambda_0 = 1 first; read-only."""
+        return self._eigenvalues
 
     def basis_eval(self, j: int, x):
         """e_j(x): 1 for j = 0, else sqrt(2) * sin(pi * j * x).
@@ -131,14 +123,16 @@ class MercerSpectrum:
         return float(out) if xa.ndim == 0 else out
 
     def basis_matrix(self) -> np.ndarray:
-        """(M, T) matrix with row j = e_j on the grid; built once, read-only."""
-        B = self.__dict__.get("_basis")
-        if B is None:
-            B = np.stack([self.basis_eval(j, self.domain_grid)
-                          for j in range(self.M)])
-            B.flags.writeable = False
-            object.__setattr__(self, "_basis", B)
-        return B
+        """(M, T) matrix with row j = e_j on the grid; read-only."""
+        return self._basis
+
+
+def _coefficients(spec: MercerSpectrum, b) -> np.ndarray:
+    """b as float64 rows of shape (..., M): the one coefficient-shape rule."""
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim < 1 or b.shape[-1] != spec.M:
+        raise ValueError(f"coefficients must have shape (..., {spec.M}), got {b.shape}")
+    return b
 
 
 def synth_density(spec: MercerSpectrum, z, clamp_eps: float) -> np.ndarray:
@@ -149,9 +143,7 @@ def synth_density(spec: MercerSpectrum, z, clamp_eps: float) -> np.ndarray:
     and the result shape (..., T), one pmf per row; the all-clamped case is
     legal and yields the uniform pmf.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim < 1 or z.shape[-1] != spec.M:
-        raise ValueError(f"coefficients must have shape (..., {spec.M}), got {z.shape}")
+    z = _coefficients(spec, z)
     if (z[..., 0] != 0.0).any():
         raise ValueError("mode-0 coefficient must be zero")
     _real("clamp_eps", clamp_eps, _positive, "positive and finite")
@@ -180,9 +172,7 @@ def gen_norm_sq(spec: MercerSpectrum, b, a):
     MMD norm.  Mode 0 never contributes.  Rows b (..., M) take a broadcast
     over them; each row is bitwise its one-vector call, which gives a float.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim < 1 or b.shape[-1] != spec.M:
-        raise ValueError(f"coefficients must have shape (..., {spec.M}), got {b.shape}")
+    b = _coefficients(spec, b)
     factors = _powers(spec.eigenvalues()[1:], -np.asarray(a) / 2.0, b.shape[:-1])
     # sum of squared factors rather than lam**(-a) * b**2: same value, but
     # the intermediate stays in float64 range when b_j itself carries a
@@ -199,9 +189,7 @@ def isometry_map(spec: MercerSpectrum, b, b_norm, c_norm) -> np.ndarray:
     arithmetic.  Rows b (..., M) take b_norm and c_norm broadcast over them;
     each row is bitwise its one-vector call.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim < 1 or b.shape[-1] != spec.M:
-        raise ValueError(f"coefficients must have shape (..., {spec.M}), got {b.shape}")
+    b = _coefficients(spec, b)
     e = (np.asarray(c_norm) - b_norm) / 2.0
     return _powers(spec.eigenvalues(), e, b.shape[:-1]) * b
 
@@ -217,5 +205,8 @@ def truncation_bound(spec: MercerSpectrum, D: int, gamma_f: float,
     """
     _real("gamma_f", gamma_f, lambda x: x < 0, "negative")
     _real("gamma_b", gamma_b, lambda x: x > 0, "positive")
-    lam_next = spec.eigenvalue(_integer("D", D, 1) + 1)
+    D = _integer("D", D, 1)
+    if D + 1 >= spec.M:
+        raise IndexError(f"mode index {D + 1} out of range [0, {spec.M})")
+    lam_next = float(spec.eigenvalues()[D + 1])
     return float(lam_next ** ((-gamma_f + gamma_b) / 2.0))

@@ -3,9 +3,9 @@
 Each suite checks one lemma-level guarantee at a stated tolerance and
 returns named per-check outcomes, so a failure points at the violated
 assertion rather than at a stack trace.  Every suite draws and checks its
-random instances as arrays of a fixed size.  The fault parameter
-deliberately corrupts one computation path; it exists so the failure
-reporting itself can be tested.
+random instances as arrays of a fixed size.  A suite's fault flag
+deliberately corrupts one computation path, so that the failure reporting
+itself can be tested; run_suites names, times and faults every suite.
 """
 
 from __future__ import annotations
@@ -43,11 +43,7 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-def _result(suite, checks, t0):
-    return SuiteResult(suite, tuple(checks), time.perf_counter() - t0)
-
-
-def suite_orthonormality(fault: str | None = None) -> SuiteResult:
+def suite_orthonormality(fault: bool) -> list[Check]:
     """(1/T) sum_t e_j(x_t) e_k(x_t) = delta_jk on the midpoint grid.
 
     Quantified over the sine modes 1 <= j, k < M plus the (0, 0) diagonal
@@ -56,12 +52,11 @@ def suite_orthonormality(fault: str | None = None) -> SuiteResult:
     coefficients anywhere in the package, so mixed (0, k) pairs are out of
     scope by the mode-0 convention.
     """
-    t0 = time.perf_counter()
     checks = []
     for M, T in ((16, 32), (8, 64), (5, 10)):
         spec = spectrum.MercerSpectrum(1.0, M, T)
         B = spec.basis_matrix()
-        if fault == "orthonormality":
+        if fault:
             B = B * (1.0 + 1e-6)
         gram = (B[1:] @ B[1:].T) / spec.T
         err_sine = float(np.max(np.abs(gram - np.eye(M - 1))))
@@ -70,12 +65,11 @@ def suite_orthonormality(fault: str | None = None) -> SuiteResult:
         checks.append(Check(
             f"orthonormality_gram_M{M}_T{T}", err <= 1e-9,
             f"max |gram - I| = {err:.3e} (tol 1e-9)"))
-    return _result("orthonormality", checks, t0)
+    return checks
 
 
-def suite_isometry(fault: str | None = None) -> SuiteResult:
+def suite_isometry(fault: bool) -> list[Check]:
     """Norm transport and round-trip identity of the coefficient isometry."""
-    t0 = time.perf_counter()
     checks = []
     rng = np.random.default_rng(2024)
     for alpha in (0.5, 1.0, 2.0):
@@ -84,7 +78,7 @@ def suite_isometry(fault: str | None = None) -> SuiteResult:
         b[:, 0] = 0.0
         b_norm, c_norm = rng.uniform(-2, 2, (2, _ISOMETRY_DRAWS))
         mapped = spectrum.isometry_map(spec, b, b_norm, c_norm)
-        if fault == "isometry":
+        if fault:
             mapped = mapped * (1.0 + 1e-6)
         lhs = spectrum.gen_norm_sq(spec, mapped, c_norm)
         rhs = spectrum.gen_norm_sq(spec, b, b_norm)
@@ -98,12 +92,11 @@ def suite_isometry(fault: str | None = None) -> SuiteResult:
         checks.append(Check(
             f"isometry_round_trip_alpha{alpha:g}", worst_round <= 1e-12,
             f"worst relative round-trip error = {worst_round:.3e} (tol 1e-12)"))
-    return _result("isometry", checks, t0)
+    return checks
 
 
-def suite_truncation(fault: str | None = None) -> SuiteResult:
+def suite_truncation(fault: bool) -> list[Check]:
     """Tail-norm domination over random unit-ball draws per (alpha, D)."""
-    t0 = time.perf_counter()
     checks = []
     rng = np.random.default_rng(7)
     gamma_f, gamma_b = -1.0, 1.0
@@ -112,7 +105,7 @@ def suite_truncation(fault: str | None = None) -> SuiteResult:
         lam = spec.eigenvalues()
         for D in (2, 4, 8):
             bound = spectrum.truncation_bound(spec, D, gamma_f, gamma_b)
-            if fault == "truncation":
+            if fault:
                 bound = bound * 1e-3
             b = rng.standard_normal((_TRUNCATION_DRAWS, spec.M))
             b[:, 0] = 0.0
@@ -126,7 +119,7 @@ def suite_truncation(fault: str | None = None) -> SuiteResult:
                 bool(np.all(tail <= bound * (1 + 1e-12))),
                 f"worst tail/bound = {float(np.max(tail / bound)):.3e} "
                 f"over {_TRUNCATION_DRAWS} draws"))
-    return _result("truncation", checks, t0)
+    return checks
 
 
 def _recall_setup(spec, I: int, D: int, eps2: float, rng):
@@ -152,14 +145,13 @@ def _recall_setup(spec, I: int, D: int, eps2: float, rng):
     return ctx, featured, fmap(query_vd), params, d1
 
 
-def suite_recall(fault: str | None = None) -> SuiteResult:
+def suite_recall(fault: bool) -> list[Check]:
     """One-hot selection: extracted coefficients match the star component.
 
     The oracle is the direct weighted sum over the starred component's pmf,
     with the lemma's error budget 5 * eps2 * max_t |e_j(z_t)| at
     c = sqrt(ln(I^3/eps2)).
     """
-    t0 = time.perf_counter()
     checks = []
     rng = np.random.default_rng(11)
     eps2 = 1e-4
@@ -175,7 +167,7 @@ def suite_recall(fault: str | None = None) -> SuiteResult:
             vals = spec.basis_eval(j, star.support[:, 0])
             oracle = float(star.weights @ vals)
             extracted = out[d1 + 1 + (j - 1)]
-            if fault == "recall":
+            if fault:
                 extracted = extracted + 10 * eps2
             tol = 5 * eps2 * max(float(np.max(np.abs(vals))), 1e-12)
             err = abs(extracted - oracle)
@@ -184,21 +176,20 @@ def suite_recall(fault: str | None = None) -> SuiteResult:
         checks.append(Check(
             f"recall_one_hot_I{I}", ok,
             f"worst |extracted - oracle| / tol = {worst:.3e} at eps2={eps2:g}"))
-    return _result("recall", checks, t0)
+    return checks
 
 
-def suite_lipschitz(fault: str | None = None) -> SuiteResult:
+def suite_lipschitz(fault: bool) -> list[Check]:
     """Joint Lipschitz inequality on random small instances, 2x slack.
 
     The trials are drawn as zero-padded arrays and probed in stacked passes.
     """
-    t0 = time.perf_counter()
     ratio, bound, skipped = attention._probe_trials(_LIPSCHITZ_TRIALS, rng_seed=13)
-    if fault == "lipschitz":
+    if fault:
         bound = bound * 1e-3
     summary = attention._summarize(ratio, bound, skipped)
     violations = summary.violations_2x
-    checks = [
+    return [
         Check("lipschitz_no_2x_violations", violations == 0,
               f"{violations} violations beyond 2x slack in {summary.trials} trials "
               f"({summary.skipped} skipped, max ratio/bound = {summary.max_ratio_over_bound:.3e})"),
@@ -206,7 +197,6 @@ def suite_lipschitz(fault: str | None = None) -> SuiteResult:
               summary.trials - summary.skipped >= _LIPSCHITZ_TRIALS // 2,
               f"{summary.trials - summary.skipped} non-degenerate trials"),
     ]
-    return _result("lipschitz", checks, t0)
 
 
 # coordinates per stacked pass of the gradient suite: its (100, P) rows and
@@ -214,7 +204,7 @@ def suite_lipschitz(fault: str | None = None) -> SuiteResult:
 _FD_COORDS_PER_PASS = 50
 
 
-def suite_gradient(fault: str | None = None) -> SuiteResult:
+def suite_gradient(fault: bool) -> list[Check]:
     """Training-step gradient vs central differences, rel. err <= 1e-4.
 
     Checks _GRADIENT_COORDS coordinates on each of _GRADIENT_SEEDS random
@@ -227,8 +217,6 @@ def suite_gradient(fault: str | None = None) -> SuiteResult:
     differences meet the loss's upstream 2 (pred - y) / B.
     """
     step = 1e-5
-    t0 = time.perf_counter()
-    checks = []
     worst = 0.0
     cfg = StudentConfig()
     table = _layout(cfg)
@@ -243,7 +231,7 @@ def suite_gradient(fault: str | None = None) -> SuiteResult:
         targets = rng.standard_normal(B)
         model._squared_loss_grads(atoms, queries, counts, targets)
         analytic = model.grads.copy()
-        if fault == "gradient":
+        if fault:
             analytic = analytic * (1.0 + 1e-3)
         pred = _forward(model._blocks, cfg, atoms, queries, counts)["pred"]
         upstream = 2.0 * (pred - targets) / B
@@ -260,11 +248,10 @@ def suite_gradient(fault: str | None = None) -> SuiteResult:
             a = analytic[part]
             rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
             worst = max(worst, float(rel.max()))
-    checks.append(Check(
+    return [Check(
         "gradient_matches_central_differences", worst <= 1e-4,
         f"worst relative error = {worst:.3e} over {_GRADIENT_SEEDS * _GRADIENT_COORDS} "
-        f"coordinates (tol 1e-4)"))
-    return _result("gradient", checks, t0)
+        f"coordinates (tol 1e-4)")]
 
 
 _SUITES = {
@@ -279,7 +266,11 @@ SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names=None, fault: str | None = None) -> list[SuiteResult]:
-    """Run the named suites once each, in order (default: all of them)."""
+    """Run the named suites once each, in order (default: all of them).
+
+    Each result carries its suite's name and wall time; fault names the one
+    suite whose computation is corrupted.
+    """
     names = list(SUITE_NAMES) if names is None else list(dict.fromkeys(names))
     if not names:
         raise ValueError(f"no suite selected; available: {list(SUITE_NAMES)}")
@@ -289,4 +280,9 @@ def run_suites(names=None, fault: str | None = None) -> list[SuiteResult]:
     if fault is not None and fault not in names:
         raise ValueError(f"fault {fault!r} is injected into no selected suite; "
                          f"selected: {names}")
-    return [_SUITES[n](fault) for n in names]
+    results = []
+    for name in names:
+        t0 = time.perf_counter()
+        checks = _SUITES[name](fault == name)
+        results.append(SuiteResult(name, tuple(checks), time.perf_counter() - t0))
+    return results

@@ -12,7 +12,9 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -643,12 +645,11 @@ def test_grid_atoms_are_one_shared_array_per_T():
         np.testing.assert_array_equal(atoms[:T], np.column_stack([x, -np.ones(T)]))
         np.testing.assert_array_equal(atoms[T:], np.column_stack([x, np.ones(T)]))
     assert _grid_atoms(8) is not _grid_atoms(32)
-    # a spectrum holds its grid and its own caches, and nothing else
+    # a spectrum holds its grid and its own arrays, and nothing else
     spec = SMALL.spectrum(1.0)
     ex = gen_example(spec, SMALL, 5)
     assert ex.atoms is _grid_atoms(SMALL.T)
-    assert set(vars(spec)) == {"alpha", "M", "T", "c", "domain_grid",
-                               "_eigenvalues", "_basis"}
+    assert set(vars(spec)) == {"alpha", "M", "T", "domain_grid", "_eigenvalues", "_basis"}
 
 
 def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
@@ -977,6 +978,52 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "_train_and_validate", cell_run)
     assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
     assert bundle_bytes(out) == bundle_bytes(clean)
+
+
+@FORK_ONLY
+def test_rows_of_a_broken_pool_rerun_jobs_at_a_time(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=4)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+
+    cell_run = experiment._train_and_validate
+
+    def dying(cfg, spec, alpha, n, seed, val_set):
+        if seed == 0:
+            os._exit(1)   # row seed 0 dies at its first cell, in every pool
+        return cell_run(cfg, spec, alpha, n, seed, val_set)
+
+    lock, alone = threading.Lock(), {"open": 0, "most": 0}
+
+    class CountingPool(ProcessPoolExecutor):
+        """Counts the one-worker pools open at once."""
+
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.alone = max_workers == 1
+            with lock:
+                alone["open"] += self.alone
+                alone["most"] = max(alone["most"], alone["open"])
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            with lock:
+                alone["open"] -= self.alone
+            self.alone = False
+
+    monkeypatch.setattr(experiment, "_train_and_validate", dying)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    out = str(tmp_path / "bundle")
+    summary = sweep(cfg, out, jobs=2)
+    assert alone == {"open": 0, "most": 2}
+    assert sorted(n for _, n, seed in summary["failures"] if seed == 0) == [2, 4]
+    assert summary["cells_failed"] == 2
+    assert all("BrokenProcessPool" in e for e in summary["failures"].values())
+    dead_row = {_cell_key(cfg, 1.0, n, 0)[0] + ".json" for n in (2, 4)}
+    assert bundle_bytes(os.path.join(out, "cells")) == {
+        name: blob for name, blob in bundle_bytes(os.path.join(clean, "cells")).items()
+        if name not in dead_row}
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])

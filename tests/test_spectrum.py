@@ -23,8 +23,8 @@ from measure_attn import (
 )
 
 
-def make_spec(alpha=1.0, M=16, T=32, c=1.0):
-    return MercerSpectrum(alpha=alpha, M=M, T=T, c=c)
+def make_spec(alpha=1.0, M=16, T=32):
+    return MercerSpectrum(alpha=alpha, M=M, T=T)
 
 
 # ----------------------------------------------------------------- grid
@@ -51,14 +51,12 @@ def test_midpoint_grid_rejects_nonpositive_size():
 # ----------------------------------------------------------- eigenvalues
 
 def test_eigenvalue_head_values():
-    spec = make_spec(alpha=1.0)
-    assert spec.eigenvalue(0) == 1.0
-    assert spec.eigenvalue(1) == pytest.approx(math.exp(-1.0), rel=1e-15)
-    assert spec.eigenvalue(2) == pytest.approx(math.exp(-2.0), rel=1e-15)
-    assert make_spec(alpha=2.0).eigenvalue(3) == pytest.approx(
+    lam = make_spec(alpha=1.0).eigenvalues()
+    assert lam[0] == 1.0
+    assert lam[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert lam[2] == pytest.approx(math.exp(-2.0), rel=1e-15)
+    assert make_spec(alpha=2.0).eigenvalues()[3] == pytest.approx(
         math.exp(-9.0), rel=1e-15)
-    assert make_spec(alpha=1.0, c=2.5).eigenvalue(2) == pytest.approx(
-        math.exp(-5.0), rel=1e-15)
 
 
 def test_eigenvalues_vector_matches_scalar_loop():
@@ -68,22 +66,6 @@ def test_eigenvalues_vector_matches_scalar_loop():
                         for j in range(1, spec.M)]
         np.testing.assert_allclose(spec.eigenvalues(), loop, rtol=1e-15)
         assert np.all(np.diff(spec.eigenvalues()) < 0.0)
-
-
-@pytest.mark.parametrize("c", [1.0, 2.5])
-@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
-def test_eigenvalue_is_the_vector_entry_bitwise(alpha, c):
-    # one formula for lambda_j; alpha=1.5 is where two formulas would differ
-    spec = make_spec(alpha=alpha, c=c)
-    assert [spec.eigenvalue(j) for j in range(spec.M)] == spec.eigenvalues().tolist()
-
-
-def test_eigenvalue_mode_out_of_range():
-    spec = make_spec(M=8)
-    with pytest.raises(IndexError):
-        spec.eigenvalue(8)
-    with pytest.raises(IndexError):
-        spec.eigenvalue(-1)
 
 
 # ----------------------------------------------------------------- basis
@@ -121,8 +103,8 @@ def test_sine_block_exactly_orthonormal_on_midpoint_grid():
 
 def test_basis_matrix_is_built_once_and_read_only():
     spec = make_spec(M=8, T=20)
-    B = spec.basis_matrix()
-    assert spec.basis_matrix() is B
+    B = vars(spec)["_basis"]   # present right after construction
+    assert spec.basis_matrix() is B and spec.basis_matrix() is B
     assert not B.flags.writeable
     with pytest.raises(ValueError):
         B[1, 0] = 0.0
@@ -132,13 +114,13 @@ def test_basis_matrix_is_built_once_and_read_only():
 
 def test_eigenvalues_are_built_once_and_read_only():
     spec = make_spec(M=8, T=20)
-    lam = spec.eigenvalues()
-    assert spec.eigenvalues() is lam
+    lam = vars(spec)["_eigenvalues"]   # present right after construction
+    assert spec.eigenvalues() is lam and spec.eigenvalues() is lam
     assert not lam.flags.writeable
     with pytest.raises(ValueError):
         lam[1] = 0.0
     j = np.arange(8, dtype=np.float64)
-    np.testing.assert_array_equal(lam[1:], np.exp(-spec.c * j ** spec.alpha)[1:])
+    np.testing.assert_array_equal(lam[1:], np.exp(-(j ** spec.alpha))[1:])
     assert lam[0] == 1.0
 
 
@@ -431,13 +413,10 @@ def test_spectrum_constructor_validation():
         MercerSpectrum(alpha=1.0, M=0, T=8)
     with pytest.raises(ValueError):
         MercerSpectrum(alpha=1.0, M=9, T=8)  # grid too short
-    with pytest.raises(ValueError):
-        MercerSpectrum(alpha=1.0, M=4, T=8, c=-1.0)
     # alpha = inf would leave the degenerate lambda = 1, e^-1, 0, 0, ...
-    for alpha, c in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
-                     (1.0, math.nan)):
+    for alpha in (math.inf, math.nan):
         with pytest.raises(ValueError, match="positive and finite"):
-            MercerSpectrum(alpha=alpha, M=4, T=8, c=c)
+            MercerSpectrum(alpha=alpha, M=4, T=8)
     for args, name in (((1.0, 4, 8.5), "T"),   # would build a 9-point grid
                        ((1.0, 16.0, 32), "M"),
                        ((True, 4, 8), "alpha"), ((1.0, True, 4), "M"),
@@ -446,13 +425,13 @@ def test_spectrum_constructor_validation():
             MercerSpectrum(*args)
 
 
-def test_spectrum_equality_and_hash_go_by_its_four_values():
+def test_spectrum_equality_and_hash_go_by_its_three_values():
     a, b = MercerSpectrum(1.0, 16, 32), MercerSpectrum(1.0, 16, 32)
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
     np.testing.assert_array_equal(a.domain_grid, midpoint_grid(32))
     for other in (MercerSpectrum(2.0, 16, 32), MercerSpectrum(1.0, 8, 32),
-                  MercerSpectrum(1.0, 16, 64), MercerSpectrum(1.0, 16, 32, c=2.5)):
+                  MercerSpectrum(1.0, 16, 64)):
         assert a != other and len({a, other}) == 2
     numpy_sized = MercerSpectrum(1.0, np.int64(16), np.int32(32))
     assert numpy_sized == a and hash(numpy_sized) == hash(a)
