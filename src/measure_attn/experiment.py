@@ -15,6 +15,7 @@ curves per alpha feed a least-squares fit of log L on t = (log n)^(alpha/(alpha+
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -30,7 +31,7 @@ import numpy as np
 
 from . import model as student
 from .model import StudentConfig, StudentModel
-from .optim import Dataset, TrainConfig, train
+from .optim import Dataset, TrainConfig, _error, train
 from .spectrum import (MercerSpectrum, _integer, _length, _positive, _real,
                        _rng, midpoint_grid, synth_density)
 
@@ -195,32 +196,37 @@ _STATS_COLUMNS = ("w_same_mean", "w_diff_mean", "w_same_std", "w_diff_std",
 # validation examples per batched pass: bounds peak memory, not an option
 _CHUNK = 64
 
+# most cells of one n a sweep trains as one stack: keeps a large grid of one
+# n parallel and bounds a stack's memory at 16 cells', not an option
+_STACK = 16
+
 
 def _tag_masses(attn, counts, tags, query_tags):
-    """Tag-split masses of rows attn (H, B, A) over atoms with these tags.
+    """Tag-split masses of rows attn (..., H, B, A) over atoms with these tags.
 
     Side "same" of example b is the atoms whose tag equals query_tags[b],
-    side "diff" the rest.  Returns each side's (H, b) masses m_* and
-    per-token weights w_* over the b examples with tokens on that side.
-    Masses are summed per run of equal tags (atoms are sorted by tag), and
-    one (runs, B) mask assigns the runs to sides.
+    side "diff" the rest.  Returns each side's (..., H, b) masses m_* and
+    per-token weights w_* over the b examples with tokens on that side; a
+    leading stack axis of attn rides along.  Masses are summed per run of
+    equal tags (atoms are sorted by tag), and one (runs, B) mask assigns
+    the runs to sides.
     """
     cuts = [0, *(np.flatnonzero(np.diff(tags)) + 1), tags.size]
     runs = list(zip(cuts, cuts[1:]))
     same = tags[cuts[:-1], None] == query_tags
-    mass = np.stack([attn[..., a:b].sum(axis=-1) for a, b in runs])  # (runs, H, B)
-    count = np.stack([counts[:, a:b].sum(axis=-1) for a, b in runs])  # (runs, B)
+    # (..., H, runs, B) and (runs, B)
+    mass = np.stack([attn[..., a:b].sum(axis=-1) for a, b in runs], axis=-2)
+    count = np.stack([counts[:, a:b].sum(axis=-1) for a, b in runs])
     out = {}
     for side, mask in (("same", same), ("diff", ~same)):
-        m = np.where(mask[:, None], mass, 0.0).sum(axis=0)
+        m = np.where(mask, mass, 0.0).sum(axis=-2)
         c = np.where(mask, count, 0).sum(axis=0)
-        m = m[:, c > 0]
+        m = m[..., c > 0]
         out[f"m_{side}"], out[f"w_{side}"] = m, m / c[c > 0]
     return out
 
 
-def _validate(model: StudentModel, data: Dataset, n_stat: int = 0
-              ) -> tuple[float, AttentionStats | None]:
+def _validate(model, data: Dataset, n_stat: int = 0):
     """Clean MSE over data, and attention stats over its first n_stat rows.
 
     Each slice of _CHUNK rows is one batched pass of the student's forward
@@ -228,31 +234,47 @@ def _validate(model: StudentModel, data: Dataset, n_stat: int = 0
     rows the attention is reduced to per-head masses on the context tokens
     whose tag equals the query's and on the rest; a context with an empty
     side counts only on the other side.  Stats are None when n_stat is 0.
+
+    A list of models of one config is scored as one stack over the shared
+    data and gets a list of (val_mse, stats), each bitwise the model's own
+    call.
     """
-    acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (H, b) each
+    stack = isinstance(model, (list, tuple))
+    cfg = (model[0] if stack else model).config
+    b = (student._block_views(student._layout(cfg), np.stack([m.params for m in model]))
+         if stack else model._blocks)
+    acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (S, H, b) each
     total = 0.0
     for lo in range(0, len(data.targets), _CHUNK):
         counts, q = data.counts[lo:lo + _CHUNK], data.queries[lo:lo + _CHUNK]
-        f = student._forward(model._blocks, model.config, data.atoms, q, counts)
-        total += float(np.sum((f["pred"] - data.targets[lo:lo + _CHUNK]) ** 2))
+        f = student._forward(b, cfg, data.atoms, q, counts)
+        total = total + np.sum((f["pred"] - data.targets[lo:lo + _CHUNK]) ** 2,
+                               axis=-1)
         k = n_stat - lo   # rows of this pass that feed the stats
         if k > 0:
-            masses = _tag_masses(f["attn"][:, :k], counts[:k], data.atoms[:, 1],
-                                 q[:k, 1])
+            masses = _tag_masses(f["attn"][..., :k, :], counts[:k],
+                                 data.atoms[:, 1], q[:k, 1])
             for key, val in masses.items():
-                acc[key].append(val)
-    if n_stat < 1:
-        return total / len(data.targets), None
-    stats = {}
-    for key, vals in acc.items():
-        # (H, N) C-contiguous, so each head reduces over examples exactly as a
-        # 1-d array of that head's values would
-        per_head = np.concatenate(vals, axis=1)
-        if per_head.shape[1] == 0:
-            per_head = np.full((per_head.shape[0], 1), np.nan)
-        stats[f"{key}_mean"], stats[f"{key}_std"] = (per_head.mean(axis=1),
-                                                     per_head.std(axis=1))
-    return total / len(data.targets), AttentionStats(**stats)
+                acc[key].append(val if stack else val[None])
+
+    def stats_of(i):
+        stats = {}
+        for key, vals in acc.items():
+            # (H, N) in Fortran order: _tag_masses' boolean selection puts
+            # the heads on the contiguous axis and the concatenation keeps
+            # it, so each head sums its examples one after another, not
+            # pairwise as a contiguous 1-d array would.  Each model's array
+            # is built from its own rows, so a stack keeps that order.
+            per_head = np.concatenate([v[i] for v in vals], axis=1)
+            if per_head.shape[1] == 0:
+                per_head = np.full((per_head.shape[0], 1), np.nan)
+            stats[f"{key}_mean"], stats[f"{key}_std"] = (per_head.mean(axis=1),
+                                                         per_head.std(axis=1))
+        return AttentionStats(**stats)
+
+    scores = [(mse, stats_of(i) if n_stat >= 1 else None) for i, mse
+              in enumerate(np.reshape(total / len(data.targets), -1).tolist())]
+    return scores if stack else scores[0]
 
 
 def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
@@ -320,9 +342,11 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
     """
     n, seed = _length("n", n), _integer("seed", seed, 0)
     spec = cfg.spectrum(alpha)
-    model, result = _train_and_validate(cfg, spec, alpha, n, seed,
-                                        _val_set(cfg, spec, alpha, seed))
-    return result.val_mse, model, result
+    val_set = _val_set(cfg, spec, alpha, seed)
+    model, train_set, loop_seed = _cell_setup(cfg, alpha, n, seed)
+    model, losses = train(model, train_set, cfg.train, loop_seed)
+    val_mse, stats = _validate(model, val_set, cfg.n_stat_examples)
+    return val_mse, model, CellResult(alpha, n, seed, val_mse, tuple(losses), stats)
 
 
 def _val_set(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: float,
@@ -331,18 +355,17 @@ def _val_set(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: float,
     return _gen(cfg, spec, cfg.n_val, _cell_seedseq(cfg, alpha, 0, seed, _STREAM_VAL))
 
 
-def _train_and_validate(cfg: ExperimentConfig, spec: MercerSpectrum, alpha: float,
-                        n: int, seed: int, val_set: Dataset
-                        ) -> tuple[StudentModel, CellResult]:
-    """Cell (alpha, n, seed) trained on its own streams and scored on val_set."""
-    train_set = _gen(cfg, spec, n, _cell_seedseq(cfg, alpha, n, seed, _STREAM_TRAIN))
+def _cell_setup(cfg: ExperimentConfig, alpha: float, n: int, seed: int
+                ) -> tuple[StudentModel, Dataset, int]:
+    """Cell (alpha, n, seed)'s initial model, training set and loop seed,
+    each from its own stream."""
+    train_set = _gen(cfg, cfg.spectrum(alpha), n,
+                     _cell_seedseq(cfg, alpha, n, seed, _STREAM_TRAIN))
     model = StudentModel.init(cfg.student,
                               _cell_seedseq(cfg, alpha, n, seed, _STREAM_INIT))
     loop_seed = int(_cell_seedseq(cfg, alpha, n, seed, _STREAM_LOOP)
                     .generate_state(1, np.uint64)[0])
-    model, losses = train(model, train_set, cfg.train, loop_seed)
-    val_mse, stats = _validate(model, val_set, cfg.n_stat_examples)
-    return model, CellResult(alpha, n, seed, val_mse, tuple(losses), stats)
+    return model, train_set, loop_seed
 
 
 @dataclass(frozen=True)
@@ -444,69 +467,104 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _sweep_cell_worker(args) -> list[tuple[int, dict | None, str | None]]:
-    """One (alpha, seed) row of a sweep: (n, payload, error) per pending n.
-
-    The payload is the cell's results; the sweep adds its key inputs.  A
-    cell that raises or whose val_mse is not finite gets its error text,
-    and the row goes on to its next n.
-    """
-    cfg, alpha, seed, ns = args
-    spec = cfg.spectrum(alpha)
-    val_set = _val_set(cfg, spec, alpha, seed)
-    cells = []
-    for n in ns:
-        try:
-            _, result = _train_and_validate(cfg, spec, alpha, n, seed, val_set)
-            if not np.isfinite(result.val_mse):
-                raise FloatingPointError(f"non-finite val_mse {result.val_mse}")
-        except Exception as e:  # noqa: BLE001 - cell failures are data
-            cells.append((n, None, f"{type(e).__name__}: {e}"))
-            continue
-        cells.append((n, result.to_dict(), None))
-    return cells
-
-
-def _row_cells(task, run) -> list[tuple[int, dict | None, str | None]]:
-    """task's row's cells as run() returns them, or, if run raises, each of
-    the row's cells failed with that error."""
+def _stacked(run, run_one, items) -> list:
+    """run(), one value per item; if it raises, run_one(item) for each item,
+    or the item's error text where that raises too."""
     try:
         return run()
-    except Exception as e:  # noqa: BLE001 - the whole row failed
-        return [(n, None, f"{type(e).__name__}: {e}") for n in task[3]]
+    except Exception:  # noqa: BLE001 - rerun each item alone
+        pass
+    out = []
+    for item in items:
+        try:
+            out.append(run_one(item))
+        except Exception as e:  # noqa: BLE001 - cell failures are data
+            out.append(_error(e))
+    return out
 
 
-def _alone(task) -> list[tuple[int, dict | None, str | None]]:
-    """task's row run in a fresh one-worker pool of its own."""
+def _payload(cell, losses, val_mse: float, stats: AttentionStats) -> dict:
+    if not np.isfinite(val_mse):
+        raise FloatingPointError(f"non-finite val_mse {val_mse}")
+    return CellResult(*cell, val_mse, tuple(losses), stats).to_dict()
+
+
+def _sweep_cell_worker(task) -> list[tuple[tuple, object]]:
+    """One sweep task: (cell, value) per (alpha, n, seed) cell, the value
+    the cell's error text if it failed.
+
+    A task (cfg, cells, None) trains its cells, all of one n, as one stack
+    and returns their (params, losses); a task (cfg, cells, trained) draws
+    one (alpha, seed) row's validation set once and scores the row's
+    trained cells as one stack, returning their result payloads.  A cell
+    fails alone on a rejected Adam step or a non-finite val_mse; any other
+    exception in a stacked pass reruns the task's cells one at a time.
+    """
+    cfg, cells, trained = task
+    if trained is None:
+        def run(group):
+            models, sets, seeds = map(list, zip(*(_cell_setup(cfg, *c) for c in group)))
+            return [v if isinstance(v, str) else (v[0].params, v[1])
+                    for v in train(models, sets, cfg.train, seeds)]
+        return list(zip(cells, _stacked(lambda: run(cells), lambda c: run([c])[0],
+                                        cells)))
+    alpha, _, seed = cells[0]
+    val_set = _val_set(cfg, cfg.spectrum(alpha), alpha, seed)
+    models = [StudentModel(cfg.student, params) for params, _ in trained]
+    n_stat = cfg.n_stat_examples
+    return list(zip(cells, _stacked(
+        lambda: [_payload(c, losses, *score) for c, (_, losses), score
+                 in zip(cells, trained, _validate(models, val_set, n_stat))],
+        lambda i: _payload(cells[i], trained[i][1],
+                           *_validate(models[i], val_set, n_stat)),
+        range(len(cells)))))
+
+
+def _task_cells(task, run) -> list[tuple[tuple, object]]:
+    """The task's cells as run() returns them, or, if run raises, each of
+    the task's cells failed with that error."""
+    try:
+        return run()
+    except Exception as e:  # noqa: BLE001 - the whole task failed
+        return [(cell, _error(e)) for cell in task[1]]
+
+
+def _alone(task) -> list[tuple[tuple, object]]:
+    """The task run in a fresh one-worker pool of its own."""
     with ProcessPoolExecutor(max_workers=1) as pool:
         return pool.submit(_sweep_cell_worker, task).result()
 
 
-def _rows(tasks, jobs: int):
-    """Yield each row's task and its cells, (n, payload, error) per pending n.
+def _run(tasks, jobs: int, pool):
+    """Yield (cell, value) for every cell of the tasks, task by task, run
+    here one after another with no pool, else in the pool.
 
-    jobs > 1 runs the rows in one pool of jobs workers.  A worker that dies
-    without raising breaks that pool, which fails every row still pending in
-    it; those rows run again last, each alone in a fresh one-worker pool, up
-    to jobs such pools at a time, so a row that kills its worker fails only
-    itself.  A row that raises, or whose own pool breaks too, fails each of
-    its cells with that error.
+    A worker that dies without raising breaks the pool, which fails every
+    task pending in it and refuses new ones; those tasks run again last,
+    each alone in a fresh one-worker pool, up to jobs at a time, so a task
+    that kills its worker fails only its own cells.  A task that raises, or
+    whose own pool breaks too, fails each of its cells with that error.
     """
-    if jobs == 1 or not tasks:
+    if pool is None:
         for task in tasks:
-            yield task, _row_cells(task, functools.partial(_sweep_cell_worker, task))
+            yield from _task_cells(task, functools.partial(_sweep_cell_worker, task))
         return
-    broken = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_sweep_cell_worker, task) for task in tasks]
-        for task, fut in zip(tasks, futures):
-            if isinstance(fut.exception(), BrokenProcessPool):
-                broken.append(task)
-            else:
-                yield task, _row_cells(task, fut.result)
+    futures = []
+    try:
+        for task in tasks:
+            futures.append(pool.submit(_sweep_cell_worker, task))
+    except BrokenProcessPool:
+        pass   # broken in an earlier phase: the rest run alone below
+    broken = list(tasks[len(futures):])
+    for task, fut in zip(tasks, futures):
+        if isinstance(fut.exception(), BrokenProcessPool):
+            broken.append(task)
+        else:
+            yield from _task_cells(task, fut.result)
     with ThreadPoolExecutor(max_workers=jobs) as threads:
-        yield from zip(broken, threads.map(
-            lambda task: _row_cells(task, functools.partial(_alone, task)), broken))
+        for cells in threads.map(lambda task: _task_cells(
+                task, functools.partial(_alone, task)), broken):
+            yield from cells
 
 
 def _fmt(x: float) -> str:
@@ -516,9 +574,13 @@ def _fmt(x: float) -> str:
 def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run the (alpha, n, seed) grid and persist the result bundle.
 
-    Pending cells run as (alpha, seed) rows, jobs rows at a time: a row
-    generates its validation set once and trains every pending n on it.  A
-    worker that dies fails only its own row (see _rows).
+    Pending cells run in two phases on one pool of jobs workers.  First the
+    cells of each n train in lockstep, as stacks of at most _STACK cells,
+    largest n first.  Then each (alpha, seed) row draws its validation set
+    once and scores all its trained cells as one stack over it.  A worker
+    that dies fails only its own task's cells (see _run).  Cell files are
+    written as rows are scored, so a sweep stopped while training keeps
+    none of its newly trained cells.
 
     Writes cells/<key>.json per cell (atomic, reused on resume when the key
     matches), risk_curve.csv, attention_stats.csv, fit.json, a gnuplot-ready
@@ -546,15 +608,26 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
             pass  # missing, corrupt or stale cell file: recompute
         pending.append(cell)
 
-    rows: dict[tuple[float, int], list[int]] = {}
-    for alpha, n, s in pending:
-        rows.setdefault((alpha, s), []).append(n)
-    tasks = [(cfg, alpha, s, tuple(ns)) for (alpha, s), ns in rows.items()]
-    for (_, alpha, s, _), cells in _rows(tasks, jobs):
-        for n, payload, error in cells:
-            cell = (alpha, n, s)
-            if error is not None:
-                failures[cell] = error
+    by_n: dict[int, list[tuple]] = {}
+    for cell in pending:
+        by_n.setdefault(cell[1], []).append(cell)
+    groups = [(cfg, tuple(cells[i:i + _STACK]), None)
+              for _, cells in sorted(by_n.items(), reverse=True)
+              for i in range(0, len(cells), _STACK)]
+    trained = {}
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and pending
+          else contextlib.nullcontext()) as pool:
+        for cell, value in _run(groups, jobs, pool):
+            (failures if isinstance(value, str) else trained)[cell] = value
+        rows: dict[tuple[float, int], list[tuple]] = {}
+        for cell in pending:
+            if cell in trained:
+                rows.setdefault((cell[0], cell[2]), []).append(cell)
+        tasks = [(cfg, tuple(cells), tuple(trained[cell] for cell in cells))
+                 for cells in rows.values()]
+        for cell, payload in _run(tasks, jobs, pool):
+            if isinstance(payload, str):
+                failures[cell] = payload
                 continue
             payload["key_inputs"] = key_pairs[cell][1]
             path = os.path.join(out_dir, "cells", keyed[cell] + ".json")

@@ -93,8 +93,9 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
     """The student's forward arithmetic for one model or a stack of models.
 
     Every block of b is a model's own block or carries one leading stack
-    axis S.  The points C (A, input_dim), the queries q (B, input_dim) and
-    the weights (B, A) are shared by the stack.  Returns the
+    axis S.  The points C (A, input_dim) are shared by the stack; the
+    queries q (B, input_dim) and the weights (B, A) are shared or carry the
+    stack axis too, (S, B, input_dim) and (S, B, A).  Returns the
     intermediates by name: the context side is (S, A, .), the query side
     (S, B, .), the attention side (S, H, B, .) and pred (S, B), each without
     S when b is unstacked.  A stacked row is computed with the same calls
@@ -122,7 +123,8 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
               .reshape(per_head).swapaxes(-3, -2))
     head_v = ((ctx_emb @ b["attn_v"].reshape(heads).swapaxes(-1, -2))
               .reshape(per_head).swapaxes(-3, -2))
-    attn = _softmax(scale * (head_q @ head_k.swapaxes(-1, -2)), weights)
+    attn = _softmax(scale * (head_q @ head_k.swapaxes(-1, -2)),
+                    weights[..., None, :, :])
     head_out = attn @ head_v
     mixed = (head_out.swapaxes(-3, -2).reshape(stack + (-1, H * hd))
              @ b["attn_out"].swapaxes(-1, -2))
@@ -143,62 +145,81 @@ def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,
     """The student's backward arithmetic: writes d(sum_b up[b] pred[b])/d(b)
     into the blocks gb, overwriting each in place through out=.
 
-    b is one model's blocks and f the intermediates _forward returned for the
-    points C (A, input_dim) and the queries q (B, input_dim); up is (B,).
+    b, gb and f are one model's blocks and the intermediates _forward
+    returned for the points C (A, input_dim) and the queries q
+    (B, input_dim), with up (B,); or they all carry one leading stack axis
+    S, with q (S, B, input_dim) or shared and up (S, B).  As in _forward, a
+    stacked row is bitwise that row's own call.
     """
     _, act_grad = _ACTIVATIONS[cfg.activation]
     H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
     scale = 1.0 / math.sqrt(hd)
-    B, A = up.size, C.shape[0]
+    stack, B = up.shape[:-1], up.shape[-1]
 
     # head MLP
-    d_out_pre = up[:, None] * b["head_w2"][0] * act_grad(f["out_pre"])
-    np.matmul(up[:, None].T, f["out_act"], out=gb["head_w2"])
-    up.sum(keepdims=True, out=gb["head_b2"])
-    np.matmul(d_out_pre.T, f["mixed"], out=gb["head_w1"])
-    d_out_pre.sum(axis=0, out=gb["head_b1"])
+    d_out_pre = up[..., None] * b["head_w2"] * act_grad(f["out_pre"])
+    np.matmul(up[..., None, :], f["out_act"], out=gb["head_w2"])
+    up.sum(axis=-1, keepdims=True, out=gb["head_b2"])
+    np.matmul(d_out_pre.swapaxes(-1, -2), f["mixed"], out=gb["head_w1"])
+    d_out_pre.sum(axis=-2, out=gb["head_b1"])
     d_mixed = d_out_pre @ b["head_w1"]
 
     # output projection
-    np.matmul(d_mixed.T, f["head_out"].transpose(1, 0, 2).reshape(B, H * hd),
+    np.matmul(d_mixed.swapaxes(-1, -2),
+              f["head_out"].swapaxes(-3, -2).reshape(stack + (B, H * hd)),
               out=gb["attn_out"])
-    d_head_out = (d_mixed @ b["attn_out"]).reshape(B, H, hd).transpose(1, 0, 2)
+    d_head_out = ((d_mixed @ b["attn_out"]).reshape(stack + (B, H, hd))
+                  .swapaxes(-3, -2))
 
     # attention: o_hb = sum_a a_hba v_ha, a = softmax(scale * k q).  The
     # key and value gradients d_k[h,a] = scale sum_b d_scores[h,b,a] q_hb
     # and d_v[h,a] = sum_b a_hba d_o_hb have rank B per head, so they meet
     # ctx_emb as (H, B, A) weights, never as (H, A, hd) tensors.
-    ctx, attn = f["ctx_emb"], f["attn"].reshape(H * B, A)
+    ctx, attn = f["ctx_emb"], f["attn"].reshape(stack + (H * B, -1))
     sq = scale * f["head_q"]
     Wq, Wk, Wv = b["attn_q"], b["attn_k"], b["attn_v"]
-    u_v = d_head_out @ Wv                                   # (H, B, dm)
-    d_attn = u_v.reshape(H * B, dm) @ ctx.T                 # (H B, A)
-    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=1, keepdims=True))
-    s_ctx = (d_scores @ ctx).reshape(H, B, dm)
-    d_head_q = scale * (Wk @ s_ctx.transpose(0, 2, 1))      # (H, hd, B)
-    np.matmul(d_head_q, f["qry_emb"], out=gb["attn_q"])
-    np.matmul(sq.transpose(0, 2, 1), s_ctx, out=gb["attn_k"])
-    np.matmul(d_head_out.transpose(0, 2, 1), (attn @ ctx).reshape(H, B, dm),
-              out=gb["attn_v"])
-    d_qry_emb = (d_head_q.transpose(2, 0, 1).reshape(B, H * hd)
-                 @ Wq.reshape(H * hd, dm))
-    d_ctx_emb = (d_scores.T @ (sq @ Wk).reshape(H * B, dm)
-                 + attn.T @ u_v.reshape(H * B, dm))
+    u_v = d_head_out @ Wv                                        # (H, B, dm)
+    d_attn = u_v.reshape(stack + (H * B, dm)) @ ctx.swapaxes(-1, -2)  # (H B, A)
+    d_scores = attn * (d_attn - (attn * d_attn).sum(axis=-1, keepdims=True))
+    s_ctx = (d_scores @ ctx).reshape(stack + (H, B, dm))
+    d_head_q = scale * (Wk @ s_ctx.swapaxes(-1, -2))             # (H, hd, B)
+    np.matmul(d_head_q, f["qry_emb"][..., None, :, :], out=gb["attn_q"])
+    np.matmul(sq.swapaxes(-1, -2), s_ctx, out=gb["attn_k"])
+    np.matmul(d_head_out.swapaxes(-1, -2),
+              (attn @ ctx).reshape(stack + (H, B, dm)), out=gb["attn_v"])
+    d_qry_emb = (d_head_q.swapaxes(-1, -2).swapaxes(-3, -2)
+                 .reshape(stack + (B, H * hd)) @ Wq.reshape(stack + (H * hd, dm)))
+    d_ctx_emb = (d_scores.swapaxes(-1, -2) @ (sq @ Wk).reshape(stack + (H * B, dm))
+                 + attn.swapaxes(-1, -2) @ u_v.reshape(stack + (H * B, dm)))
 
     # query MLP
-    np.matmul(d_qry_emb.T, f["qry_act"], out=gb["qry_w2"])
-    d_qry_emb.sum(axis=0, out=gb["qry_b2"])
+    np.matmul(d_qry_emb.swapaxes(-1, -2), f["qry_act"], out=gb["qry_w2"])
+    d_qry_emb.sum(axis=-2, out=gb["qry_b2"])
     d_qry_pre = (d_qry_emb @ b["qry_w2"]) * act_grad(f["qry_pre"])
-    np.matmul(d_qry_pre.T, q, out=gb["qry_w1"])
-    d_qry_pre.sum(axis=0, out=gb["qry_b1"])
+    np.matmul(d_qry_pre.swapaxes(-1, -2), q, out=gb["qry_w1"])
+    d_qry_pre.sum(axis=-2, out=gb["qry_b1"])
 
     # context MLP
     d_ctx_act = d_ctx_emb @ b["ctx_w2"]
-    np.matmul(d_ctx_emb.T, f["ctx_act"], out=gb["ctx_w2"])
-    d_ctx_emb.sum(axis=0, out=gb["ctx_b2"])
+    np.matmul(d_ctx_emb.swapaxes(-1, -2), f["ctx_act"], out=gb["ctx_w2"])
+    d_ctx_emb.sum(axis=-2, out=gb["ctx_b2"])
     d_ctx_pre = d_ctx_act * act_grad(f["ctx_pre"])
-    np.matmul(d_ctx_pre.T, C, out=gb["ctx_w1"])
-    d_ctx_pre.sum(axis=0, out=gb["ctx_b1"])
+    np.matmul(d_ctx_pre.swapaxes(-1, -2), C, out=gb["ctx_w1"])
+    d_ctx_pre.sum(axis=-2, out=gb["ctx_b1"])
+
+
+def _squared_loss_grads(b: dict, gb: dict, cfg: StudentConfig, atoms, queries,
+                        weights, targets) -> np.ndarray:
+    """One training pass: writes the gradient of the mean squared loss of
+    each model's B predictions into gb and returns pred - targets (.., B).
+
+    The arithmetic of _forward then _backward with upstream 2 resid / B,
+    with no input checks and no cache, on one model's blocks or a stack's.
+    """
+    f = _forward(b, cfg, atoms, queries, weights)
+    resid = f["pred"] - targets
+    _backward(b, gb, cfg, f, atoms, queries, 2.0 * resid / targets.shape[-1])
+    return resid
 
 
 def _runs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,17 +364,9 @@ class StudentModel:
                   up.reshape(-1))
 
     def _squared_loss_grads(self, atoms, queries, weights, targets) -> np.ndarray:
-        """One training pass: writes the gradient of the mean squared loss
-        of B predictions into self.grads and returns pred - targets (B,).
-
-        The arithmetic of forward then backward with upstream 2 resid / B,
-        with no input checks and no cache.
-        """
-        f = _forward(self._blocks, self.config, atoms, queries, weights)
-        resid = f["pred"] - targets
-        _backward(self._blocks, self._grad_blocks, self.config, f, atoms,
-                  queries, 2.0 * resid / len(targets))
-        return resid
+        """The training pass, _squared_loss_grads, on this model's blocks."""
+        return _squared_loss_grads(self._blocks, self._grad_blocks, self.config,
+                                   atoms, queries, weights, targets)
 
     def to_dict(self) -> dict:
         return {"config": asdict(self.config), "params": self.params.tolist()}

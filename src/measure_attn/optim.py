@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import StudentModel
+from .model import _block_views, _layout, _squared_loss_grads
 from .spectrum import _integer, _positive, _real, _rng
 
 
@@ -58,8 +58,10 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     """One bias-corrected Adam update at epoch's step size, in place on
     params and on the moment arrays state.m and state.v.
 
-    Rejects non-finite gradients before touching any state, so a failed
-    step leaves params and moments untouched.
+    params may be one model's (P,) or a stack's (S, P): every update is
+    elementwise, so each row steps bitwise as it would alone.  Rejects
+    non-finite gradients, in any row, before touching any state, so a
+    failed step leaves params and moments untouched.
     """
     if params.shape != state.m.shape or grads.shape != state.m.shape:
         raise ValueError("params/grads shape does not match optimizer state")
@@ -100,36 +102,82 @@ class Dataset:
                    np.array([ex.target for ex in examples], dtype=np.float64))
 
 
-def train(model: StudentModel, dataset: Dataset, cfg: TrainConfig, seed: int
-          ) -> tuple[StudentModel, list[float]]:
+def _error(e: Exception) -> str:
+    """An exception as a failed cell's error text."""
+    return f"{type(e).__name__}: {e}"
+
+
+def train(model, dataset, cfg: TrainConfig, seed):
     """Seeded minibatch training; returns the model and per-epoch mean loss.
 
     Each epoch reshuffles the dataset, each presentation jitters the target
     with fresh N(0, noise_std^2) noise, and each minibatch is one batched
     pass over its counts and one Adam step on the mean squared loss.  The
     recorded loss is the mean over the epoch's (noisy) presentations.
+
+    Equal-length sequences of models, datasets and seeds, the datasets of
+    one size on the same atoms, train in lockstep as one stack: each model
+    keeps its own stream (per epoch its permutation, then its noise) and
+    is bitwise what its own call would train.  The models' params are
+    written when the stack finishes.  Returns per model (model, losses), or
+    the error text of a model whose step Adam rejected: that row leaves the
+    stack and the step is redone for the rest.
     """
-    n = len(dataset.targets)
-    rng = _rng(seed)
-    state = AdamState(np.zeros_like(model.params), np.zeros_like(model.params))
-    losses: list[float] = []
+    stack = isinstance(model, (list, tuple))
+    models, datasets, seeds = ((model, dataset, seed) if stack
+                               else ([model], [dataset], [seed]))
+    n, atoms = len(datasets[0].targets), datasets[0].atoms
+    if not len(models) == len(datasets) == len(seeds) or any(
+            len(d.targets) != n or not np.array_equal(d.atoms, atoms)
+            for d in datasets):
+        raise ValueError("a stack needs one dataset and seed per model, "
+                         "and datasets of one size on the same atoms")
+    rngs, student = [_rng(s) for s in seeds], models[0].config
+    params = np.stack([m.params for m in models]) if stack else model.params
+    grads, table = np.zeros_like(params), _layout(student)
+    views = (_block_views(table, params), _block_views(table, grads))
+    state = AdamState(np.zeros_like(params), np.zeros_like(params))
+    live = np.arange(len(models))   # the stack's rows, as model indexes
+    losses, errors = np.zeros((len(models), cfg.epochs)), {}
+    gather = np.stack if stack else (lambda rows: rows[0])
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
+        if not live.size:   # every row was rejected
+            break
         # an epoch's rows in its order, and all its noise in one draw: the
         # stream of one standard_normal(batch) per minibatch, in one call
-        queries, counts = dataset.queries[order], dataset.counts[order]
-        noisy = dataset.targets[order]
+        orders = [rngs[i].permutation(n) for i in live]
+        queries = gather([datasets[i].queries[o] for i, o in zip(live, orders)])
+        counts = gather([datasets[i].counts[o] for i, o in zip(live, orders)])
+        noisy = [datasets[i].targets[o] for i, o in zip(live, orders)]
         if cfg.noise_std > 0:
-            noisy = noisy + cfg.noise_std * rng.standard_normal(n)
-        epoch_sq = 0.0
+            noisy = [y + cfg.noise_std * rngs[i].standard_normal(n)
+                     for i, y in zip(live, noisy)]
+        noisy, epoch_sq = gather(noisy), 0.0
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            resid = model._squared_loss_grads(dataset.atoms, queries[batch],
-                                              counts[batch], noisy[batch])
-            epoch_sq += float(resid @ resid)
-            adam_step(state, model.params, model.grads, cfg, epoch)
-        losses.append(epoch_sq / n)
-    return model, losses
+            resid = _squared_loss_grads(*views, student, atoms, queries[..., batch, :],
+                                        counts[..., batch, :], noisy[..., batch])
+            epoch_sq = epoch_sq + (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+            try:
+                adam_step(state, params, grads, cfg, epoch)
+            except ValueError as e:
+                bad = ~np.isfinite(grads).all(axis=-1)
+                if not stack or not bad.any():
+                    raise
+                errors.update(dict.fromkeys(live[bad].tolist(), _error(e)))
+                (live, params, grads, state.m, state.v, queries, counts, noisy,
+                 epoch_sq) = (a[~bad] for a in (live, params, grads, state.m, state.v,
+                                                queries, counts, noisy, epoch_sq))
+                if not live.size:
+                    break
+                views = (_block_views(table, params), _block_views(table, grads))
+                adam_step(state, params, grads, cfg, epoch)
+        losses[live, epoch] = epoch_sq / n
+    if not stack:
+        return model, losses[0].tolist()
+    for row, i in enumerate(live):
+        models[i].params[...] = params[row]
+    return [errors.get(i) or (m, losses[i].tolist()) for i, m in enumerate(models)]
 
 
 def losses_to_csv(losses: list[float]) -> str:

@@ -5,10 +5,12 @@ ablation, single-cell training, rate fits against a brute-force grid
 search, and the sweep bundle's persistence and reproducibility.
 """
 
+import functools
 import hashlib
 import json
 import math
 import multiprocessing
+import operator
 import os
 import subprocess
 import sys
@@ -41,9 +43,10 @@ from measure_attn import (
     synth_density,
     train,
 )
-from measure_attn.experiment import (_CHUNK, _STREAM_LOOP, _atomic_write,
+from measure_attn.experiment import (_CHUNK, _STACK, _STREAM_LOOP, _atomic_write,
                                      _cell_key, _cell_seedseq, _draw, _gen,
-                                     _grid_atoms, _targets, _val_set, _validate)
+                                     _grid_atoms, _tag_masses, _targets, _val_set,
+                                     _validate)
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -455,6 +458,55 @@ def test_stats_match_loop_reference_bitwise(one_sided):
         np.testing.assert_allclose(getattr(stats, key), want,
                                    rtol=4 * np.finfo(np.float64).eps, atol=0,
                                    equal_nan=True, err_msg=key)
+
+
+def test_stats_sum_each_heads_examples_in_sequence():
+    # a head's (H, N) row comes out of _tag_masses' boolean selection with
+    # the heads on the contiguous axis, so its mean and std add the examples
+    # one after another, not pairwise as a contiguous 1-d array would; the
+    # one-model and the stacked pass both keep that order
+    cfg = replace(SMALL, n_val=3 * _CHUNK, n_stat_examples=2 * _CHUNK + 40)
+    data, n_stat = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0), cfg.n_stat_examples
+    models = [StudentModel.init(cfg.student, s) for s in range(3)]
+    stacked = _validate(models, data, n_stat)
+    pairwise_apart = 0
+    for model, (_, stack_stats) in zip(models, stacked):
+        stats = _validate(model, data, n_stat)[1]
+        values = {key: [] for key in ("w_same", "w_diff", "m_same", "m_diff")}
+        for lo in range(0, n_stat, _CHUNK):   # _validate's passes, by the public API
+            k = min(_CHUNK, n_stat - lo)
+            q, counts = data.queries[lo:lo + _CHUNK], data.counts[lo:lo + _CHUNK]
+            attn = model.forward(data.atoms, q, counts)[1].attn
+            masses = _tag_masses(attn[:, :k], counts[:k], data.atoms[:, 1], q[:k, 1])
+            for key, val in masses.items():
+                values[key] += val.T.tolist()   # (examples, H)
+        for key, per_example in values.items():
+            for h, xs in enumerate(zip(*per_example)):
+                mean = functools.reduce(operator.add, xs) / len(xs)
+                dev = [x - mean for x in xs]
+                sq = functools.reduce(operator.add, [d * d for d in dev])   # as np.std
+                for got in (stats, stack_stats):
+                    assert getattr(got, f"{key}_mean")[h] == mean, (key, h)
+                    assert getattr(got, f"{key}_std")[h] == math.sqrt(sq / len(xs))
+                pairwise_apart += float(np.mean(xs)) != mean
+    assert pairwise_apart > 0   # the order is visible in these digits
+
+
+@pytest.mark.parametrize("H", [1, 4])
+def test_stacked_validate_is_each_models_own_call_bitwise(H):
+    cfg = replace(SMALL, n_val=2 * _CHUNK + 9, n_stat_examples=_CHUNK + 3,
+                  student=StudentConfig(n_heads=H))
+    data = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0)
+    models = [StudentModel.init(cfg.student, s) for s in range(4)]
+    for n_stat in (0, cfg.n_stat_examples):
+        for model, (val_mse, stats) in zip(models, _validate(models, data, n_stat)):
+            want_mse, want = _validate(model, data, n_stat)
+            assert isinstance(val_mse, float) and val_mse == want_mse
+            if n_stat == 0:
+                assert stats is None and want is None
+                continue
+            for key, arr in vars(want).items():
+                assert getattr(stats, key).tobytes() == arr.tobytes(), key
 
 
 def test_uniform_attention_balanced_tags_mass_statistics():
@@ -949,15 +1001,15 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     clean = str(tmp_path / "clean")
     sweep(cfg, clean, jobs=1)
 
-    cell_run = experiment._train_and_validate
+    val_set = experiment._val_set
 
-    def dying(cfg, spec, alpha, n, seed, val_set):
-        if (n, seed) == (4, 1):
-            os._exit(1)   # the worker dies without raising
-        return cell_run(cfg, spec, alpha, n, seed, val_set)
+    def dying(cfg, spec, alpha, seed):
+        if seed == 1:
+            os._exit(1)   # the worker scoring row seed 1 dies without raising
+        return val_set(cfg, spec, alpha, seed)
 
     out = str(tmp_path / "bundle")
-    monkeypatch.setattr(experiment, "_train_and_validate", dying)
+    monkeypatch.setattr(experiment, "_val_set", dying)
     summary = sweep(cfg, out, jobs=2)
     assert summary["cells_failed"] >= 1
     manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
@@ -975,7 +1027,7 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     assert bundle_bytes(os.path.join(out, "cells")) == {
         name: blob for name, blob in clean_cells.items() if name in row}
 
-    monkeypatch.setattr(experiment, "_train_and_validate", cell_run)
+    monkeypatch.setattr(experiment, "_val_set", val_set)
     assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
     assert bundle_bytes(out) == bundle_bytes(clean)
 
@@ -987,12 +1039,12 @@ def test_rows_of_a_broken_pool_rerun_jobs_at_a_time(tmp_path, monkeypatch):
     clean = str(tmp_path / "clean")
     sweep(cfg, clean, jobs=1)
 
-    cell_run = experiment._train_and_validate
+    val_set = experiment._val_set
 
-    def dying(cfg, spec, alpha, n, seed, val_set):
+    def dying(cfg, spec, alpha, seed):
         if seed == 0:
-            os._exit(1)   # row seed 0 dies at its first cell, in every pool
-        return cell_run(cfg, spec, alpha, n, seed, val_set)
+            os._exit(1)   # row seed 0 dies as it is scored, in every pool
+        return val_set(cfg, spec, alpha, seed)
 
     lock, alone = threading.Lock(), {"open": 0, "most": 0}
 
@@ -1012,7 +1064,7 @@ def test_rows_of_a_broken_pool_rerun_jobs_at_a_time(tmp_path, monkeypatch):
                 alone["open"] -= self.alone
             self.alone = False
 
-    monkeypatch.setattr(experiment, "_train_and_validate", dying)
+    monkeypatch.setattr(experiment, "_val_set", dying)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=2)
@@ -1039,7 +1091,8 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
     clean = str(tmp_path / "clean")
     sweep(cfg, clean, jobs=1)
 
-    # the fault hits (n=2, seed=1), the first n of its row: the row must go on
+    # the fault hits (n=2, seed=1): the rest of its stack (n=2, seed=0) and
+    # of its row (n=4, seed=1) must go on
     def loop_seed(n, seed):
         ss = _cell_seedseq(cfg, 1.0, n, seed, _STREAM_LOOP)
         return int(ss.generate_state(1, np.uint64)[0])
@@ -1048,17 +1101,20 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
     assert faulty_seed not in {loop_seed(n, s) for n, s in ((2, 0), (4, 0), (4, 1))}
     real_train = experiment.train
 
-    def faulty_train(model, dataset, train_cfg, seed):
-        if seed != faulty_seed:
-            return real_train(model, dataset, train_cfg, seed)
-        if fault == "raise":
+    def faulty_train(models, datasets, train_cfg, seeds):
+        # a sweep trains stacks; after a stack raises, a stack of each cell
+        hit = [s == faulty_seed for s in seeds]
+        if fault == "raise" and any(hit):
             raise RuntimeError("injected training fault")
         if fault == "nan_grad":
-            nan_targets = replace(dataset, targets=np.full_like(dataset.targets, np.nan))
-            return real_train(model, nan_targets, train_cfg, seed)
-        model, losses = real_train(model, dataset, train_cfg, seed)
-        model.params[:] = np.nan
-        return model, losses
+            datasets = [replace(d, targets=np.full_like(d.targets, np.nan)) if h else d
+                        for d, h in zip(datasets, hit)]
+        runs = real_train(models, datasets, train_cfg, seeds)
+        if fault == "nan":
+            for run, h in zip(runs, hit):
+                if h:
+                    run[0].params[:] = np.nan
+        return runs
 
     monkeypatch.setattr(experiment, "train", faulty_train)
     out = str(tmp_path / "bundle")
@@ -1075,6 +1131,76 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
     assert cells == clean_cells
 
 
+def test_sweep_fails_only_the_cell_whose_training_set_draw_raises(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+    real_gen = experiment._gen
+
+    def faulty_gen(cfg_, spec, count, ss):
+        if ss.entropy[2:] == (2, 1, experiment._STREAM_TRAIN):   # cell n=2, seed 1
+            raise MemoryError("injected draw fault")
+        return real_gen(cfg_, spec, count, ss)
+
+    monkeypatch.setattr(experiment, "_gen", faulty_gen)
+    out = str(tmp_path / "bundle")
+    summary = sweep(cfg, out, jobs=1)
+    assert summary["failures"] == {(1.0, 2, 1): "MemoryError: injected draw fault"}
+    clean_cells = bundle_bytes(os.path.join(clean, "cells"))
+    del clean_cells[_cell_key(cfg, 1.0, 2, 1)[0] + ".json"]
+    assert bundle_bytes(os.path.join(out, "cells")) == clean_cells
+
+
+@FORK_ONLY
+def test_sweep_fails_only_the_n_whose_training_worker_died(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+    real_train = experiment.train
+
+    def dying(models, datasets, train_cfg, seeds):
+        if len(datasets[0].targets) == 4:
+            os._exit(1)   # the worker training n=4 dies without raising
+        return real_train(models, datasets, train_cfg, seeds)
+
+    monkeypatch.setattr(experiment, "train", dying)
+    out = str(tmp_path / "bundle")
+    summary = sweep(cfg, out, jobs=2)
+    assert sorted(summary["failures"]) == [(1.0, 4, 0), (1.0, 4, 1)]
+    assert all("BrokenProcessPool" in e for e in summary["failures"].values())
+    dead_n = {_cell_key(cfg, 1.0, 4, s)[0] + ".json" for s in (0, 1)}
+    assert bundle_bytes(os.path.join(out, "cells")) == {
+        name: blob for name, blob in bundle_bytes(os.path.join(clean, "cells")).items()
+        if name not in dead_n}
+
+
+def test_sweep_trains_stacks_of_one_n_largest_n_first(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=_STACK + 1, n_val=4, n_stat_examples=2)
+    stacks = []
+    real_train = experiment.train
+
+    def spy(models, datasets, train_cfg, seeds):
+        stacks.append([len(d.targets) for d in datasets])
+        return real_train(models, datasets, train_cfg, seeds)
+
+    monkeypatch.setattr(experiment, "train", spy)
+    out = str(tmp_path / "bundle")
+    assert sweep(cfg, out, jobs=1)["cells_failed"] == 0
+    assert stacks == [[4] * _STACK, [4], [2] * _STACK, [2]]
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a pool started with nothing pending")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", NoPool)
+    stacks.clear()
+    assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
+    assert stacks == []
+
+
 def test_sweep_draws_each_rows_validation_set_once(tmp_path, monkeypatch):
     from measure_attn import experiment
     cfg = replace(SMALL, seeds=2)
@@ -1088,8 +1214,9 @@ def test_sweep_draws_each_rows_validation_set_once(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "_gen", spy)
     out = str(tmp_path / "bundle")
     sweep(cfg, out, jobs=1)
-    # per (alpha, seed) row: its validation set, then each n's training set
-    assert drawn == [cfg.n_val, 2, 4] * 2
+    # each n's training sets, largest n first, then each (alpha, seed) row's
+    # validation set
+    assert drawn == [4, 4, 2, 2] + [cfg.n_val] * 2
     clean = bundle_bytes(out)
 
     # resume with only the largest n of the second row pending
@@ -1098,7 +1225,7 @@ def test_sweep_draws_each_rows_validation_set_once(tmp_path, monkeypatch):
     stamps = {f: os.stat(os.path.join(cells, f)).st_mtime_ns for f in os.listdir(cells)}
     drawn.clear()
     assert sweep(cfg, out, jobs=1)["cells_failed"] == 0
-    assert drawn == [cfg.n_val, 4]
+    assert drawn == [4, cfg.n_val]
     assert {f: os.stat(os.path.join(cells, f)).st_mtime_ns for f in stamps} == stamps
     assert bundle_bytes(out) == clean
 

@@ -410,6 +410,36 @@ def test_stacked_rows_are_forward_bitwise(activation, config):
             assert np.asarray(pred).tobytes() == row.tobytes()
 
 
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("H", [1, 4])
+def test_stacked_backward_rows_are_their_own_calls_bitwise(activation, H):
+    # a training stack: each row its own parameters, queries, counts and
+    # upstream, on shared atoms, with some atoms at zero count in every row
+    rng = np.random.default_rng(47)
+    cfg = StudentConfig(n_heads=H, activation=activation)
+    table, S, A = _layout(cfg), 3, 9
+    atoms, _ = random_batch(rng, T=A)
+    for B in range(1, 5):
+        params = np.stack([StudentModel.init(cfg, rng).params for _ in range(S)])
+        grads = np.zeros_like(params)
+        queries = np.stack([random_batch(rng, T=B)[0] for _ in range(S)])
+        counts = rng.integers(0, 4, (S, B, A)).astype(np.float64)
+        counts[..., :2] = 0.0
+        counts[..., 2] += 1.0   # every context carries mass
+        up = rng.standard_normal((S, B))
+        b, gb = _block_views(table, params), _block_views(table, grads)
+        f = _forward(b, cfg, atoms, queries, counts)
+        _backward(b, gb, cfg, f, atoms, queries, up)
+        for s in range(S):
+            model = StudentModel(cfg, params[s])
+            row = _forward(model._blocks, cfg, atoms, queries[s], counts[s])
+            _backward(model._blocks, model._grad_blocks, cfg, row, atoms,
+                      queries[s], up[s])
+            for name, arr in row.items():
+                assert arr.tobytes() == np.ascontiguousarray(f[name][s]).tobytes(), name
+            assert model.grads.tobytes() == grads[s].tobytes(), (B, s)
+
+
 def grads_of(model, *args):
     pred, cache = model.forward(*args)
     model.backward(cache, np.ones_like(pred))

@@ -123,6 +123,31 @@ def test_adam_updates_its_moments_in_place():
         np.testing.assert_array_equal(now, then)
 
 
+def test_stacked_adam_rejects_a_nan_row_without_touching_any_state():
+    rng = np.random.default_rng(8)
+    params = rng.standard_normal((3, 4))
+    state = fresh_state(params)
+    adam_step(state, params, rng.standard_normal((3, 4)), TrainConfig(), 0)
+    before = params.copy(), state.m.copy(), state.v.copy()
+    grads = rng.standard_normal((3, 4))
+    grads[1, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite gradient; step rejected"):
+        adam_step(state, params, grads, TrainConfig(), 0)
+    assert state.t == 1
+    for now, then in zip((params, state.m, state.v), before):
+        assert now.tobytes() == then.tobytes()
+    # redone without that row, the others step as each would alone
+    keep = [0, 2]
+    kept, kept_params = AdamState(state.m[keep], state.v[keep], state.t), params[keep]
+    adam_step(kept, kept_params, grads[keep], TrainConfig(), 0)
+    for row, i in enumerate(keep):
+        alone = AdamState(state.m[i].copy(), state.v[i].copy(), state.t)
+        adam_step(alone, params[i], grads[i], TrainConfig(), 0)
+        assert kept_params[row].tobytes() == params[i].tobytes()
+        assert kept.m[row].tobytes() == alone.m.tobytes()
+        assert kept.v[row].tobytes() == alone.v.tobytes()
+
+
 def test_adam_state_validation():
     # the step-size decay Adam reads is checked where it lives, in TrainConfig
     for decay in (0.0, 1.5):
@@ -303,6 +328,54 @@ def test_train_step_is_the_public_passes_bitwise(activation, monkeypatch):
             assert preds.tolist() == [pred]
             lean.backward(cache, np.array([1.5]))
             np.testing.assert_array_equal(lean.grads, one)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("first_step", [True, False])
+def test_stacked_train_rows_are_their_own_training_bitwise(activation, first_step):
+    # 7 contexts in batches of 3 (the last batch holds 1), with noise on; the
+    # third cell has NaN targets, so its first step is rejected, or, with one
+    # NaN target presented last in the first epoch, its third
+    rng = np.random.default_rng(29)
+    student = StudentConfig(activation=activation)
+    cfg = TrainConfig(epochs=3, batch_size=3, noise_std=0.05)
+    datasets = [Dataset.of(make_dataset(rng, 7)) for _ in range(4)]
+    seeds = [31, 32, 33, 34]
+    targets = datasets[2].targets.copy()
+    last = np.random.default_rng(seeds[2]).permutation(7)[-1]   # train's stream
+    targets[slice(None) if first_step else last] = np.nan
+    datasets[2] = Dataset(datasets[2].atoms, datasets[2].counts,
+                          datasets[2].queries, targets)
+    stacked = train([StudentModel.init(student, i) for i in range(4)], datasets,
+                    cfg, seeds)
+    assert stacked[2] == "ValueError: non-finite gradient; step rejected"
+    with pytest.raises(ValueError, match="non-finite gradient; step rejected"):
+        train(StudentModel.init(student, 2), datasets[2], cfg, seeds[2])
+    for i in (0, 1, 3):
+        model, losses = train(StudentModel.init(student, i), datasets[i], cfg, seeds[i])
+        assert stacked[i][0].params.tobytes() == model.params.tobytes()
+        assert stacked[i][1] == losses and len(losses) == cfg.epochs
+    # a stack whose every row is rejected ends with each row's error
+    both = train([StudentModel.init(student, i) for i in range(2)], [datasets[2]] * 2,
+                 cfg, seeds[:2])
+    assert both == ["ValueError: non-finite gradient; step rejected"] * 2
+
+
+def test_stacked_train_needs_one_size_and_atoms():
+    rng = np.random.default_rng(30)
+    models = [StudentModel.init(StudentConfig(), i) for i in range(2)]
+    before = [m.params.copy() for m in models]
+    for other in (Dataset.of(make_dataset(rng, 6)),
+                  Dataset.of([Item(i.context_tokens, ATOMS[::-1], i.counts,
+                                   i.query_token, i.target)
+                              for i in make_dataset(rng, 5)])):
+        with pytest.raises(ValueError, match="one size on the same atoms"):
+            train(models, [Dataset.of(make_dataset(rng, 5)), other],
+                  TrainConfig(), [0, 1])
+    with pytest.raises(ValueError, match="one dataset and seed per model"):
+        train(models, [Dataset.of(make_dataset(rng, 5))] * 2, TrainConfig(), [0])
+    for m, p in zip(models, before):
+        assert m.params.tobytes() == p.tobytes()
 
 
 def test_single_example_overfit_within_500_steps():
