@@ -483,9 +483,10 @@ def _stacked(run, run_one, items) -> list:
     return out
 
 
-def _payload(cell, losses, val_mse: float, stats: AttentionStats) -> dict:
+def _payload(cell, losses, val_mse: float, stats: AttentionStats) -> dict | str:
+    """The cell's results payload, or its error text if val_mse is not finite."""
     if not np.isfinite(val_mse):
-        raise FloatingPointError(f"non-finite val_mse {val_mse}")
+        return _error(FloatingPointError(f"non-finite val_mse {val_mse}"))
     return CellResult(*cell, val_mse, tuple(losses), stats).to_dict()
 
 
