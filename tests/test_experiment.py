@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
@@ -1044,6 +1045,9 @@ def test_rows_of_a_broken_pool_rerun_jobs_at_a_time(tmp_path, monkeypatch):
     def dying(cfg, spec, alpha, seed):
         if seed == 0:
             os._exit(1)   # row seed 0 dies as it is scored, in every pool
+        # the other rows score slowly enough to be still pending when the
+        # pool breaks, and for two of their one-worker reruns to overlap
+        time.sleep(0.2)
         return val_set(cfg, spec, alpha, seed)
 
     lock, alone = threading.Lock(), {"open": 0, "most": 0}
