@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model as student
 from .model import StudentConfig, StudentModel
-from .optim import Dataset, TrainConfig, _error, train
+from .optim import Dataset, TrainConfig, train
 from .spectrum import (MercerSpectrum, _integer, _length, _positive, _real,
                        _rng, midpoint_grid, synth_density)
 
@@ -39,7 +39,9 @@ from .spectrum import (MercerSpectrum, _integer, _length, _positive, _real,
 _STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP = range(4)
 
 # most (alpha, n, seed) cells a config may ask for: a sweep holds a key per
-# cell (about 1.2 kB each) before any cell runs
+# cell (about 1.2 kB each) before any cell runs, and between its two phases
+# also each pending cell's trained params and losses (4,477 B per cell
+# pickled, at the default student and 20 epochs)
 _MAX_CELLS = 100_000
 
 
@@ -467,20 +469,9 @@ def _atomic_write(path: str, data: str) -> None:
         raise
 
 
-def _stacked(run, run_one, items) -> list:
-    """run(), one value per item; if it raises, run_one(item) for each item,
-    or the item's error text where that raises too."""
-    try:
-        return run()
-    except Exception:  # noqa: BLE001 - rerun each item alone
-        pass
-    out = []
-    for item in items:
-        try:
-            out.append(run_one(item))
-        except Exception as e:  # noqa: BLE001 - cell failures are data
-            out.append(_error(e))
-    return out
+def _error(e: Exception) -> str:
+    """An exception as a failed cell's error text."""
+    return f"{type(e).__name__}: {e}"
 
 
 def _payload(cell, losses, val_mse: float, stats: AttentionStats) -> dict | str:
@@ -491,80 +482,77 @@ def _payload(cell, losses, val_mse: float, stats: AttentionStats) -> dict | str:
 
 
 def _sweep_cell_worker(task) -> list[tuple[tuple, object]]:
-    """One sweep task: (cell, value) per (alpha, n, seed) cell, the value
-    the cell's error text if it failed.
+    """One sweep task: (cell, value) per (alpha, n, seed) cell.
 
     A task (cfg, cells, None) trains its cells, all of one n, as one stack
     and returns their (params, losses); a task (cfg, cells, trained) draws
     one (alpha, seed) row's validation set once and scores the row's
-    trained cells as one stack, returning their result payloads.  A cell
-    fails alone on a rejected Adam step or a non-finite val_mse; any other
-    exception in a stacked pass reruns the task's cells one at a time.
+    trained cells as one stack, returning their result payloads, or the
+    error text of a cell whose val_mse is not finite.
     """
     cfg, cells, trained = task
     if trained is None:
-        def run(group):
-            models, sets, seeds = map(list, zip(*(_cell_setup(cfg, *c) for c in group)))
-            return [v if isinstance(v, str) else (v[0].params, v[1])
-                    for v in train(models, sets, cfg.train, seeds)]
-        return list(zip(cells, _stacked(lambda: run(cells), lambda c: run([c])[0],
-                                        cells)))
+        models, sets, seeds = map(list, zip(*(_cell_setup(cfg, *c) for c in cells)))
+        return [(c, (m.params, losses)) for c, (m, losses)
+                in zip(cells, train(models, sets, cfg.train, seeds))]
     alpha, _, seed = cells[0]
     val_set = _val_set(cfg, cfg.spectrum(alpha), alpha, seed)
     models = [StudentModel(cfg.student, params) for params, _ in trained]
-    n_stat = cfg.n_stat_examples
-    return list(zip(cells, _stacked(
-        lambda: [_payload(c, losses, *score) for c, (_, losses), score
-                 in zip(cells, trained, _validate(models, val_set, n_stat))],
-        lambda i: _payload(cells[i], trained[i][1],
-                           *_validate(models[i], val_set, n_stat)),
-        range(len(cells)))))
+    return [(c, _payload(c, losses, *score)) for c, (_, losses), score
+            in zip(cells, trained, _validate(models, val_set, cfg.n_stat_examples))]
 
 
-def _task_cells(task, run) -> list[tuple[tuple, object]]:
-    """The task's cells as run() returns them, or, if run raises, each of
-    the task's cells failed with that error."""
+def _alone(task, jobs: int) -> list[tuple[tuple, object]]:
+    """The task run alone: here at jobs=1, else in a fresh one-worker pool.
+
+    A task that fails alone, because it raises or its worker dies, is
+    split into one-cell tasks, each run alone in turn; a cell that fails
+    alone gets the error text.
+    """
+    cfg, cells, trained = task
     try:
-        return run()
-    except Exception as e:  # noqa: BLE001 - the whole task failed
-        return [(cell, _error(e)) for cell in task[1]]
-
-
-def _alone(task) -> list[tuple[tuple, object]]:
-    """The task run in a fresh one-worker pool of its own."""
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        return pool.submit(_sweep_cell_worker, task).result()
+        if jobs == 1:
+            return _sweep_cell_worker(task)
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(_sweep_cell_worker, task).result()
+    except Exception as e:  # noqa: BLE001 - cell failures are data
+        if len(cells) == 1:
+            return [(cells[0], _error(e))]
+    return [value for i in range(len(cells)) for value in
+            _alone((cfg, cells[i:i + 1], trained and trained[i:i + 1]), jobs)]
 
 
 def _run(tasks, jobs: int, pool):
-    """Yield (cell, value) for every cell of the tasks, task by task, run
-    here one after another with no pool, else in the pool.
+    """Yield (cell, value) for every cell of the tasks, task by task: each
+    through _alone with no pool, else in the pool.
 
-    A worker that dies without raising breaks the pool, which fails every
-    task pending in it and refuses new ones; those tasks run again last,
-    each alone in a fresh one-worker pool, up to jobs at a time, so a task
-    that kills its worker fails only its own cells.  A task that raises, or
-    whose own pool breaks too, fails each of its cells with that error.
+    A task fails in the pool when it raises or when a worker dies without
+    raising, which breaks the pool and fails every task pending in it;
+    each failed task then goes to _alone, jobs at a time.  A pool broken
+    in an earlier phase refuses every task, and the phase gets a fresh
+    pool of jobs workers.
     """
     if pool is None:
         for task in tasks:
-            yield from _task_cells(task, functools.partial(_sweep_cell_worker, task))
+            yield from _alone(task, 1)
         return
     futures = []
     try:
         for task in tasks:
             futures.append(pool.submit(_sweep_cell_worker, task))
     except BrokenProcessPool:
-        pass   # broken in an earlier phase: the rest run alone below
-    broken = list(tasks[len(futures):])
+        if not futures:   # broken in an earlier phase
+            with ProcessPoolExecutor(max_workers=jobs) as fresh:
+                yield from _run(tasks, jobs, fresh)
+            return
+    failed = list(tasks[len(futures):])
     for task, fut in zip(tasks, futures):
-        if isinstance(fut.exception(), BrokenProcessPool):
-            broken.append(task)
+        if fut.exception() is None:
+            yield from fut.result()
         else:
-            yield from _task_cells(task, fut.result)
+            failed.append(task)
     with ThreadPoolExecutor(max_workers=jobs) as threads:
-        for cells in threads.map(lambda task: _task_cells(
-                task, functools.partial(_alone, task)), broken):
+        for cells in threads.map(functools.partial(_alone, jobs=jobs), failed):
             yield from cells
 
 
@@ -575,13 +563,14 @@ def _fmt(x: float) -> str:
 def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run the (alpha, n, seed) grid and persist the result bundle.
 
-    Pending cells run in two phases on one pool of jobs workers.  First the
-    cells of each n train in lockstep, as stacks of at most _STACK cells,
-    largest n first.  Then each (alpha, seed) row draws its validation set
-    once and scores all its trained cells as one stack over it.  A worker
-    that dies fails only its own task's cells (see _run).  Cell files are
-    written as rows are scored, so a sweep stopped while training keeps
-    none of its newly trained cells.
+    Pending cells run in two phases on one pool of at most jobs workers,
+    no more than either phase has tasks.  First the cells of each n train
+    in lockstep, as stacks of at most _STACK cells, largest n first.  Then
+    each (alpha, seed) row draws its validation set once and scores all
+    its trained cells as one stack over it.  A task that fails runs again
+    alone, then cell by cell, so only a cell that fails alone fails (see
+    _alone).  Cell files are written as rows are scored, so a sweep
+    stopped while training keeps none of its newly trained cells.
 
     Writes cells/<key>.json per cell (atomic, reused on resume when the key
     matches), risk_curve.csv, attention_stats.csv, fit.json, a gnuplot-ready
@@ -615,8 +604,11 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     groups = [(cfg, tuple(cells[i:i + _STACK]), None)
               for _, cells in sorted(by_n.items(), reverse=True)
               for i in range(0, len(cells), _STACK)]
+    # a pool forks all its workers at its first task: no more than a phase
+    # has tasks
+    jobs = min(jobs, max(len(groups), len({(a, s) for a, _, s in pending})))
     trained = {}
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1 and pending
+    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
           else contextlib.nullcontext()) as pool:
         for cell, value in _run(groups, jobs, pool):
             (failures if isinstance(value, str) else trained)[cell] = value

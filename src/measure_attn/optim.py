@@ -102,11 +102,6 @@ class Dataset:
                    np.array([ex.target for ex in examples], dtype=np.float64))
 
 
-def _error(e: Exception) -> str:
-    """An exception as a failed cell's error text."""
-    return f"{type(e).__name__}: {e}"
-
-
 def train(model, dataset, cfg: TrainConfig, seed):
     """Seeded minibatch training; returns the model and per-epoch mean loss.
 
@@ -118,10 +113,9 @@ def train(model, dataset, cfg: TrainConfig, seed):
     Equal-length sequences of models, datasets and seeds, the datasets of
     one size on the same atoms, train in lockstep as one stack: each model
     keeps its own stream (per epoch its permutation, then its noise) and
-    is bitwise what its own call would train.  The models' params are
-    written when the stack finishes.  Returns per model (model, losses), or
-    the error text of a model whose step Adam rejected: that row leaves the
-    stack and the step is redone for the rest.
+    is bitwise what its own call would train.  Returns per model (model,
+    losses).  The models' params are written when the stack finishes, so a
+    stack whose step Adam rejects raises and leaves every model as it was.
     """
     stack = isinstance(model, (list, tuple))
     models, datasets, seeds = ((model, dataset, seed) if stack
@@ -137,47 +131,31 @@ def train(model, dataset, cfg: TrainConfig, seed):
     grads, table = np.zeros_like(params), _layout(student)
     views = (_block_views(table, params), _block_views(table, grads))
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
-    live = np.arange(len(models))   # the stack's rows, as model indexes
-    losses, errors = np.zeros((len(models), cfg.epochs)), {}
+    losses = np.zeros((len(models), cfg.epochs))
     gather = np.stack if stack else (lambda rows: rows[0])
     for epoch in range(cfg.epochs):
-        if not live.size:   # every row was rejected
-            break
         # an epoch's rows in its order, and all its noise in one draw: the
         # stream of one standard_normal(batch) per minibatch, in one call
-        orders = [rngs[i].permutation(n) for i in live]
-        queries = gather([datasets[i].queries[o] for i, o in zip(live, orders)])
-        counts = gather([datasets[i].counts[o] for i, o in zip(live, orders)])
-        noisy = [datasets[i].targets[o] for i, o in zip(live, orders)]
+        orders = [rng.permutation(n) for rng in rngs]
+        queries = gather([d.queries[o] for d, o in zip(datasets, orders)])
+        counts = gather([d.counts[o] for d, o in zip(datasets, orders)])
+        noisy = [d.targets[o] for d, o in zip(datasets, orders)]
         if cfg.noise_std > 0:
-            noisy = [y + cfg.noise_std * rngs[i].standard_normal(n)
-                     for i, y in zip(live, noisy)]
+            noisy = [y + cfg.noise_std * rng.standard_normal(n)
+                     for rng, y in zip(rngs, noisy)]
         noisy, epoch_sq = gather(noisy), 0.0
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
             resid = _squared_loss_grads(*views, student, atoms, queries[..., batch, :],
                                         counts[..., batch, :], noisy[..., batch])
             epoch_sq = epoch_sq + (resid[..., None, :] @ resid[..., None])[..., 0, 0]
-            try:
-                adam_step(state, params, grads, cfg, epoch)
-            except ValueError as e:
-                bad = ~np.isfinite(grads).all(axis=-1)
-                if not stack or not bad.any():
-                    raise
-                errors.update(dict.fromkeys(live[bad].tolist(), _error(e)))
-                (live, params, grads, state.m, state.v, queries, counts, noisy,
-                 epoch_sq) = (a[~bad] for a in (live, params, grads, state.m, state.v,
-                                                queries, counts, noisy, epoch_sq))
-                if not live.size:
-                    break
-                views = (_block_views(table, params), _block_views(table, grads))
-                adam_step(state, params, grads, cfg, epoch)
-        losses[live, epoch] = epoch_sq / n
+            adam_step(state, params, grads, cfg, epoch)
+        losses[:, epoch] = epoch_sq / n
     if not stack:
         return model, losses[0].tolist()
-    for row, i in enumerate(live):
-        models[i].params[...] = params[row]
-    return [errors.get(i) or (m, losses[i].tolist()) for i, m in enumerate(models)]
+    for m, row in zip(models, params):
+        m.params[...] = row
+    return [(m, row.tolist()) for m, row in zip(models, losses)]
 
 
 def losses_to_csv(losses: list[float]) -> str:

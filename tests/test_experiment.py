@@ -922,8 +922,9 @@ def test_cell_result_to_dict_is_the_cell_payload(tmp_path):
 def test_sweep_records_non_finite_val_mse_as_failure(tmp_path, monkeypatch):
     from measure_attn import experiment
     validate = experiment._validate
-    monkeypatch.setattr(experiment, "_validate",
-                        lambda *args: (math.nan, validate(*args)[1]))
+    # a sweep scores a row's cells as one list of models
+    monkeypatch.setattr(experiment, "_validate", lambda models, *args: [
+        (math.nan, stats) for _, stats in validate(models, *args)])
     out = str(tmp_path / "bundle")
     summary = sweep(SMALL, out, jobs=1)
     assert summary["cells_failed"] == 2
@@ -1169,7 +1170,23 @@ def test_sweep_fails_only_the_n_whose_training_worker_died(tmp_path, monkeypatch
             os._exit(1)   # the worker training n=4 dies without raising
         return real_train(models, datasets, train_cfg, seeds)
 
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        """Records its size and the kinds of task it took."""
+
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.size, self.kinds = max_workers, set()
+            pools.append(self)
+
+        def submit(self, fn, task):
+            future = super().submit(fn, task)
+            self.kinds.add("train" if task[2] is None else "score")
+            return future
+
     monkeypatch.setattr(experiment, "train", dying)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=2)
     assert sorted(summary["failures"]) == [(1.0, 4, 0), (1.0, 4, 1)]
@@ -1178,6 +1195,65 @@ def test_sweep_fails_only_the_n_whose_training_worker_died(tmp_path, monkeypatch
     assert bundle_bytes(os.path.join(out, "cells")) == {
         name: blob for name, blob in bundle_bytes(os.path.join(clean, "cells")).items()
         if name not in dead_n}
+    # the broken pool's reruns run in one-worker pools, and the rows are
+    # scored in one fresh two-worker pool
+    assert pools[0].size == 2 and pools[0].kinds == {"train"}
+    assert [p.size for p in pools if "score" in p.kinds] == [2]
+    assert [p.size for p in pools[1:-1]] == [1] * (len(pools) - 2)
+
+
+@FORK_ONLY
+@pytest.mark.parametrize("phase", ["train", "score"])
+def test_sweep_fails_only_the_cell_whose_worker_died(tmp_path, monkeypatch, phase):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=3)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+
+    # cell (n=4, seed=1) kills the worker that trains its stack (n=4, seeds
+    # 0-2) or scores its row (seed 1, n=2 and 4), in every pool
+    ss = _cell_seedseq(cfg, 1.0, 4, 1, _STREAM_LOOP)
+    dying_seed = int(ss.generate_state(1, np.uint64)[0])
+    real_train, real_payload = experiment.train, experiment._payload
+
+    def dying_train(models, datasets, train_cfg, seeds):
+        if dying_seed in seeds:
+            os._exit(1)
+        return real_train(models, datasets, train_cfg, seeds)
+
+    def dying_payload(cell, *args):
+        if cell == (1.0, 4, 1):
+            os._exit(1)
+        return real_payload(cell, *args)
+
+    if phase == "train":
+        monkeypatch.setattr(experiment, "train", dying_train)
+    else:
+        monkeypatch.setattr(experiment, "_payload", dying_payload)
+    out = str(tmp_path / "bundle")
+    summary = sweep(cfg, out, jobs=2)
+    assert list(summary["failures"]) == [(1.0, 4, 1)]
+    assert "BrokenProcessPool" in summary["failures"][(1.0, 4, 1)]
+    clean_cells = bundle_bytes(os.path.join(clean, "cells"))
+    del clean_cells[_cell_key(cfg, 1.0, 4, 1)[0] + ".json"]
+    assert bundle_bytes(os.path.join(out, "cells")) == clean_cells
+
+
+def test_sweep_pool_has_no_more_workers_than_a_phase_has_tasks(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            raise RuntimeError("no pool starts here")
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    # three stacks (one per n) and three (alpha, seed) rows
+    cfg = replace(SMALL, alpha_list=(0.5, 1.0, 2.0), n_list=(2, 4, 8))
+    with pytest.raises(RuntimeError, match="no pool starts here"):
+        sweep(cfg, str(tmp_path / "bundle"), jobs=10_000)
+    assert sizes == [3]
 
 
 def test_sweep_trains_stacks_of_one_n_largest_n_first(tmp_path, monkeypatch):
