@@ -89,7 +89,13 @@ class ExperimentConfig:
                              f"(x, tag), got {self.student.input_dim}")
 
     def spectrum(self, alpha: float) -> MercerSpectrum:
-        return MercerSpectrum(alpha, self.M, self.T)
+        """The spectrum of alpha on (M, T): one shared, read-only object per
+        (alpha, M, T) and process."""
+        alpha = _real("alpha", alpha, _positive, "positive and finite")   # before the cache
+        return _spectrum(alpha, self.M, self.T)
+
+
+_spectrum = functools.cache(MercerSpectrum)
 
 
 @dataclass(frozen=True)
@@ -195,87 +201,47 @@ _STATS_COLUMNS = ("w_same_mean", "w_diff_mean", "w_same_std", "w_diff_std",
                   "m_same_mean", "m_diff_mean")
 
 
-# validation examples per batched pass: bounds peak memory, not an option
-_CHUNK = 64
-
 # most cells of one n a sweep trains as one stack: keeps a large grid of one
 # n parallel and bounds a stack's memory at 16 cells', not an option
 _STACK = 16
 
 
-def _tag_masses(attn, counts, tags, query_tags):
-    """Tag-split masses of rows attn (..., H, B, A) over atoms with these tags.
-
-    Side "same" of example b is the atoms whose tag equals query_tags[b],
-    side "diff" the rest.  Returns each side's (..., H, b) masses m_* and
-    per-token weights w_* over the b examples with tokens on that side; a
-    leading stack axis of attn rides along.  Masses are summed per run of
-    equal tags (atoms are sorted by tag), and one (runs, B) mask assigns
-    the runs to sides.
-    """
-    cuts = [0, *(np.flatnonzero(np.diff(tags)) + 1), tags.size]
-    runs = list(zip(cuts, cuts[1:]))
-    same = tags[cuts[:-1], None] == query_tags
-    # (..., H, runs, B) and (runs, B)
-    mass = np.stack([attn[..., a:b].sum(axis=-1) for a, b in runs], axis=-2)
-    count = np.stack([counts[:, a:b].sum(axis=-1) for a, b in runs])
-    out = {}
-    for side, mask in (("same", same), ("diff", ~same)):
-        m = np.where(mask, mass, 0.0).sum(axis=-2)
-        c = np.where(mask, count, 0).sum(axis=0)
-        m = m[..., c > 0]
-        out[f"m_{side}"], out[f"w_{side}"] = m, m / c[c > 0]
-    return out
+def _attention_stats(mass, sides) -> AttentionStats:
+    """Stats of rows' masses (N, H, 2) on the query's tag and on the rest,
+    with sides (N, 2) their tokens there: a row counts only on a side where
+    it has tokens, and each head adds its rows one after another."""
+    stats = {}
+    for j, side in enumerate(("same", "diff")):
+        has = sides[:, j] > 0
+        m = mass[has, :, j]                                           # (rows, H)
+        for key, per_row in (("m", m), ("w", m / sides[has, j, None])):
+            if len(per_row) == 0:
+                per_row = np.full((1, mass.shape[1]), np.nan)
+            stats[f"{key}_{side}_mean"] = per_row.mean(axis=0)
+            stats[f"{key}_{side}_std"] = per_row.std(axis=0)
+    return AttentionStats(**stats)
 
 
 def _validate(model, data: Dataset, n_stat: int = 0):
     """Clean MSE over data, and attention stats over its first n_stat rows.
 
-    Each slice of _CHUNK rows is one batched pass of the student's forward
-    arithmetic over their counts, as training runs it.  For the first n_stat
-    rows the attention is reduced to per-head masses on the context tokens
-    whose tag equals the query's and on the rest; a context with an empty
-    side counts only on the other side.  Stats are None when n_stat is 0.
+    Rows are scored by model._score_rows, one GEMM per query; for the first
+    n_stat rows each head's attention is reduced to its masses on the
+    context tokens whose tag equals the query's and on the rest.  Stats are
+    None when n_stat is 0.
 
     A list of models of one config is scored as one stack over the shared
     data and gets a list of (val_mse, stats), each bitwise the model's own
     call.
     """
     stack = isinstance(model, (list, tuple))
-    cfg = (model[0] if stack else model).config
-    b = (student._block_views(student._layout(cfg), np.stack([m.params for m in model]))
-         if stack else model._blocks)
-    acc = {k: [] for k in ("w_same", "w_diff", "m_same", "m_diff")}  # (S, H, b) each
-    total = 0.0
-    for lo in range(0, len(data.targets), _CHUNK):
-        counts, q = data.counts[lo:lo + _CHUNK], data.queries[lo:lo + _CHUNK]
-        f = student._forward(b, cfg, data.atoms, q, counts)
-        total = total + np.sum((f["pred"] - data.targets[lo:lo + _CHUNK]) ** 2,
-                               axis=-1)
-        k = n_stat - lo   # rows of this pass that feed the stats
-        if k > 0:
-            masses = _tag_masses(f["attn"][..., :k, :], counts[:k],
-                                 data.atoms[:, 1], q[:k, 1])
-            for key, val in masses.items():
-                acc[key].append(val if stack else val[None])
-
-    def stats_of(i):
-        stats = {}
-        for key, vals in acc.items():
-            # (H, N) in Fortran order: _tag_masses' boolean selection puts
-            # the heads on the contiguous axis and the concatenation keeps
-            # it, so each head sums its examples one after another, not
-            # pairwise as a contiguous 1-d array would.  Each model's array
-            # is built from its own rows, so a stack keeps that order.
-            per_head = np.concatenate([v[i] for v in vals], axis=1)
-            if per_head.shape[1] == 0:
-                per_head = np.full((per_head.shape[0], 1), np.nan)
-            stats[f"{key}_mean"], stats[f"{key}_std"] = (per_head.mean(axis=1),
-                                                         per_head.std(axis=1))
-        return AttentionStats(**stats)
-
-    scores = [(mse, stats_of(i) if n_stat >= 1 else None) for i, mse
-              in enumerate(np.reshape(total / len(data.targets), -1).tolist())]
+    models = model if stack else [model]
+    cfg = models[0].config
+    b = student._block_views(student._layout(cfg), np.stack([m.params for m in models]))
+    pred, mass, sides = student._score_rows(b, cfg, data.atoms, data.queries, data.counts)
+    scores = [(mse, _attention_stats(mass[i, :n_stat], sides[:n_stat])
+               if n_stat >= 1 else None) for i, mse
+              in enumerate(((pred - data.targets) ** 2).mean(axis=-1).tolist())]
     return scores if stack else scores[0]
 
 
@@ -336,11 +302,11 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
              ) -> tuple[float, StudentModel, CellResult]:
     """Train one grid cell and collect validation MSE and attention stats.
 
-    One batched pass per validation chunk yields both; the stats cover the
-    first n_stat_examples.  The validation set depends on (alpha, seed) but
-    not on n, so risk curves across n are measured on a shared yardstick;
-    a sweep generates it once per (alpha, seed) row and gets, for each n,
-    what run_cell returns.
+    One scoring pass over the validation set yields both; the stats cover
+    the first n_stat_examples.  The validation set depends on (alpha, seed)
+    but not on n, so risk curves across n are measured on a shared
+    yardstick; a sweep generates it once per (alpha, seed) row and gets, for
+    each n, what run_cell returns.
     """
     n, seed = _length("n", n), _integer("seed", seed, 0)
     spec = cfg.spectrum(alpha)
@@ -502,6 +468,12 @@ def _sweep_cell_worker(task) -> list[tuple[tuple, object]]:
             in zip(cells, trained, _validate(models, val_set, cfg.n_stat_examples))]
 
 
+def _split(task) -> list:
+    """The task as one-cell tasks, in its cells' order."""
+    cfg, cells, trained = task
+    return [(cfg, cells[i:i + 1], trained and trained[i:i + 1]) for i in range(len(cells))]
+
+
 def _alone(task, jobs: int) -> list[tuple[tuple, object]]:
     """The task run alone: here at jobs=1, else in a fresh one-worker pool.
 
@@ -509,28 +481,27 @@ def _alone(task, jobs: int) -> list[tuple[tuple, object]]:
     split into one-cell tasks, each run alone in turn; a cell that fails
     alone gets the error text.
     """
-    cfg, cells, trained = task
     try:
         if jobs == 1:
             return _sweep_cell_worker(task)
         with ProcessPoolExecutor(max_workers=1) as pool:
             return pool.submit(_sweep_cell_worker, task).result()
     except Exception as e:  # noqa: BLE001 - cell failures are data
-        if len(cells) == 1:
-            return [(cells[0], _error(e))]
-    return [value for i in range(len(cells)) for value in
-            _alone((cfg, cells[i:i + 1], trained and trained[i:i + 1]), jobs)]
+        if len(task[1]) == 1:
+            return [(task[1][0], _error(e))]
+    return [value for one in _split(task) for value in _alone(one, jobs)]
 
 
 def _run(tasks, jobs: int, pool):
     """Yield (cell, value) for every cell of the tasks, task by task: each
     through _alone with no pool, else in the pool.
 
-    A task fails in the pool when it raises or when a worker dies without
-    raising, which breaks the pool and fails every task pending in it;
-    each failed task then goes to _alone, jobs at a time.  A pool broken
-    in an earlier phase refuses every task, and the phase gets a fresh
-    pool of jobs workers.
+    A task that raises in the pool would raise again: it is split at once
+    into one-cell tasks that go back to the pool, and a one-cell task that
+    raises gets the error text.  A worker that dies without raising breaks
+    the pool and fails every task pending in it; each such task then goes
+    to _alone, jobs at a time.  A pool broken in an earlier phase refuses
+    every task, and the phase gets a fresh pool of jobs workers.
     """
     if pool is None:
         for task in tasks:
@@ -547,10 +518,15 @@ def _run(tasks, jobs: int, pool):
             return
     failed = list(tasks[len(futures):])
     for task, fut in zip(tasks, futures):
-        if fut.exception() is None:
+        e = fut.exception()
+        if e is None:
             yield from fut.result()
-        else:
+        elif isinstance(e, BrokenProcessPool):
             failed.append(task)
+        elif len(task[1]) == 1:
+            yield task[1][0], _error(e)
+        else:
+            yield from _run(_split(task), jobs, pool)
     with ThreadPoolExecutor(max_workers=jobs) as threads:
         for cells in threads.map(functools.partial(_alone, jobs=jobs), failed):
             yield from cells
@@ -567,8 +543,9 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     no more than either phase has tasks.  First the cells of each n train
     in lockstep, as stacks of at most _STACK cells, largest n first.  Then
     each (alpha, seed) row draws its validation set once and scores all
-    its trained cells as one stack over it.  A task that fails runs again
-    alone, then cell by cell, so only a cell that fails alone fails (see
+    its trained cells as one stack over it.  A task that raises is split
+    cell by cell in the pool, and one whose worker dies runs again alone,
+    then cell by cell, so only a cell that fails alone fails (see _run and
     _alone).  Cell files are written as rows are scored, so a sweep
     stopped while training keeps none of its newly trained cells.
 

@@ -88,6 +88,39 @@ def _block_views(table, flat: np.ndarray) -> dict[str, np.ndarray]:
             for n, (off, shape) in table.items()}
 
 
+# each dense layer below is x @ w^T + bias, the bias broadcast over rows
+def _context_side(b: dict, cfg: StudentConfig, C: np.ndarray) -> dict:
+    """_forward's context MLP over the points C, and each head's keys and values."""
+    ctx_pre = C @ b["ctx_w1"].swapaxes(-1, -2) + b["ctx_b1"][..., None, :]
+    ctx_act = _ACTIVATIONS[cfg.activation][0](ctx_pre)
+    ctx_emb = ctx_act @ b["ctx_w2"].swapaxes(-1, -2) + b["ctx_b2"][..., None, :]
+    # one GEMM per projection for all heads, viewed as (H, A, hd)
+    heads = b["head_b2"].shape[:-1] + (cfg.d_model, cfg.d_model)
+    per_head = b["head_b2"].shape[:-1] + (len(C), cfg.n_heads, cfg.head_dim)
+    head_k = (ctx_emb @ b["attn_k"].reshape(heads).swapaxes(-1, -2)).reshape(per_head)
+    head_v = (ctx_emb @ b["attn_v"].reshape(heads).swapaxes(-1, -2)).reshape(per_head)
+    return dict(ctx_pre=ctx_pre, ctx_act=ctx_act, ctx_emb=ctx_emb,
+                head_k=head_k.swapaxes(-3, -2), head_v=head_v.swapaxes(-3, -2))
+
+
+def _query_side(b: dict, cfg: StudentConfig, q: np.ndarray) -> dict:
+    """_forward's query MLP over the queries q, and each head's query."""
+    qry_pre = q @ b["qry_w1"].swapaxes(-1, -2) + b["qry_b1"][..., None, :]
+    qry_act = _ACTIVATIONS[cfg.activation][0](qry_pre)
+    qry_emb = qry_act @ b["qry_w2"].swapaxes(-1, -2) + b["qry_b2"][..., None, :]
+    head_q = (b["attn_q"] @ qry_emb.swapaxes(-1, -2)[..., None, :, :]).swapaxes(-1, -2)
+    return dict(qry_pre=qry_pre, qry_act=qry_act, qry_emb=qry_emb, head_q=head_q)
+
+
+def _head(b: dict, cfg: StudentConfig, heads_out: np.ndarray) -> dict:
+    """_forward's output projection and head MLP on the heads' outputs (S, B, H*hd)."""
+    mixed = heads_out @ b["attn_out"].swapaxes(-1, -2)
+    out_pre = mixed @ b["head_w1"].swapaxes(-1, -2) + b["head_b1"][..., None, :]
+    out_act = _ACTIVATIONS[cfg.activation][0](out_pre)
+    pred = (out_act @ b["head_w2"].swapaxes(-1, -2) + b["head_b2"][..., None, :])[..., 0]
+    return dict(mixed=mixed, out_pre=out_pre, out_act=out_act, pred=pred)
+
+
 def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
              weights) -> dict[str, np.ndarray]:
     """The student's forward arithmetic for one model or a stack of models.
@@ -101,43 +134,63 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
     S when b is unstacked.  A stacked row is computed with the same calls
     on the same operands as the unstacked pass, so it is bitwise that pass.
     """
-    act, _ = _ACTIVATIONS[cfg.activation]
-    H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
-    stack, A = b["head_b2"].shape[:-1], C.shape[0]
+    f = {**_context_side(b, cfg, C), **_query_side(b, cfg, q)}
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    f["attn"] = _softmax(scale * (f["head_q"] @ f["head_k"].swapaxes(-1, -2)),
+                         weights[..., None, :, :])
+    f["head_out"] = f["attn"] @ f["head_v"]
+    heads_out = f["head_out"].swapaxes(-3, -2).reshape(
+        b["head_b2"].shape[:-1] + (-1, cfg.d_model))
+    return {**f, **_head(b, cfg, heads_out)}
 
-    # each dense layer is x @ w^T + bias, the bias broadcast over rows
-    ctx_pre = C @ b["ctx_w1"].swapaxes(-1, -2) + b["ctx_b1"][..., None, :]
-    ctx_act = act(ctx_pre)
-    ctx_emb = ctx_act @ b["ctx_w2"].swapaxes(-1, -2) + b["ctx_b2"][..., None, :]
 
-    qry_pre = q @ b["qry_w1"].swapaxes(-1, -2) + b["qry_b1"][..., None, :]
-    qry_act = act(qry_pre)
-    qry_emb = qry_act @ b["qry_w2"].swapaxes(-1, -2) + b["qry_b2"][..., None, :]
+def _score_rows(b: dict, cfg: StudentConfig, C: np.ndarray, queries: np.ndarray,
+                counts: np.ndarray):
+    """_forward's predictions (S, N) of the stacked models b for the count
+    rows (N, A) on the points C with their queries, each head's attention
+    masses on the points whose last coordinate (the tag) equals the query's
+    and on the rest (S, N, H, 2), and each row's counts there (N, 2).
 
-    scale = 1.0 / math.sqrt(hd)
-    # one GEMM per projection for all heads; queries viewed as (H, B, hd),
-    # keys and values as (H, A, hd)
-    head_q = (b["attn_q"] @ qry_emb.swapaxes(-1, -2)[..., None, :, :]).swapaxes(-1, -2)
-    heads, per_head = stack + (H * hd, dm), stack + (A, H, hd)
-    head_k = ((ctx_emb @ b["attn_k"].reshape(heads).swapaxes(-1, -2))
-              .reshape(per_head).swapaxes(-3, -2))
-    head_v = ((ctx_emb @ b["attn_v"].reshape(heads).swapaxes(-1, -2))
-              .reshape(per_head).swapaxes(-3, -2))
-    attn = _softmax(scale * (head_q @ head_k.swapaxes(-1, -2)),
-                    weights[..., None, :, :])
-    head_out = attn @ head_v
-    mixed = (head_out.swapaxes(-3, -2).reshape(stack + (-1, H * hd))
-             @ b["attn_out"].swapaxes(-1, -2))
+    A head's output is counts @ (e^s * V) over counts @ e^s, and the rows
+    of one query share s: so they are one GEMM against e^s * V and e^s on
+    either side, per head, e^s stabilized by the max over points with mass
+    in some row.  A model's row whose normalizer is below the smallest
+    normal float in some head goes through _forward.
+    """
+    S, (N, A), H, hd = b["head_b2"].shape[0], counts.shape, cfg.n_heads, cfg.head_dim
+    ctx = _context_side(b, cfg, C)
+    live, tiny = counts.any(axis=0), np.finfo(np.float64).tiny
+    pred, mass, sides = np.empty((S, N)), np.empty((S, N, H, 2)), np.empty((N, 2), int)
 
-    out_pre = mixed @ b["head_w1"].swapaxes(-1, -2) + b["head_b1"][..., None, :]
-    out_act = act(out_pre)
-    pred = (out_act @ b["head_w2"].swapaxes(-1, -2)
-            + b["head_b2"][..., None, :])[..., 0]
-    return dict(ctx_pre=ctx_pre, ctx_act=ctx_act, ctx_emb=ctx_emb,
-                qry_pre=qry_pre, qry_act=qry_act, qry_emb=qry_emb,
-                head_q=head_q, head_k=head_k, head_v=head_v, attn=attn,
-                head_out=head_out, mixed=mixed, out_pre=out_pre,
-                out_act=out_act, pred=pred)
+    def one_query(q, rows):   # a function, so its arrays go before the next query's
+        side = np.stack([C[:, -1] == q[-1], C[:, -1] != q[-1]], axis=-1)
+        s = (1.0 / math.sqrt(hd)) * (_query_side(b, cfg, q[None])["head_q"]
+                                     @ ctx["head_k"].swapaxes(-1, -2))[..., 0, :]
+        top = np.where(live, s, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(live, s - top, -np.inf))[..., None]       # (S, H, A, 1)
+        cols = np.concatenate([e * ctx["head_v"], e * side], axis=-1).swapaxes(1, 2)
+        w = counts[rows]
+        x = (w @ cols.reshape(S, A, -1)).reshape(S, len(rows), H, hd + 2)
+        z = x[..., hd:hd + 1] + x[..., hd + 1:]
+        x /= np.maximum(z, tiny)
+        p = _head(b, cfg, x[..., :hd].reshape(S, len(rows), -1))["pred"]
+        m, low = x[..., hd:], (z < tiny).any(axis=(2, 3))            # (S, rows)
+        if low.any():
+            redo = low.any(axis=0)
+            f = _forward(b, cfg, C, queries[rows[redo]], w[redo])
+            p[:, redo] = np.where(low[:, redo], f["pred"], p[:, redo])
+            m[:, redo] = np.where(low[:, redo, None, None],
+                                  (f["attn"] @ side).swapaxes(1, 2), m[:, redo])
+        return p, m, w @ side
+
+    # rows are grouped by their query's bits, so a NaN query equals itself
+    todo, bits = np.ones(N, dtype=bool), queries.view(np.uint64)
+    while todo.any():
+        q = queries[todo.argmax()]
+        rows = np.flatnonzero((bits == bits[todo.argmax()]).all(axis=1))
+        todo[rows] = False
+        pred[:, rows], mass[:, rows], sides[rows] = one_query(q, rows)
+    return pred, mass, sides
 
 
 def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,

@@ -20,7 +20,6 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -44,10 +43,12 @@ from measure_attn import (
     synth_density,
     train,
 )
-from measure_attn.experiment import (_CHUNK, _STACK, _STREAM_LOOP, _atomic_write,
-                                     _cell_key, _cell_seedseq, _draw, _gen,
-                                     _grid_atoms, _tag_masses, _targets, _val_set,
+from measure_attn.experiment import (_STACK, _STREAM_LOOP, _atomic_write,
+                                     _attention_stats, _cell_key, _cell_seedseq,
+                                     _draw, _gen, _grid_atoms, _targets, _val_set,
                                      _validate)
+from measure_attn.model import _block_views, _forward, _layout, _score_rows
+from measure_attn.spectrum import MercerSpectrum
 
 SMALL = ExperimentConfig(
     alpha_list=(1.0,),
@@ -351,36 +352,17 @@ def test_gen_working_memory_does_not_grow_with_context_length():
 # ------------------------------------------------------- attention stats
 
 def _stats_from_rows(rows_per_example, same_masks):
-    """_validate's stats for examples whose batched passes return given rows.
+    """_validate's stats for examples whose attention rows are given.
 
-    Token t of an example is (t, +1) where its mask is True and (t, -1)
-    elsewhere, and its query tag is +1, so the mask is exactly its same-tag
-    partition.  The examples share the atoms (t, -1) and (t, +1) for every
-    t, and a stand-in for the student's forward pass hands _validate
-    (H, B, A) rows that put each example's row value for token t on that
-    token's atom.
+    Token t of an example is on the query's tag where its mask is True and
+    on the other tag elsewhere; _attention_stats gets each example's
+    per-head masses on the two sides and its token count on each, as
+    _validate hands it _score_rows' masses.
     """
-    from measure_attn import model as student
-    size = max(mask.size for mask in same_masks)
-    atoms = np.column_stack([np.tile(np.arange(size), 2),
-                             np.repeat([-1.0, 1.0], size)])
-    items = [on_atoms(np.column_stack([np.arange(mask.size),
-                                       np.where(mask, 1.0, -1.0)]),
-                      atoms, np.array([0.0, 1.0]), 0.0) for mask in same_masks]
-    given = iter(zip(items, rows_per_example))
-
-    def fixed_rows(b, cfg, atoms, queries, counts):
-        index = {tuple(a): i for i, a in enumerate(atoms)}
-        attn = np.zeros((rows_per_example[0].shape[0],) + counts.shape)
-        for j in range(len(queries)):
-            item, rows = next(given)
-            attn[:, j, [index[tuple(t)] for t in item.context_tokens]] = rows
-        return dict(pred=np.zeros(len(queries)), attn=attn)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(student, "_forward", fixed_rows)
-        stand_in = SimpleNamespace(_blocks=None, config=None)
-        return _validate(stand_in, Dataset.of(items), len(items))[1]
+    mass = np.array([[[row[same].sum(), row[~same].sum()] for row in rows]
+                     for rows, same in zip(rows_per_example, same_masks)])
+    sides = np.array([[same.sum(), (~same).sum()] for same in same_masks])
+    return _attention_stats(mass, sides)
 
 
 def test_stats_from_hand_built_rows():
@@ -452,35 +434,43 @@ def test_stats_match_loop_reference_bitwise(one_sided):
             same[:] = False
         masks.append(same)
     stats = _stats_from_rows(rows, masks)
-    # a side's sum over the shared atoms also adds a zero for each atom of
-    # that side the example lacks, which regroups numpy's pairwise sum: a
-    # few ulp apart, and bitwise only when no example lacks one ("all_same")
+    # the reference's np.mean and np.std add a 1-d list of examples
+    # pairwise, _attention_stats adds each head's examples one after
+    # another: a few ulp apart
     for key, want in stats_loop_reference(rows, masks).items():
         np.testing.assert_allclose(getattr(stats, key), want,
                                    rtol=4 * np.finfo(np.float64).eps, atol=0,
                                    equal_nan=True, err_msg=key)
 
 
-def test_stats_sum_each_heads_examples_in_sequence():
-    # a head's (H, N) row comes out of _tag_masses' boolean selection with
-    # the heads on the contiguous axis, so its mean and std add the examples
+def test_stats_sum_each_heads_examples_in_sequence(monkeypatch):
+    # _attention_stats gets a model's masses as (examples, H) with the heads
+    # on the contiguous axis, so its mean and std add each head's examples
     # one after another, not pairwise as a contiguous 1-d array would; the
     # one-model and the stacked pass both keep that order
-    cfg = replace(SMALL, n_val=3 * _CHUNK, n_stat_examples=2 * _CHUNK + 40)
+    from measure_attn import experiment
+    cfg = replace(SMALL, n_val=3 * 64, n_stat_examples=2 * 64 + 40)
     data, n_stat = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0), cfg.n_stat_examples
     models = [StudentModel.init(cfg.student, s) for s in range(3)]
+    seen, real = [], experiment._attention_stats
+
+    def recording(mass, sides):
+        seen.append((mass.copy(), sides.copy()))
+        return real(mass, sides)
+
+    monkeypatch.setattr(experiment, "_attention_stats", recording)
     stacked = _validate(models, data, n_stat)
     pairwise_apart = 0
-    for model, (_, stack_stats) in zip(models, stacked):
+    for i, (model, (_, stack_stats)) in enumerate(zip(models, stacked)):
         stats = _validate(model, data, n_stat)[1]
-        values = {key: [] for key in ("w_same", "w_diff", "m_same", "m_diff")}
-        for lo in range(0, n_stat, _CHUNK):   # _validate's passes, by the public API
-            k = min(_CHUNK, n_stat - lo)
-            q, counts = data.queries[lo:lo + _CHUNK], data.counts[lo:lo + _CHUNK]
-            attn = model.forward(data.atoms, q, counts)[1].attn
-            masses = _tag_masses(attn[:, :k], counts[:k], data.atoms[:, 1], q[:k, 1])
-            for key, val in masses.items():
-                values[key] += val.T.tolist()   # (examples, H)
+        mass, sides = seen[len(models) + i]   # the model's own call
+        assert mass.shape[0] == sides.shape[0] == n_stat
+        assert mass.tobytes() == seen[i][0].tobytes()
+        values = {}
+        for j, side in enumerate(("same", "diff")):
+            has = sides[:, j] > 0
+            values[f"m_{side}"] = mass[has, :, j].tolist()   # (examples, H)
+            values[f"w_{side}"] = (mass[has, :, j] / sides[has, j, None]).tolist()
         for key, per_example in values.items():
             for h, xs in enumerate(zip(*per_example)):
                 mean = functools.reduce(operator.add, xs) / len(xs)
@@ -495,7 +485,7 @@ def test_stats_sum_each_heads_examples_in_sequence():
 
 @pytest.mark.parametrize("H", [1, 4])
 def test_stacked_validate_is_each_models_own_call_bitwise(H):
-    cfg = replace(SMALL, n_val=2 * _CHUNK + 9, n_stat_examples=_CHUNK + 3,
+    cfg = replace(SMALL, n_val=2 * 64 + 9, n_stat_examples=64 + 3,
                   student=StudentConfig(n_heads=H))
     data = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0)
     models = [StudentModel.init(cfg.student, s) for s in range(4)]
@@ -508,6 +498,137 @@ def test_stacked_validate_is_each_models_own_call_bitwise(H):
                 continue
             for key, arr in vars(want).items():
                 assert getattr(stats, key).tobytes() == arr.tobytes(), key
+
+
+def _score(models, data):
+    """model._score_rows of the models, as one stack, over data's rows."""
+    b = _block_views(_layout(models[0].config), np.stack([m.params for m in models]))
+    return _score_rows(b, models[0].config, data.atoms, data.queries, data.counts)
+
+
+def _rows_through_forward(model, data):
+    """Each row of data through its own one-row _forward: the predictions
+    (N,) and each head's masses on the query's tag and on the rest (N, H, 2)."""
+    preds, masses = [], []
+    for q, counts in zip(data.queries, data.counts):
+        f = _forward(model._blocks, model.config, data.atoms, q[None], counts[None])
+        same = data.atoms[:, 1] == q[1]
+        preds.append(f["pred"][0])
+        masses.append(np.stack([f["attn"][:, 0, same].sum(axis=-1),
+                                f["attn"][:, 0, ~same].sum(axis=-1)], axis=-1))
+    return np.array(preds), np.array(masses)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("H", [1, 4])
+def test_score_rows_match_forward_row_by_row(monkeypatch, activation, H):
+    from measure_attn import model as student
+    cfg = replace(SMALL, n_val=40,
+                  student=StudentConfig(n_heads=H, activation=activation))
+    data = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0)
+    model = StudentModel.init(cfg.student, 3)
+    model.block("attn_k")[...] *= 8.0   # scores far apart: the stabilizer counts
+    T, counts = cfg.T, data.counts.copy()
+    # no row has a token on an atom that some head scores highest under
+    # either query, so the max over all atoms is not the max over the set's
+    f = _forward(model._blocks, cfg.student, data.atoms,
+                 np.array([[0.0, -1.0], [0.0, 1.0]]), np.ones((2, 2 * T)))
+    counts[:, f["attn"].argmax(axis=-1).ravel()] = 0
+    counts[1, :T] = 0   # a context all on tag +1
+    counts[2, T:] = 0   # and one all on tag -1
+    assert counts.sum(axis=1).min() > 0
+    queries = data.queries[np.random.default_rng(0).permutation(len(counts))]
+    data = replace(data, counts=counts, queries=queries)
+    rescored = []
+    monkeypatch.setattr(student, "_forward", lambda *args: rescored.append(args))
+    pred, mass, sides = _score([model], data)
+    assert rescored == []
+    want_pred, want_mass = _rows_through_forward(model, data)
+    np.testing.assert_allclose(pred[0], want_pred, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mass[0], want_mass, rtol=1e-12, atol=0)
+    same = data.atoms[:, 1] == queries[:, 1:]
+    np.testing.assert_array_equal(sides, np.stack([(counts * same).sum(axis=1),
+                                                   (counts * ~same).sum(axis=1)], axis=1))
+
+
+def test_a_row_whose_normalizer_underflows_goes_through_forward(monkeypatch):
+    from measure_attn import model as student
+    cfg = replace(SMALL, n_val=2, student=StudentConfig(n_heads=4))
+    data = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0)
+    steep, plain = (StudentModel.init(cfg.student, s) for s in (2, 3))
+    steep.block("attn_k")[...] *= 1e4
+    q = data.queries[:1]
+    f = _forward(steep._blocks, cfg.student, data.atoms, q, np.ones((1, 2 * cfg.T)))
+    scores = (f["head_q"] @ f["head_k"].swapaxes(-1, -2))[0, 0]   # head 0's
+    low, high = scores.argmin(), scores.argmax()
+    assert (scores[high] - scores[low]) / math.sqrt(cfg.student.head_dim) > 800
+    forward, rescored = student._forward, []
+
+    def spy(b, cfg_, C, queries, weights):
+        rescored.append(weights.tolist())
+        return forward(b, cfg_, C, queries, weights)
+
+    monkeypatch.setattr(student, "_forward", spy)
+    # a zero-count atom does not set the stabilizer: with every token on
+    # head 0's lowest-scoring atom, no row underflows
+    counts = np.zeros_like(data.counts)
+    counts[:, low] = [3, 5]
+    data = replace(data, counts=counts, queries=np.repeat(q, 2, axis=0))
+    pred, _, _ = _score([steep], data)
+    assert rescored == []
+    np.testing.assert_allclose(pred[0], _rows_through_forward(steep, data)[0],
+                               rtol=1e-12, atol=0)
+    counts[0, high] = 1   # row 0 puts the set's max at head 0's top atom,
+    counts[0, low] = 1    # so row 1's head-0 normalizer is below exp(-800) = 0
+    pred, mass, _ = _score([steep, plain], data)
+    assert rescored == [counts[1:].tolist()]   # row 1 alone, once
+    want = forward(steep._blocks, cfg.student, data.atoms, q, counts[1:])
+    assert pred[0, 1] == want["pred"][0]
+    assert np.isfinite(pred).all() and np.isfinite(mass).all()
+    # the plain model keeps its factored row 1: each model's rows are its own call
+    for i, model in enumerate((steep, plain)):
+        alone = _score([model], data)
+        assert pred[i].tobytes() == alone[0][0].tobytes()
+        assert mass[i].tobytes() == alone[1][0].tobytes()
+    assert rescored[1:] == [counts[1:].tolist()]   # only the steep model's call
+
+
+@pytest.mark.parametrize("empty", [[3], slice(None)], ids=["one-row", "every-row"])
+def test_a_zero_mass_row_still_has_no_softmax_normalizer(empty):
+    data = _val_set(SMALL, SMALL.spectrum(1.0), 1.0, 0)
+    counts = data.counts.copy()
+    counts[empty] = 0
+    with pytest.raises(ValueError, match="softmax normalizer vanished"):
+        _validate(StudentModel.init(SMALL.student, 0), replace(data, counts=counts))
+
+
+def test_a_nan_query_scores_nan_like_forward():
+    # rows are grouped by their query's bits, so a NaN query is a group of
+    # its own and the pass ends, with a NaN MSE as _forward gives
+    data = _val_set(SMALL, SMALL.spectrum(1.0), 1.0, 0)
+    queries = data.queries.copy()
+    queries[[2, 4], 1] = np.nan
+    data = replace(data, queries=queries)
+    model = StudentModel.init(SMALL.student, 0)
+    pred, mass, _ = _score([model], data)
+    assert np.isnan(pred[0, [2, 4]]).all() and np.isfinite(np.delete(pred[0], [2, 4])).all()
+    assert math.isnan(_validate(model, data)[0])
+    np.testing.assert_allclose(np.delete(pred[0], [2, 4]),
+                               np.delete(_rows_through_forward(model, data)[0], [2, 4]),
+                               rtol=1e-12, atol=0)
+
+
+def test_spectrum_is_one_shared_read_only_object_per_alpha_M_T():
+    spec = SMALL.spectrum(1.0)
+    assert SMALL.spectrum(1.0) is spec
+    assert replace(SMALL, seed=9, n_val=3).spectrum(1.0) is spec
+    assert SMALL.spectrum(2.0) is not spec and replace(SMALL, M=4).spectrum(1.0) is not spec
+    assert spec == MercerSpectrum(1.0, SMALL.M, SMALL.T)
+    for arr in (spec.domain_grid, spec.eigenvalues(), spec.basis_matrix()):
+        assert not arr.flags.writeable
+    for alpha in (True, [1.0]):   # checked before the cache: True is not alpha 1
+        with pytest.raises(ValueError, match="^alpha must be positive"):
+            SMALL.spectrum(alpha)
 
 
 def test_uniform_attention_balanced_tags_mass_statistics():
@@ -581,12 +702,12 @@ def test_shuffle_deterministic_in_seed():
 
 # --------------------------------------------------------------- run_cell
 
-def test_run_cell_runs_one_batched_pass_per_minibatch_and_validation_chunk(
+def test_run_cell_runs_one_forward_pass_per_minibatch_and_none_to_validate(
         monkeypatch):
     from measure_attn import model
     # 2T tokens per context, so every set of contexts fits one pass over the
-    # 2T shared atoms
-    cfg = replace(SMALL, n_tokens=2 * SMALL.T, n_val=_CHUNK + 3)
+    # 2T shared atoms; validation scores its rows without _forward
+    cfg = replace(SMALL, n_tokens=2 * SMALL.T, n_val=64 + 3)
     sizes = []
     forward = model._forward
 
@@ -597,7 +718,7 @@ def test_run_cell_runs_one_batched_pass_per_minibatch_and_validation_chunk(
     monkeypatch.setattr(model, "_forward", counting)
     n, bs = 4, cfg.train.batch_size
     run_cell(1.0, n, 0, cfg)
-    assert sizes == [bs] * (n // bs * cfg.train.epochs) + [_CHUNK, 3]
+    assert sizes == [bs] * (n // bs * cfg.train.epochs)
 
 
 def test_run_cell_mse_and_stats_match_separate_passes():
@@ -708,8 +829,8 @@ def test_grid_atoms_are_one_shared_array_per_T():
 def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
     rng = np.random.default_rng(15)
     examples = [gen_example(SMALL.spectrum(1.0), SMALL, rng)
-                for _ in range(_CHUNK + 2)]
-    # the odd one out sits in the second validation chunk
+                for _ in range(64 + 2)]
+    # the odd one out is the last
     examples[-1] = replace(examples[-1], atoms=examples[-1].atoms[::-1].copy())
     model = StudentModel.init(StudentConfig(), rng)
     before = model.params.copy()
@@ -739,7 +860,7 @@ def test_gen_dataset_is_stacked_gen_example_draws():
         assert ex.query_token.tobytes() == data.queries[0].tobytes()
         assert ex.target == data.targets[0]
     sets = {}
-    for count in (1, 17, _CHUNK + 5):
+    for count in (1, 17, 64 + 5):
         data = _gen(SMALL, spec, count, np.random.SeedSequence(count))
         drawn, z = _draw(spec, SMALL, np.random.default_rng(
             np.random.SeedSequence(count)), count)
@@ -763,7 +884,7 @@ def test_gen_dataset_is_stacked_gen_example_draws():
     m2, l2 = train(StudentModel.init(SMALL.student, 1), stacked, cfg, 2)
     assert l1 == l2
     np.testing.assert_array_equal(m1.params, m2.params)
-    data, examples, stacked = sets[_CHUNK + 5]  # two validation passes
+    data, examples, stacked = sets[64 + 5]
     mse, stats = _validate(m1, data, 10)
     stacked_mse, stacked_stats = _validate(m1, stacked, 10)
     assert mse == stacked_mse and stats.to_dict() == stacked_stats.to_dict()
@@ -1121,9 +1242,19 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
                     run[0].params[:] = np.nan
         return runs
 
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
     monkeypatch.setattr(experiment, "train", faulty_train)
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=jobs)
+    # a raising stack's cells go back to the sweep's own pool, one by one
+    assert pools == ([2] if jobs == 2 else [])
     assert summary["cells_failed"] == 1
     manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
     status = {(c["n"], c["seed"]): c for c in manifest["cells"].values()}

@@ -31,34 +31,34 @@ COMMANDS = (
 )
 
 PINNED = {
-    "sweep/attention_stats.csv": "838898650c3acb4bfec42ab59137a354ba14ce92b8786b4dd2bd1f56365b5f0a",
-    "sweep/cells/02bed199dd27bcf5.json": "dde0111cf612a1e07bad40c7d217fb70e9cfd11fcdfebd15ae6b6c82a071ea8f",
-    "sweep/cells/06b6b75422dcdbe6.json": "a4cd7b506e6bbbf4b01dbcca812aebb60b0bbfc6a1f466977d449f28cf0ed231",
-    "sweep/cells/1d487996262d6291.json": "1f7c19d0442ee62c7be9843af25d853d8c2d79927b41e3fc93837ce0643fc199",
-    "sweep/cells/23f75c49496430bb.json": "e043a24d09853208e46d35b47a6aed43dd3c933d8862127552ea0ecd6014f346",
-    "sweep/cells/2771109f52866334.json": "6f2e7b5fb75fbcf7fe6488e16ea0bee411fce179b63526763603ae74ea94e962",
-    "sweep/cells/2b62df7c2c0fff9f.json": "9c4aa219b5c38c5e6ed148a0fc2a3b7c9905c975eb288158363a7420f60524b8",
-    "sweep/cells/2d8570a193f6c9f2.json": "00f31e36e265e708e88b3d7f621e488bc21e5508b87e6fe5df3ad82d0dd35c25",
-    "sweep/cells/2fd76abf36fec501.json": "51a7f5bb6325761613664f24b571d81518ea5b778dd4c1bf0e61fd88ada4ccb8",
-    "sweep/cells/36eaad71160732e3.json": "defe8008e3fae4c05123547c72dad102e3f746774b1d5105253efd7eb57441c8",
-    "sweep/cells/3a54531dc85015e7.json": "f4d9e02b2790082689dc187e5a5f18b99abfb9cd1500b3ef7dbc7c5a9f5a8229",
-    "sweep/cells/46615aea673feb06.json": "bbf8cb1ce94cd7237bc047817900288576b5cc51187f0d37cb709fb0e3b74a22",
-    "sweep/cells/5e74663830ace9d4.json": "b2a05c2c2fe83d04a8a0a8972a07f51c27dbc0556670b5609c01d6b134b7d167",
-    "sweep/cells/648ec471c97039dd.json": "cb59da87890027e919172600619c70197dece6fc6598f561befe32395ba8a98c",
-    "sweep/cells/7c580e718c3c4e1c.json": "adf35319b3282db25764acf7b87cf3aa7f214d781b999b6eef0b81588bcc530b",
-    "sweep/cells/9be0945c4f2ba928.json": "fdc582a6e5bba30bea28a53fea911285b590f7ecbffd800f340e3a6fe1b56c9c",
-    "sweep/cells/b6b952e70ee5a150.json": "886fd284e5174cee2ddfa5e21f09763543dfaa105c4201aac64551fc656e1134",
-    "sweep/cells/cf5272d183bb7e98.json": "e3d3adf505f9d8714b24c7878318ae09336744d320389f94fe57187cfdd5e303",
-    "sweep/cells/d58a23f110a1a025.json": "516ed143f732058178f822423422bdc6896f53204a4257d36f915660daed8a62",
+    "sweep/attention_stats.csv": "9c7e6b7dd4d31ae8c913befb54d06f333823dab0a0c0b622af6daea4b4bc0c8c",
+    "sweep/cells/02bed199dd27bcf5.json": "dbc03bb2435675462a492f54ef3e5da3a9050471147d926ab62fea4b1b1a0ac5",
+    "sweep/cells/06b6b75422dcdbe6.json": "417806f3cfae648ff6c69297880d531b71a141901215acf24bc276aca52a69d8",
+    "sweep/cells/1d487996262d6291.json": "00b03d4d7296f5e9fa0a84ea4493731deadd6c61880272f275ae14f9df525706",
+    "sweep/cells/23f75c49496430bb.json": "b6c5671ef50ff76af139125769202cabdcbf0fa47aa43fa4f07b21f60f0caf41",
+    "sweep/cells/2771109f52866334.json": "71fb8c9be8ae346f3d4446e7f8cf76ed4cb727837374d4e7cdcbc69e9c7c1ab0",
+    "sweep/cells/2b62df7c2c0fff9f.json": "ef81b402c40cfb42c92a2c31635af0e8fb8c0860faa309d1d65b1a64095f302a",
+    "sweep/cells/2d8570a193f6c9f2.json": "239caf4f280374c01daa0370b85476a238fba55356058b33d00e0772d50c76e3",
+    "sweep/cells/2fd76abf36fec501.json": "23dafb92b33c82c118478c4d683063f37341dfc530ef8a6cbfecad5674b7a25e",
+    "sweep/cells/36eaad71160732e3.json": "3df09368bda61ceac69fbcb1c319d9c26cbd58b9c6e298fba07e196a633d48e0",
+    "sweep/cells/3a54531dc85015e7.json": "aa56c9cc81e9dd2fd3878258488e47e236e56582225d8bef3e758a9cf7ed7415",
+    "sweep/cells/46615aea673feb06.json": "a35ed134a12453236a08a5404d327ba5ebf07fe76281b9e92082934f8f425a46",
+    "sweep/cells/5e74663830ace9d4.json": "2438723019b6c1999a95c434f304ef3cba415c768e8a68987f2a39ae7be72fe6",
+    "sweep/cells/648ec471c97039dd.json": "dc9f08aaa84943371a1c3b53219ca71ca19e45acc98ffac831d17e82dd78b5fc",
+    "sweep/cells/7c580e718c3c4e1c.json": "3a0c9b39878808b2fbbecbbb07dc3f167ddf06735c0d9924d615889435ba404e",
+    "sweep/cells/9be0945c4f2ba928.json": "bbad46f5d1a81e9285ce7e721c193693c23c39d4b1fdc0c1d59467496135de24",
+    "sweep/cells/b6b952e70ee5a150.json": "73b53c67997cc4b7c4cb88af14d5a4e62e8d61c93fb83aa23614ad67534a2697",
+    "sweep/cells/cf5272d183bb7e98.json": "83e9580f668cc83690eaf44a8eb042075dc7c2a67d0f53087744a9ae81fe804f",
+    "sweep/cells/d58a23f110a1a025.json": "97d9909bb380f382791607014a70940cd49e55e9f12b794d5c349d8a9d5c830b",
     "sweep/config_resolved.json": "f7aff656c089d19252ac7dbe4579e2eb004da72983321abf8179ef5fe76a0ba2",
-    "sweep/fit.json": "129a91bbef24d75f6f869c3f1276d05eb1f09e889468b595c6888c8b9b85ea5e",
+    "sweep/fit.json": "23670485f80734cee82b471b21dd107b09d0416a56b735f72bdf5e84aa494bf3",
     "sweep/manifest.json": "46893195d40371e6dd4449ecf08d1fa90a30c1313fffbca7ec62eaa9e85b6875",
-    "sweep/risk_curve.csv": "de0c440b13ffd0b442467bdcea139b3e1280e3508e58cce54ff5d701f1c49d6a",
-    "sweep/scaling_axis.dat": "f17532fbc1bbb80acc9b709c01ba775c6c483bebefaae4b54d229f90aa93f9d8",
+    "sweep/risk_curve.csv": "47021ca4c8cdac2ee18c57093328fdfc781dc2c5e214443a7e592af7af8c4d5b",
+    "sweep/scaling_axis.dat": "7248a4b1858e6678562d6cc8347c9723db6020e5c9ada499868ae24892cf109e",
     "train/checkpoint.json": "c6fe09a2993015b26275acc4e94467f293bd6e73a8cee5f2abe371ff045d3d97",
     "train/config_resolved.json": "2a034ecd56ecc1a1f96cc018f07538760c72c20b8dbe897320ae476bca098795",
     "train/losses.csv": "ae000ff57e816f947db007febc3b0b4a7febbc9809976878b13ebcb74a256c29",
-    "train/metrics.json": "824adf6168c3a18535dd4dae0ab3acf45558482df927ae14ad2d700ad2d1fe0b",
+    "train/metrics.json": "914d51c0ba8c9238caeab39c2e7614633e9b82a51f22dc7e711200db7947ef0e",
     "gen --seed 3 --n-tokens 100": "2d849937866bd1ede2c4d8988f3ab527d2472eef4562a04e2926cfdc8e34f6ee",
     "verify --verbose": "a1c196729f6b041bdb670fe651b524e01631aee3e1345402e3f8717b4e97cd6b",
 }
