@@ -1,6 +1,6 @@
 """Command-line surface: verify | gen | train | sweep | analyze.
 
-Exit codes: 0 success, 1 property or sweep failure, 2 usage/IO error.
+Exit codes: 0 success, 1 property, training or sweep failure, 2 usage/IO error.
 Config precedence is flags > config file > built-in defaults, except that
 the MEASURE_ATTN_SEED environment variable, when set, overrides the global
 seed from any source (operator-level override for reproducibility drills).
@@ -159,8 +159,15 @@ def cmd_train(args) -> int:
         raise CliError(str(e))
     cfg, alpha = _one_alpha_config(args, 1.0)
     _write_resolved(cfg, args.out)
-    val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
-    metrics = result.to_dict()
+    try:
+        val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
+        metrics = experiment._payload((alpha, args.n_train, args.cell_seed),
+                                      result.train_losses, val_mse, result.stats)
+    except ValueError as e:   # a rejected Adam step
+        metrics = experiment._error(e)
+    if isinstance(metrics, str):
+        print(f"error: training failed: {metrics}", file=sys.stderr)
+        return 1
     del metrics["train_losses"]   # losses.csv holds them
     for name, text in (("checkpoint.json", json.dumps(model.to_dict())),
                        ("losses.csv", losses_to_csv(list(result.train_losses))),

@@ -152,23 +152,28 @@ def _draw(spec: MercerSpectrum, cfg: ExperimentConfig, rng: np.random.Generator,
     row's tag v1 is its query's, Dataset.queries[:, 1].
 
     The one place a context set's counts, queries (0, v1) and targets are
-    built, beside the pmfs they come from.  Whole-array draws, in this order:
+    built, beside the pmfs they come from.  Draws, in this order:
     random(rows) for v1, standard_normal for z1 and z2, then one multinomial
     of n_tokens per row on 1/2 P_{v1} + 1/2 P_{-v1}.  That is the law of
     n_tokens tokens that each pick a component with probability 1/2 and then
-    an atom from its pmf, at a cost that does not grow with n_tokens.
+    an atom from its pmf, at a cost that does not grow with n_tokens.  Pmfs,
+    counts and targets are built in row blocks (model._blocks), bitwise.
     """
     queries = np.zeros((rows, 2))
     v1 = queries[:, 1] = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
     z = rng.standard_normal((rows, 2, spec.M))
     z[:, :, 0] = 0.0
-    pmf = synth_density(spec, z, cfg.clamp_eps)
-    # pmf[:, 0] is component 0, tag v1; atoms put tag -1 first
-    pmf = 0.5 * np.where((v1 > 0)[:, None, None], pmf[:, ::-1], pmf).reshape(rows, -1)
-    # one row goes in as a 1-d pmf: the same counts, drawn on a cheaper path
-    counts = rng.multinomial(cfg.n_tokens, pmf[0] if rows == 1 else pmf)
-    return Dataset(_grid_atoms(spec.T), counts.reshape(rows, -1), queries,
-                   _targets(spec.eigenvalues(), v1, z[:, 0])), z
+    counts, targets = np.empty((rows, 2 * spec.T), dtype=np.int64), np.empty(rows)
+    for block in student._blocks(rows):
+        # z[:, 0] is component 0, tag v1; atoms put tag -1 first
+        flip = (v1[block] > 0)[:, None, None]
+        pmf = synth_density(spec, np.where(flip, z[block, ::-1], z[block]),
+                            cfg.clamp_eps).reshape(len(flip), -1)
+        pmf *= 0.5
+        # one row goes in as a 1-d pmf: the same counts, drawn on a cheaper path
+        counts[block] = rng.multinomial(cfg.n_tokens, pmf[0] if rows == 1 else pmf)
+        targets[block] = _targets(spec.eigenvalues(), v1[block], z[block, 0])
+    return Dataset(_grid_atoms(spec.T), counts, queries, targets), z
 
 
 @dataclass(frozen=True)
@@ -225,10 +230,10 @@ def _attention_stats(mass, sides) -> AttentionStats:
 def _validate(model, data: Dataset, n_stat: int = 0):
     """Clean MSE over data, and attention stats over its first n_stat rows.
 
-    Rows are scored by model._score_rows, one GEMM per query; for the first
-    n_stat rows each head's attention is reduced to its masses on the
-    context tokens whose tag equals the query's and on the rest.  Stats are
-    None when n_stat is 0.
+    Rows are scored by model._score_rows, a GEMM per query and row block;
+    for the first n_stat rows each head's attention is reduced to its
+    masses on the context tokens whose tag equals the query's and on the
+    rest.  Stats are None when n_stat is 0.
 
     A list of models of one config is scored as one stack over the shared
     data and gets a list of (val_mse, stats), each bitwise the model's own

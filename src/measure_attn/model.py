@@ -23,6 +23,9 @@ import numpy as np
 from .attention import _softmax
 from .spectrum import _integer, _rng
 
+# rows of a context set that a draw or _score_rows takes at once (_blocks):
+# a set's working memory is its counts plus one block, not an option
+_BLOCK = 128
 
 # name -> (activation, its derivative at the pre-activation); relu's is a
 # boolean mask, which multiplies as 0.0 and 1.0 do
@@ -144,6 +147,15 @@ def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
     return {**f, **_head(b, cfg, heads_out)}
 
 
+def _blocks(n: int):
+    """Slices of range(n): _BLOCK rows each from row 0, a lone last row kept
+    with its block (a one-row product runs other BLAS kernels).  Each row
+    keeps its offset modulo kernel tiles dividing _BLOCK, so the blocks'
+    products are bitwise one product over all n rows."""
+    ends = [*range(_BLOCK, n - 1, _BLOCK), n] if n else []
+    return map(slice, [0, *ends[:-1]], ends)
+
+
 def _score_rows(b: dict, cfg: StudentConfig, C: np.ndarray, queries: np.ndarray,
                 counts: np.ndarray):
     """_forward's predictions (S, N) of the stacked models b for the count
@@ -152,10 +164,11 @@ def _score_rows(b: dict, cfg: StudentConfig, C: np.ndarray, queries: np.ndarray,
     and on the rest (S, N, H, 2), and each row's counts there (N, 2).
 
     A head's output is counts @ (e^s * V) over counts @ e^s, and the rows
-    of one query share s: so they are one GEMM against e^s * V and e^s on
+    of one query share s: so they are GEMMs against e^s * V and e^s on
     either side, per head, e^s stabilized by the max over points with mass
     in some row.  A model's row whose normalizer is below the smallest
-    normal float in some head goes through _forward.
+    normal float in some head goes through _forward.  Both passes take a
+    query's rows in _blocks, bitwise one pass over them all.
     """
     S, (N, A), H, hd = b["head_b2"].shape[0], counts.shape, cfg.n_heads, cfg.head_dim
     ctx = _context_side(b, cfg, C)
@@ -169,19 +182,21 @@ def _score_rows(b: dict, cfg: StudentConfig, C: np.ndarray, queries: np.ndarray,
         top = np.where(live, s, -np.inf).max(axis=-1, keepdims=True)
         e = np.exp(np.where(live, s - top, -np.inf))[..., None]       # (S, H, A, 1)
         cols = np.concatenate([e * ctx["head_v"], e * side], axis=-1).swapaxes(1, 2)
-        w = counts[rows]
-        x = (w @ cols.reshape(S, A, -1)).reshape(S, len(rows), H, hd + 2)
-        z = x[..., hd:hd + 1] + x[..., hd + 1:]
-        x /= np.maximum(z, tiny)
-        p = _head(b, cfg, x[..., :hd].reshape(S, len(rows), -1))["pred"]
-        m, low = x[..., hd:], (z < tiny).any(axis=(2, 3))            # (S, rows)
-        if low.any():
-            redo = low.any(axis=0)
-            f = _forward(b, cfg, C, queries[rows[redo]], w[redo])
-            p[:, redo] = np.where(low[:, redo], f["pred"], p[:, redo])
-            m[:, redo] = np.where(low[:, redo, None, None],
-                                  (f["attn"] @ side).swapaxes(1, 2), m[:, redo])
-        return p, m, w @ side
+        cols, low = cols.reshape(S, A, -1), np.empty((S, len(rows)), dtype=bool)
+        for i in _blocks(len(rows)):
+            w = counts[rows[i]]
+            x = (w @ cols).reshape(S, len(w), H, hd + 2)
+            z = x[..., hd:hd + 1] + x[..., hd + 1:]
+            x /= np.maximum(z, tiny)
+            pred[:, rows[i]] = _head(b, cfg, x[..., :hd].reshape(S, len(w), -1))["pred"]
+            mass[:, rows[i]], sides[rows[i]] = x[..., hd:], w @ side
+            low[:, i] = (z < tiny).any(axis=(2, 3))
+        redo, low = rows[low.any(axis=0)], low[:, low.any(axis=0)]
+        for i in _blocks(len(redo)):
+            f = _forward(b, cfg, C, queries[redo[i]], counts[redo[i]])
+            pred[:, redo[i]] = np.where(low[:, i], f["pred"], pred[:, redo[i]])
+            mass[:, redo[i]] = np.where(low[:, i, None, None],
+                                        (f["attn"] @ side).swapaxes(1, 2), mass[:, redo[i]])
 
     # rows are grouped by their query's bits, so a NaN query equals itself
     todo, bits = np.ones(N, dtype=bool), queries.view(np.uint64)
@@ -189,7 +204,7 @@ def _score_rows(b: dict, cfg: StudentConfig, C: np.ndarray, queries: np.ndarray,
         q = queries[todo.argmax()]
         rows = np.flatnonzero((bits == bits[todo.argmax()]).all(axis=1))
         todo[rows] = False
-        pred[:, rows], mass[:, rows], sides[rows] = one_query(q, rows)
+        one_query(q, rows)
     return pred, mass, sides
 
 

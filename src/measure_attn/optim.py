@@ -114,8 +114,8 @@ def train(model, dataset, cfg: TrainConfig, seed):
     one size on the same atoms, train in lockstep as one stack: each model
     keeps its own stream (per epoch its permutation, then its noise) and
     is bitwise what its own call would train.  Returns per model (model,
-    losses).  The models' params are written when the stack finishes, so a
-    stack whose step Adam rejects raises and leaves every model as it was.
+    losses).  Params are written back to the models when training ends, so
+    a step Adam rejects raises and leaves every model as it was.
     """
     stack = isinstance(model, (list, tuple))
     models, datasets, seeds = ((model, dataset, seed) if stack
@@ -127,7 +127,7 @@ def train(model, dataset, cfg: TrainConfig, seed):
         raise ValueError("a stack needs one dataset and seed per model, "
                          "and datasets of one size on the same atoms")
     rngs, student = [_rng(s) for s in seeds], models[0].config
-    params = np.stack([m.params for m in models]) if stack else model.params
+    params = np.stack([m.params for m in models]) if stack else model.params.copy()
     grads, table = np.zeros_like(params), _layout(student)
     views = (_block_views(table, params), _block_views(table, grads))
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
@@ -151,10 +151,10 @@ def train(model, dataset, cfg: TrainConfig, seed):
             epoch_sq = epoch_sq + (resid[..., None, :] @ resid[..., None])[..., 0, 0]
             adam_step(state, params, grads, cfg, epoch)
         losses[:, epoch] = epoch_sq / n
+    for m, row in zip(models, params.reshape(len(models), -1)):
+        m.params[...] = row
     if not stack:
         return model, losses[0].tolist()
-    for m, row in zip(models, params):
-        m.params[...] = row
     return [(m, row.tolist()) for m, row in zip(models, losses)]
 
 

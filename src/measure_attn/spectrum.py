@@ -150,8 +150,8 @@ def synth_density(spec: MercerSpectrum, z, clamp_eps: float) -> np.ndarray:
     # (..., 1, M) @ (M, T) runs one vector-matrix product per row, so each
     # row is bitwise the 1-d result (a 2-d GEMM sums in another order)
     vals = ((spec.eigenvalues() * z)[..., None, :] @ spec.basis_matrix())[..., 0, :]
-    clamped = np.maximum(vals, clamp_eps)
-    return clamped / clamped.sum(axis=-1, keepdims=True)
+    np.maximum(vals, clamp_eps, out=vals)   # in place: no second (..., T) array
+    return np.divide(vals, vals.sum(axis=-1, keepdims=True), out=vals)
 
 
 def _powers(lam: np.ndarray, e, rows: tuple) -> np.ndarray:

@@ -222,6 +222,29 @@ def test_train_writes_artifacts_atomically(tmp_path, capsys, monkeypatch):
     assert not [f for f in os.listdir(out_dir) if f.endswith(".part")]
 
 
+@pytest.mark.parametrize("failure, reason", [
+    ("rejected-step", "ValueError: non-finite gradient; step rejected"),
+    ("nan-val-mse", "FloatingPointError: non-finite val_mse nan"),
+])
+def test_train_failure_exits_1_and_writes_no_results(tmp_path, capsys, monkeypatch,
+                                                     failure, reason):
+    # at lr0=1e300 Adam's first step overflows the next gradient; a
+    # non-finite val_mse fails as it fails a sweep cell
+    from measure_attn import experiment
+    argv = ["train", *TINY, "--n-train", "4", "--out", str(tmp_path / "cell")]
+    if failure == "rejected-step":
+        argv += ["--lr0", "1e300"]
+    else:
+        real = experiment._validate
+        monkeypatch.setattr(experiment, "_validate",
+                            lambda *args: (math.nan, real(*args)[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: training failed: {reason}\n"
+    assert os.listdir(tmp_path / "cell") == ["config_resolved.json"]
+
+
 def test_train_out_is_existing_file_is_io_error(tmp_path, capsys):
     path = tmp_path / "taken"
     path.write_text("")

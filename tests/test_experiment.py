@@ -47,7 +47,8 @@ from measure_attn.experiment import (_STACK, _STREAM_LOOP, _atomic_write,
                                      _attention_stats, _cell_key, _cell_seedseq,
                                      _draw, _gen, _grid_atoms, _targets, _val_set,
                                      _validate)
-from measure_attn.model import _block_views, _forward, _layout, _score_rows
+from measure_attn.model import (_BLOCK, _block_views, _context_side, _forward,
+                                _head, _layout, _query_side, _score_rows)
 from measure_attn.spectrum import MercerSpectrum
 
 SMALL = ExperimentConfig(
@@ -616,6 +617,141 @@ def test_a_nan_query_scores_nan_like_forward():
     np.testing.assert_allclose(np.delete(pred[0], [2, 4]),
                                np.delete(_rows_through_forward(model, data)[0], [2, 4]),
                                rtol=1e-12, atol=0)
+
+
+# ------------------------------------------- a context set in row blocks
+#
+# _draw and _score_rows take a set one block of rows at a time.  The two
+# functions below do the same arithmetic over a whole set, or all of a
+# query's rows, at once: references the blocks must match bitwise.
+
+def _whole_set_draw(spec, cfg, rng, rows):
+    """A set's counts, queries, targets and latents with every pmf from one
+    synth_density arithmetic over the set, flipped and copied by tag."""
+    queries = np.zeros((rows, 2))
+    v1 = queries[:, 1] = np.where(rng.random(rows) < 0.5, 1.0, -1.0)
+    z = rng.standard_normal((rows, 2, spec.M))
+    z[:, :, 0] = 0.0
+    vals = ((spec.eigenvalues() * z)[..., None, :] @ spec.basis_matrix())[..., 0, :]
+    clamped = np.maximum(vals, cfg.clamp_eps)
+    pmf = clamped / clamped.sum(axis=-1, keepdims=True)
+    pmf = 0.5 * np.where((v1 > 0)[:, None, None], pmf[:, ::-1], pmf).reshape(rows, -1)
+    counts = rng.multinomial(cfg.n_tokens, pmf[0] if rows == 1 else pmf)
+    return (counts.reshape(rows, -1), queries,
+            _targets(spec.eigenvalues(), v1, z[:, 0]), z)
+
+
+def _whole_group_scores(b, cfg, C, queries, counts):
+    """_score_rows with each query's rows as one GEMM, and its underflowing
+    rows as one _forward call."""
+    S, (N, A), H, hd = b["head_b2"].shape[0], counts.shape, cfg.n_heads, cfg.head_dim
+    ctx = _context_side(b, cfg, C)
+    live, tiny = counts.any(axis=0), np.finfo(np.float64).tiny
+    pred, mass, sides = np.empty((S, N)), np.empty((S, N, H, 2)), np.empty((N, 2), int)
+    bits = queries.view(np.uint64)
+    for q in np.unique(queries, axis=0):
+        rows = np.flatnonzero((bits == q.view(np.uint64)).all(axis=1))
+        side = np.stack([C[:, -1] == q[-1], C[:, -1] != q[-1]], axis=-1)
+        s = (1.0 / math.sqrt(hd)) * (_query_side(b, cfg, q[None])["head_q"]
+                                     @ ctx["head_k"].swapaxes(-1, -2))[..., 0, :]
+        top = np.where(live, s, -np.inf).max(axis=-1, keepdims=True)
+        e = np.exp(np.where(live, s - top, -np.inf))[..., None]
+        cols = np.concatenate([e * ctx["head_v"], e * side], axis=-1).swapaxes(1, 2)
+        w = counts[rows]
+        x = (w @ cols.reshape(S, A, -1)).reshape(S, len(rows), H, hd + 2)
+        z = x[..., hd:hd + 1] + x[..., hd + 1:]
+        x /= np.maximum(z, tiny)
+        p = _head(b, cfg, x[..., :hd].reshape(S, len(rows), -1))["pred"]
+        m, low = x[..., hd:], (z < tiny).any(axis=(2, 3))
+        if low.any():
+            redo = low.any(axis=0)
+            f = _forward(b, cfg, C, queries[rows[redo]], w[redo])
+            p[:, redo] = np.where(low[:, redo], f["pred"], p[:, redo])
+            m[:, redo] = np.where(low[:, redo, None, None],
+                                  (f["attn"] @ side).swapaxes(1, 2), m[:, redo])
+        pred[:, rows], mass[:, rows], sides[rows] = p, m, w @ side
+    return pred, mass, sides
+
+
+# one row, fewer rows than a block, a block and one row (a lone last row),
+# and three blocks and more with ragged ends
+BLOCK_ROWS = (1, 5, _BLOCK + 1, 3 * _BLOCK + 1, 3 * _BLOCK + 2, 3 * _BLOCK + 77)
+
+
+@pytest.mark.parametrize("n_tokens", [3, 1000])
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_a_set_drawn_in_blocks_is_the_whole_set_draw_bitwise(rows, n_tokens):
+    # at 3 tokens most atoms of a context have no count
+    cfg = replace(SMALL, n_tokens=n_tokens)
+    spec = cfg.spectrum(1.0)
+    data, z = _draw(spec, cfg, np.random.default_rng(rows), rows)
+    want = _whole_set_draw(spec, cfg, np.random.default_rng(rows), rows)
+    for got, arr in zip((data.counts, data.queries, data.targets, z), want):
+        assert got.dtype == arr.dtype and np.array_equal(got, arr)
+    assert data.counts.sum(axis=1).tolist() == [n_tokens] * rows
+
+
+def _steep_rows(model, cfg, atoms, q, counts, rows):
+    """Puts the given rows' tokens all on head 0's lowest-scoring atom under
+    query q, and one token of row 0 on its highest: the rows' head-0
+    normalizers of the steepened model then underflow."""
+    model.block("attn_k")[...] *= 1e4
+    f = _forward(model._blocks, cfg.student, atoms, q[None], np.ones((1, len(atoms))))
+    scores = f["head_q"][0, 0] @ f["head_k"][0].T
+    counts[rows] = 0
+    counts[rows, scores.argmin()] = 2
+    counts[0, scores.argmax()] += 1
+
+
+@pytest.mark.parametrize("one_query", [False, True], ids=["drawn-queries", "one-query"])
+@pytest.mark.parametrize("rows", BLOCK_ROWS)
+def test_rows_scored_in_blocks_are_the_whole_group_gemm_bitwise(rows, one_query):
+    cfg = replace(SMALL, n_tokens=3, student=StudentConfig(n_heads=4))
+    data = _draw(cfg.spectrum(1.0), cfg, np.random.default_rng(rows), rows)[0]
+    counts, queries = data.counts.copy(), data.queries.copy()
+    if one_query:   # one group of every row, so a lone last row is a block's
+        queries[:] = queries[0]
+    if rows > 2:   # a context all on tag -1, and one all on tag +1
+        counts[1, :cfg.T], counts[1, cfg.T + 3] = 0, 4
+        counts[2, cfg.T:], counts[2, 5] = 0, 4
+    models = [StudentModel.init(cfg.student, s) for s in range(3)]
+    steep = np.flatnonzero((queries == queries[0]).all(axis=1))[3::2]
+    if len(steep):   # every other row of query 0 (row 0's) underflows in model 2
+        _steep_rows(models[2], cfg, data.atoms, queries[0], counts, steep)
+    b = _block_views(_layout(cfg.student), np.stack([m.params for m in models]))
+    got = _score_rows(b, cfg.student, data.atoms, queries, counts)
+    want = _whole_group_scores(b, cfg.student, data.atoms, queries, counts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert np.isfinite(got[0]).all() and np.isfinite(got[1]).all()
+    if rows > _BLOCK + 1 and one_query:   # the fallback's rows span blocks too
+        assert len(steep) > _BLOCK + 1
+
+
+def test_a_context_set_is_drawn_and_scored_in_one_block_of_working_memory():
+    # 8 blocks of rows at 5,000 tokens: beyond the set's own arrays (and its
+    # latents, or the scores), a draw or a scoring pass holds about 4 blocks
+    # of float counts; whole-set temporaries held 17 and 10
+    cfg = replace(SMALL, n_tokens=5000, n_val=8 * _BLOCK)
+    spec, block = cfg.spectrum(1.0), _BLOCK * 2 * cfg.T * 8   # a block of float counts
+    model = StudentModel.init(cfg.student, 0)
+    _validate(model, _gen(cfg, spec, 3, np.random.SeedSequence(0)), 3)   # warm up
+    tracemalloc.start()
+    try:
+        data = _gen(cfg, spec, cfg.n_val, np.random.SeedSequence(1))
+        drawn = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _validate(model, data, _BLOCK)
+        scored = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    N, H = cfg.n_val, cfg.student.n_heads
+    own = data.counts.nbytes + data.queries.nbytes + data.targets.nbytes
+    latents = N * 2 * cfg.M * 8
+    assert drawn < own + latents + 8 * block
+    scores = N * 8 + N * H * 2 * 8 + N * 2 * 8   # pred, masses and sides
+    assert scored < scores + 8 * block
 
 
 def test_spectrum_is_one_shared_read_only_object_per_alpha_M_T():

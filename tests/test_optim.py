@@ -365,6 +365,40 @@ def test_stacked_train_rows_are_their_own_training_bitwise(activation, first_ste
         assert stacked_losses == losses and len(losses) == cfg.epochs
 
 
+@pytest.mark.parametrize("case", ["huge-step", "nan-target-last"])
+def test_a_model_whose_step_adam_rejects_is_left_as_it_was(monkeypatch, case):
+    # Adam accepts the first steps and rejects a later one: at lr0=1e300 the
+    # first step sends the params to about 1e300, so the next gradient is
+    # not finite; or one NaN target is presented last in the first epoch
+    from measure_attn import optim
+    rng = np.random.default_rng(37)
+    data = Dataset.of(make_dataset(rng, 7))
+    cfg = TrainConfig(epochs=2, batch_size=3,
+                      lr0=1e300 if case == "huge-step" else 5e-3)
+    if case == "nan-target-last":
+        targets = data.targets.copy()
+        targets[np.random.default_rng(3).permutation(7)[-1]] = np.nan   # train's stream
+        data = Dataset(data.atoms, data.counts, data.queries, targets)
+    accepted, step = [], optim.adam_step
+
+    def counted(*args):
+        step(*args)
+        accepted.append(args[3])
+
+    monkeypatch.setattr(optim, "adam_step", counted)
+    model = StudentModel.init(StudentConfig(), 5)
+    before, blocks = model.params.copy(), model.block("attn_q")
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="non-finite gradient; step rejected"):
+        train(model, data, cfg, 3)
+    assert len(accepted) == (1 if case == "huge-step" else 2)
+    # none of the accepted steps reached the model, which keeps its arrays
+    assert model.params.tobytes() == before.tobytes()
+    assert model.block("attn_q") is blocks
+    trained, _ = train(model, Dataset.of(make_dataset(rng, 7)), TrainConfig(epochs=1), 0)
+    assert trained is model and model.params.tobytes() != before.tobytes()
+
+
 def test_stacked_train_needs_one_size_and_atoms():
     rng = np.random.default_rng(30)
     models = [StudentModel.init(StudentConfig(), i) for i in range(2)]

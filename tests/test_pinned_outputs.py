@@ -1,8 +1,9 @@
 """Byte identity as a check: sha256 digests of the outputs that a change to
 the package's arithmetic or layout must leave alone.
 
-The outputs are the reduced sweep's bundle and cell files, the train
-artifacts, gen's stdout and verify --verbose's stdout with the per-suite
+The outputs are the reduced sweep's bundle and cell files, the artifacts
+of two train runs (one with validation sets of several scoring blocks),
+gen's stdout and verify --verbose's stdout with the per-suite
 seconds stripped.  Criterion 9 compares a serial with a parallel sweep of
 the same code; these digests compare the code with its past.
 
@@ -28,6 +29,9 @@ COMMANDS = (
     ["sweep", "--profile", "reduced", "--n", "4,8,16", "--seeds", "2",
      "--jobs", "1", "--out", "sweep"],
     ["train", "--profile", "reduced", "--n-train", "64", "--out", "train"],
+    # 1,500 validation rows: each query tag's rows span several scoring blocks
+    ["train", "--profile", "reduced", "--n-train", "16", "--n-val", "1500",
+     "--out", "train_blocks"],
 )
 
 PINNED = {
@@ -59,6 +63,10 @@ PINNED = {
     "train/config_resolved.json": "2a034ecd56ecc1a1f96cc018f07538760c72c20b8dbe897320ae476bca098795",
     "train/losses.csv": "ae000ff57e816f947db007febc3b0b4a7febbc9809976878b13ebcb74a256c29",
     "train/metrics.json": "914d51c0ba8c9238caeab39c2e7614633e9b82a51f22dc7e711200db7947ef0e",
+    "train_blocks/checkpoint.json": "48ce0eefb6a72c93a3bcd5b06a35fd7d23339cb85dcff582dc5de311f9510e38",
+    "train_blocks/config_resolved.json": "455cb816f8ca05d82ff83fffd048d0f80861a67b1cfca78faede71f138a6bce7",
+    "train_blocks/losses.csv": "7818238a1212b19ff6eee33d741a446f180f4bdad231e8579a0a4ba73069a003",
+    "train_blocks/metrics.json": "1f7ac5d64481dd94f207c8d08733d63a6fa61254d078f1eff0d7a70341956196",
     "gen --seed 3 --n-tokens 100": "2d849937866bd1ede2c4d8988f3ab527d2472eef4562a04e2926cfdc8e34f6ee",
     "verify --verbose": "a1c196729f6b041bdb670fe651b524e01631aee3e1345402e3f8717b4e97cd6b",
 }
