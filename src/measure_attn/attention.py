@@ -16,7 +16,7 @@ one instance or of a stack of zero-padded instances in a single pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -56,6 +56,7 @@ class AttnParams:
 
     heads: tuple[AttnHead, ...]
     skip: np.ndarray
+    _stacked: np.ndarray = field(init=False, compare=False, repr=False)   # (H, 4, d, d)
 
     def __post_init__(self):
         heads = tuple(self.heads)
@@ -64,9 +65,11 @@ class AttnParams:
             raise ValueError(f"skip matrix must be square, got {skip.shape}")
         if any(h.d_attn != skip.shape[0] for h in heads):
             raise ValueError("heads and skip must share one dimension")
-        skip.flags.writeable = False
+        stacked = _stack_heads(heads, skip.shape[0])
+        skip.flags.writeable = stacked.flags.writeable = False
         object.__setattr__(self, "heads", heads)
         object.__setattr__(self, "skip", skip)
+        object.__setattr__(self, "_stacked", stacked)
 
     @property
     def d_attn(self) -> int:
@@ -78,11 +81,11 @@ class AttnParams:
 
     def entry_bound(self) -> float:
         """B_a: largest absolute entry over the head matrices."""
-        return float(_entry_bound(_stack_heads(self.heads, self.d_attn)))
+        return float(_entry_bound(self._stacked))
 
     def sparsity_bound(self) -> int:
         """S_a: largest nonzero count over the head matrices."""
-        return int(_sparsity_bound(_stack_heads(self.heads, self.d_attn)))
+        return int(_sparsity_bound(self._stacked))
 
 
 def _stack_heads(heads, d: int) -> np.ndarray:
@@ -172,17 +175,22 @@ def softmax_weights(head: AttnHead, mu: DiscreteMeasure, x) -> np.ndarray:
     """Density of the softmax-tilted measure on mu's support.
 
     w_t = p_t exp(s_t) / sum_u p_u exp(s_u) with s_t = <Qx, K y_t>.  With
-    Q = 0 the weights reproduce mu.
+    Q = 0 the weights reproduce mu.  The tilt runs on mu's runs of equal
+    rows, and a run's mass goes to its rows in proportion to their weights.
     """
     x = _query(head.d_attn, mu, x, "head")
-    return _tilt(_stack_heads((head,), head.d_attn), mu.support, mu.weights, x)[0]
+    support, weights, lengths = mu._atoms
+    w = _tilt(_stack_heads((head,), head.d_attn), support, weights, x)[0]
+    if lengths is None:
+        return w
+    ratio = np.divide(w, weights, out=np.zeros_like(w), where=weights > 0)
+    return np.repeat(ratio, lengths) * mu.weights
 
 
 def measure_attention(params: AttnParams, mu: DiscreteMeasure, x) -> np.ndarray:
-    """Attn(mu, x) evaluated exactly on the discrete support, all heads at once."""
+    """Attn(mu, x) evaluated exactly on mu's runs of equal rows, all heads at once."""
     x = _query(params.d_attn, mu, x, "params")
-    return _attend(_stack_heads(params.heads, params.d_attn), params.skip,
-                   mu.support, mu.weights, x)
+    return _attend(params._stacked, params.skip, *mu._atoms[:2], x)
 
 
 def temperature_for_error(I: int, eps2: float) -> float:
@@ -334,7 +342,7 @@ def lipschitz_probe(params: AttnParams, mu1: DiscreteMeasure,
     weights = np.stack([np.pad(mu.weights, (0, n - mu.n_points)) for mu in (mu1, mu2)])
     # a stack of one instance, so that the batch's vector loops do the math
     ratio, bound, dx, skipped = _probe(
-        _stack_heads(params.heads, d)[None], np.array([params.n_heads]),
+        params._stacked[None], np.array([params.n_heads]),
         params.skip[None], support[None], weights[None], x[None], np.array([w1]))
     return LipschitzReport(float(ratio[0]), float(bound[0]), w1, float(dx[0]),
                            bool(skipped[0]))

@@ -8,7 +8,7 @@ query built from one tag can single out its component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,34 @@ from .spectrum import _integer
 
 WEIGHT_TOL = 1e-9
 TAG_DOT_TOL = 1e-12
+
+
+def _rows(points) -> np.ndarray:
+    """points as float rows (N, d), a 1-D array of N scalars as (N, 1)."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise ValueError(f"support must be (N, d) with N, d >= 1, got shape {pts.shape}")
+    return pts
+
+
+def _runs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A token list (T, d) as a measure: the first row of each run of
+    bitwise-equal consecutive rows (A, d), and the run lengths (A,) as
+    float weights.
+
+    One neighbour comparison per column and no sort, so rows equal as
+    floats but not in bits (0.0 and -0.0) stay separate points, and a list
+    with no adjacent repeats comes back as its own rows with unit weights.
+    """
+    bits = C.view(np.uint64)
+    edges = np.ones(len(C) + 1, dtype=bool)   # each run's start, then the end
+    edges[1:-1] = bits[1:, 0] != bits[:-1, 0]
+    for j in range(1, C.shape[1]):
+        edges[1:-1] |= bits[1:, j] != bits[:-1, j]
+    at = np.flatnonzero(edges)
+    return C.take(at[:-1], axis=0), np.diff(at).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -28,13 +56,12 @@ class DiscreteMeasure:
 
     support: np.ndarray
     weights: np.ndarray
+    # the measure on its runs of equal rows (_runs): their first rows, summed
+    # weights and lengths, or (support, weights, None) if no row repeats
+    _atoms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.support, dtype=np.float64)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError(f"support must be (N, d) with N >= 1, got shape {pts.shape}")
+        pts = _rows(self.support)
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (pts.shape[0],):
             raise ValueError(
@@ -48,6 +75,10 @@ class DiscreteMeasure:
         w.flags.writeable = False
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "weights", w)
+        atoms, lengths = _runs(pts)
+        lengths = lengths.astype(np.intp)
+        object.__setattr__(self, "_atoms", (pts, w, None) if len(atoms) == len(pts) else
+                           (atoms, np.add.reduceat(w, lengths.cumsum() - lengths), lengths))
 
     @property
     def n_points(self) -> int:
@@ -64,9 +95,10 @@ class DiscreteMeasure:
 
     @classmethod
     def uniform_on(cls, points) -> "DiscreteMeasure":
-        pts = np.asarray(points, dtype=np.float64)
-        n = pts.shape[0]
-        return cls(pts, np.full(n, 1.0 / n))
+        """Empirical measure of points: one point per run (_runs), weight length / n."""
+        pts = _rows(points)
+        atoms, lengths = _runs(pts)
+        return cls(atoms, lengths / len(pts))
 
 
 @dataclass(frozen=True)

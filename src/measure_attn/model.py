@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .attention import _softmax
+from .measures import _runs
 from .spectrum import _integer, _rng
 
 # rows of a context set that a draw or _score_rows takes at once (_blocks):
@@ -288,24 +289,6 @@ def _squared_loss_grads(b: dict, gb: dict, cfg: StudentConfig, atoms, queries,
     resid = f["pred"] - targets
     _backward(b, gb, cfg, f, atoms, queries, 2.0 * resid / targets.shape[-1])
     return resid
-
-
-def _runs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A token list (T, d) as a measure: the first row of each run of
-    bitwise-equal consecutive rows (A, d), and the run lengths (A,) as
-    float weights.
-
-    One neighbour comparison per column and no sort, so rows equal as
-    floats but not in bits (0.0 and -0.0) stay separate points, and a list
-    with no adjacent repeats comes back as its own rows with unit weights.
-    """
-    bits = C.view(np.uint64)
-    edges = np.ones(len(C) + 1, dtype=bool)   # each run's start, then the end
-    edges[1:-1] = bits[1:, 0] != bits[:-1, 0]
-    for j in range(1, C.shape[1]):
-        edges[1:-1] |= bits[1:, j] != bits[:-1, j]
-    at = np.flatnonzero(edges)
-    return C.take(at[:-1], axis=0), np.diff(at).astype(np.float64)
 
 
 class ModelCache(SimpleNamespace):

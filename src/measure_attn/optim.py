@@ -102,6 +102,7 @@ class Dataset:
                    np.array([ex.target for ex in examples], dtype=np.float64))
 
 
+@np.errstate(over="ignore", invalid="ignore")   # adam_step rejects the non-finite gradient
 def train(model, dataset, cfg: TrainConfig, seed):
     """Seeded minibatch training; returns the model and per-epoch mean loss.
 

@@ -19,10 +19,12 @@ from measure_attn import (
     AttnHead,
     AttnParams,
     DiscreteMeasure,
+    ExperimentConfig,
     MercerSpectrum,
     build_mixture,
     build_recall_params,
     featured_mixture,
+    gen_example,
     lipschitz_probe,
     measure_attention,
     random_lipschitz_trials,
@@ -30,8 +32,8 @@ from measure_attn import (
     softmax_weights,
     temperature_for_error,
 )
-from measure_attn.attention import (_FAMILY, _draw_trials, _probe, _probe_trials,
-                                    _softmax, _stack_heads)
+from measure_attn.attention import (_FAMILY, _attend, _draw_trials, _probe,
+                                    _probe_trials, _softmax, _stack_heads, _tilt)
 
 
 def eye_head(d):
@@ -375,6 +377,100 @@ def test_featured_mixture_is_the_written_out_construction():
     ctx2, _ = build_mixture([DiscreteMeasure.dirac([0.2, 0.3])], np.eye(1), 0)
     with pytest.raises(ValueError, match="scalar content"):
         featured_mixture(spec, ctx2, D)
+
+
+# ---------------------------------------- distinct consecutive atoms
+# measure_attention and softmax_weights integrate over a measure's runs of
+# bitwise-equal consecutive rows; the references below run on every row
+
+def row_by_row(params, mu, x):
+    """Attn(mu, x) and each head's softmax weights over all of mu's rows."""
+    d = params.d_attn
+    return (_attend(_stack_heads(params.heads, d), params.skip, mu.support,
+                    mu.weights, x),
+            [_tilt(_stack_heads((h,), d), mu.support, mu.weights, x)[0]
+             for h in params.heads])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_measure_without_repeated_rows_is_computed_on_its_rows_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    n, d = (1, 2) if seed == 0 else (int(rng.integers(2, 40)), int(rng.integers(1, 5)))
+    mu = DiscreteMeasure(rng.uniform(-1, 1, (n, d)), rng.dirichlet(np.ones(n)))
+    params, x = random_params(rng, d, n_heads=3), rng.uniform(-1, 1, d)
+    out, tilts = row_by_row(params, mu, x)
+    assert np.array_equal(measure_attention(params, mu, x), out)
+    for head, w in zip(params.heads, tilts):
+        assert np.array_equal(softmax_weights(head, mu, x), w)
+    u = DiscreteMeasure.uniform_on(mu.support)
+    assert np.array_equal(u.support, mu.support)
+    assert np.array_equal(u.weights, np.full(n, 1.0 / n))
+
+
+def token_list_measures(seed):
+    """A 5,000-token gen_example context as its uniform measure on (x, tag),
+    with a random two-head operator and query, and as the recall
+    construction's featured mixture of its two tag halves, with the recall
+    parameters and query.
+    """
+    cfg = ExperimentConfig(alpha_list=(1.0,))
+    spec = cfg.spectrum(1.0)
+    ex = gen_example(spec, cfg, seed)
+    tokens = ex.context_tokens
+    rng = np.random.default_rng(seed)
+    raw = DiscreteMeasure(tokens, np.full(len(tokens), 1.0 / len(tokens)))
+    yield raw, random_params(rng, 2), rng.uniform(-1, 1, 2)
+    D, tags = 8, np.array([[1.0], [-1.0]])
+    halves = [tokens[tokens[:, 1] == t, :1] for t in tags[:, 0]]
+    comps = [DiscreteMeasure(h, np.full(len(h), 1.0 / len(h))) for h in halves]
+    ctx, query = build_mixture(comps, tags, star_index=int(ex.query_token[1] < 0))
+    params = build_recall_params(1, 1, D, temperature_for_error(2, 1e-4))
+    yield (featured_mixture(spec, ctx, D), params,
+           recall_feature_map(spec, 1, D)(query))
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_token_list_contexts_match_the_row_by_row_computation(seed):
+    for mu, params, x in token_list_measures(seed):
+        atoms, _, lengths = mu._atoms
+        assert lengths is not None and len(atoms) <= 64 < mu.n_points == 5000
+        out, tilts = row_by_row(params, mu, x)
+        got = measure_attention(params, mu, x)
+        np.testing.assert_allclose(got, out, rtol=1e-12, atol=1e-12 * np.abs(out).max())
+        for head, want in zip(params.heads, tilts):
+            w = softmax_weights(head, mu, x)
+            np.testing.assert_allclose(w, want, rtol=1e-12, atol=0.0)
+            assert abs(w.sum() - 1.0) <= 1e-12
+
+
+def test_rows_of_one_run_share_its_mass_by_their_weights():
+    # runs of 3, 1 and 2 rows with unequal weights, one of them zero
+    rng = np.random.default_rng(8)
+    support = np.repeat(rng.uniform(-1, 1, (3, 2)), [3, 1, 2], axis=0)
+    mu = DiscreteMeasure(support, np.array([0.1, 0.0, 0.3, 0.2, 0.25, 0.15]))
+    params, x = random_params(rng, 2), rng.uniform(-1, 1, 2)
+    out, tilts = row_by_row(params, mu, x)
+    np.testing.assert_allclose(measure_attention(params, mu, x), out, rtol=1e-12)
+    for head, want in zip(params.heads, tilts):
+        w = softmax_weights(head, mu, x)
+        np.testing.assert_allclose(w, want, rtol=1e-12, atol=0.0)
+        assert w[1] == 0.0
+
+
+def test_zero_mass_run_gets_zero_weight_without_warning():
+    # pytest turns a warning into an error, so a 0/0 would fail here
+    support = np.array([[0.5, 0.1], [0.5, 0.1], [-0.2, 0.3], [-0.2, 0.3], [0.9, 0.0]])
+    mu = DiscreteMeasure(support, np.array([0.0, 0.0, 0.25, 0.25, 0.5]))
+    params = random_params(np.random.default_rng(9), 2)
+    x = np.array([0.4, -0.7])
+    out, tilts = row_by_row(params, mu, x)
+    got = measure_attention(params, mu, x)
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, out, rtol=1e-12)
+    for head, want in zip(params.heads, tilts):
+        w = softmax_weights(head, mu, x)
+        assert np.all(np.isfinite(w)) and np.array_equal(w[:2], [0.0, 0.0])
+        np.testing.assert_allclose(w, want, rtol=1e-12, atol=0.0)
 
 
 # -------------------------------------------------------- Lipschitz probe

@@ -238,8 +238,7 @@ def test_train_failure_exits_1_and_writes_no_results(tmp_path, capsys, monkeypat
         real = experiment._validate
         monkeypatch.setattr(experiment, "_validate",
                             lambda *args: (math.nan, real(*args)[1]))
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, argv)
+    code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err == f"error: training failed: {reason}\n"
     assert os.listdir(tmp_path / "cell") == ["config_resolved.json"]

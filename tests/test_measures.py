@@ -43,6 +43,26 @@ def test_dirac_and_uniform_constructors():
     np.testing.assert_array_equal(u.weights, np.full(3, 1.0 / 3.0))
 
 
+def test_uniform_on_weighs_each_run_of_equal_rows_by_its_length():
+    # runs are of bitwise-equal consecutive rows: 0.0 and -0.0 stay apart,
+    # and a row that comes back after another starts a new run
+    pts = np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+    u = DiscreteMeasure.uniform_on(pts)
+    assert u.support.tobytes() == pts[[0, 2, 3, 4]].tobytes()
+    np.testing.assert_array_equal(u.weights, [0.4, 0.2, 0.2, 0.2])
+    column = DiscreteMeasure.uniform_on(np.array([3.0, 3.0, 3.0, 1.0]))
+    np.testing.assert_array_equal(column.support, [[3.0], [1.0]])
+    np.testing.assert_array_equal(column.weights, [0.75, 0.25])
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (3, 0), (2, 2, 2), ()])
+def test_support_must_be_rows_of_at_least_one_coordinate(shape):
+    with pytest.raises(ValueError, match=r"support must be \(N, d\) with N, d >= 1"):
+        DiscreteMeasure(np.zeros(shape), np.ones(shape[:1]) / max(shape[:1], default=1))
+    with pytest.raises(ValueError, match=r"support must be \(N, d\) with N, d >= 1"):
+        DiscreteMeasure.uniform_on(np.zeros(shape))
+
+
 def test_weight_validation():
     pts = np.zeros((2, 1))
     with pytest.raises(ValueError):
@@ -218,6 +238,19 @@ def test_w1_conditioning_on_tag_recovers_component_distance():
     contents = tokens[tokens[:, 1] == ex.query_token[1]][:, 0]
     empirical = DiscreteMeasure.uniform_on(contents)
     assert wasserstein1_1d(empirical, comp) <= 0.02
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_w1_of_token_list_contexts_is_the_sorted_coupling(seed):
+    # 5,000 tokens on at most 64 distinct contents each: the empirical
+    # measures hold one point per run and still give the quantile coupling
+    cfg = ExperimentConfig(alpha_list=(1.0,))
+    spec = cfg.spectrum(1.0)
+    a, b = (gen_example(spec, cfg, s).context_tokens[:, 0] for s in (seed, seed + 1))
+    mu, nu = DiscreteMeasure.uniform_on(a), DiscreteMeasure.uniform_on(b)
+    assert max(mu.n_points, nu.n_points) <= 64 < len(a) == len(b) == 5000
+    exact = float(np.mean(np.abs(np.sort(a) - np.sort(b))))
+    assert abs(wasserstein1_1d(mu, nu) - exact) <= 1e-12
 
 
 def _cdf_at(values, weights, grid):

@@ -4,7 +4,8 @@ the package's arithmetic or layout must leave alone.
 The outputs are the reduced sweep's bundle and cell files, the artifacts
 of two train runs (one with validation sets of several scoring blocks),
 gen's stdout and verify --verbose's stdout with the per-suite
-seconds stripped.  Criterion 9 compares a serial with a parallel sweep of
+seconds stripped, and one model's per-row scores on a validation set
+(the bundles hold only their means).  Criterion 9 compares a serial with a parallel sweep of
 the same code; these digests compare the code with its past.
 
 Digests may differ across Python, numpy and BLAS builds, so they hold only
@@ -22,6 +23,9 @@ import numpy as np
 import pytest
 
 from measure_attn.cli import ENV_SEED, main
+from measure_attn.experiment import ExperimentConfig, _draw
+from measure_attn.model import (_BLOCK, StudentModel, _block_views, _layout,
+                                _score_rows)
 
 PINNED_WITH = "Python 3.11.7, numpy 2.4.6 and scipy-openblas 0.3.31"
 
@@ -71,6 +75,10 @@ PINNED = {
     "verify --verbose": "a1c196729f6b041bdb670fe651b524e01631aee3e1345402e3f8717b4e97cd6b",
 }
 
+# sha256 of model._score_rows' pred then mass bytes, for StudentModel.init
+# seed 5 on 1,500 reduced-profile validation rows drawn at seed 5
+PINNED_ROWS = "f0e1f8c12825c2dda4c894c029c94466c2552ec12cae975e98812bcd32b269e0"
+
 
 def _build_differs() -> str | None:
     """Why this build may not reproduce the digests, or None."""
@@ -105,3 +113,16 @@ def test_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     out = re.sub(r" +[0-9.]+s$", "", capsys.readouterr().out, flags=re.M)
     got["verify --verbose"] = _sha(out.encode())
     assert got == PINNED
+
+
+def test_scored_rows_match_pinned_digest():
+    reason = _build_differs()
+    if reason is not None:
+        pytest.skip(reason)
+    cfg = ExperimentConfig(n_tokens=1000)
+    data = _draw(cfg.spectrum(1.0), cfg, np.random.default_rng(5), 1500)[0]
+    # each query tag's rows span several scoring blocks
+    assert np.unique(data.queries[:, 1], return_counts=True)[1].min() > 4 * _BLOCK
+    b = _block_views(_layout(cfg.student), StudentModel.init(cfg.student, 5).params[None])
+    pred, mass, _ = _score_rows(b, cfg.student, data.atoms, data.queries, data.counts)
+    assert _sha(pred.tobytes() + mass.tobytes()) == PINNED_ROWS
