@@ -18,7 +18,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import experiment, verify
-from .experiment import ExperimentConfig, gen_example, risk_curves, run_cell
+from .experiment import ExperimentConfig, _fmt, gen_example, risk_curves, run_cell
 from .model import StudentConfig
 from .optim import TrainConfig, losses_to_csv
 from .spectrum import _integer, _length, _positive, _real
@@ -238,11 +238,11 @@ def cmd_analyze(args) -> int:
 
     if args.format == "json":
         doc = {
-            "fits": {f"{a:g}": {"A": f.A, "C": f.C, "residual_rms": f.residual_rms}
+            "fits": {_fmt(a): {"A": f.A, "C": f.C, "residual_rms": f.residual_rms}
                      for a, f in fits.items()},
-            "curves": {f"{a:g}": {"n": list(c.n_values),
-                                  "mean_mse": list(c.mean_mse),
-                                  "std_mse": list(c.std_mse)}
+            "curves": {_fmt(a): {"n": list(c.n_values),
+                                 "mean_mse": list(c.mean_mse),
+                                 "std_mse": list(c.std_mse)}
                        for a, c in curves.items()},
             "attention_stats": stats,
         }

@@ -371,16 +371,22 @@ def scaling_axis(alpha: float, n_values) -> np.ndarray:
 
 
 def fit_rate(curve: RiskCurve, alpha: float) -> FitResult:
-    """Least squares of log mean risk on the transformed axis."""
+    """Least squares of log mean risk y on the transformed axis t.
+
+    Closed form on centred sums, with no LAPACK or BLAS call: slope =
+    sum(tc * yc) / sum(tc * tc), tc = t - mean(t), yc = y - mean(y).
+    """
     mse = np.asarray(curve.mean_mse, dtype=np.float64)
     # a set, not np.unique, which imports numpy.ma on first use
     if len(set(curve.n_values)) < 2:
         raise ValueError("need at least 2 distinct n to fit a rate")
-    if np.any(mse <= 0):
-        raise ValueError("risk values must be positive to fit in log space")
+    if not np.all((mse > 0) & (mse < np.inf)):
+        raise ValueError("risk values must be positive and finite to fit in log space")
     t = scaling_axis(alpha, curve.n_values)
     y = np.log(mse)
-    slope, intercept = np.polyfit(t, y, 1)
+    tc = t - t.mean()
+    slope = (tc * (y - y.mean())).sum() / (tc * tc).sum()
+    intercept = y.mean() - slope * t.mean()
     resid = y - (intercept + slope * t)
     return FitResult(A=float(intercept), C=float(-slope),
                      residual_rms=float(np.sqrt(np.mean(resid ** 2))))
@@ -391,7 +397,7 @@ def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
 
     Each curve holds the mean and std over the rows of each n, in increasing
     n; alphas keep their first-seen order.  An alpha is fitted when it has
-    at least two n values and every mean is positive.
+    at least two n values and every mean is positive and finite.
     """
     by_alpha: dict[float, dict[int, list[float]]] = {}
     for alpha, n, val_mse in rows:
@@ -404,7 +410,7 @@ def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
                           tuple(float(np.mean(by_n[n])) for n in ns),
                           tuple(float(np.std(by_n[n])) for n in ns))
         curves[alpha] = curve
-        if len(ns) >= 2 and all(m > 0 for m in curve.mean_mse):
+        if len(ns) >= 2 and all(0 < m < np.inf for m in curve.mean_mse):
             fits[alpha] = fit_rate(curve, alpha)
     return curves, fits
 
@@ -640,9 +646,9 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
                               for k in _STATS_COLUMNS)])
     _atomic_write(os.path.join(out_dir, "attention_stats.csv"), stats.getvalue())
 
-    fit_doc = {f"{alpha:g}": {"A": fit.A, "C": fit.C,
-                              "residual_rms": fit.residual_rms,
-                              "n_list": list(curves[alpha].n_values)}
+    fit_doc = {_fmt(alpha): {"A": fit.A, "C": fit.C,
+                             "residual_rms": fit.residual_rms,
+                             "n_list": list(curves[alpha].n_values)}
                for alpha, fit in fits.items()}
     _atomic_write(os.path.join(out_dir, "fit.json"),
                   json.dumps(fit_doc, sort_keys=True, indent=1) + "\n")
@@ -652,7 +658,7 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
         curve = curves.get(alpha)
         if curve is None or not curve.n_values:
             continue
-        dat.append(f"# alpha={alpha:g}  t=(log n)^(alpha/(alpha+1))  log_mean_mse")
+        dat.append(f"# alpha={_fmt(alpha)}  t=(log n)^(alpha/(alpha+1))  log_mean_mse")
         t = scaling_axis(alpha, curve.n_values)
         for ti, mse in zip(t, curve.mean_mse):
             if mse > 0:

@@ -309,6 +309,7 @@ def sweep_argv(out_dir, alpha="1.0", n_stat_examples="5", extra=()):
 @pytest.mark.parametrize("alpha", ["1.0", "0.3333333333"])
 def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
     label = f"{float(alpha):g}"
+    key = f"{float(alpha):.17g}"   # analyze --format json's key
     out_dir = str(tmp_path / "bundle")
     code, out, _ = run(capsys, sweep_argv(out_dir, alpha))
     assert code == 0
@@ -336,11 +337,29 @@ def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
     code4, js, _ = run(capsys, ["analyze", out_dir, "--format", "json"])
     assert code4 == 0
     doc = json.loads(js)
-    assert doc["curves"][label]["n"] == [2, 4]
-    assert set(doc["fits"][label]) == {"A", "C", "residual_rms"}
+    assert doc["curves"][key]["n"] == [2, 4]
+    assert set(doc["fits"][key]) == {"A", "C", "residual_rms"}
     fit_doc = json.loads(Path(os.path.join(out_dir, "fit.json")).read_text())
     (planted,) = fit_doc.values()
-    assert doc["fits"][label]["C"] == pytest.approx(planted["C"], rel=1e-12)
+    assert doc["fits"][key]["C"] == pytest.approx(planted["C"], rel=1e-12)
+
+
+def test_alphas_equal_to_six_digits_keep_their_own_labels(tmp_path, capsys):
+    out_dir = str(tmp_path / "bundle")
+    code, _, _ = run(capsys, sweep_argv(out_dir, "0.5,0.5000001"))
+    assert code == 0
+    labels = ["0.5", "0.50000009999999995"]
+    fit_doc = json.loads(Path(out_dir, "fit.json").read_text())
+    assert sorted(fit_doc) == labels
+    dat = Path(out_dir, "scaling_axis.dat").read_text()
+    assert [line.split()[1] for line in dat.splitlines()
+            if line.startswith("#")] == [f"alpha={a}" for a in labels]
+    code, js, _ = run(capsys, ["analyze", out_dir, "--format", "json"])
+    assert code == 0
+    doc = json.loads(js)
+    assert sorted(doc["fits"]) == sorted(doc["curves"]) == labels
+    for a in labels:
+        assert doc["fits"][a]["C"] == pytest.approx(fit_doc[a]["C"], rel=1e-12)
 
 
 @pytest.mark.parametrize("n_stat_examples, jobs, named", [

@@ -46,7 +46,7 @@ from measure_attn import (
 from measure_attn.experiment import (_STACK, _STREAM_LOOP, _atomic_write,
                                      _attention_stats, _cell_key, _cell_seedseq,
                                      _draw, _gen, _grid_atoms, _targets, _val_set,
-                                     _validate)
+                                     _validate, risk_curves)
 from measure_attn.model import (_BLOCK, _block_views, _context_side, _forward,
                                 _head, _layout, _query_side, _score_rows)
 from measure_attn.spectrum import MercerSpectrum
@@ -1032,8 +1032,13 @@ def test_gen_dataset_is_stacked_gen_example_draws():
 
 # ------------------------------------------------------------------- fits
 
-def grid_fit(t, y, lo=-8.0, hi=8.0, rounds=6, size=81):
-    """Brute-force least squares over (A, C); oracle for fit_rate."""
+def grid_fit(t, y, lo=-8.0, hi=8.0, rounds=60, size=81, keep=20):
+    """Brute-force least squares over (A, C); oracle for fit_rate.
+
+    Each round keeps the keep cells either side of the best grid point.  On
+    an axis with a large common offset the SSE valley is narrow and long, so
+    the best grid point can sit many cells along it from the minimum.
+    """
     A_lo, A_hi, C_lo, C_hi = lo, hi, lo, hi
     best = (np.nan, np.nan)
     for _ in range(rounds):
@@ -1045,8 +1050,8 @@ def grid_fit(t, y, lo=-8.0, hi=8.0, rounds=6, size=81):
         best = (As[i], Cs[j])
         dA = (A_hi - A_lo) / (size - 1)
         dC = (C_hi - C_lo) / (size - 1)
-        A_lo, A_hi = As[i] - 2 * dA, As[i] + 2 * dA
-        C_lo, C_hi = Cs[j] - 2 * dC, Cs[j] + 2 * dC
+        A_lo, A_hi = As[i] - keep * dA, As[i] + keep * dA
+        C_lo, C_hi = Cs[j] - keep * dC, Cs[j] + keep * dC
     return best
 
 
@@ -1071,16 +1076,24 @@ def test_fit_rate_recovers_exact_collinear_input():
 
 
 def test_fit_rate_matches_grid_search_on_noisy_points():
-    rng = np.random.default_rng(7)
     alpha = 1.0
-    n_values = (4, 16, 64)
-    t = scaling_axis(alpha, n_values)
-    y = 0.3 - 1.1 * t + 0.05 * rng.standard_normal(3)
-    curve = RiskCurve(alpha, n_values, tuple(np.exp(y)), (0.0,) * 3)
-    fit = fit_rate(curve, alpha)
-    A_grid, C_grid = grid_fit(t, y)
-    assert fit.A == pytest.approx(A_grid, abs=1e-6)
-    assert fit.C == pytest.approx(C_grid, abs=1e-6)
+    # at n up to 2**40 the axis is about 5.00, 5.13, 5.27: its common offset
+    # is about 20 times its spread
+    for n_values in [(4, 16, 64), (2**36, 2**38, 2**40)]:
+        rng = np.random.default_rng(7)
+        t = scaling_axis(alpha, n_values)
+        y = 0.3 - 1.1 * t + 0.05 * rng.standard_normal(3)
+        curve = RiskCurve(alpha, n_values, tuple(np.exp(y)), (0.0,) * 3)
+        fit = fit_rate(curve, alpha)
+        A_grid, C_grid = grid_fit(t, y)
+        assert fit.A == pytest.approx(A_grid, abs=1e-6)
+        assert fit.C == pytest.approx(C_grid, abs=1e-6)
+        # the grid resolves (A, C) to about 1e-7; np.polyfit, which scales
+        # its columns, pins them to 1e-12, where raw sums of t*y and t*t
+        # miss A on the offset axis
+        slope, intercept = np.polyfit(t, y, 1)
+        assert fit.A == pytest.approx(intercept, rel=1e-12)
+        assert fit.C == pytest.approx(-slope, rel=1e-12)
 
 
 def test_fit_rate_inf_alpha_is_log_log_fit():
@@ -1113,6 +1126,39 @@ def test_fit_rate_rejects_degenerate_input():
         fit_rate(RiskCurve(1.0, (4, 4), (0.5, 0.4), (0.0, 0.0)), 1.0)
     with pytest.raises(ValueError):
         fit_rate(RiskCurve(1.0, (4, 8), (0.5, 0.0), (0.0, 0.0)), 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_fit_rate_rejects_non_finite_risk(bad):
+    with pytest.raises(ValueError, match="finite"):
+        fit_rate(RiskCurve(1.0, (4, 8, 16), (0.5, bad, 0.2), (0.0,) * 3), 1.0)
+    # risk_curves keeps the curve and fits no rate to it (the std of an inf
+    # row is nan)
+    with np.errstate(invalid="ignore"):
+        curves, fits = risk_curves([(1.0, 4, 0.5), (1.0, 8, bad), (1.0, 16, 0.2)])
+    assert curves[1.0].n_values == (4, 8, 16) and fits == {}
+
+
+def test_risk_curves_fit_without_polyfit_or_lapack(monkeypatch):
+    rng = np.random.default_rng(9)
+    rows = [(alpha, n, float(rng.uniform(0.1, 1.0)))
+            for alpha in (0.5, 1.0, 2.0) for n in (4, 8, 16) for _ in range(2)]
+    want = {}
+    for alpha, curve in risk_curves(rows)[0].items():
+        slope, intercept = np.polyfit(scaling_axis(alpha, curve.n_values),
+                                      np.log(curve.mean_mse), 1)
+        want[alpha] = (intercept, -slope)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a rate fit called LAPACK")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    _, fits = risk_curves(rows)
+    assert set(fits) == {0.5, 1.0, 2.0}
+    for alpha, (A, C) in want.items():
+        assert fits[alpha].A == pytest.approx(A, rel=1e-12)
+        assert fits[alpha].C == pytest.approx(C, rel=1e-12)
 
 
 def test_risk_curves_leave_numpy_ma_unimported():

@@ -59,7 +59,7 @@ PINNED = {
     "sweep/cells/cf5272d183bb7e98.json": "83e9580f668cc83690eaf44a8eb042075dc7c2a67d0f53087744a9ae81fe804f",
     "sweep/cells/d58a23f110a1a025.json": "97d9909bb380f382791607014a70940cd49e55e9f12b794d5c349d8a9d5c830b",
     "sweep/config_resolved.json": "f7aff656c089d19252ac7dbe4579e2eb004da72983321abf8179ef5fe76a0ba2",
-    "sweep/fit.json": "23670485f80734cee82b471b21dd107b09d0416a56b735f72bdf5e84aa494bf3",
+    "sweep/fit.json": "0811193636c608b314c79578953487d305948b7e39dfe50e5b3eeb706e563dbb",
     "sweep/manifest.json": "46893195d40371e6dd4449ecf08d1fa90a30c1313fffbca7ec62eaa9e85b6875",
     "sweep/risk_curve.csv": "47021ca4c8cdac2ee18c57093328fdfc781dc2c5e214443a7e592af7af8c4d5b",
     "sweep/scaling_axis.dat": "7248a4b1858e6678562d6cc8347c9723db6020e5c9ada499868ae24892cf109e",
