@@ -188,7 +188,7 @@ def cmd_sweep(args) -> int:
     done = summary["cells_total"] - summary["cells_failed"]
     print(f"sweep: {done}/{summary['cells_total']} cells")
     for alpha, fit in sorted(summary["fits"].items()):
-        print(f"  alpha={alpha:g}: A={fit.A:.4f} C={fit.C:.4f} "
+        print(f"  alpha={_fmt(alpha)}: A={fit.A:.4f} C={fit.C:.4f} "
               f"residual_rms={fit.residual_rms:.4f}")
     if summary["cells_failed"]:
         for cell, err in summary["failures"].items():
@@ -252,18 +252,18 @@ def cmd_analyze(args) -> int:
     print("risk scaling fits  (log L = A - C t,  t = (log n)^(alpha/(alpha+1)))")
     print(f"{'alpha':>6} {'A':>10} {'C':>10} {'resid_rms':>10}")
     for alpha, fit in sorted(fits.items()):
-        print(f"{alpha:>6g} {fit.A:>10.4f} {fit.C:>10.4f} "
+        print(f"{_fmt(alpha):>6} {fit.A:>10.4f} {fit.C:>10.4f} "
               f"{fit.residual_rms:>10.4f}")
     for alpha, curve in sorted(curves.items()):
         pts = "  ".join(f"n={n}: {m:.4g}"
                         for n, m in zip(curve.n_values, curve.mean_mse))
-        print(f"curve alpha={alpha:g}:  {pts}")
+        print(f"curve alpha={_fmt(alpha)}:  {pts}")
     if stats:
         # show the most-trained block: prefer alpha=1, then the largest n
         keys = {(r["alpha"], r["n"]) for r in stats}
         ones = [k for k in keys if k[0] == 1.0]
         show = max(ones) if ones else max(keys)
-        print(f"\nattention masses at alpha={show[0]:g}, n={show[1]} "
+        print(f"\nattention masses at alpha={_fmt(show[0])}, n={show[1]} "
               "(means over validation examples)")
         print(f"{'head':>4} {'w_same':>12} {'w_diff':>12} {'m_same':>9} "
               f"{'m_diff':>9}")

@@ -23,8 +23,6 @@ import io
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -408,7 +406,9 @@ def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
         ns = sorted(by_n)
         curve = RiskCurve(alpha, tuple(ns),
                           tuple(float(np.mean(by_n[n])) for n in ns),
-                          tuple(float(np.std(by_n[n])) for n in ns))
+                          # np.std of a row holding inf warns; it has no spread
+                          tuple(float(np.std(by_n[n])) if np.isfinite(by_n[n]).all()
+                                else np.nan for n in ns))
         curves[alpha] = curve
         if len(ns) >= 2 and all(0 < m < np.inf for m in curve.mean_mse):
             fits[alpha] = fit_rate(curve, alpha)
@@ -495,6 +495,7 @@ def _alone(task, jobs: int) -> list[tuple[tuple, object]]:
     try:
         if jobs == 1:
             return _sweep_cell_worker(task)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=1) as pool:
             return pool.submit(_sweep_cell_worker, task).result()
     except Exception as e:  # noqa: BLE001 - cell failures are data
@@ -518,6 +519,8 @@ def _run(tasks, jobs: int, pool):
         for task in tasks:
             yield from _alone(task, 1)
         return
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
     futures = []
     try:
         for task in tasks:
@@ -596,6 +599,10 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     # has tasks
     jobs = min(jobs, max(len(groups), len({(a, s) for a, _, s in pending})))
     trained = {}
+    if jobs > 1:
+        # the pool modules (multiprocessing, logging, socket, subprocess) cost
+        # about 2 MB: only a process that starts a pool imports them
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
           else contextlib.nullcontext()) as pool:
         for cell, value in _run(groups, jobs, pool):

@@ -308,13 +308,12 @@ def sweep_argv(out_dir, alpha="1.0", n_stat_examples="5", extra=()):
 
 @pytest.mark.parametrize("alpha", ["1.0", "0.3333333333"])
 def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
-    label = f"{float(alpha):g}"
-    key = f"{float(alpha):.17g}"   # analyze --format json's key
+    key = f"{float(alpha):.17g}"   # the printed label and the json key
     out_dir = str(tmp_path / "bundle")
     code, out, _ = run(capsys, sweep_argv(out_dir, alpha))
     assert code == 0
     assert "sweep: 2/2 cells" in out
-    assert f"alpha={label}:" in out and "bundle written" in out
+    assert f"alpha={key}:" in out and "bundle written" in out
     for name in ("risk_curve.csv", "attention_stats.csv", "fit.json",
                  "scaling_axis.dat", "manifest.json", "config_resolved.json"):
         assert os.path.isfile(os.path.join(out_dir, name)), name
@@ -332,7 +331,7 @@ def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
     code3, table, _ = run(capsys, ["analyze", out_dir])
     assert code3 == 0
     assert "risk scaling fits" in table
-    assert f"curve alpha={label}:" in table
+    assert f"curve alpha={key}:" in table
     assert "attention masses" in table
     code4, js, _ = run(capsys, ["analyze", out_dir, "--format", "json"])
     assert code4 == 0
@@ -346,14 +345,23 @@ def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
 
 def test_alphas_equal_to_six_digits_keep_their_own_labels(tmp_path, capsys):
     out_dir = str(tmp_path / "bundle")
-    code, _, _ = run(capsys, sweep_argv(out_dir, "0.5,0.5000001"))
+    code, out, _ = run(capsys, sweep_argv(out_dir, "0.5,0.5000001"))
     assert code == 0
     labels = ["0.5", "0.50000009999999995"]
+    assert [line.split(":")[0] for line in out.splitlines()
+            if line.startswith("  alpha=")] == [f"  alpha={a}" for a in labels]
     fit_doc = json.loads(Path(out_dir, "fit.json").read_text())
     assert sorted(fit_doc) == labels
     dat = Path(out_dir, "scaling_axis.dat").read_text()
     assert [line.split()[1] for line in dat.splitlines()
             if line.startswith("#")] == [f"alpha={a}" for a in labels]
+    code, table, _ = run(capsys, ["analyze", out_dir])
+    assert code == 0
+    lines = table.splitlines()
+    assert [row.split()[0] for row in lines[2:4]] == labels   # the fit rows
+    assert [line.split(":")[0] for line in lines[4:6]] == [
+        f"curve alpha={a}" for a in labels]
+    assert f"attention masses at alpha={labels[1]}, n=4 " in table
     code, js, _ = run(capsys, ["analyze", out_dir, "--format", "json"])
     assert code == 0
     doc = json.loads(js)

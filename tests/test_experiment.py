@@ -5,6 +5,7 @@ ablation, single-cell training, rate fits against a brute-force grid
 search, and the sweep bundle's persistence and reproducibility.
 """
 
+import concurrent.futures
 import functools
 import hashlib
 import json
@@ -1132,11 +1133,11 @@ def test_fit_rate_rejects_degenerate_input():
 def test_fit_rate_rejects_non_finite_risk(bad):
     with pytest.raises(ValueError, match="finite"):
         fit_rate(RiskCurve(1.0, (4, 8, 16), (0.5, bad, 0.2), (0.0,) * 3), 1.0)
-    # risk_curves keeps the curve and fits no rate to it (the std of an inf
-    # row is nan)
-    with np.errstate(invalid="ignore"):
-        curves, fits = risk_curves([(1.0, 4, 0.5), (1.0, 8, bad), (1.0, 16, 0.2)])
+    # risk_curves keeps the curve, with no warning, and fits no rate to it
+    # (the std of a non-finite row is nan)
+    curves, fits = risk_curves([(1.0, 4, 0.5), (1.0, 8, bad), (1.0, 16, 0.2)])
     assert curves[1.0].n_values == (4, 8, 16) and fits == {}
+    assert math.isnan(curves[1.0].std_mse[1])
 
 
 def test_risk_curves_fit_without_polyfit_or_lapack(monkeypatch):
@@ -1175,6 +1176,32 @@ def test_risk_curves_leave_numpy_ma_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_only_a_sweep_that_starts_a_pool_imports_the_pool_modules(tmp_path):
+    # multiprocessing and its pool cost about 2 MB in every process that
+    # imports them; a fresh interpreter shows which calls load them
+    code = ("import sys\n"
+            "import measure_attn, measure_attn.cli, measure_attn.verify\n"
+            "from measure_attn import ExperimentConfig, TrainConfig, run_cell, sweep\n"
+            "cfg = ExperimentConfig(alpha_list=(1.0,), n_list=(2, 4), seeds=1,\n"
+            "                       n_tokens=60, n_val=10, n_stat_examples=5,\n"
+            "                       train=TrainConfig(epochs=2, batch_size=2))\n"
+            "def pool_loaded():\n"
+            "    return [m in sys.modules\n"
+            "            for m in ('multiprocessing', 'concurrent.futures.process')]\n"
+            "run_cell(1.0, 2, 0, cfg)\n"
+            "assert sweep(cfg, sys.argv[1], jobs=1)['cells_failed'] == 0\n"
+            "print(pool_loaded())\n"
+            "assert sweep(cfg, sys.argv[2], jobs=2)['cells_failed'] == 0\n"
+            "print(pool_loaded())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "serial"),
+                          str(tmp_path / "pool")], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["[False, False]", "[True, True]"]
 
 
 # ------------------------------------------------------------------ sweep
@@ -1373,7 +1400,7 @@ def test_rows_of_a_broken_pool_rerun_jobs_at_a_time(tmp_path, monkeypatch):
             self.alone = False
 
     monkeypatch.setattr(experiment, "_val_set", dying)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=2)
     assert alone == {"open": 0, "most": 2}
@@ -1432,7 +1459,7 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(experiment, "train", faulty_train)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=jobs)
     # a raising stack's cells go back to the sweep's own pool, one by one
@@ -1499,7 +1526,7 @@ def test_sweep_fails_only_the_n_whose_training_worker_died(tmp_path, monkeypatch
             return future
 
     monkeypatch.setattr(experiment, "train", dying)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=2)
     assert sorted(summary["failures"]) == [(1.0, 4, 0), (1.0, 4, 1)]
@@ -1561,7 +1588,7 @@ def test_sweep_pool_has_no_more_workers_than_a_phase_has_tasks(tmp_path, monkeyp
             sizes.append(max_workers)
             raise RuntimeError("no pool starts here")
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     # three stacks (one per n) and three (alpha, seed) rows
     cfg = replace(SMALL, alpha_list=(0.5, 1.0, 2.0), n_list=(2, 4, 8))
     with pytest.raises(RuntimeError, match="no pool starts here"):
@@ -1588,7 +1615,7 @@ def test_sweep_trains_stacks_of_one_n_largest_n_first(tmp_path, monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a pool started with nothing pending")
 
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
     stacks.clear()
     assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
     assert stacks == []
