@@ -459,14 +459,19 @@ def _payload(cell, losses, val_mse: float, stats: AttentionStats) -> dict | str:
 
 
 def _sweep_cell_worker(task) -> list[tuple[tuple, object]]:
-    """One sweep task: (cell, value) per (alpha, n, seed) cell.
+    """One sweep task, under _isolated: (cell, value) per (alpha, n, seed).
 
     A task (cfg, cells, None) trains its cells, all of one n, as one stack
     and returns their (params, losses); a task (cfg, cells, trained) draws
     one (alpha, seed) row's validation set once and scores the row's
     trained cells as one stack, returning their result payloads, or the
-    error text of a cell whose val_mse is not finite.
+    error text of a cell whose val_mse is not finite.  It never raises.
     """
+    return _isolated(_phase, task)
+
+
+def _phase(task) -> list[tuple[tuple, object]]:
+    """_sweep_cell_worker's training or scoring body, which may raise."""
     cfg, cells, trained = task
     if trained is None:
         models, sets, seeds = map(list, zip(*(_cell_setup(cfg, *c) for c in cells)))
@@ -479,45 +484,34 @@ def _sweep_cell_worker(task) -> list[tuple[tuple, object]]:
             in zip(cells, trained, _validate(models, val_set, cfg.n_stat_examples))]
 
 
-def _split(task) -> list:
-    """The task as one-cell tasks, in its cells' order."""
-    cfg, cells, trained = task
-    return [(cfg, cells[i:i + 1], trained and trained[i:i + 1]) for i in range(len(cells))]
-
-
-def _alone(task, jobs: int) -> list[tuple[tuple, object]]:
-    """The task run alone: here at jobs=1, else in a fresh one-worker pool.
-
-    A task that fails alone, because it raises or its worker dies, is
-    split into one-cell tasks, each run alone in turn; a cell that fails
-    alone gets the error text.
-    """
+def _isolated(run, task) -> list[tuple[tuple, object]]:
+    """run(task), the sweep's one failure rule: if it raises, each one-cell
+    part of the task is run in turn, and a cell that fails alone gets the
+    error text."""
     try:
-        if jobs == 1:
-            return _sweep_cell_worker(task)
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(_sweep_cell_worker, task).result()
+        return run(task)
     except Exception as e:  # noqa: BLE001 - cell failures are data
         if len(task[1]) == 1:
             return [(task[1][0], _error(e))]
-    return [value for one in _split(task) for value in _alone(one, jobs)]
+    cfg, cells, trained = task
+    return [value for i in range(len(cells)) for value
+            in _isolated(run, (cfg, cells[i:i + 1], trained and trained[i:i + 1]))]
 
 
 def _run(tasks, jobs: int, pool):
-    """Yield (cell, value) for every cell of the tasks, task by task: each
-    through _alone with no pool, else in the pool.
+    """Yield (cell, value) for every cell of the tasks, task by task, from
+    _sweep_cell_worker: here with no pool, else in the pool.
 
-    A task that raises in the pool would raise again: it is split at once
-    into one-cell tasks that go back to the pool, and a one-cell task that
-    raises gets the error text.  A worker that dies without raising breaks
-    the pool and fails every task pending in it; each such task then goes
-    to _alone, jobs at a time.  A pool broken in an earlier phase refuses
-    every task, and the phase gets a fresh pool of jobs workers.
+    The worker splits a task that raises (_isolated), so a task fails in
+    the pool only when a worker dies without raising: that breaks the pool
+    and fails every task pending in it.  Each such task reruns by the same
+    rule, with a fresh one-worker pool as the run, jobs tasks at a time.
+    A pool broken in an earlier phase refuses every task, and the phase
+    gets a fresh pool of jobs workers.
     """
     if pool is None:
         for task in tasks:
-            yield from _alone(task, 1)
+            yield from _sweep_cell_worker(task)
         return
     from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -532,17 +526,17 @@ def _run(tasks, jobs: int, pool):
             return
     failed = list(tasks[len(futures):])
     for task, fut in zip(tasks, futures):
-        e = fut.exception()
-        if e is None:
+        if fut.exception() is None:
             yield from fut.result()
-        elif isinstance(e, BrokenProcessPool):
-            failed.append(task)
-        elif len(task[1]) == 1:
-            yield task[1][0], _error(e)
         else:
-            yield from _run(_split(task), jobs, pool)
+            failed.append(task)
+
+    def alone(task):
+        with ProcessPoolExecutor(max_workers=1) as one:
+            return one.submit(_sweep_cell_worker, task).result()
+
     with ThreadPoolExecutor(max_workers=jobs) as threads:
-        for cells in threads.map(functools.partial(_alone, jobs=jobs), failed):
+        for cells in threads.map(functools.partial(_isolated, alone), failed):
             yield from cells
 
 
@@ -557,16 +551,17 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     no more than either phase has tasks.  First the cells of each n train
     in lockstep, as stacks of at most _STACK cells, largest n first.  Then
     each (alpha, seed) row draws its validation set once and scores all
-    its trained cells as one stack over it.  A task that raises is split
-    cell by cell in the pool, and one whose worker dies runs again alone,
-    then cell by cell, so only a cell that fails alone fails (see _run and
-    _alone).  Cell files are written as rows are scored, so a sweep
-    stopped while training keeps none of its newly trained cells.
+    its trained cells as one stack over it.  Failures follow one rule,
+    _isolated: a task that raises is split cell by cell inside the worker
+    that ran it, and one whose worker dies reruns in one-worker pools, so
+    only a cell that fails alone fails (see _run).  Cell files are written
+    as rows are scored, so a sweep stopped while training keeps none of
+    its newly trained cells.
 
     Writes cells/<key>.json per cell (atomic, reused on resume when the key
-    matches), risk_curve.csv, attention_stats.csv, fit.json, a gnuplot-ready
-    scaling_axis.dat and a manifest marking failed cells.  Returns a summary
-    dict with curves and fits.
+    matches and its results are whole), risk_curve.csv, attention_stats.csv,
+    fit.json, a gnuplot-ready scaling_axis.dat and a manifest marking
+    failed cells.  Returns a summary dict with curves and fits.
     """
     jobs = _integer("jobs", jobs, 1)
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
@@ -582,11 +577,14 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
         try:
             with open(os.path.join(out_dir, "cells", key + ".json")) as f:
                 cached = json.load(f)
-            if cached["key_inputs"] == json.loads(json.dumps(key_inputs)):
+            mse, stats = cached["val_mse"], cached["attention_stats"]
+            if (cached["key_inputs"] == json.loads(json.dumps(key_inputs))
+                    and isinstance(mse, float) and np.isfinite(mse)
+                    and all(len(stats[k]) == cfg.student.n_heads for k in _STATS_COLUMNS)):
                 results[cell] = cached
                 continue
         except (json.JSONDecodeError, OSError, KeyError, TypeError):
-            pass  # missing, corrupt or stale cell file: recompute
+            pass  # missing, corrupt, incomplete or stale cell file: recompute
         pending.append(cell)
 
     by_n: dict[int, list[tuple]] = {}

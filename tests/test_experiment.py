@@ -1309,6 +1309,42 @@ def test_sweep_resume_recomputes_cell_with_tampered_key_inputs(tmp_path):
     assert bundle_bytes(out) == original
 
 
+def test_sweep_resume_recomputes_a_cell_file_without_its_results(tmp_path, monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    out = str(tmp_path / "bundle")
+    sweep(cfg, out)
+    original = bundle_bytes(out)
+    cells = os.path.join(out, "cells")
+    by_name = {_cell_key(cfg, 1.0, n, s)[0] + ".json": (1.0, n, s)
+               for n in cfg.n_list for s in range(cfg.seeds)}
+    names = sorted(by_name)
+    # one file without val_mse, one without attention_stats, one with a
+    # stats column a head short: each parses and has the right key_inputs
+    for name, cut in zip(names, ("val_mse", "attention_stats", "m_diff_mean")):
+        path = os.path.join(cells, name)
+        doc = json.loads(Path(path).read_text())
+        if cut in doc:
+            del doc[cut]
+        else:
+            doc["attention_stats"][cut].pop()
+        Path(path).write_text(json.dumps(doc))
+    kept = names[3]
+    kept_stamp = os.stat(os.path.join(cells, kept)).st_mtime_ns
+    recomputed = []
+    real_setup = experiment._cell_setup
+
+    def spy(cfg_, *cell):
+        recomputed.append(cell)
+        return real_setup(cfg_, *cell)
+
+    monkeypatch.setattr(experiment, "_cell_setup", spy)
+    assert sweep(cfg, out)["cells_failed"] == 0
+    assert sorted(recomputed) == sorted(by_name[name] for name in names[:3])
+    assert os.stat(os.path.join(cells, kept)).st_mtime_ns == kept_stamp
+    assert bundle_bytes(out) == original
+
+
 def test_sweep_reproducible_across_directories_and_jobs(tmp_path):
     out1 = str(tmp_path / "a")
     out2 = str(tmp_path / "b")
@@ -1474,6 +1510,76 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
     clean_cells = bundle_bytes(os.path.join(clean, "cells"))
     del clean_cells[_cell_key(cfg, 1.0, 2, 1)[0] + ".json"]
     assert cells == clean_cells
+
+
+def raise_in_training(monkeypatch, cfg, n, seed):
+    """experiment.train raises for every stack that holds cell (1.0, n, seed)."""
+    from measure_attn import experiment
+    ss = _cell_seedseq(cfg, 1.0, n, seed, _STREAM_LOOP)
+    faulty_seed = int(ss.generate_state(1, np.uint64)[0])
+    real_train = experiment.train
+
+    def faulty_train(models, datasets, train_cfg, seeds):
+        if faulty_seed in seeds:
+            raise RuntimeError("injected training fault")
+        return real_train(models, datasets, train_cfg, seeds)
+
+    monkeypatch.setattr(experiment, "train", faulty_train)
+
+
+def test_a_worker_splits_its_own_raising_task(monkeypatch):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    ((_, (params, losses)),) = experiment._sweep_cell_worker((cfg, ((1.0, 2, 0),), None))
+    raise_in_training(monkeypatch, cfg, 2, 1)
+    got = experiment._sweep_cell_worker((cfg, ((1.0, 2, 0), (1.0, 2, 1)), None))
+    assert [cell for cell, _ in got] == [(1.0, 2, 0), (1.0, 2, 1)]
+    assert got[1][1] == "RuntimeError: injected training fault"
+    got_params, got_losses = got[0][1]
+    assert got_params.tobytes() == params.tobytes()
+    assert np.asarray(got_losses).tobytes() == np.asarray(losses).tobytes()
+
+
+@FORK_ONLY
+def test_a_raising_task_goes_to_the_pool_once(tmp_path, monkeypatch):
+    cfg = replace(SMALL, seeds=2)
+    raise_in_training(monkeypatch, cfg, 2, 1)
+    submitted = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def submit(self, fn, task):
+            submitted.append(task[1])
+            return super().submit(fn, task)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    summary = sweep(cfg, str(tmp_path / "bundle"), jobs=2)
+    assert list(summary["failures"]) == [(1.0, 2, 1)]
+    # the two stacks, largest n first, then the two rows: the worker that
+    # ran the raising n=2 stack split it, so nothing went back to the pool
+    assert submitted == [((1.0, 4, 0), (1.0, 4, 1)), ((1.0, 2, 0), (1.0, 2, 1)),
+                         ((1.0, 2, 0), (1.0, 4, 0)), ((1.0, 4, 1),)]
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
+def test_sweep_fails_only_the_cell_whose_scoring_raises(tmp_path, monkeypatch, jobs):
+    from measure_attn import experiment
+    cfg = replace(SMALL, seeds=2)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+    real_payload = experiment._payload
+
+    def faulty_payload(cell, *args):
+        if cell == (1.0, 4, 1):   # scored in row seed 1, beside (n=2, seed=1)
+            raise RuntimeError("injected scoring fault")
+        return real_payload(cell, *args)
+
+    monkeypatch.setattr(experiment, "_payload", faulty_payload)
+    out = str(tmp_path / "bundle")
+    summary = sweep(cfg, out, jobs=jobs)
+    assert summary["failures"] == {(1.0, 4, 1): "RuntimeError: injected scoring fault"}
+    clean_cells = bundle_bytes(os.path.join(clean, "cells"))
+    del clean_cells[_cell_key(cfg, 1.0, 4, 1)[0] + ".json"]
+    assert bundle_bytes(os.path.join(out, "cells")) == clean_cells
 
 
 def test_sweep_fails_only_the_cell_whose_training_set_draw_raises(tmp_path, monkeypatch):
