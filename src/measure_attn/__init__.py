@@ -24,7 +24,7 @@ from .experiment import (AttentionStats, CellResult, Example,
                          query_shuffle_eval, run_cell, scaling_axis, sweep)
 from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
                        flatten, wasserstein1_1d)
-from .model import ModelCache, StudentConfig, StudentModel
+from .model import StudentConfig, StudentModel
 from .optim import AdamState, Dataset, TrainConfig, adam_step, train
 from .spectrum import (MercerSpectrum, gen_norm_sq, isometry_map,
                        midpoint_grid, synth_density, truncation_bound)
@@ -34,8 +34,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "AttentionStats", "AttnHead", "AttnParams", "CellResult",
     "Dataset", "DiscreteMeasure", "Example", "ExperimentConfig", "FitResult",
-    "LipschitzReport", "MercerSpectrum", "MixtureContext", "ModelCache",
-    "ProbeSummary", "RiskCurve", "StudentConfig", "StudentModel", "TrainConfig",
+    "LipschitzReport", "MercerSpectrum", "MixtureContext", "ProbeSummary",
+    "RiskCurve", "StudentConfig", "StudentModel", "TrainConfig",
     "adam_step", "attention_mass_stats", "build_mixture", "build_recall_params",
     "featured_mixture", "fit_rate", "flatten", "gen_example", "gen_norm_sq",
     "isometry_map", "lipschitz_probe", "measure_attention", "midpoint_grid",

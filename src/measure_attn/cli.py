@@ -1,6 +1,7 @@
 """Command-line surface: verify | gen | train | sweep | analyze.
 
-Exit codes: 0 success, 1 property, training or sweep failure, 2 usage/IO error.
+Exit codes: 0 success, 1 property, training or sweep failure, 2 usage/IO
+error or a gen or train size too large to hold in memory.
 Config precedence is flags > config file > built-in defaults, except that
 the MEASURE_ATTN_SEED environment variable, when set, overrides the global
 seed from any source (operator-level override for reproducibility drills).
@@ -130,16 +131,19 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg, alpha = _one_alpha_config(args, 0.5)
-    ex = gen_example(cfg.spectrum(alpha), cfg, cfg.seed)
-    doc = {
-        "alpha": alpha,
-        "context_tokens": ex.context_tokens.tolist(),
-        "query_token": ex.query_token.tolist(),
-        "target": ex.target,
-        "hidden": {"z1": ex.latents[0].tolist(), "z2": ex.latents[1].tolist(),
-                   "v1": float(ex.query_token[1])},
-    }
-    text = json.dumps(doc, indent=1)
+    try:
+        ex = gen_example(cfg.spectrum(alpha), cfg, cfg.seed)
+        doc = {
+            "alpha": alpha,
+            "context_tokens": ex.context_tokens.tolist(),
+            "query_token": ex.query_token.tolist(),
+            "target": ex.target,
+            "hidden": {"z1": ex.latents[0].tolist(), "z2": ex.latents[1].tolist(),
+                       "v1": float(ex.query_token[1])},
+        }
+        text = json.dumps(doc, indent=1)
+    except MemoryError as e:
+        raise CliError(f"cannot hold a context of {cfg.n_tokens} tokens in memory") from e
     if args.out:
         try:
             experiment._atomic_write(args.out, text + "\n")
@@ -165,6 +169,9 @@ def cmd_train(args) -> int:
                                       result.train_losses, val_mse, result.stats)
     except ValueError as e:   # a rejected Adam step
         metrics = experiment._error(e)
+    except MemoryError as e:
+        raise CliError(f"cannot hold {args.n_train} training and {cfg.n_val} validation "
+                       f"contexts in memory") from e
     if isinstance(metrics, str):
         print(f"error: training failed: {metrics}", file=sys.stderr)
         return 1

@@ -191,10 +191,6 @@ class AttentionStats:
     m_same_std: np.ndarray
     m_diff_std: np.ndarray
 
-    @property
-    def n_heads(self) -> int:
-        return self.w_same_mean.size
-
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 

@@ -8,7 +8,8 @@ query built from one tag can single out its component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,9 +57,6 @@ class DiscreteMeasure:
 
     support: np.ndarray
     weights: np.ndarray
-    # the measure on its runs of equal rows (_runs): their first rows, summed
-    # weights and lengths, or (support, weights, None) if no row repeats
-    _atoms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = _rows(self.support)
@@ -75,10 +73,17 @@ class DiscreteMeasure:
         w.flags.writeable = False
         object.__setattr__(self, "support", pts)
         object.__setattr__(self, "weights", w)
-        atoms, lengths = _runs(pts)
+
+    @functools.cached_property
+    def _atoms(self) -> tuple:
+        """The measure on its runs of equal rows (_runs), built on first read:
+        their first rows, summed weights and lengths, or (support, weights,
+        None) if no row repeats."""
+        atoms, lengths = _runs(self.support)
+        if len(atoms) == len(self.support):
+            return self.support, self.weights, None
         lengths = lengths.astype(np.intp)
-        object.__setattr__(self, "_atoms", (pts, w, None) if len(atoms) == len(pts) else
-                           (atoms, np.add.reduceat(w, lengths.cumsum() - lengths), lengths))
+        return atoms, np.add.reduceat(self.weights, lengths.cumsum() - lengths), lengths
 
     @property
     def n_points(self) -> int:

@@ -290,19 +290,6 @@ def _squared_loss_grads(b: dict, gb: dict, cfg: StudentConfig, atoms, queries,
     return resid
 
 
-class ModelCache(SimpleNamespace):
-    """Intermediates of one forward pass, consumed by backward.
-
-    Describes the pass that ran: context holds its points (A, input_dim),
-    for a token list the first token of each run, and weights (B, A) the
-    weights it used.  Holds _forward's arrays by name over those points,
-    pred included, with the batch axis always present (a query (input_dim,)
-    is a batch of one), plus the query as given and params_digest, the exact
-    parameter bytes the pass used; backward refuses a cache whose parameters
-    have since changed.
-    """
-
-
 class StudentModel:
     """Flat-parameter student network with hand-written gradients."""
 
@@ -354,19 +341,17 @@ class StudentModel:
     def _digest(self) -> bytes:
         return self.params.tobytes()
 
-    def forward(self, context, query, weights=None
-                ) -> tuple[float | np.ndarray, ModelCache]:
-        """Prediction for a query attending over a context, and the cache.
+    def forward(self, context, query) -> tuple[float, SimpleNamespace]:
+        """Prediction for a query (input_dim,) attending over a token list
+        (T, input_dim), and the cache backward consumes.
 
-        The context is a measure on the points context (A, input_dim): point
-        a weighs weights[a].  With weights None the context is a token list,
-        the unit-weight measure on its tokens, and the pass runs on its runs
-        of bitwise-equal consecutive tokens, each run one point weighted by
-        its length: the cost is linear in the runs, and a list grouped by
-        atom is bitwise the pass on its counts.  Queries (B, input_dim) with
-        weights (B, A) make one batched pass over B measures on the same
-        points and return B predictions; a query (input_dim,) returns a
-        float.
+        The list is the unit-weight measure on its tokens, and the pass is
+        _forward on its runs of bitwise-equal consecutive tokens (_runs), each
+        run one point weighted by its length: the cost is linear in the runs.
+        The cache holds _forward's arrays by name (a batch of one), the runs'
+        first tokens as context (A, input_dim), their lengths as weights
+        (1, A), the query, and params_digest, the exact parameter bytes the
+        pass used; backward refuses a cache whose parameters have since changed.
         """
         cfg = self.config
         C = np.asarray(context, dtype=np.float64)
@@ -375,43 +360,28 @@ class StudentModel:
             raise ValueError(
                 f"context must be (T, {cfg.input_dim}) with T >= 1, got {C.shape}"
             )
-        if q.ndim not in (1, 2) or q.shape[-1] != cfg.input_dim or q.size == 0:
-            raise ValueError(f"query must have shape ({cfg.input_dim},) or "
-                             f"(B, {cfg.input_dim}), got {q.shape}")
-        lead, queries = q.shape[:-1], q.reshape(-1, cfg.input_dim)
-        if weights is None:
-            C, runs = _runs(C)
-            weights = np.broadcast_to(runs, (len(queries), len(C)))
-        else:
-            weights = np.asarray(weights, dtype=np.float64)
-            if weights.shape != lead + (len(C),):
-                raise ValueError(
-                    f"weights must have shape {lead + (len(C),)}, got {weights.shape}")
-            weights = weights.reshape(len(queries), -1)
+        if q.shape != (cfg.input_dim,):
+            raise ValueError(f"query must have shape ({cfg.input_dim},), got {q.shape}")
+        C, runs = _runs(C)
+        f = _forward(self._blocks, cfg, C, q[None], runs[None])
+        return float(f["pred"][0]), SimpleNamespace(
+            context=C, query=q, weights=runs[None], params_digest=self._digest(), **f)
 
-        f = _forward(self._blocks, cfg, C, queries, weights)
-        cache = ModelCache(context=C, query=q, weights=weights,
-                           params_digest=self._digest(), **f)
-        return (f["pred"] if lead else float(f["pred"][0])), cache
-
-    def backward(self, cache: ModelCache, upstream) -> None:
+    def backward(self, cache: SimpleNamespace, upstream: float) -> None:
         """Write d(prediction)/d(params) * upstream into self.grads.
 
-        upstream has the shape of the predictions; a batched pass writes the
-        sum over its examples.  Overwrites every gradient block on every
-        call; callers accumulate explicitly.
+        Overwrites every gradient block on every call; callers accumulate
+        explicitly.
         """
         if cache.params_digest != self._digest():
             raise ValueError(
                 "stale cache: parameters changed since the forward pass"
             )
         up = np.asarray(upstream, dtype=np.float64)
-        lead = cache.query.shape[:-1]
-        if up.shape != lead:
-            raise ValueError(f"upstream must have shape {lead}, got {up.shape}")
+        if up.shape != ():
+            raise ValueError(f"upstream must be a scalar, got shape {up.shape}")
         _backward(self._blocks, self._grad_blocks, self.config, vars(cache),
-                  cache.context, cache.query.reshape(-1, self.config.input_dim),
-                  up.reshape(-1))
+                  cache.context, cache.query[None], up[None])
 
     def _squared_loss_grads(self, atoms, queries, weights, targets) -> np.ndarray:
         """The training pass, _squared_loss_grads, on this model's blocks."""

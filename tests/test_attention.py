@@ -24,6 +24,7 @@ from measure_attn import (
     build_mixture,
     build_recall_params,
     featured_mixture,
+    flatten,
     gen_example,
     lipschitz_probe,
     measure_attention,
@@ -31,7 +32,9 @@ from measure_attn import (
     recall_feature_map,
     softmax_weights,
     temperature_for_error,
+    wasserstein1_1d,
 )
+from measure_attn import measures
 from measure_attn.attention import (_FAMILY, _attend, _draw_trials, _probe,
                                     _probe_trials, _softmax, _stack_heads, _tilt)
 
@@ -427,6 +430,29 @@ def token_list_measures(seed):
     params = build_recall_params(1, 1, D, temperature_for_error(2, 1e-4))
     yield (featured_mixture(spec, ctx, D), params,
            recall_feature_map(spec, 1, D)(query))
+
+
+def test_runs_are_built_on_first_read(monkeypatch):
+    # building a measure scans no runs (uniform_on's one scan is its own
+    # merge), nor do flatten and wasserstein1_1d; softmax_weights then
+    # measure_attention scan each measure once
+    calls, real = [], measures._runs
+    monkeypatch.setattr(measures, "_runs", lambda C: calls.append(len(C)) or real(C))
+    pts = np.repeat(np.array([[0.1, 1.0], [0.3, 1.0], [0.3, -1.0]]), [3, 1, 2], axis=0)
+    mu = DiscreteMeasure(pts, np.full(6, 1.0 / 6.0))
+    nu = DiscreteMeasure.uniform_on(pts)
+    content = DiscreteMeasure(pts[:, :1], mu.weights)
+    mix, _ = build_mixture([content] * 2, np.array([[1.0], [-1.0]]), 0)
+    assert calls == [6]
+    flat = flatten(mix)
+    assert wasserstein1_1d(content, DiscreteMeasure(pts[::-1, :1], mu.weights)) < 1e-15
+    assert calls == [6]
+    rng = np.random.default_rng(5)
+    params, x = random_params(rng, 2), rng.uniform(-1, 1, 2)
+    for m in (mu, nu, flat):
+        softmax_weights(params.heads[0], m, x)
+        measure_attention(params, m, x)
+    assert calls == [6, 6, 3, 12]
 
 
 @pytest.mark.parametrize("seed", [1, 7])

@@ -244,6 +244,36 @@ def test_train_failure_exits_1_and_writes_no_results(tmp_path, capsys, monkeypat
     assert os.listdir(tmp_path / "cell") == ["config_resolved.json"]
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["gen", "--n-tokens", "60", "--out", "{out}"], "a context of 60 tokens"),
+    (["train", *TINY, "--n-train", "4", "--out", "{out}"],
+     "4 training and 10 validation contexts"),
+    ([CAPPED, "gen", "--n-tokens", "1000000000000"], "1000000000000 tokens"),
+    ([CAPPED, "train", "--profile", "reduced", "--n-train", "1000000000000",
+      "--out", "{out}"], "1000000000000 training"),
+], ids=["gen", "train", "capped-gen", "capped-train"])
+def test_a_size_too_large_to_hold_exits_2(tmp_path, capsys, monkeypatch, argv, named):
+    # in-process the draw raises as numpy does when it cannot allocate an
+    # array; capped, a real allocation fails
+    from measure_attn import experiment
+
+    def draw(*args):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+    monkeypatch.setattr(experiment, "_draw", draw)
+    out = tmp_path / "cell"
+    argv = [a.format(out=out) for a in argv]
+    if argv[0] == CAPPED:
+        code, stdout, err = run_capped(argv[1:])
+    else:
+        code, stdout, err = run(capsys, argv)
+    assert code == 2 and stdout == "" and "Traceback" not in err
+    assert err.startswith("error: cannot hold ") and err.count("\n") == 1
+    assert named in err
+    # train writes its resolved config before it draws, and no result
+    written = os.listdir(out) if out.exists() else []
+    assert written == (["config_resolved.json"] if "train" in argv else [])
+
+
 def test_train_out_is_existing_file_is_io_error(tmp_path, capsys):
     path = tmp_path / "taken"
     path.write_text("")

@@ -889,7 +889,7 @@ def test_run_cell_deterministic_and_consistent():
     assert res1.alpha == 1.0 and res1.n == 2 and res1.seed == 0
     assert len(res1.train_losses) == SMALL.train.epochs
     assert res1.val_mse == mse1
-    assert res1.stats.n_heads == SMALL.student.n_heads
+    assert res1.stats.w_same_mean.shape == (SMALL.student.n_heads,)
 
 
 @pytest.mark.parametrize("call, name", [

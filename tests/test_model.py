@@ -6,12 +6,13 @@ the package's own verification code.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
-                          ExperimentConfig, ModelCache, StudentConfig,
+                          ExperimentConfig, StudentConfig,
                           StudentModel, TrainConfig, adam_step, gen_example,
                           softmax_weights)
 from measure_attn.model import _backward, _block_views, _forward, _layout, _runs
@@ -185,7 +186,7 @@ def test_forward_returns_finite_scalar_and_cache():
     context, query = random_batch(rng)
     pred, cache = model.forward(context, query)
     assert isinstance(pred, float) and np.isfinite(pred)
-    assert isinstance(cache, ModelCache)
+    assert isinstance(cache, SimpleNamespace)
 
 
 def test_forward_input_validation():
@@ -371,9 +372,11 @@ def test_batched_pass_matches_token_passes(make, n_heads):
     model = StudentModel.init(StudentConfig(n_heads=n_heads), rng)
     contexts, queries, atoms, counts = make(rng, 5)
     upstream = rng.standard_normal(len(contexts))
-    preds, cache = model.forward(atoms, queries, counts)
-    assert preds.shape == (5,) and cache.attn.shape == (n_heads, 5, len(atoms))
-    model.backward(cache, upstream)
+    f = _forward(model._blocks, model.config, atoms, queries, counts)
+    preds = f["pred"]
+    assert preds.shape == (5,) and f["attn"].shape == (n_heads, 5, len(atoms))
+    _backward(model._blocks, model._grad_blocks, model.config, f, atoms, queries,
+              upstream)
     summed = model.grads.copy()
     want, token_preds = np.zeros_like(summed), []
     for context, query, up in zip(contexts, queries, upstream):
@@ -406,8 +409,9 @@ def test_stacked_rows_are_forward_bitwise(activation, config):
         stacked = stacked["pred"].reshape(thetas.shape[:-1] + q.shape[:-1])
         assert stacked.shape == (6,) + q.shape[:-1]
         for theta, row in zip(thetas, stacked):
-            pred, _ = StudentModel(cfg, theta).forward(C, q)
-            assert np.asarray(pred).tobytes() == row.tobytes()
+            pred = _forward(StudentModel(cfg, theta)._blocks, cfg, points,
+                            q.reshape(B, -1), np.broadcast_to(runs, (B, len(points))))
+            assert pred["pred"].reshape(q.shape[:-1]).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -440,10 +444,19 @@ def test_stacked_backward_rows_are_their_own_calls_bitwise(activation, H):
             assert model.grads.tobytes() == grads[s].tobytes(), (B, s)
 
 
-def grads_of(model, *args):
-    pred, cache = model.forward(*args)
-    model.backward(cache, np.ones_like(pred))
+def grads_of(model, context, query):
+    pred, cache = model.forward(context, query)
+    model.backward(cache, 1.0)
     return pred, cache, model.grads.copy()
+
+
+def rows_pass(model, points, queries, weights):
+    """_forward, then _backward with unit upstream, on the model's blocks:
+    the intermediates and the gradient."""
+    f = _forward(model._blocks, model.config, points, queries, weights)
+    _backward(model._blocks, model._grad_blocks, model.config, f, points,
+              queries, np.ones(len(queries)))
+    return f, model.grads.copy()
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
@@ -455,12 +468,12 @@ def test_token_runs_are_the_counts_pass_bitwise(activation):
         ex = gen_example(cfg.spectrum(1.0), cfg, rng)
         c = ex.counts
         pred, cache, grads = grads_of(model, ex.context_tokens, ex.query_token)
-        want, want_cache, want_grads = grads_of(
-            model, ex.atoms[c > 0], ex.query_token[None], c[c > 0][None])
-        assert np.asarray(pred).tobytes() == want.tobytes()
+        atoms, weights = ex.atoms[c > 0], c[c > 0][None].astype(np.float64)
+        want, want_grads = rows_pass(model, atoms, ex.query_token[None], weights)
+        assert np.asarray(pred).tobytes() == want["pred"].tobytes()
         assert grads.tobytes() == want_grads.tobytes()
-        assert cache.context.tobytes() == want_cache.context.tobytes()
-        assert cache.weights.tobytes() == want_cache.weights.tobytes()
+        assert cache.context.tobytes() == atoms.tobytes()
+        assert cache.weights.tobytes() == weights.tobytes()
 
 
 def test_token_runs_without_repeats_are_the_token_pass_bitwise():
@@ -473,17 +486,46 @@ def test_token_runs_without_repeats_are_the_token_pass_bitwise():
     context = context[np.r_[True, (context[1:] != context[:-1]).any(axis=1)]]
     assert len(np.unique(context, axis=0)) < len(context)
     queries = np.column_stack([rng.uniform(-1, 1, 3), rng.choice([-1.0, 1.0], 3)])
-    for q in (query, queries):
-        preds, cache, grads = grads_of(model, context, q)
-        B = len(queries) if q.ndim == 2 else 1
-        f = _forward(model._blocks, model.config, context,
-                     q.reshape(B, -1), np.ones((B, len(context))))
-        _backward(model._blocks, model._grad_blocks, model.config, f, context,
-                  q.reshape(B, -1), np.ones(B))
-        assert cache.context.tobytes() == context.tobytes()
+    # the list is its own runs: the public pass on one query, and the pass
+    # on its runs for three, are the pass on its tokens bitwise
+    points, runs = _runs(context)
+    assert points.tobytes() == context.tobytes()
+    _, cache, grads = grads_of(model, context, query)
+    for q in (query[None], queries):
+        B = len(q)
+        f, want = rows_pass(model, context, q, np.ones((B, len(context))))
+        got, got_grads = (vars(cache), grads) if B == 1 else rows_pass(
+            model, points, q, np.broadcast_to(runs, (B, len(points))))
         for name, arr in f.items():
-            assert getattr(cache, name).tobytes() == arr.tobytes(), name
-        assert grads.tobytes() == model.grads.tobytes()
+            assert got[name].tobytes() == arr.tobytes(), name
+        assert got_grads.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_public_pass_is_the_pass_on_the_lists_runs_bitwise(activation):
+    # called as the kernels benchmark calls it: a gen_example token list, its
+    # query, and a float upstream
+    rng = np.random.default_rng(48)
+    model = StudentModel.init(StudentConfig(activation=activation), rng)
+    cfg = ExperimentConfig()
+    ex = gen_example(cfg.spectrum(1.0), cfg, rng)
+    pred, cache = model.forward(ex.context_tokens, ex.query_token)
+    model.backward(cache, 2.0 * (pred - ex.target))
+    grads = model.grads.copy()
+    points, runs = _runs(ex.context_tokens)
+    q = ex.query_token[None]
+    f = _forward(model._blocks, model.config, points, q, runs[None])
+    _backward(model._blocks, model._grad_blocks, model.config, f, points, q,
+              np.array([2.0 * (pred - ex.target)]))
+    assert isinstance(pred, float) and np.float64(pred).tobytes() == f["pred"].tobytes()
+    want = {**f, "context": points, "query": ex.query_token, "weights": runs[None]}
+    assert set(vars(cache)) == set(want) | {"params_digest"}
+    for name, arr in want.items():
+        got = getattr(cache, name)
+        assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
+    assert grads.tobytes() == model.grads.tobytes()
+    with pytest.raises(ValueError, match=r"query must have shape \(2,\)"):
+        model.forward(ex.context_tokens, np.stack([ex.query_token] * 3))
 
 
 def test_token_runs_split_bitwise_unequal_rows():
@@ -521,8 +563,9 @@ def test_batched_gradient_matches_finite_differences(activation):
     queries = np.column_stack([rng.uniform(-1, 1, B),
                                rng.choice([-1.0, 1.0], B)])
     upstream = rng.standard_normal(B)
-    _, cache = model.forward(atoms, queries, weights)
-    model.backward(cache, upstream)
+    f = _forward(model._blocks, model.config, atoms, queries, weights)
+    _backward(model._blocks, model._grad_blocks, model.config, f, atoms, queries,
+              upstream)
     analytic = model.grads.copy()
     worst = 0.0
     for coord in range(model.n_params):
@@ -530,7 +573,8 @@ def test_batched_gradient_matches_finite_differences(activation):
         sides = []
         for step in (1e-5, -1e-5):
             model.params[coord] = theta + step
-            sides.append(model.forward(atoms, queries, weights)[0] @ upstream)
+            sides.append(_forward(model._blocks, model.config, atoms, queries,
+                                  weights)["pred"] @ upstream)
         model.params[coord] = theta
         fd = (sides[0] - sides[1]) / 2e-5
         worst = max(worst, abs(analytic[coord] - fd)
@@ -566,18 +610,18 @@ def test_gradient_suite_checks_the_training_step(monkeypatch, corrupted):
 
 
 def test_batched_pass_input_validation():
+    # the public pass takes one token list and one query, with a scalar
+    # upstream; a batch of queries goes through _forward and _backward
     model = StudentModel.init(StudentConfig(), np.random.default_rng(0))
     atoms = np.array([[0.1, 1.0], [0.2, -1.0]])
     queries = np.array([[0.0, 1.0], [0.0, -1.0]])
-    with pytest.raises(ValueError, match="weights"):
-        model.forward(atoms, queries, np.ones((2, 3)))
-    with pytest.raises(ValueError, match="weights"):
-        model.forward(atoms, queries[0], np.ones((2, 2)))
-    with pytest.raises(ValueError, match="query"):
-        model.forward(atoms, np.zeros((0, 2)), np.ones((0, 2)))
-    _, cache = model.forward(atoms, queries, np.ones((2, 2)))
-    with pytest.raises(ValueError, match="upstream"):
-        model.backward(cache, 1.0)
+    with pytest.raises(ValueError, match=r"query must have shape \(2,\)"):
+        model.forward(atoms, queries[:1])   # a batch of one too
+    with pytest.raises(TypeError):
+        model.forward(atoms, queries[0], np.ones(2))
+    _, cache = model.forward(atoms, queries[0])
+    with pytest.raises(ValueError, match="upstream must be a scalar"):
+        model.backward(cache, np.ones(1))
 
 
 def test_block_views_track_adam_step_and_stale_cache_is_rejected():

@@ -24,6 +24,7 @@ from measure_attn import (
     train,
 )
 from measure_attn.experiment import _validate
+from measure_attn.model import _backward, _forward, _runs
 from measure_attn.optim import losses_to_csv
 
 
@@ -268,7 +269,7 @@ def test_train_matches_token_passes(source):
 
 
 def public_train_reference(model, dataset, cfg, seed):
-    """train's loop written with the public batched forward and backward."""
+    """train's loop written with _forward and _backward on each batch."""
     rng = np.random.default_rng(seed)
     state = fresh_state(model.params)
     n = len(dataset.targets)
@@ -280,11 +281,13 @@ def public_train_reference(model, dataset, cfg, seed):
             idx = order[start:start + cfg.batch_size]
             noisy = (dataset.targets[idx]
                      + cfg.noise_std * rng.standard_normal(idx.size))
-            pred, cache = model.forward(dataset.atoms, dataset.queries[idx],
-                                        dataset.counts[idx])
-            resid = pred - noisy
+            queries = dataset.queries[idx]
+            f = _forward(model._blocks, model.config, dataset.atoms, queries,
+                         dataset.counts[idx])
+            resid = f["pred"] - noisy
             epoch_sq += float(resid @ resid)
-            model.backward(cache, 2.0 * resid / idx.size)
+            _backward(model._blocks, model._grad_blocks, model.config, f,
+                      dataset.atoms, queries, 2.0 * resid / idx.size)
             adam_step(state, model.params, model.grads, cfg, epoch)
         losses.append(epoch_sq / n)
     return model, losses
@@ -308,26 +311,23 @@ def test_train_step_is_the_public_passes_bitwise(activation, monkeypatch):
     assert losses == public_losses
     np.testing.assert_array_equal(lean.params, public.params)
 
-    # a 1-d query is a batch of one, on counts and on tokens alike
+    # the public pass on a token list is _forward on its runs, a batch of one
     for ex in items[:3]:
-        for args in ((ex.atoms, ex.query_token, ex.counts),
-                     (ex.context_tokens, ex.query_token, None)):
-            pred, cache = lean.forward(*args)
-            assert isinstance(pred, float)
-            assert cache.attn.shape == (student.n_heads, 1, len(cache.context))
-            rows = cache.attn[:, 0]
-            if args[2] is None:   # a token list ran on its runs
-                runs = cache.weights[0].astype(int)
-                rows = np.repeat(rows / cache.weights[0], runs, axis=-1)
-            assert rows.shape == (student.n_heads, len(args[0]))
-            lean.backward(cache, 1.5)
-            one = lean.grads.copy()
-            batch = (args[0], args[1][None],
-                     None if args[2] is None else args[2][None])
-            preds, cache = lean.forward(*batch)
-            assert preds.tolist() == [pred]
-            lean.backward(cache, np.array([1.5]))
-            np.testing.assert_array_equal(lean.grads, one)
+        pred, cache = lean.forward(ex.context_tokens, ex.query_token)
+        assert isinstance(pred, float)
+        assert cache.attn.shape == (student.n_heads, 1, len(cache.context))
+        lengths = cache.weights[0].astype(int)
+        rows = np.repeat(cache.attn[:, 0] / cache.weights[0], lengths, axis=-1)
+        assert rows.shape == (student.n_heads, len(ex.context_tokens))
+        lean.backward(cache, 1.5)
+        one = lean.grads.copy()
+        points, runs = _runs(ex.context_tokens)
+        q = ex.query_token[None]
+        f = _forward(lean._blocks, student, points, q, runs[None])
+        assert f["pred"].tolist() == [pred]
+        _backward(lean._blocks, lean._grad_blocks, student, f, points, q,
+                  np.array([1.5]))
+        np.testing.assert_array_equal(lean.grads, one)
 
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
