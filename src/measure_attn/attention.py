@@ -163,11 +163,13 @@ def _attend(heads, skip, support, weights, x) -> np.ndarray:
 
 
 def _query(d: int, mu: DiscreteMeasure, x, what: str) -> np.ndarray:
-    """x as a float vector, checked against the operator's dimension d."""
+    """x as a finite float vector, checked against the operator's dimension d."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (d,) or mu.dim != d:
         raise ValueError(
             f"dimension mismatch: {what} {d}, measure {mu.dim}, query {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("query must be finite")
     return x
 
 
@@ -466,15 +468,3 @@ def _summarize(ratio, bound, skipped) -> ProbeSummary:
                         int(np.sum(r > 2.0 * b)), float(r.max(initial=0.0)),
                         float((r[pos] / b[pos]).max(initial=0.0)))
 
-
-def random_lipschitz_trials(n_trials: int, rng_seed) -> ProbeSummary:
-    """Probe random small instances; the inequality itself is the oracle.
-
-    The instances are _FAMILY's.  Supports share a random base point and
-    vary in one random coordinate so the exact 1-D W1 applies.  Queries and
-    supports live in [-1, 1]^d, head entries in [-1, 1].  A small fraction
-    of trials deliberately duplicates x or mu to exercise the skip path of
-    the probe.  The trials are drawn and evaluated as zero-padded arrays, in
-    stacked passes.
-    """
-    return _summarize(*_probe_trials(n_trials, rng_seed))

@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
                        ("losses.csv", losses_to_csv(list(result.train_losses))),
                        ("metrics.json", json.dumps(metrics, indent=1))):
         experiment._atomic_write(os.path.join(args.out, name), text)
-    print(f"alpha={alpha:g} n={args.n_train} seed={args.cell_seed}  "
+    print(f"alpha={_fmt(alpha)} n={args.n_train} seed={args.cell_seed}  "
           f"val_mse={val_mse:.6g}")
     print(f"wrote checkpoint.json, losses.csv, metrics.json to {args.out}")
     return 0

@@ -26,6 +26,8 @@ def _rows(points) -> np.ndarray:
         pts = pts[:, None]
     if pts.ndim != 2 or 0 in pts.shape:
         raise ValueError(f"support must be (N, d) with N, d >= 1, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("support must be finite")
     return pts
 
 
@@ -51,8 +53,8 @@ def _runs(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class DiscreteMeasure:
     """Weighted point set, a probability measure.
 
-    support has shape (N, d); a 1-D array of N scalars is accepted and
-    reshaped to (N, 1).  weights are nonnegative and sum to 1 within 1e-9.
+    support has shape (N, d), finite; a 1-D array of N scalars is accepted
+    and reshaped to (N, 1).  weights are nonnegative and sum to 1 within 1e-9.
     """
 
     support: np.ndarray
@@ -65,9 +67,10 @@ class DiscreteMeasure:
             raise ValueError(
                 f"weights shape {w.shape} does not match {pts.shape[0]} support points"
             )
-        if np.any(w < 0.0):
-            raise ValueError("weights must be nonnegative")
-        if abs(w.sum() - 1.0) > WEIGHT_TOL:
+        # written so that a NaN fails each check
+        if not np.all(w >= 0.0):
+            raise ValueError("weights must be nonnegative, not NaN")
+        if not abs(w.sum() - 1.0) <= WEIGHT_TOL:
             raise ValueError(f"weights sum to {w.sum()!r}, not 1 within {WEIGHT_TOL}")
         pts.flags.writeable = False
         w.flags.writeable = False
@@ -132,11 +135,11 @@ class MixtureContext:
         if tags.shape[0] != len(comps):
             raise ValueError("one tag per component required")
         norms = np.linalg.norm(tags, axis=1)
-        if np.any(np.abs(norms - 1.0) > WEIGHT_TOL):
+        if not np.all(np.abs(norms - 1.0) <= WEIGHT_TOL):   # a NaN fails
             raise ValueError("tags must be unit vectors")
         gram = tags @ tags.T
         off = gram - np.diag(np.diag(gram))
-        if np.any(off > TAG_DOT_TOL):
+        if not np.all(off <= TAG_DOT_TOL):
             raise ValueError(
                 "tag separation violated: pairwise inner products must be <= "
                 f"{TAG_DOT_TOL}, worst {off.max()!r}"

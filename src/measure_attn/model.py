@@ -328,16 +328,6 @@ class StudentModel:
             w[...] = rng.uniform(-s, s, w.shape)
         return model
 
-    def block(self, name: str) -> np.ndarray:
-        """Writable view of one named parameter block."""
-        return self._blocks[name]
-
-    def grad_block(self, name: str) -> np.ndarray:
-        return self._grad_blocks[name]
-
-    def block_names(self) -> list[str]:
-        return list(self._blocks)
-
     def _digest(self) -> bytes:
         return self.params.tobytes()
 
@@ -382,11 +372,6 @@ class StudentModel:
             raise ValueError(f"upstream must be a scalar, got shape {up.shape}")
         _backward(self._blocks, self._grad_blocks, self.config, vars(cache),
                   cache.context, cache.query[None], up[None])
-
-    def _squared_loss_grads(self, atoms, queries, weights, targets) -> np.ndarray:
-        """The training pass, _squared_loss_grads, on this model's blocks."""
-        return _squared_loss_grads(self._blocks, self._grad_blocks, self.config,
-                                   atoms, queries, weights, targets)
 
     def to_dict(self) -> dict:
         return {"config": asdict(self.config), "params": self.params.tolist()}

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import attention, spectrum
 from .measures import DiscreteMeasure, build_mixture
-from .model import StudentConfig, StudentModel, _block_views, _forward, _layout
+from .model import (StudentConfig, StudentModel, _block_views, _forward, _layout,
+                    _squared_loss_grads)
 
 # fixed sizes: isometry draws per alpha, truncation draws per (alpha, D),
 # probe trials, and gradient seeds with their coordinates per seed
@@ -210,8 +211,8 @@ def suite_gradient(fault: bool) -> list[Check]:
     Checks _GRADIENT_COORDS coordinates on each of _GRADIENT_SEEDS random
     batches: B queries on A shared atoms, integer counts with zeros among
     them, a target per query.  The analytic gradient is the mean squared
-    loss's, as StudentModel._squared_loss_grads writes it.  The oracle is
-    forward-only: the (2k, P) matrix of theta + step * e_c, then
+    loss's, as the training step _squared_loss_grads writes it.  The oracle
+    is forward-only: the (2k, P) matrix of theta + step * e_c, then
     theta - step * e_c, for k of a seed's coordinates c goes through
     _forward as one stacked pass, and each coordinate's B prediction
     differences meet the loss's upstream 2 (pred - y) / B.
@@ -229,7 +230,8 @@ def suite_gradient(fault: bool) -> list[Check]:
         counts = rng.integers(0, 4, (B, A))
         counts[counts.sum(axis=1) == 0, 0] = 1   # every context carries mass
         targets = rng.standard_normal(B)
-        model._squared_loss_grads(atoms, queries, counts, targets)
+        _squared_loss_grads(model._blocks, model._grad_blocks, cfg, atoms, queries,
+                            counts, targets)
         analytic = model.grads.copy()
         if fault:
             analytic = analytic * (1.0 + 1e-3)

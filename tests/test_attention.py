@@ -28,7 +28,6 @@ from measure_attn import (
     gen_example,
     lipschitz_probe,
     measure_attention,
-    random_lipschitz_trials,
     recall_feature_map,
     softmax_weights,
     temperature_for_error,
@@ -36,7 +35,8 @@ from measure_attn import (
 )
 from measure_attn import measures
 from measure_attn.attention import (_FAMILY, _attend, _draw_trials, _probe,
-                                    _probe_trials, _softmax, _stack_heads, _tilt)
+                                    _probe_trials, _softmax, _stack_heads,
+                                    _summarize, _tilt)
 
 
 def eye_head(d):
@@ -252,8 +252,8 @@ def test_build_recall_params_structure_and_class_bounds():
     pytest.param(build_recall_params, (3, True, 4, 3.0), "d2", id="recall-d2-bool"),
     pytest.param(build_recall_params, (3, 1, 4, math.inf), "temperature_c",
                  id="recall-temperature-inf"),
-    pytest.param(random_lipschitz_trials, (0, 1), "n_trials", id="trials-0"),
-    pytest.param(random_lipschitz_trials, (10.5, 1), "n_trials", id="trials-float"),
+    pytest.param(_probe_trials, (0, 1), "n_trials", id="trials-0"),
+    pytest.param(_probe_trials, (10.5, 1), "n_trials", id="trials-float"),
 ])
 def test_recall_params_and_probe_trials_validate_settings(fn, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
@@ -509,6 +509,21 @@ def test_probe_skips_identical_inputs():
     assert rep.skipped and rep.ratio == 0.0 and not rep.violated
 
 
+def test_non_finite_query_is_rejected():
+    # a NaN query reached the probe, which reported ratio = bound = nan and
+    # violated = False
+    params = AttnParams((eye_head(1),), np.eye(1))
+    mu1, mu2 = DiscreteMeasure.dirac(0.0), DiscreteMeasure.dirac(1.0)
+    for x in (np.array([np.nan]), np.array([np.inf])):
+        with pytest.raises(ValueError, match="^query must be finite"):
+            softmax_weights(params.heads[0], mu1, x)
+        with pytest.raises(ValueError, match="^query must be finite"):
+            measure_attention(params, mu1, x)
+        for x1, x2 in ((x, np.zeros(1)), (np.zeros(1), x)):
+            with pytest.raises(ValueError, match="^query must be finite"):
+                lipschitz_probe(params, mu1, mu2, x1, x2)
+
+
 def test_probe_zero_parameters_zero_ratio():
     zero_head = AttnHead(*(np.zeros((2, 2)) for _ in range(4)))
     params = AttnParams((zero_head,), np.zeros((2, 2)))
@@ -534,12 +549,12 @@ def test_probe_reports_w1_and_dx():
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_probe_bound_holds_on_random_instances(seed):
-    summary = random_lipschitz_trials(20, rng_seed=seed)
+    summary = _summarize(*_probe_trials(20, rng_seed=seed))
     assert summary.violations == 0
 
 
 def test_random_trials_campaign_no_violations():
-    summary = random_lipschitz_trials(1000, rng_seed=13)
+    summary = _summarize(*_probe_trials(1000, rng_seed=13))
     assert summary.trials == 1000
     assert summary.violations == 0
     assert summary.violations_2x == 0
@@ -549,7 +564,7 @@ def test_random_trials_campaign_no_violations():
 
 def test_random_trials_seed13_summary_is_pinned():
     # values of the array drawer's trials at seed 13
-    summary = random_lipschitz_trials(1000, rng_seed=13)
+    summary = _summarize(*_probe_trials(1000, rng_seed=13))
     assert (summary.trials, summary.skipped, summary.violations,
             summary.violations_2x) == (1000, 3, 0, 0)
     assert summary.max_ratio == pytest.approx(0.935494289524539, rel=1e-12)

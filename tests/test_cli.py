@@ -307,7 +307,8 @@ def test_train_rejects_bad_sizes_and_seeds(tmp_path, capsys, monkeypatch,
     (("--alpha", "2"), None, 2.0),
     ((), {"alpha_list": [2.0]}, 2.0),
     (("--alpha", "0.5"), {"alpha_list": [2.0]}, 0.5),
-], ids=["default", "flag", "config-file", "flag-over-config-file"])
+    (("--alpha", "0.5000001"), None, 0.5000001),   # :g would print 0.5
+], ids=["default", "flag", "config-file", "flag-over-config-file", "seven-digits"])
 def test_train_uses_the_alpha_it_is_given(tmp_path, capsys, extra, config,
                                           alpha):
     if config is not None:
@@ -317,7 +318,7 @@ def test_train_uses_the_alpha_it_is_given(tmp_path, capsys, extra, config,
     code, out, _ = run(capsys, ["train", *TINY, "--n-train", "2", *extra,
                                 "--out", str(out_dir)])
     assert code == 0
-    assert f"alpha={alpha:g} " in out
+    assert f"alpha={alpha:.17g} " in out   # as sweep and analyze print it
     assert json.loads((out_dir / "metrics.json").read_text())["alpha"] == alpha
     resolved = json.loads((out_dir / "config_resolved.json").read_text())
     assert resolved["alpha_list"] == [alpha]

@@ -37,13 +37,13 @@ from measure_attn import (
     fit_rate,
     gen_example,
     query_shuffle_eval,
-    random_lipschitz_trials,
     run_cell,
     scaling_axis,
     sweep,
     synth_density,
     train,
 )
+from measure_attn.attention import _probe_trials
 from measure_attn.experiment import (_STACK, _STREAM_LOOP, _atomic_write,
                                      _attention_stats, _cell_key, _cell_seedseq,
                                      _draw, _gen, _grid_atoms, _targets, _val_set,
@@ -529,7 +529,7 @@ def test_score_rows_match_forward_row_by_row(monkeypatch, activation, H):
                   student=StudentConfig(n_heads=H, activation=activation))
     data = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0)
     model = StudentModel.init(cfg.student, 3)
-    model.block("attn_k")[...] *= 8.0   # scores far apart: the stabilizer counts
+    model._blocks["attn_k"][...] *= 8.0   # scores far apart: the stabilizer counts
     T, counts = cfg.T, data.counts.copy()
     # no row has a token on an atom that some head scores highest under
     # either query, so the max over all atoms is not the max over the set's
@@ -558,7 +558,7 @@ def test_a_row_whose_normalizer_underflows_goes_through_forward(monkeypatch):
     cfg = replace(SMALL, n_val=2, student=StudentConfig(n_heads=4))
     data = _val_set(cfg, cfg.spectrum(1.0), 1.0, 0)
     steep, plain = (StudentModel.init(cfg.student, s) for s in (2, 3))
-    steep.block("attn_k")[...] *= 1e4
+    steep._blocks["attn_k"][...] *= 1e4
     q = data.queries[:1]
     f = _forward(steep._blocks, cfg.student, data.atoms, q, np.ones((1, 2 * cfg.T)))
     scores = (f["head_q"] @ f["head_k"].swapaxes(-1, -2))[0, 0]   # head 0's
@@ -696,7 +696,7 @@ def _steep_rows(model, cfg, atoms, q, counts, rows):
     """Puts the given rows' tokens all on head 0's lowest-scoring atom under
     query q, and one token of row 0 on its highest: the rows' head-0
     normalizers of the steepened model then underflow."""
-    model.block("attn_k")[...] *= 1e4
+    model._blocks["attn_k"][...] *= 1e4
     f = _forward(model._blocks, cfg.student, atoms, q[None], np.ones((1, len(atoms))))
     scores = f["head_q"][0, 0] @ f["head_k"][0].T
     counts[rows] = 0
@@ -919,7 +919,7 @@ def test_run_cell_and_sweep_validate_settings(tmp_path, call, name):
     pytest.param(lambda seed: train(StudentModel.init(SMALL.student, 0),
                                     _gen(SMALL, SMALL.spectrum(1.0), 2, 0),
                                     SMALL.train, seed), id="train"),
-    pytest.param(lambda seed: random_lipschitz_trials(20, seed), id="probe"),
+    pytest.param(lambda seed: _probe_trials(20, seed), id="probe"),
 ])
 def test_every_seed_is_checked_by_one_rule(call, seed):
     # numpy alone would take True as seed 1 and reject 1.5 with a TypeError
@@ -1771,6 +1771,29 @@ def test_atomic_write_gives_files_the_umask_mode(tmp_path):
         assert Path(path).read_text() == "{}"
     finally:
         os.umask(old)
+
+
+def _interrupt(src, dst):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("existing", [None, "old"], ids=["absent", "present"])
+@pytest.mark.parametrize("data, replace, error", [
+    ("\ud800", os.replace, UnicodeEncodeError),   # no file encoding holds it
+    ("new", _interrupt, KeyboardInterrupt),
+], ids=["write-fails", "replace-interrupted"])
+def test_atomic_write_cleans_up_when_it_fails(tmp_path, monkeypatch, existing,
+                                              data, replace, error):
+    # an interrupted sweep must leave its target as it was and no .part file
+    path = tmp_path / "fit.json"
+    if existing is not None:
+        path.write_text(existing)
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(error):
+        _atomic_write(str(path), data)
+    monkeypatch.undo()
+    assert (path.read_text() if path.exists() else None) == existing
+    assert list(tmp_path.glob(".tmp-*.part")) == []
 
 
 def test_sweep_curves_match_cell_results(tmp_path):

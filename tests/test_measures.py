@@ -71,6 +71,21 @@ def test_weight_validation():
         DiscreteMeasure(pts, np.array([1.5, -0.5]))  # negative mass
     with pytest.raises(ValueError):
         DiscreteMeasure(pts, np.array([1.0]))  # shape mismatch
+    # nan < 0 and abs(nan - 1) > 1e-9 are both False, so each check is
+    # written for a NaN to fail it
+    for w in ([np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan]):
+        with pytest.raises(ValueError, match="^weights must be nonnegative, not NaN"):
+            DiscreteMeasure(pts, np.array(w))
+
+
+def test_support_must_be_finite():
+    # a NaN row passed, and W1 then read its column as constant: 0.0 between
+    # [[0.3], [nan]] and [[0.3], [0.3]]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^support must be finite"):
+            DiscreteMeasure([[0.3], [bad]], [0.5, 0.5])
+        with pytest.raises(ValueError, match="^support must be finite"):
+            DiscreteMeasure.uniform_on([[0.3], [bad]])
 
 
 def test_measure_arrays_are_immutable():
@@ -106,11 +121,23 @@ def test_mixture_tag_validation():
         build_mixture(comps, np.array([[1.0, 0.0], [0.6, 0.8]]), 0)  # dot 0.6
     with pytest.raises(ValueError):
         build_mixture(comps, np.array([[1.0]]), 0)  # one tag, two components
+    for tags in ([np.nan], [[np.nan, 0.0]]):
+        with pytest.raises(ValueError, match="^tags must be unit vectors"):
+            MixtureContext((comps[0],), tags, 0)
     with pytest.raises(ValueError):
         build_mixture(comps, np.array([[1.0], [-1.0]]), 2)  # star out of range
     for star in (0.0, True):
         with pytest.raises(ValueError, match="^star_index must be an integer >= 0"):
             build_mixture(comps, np.array([[1.0], [-1.0]]), star)
+
+
+def test_mixture_needs_a_component_and_takes_1d_tags_as_a_column():
+    with pytest.raises(ValueError, match="^mixture needs at least one component"):
+        MixtureContext((), np.zeros((0, 1)), 0)
+    comps = (DiscreteMeasure.dirac(0.3), DiscreteMeasure.dirac(0.8))
+    ctx = MixtureContext(comps, [1.0, -1.0], 1)
+    assert ctx.tags.shape == (2, 1) and ctx.tag_dim == 1
+    np.testing.assert_array_equal(ctx.tags, [[1.0], [-1.0]])
 
 
 def test_mixture_context_rejects_mismatched_components():

@@ -15,7 +15,8 @@ from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
                           ExperimentConfig, StudentConfig,
                           StudentModel, TrainConfig, adam_step, gen_example,
                           softmax_weights)
-from measure_attn.model import _backward, _block_views, _forward, _layout, _runs
+from measure_attn.model import (_backward, _block_views, _forward, _layout, _runs,
+                                _squared_loss_grads)
 
 
 def fd_grad(model, context, query, coord, step=1e-5):
@@ -50,7 +51,7 @@ def einsum_reference(model, context, query, upstream):
     def f_grad(x):
         return (x > 0.0).astype(float) if relu else 1.0 - np.tanh(x) ** 2
 
-    w = {n: model.block(n) for n in model.block_names()}
+    w = model._blocks
     H, hd = cfg.n_heads, cfg.head_dim
     scale = 1.0 / np.sqrt(hd)
     ctx_pre = context @ w["ctx_w1"].T + w["ctx_b1"]
@@ -117,8 +118,8 @@ def test_init_biases_zero_weights_bounded():
     cfg = StudentConfig()
     model = StudentModel.init(cfg, 0)
     for name in ("ctx_b1", "ctx_b2", "qry_b1", "qry_b2", "head_b1", "head_b2"):
-        np.testing.assert_array_equal(model.block(name), 0.0)
-    w1 = model.block("ctx_w1")
+        np.testing.assert_array_equal(model._blocks[name], 0.0)
+    w1 = model._blocks["ctx_w1"]
     s = np.sqrt(6.0 / (cfg.d_hidden + cfg.input_dim))
     assert np.max(np.abs(w1)) <= s
 
@@ -141,10 +142,10 @@ def test_params_shape_validation():
 
 def test_block_views_cover_all_parameters():
     model = StudentModel(StudentConfig())
-    total = sum(model.block(n).size for n in model.block_names())
+    total = sum(v.size for v in model._blocks.values())
     assert total == model.n_params
-    # block returns a writable view into the flat vector
-    model.block("ctx_b1")[0] = 7.0
+    # each block is a writable view into the flat vector
+    model._blocks["ctx_b1"][0] = 7.0
     assert 7.0 in model.params
 
 
@@ -334,9 +335,9 @@ def test_passes_match_einsum_reference(T, n_heads, activation):
     ref_pred, ref_grads = einsum_reference(model, context, query, 1.7)
     assert pred == pytest.approx(ref_pred, rel=1e-12)
     scale = max(np.max(np.abs(g)) for g in ref_grads.values())
-    assert set(ref_grads) == set(model.block_names())
+    assert set(ref_grads) == set(model._blocks)
     for name, ref in ref_grads.items():
-        np.testing.assert_allclose(model.grad_block(name), ref, rtol=1e-12,
+        np.testing.assert_allclose(model._grad_blocks[name], ref, rtol=1e-12,
                                    atol=1e-12 * scale, err_msg=name)
     assert cache.head_k.shape == cache.head_v.shape == (n_heads, T, cfg.head_dim)
 
@@ -582,30 +583,28 @@ def test_batched_gradient_matches_finite_differences(activation):
     assert worst <= 1e-4
 
 
-real_squared_loss_grads = StudentModel._squared_loss_grads
-
-
-def _scale_one_block(self, atoms, queries, weights, targets):
-    resid = real_squared_loss_grads(self, atoms, queries, weights, targets)
-    self.grad_block("attn_k")[...] *= 1.001
+def _scale_one_block(b, gb, cfg, atoms, queries, weights, targets):
+    resid = _squared_loss_grads(b, gb, cfg, atoms, queries, weights, targets)
+    gb["attn_k"][...] *= 1.001
     return resid
 
 
-def _upstream_without_the_two(self, atoms, queries, weights, targets):
-    real_squared_loss_grads(self, atoms, queries, weights, targets)
-    f = _forward(self._blocks, self.config, atoms, queries, weights)
+def _upstream_without_the_two(b, gb, cfg, atoms, queries, weights, targets):
+    _squared_loss_grads(b, gb, cfg, atoms, queries, weights, targets)
+    f = _forward(b, cfg, atoms, queries, weights)
     resid = f["pred"] - targets
-    _backward(self._blocks, self._grad_blocks, self.config, f, atoms, queries,
-              resid / len(targets))
+    _backward(b, gb, cfg, f, atoms, queries, resid / len(targets))
     return resid
 
 
 @pytest.mark.parametrize("corrupted", [_scale_one_block, _upstream_without_the_two],
                          ids=["one-block-scaled", "upstream-resid-over-B"])
 def test_gradient_suite_checks_the_training_step(monkeypatch, corrupted):
-    from measure_attn import verify
+    from measure_attn import optim, verify
+    # the suite checks the very function train steps with
+    assert verify._squared_loss_grads is optim._squared_loss_grads
     assert verify.run_suites(["gradient"])[0].passed
-    monkeypatch.setattr(StudentModel, "_squared_loss_grads", corrupted)
+    monkeypatch.setattr(verify, "_squared_loss_grads", corrupted)
     assert not verify.run_suites(["gradient"])[0].passed
 
 
@@ -628,7 +627,7 @@ def test_block_views_track_adam_step_and_stale_cache_is_rejected():
     rng = np.random.default_rng(12)
     model = StudentModel.init(StudentConfig(), rng)
     context, query = random_batch(rng)
-    views = {n: model.block(n) for n in model.block_names()}
+    views = dict(model._blocks)
     before = {n: v.copy() for n, v in views.items()}
     _, cache = model.forward(context, query)
     model.backward(cache, 1.0)
@@ -636,10 +635,10 @@ def test_block_views_track_adam_step_and_stale_cache_is_rejected():
     adam_step(state, model.params, model.grads.copy(), TrainConfig(), 0)
     assert any(not np.array_equal(views[n], before[n]) for n in views)
     for name, view in views.items():
-        assert model.block(name) is view
+        assert model._blocks[name] is view
         assert np.shares_memory(view, model.params)
     np.testing.assert_array_equal(
-        np.concatenate([views[n].ravel() for n in model.block_names()]),
+        np.concatenate([views[n].ravel() for n in model._blocks]),
         model.params)
     with pytest.raises(ValueError, match="stale cache"):
         model.backward(cache, 1.0)
@@ -660,8 +659,8 @@ def test_student_rows_equal_lemma_softmax_on_uniform_measure(n_heads):
     mu = DiscreteMeasure.uniform_on(cache.ctx_emb)
     for h in range(n_heads):
         Q, K = np.zeros((dm, dm)), np.zeros((dm, dm))
-        Q[:hd] = root * model.block("attn_q")[h]
-        K[:hd] = root * model.block("attn_k")[h]
+        Q[:hd] = root * model._blocks["attn_q"][h]
+        K[:hd] = root * model._blocks["attn_k"][h]
         head = AttnHead(W=np.eye(dm), Q=Q, K=K, V=np.eye(dm))
         w = softmax_weights(head, mu, cache.qry_emb[0])
         np.testing.assert_allclose(w, cache.attn[h, 0], rtol=1e-12, atol=0.0)

@@ -387,13 +387,13 @@ def test_a_model_whose_step_adam_rejects_is_left_as_it_was(monkeypatch, case):
 
     monkeypatch.setattr(optim, "adam_step", counted)
     model = StudentModel.init(StudentConfig(), 5)
-    before, blocks = model.params.copy(), model.block("attn_q")
+    before, blocks = model.params.copy(), model._blocks["attn_q"]
     with pytest.raises(ValueError, match="non-finite gradient; step rejected"):
         train(model, data, cfg, 3)
     assert len(accepted) == (1 if case == "huge-step" else 2)
     # none of the accepted steps reached the model, which keeps its arrays
     assert model.params.tobytes() == before.tobytes()
-    assert model.block("attn_q") is blocks
+    assert model._blocks["attn_q"] is blocks
     trained, _ = train(model, Dataset.of(make_dataset(rng, 7)), TrainConfig(epochs=1), 0)
     assert trained is model and model.params.tobytes() != before.tobytes()
 
