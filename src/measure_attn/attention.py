@@ -42,6 +42,8 @@ class AttnHead:
                 raise ValueError(f"head matrix {name} must be square, got {m.shape}")
             if m.shape[0] != self.W.shape[0]:   # W is set first
                 raise ValueError("head matrices must share one dimension")
+            if not np.isfinite(m).all():
+                raise ValueError(f"head matrix {name} must be finite")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
 
@@ -63,6 +65,8 @@ class AttnParams:
         skip = np.asarray(self.skip, dtype=np.float64)
         if skip.ndim != 2 or skip.shape[0] != skip.shape[1]:
             raise ValueError(f"skip matrix must be square, got {skip.shape}")
+        if not np.isfinite(skip).all():
+            raise ValueError("skip matrix must be finite")
         if any(h.d_attn != skip.shape[0] for h in heads):
             raise ValueError("heads and skip must share one dimension")
         stacked = _stack_heads(heads, skip.shape[0])

@@ -66,16 +66,13 @@ def _layout(cfg: StudentConfig) -> dict[str, tuple[int, tuple[int, ...]]]:
     """
     dm, dh, H, hd, di = (cfg.d_model, cfg.d_hidden, cfg.n_heads,
                          cfg.head_dim, cfg.input_dim)
-    shapes = [
-        ("ctx_w1", (dh, di)), ("ctx_b1", (dh,)),
-        ("ctx_w2", (dm, dh)), ("ctx_b2", (dm,)),
-        ("qry_w1", (dh, di)), ("qry_b1", (dh,)),
-        ("qry_w2", (dm, dh)), ("qry_b2", (dm,)),
-        ("attn_q", (H, hd, dm)), ("attn_k", (H, hd, dm)), ("attn_v", (H, hd, dm)),
-        ("attn_out", (dm, dm)),
-        ("head_w1", (dh, dm)), ("head_b1", (dh,)),
-        ("head_w2", (1, dh)), ("head_b2", (1,)),
-    ]
+
+    def mlp(name, d_in, d_out):   # _mlp's blocks
+        return [(name + "_w1", (dh, d_in)), (name + "_b1", (dh,)),
+                (name + "_w2", (d_out, dh)), (name + "_b2", (d_out,))]
+    shapes = [*mlp("ctx", di, dm), *mlp("qry", di, dm),
+              ("attn_q", (H, hd, dm)), ("attn_k", (H, hd, dm)), ("attn_v", (H, hd, dm)),
+              ("attn_out", (dm, dm)), *mlp("head", dm, 1)]
     table = {}
     off = 0
     for name, shape in shapes:
@@ -91,12 +88,29 @@ def _block_views(table, flat: np.ndarray) -> dict[str, np.ndarray]:
             for n, (off, shape) in table.items()}
 
 
-# each dense layer below is x @ w^T + bias, the bias broadcast over rows
+def _mlp(b: dict, cfg: StudentConfig, name: str, x: np.ndarray) -> tuple:
+    """The two-layer MLP of the blocks name_w1, _b1, _w2, _b2 on the rows x:
+    (pre, act, out); each layer is x @ w^T + bias, the bias broadcast over rows."""
+    pre = x @ b[name + "_w1"].swapaxes(-1, -2) + b[name + "_b1"][..., None, :]
+    act = _ACTIVATIONS[cfg.activation][0](pre)
+    return pre, act, act @ b[name + "_w2"].swapaxes(-1, -2) + b[name + "_b2"][..., None, :]
+
+
+def _mlp_grads(b: dict, gb: dict, cfg: StudentConfig, name: str, x: np.ndarray,
+               pre: np.ndarray, act: np.ndarray, d_out: np.ndarray) -> np.ndarray:
+    """_mlp's reverse: writes its four blocks' gradients into gb from the
+    upstream d_out = d/d(out) and returns d/d(pre)."""
+    d_pre = (d_out @ b[name + "_w2"]) * _ACTIVATIONS[cfg.activation][1](pre)
+    np.matmul(d_out.swapaxes(-1, -2), act, out=gb[name + "_w2"])
+    d_out.sum(axis=-2, out=gb[name + "_b2"])
+    np.matmul(d_pre.swapaxes(-1, -2), x, out=gb[name + "_w1"])
+    d_pre.sum(axis=-2, out=gb[name + "_b1"])
+    return d_pre
+
+
 def _context_side(b: dict, cfg: StudentConfig, C: np.ndarray) -> dict:
     """_forward's context MLP over the points C, and each head's keys and values."""
-    ctx_pre = C @ b["ctx_w1"].swapaxes(-1, -2) + b["ctx_b1"][..., None, :]
-    ctx_act = _ACTIVATIONS[cfg.activation][0](ctx_pre)
-    ctx_emb = ctx_act @ b["ctx_w2"].swapaxes(-1, -2) + b["ctx_b2"][..., None, :]
+    ctx_pre, ctx_act, ctx_emb = _mlp(b, cfg, "ctx", C)
     # one GEMM per projection for all heads, viewed as (H, A, hd)
     heads = b["head_b2"].shape[:-1] + (cfg.d_model, cfg.d_model)
     per_head = b["head_b2"].shape[:-1] + (len(C), cfg.n_heads, cfg.head_dim)
@@ -108,9 +122,7 @@ def _context_side(b: dict, cfg: StudentConfig, C: np.ndarray) -> dict:
 
 def _query_side(b: dict, cfg: StudentConfig, q: np.ndarray) -> dict:
     """_forward's query MLP over the queries q, and each head's query."""
-    qry_pre = q @ b["qry_w1"].swapaxes(-1, -2) + b["qry_b1"][..., None, :]
-    qry_act = _ACTIVATIONS[cfg.activation][0](qry_pre)
-    qry_emb = qry_act @ b["qry_w2"].swapaxes(-1, -2) + b["qry_b2"][..., None, :]
+    qry_pre, qry_act, qry_emb = _mlp(b, cfg, "qry", q)
     head_q = (b["attn_q"] @ qry_emb.swapaxes(-1, -2)[..., None, :, :]).swapaxes(-1, -2)
     return dict(qry_pre=qry_pre, qry_act=qry_act, qry_emb=qry_emb, head_q=head_q)
 
@@ -118,10 +130,8 @@ def _query_side(b: dict, cfg: StudentConfig, q: np.ndarray) -> dict:
 def _head(b: dict, cfg: StudentConfig, heads_out: np.ndarray) -> dict:
     """_forward's output projection and head MLP on the heads' outputs (S, B, H*hd)."""
     mixed = heads_out @ b["attn_out"].swapaxes(-1, -2)
-    out_pre = mixed @ b["head_w1"].swapaxes(-1, -2) + b["head_b1"][..., None, :]
-    out_act = _ACTIVATIONS[cfg.activation][0](out_pre)
-    pred = (out_act @ b["head_w2"].swapaxes(-1, -2) + b["head_b2"][..., None, :])[..., 0]
-    return dict(mixed=mixed, out_pre=out_pre, out_act=out_act, pred=pred)
+    out_pre, out_act, out = _mlp(b, cfg, "head", mixed)
+    return dict(mixed=mixed, out_pre=out_pre, out_act=out_act, pred=out[..., 0])
 
 
 def _forward(b: dict, cfg: StudentConfig, C: np.ndarray, q: np.ndarray,
@@ -219,18 +229,13 @@ def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,
     S, with q (S, B, input_dim) or shared and up (S, B).  As in _forward, a
     stacked row is bitwise that row's own call.
     """
-    _, act_grad = _ACTIVATIONS[cfg.activation]
     H, hd, dm = cfg.n_heads, cfg.head_dim, cfg.d_model
     scale = 1.0 / math.sqrt(hd)
     stack, B = up.shape[:-1], up.shape[-1]
 
-    # head MLP
-    d_out_pre = up[..., None] * b["head_w2"] * act_grad(f["out_pre"])
-    np.matmul(up[..., None, :], f["out_act"], out=gb["head_w2"])
-    up.sum(axis=-1, keepdims=True, out=gb["head_b2"])
-    np.matmul(d_out_pre.swapaxes(-1, -2), f["mixed"], out=gb["head_w1"])
-    d_out_pre.sum(axis=-2, out=gb["head_b1"])
-    d_mixed = d_out_pre @ b["head_w1"]
+    # head MLP, its one output's upstream a column
+    d_mixed = _mlp_grads(b, gb, cfg, "head", f["mixed"], f["out_pre"], f["out_act"],
+                         up[..., None]) @ b["head_w1"]
 
     # output projection
     np.matmul(d_mixed.swapaxes(-1, -2),
@@ -260,20 +265,9 @@ def _backward(b: dict, gb: dict, cfg: StudentConfig, f: dict, C: np.ndarray,
     d_ctx_emb = (d_scores.swapaxes(-1, -2) @ (sq @ Wk).reshape(stack + (H * B, dm))
                  + attn.swapaxes(-1, -2) @ u_v.reshape(stack + (H * B, dm)))
 
-    # query MLP
-    np.matmul(d_qry_emb.swapaxes(-1, -2), f["qry_act"], out=gb["qry_w2"])
-    d_qry_emb.sum(axis=-2, out=gb["qry_b2"])
-    d_qry_pre = (d_qry_emb @ b["qry_w2"]) * act_grad(f["qry_pre"])
-    np.matmul(d_qry_pre.swapaxes(-1, -2), q, out=gb["qry_w1"])
-    d_qry_pre.sum(axis=-2, out=gb["qry_b1"])
-
-    # context MLP
-    d_ctx_act = d_ctx_emb @ b["ctx_w2"]
-    np.matmul(d_ctx_emb.swapaxes(-1, -2), f["ctx_act"], out=gb["ctx_w2"])
-    d_ctx_emb.sum(axis=-2, out=gb["ctx_b2"])
-    d_ctx_pre = d_ctx_act * act_grad(f["ctx_pre"])
-    np.matmul(d_ctx_pre.swapaxes(-1, -2), C, out=gb["ctx_w1"])
-    d_ctx_pre.sum(axis=-2, out=gb["ctx_b1"])
+    # query and context MLPs
+    _mlp_grads(b, gb, cfg, "qry", q, f["qry_pre"], f["qry_act"], d_qry_emb)
+    _mlp_grads(b, gb, cfg, "ctx", C, f["ctx_pre"], f["ctx_act"], d_ctx_emb)
 
 
 def _squared_loss_grads(b: dict, gb: dict, cfg: StudentConfig, atoms, queries,

@@ -23,9 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _is_integer(value) -> bool:
+    """Any integer type but bool (True is 1)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _integer(name: str, value, low: int) -> int:
-    """value as an int: any integer type but bool (True is 1), at least low."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
+    """value as an int: _is_integer, at least low."""
+    if not _is_integer(value) or value < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return int(value)
 
@@ -109,8 +114,11 @@ class MercerSpectrum:
     def basis_eval(self, j: int, x):
         """e_j(x): 1 for j = 0, else sqrt(2) * sin(pi * j * x).
 
-        Accepts a scalar or an array; x must lie in [0, 1].
+        Accepts a scalar or an array; x must lie in [0, 1], and j is an
+        integer (_is_integer) in [0, M).
         """
+        if not _is_integer(j):
+            raise ValueError(f"mode index must be an integer, got {j!r}")
         if not 0 <= j < self.M:
             raise IndexError(f"mode index {j} out of range [0, {self.M})")
         xa = np.asarray(x, dtype=np.float64)

@@ -62,6 +62,20 @@ def test_head_and_params_validation():
         AttnParams((), np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_head_and_skip_matrices_must_be_finite(bad):
+    # a non-finite matrix made the probe report ratio=nan, violated=False
+    for name in ("W", "Q", "K", "V"):
+        mats = {n: np.eye(2) for n in ("W", "Q", "K", "V")}
+        mats[name] = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=f"^head matrix {name} must be finite$"):
+            AttnHead(**mats)
+    with pytest.raises(ValueError, match="^skip matrix must be finite$"):
+        AttnParams((eye_head(2),), np.array([[bad, 0.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="^skip matrix must be finite$"):
+        AttnParams((), np.full((1, 1), bad))
+
+
 def test_entry_and_sparsity_bounds():
     h = AttnHead(W=np.diag([1.0, 0.0]), Q=3.0 * np.eye(2),
                  K=3.0 * np.eye(2), V=np.diag([0.0, -2.0]))

@@ -2,7 +2,8 @@
 the package's arithmetic or layout must leave alone.
 
 The outputs are the reduced sweep's bundle and cell files, the artifacts
-of two train runs (one with validation sets of several scoring blocks),
+of three train runs (one with validation sets of several scoring blocks,
+one of a tanh student at batch size 16),
 gen's stdout and verify --verbose's stdout with the per-suite
 seconds stripped, and one model's per-row scores on a validation set
 (the bundles hold only their means).  Criterion 9 compares a serial with a parallel sweep of
@@ -36,6 +37,9 @@ COMMANDS = (
     # 1,500 validation rows: each query tag's rows span several scoring blocks
     ["train", "--profile", "reduced", "--n-train", "16", "--n-val", "1500",
      "--out", "train_blocks"],
+    # tanh, and a batch of 16 rows reaching the head's bias sum
+    ["train", "--profile", "reduced", "--n-train", "64", "--batch-size", "16",
+     "--config", "../tanh.json", "--out", "train_tanh"],
 )
 
 PINNED = {
@@ -71,6 +75,10 @@ PINNED = {
     "train_blocks/config_resolved.json": "455cb816f8ca05d82ff83fffd048d0f80861a67b1cfca78faede71f138a6bce7",
     "train_blocks/losses.csv": "7818238a1212b19ff6eee33d741a446f180f4bdad231e8579a0a4ba73069a003",
     "train_blocks/metrics.json": "1f7ac5d64481dd94f207c8d08733d63a6fa61254d078f1eff0d7a70341956196",
+    "train_tanh/checkpoint.json": "4a41f38b4a404d17a2836686871d3843cb632f1b912b5adb1967d9a7a9d5b6f4",
+    "train_tanh/config_resolved.json": "830f8046a128d008f432e57ecca10ad4a8feeccee77bb9fc3b2b03cd80f999cb",
+    "train_tanh/losses.csv": "0c2e20e8edcde710219c0e99c9599a81f93865f80f9af9c5cf8b0d44c7b85def",
+    "train_tanh/metrics.json": "18f8b46e4a26f29488bb70737497f34c2952fac11f2feb76c3396c8b476ba25f",
     "gen --seed 3 --n-tokens 100": "2d849937866bd1ede2c4d8988f3ab527d2472eef4562a04e2926cfdc8e34f6ee",
     "verify --verbose": "a1c196729f6b041bdb670fe651b524e01631aee3e1345402e3f8717b4e97cd6b",
 }
@@ -100,11 +108,15 @@ def test_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     if reason is not None:
         pytest.skip(reason)
     monkeypatch.delenv(ENV_SEED, raising=False)
-    monkeypatch.chdir(tmp_path)
+    # the runs write into runs/, beside the config file, which is not digested
+    (tmp_path / "tanh.json").write_text('{"student": {"activation": "tanh"}}')
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    monkeypatch.chdir(runs)
     for argv in COMMANDS:
         assert main(argv) == 0
-    got = {path.relative_to(tmp_path).as_posix(): _sha(path.read_bytes())
-           for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+    got = {path.relative_to(runs).as_posix(): _sha(path.read_bytes())
+           for path in sorted(runs.rglob("*")) if path.is_file()}
     capsys.readouterr()
     assert main(["gen", "--seed", "3", "--n-tokens", "100"]) == 0
     got["gen --seed 3 --n-tokens 100"] = _sha(capsys.readouterr().out.encode())

@@ -91,6 +91,19 @@ def test_basis_eval_rejects_bad_arguments():
         spec.basis_eval(spec.M, 0.5)
 
 
+def test_basis_eval_takes_an_integer_mode_index():
+    spec = make_spec()
+    # 1.5 read as a mode gave sqrt(2) sin(1.5 pi x), and True gave e_1
+    for j in (1.5, 1.0, np.float64(2.0), True, False, "1", None):
+        with pytest.raises(ValueError, match="mode index must be an integer"):
+            spec.basis_eval(j, 0.3)
+    for j in (np.int64(1), np.int32(2), np.uint8(0)):
+        assert spec.basis_eval(j, 0.3) == spec.basis_eval(int(j), 0.3)
+    for j in (-1, spec.M, np.int64(spec.M)):
+        with pytest.raises(IndexError):
+            spec.basis_eval(j, 0.3)
+
+
 def test_sine_block_exactly_orthonormal_on_midpoint_grid():
     # the midpoint grid makes modes 1..M-1 exactly orthonormal under the
     # (1/T)-weighted inner product, far below any float tolerance
