@@ -162,7 +162,8 @@ def cmd_train(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     cfg, alpha = _one_alpha_config(args, 1.0)
-    _write_resolved(cfg, args.out)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise CliError(f"cannot write {args.out}: not a directory")
     try:
         val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
         metrics = experiment._payload((alpha, args.n_train, args.cell_seed),
@@ -172,6 +173,8 @@ def cmd_train(args) -> int:
     except MemoryError as e:
         raise CliError(f"cannot hold {args.n_train} training and {cfg.n_val} validation "
                        f"contexts in memory") from e
+    # written after the draw, so a size too large to hold leaves --out as it was
+    _write_resolved(cfg, args.out)
     if isinstance(metrics, str):
         print(f"error: training failed: {metrics}", file=sys.stderr)
         return 1

@@ -221,27 +221,24 @@ def _attention_stats(mass, sides) -> AttentionStats:
     return AttentionStats(**stats)
 
 
-def _validate(model, data: Dataset, n_stat: int = 0):
-    """Clean MSE over data, and attention stats over its first n_stat rows.
+def _validate(models, data: Dataset, n_stat: int = 0) -> list[tuple]:
+    """Each model's (clean MSE over data, attention stats over its first
+    n_stat rows); stats are None when n_stat is 0.
 
-    Rows are scored by model._score_rows, a GEMM per query and row block;
-    for the first n_stat rows each head's attention is reduced to its
-    masses on the context tokens whose tag equals the query's and on the
-    rest.  Stats are None when n_stat is 0.
-
-    A list of models of one config is scored as one stack over the shared
-    data and gets a list of (val_mse, stats), each bitwise the model's own
-    call.
+    The models, of one config, are scored as one stack over the shared
+    data by model._score_rows, a GEMM per query and row block; for the
+    first n_stat rows each head's attention is reduced to its masses on the
+    context tokens whose tag equals the query's and on the rest.  A model's
+    scores are bitwise those of a stack of it alone.
     """
-    stack = isinstance(model, (list, tuple))
-    models = model if stack else [model]
+    if len(models) == 0:
+        raise ValueError("empty stack: _validate needs at least one model")
     cfg = models[0].config
     b = student._block_views(student._layout(cfg), np.stack([m.params for m in models]))
     pred, mass, sides = student._score_rows(b, cfg, data.atoms, data.queries, data.counts)
-    scores = [(mse, _attention_stats(mass[i, :n_stat], sides[:n_stat])
-               if n_stat >= 1 else None) for i, mse
-              in enumerate(((pred - data.targets) ** 2).mean(axis=-1).tolist())]
-    return scores if stack else scores[0]
+    return [(mse, _attention_stats(mass[i, :n_stat], sides[:n_stat])
+             if n_stat >= 1 else None) for i, mse
+            in enumerate(((pred - data.targets) ** 2).mean(axis=-1).tolist())]
 
 
 def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
@@ -250,7 +247,7 @@ def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
     The query token itself is never among the keys, so rows cover the
     partition exactly and m_same + m_diff = 1 per head and example.
     """
-    return _validate(model, Dataset.of(examples), len(examples))[1]
+    return _validate([model], Dataset.of(examples), len(examples))[0][1]
 
 
 def query_shuffle_eval(model: StudentModel, examples, seed: int = 0
@@ -266,7 +263,7 @@ def query_shuffle_eval(model: StudentModel, examples, seed: int = 0
     permutation = _rng(seed).permutation(n)
     data = Dataset.of(examples)
     shuffled = replace(data, queries=data.queries[permutation])
-    return _validate(model, data)[0], _validate(model, shuffled)[0]
+    return _validate([model], data)[0][0], _validate([model], shuffled)[0][0]
 
 
 @dataclass(frozen=True)
@@ -311,8 +308,8 @@ def run_cell(alpha: float, n: int, seed: int, cfg: ExperimentConfig
     spec = cfg.spectrum(alpha)
     val_set = _val_set(cfg, spec, alpha, seed)
     model, train_set, loop_seed = _cell_setup(cfg, alpha, n, seed)
-    model, losses = train(model, train_set, cfg.train, loop_seed)
-    val_mse, stats = _validate(model, val_set, cfg.n_stat_examples)
+    losses, = train([model], [train_set], cfg.train, [loop_seed])
+    (val_mse, stats), = _validate([model], val_set, cfg.n_stat_examples)
     return val_mse, model, CellResult(alpha, n, seed, val_mse, tuple(losses), stats)
 
 
@@ -471,8 +468,8 @@ def _phase(task) -> list[tuple[tuple, object]]:
     cfg, cells, trained = task
     if trained is None:
         models, sets, seeds = map(list, zip(*(_cell_setup(cfg, *c) for c in cells)))
-        return [(c, (m.params, losses)) for c, (m, losses)
-                in zip(cells, train(models, sets, cfg.train, seeds))]
+        return [(c, (m.params, losses)) for c, m, losses
+                in zip(cells, models, train(models, sets, cfg.train, seeds))]
     alpha, _, seed = cells[0]
     val_set = _val_set(cfg, cfg.spectrum(alpha), alpha, seed)
     models = [StudentModel(cfg.student, params) for params, _ in trained]

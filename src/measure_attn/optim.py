@@ -1,9 +1,9 @@
 """Training settings, Adam with per-epoch learning-rate decay, and the loop.
 
 TrainConfig holds every training setting and AdamState only Adam's moments.
-The loop trains on squared loss with fresh Gaussian noise added to each
-target presentation.  A Dataset holds a set of contexts as arrays: counts
-on shared atoms, queries and targets.
+The loop trains a stack of models in lockstep on squared loss with fresh
+Gaussian noise added to each target presentation.  A Dataset holds a set
+of contexts as arrays: counts on shared atoms, queries and targets.
 """
 
 from __future__ import annotations
@@ -103,60 +103,56 @@ class Dataset:
 
 
 @np.errstate(over="ignore", invalid="ignore")   # adam_step rejects the non-finite gradient
-def train(model, dataset, cfg: TrainConfig, seed):
-    """Seeded minibatch training; returns the model and per-epoch mean loss.
-
-    Each epoch reshuffles the dataset, each presentation jitters the target
-    with fresh N(0, noise_std^2) noise, and each minibatch is one batched
-    pass over its counts and one Adam step on the mean squared loss.  The
-    recorded loss is the mean over the epoch's (noisy) presentations.
+def train(models, datasets, cfg: TrainConfig, seeds) -> list[list[float]]:
+    """Seeded minibatch training of a stack of models; returns each model's
+    per-epoch mean loss, and leaves the trained params in the models.
 
     Equal-length sequences of models, datasets and seeds, the datasets of
-    one size on the same atoms, train in lockstep as one stack: each model
-    keeps its own stream (per epoch its permutation, then its noise) and
-    is bitwise what its own call would train.  Returns per model (model,
-    losses).  Params are written back to the models when training ends, so
-    a step Adam rejects raises and leaves every model as it was.
+    one size on the same atoms, train in lockstep as one stack, each model
+    on its own stream: each epoch reshuffles its dataset, each presentation
+    jitters the target with fresh N(0, noise_std^2) noise, and each
+    minibatch is one batched pass over the stack and one Adam step on each
+    model's mean squared loss.  The recorded loss is the mean over the
+    epoch's (noisy) presentations.  A model's row is bitwise what a stack
+    of it alone would train.  Params are written back to the models when
+    training ends, so a step Adam rejects raises and leaves every model as
+    it was.
     """
-    stack = isinstance(model, (list, tuple))
-    models, datasets, seeds = ((model, dataset, seed) if stack
-                               else ([model], [dataset], [seed]))
-    n, atoms = len(datasets[0].targets), datasets[0].atoms
+    if len(models) == 0:
+        raise ValueError("empty stack: train needs at least one model")
     if not len(models) == len(datasets) == len(seeds) or any(
-            len(d.targets) != n or not np.array_equal(d.atoms, atoms)
-            for d in datasets):
+            len(d.targets) != len(datasets[0].targets)
+            or not np.array_equal(d.atoms, datasets[0].atoms) for d in datasets):
         raise ValueError("a stack needs one dataset and seed per model, "
                          "and datasets of one size on the same atoms")
+    n, atoms = len(datasets[0].targets), datasets[0].atoms
     rngs, student = [_rng(s) for s in seeds], models[0].config
-    params = np.stack([m.params for m in models]) if stack else model.params.copy()
+    params = np.stack([m.params for m in models])
     grads, table = np.zeros_like(params), _layout(student)
     views = (_block_views(table, params), _block_views(table, grads))
     state = AdamState(np.zeros_like(params), np.zeros_like(params))
     losses = np.zeros((len(models), cfg.epochs))
-    gather = np.stack if stack else (lambda rows: rows[0])
     for epoch in range(cfg.epochs):
         # an epoch's rows in its order, and all its noise in one draw: the
         # stream of one standard_normal(batch) per minibatch, in one call
         orders = [rng.permutation(n) for rng in rngs]
-        queries = gather([d.queries[o] for d, o in zip(datasets, orders)])
-        counts = gather([d.counts[o] for d, o in zip(datasets, orders)])
+        queries = np.stack([d.queries[o] for d, o in zip(datasets, orders)])
+        counts = np.stack([d.counts[o] for d, o in zip(datasets, orders)])
         noisy = [d.targets[o] for d, o in zip(datasets, orders)]
         if cfg.noise_std > 0:
             noisy = [y + cfg.noise_std * rng.standard_normal(n)
                      for rng, y in zip(rngs, noisy)]
-        noisy, epoch_sq = gather(noisy), 0.0
+        noisy, epoch_sq = np.stack(noisy), 0.0
         for start in range(0, n, cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
-            resid = _squared_loss_grads(*views, student, atoms, queries[..., batch, :],
-                                        counts[..., batch, :], noisy[..., batch])
-            epoch_sq = epoch_sq + (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+            resid = _squared_loss_grads(*views, student, atoms, queries[:, batch],
+                                        counts[:, batch], noisy[:, batch])
+            epoch_sq = epoch_sq + (resid[:, None, :] @ resid[..., None])[:, 0, 0]
             adam_step(state, params, grads, cfg, epoch)
         losses[:, epoch] = epoch_sq / n
-    for m, row in zip(models, params.reshape(len(models), -1)):
+    for m, row in zip(models, params):
         m.params[...] = row
-    if not stack:
-        return model, losses[0].tolist()
-    return [(m, row.tolist()) for m, row in zip(models, losses)]
+    return losses.tolist()
 
 
 def losses_to_csv(losses: list[float]) -> str:

@@ -237,7 +237,7 @@ def test_train_failure_exits_1_and_writes_no_results(tmp_path, capsys, monkeypat
     else:
         real = experiment._validate
         monkeypatch.setattr(experiment, "_validate",
-                            lambda *args: (math.nan, real(*args)[1]))
+                            lambda *args: [(math.nan, stats) for _, stats in real(*args)])
     code, out, err = run(capsys, argv)
     assert code == 1 and out == ""
     assert err == f"error: training failed: {reason}\n"
@@ -269,12 +269,13 @@ def test_a_size_too_large_to_hold_exits_2(tmp_path, capsys, monkeypatch, argv, n
     assert code == 2 and stdout == "" and "Traceback" not in err
     assert err.startswith("error: cannot hold ") and err.count("\n") == 1
     assert named in err
-    # train writes its resolved config before it draws, and no result
-    written = os.listdir(out) if out.exists() else []
-    assert written == (["config_resolved.json"] if "train" in argv else [])
+    # nothing is written: train writes its resolved config after the draw
+    assert not out.exists()
 
 
-def test_train_out_is_existing_file_is_io_error(tmp_path, capsys):
+def test_train_out_is_existing_file_is_io_error(tmp_path, capsys, monkeypatch):
+    from measure_attn import cli
+    monkeypatch.setattr(cli, "run_cell", lambda *args: pytest.fail("trained"))
     path = tmp_path / "taken"
     path.write_text("")
     code, _, err = run(capsys, ["train", *TINY, "--n-train", "2",

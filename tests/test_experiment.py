@@ -464,7 +464,7 @@ def test_stats_sum_each_heads_examples_in_sequence(monkeypatch):
     stacked = _validate(models, data, n_stat)
     pairwise_apart = 0
     for i, (model, (_, stack_stats)) in enumerate(zip(models, stacked)):
-        stats = _validate(model, data, n_stat)[1]
+        stats = _validate([model], data, n_stat)[0][1]
         mass, sides = seen[len(models) + i]   # the model's own call
         assert mass.shape[0] == sides.shape[0] == n_stat
         assert mass.tobytes() == seen[i][0].tobytes()
@@ -493,7 +493,7 @@ def test_stacked_validate_is_each_models_own_call_bitwise(H):
     models = [StudentModel.init(cfg.student, s) for s in range(4)]
     for n_stat in (0, cfg.n_stat_examples):
         for model, (val_mse, stats) in zip(models, _validate(models, data, n_stat)):
-            want_mse, want = _validate(model, data, n_stat)
+            (want_mse, want), = _validate([model], data, n_stat)
             assert isinstance(val_mse, float) and val_mse == want_mse
             if n_stat == 0:
                 assert stats is None and want is None
@@ -601,7 +601,7 @@ def test_a_zero_mass_row_still_has_no_softmax_normalizer(empty):
     counts = data.counts.copy()
     counts[empty] = 0
     with pytest.raises(ValueError, match="softmax normalizer vanished"):
-        _validate(StudentModel.init(SMALL.student, 0), replace(data, counts=counts))
+        _validate([StudentModel.init(SMALL.student, 0)], replace(data, counts=counts))
 
 
 def test_a_nan_query_scores_nan_like_forward():
@@ -614,7 +614,7 @@ def test_a_nan_query_scores_nan_like_forward():
     model = StudentModel.init(SMALL.student, 0)
     pred, mass, _ = _score([model], data)
     assert np.isnan(pred[0, [2, 4]]).all() and np.isfinite(np.delete(pred[0], [2, 4])).all()
-    assert math.isnan(_validate(model, data)[0])
+    assert math.isnan(_validate([model], data)[0][0])
     np.testing.assert_allclose(np.delete(pred[0], [2, 4]),
                                np.delete(_rows_through_forward(model, data)[0], [2, 4]),
                                rtol=1e-12, atol=0)
@@ -736,14 +736,14 @@ def test_a_context_set_is_drawn_and_scored_in_one_block_of_working_memory():
     cfg = replace(SMALL, n_tokens=5000, n_val=8 * _BLOCK)
     spec, block = cfg.spectrum(1.0), _BLOCK * 2 * cfg.T * 8   # a block of float counts
     model = StudentModel.init(cfg.student, 0)
-    _validate(model, _gen(cfg, spec, 3, np.random.SeedSequence(0)), 3)   # warm up
+    _validate([model], _gen(cfg, spec, 3, np.random.SeedSequence(0)), 3)   # warm up
     tracemalloc.start()
     try:
         data = _gen(cfg, spec, cfg.n_val, np.random.SeedSequence(1))
         drawn = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        _validate(model, data, _BLOCK)
+        _validate([model], data, _BLOCK)
         scored = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -849,7 +849,7 @@ def test_run_cell_runs_one_forward_pass_per_minibatch_and_none_to_validate(
     forward = model._forward
 
     def counting(b, cfg, C, q, weights):
-        sizes.append(weights.shape[0])
+        sizes.append(weights.shape[-2])   # (stack, batch, atoms)
         return forward(b, cfg, C, q, weights)
 
     monkeypatch.setattr(model, "_forward", counting)
@@ -862,7 +862,7 @@ def test_run_cell_mse_and_stats_match_separate_passes():
     val_mse, model, result = run_cell(1.0, 4, 0, SMALL)
     # run_cell's validation set, with each row's tokens
     val_set = _val_set(SMALL, SMALL.spectrum(1.0), 1.0, 0)
-    assert val_mse == _validate(model, val_set)[0]
+    assert val_mse == _validate([model], val_set)[0][0]
     tokens = [np.repeat(val_set.atoms, c, axis=0) for c in val_set.counts]
     token_mse = np.mean([(model.forward(C, q)[0] - y) ** 2 for C, q, y
                          in zip(tokens, val_set.queries, val_set.targets)])
@@ -916,9 +916,9 @@ def test_run_cell_and_sweep_validate_settings(tmp_path, call, name):
         StudentModel.init(SMALL.student, 0), balanced_items(2, T=6), seed),
                  id="query-shuffle"),
     pytest.param(lambda seed: StudentModel.init(SMALL.student, seed), id="init"),
-    pytest.param(lambda seed: train(StudentModel.init(SMALL.student, 0),
-                                    _gen(SMALL, SMALL.spectrum(1.0), 2, 0),
-                                    SMALL.train, seed), id="train"),
+    pytest.param(lambda seed: train([StudentModel.init(SMALL.student, 0)],
+                                    [_gen(SMALL, SMALL.spectrum(1.0), 2, 0)],
+                                    SMALL.train, [seed]), id="train"),
     pytest.param(lambda seed: _probe_trials(20, seed), id="probe"),
 ])
 def test_every_seed_is_checked_by_one_rule(call, seed):
@@ -1017,18 +1017,19 @@ def test_gen_dataset_is_stacked_gen_example_draws():
         sets[count] = data, examples, stacked
     data, _, stacked = sets[17]
     cfg = replace(SMALL.train, epochs=3)
-    m1, l1 = train(StudentModel.init(SMALL.student, 1), data, cfg, 2)
-    m2, l2 = train(StudentModel.init(SMALL.student, 1), stacked, cfg, 2)
+    m1, m2 = StudentModel.init(SMALL.student, 1), StudentModel.init(SMALL.student, 1)
+    l1, = train([m1], [data], cfg, [2])
+    l2, = train([m2], [stacked], cfg, [2])
     assert l1 == l2
     np.testing.assert_array_equal(m1.params, m2.params)
     data, examples, stacked = sets[64 + 5]
-    mse, stats = _validate(m1, data, 10)
-    stacked_mse, stacked_stats = _validate(m1, stacked, 10)
+    (mse, stats), = _validate([m1], data, 10)
+    (stacked_mse, stacked_stats), = _validate([m1], stacked, 10)
     assert mse == stacked_mse and stats.to_dict() == stacked_stats.to_dict()
     perm = np.random.default_rng(3).permutation(len(data.targets))
     shuffled = replace(data, queries=data.queries[perm])
     assert (query_shuffle_eval(m1, examples, seed=3)
-            == (mse, _validate(m1, shuffled)[0]))
+            == (mse, _validate([m1], shuffled)[0][0]))
 
 
 # ------------------------------------------------------------------- fits
@@ -1480,12 +1481,12 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
         if fault == "nan_grad":
             datasets = [replace(d, targets=np.full_like(d.targets, np.nan)) if h else d
                         for d, h in zip(datasets, hit)]
-        runs = real_train(models, datasets, train_cfg, seeds)
+        losses = real_train(models, datasets, train_cfg, seeds)
         if fault == "nan":
-            for run, h in zip(runs, hit):
+            for model, h in zip(models, hit):
                 if h:
-                    run[0].params[:] = np.nan
-        return runs
+                    model.params[:] = np.nan
+        return losses
 
     pools = []
 

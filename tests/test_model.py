@@ -11,10 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from measure_attn import (AdamState, AttnHead, DiscreteMeasure,
-                          ExperimentConfig, StudentConfig,
+from measure_attn import (AdamState, AttnHead, AttnParams, Dataset,
+                          DiscreteMeasure, ExperimentConfig, StudentConfig,
                           StudentModel, TrainConfig, adam_step, gen_example,
-                          softmax_weights)
+                          measure_attention, softmax_weights, train)
 from measure_attn.model import (_backward, _block_views, _forward, _layout, _runs,
                                 _squared_loss_grads)
 
@@ -664,6 +664,51 @@ def test_student_rows_equal_lemma_softmax_on_uniform_measure(n_heads):
         head = AttnHead(W=np.eye(dm), Q=Q, K=K, V=np.eye(dm))
         w = softmax_weights(head, mu, cache.qry_emb[0])
         np.testing.assert_allclose(w, cache.attn[h, 0], rtol=1e-12, atol=0.0)
+
+
+def lemma_params(model):
+    """The student's attention layer as the lemma's operator, with zero skip.
+
+    Head h is an AttnHead of dimension d_model: Q = attn_q[h]/sqrt(hd),
+    K = attn_k[h] and V = attn_v[h] in the first hd rows of zero
+    (d_model, d_model) matrices, and W = attn_out's columns of head h in
+    its first hd columns.
+    """
+    cfg, b = model.config, model._blocks
+    dm, hd = cfg.d_model, cfg.head_dim
+    heads = []
+    for h in range(cfg.n_heads):
+        Q, K, V, W = (np.zeros((dm, dm)) for _ in range(4))
+        Q[:hd] = b["attn_q"][h] / np.sqrt(hd)
+        K[:hd] = b["attn_k"][h]
+        V[:hd] = b["attn_v"][h]
+        W[:, :hd] = b["attn_out"][:, h * hd:(h + 1) * hd]
+        heads.append(AttnHead(W=W, Q=Q, K=K, V=V))
+    return AttnParams(tuple(heads), np.zeros((dm, dm)))
+
+
+@pytest.mark.parametrize("trained", [False, True], ids=["initial", "trained"])
+@pytest.mark.parametrize("n_heads", [1, 4])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_student_attention_layer_is_the_lemma_operator(activation, n_heads, trained):
+    # Attn(mu, x) with mu the context MLP's pushforward of a row's counts
+    # (ctx_emb on the atoms, weighted by counts/sum) and x the row's
+    # embedded query is the student's projected attention output, mixed
+    exp = ExperimentConfig(n_tokens=20)   # 20 tokens on 2T = 64 atoms
+    data = Dataset.of([gen_example(exp.spectrum(1.0), exp, seed) for seed in range(8)])
+    model = StudentModel.init(StudentConfig(n_heads=n_heads, activation=activation), 3)
+    if trained:
+        train([model], [data], TrainConfig(epochs=3), [0])
+    counts, tag = data.counts.copy(), data.atoms[:, 1]
+    counts[0, tag != data.queries[0, 1]] = 0   # only the query's tag
+    counts[1, tag == data.queries[1, 1]] = 0   # only the other tag
+    assert (counts == 0).any(axis=1).all() and (counts.sum(axis=1) > 0).all()
+    f = _forward(model._blocks, model.config, data.atoms, data.queries, counts)
+    params = lemma_params(model)
+    for row, x, mixed in zip(counts, f["qry_emb"], f["mixed"]):
+        mu = DiscreteMeasure(f["ctx_emb"], row / row.sum())
+        got = measure_attention(params, mu, x)
+        assert np.linalg.norm(got - mixed) <= 1e-12 * np.linalg.norm(mixed)
 
 
 def test_backward_rejects_stale_cache():

@@ -200,8 +200,8 @@ def test_zero_epochs_leaves_model_unchanged():
     rng = np.random.default_rng(1)
     model = StudentModel.init(StudentConfig(), rng)
     before = model.params.copy()
-    _, losses = train(model, Dataset.of(make_dataset(rng, 4)),
-                      TrainConfig(epochs=0), 0)
+    losses, = train([model], [Dataset.of(make_dataset(rng, 4))],
+                    TrainConfig(epochs=0), [0])
     np.testing.assert_array_equal(model.params, before)
     assert losses == []
 
@@ -209,8 +209,8 @@ def test_zero_epochs_leaves_model_unchanged():
 def test_loss_trace_length_equals_epochs():
     rng = np.random.default_rng(2)
     model = StudentModel.init(StudentConfig(), rng)
-    _, losses = train(model, Dataset.of(make_dataset(rng, 6)),
-                      TrainConfig(epochs=7, batch_size=3), 0)
+    losses, = train([model], [Dataset.of(make_dataset(rng, 6))],
+                    TrainConfig(epochs=7, batch_size=3), [0])
     assert len(losses) == 7
     assert all(np.isfinite(l) and l >= 0.0 for l in losses)
 
@@ -219,11 +219,12 @@ def test_train_deterministic_in_seed():
     rng = np.random.default_rng(3)
     dataset = Dataset.of(make_dataset(rng, 5))
     cfg = TrainConfig(epochs=3, batch_size=2)
-    m1, l1 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 11)
-    m2, l2 = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 11)
+    m1, m2, m3 = (StudentModel.init(StudentConfig(), 7) for _ in range(3))
+    l1, = train([m1], [dataset], cfg, [11])
+    l2, = train([m2], [dataset], cfg, [11])
     np.testing.assert_array_equal(m1.params, m2.params)
     assert l1 == l2
-    m3, _ = train(StudentModel.init(StudentConfig(), 7), dataset, cfg, 12)
+    train([m3], [dataset], cfg, [12])
     assert not np.array_equal(m1.params, m3.params)
 
 
@@ -259,8 +260,8 @@ def test_train_matches_token_passes(source):
         exp = ExperimentConfig(n_tokens=100)
         dataset = [gen_example(exp.spectrum(1.0), exp, rng) for _ in range(7)]
     cfg = TrainConfig(epochs=4, batch_size=3)
-    batched, losses = train(StudentModel.init(StudentConfig(), 5),
-                            Dataset.of(dataset), cfg, 17)
+    batched = StudentModel.init(StudentConfig(), 5)
+    losses, = train([batched], [Dataset.of(dataset)], cfg, [17])
     token, token_losses = token_train_reference(
         StudentModel.init(StudentConfig(), 5), dataset, cfg, 17)
     np.testing.assert_allclose(losses, token_losses, rtol=1e-12)
@@ -304,7 +305,8 @@ def test_train_step_is_the_public_passes_bitwise(activation, monkeypatch):
     digest = StudentModel._digest
     monkeypatch.setattr(StudentModel, "_digest",
                         lambda self: digests.append(1) or digest(self))
-    lean, losses = train(StudentModel.init(student, 5), dataset, cfg, 17)
+    lean = StudentModel.init(student, 5)
+    losses, = train([lean], [dataset], cfg, [17])
     assert digests == []   # a training step builds no cache
     public, public_losses = public_train_reference(
         StudentModel.init(student, 5), dataset, cfg, 17)
@@ -354,13 +356,15 @@ def test_stacked_train_rows_are_their_own_training_bitwise(activation, first_ste
     for m, p in zip(models, before):
         assert m.params.tobytes() == p.tobytes()
     with pytest.raises(ValueError, match="non-finite gradient; step rejected"):
-        train(StudentModel.init(student, 2), datasets[2], cfg, seeds[2])
-    # the other rows, trained as a stack, are each their own training
+        train([StudentModel.init(student, 2)], [datasets[2]], cfg, [seeds[2]])
+    # the other rows, trained as a stack, are each their own unstacked training
     rows = (0, 1, 3)
-    stacked = train([StudentModel.init(student, i) for i in rows],
-                    [datasets[i] for i in rows], cfg, [seeds[i] for i in rows])
-    for i, (stacked_model, stacked_losses) in zip(rows, stacked):
-        model, losses = train(StudentModel.init(student, i), datasets[i], cfg, seeds[i])
+    stacked_models = [StudentModel.init(student, i) for i in rows]
+    stacked = train(stacked_models, [datasets[i] for i in rows], cfg,
+                    [seeds[i] for i in rows])
+    for i, stacked_model, stacked_losses in zip(rows, stacked_models, stacked):
+        model, losses = public_train_reference(StudentModel.init(student, i),
+                                               datasets[i], cfg, seeds[i])
         assert stacked_model.params.tobytes() == model.params.tobytes()
         assert stacked_losses == losses and len(losses) == cfg.epochs
 
@@ -389,13 +393,13 @@ def test_a_model_whose_step_adam_rejects_is_left_as_it_was(monkeypatch, case):
     model = StudentModel.init(StudentConfig(), 5)
     before, blocks = model.params.copy(), model._blocks["attn_q"]
     with pytest.raises(ValueError, match="non-finite gradient; step rejected"):
-        train(model, data, cfg, 3)
+        train([model], [data], cfg, [3])
     assert len(accepted) == (1 if case == "huge-step" else 2)
     # none of the accepted steps reached the model, which keeps its arrays
     assert model.params.tobytes() == before.tobytes()
     assert model._blocks["attn_q"] is blocks
-    trained, _ = train(model, Dataset.of(make_dataset(rng, 7)), TrainConfig(epochs=1), 0)
-    assert trained is model and model.params.tobytes() != before.tobytes()
+    train([model], [Dataset.of(make_dataset(rng, 7))], TrainConfig(epochs=1), [0])
+    assert model.params.tobytes() != before.tobytes()
 
 
 def test_stacked_train_needs_one_size_and_atoms():
@@ -415,6 +419,16 @@ def test_stacked_train_needs_one_size_and_atoms():
         assert m.params.tobytes() == p.tobytes()
 
 
+@pytest.mark.parametrize("call", [
+    lambda data: train([], [], TrainConfig(), []),
+    lambda data: _validate([], data),
+], ids=["train", "validate"])
+def test_an_empty_stack_is_refused(call):
+    data = Dataset.of(make_dataset(np.random.default_rng(38), 3))
+    with pytest.raises(ValueError, match="empty stack"):
+        call(data)
+
+
 def test_single_example_overfit_within_500_steps():
     # constant learning rate (decay 1.0): the default per-epoch decay 0.95
     # freezes the step size long before 500 single-example epochs
@@ -423,9 +437,9 @@ def test_single_example_overfit_within_500_steps():
     dataset = Dataset.of(make_dataset(rng, 1))
     cfg = TrainConfig(epochs=500, batch_size=1, lr0=1e-2,
                       decay_per_epoch=1.0, noise_std=0.0)
-    _, losses = train(model, dataset, cfg, 0)
+    losses, = train([model], [dataset], cfg, [0])
     assert losses[-1] < 1e-3
-    assert _validate(model, dataset)[0] < 1e-3
+    assert _validate([model], dataset)[0][0] < 1e-3
 
 
 def test_train_rejects_empty_dataset():
@@ -441,14 +455,14 @@ def test_evaluate_zero_model_is_mean_squared_target():
     dataset = Dataset.of(make_dataset(rng, 8))
     model = StudentModel(StudentConfig())  # all-zero params predict 0
     want = float(np.mean(dataset.targets**2))
-    assert _validate(model, dataset)[0] == pytest.approx(want, rel=1e-15)
+    assert _validate([model], dataset)[0][0] == pytest.approx(want, rel=1e-15)
 
 
 def test_evaluate_ignores_training_noise():
     rng = np.random.default_rng(6)
     dataset = Dataset.of(make_dataset(rng, 3))
     model = StudentModel.init(StudentConfig(), rng)
-    assert _validate(model, dataset)[0] == _validate(model, dataset)[0]
+    assert _validate([model], dataset)[0][0] == _validate([model], dataset)[0][0]
 
 
 # ----------------------------------------------------------------- losses
