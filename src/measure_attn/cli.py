@@ -162,8 +162,12 @@ def cmd_train(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     cfg, alpha = _one_alpha_config(args, 1.0)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise CliError(f"cannot write {args.out}: not a directory")
+    # --out is made after training: fail now if it cannot be made
+    parent = os.path.abspath(args.out)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise CliError(f"cannot write {args.out}: {parent} is not a directory")
     try:
         val_mse, model, result = run_cell(alpha, args.n_train, args.cell_seed, cfg)
         metrics = experiment._payload((alpha, args.n_train, args.cell_seed),
@@ -201,7 +205,7 @@ def cmd_sweep(args) -> int:
         print(f"  alpha={_fmt(alpha)}: A={fit.A:.4f} C={fit.C:.4f} "
               f"residual_rms={fit.residual_rms:.4f}")
     if summary["cells_failed"]:
-        for cell, err in summary["failures"].items():
+        for cell, err in sorted(summary["failures"].items()):
             print(f"  FAILED cell {cell}: {err}", file=sys.stderr)
         return 1
     print(f"bundle written to {args.out}")
@@ -341,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seeds", type=int, help="seeds per cell")
     ps.add_argument("--n-stat-examples", dest="n_stat_examples", type=int)
     ps.add_argument("--jobs", type=int, default=1,
-                    help="worker processes; a task trains up to 16 cells of one n "
-                         "or scores one (alpha, seed) row")
+                    help="most tasks run at once, each in a forked child process "
+                         "(1: all in this process); a task trains up to 16 cells "
+                         "of one n or scores one (alpha, seed) row")
     ps.add_argument("--out", default="sweep_out", help="output directory")
     ps.set_defaults(fn=cmd_sweep)
 

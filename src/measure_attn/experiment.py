@@ -15,13 +15,13 @@ curves per alpha feed a least-squares fit of log L on t = (log n)^(alpha/(alpha+
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import hashlib
 import io
 import json
 import os
+import pickle
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -477,6 +477,12 @@ def _phase(task) -> list[tuple[tuple, object]]:
             in zip(cells, trained, _validate(models, val_set, cfg.n_stat_examples))]
 
 
+def _parts(task) -> list[tuple]:
+    """The one-cell tasks a failed task splits into, in its cells' order."""
+    cfg, cells, trained = task
+    return [(cfg, cells[i:i + 1], trained and trained[i:i + 1]) for i in range(len(cells))]
+
+
 def _isolated(run, task) -> list[tuple[tuple, object]]:
     """run(task), the sweep's one failure rule: if it raises, each one-cell
     part of the task is run in turn, and a cell that fails alone gets the
@@ -486,51 +492,67 @@ def _isolated(run, task) -> list[tuple[tuple, object]]:
     except Exception as e:  # noqa: BLE001 - cell failures are data
         if len(task[1]) == 1:
             return [(task[1][0], _error(e))]
-    cfg, cells, trained = task
-    return [value for i in range(len(cells)) for value
-            in _isolated(run, (cfg, cells[i:i + 1], trained and trained[i:i + 1]))]
+    return [value for part in _parts(task) for value in _isolated(run, part)]
 
 
-def _run(tasks, jobs: int, pool):
-    """Yield (cell, value) for every cell of the tasks, task by task, from
-    _sweep_cell_worker: here with no pool, else in the pool.
+def _run(tasks, jobs: int):
+    """Yield (cell, value) for every cell of the tasks from _sweep_cell_worker:
+    here at jobs=1 or where os.fork is missing, else each task in a forked
+    child of its own, at most jobs alive at a time.
 
-    The worker splits a task that raises (_isolated), so a task fails in
-    the pool only when a worker dies without raising: that breaks the pool
-    and fails every task pending in it.  Each such task reruns by the same
-    rule, with a fresh one-worker pool as the run, jobs tasks at a time.
-    A pool broken in an earlier phase refuses every task, and the phase
-    gets a fresh pool of jobs workers.
+    A task reaches its child by fork and is never pickled; the child pipes
+    back its pickled result and leaves by os._exit, and only the result of
+    a child that exited 0 is read.  The worker splits a task that raises
+    (_isolated), so a task fails here only when its child dies (a signal, a
+    non-zero exit or a cut-off result).  By the same rule its one-cell parts
+    then run, each in a fresh child, and a cell whose child dies alone gets
+    "ChildProcessError: worker died with exit code N" (minus the signal
+    that killed it).  On any exception the children still running are
+    killed and reaped, so none outlives this generator.
     """
-    if pool is None:
+    if jobs == 1 or not hasattr(os, "fork"):
         for task in tasks:
             yield from _sweep_cell_worker(task)
         return
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-    futures = []
+    import selectors
+    import signal
+    todo, children = list(reversed(tasks)), selectors.DefaultSelector()
     try:
-        for task in tasks:
-            futures.append(pool.submit(_sweep_cell_worker, task))
-    except BrokenProcessPool:
-        if not futures:   # broken in an earlier phase
-            with ProcessPoolExecutor(max_workers=jobs) as fresh:
-                yield from _run(tasks, jobs, fresh)
-            return
-    failed = list(tasks[len(futures):])
-    for task, fut in zip(tasks, futures):
-        if fut.exception() is None:
-            yield from fut.result()
-        else:
-            failed.append(task)
-
-    def alone(task):
-        with ProcessPoolExecutor(max_workers=1) as one:
-            return one.submit(_sweep_cell_worker, task).result()
-
-    with ThreadPoolExecutor(max_workers=jobs) as threads:
-        for cells in threads.map(functools.partial(_isolated, alone), failed):
-            yield from cells
+        while todo or children.get_map():
+            while todo and len(children.get_map()) < jobs:
+                import numpy.random  # noqa: F401 - once here, not in every child
+                task, (r, w) = todo.pop(), os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        with open(w, "wb") as f:
+                            f.write(pickle.dumps(_sweep_cell_worker(task)))
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                os.close(w)
+                children.register(r, selectors.EVENT_READ, (pid, task, []))
+            for key, _ in children.select():
+                pid, task, chunks = key.data
+                chunks.append(os.read(key.fd, 1 << 20))
+                if chunks[-1]:
+                    continue
+                children.unregister(key.fd)
+                os.close(key.fd)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                if code == 0:
+                    yield from pickle.loads(b"".join(chunks))
+                elif len(task[1]) == 1:
+                    yield task[1][0], _error(ChildProcessError(
+                        f"worker died with exit code {code}"))
+                else:
+                    todo.extend(reversed(_parts(task)))
+    finally:
+        for key in list(children.get_map().values()):
+            os.kill(key.data[0], signal.SIGKILL)
+            os.waitpid(key.data[0], 0)
+            os.close(key.fd)
+        children.close()
 
 
 def _fmt(x: float) -> str:
@@ -540,16 +562,17 @@ def _fmt(x: float) -> str:
 def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run the (alpha, n, seed) grid and persist the result bundle.
 
-    Pending cells run in two phases on one pool of at most jobs workers,
-    no more than either phase has tasks.  First the cells of each n train
-    in lockstep, as stacks of at most _STACK cells, largest n first.  Then
-    each (alpha, seed) row draws its validation set once and scores all
-    its trained cells as one stack over it.  Failures follow one rule,
-    _isolated: a task that raises is split cell by cell inside the worker
-    that ran it, and one whose worker dies reruns in one-worker pools, so
-    only a cell that fails alone fails (see _run).  Cell files are written
-    as rows are scored, so a sweep stopped while training keeps none of
-    its newly trained cells.
+    Pending cells run in two phases, each task in a forked child of its
+    own, at most jobs at a time, or in this process at jobs=1 (see _run).
+    First the cells of each n train in lockstep, as stacks of at most
+    _STACK cells, largest n first.  Then each (alpha, seed) row draws its
+    validation set once and scores all its trained cells as one stack over
+    it; its child reads the trained results copy-on-write.  Failures
+    follow one rule, _isolated: a task that raises is split cell by cell
+    where it ran, and one whose child dies reruns cell by cell in fresh
+    children, so only a cell that fails alone fails.  Cell files are
+    written as rows are scored, so a sweep stopped while training keeps
+    none of its newly trained cells.
 
     Writes cells/<key>.json per cell (atomic, reused on resume when the key
     matches and its results are whole), risk_curve.csv, attention_stats.csv,
@@ -586,32 +609,23 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     groups = [(cfg, tuple(cells[i:i + _STACK]), None)
               for _, cells in sorted(by_n.items(), reverse=True)
               for i in range(0, len(cells), _STACK)]
-    # a pool forks all its workers at its first task: no more than a phase
-    # has tasks
-    jobs = min(jobs, max(len(groups), len({(a, s) for a, _, s in pending})))
     trained = {}
-    if jobs > 1:
-        # the pool modules (multiprocessing, logging, socket, subprocess) cost
-        # about 2 MB: only a process that starts a pool imports them
-        from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=jobs) if jobs > 1
-          else contextlib.nullcontext()) as pool:
-        for cell, value in _run(groups, jobs, pool):
-            (failures if isinstance(value, str) else trained)[cell] = value
-        rows: dict[tuple[float, int], list[tuple]] = {}
-        for cell in pending:
-            if cell in trained:
-                rows.setdefault((cell[0], cell[2]), []).append(cell)
-        tasks = [(cfg, tuple(cells), tuple(trained[cell] for cell in cells))
-                 for cells in rows.values()]
-        for cell, payload in _run(tasks, jobs, pool):
-            if isinstance(payload, str):
-                failures[cell] = payload
-                continue
-            payload["key_inputs"] = key_pairs[cell][1]
-            path = os.path.join(out_dir, "cells", keyed[cell] + ".json")
-            _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
-            results[cell] = payload
+    for cell, value in _run(groups, jobs):
+        (failures if isinstance(value, str) else trained)[cell] = value
+    rows: dict[tuple[float, int], list[tuple]] = {}
+    for cell in pending:
+        if cell in trained:
+            rows.setdefault((cell[0], cell[2]), []).append(cell)
+    tasks = [(cfg, tuple(cells), tuple(trained[cell] for cell in cells))
+             for cells in rows.values()]
+    for cell, payload in _run(tasks, jobs):
+        if isinstance(payload, str):
+            failures[cell] = payload
+            continue
+        payload["key_inputs"] = key_pairs[cell][1]
+        path = os.path.join(out_dir, "cells", keyed[cell] + ".json")
+        _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1))
+        results[cell] = payload
 
     curves, fits = risk_curves((alpha, n, results[(alpha, n, s)]["val_mse"])
                                for alpha, n, s in keyed if (alpha, n, s) in results)

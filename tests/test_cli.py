@@ -278,10 +278,14 @@ def test_train_out_is_existing_file_is_io_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_cell", lambda *args: pytest.fail("trained"))
     path = tmp_path / "taken"
     path.write_text("")
-    code, _, err = run(capsys, ["train", *TINY, "--n-train", "2",
-                                "--out", str(path)])
-    assert code == 2
-    assert "error:" in err and str(path) in err
+    # the file itself, or a path under it that cannot be made: each fails
+    # before training and writes nothing
+    for out in (path, path / "sub"):
+        code, _, err = run(capsys, ["train", *TINY, "--n-train", "2",
+                                    "--out", str(out)])
+        assert code == 2
+        assert "error:" in err and str(out) in err
+    assert os.listdir(tmp_path) == ["taken"] and path.read_text() == ""
 
 
 @pytest.mark.parametrize("extra, env_seed, named", [

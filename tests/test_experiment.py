@@ -5,20 +5,18 @@ ablation, single-cell training, rate fits against a brute-force grid
 search, and the sweep bundle's persistence and reproducibility.
 """
 
-import concurrent.futures
 import functools
 import hashlib
 import json
 import math
-import multiprocessing
 import operator
 import os
+import pickle
+import signal
 import subprocess
 import sys
-import threading
 import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -1180,8 +1178,10 @@ def test_risk_curves_leave_numpy_ma_unimported():
 
 
 def test_only_a_sweep_that_starts_a_pool_imports_the_pool_modules(tmp_path):
-    # multiprocessing and its pool cost about 2 MB in every process that
-    # imports them; a fresh interpreter shows which calls load them
+    # multiprocessing and concurrent.futures cost about 1.2 MB in every
+    # process that imports them; a sweep forks its children with os.fork, so
+    # no call loads them, not even a sweep at jobs=2 (a fresh interpreter
+    # shows which modules a call loads)
     code = ("import sys\n"
             "import measure_attn, measure_attn.cli, measure_attn.verify\n"
             "from measure_attn import ExperimentConfig, TrainConfig, run_cell, sweep\n"
@@ -1202,7 +1202,7 @@ def test_only_a_sweep_that_starts_a_pool_imports_the_pool_modules(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "serial"),
                           str(tmp_path / "pool")], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines() == ["[False, False]", "[True, True]"]
+    assert out.stdout.splitlines() == ["[False, False]", "[False, False]"]
 
 
 # ------------------------------------------------------------------ sweep
@@ -1359,8 +1359,37 @@ def test_sweep_reproducible_across_directories_and_jobs(tmp_path):
 
 
 FORK_ONLY = pytest.mark.skipif(
-    multiprocessing.get_context().get_start_method() != "fork",
-    reason="pool workers must inherit the monkeypatched functions")
+    not hasattr(os, "fork"),
+    reason="sweep children must inherit the monkeypatched functions")
+
+DIED = "ChildProcessError: worker died with exit code 1"
+
+
+def watch_children(monkeypatch) -> dict:
+    """Record, in this process, the children a sweep forks and reaps.
+
+    "alive" lists how many children were alive just after each fork, and
+    "codes" each reaped child's exit code (minus the signal that killed it).
+    """
+    seen, alive = {"alive": [], "codes": []}, set()
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            alive.add(pid)
+            seen["alive"].append(len(alive))
+        return pid
+
+    def counted_waitpid(pid, options):
+        got = waitpid(pid, options)
+        alive.discard(got[0])
+        seen["codes"].append(os.waitstatus_to_exitcode(got[1]))
+        return got
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    return seen
 
 
 @FORK_ONLY
@@ -1384,11 +1413,11 @@ def test_sweep_resumes_after_a_killed_worker(tmp_path, monkeypatch):
     manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
     assert not manifest["complete"]
     failed = [c for c in manifest["cells"].values() if c["status"] == "failed"]
-    assert failed and all("BrokenProcessPool" in c["error"] for c in failed)
+    assert failed and all(c["error"] == DIED for c in failed)
     assert not [f for d, _, files in os.walk(out) for f in files
                 if f.startswith(".tmp-")]
-    # the dying row (seed 1) breaks its rerun's pool too, so exactly its two
-    # cells fail; the other row reruns alone if it was caught in the break
+    # the dying row (seed 1) dies again in each of its one-cell parts, so
+    # exactly its two cells fail; the other row's child is untouched
     assert summary["cells_failed"] == 2
     assert sorted((c["n"], c["seed"]) for c in failed) == [(2, 1), (4, 1)]
     clean_cells = bundle_bytes(os.path.join(clean, "cells"))
@@ -1412,38 +1441,31 @@ def test_rows_of_a_broken_pool_rerun_jobs_at_a_time(tmp_path, monkeypatch):
 
     def dying(cfg, spec, alpha, seed):
         if seed == 0:
-            os._exit(1)   # row seed 0 dies as it is scored, in every pool
-        # the other rows score slowly enough to be still pending when the
-        # pool breaks, and for two of their one-worker reruns to overlap
-        time.sleep(0.2)
+            # row seed 0 dies as it is scored, in every child, slowly enough
+            # for its two one-cell reruns to overlap
+            time.sleep(0.2)
+            os._exit(1)
         return val_set(cfg, spec, alpha, seed)
 
-    lock, alone = threading.Lock(), {"open": 0, "most": 0}
+    split, parts = [], experiment._parts
 
-    class CountingPool(ProcessPoolExecutor):
-        """Counts the one-worker pools open at once."""
-
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.alone = max_workers == 1
-            with lock:
-                alone["open"] += self.alone
-                alone["most"] = max(alone["most"], alone["open"])
-
-        def shutdown(self, *args, **kwargs):
-            super().shutdown(*args, **kwargs)
-            with lock:
-                alone["open"] -= self.alone
-            self.alone = False
+    def counted_parts(task):
+        split.append(len(seen["alive"]))   # children forked before the split
+        return parts(task)
 
     monkeypatch.setattr(experiment, "_val_set", dying)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiment, "_parts", counted_parts)
+    seen = watch_children(monkeypatch)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=2)
-    assert alone == {"open": 0, "most": 2}
+    # two stacks and four rows, then the dead row's two one-cell parts, the
+    # second forked while the first still runs: never more than jobs at once
+    (forked,) = split
+    assert len(seen["alive"]) == 8 and seen["alive"][forked + 1] == max(seen["alive"]) == 2
+    assert sorted(seen["codes"]) == [0] * 5 + [1] * 3
     assert sorted(n for _, n, seed in summary["failures"] if seed == 0) == [2, 4]
     assert summary["cells_failed"] == 2
-    assert all("BrokenProcessPool" in e for e in summary["failures"].values())
+    assert all(e == DIED for e in summary["failures"].values())
     dead_row = {_cell_key(cfg, 1.0, n, 0)[0] + ".json" for n in (2, 4)}
     assert bundle_bytes(os.path.join(out, "cells")) == {
         name: blob for name, blob in bundle_bytes(os.path.join(clean, "cells")).items()
@@ -1488,19 +1510,13 @@ def test_sweep_fails_only_the_faulty_cell_of_a_row(tmp_path, monkeypatch, jobs,
                     model.params[:] = np.nan
         return losses
 
-    pools = []
-
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
     monkeypatch.setattr(experiment, "train", faulty_train)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    seen = watch_children(monkeypatch)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=jobs)
-    # a raising stack's cells go back to the sweep's own pool, one by one
-    assert pools == ([2] if jobs == 2 else [])
+    # a raising stack is split inside the child that ran it: one child per
+    # stack and per row, each exiting 0 (none at jobs=1)
+    assert seen["codes"] == [0] * len(seen["alive"]) == [0] * (4 if jobs == 2 else 0)
     assert summary["cells_failed"] == 1
     manifest = json.loads(Path(os.path.join(out, "manifest.json")).read_text())
     status = {(c["n"], c["seed"]): c for c in manifest["cells"].values()}
@@ -1543,22 +1559,27 @@ def test_a_worker_splits_its_own_raising_task(monkeypatch):
 
 @FORK_ONLY
 def test_a_raising_task_goes_to_the_pool_once(tmp_path, monkeypatch):
+    from measure_attn import experiment
     cfg = replace(SMALL, seeds=2)
     raise_in_training(monkeypatch, cfg, 2, 1)
-    submitted = []
+    log, worker = tmp_path / "tasks", experiment._sweep_cell_worker
 
-    class CountingPool(ProcessPoolExecutor):
-        def submit(self, fn, task):
-            submitted.append(task[1])
-            return super().submit(fn, task)
+    def logged(task):   # runs in the child that took the task
+        with open(log, "a") as f:
+            f.write(json.dumps(task[1]) + "\n")
+        return worker(task)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(experiment, "_sweep_cell_worker", logged)
+    seen = watch_children(monkeypatch)
     summary = sweep(cfg, str(tmp_path / "bundle"), jobs=2)
     assert list(summary["failures"]) == [(1.0, 2, 1)]
-    # the two stacks, largest n first, then the two rows: the worker that
-    # ran the raising n=2 stack split it, so nothing went back to the pool
-    assert submitted == [((1.0, 4, 0), (1.0, 4, 1)), ((1.0, 2, 0), (1.0, 2, 1)),
-                         ((1.0, 2, 0), (1.0, 4, 0)), ((1.0, 4, 1),)]
+    # the two stacks, then the two rows, a child each (the two of a phase
+    # run side by side): the child that ran the raising n=2 stack split it,
+    # so no task went to a second child
+    tasks = [tuple(map(tuple, json.loads(line))) for line in log.read_text().splitlines()]
+    assert len(seen["alive"]) == len(tasks) == 4
+    assert sorted(tasks[:2]) == [((1.0, 2, 0), (1.0, 2, 1)), ((1.0, 4, 0), (1.0, 4, 1))]
+    assert sorted(tasks[2:]) == [((1.0, 2, 0), (1.0, 4, 0)), ((1.0, 4, 1),)]
 
 
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=FORK_ONLY)])
@@ -1617,36 +1638,20 @@ def test_sweep_fails_only_the_n_whose_training_worker_died(tmp_path, monkeypatch
             os._exit(1)   # the worker training n=4 dies without raising
         return real_train(models, datasets, train_cfg, seeds)
 
-    pools = []
-
-    class CountingPool(ProcessPoolExecutor):
-        """Records its size and the kinds of task it took."""
-
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.size, self.kinds = max_workers, set()
-            pools.append(self)
-
-        def submit(self, fn, task):
-            future = super().submit(fn, task)
-            self.kinds.add("train" if task[2] is None else "score")
-            return future
-
     monkeypatch.setattr(experiment, "train", dying)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    seen = watch_children(monkeypatch)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=2)
     assert sorted(summary["failures"]) == [(1.0, 4, 0), (1.0, 4, 1)]
-    assert all("BrokenProcessPool" in e for e in summary["failures"].values())
+    assert all(e == DIED for e in summary["failures"].values())
     dead_n = {_cell_key(cfg, 1.0, 4, s)[0] + ".json" for s in (0, 1)}
     assert bundle_bytes(os.path.join(out, "cells")) == {
         name: blob for name, blob in bundle_bytes(os.path.join(clean, "cells")).items()
         if name not in dead_n}
-    # the broken pool's reruns run in one-worker pools, and the rows are
-    # scored in one fresh two-worker pool
-    assert pools[0].size == 2 and pools[0].kinds == {"train"}
-    assert [p.size for p in pools if "score" in p.kinds] == [2]
-    assert [p.size for p in pools[1:-1]] == [1] * (len(pools) - 2)
+    # the dead stack's two one-cell parts die again, each in a child of its
+    # own, and the two rows of n=2 are scored in two more: jobs at a time
+    assert len(seen["alive"]) == 6 and max(seen["alive"]) == 2
+    assert sorted(seen["codes"]) == [0, 0, 0, 1, 1, 1]
 
 
 @FORK_ONLY
@@ -1657,8 +1662,8 @@ def test_sweep_fails_only_the_cell_whose_worker_died(tmp_path, monkeypatch, phas
     clean = str(tmp_path / "clean")
     sweep(cfg, clean, jobs=1)
 
-    # cell (n=4, seed=1) kills the worker that trains its stack (n=4, seeds
-    # 0-2) or scores its row (seed 1, n=2 and 4), in every pool
+    # cell (n=4, seed=1) kills the child that trains its stack (n=4, seeds
+    # 0-2) or scores its row (seed 1, n=2 and 4), and its own rerun's child
     ss = _cell_seedseq(cfg, 1.0, 4, 1, _STREAM_LOOP)
     dying_seed = int(ss.generate_state(1, np.uint64)[0])
     real_train, real_payload = experiment.train, experiment._payload
@@ -1679,28 +1684,71 @@ def test_sweep_fails_only_the_cell_whose_worker_died(tmp_path, monkeypatch, phas
         monkeypatch.setattr(experiment, "_payload", dying_payload)
     out = str(tmp_path / "bundle")
     summary = sweep(cfg, out, jobs=2)
-    assert list(summary["failures"]) == [(1.0, 4, 1)]
-    assert "BrokenProcessPool" in summary["failures"][(1.0, 4, 1)]
+    assert summary["failures"] == {(1.0, 4, 1): DIED}
     clean_cells = bundle_bytes(os.path.join(clean, "cells"))
     del clean_cells[_cell_key(cfg, 1.0, 4, 1)[0] + ".json"]
     assert bundle_bytes(os.path.join(out, "cells")) == clean_cells
 
 
-def test_sweep_pool_has_no_more_workers_than_a_phase_has_tasks(tmp_path, monkeypatch):
+@FORK_ONLY
+def test_a_child_killed_while_it_holds_a_stack_fails_only_its_task(tmp_path, monkeypatch):
+    cfg = replace(SMALL, seeds=3)
+    clean = str(tmp_path / "clean")
+    sweep(cfg, clean, jobs=1)
+    dumps, stack = pickle.dumps, [(1.0, 4, s) for s in range(3)]
+
+    def killed(obj, *args, **kwargs):
+        # the child that trained the n=4 stack dies as it pickles its result
+        if isinstance(obj, list) and [cell for cell, _ in obj] == stack:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "dumps", killed)
+    seen = watch_children(monkeypatch)
+    out = str(tmp_path / "bundle")
+    assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
+    # two stacks, the killed stack's three one-cell parts and three rows:
+    # only that stack's child died, and its parts trained the same bytes
+    assert sorted(seen["codes"]) == [-signal.SIGKILL] + [0] * 7
+    assert bundle_bytes(out) == bundle_bytes(clean)
+
+
+@FORK_ONLY
+def test_a_sweep_interrupted_while_children_run_leaves_no_child(tmp_path, monkeypatch):
     from measure_attn import experiment
-    sizes = []
+    cfg = replace(SMALL, seeds=4)
+    write, val_set = experiment._atomic_write, experiment._val_set
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            raise RuntimeError("no pool starts here")
+    def interrupted(path, data):
+        if os.path.basename(os.path.dirname(path)) == "cells":
+            raise KeyboardInterrupt
+        return write(path, data)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    # three stacks (one per n) and three (alpha, seed) rows
+    def slow(cfg_, spec, alpha, seed):
+        if seed > 0:   # the other rows' children are still running
+            time.sleep(30)
+        return val_set(cfg_, spec, alpha, seed)
+
+    monkeypatch.setattr(experiment, "_atomic_write", interrupted)
+    monkeypatch.setattr(experiment, "_val_set", slow)
+    seen = watch_children(monkeypatch)
+    with pytest.raises(KeyboardInterrupt):
+        sweep(cfg, str(tmp_path / "bundle"), jobs=2)
+    # the row seed 1 child was killed and every child reaped
+    assert sorted(seen["codes"]) == [-signal.SIGKILL, 0, 0, 0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@FORK_ONLY
+def test_sweep_pool_has_no_more_workers_than_a_phase_has_tasks(tmp_path, monkeypatch):
+    seen = watch_children(monkeypatch)
+    # three stacks (one per n) and three (alpha, seed) rows: a child per
+    # task, and never more alive than a phase has tasks
     cfg = replace(SMALL, alpha_list=(0.5, 1.0, 2.0), n_list=(2, 4, 8))
-    with pytest.raises(RuntimeError, match="no pool starts here"):
-        sweep(cfg, str(tmp_path / "bundle"), jobs=10_000)
-    assert sizes == [3]
+    assert sweep(cfg, str(tmp_path / "bundle"), jobs=10_000)["cells_failed"] == 0
+    assert len(seen["alive"]) == 6 and max(seen["alive"]) == 3
+    assert seen["codes"] == [0] * 6
 
 
 def test_sweep_trains_stacks_of_one_n_largest_n_first(tmp_path, monkeypatch):
@@ -1718,11 +1766,10 @@ def test_sweep_trains_stacks_of_one_n_largest_n_first(tmp_path, monkeypatch):
     assert sweep(cfg, out, jobs=1)["cells_failed"] == 0
     assert stacks == [[4] * _STACK, [4], [2] * _STACK, [2]]
 
-    class NoPool:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a pool started with nothing pending")
+    def no_fork():
+        raise AssertionError("a child forked with nothing pending")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
     stacks.clear()
     assert sweep(cfg, out, jobs=2)["cells_failed"] == 0
     assert stacks == []
