@@ -19,8 +19,8 @@ from .attention import (AttnHead, AttnParams, LipschitzReport,
                         softmax_weights, temperature_for_error)
 from .experiment import (AttentionStats, CellResult, Example,
                          ExperimentConfig, FitResult, RiskCurve,
-                         attention_mass_stats, fit_rate, gen_example,
-                         query_shuffle_eval, run_cell, scaling_axis, sweep)
+                         fit_rate, gen_example, query_shuffle_eval, run_cell,
+                         scaling_axis, sweep)
 from .measures import (DiscreteMeasure, MixtureContext, build_mixture,
                        flatten, wasserstein1_1d)
 from .model import StudentConfig, StudentModel
@@ -35,7 +35,7 @@ __all__ = [
     "Dataset", "DiscreteMeasure", "Example", "ExperimentConfig", "FitResult",
     "LipschitzReport", "MercerSpectrum", "MixtureContext", "RiskCurve",
     "StudentConfig", "StudentModel", "TrainConfig",
-    "adam_step", "attention_mass_stats", "build_mixture", "build_recall_params",
+    "adam_step", "build_mixture", "build_recall_params",
     "featured_mixture", "fit_rate", "flatten", "gen_example", "gen_norm_sq",
     "isometry_map", "lipschitz_probe", "measure_attention", "midpoint_grid",
     "query_shuffle_eval", "recall_feature_map",

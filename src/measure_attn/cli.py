@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, fields
 
 from . import experiment, verify
-from .experiment import ExperimentConfig, _fmt, gen_example, risk_curves, run_cell
+from .experiment import ExperimentConfig, _label, gen_example, risk_curves, run_cell
 from .model import StudentConfig
 from .optim import TrainConfig, losses_to_csv
 from .spectrum import _integer, _length, _positive, _real
@@ -187,7 +187,7 @@ def cmd_train(args) -> int:
                        ("losses.csv", losses_to_csv(list(result.train_losses))),
                        ("metrics.json", json.dumps(metrics, indent=1))):
         experiment._atomic_write(os.path.join(args.out, name), text)
-    print(f"alpha={_fmt(alpha)} n={args.n_train} seed={args.cell_seed}  "
+    print(f"alpha={_label(alpha)} n={args.n_train} seed={args.cell_seed}  "
           f"val_mse={val_mse:.6g}")
     print(f"wrote checkpoint.json, losses.csv, metrics.json to {args.out}")
     return 0
@@ -202,7 +202,7 @@ def cmd_sweep(args) -> int:
     done = summary["cells_total"] - summary["cells_failed"]
     print(f"sweep: {done}/{summary['cells_total']} cells")
     for alpha, fit in sorted(summary["fits"].items()):
-        print(f"  alpha={_fmt(alpha)}: A={fit.A:.4f} C={fit.C:.4f} "
+        print(f"  alpha={_label(alpha)}: A={fit.A:.4f} C={fit.C:.4f} "
               f"residual_rms={fit.residual_rms:.4f}")
     if summary["cells_failed"]:
         for cell, err in sorted(summary["failures"].items()):
@@ -252,9 +252,9 @@ def cmd_analyze(args) -> int:
 
     if args.format == "json":
         doc = {
-            "fits": {_fmt(a): {"A": f.A, "C": f.C, "residual_rms": f.residual_rms}
+            "fits": {_label(a): {"A": f.A, "C": f.C, "residual_rms": f.residual_rms}
                      for a, f in fits.items()},
-            "curves": {_fmt(a): {"n": list(c.n_values),
+            "curves": {_label(a): {"n": list(c.n_values),
                                  "mean_mse": list(c.mean_mse),
                                  "std_mse": list(c.std_mse)}
                        for a, c in curves.items()},
@@ -266,18 +266,18 @@ def cmd_analyze(args) -> int:
     print("risk scaling fits  (log L = A - C t,  t = (log n)^(alpha/(alpha+1)))")
     print(f"{'alpha':>6} {'A':>10} {'C':>10} {'resid_rms':>10}")
     for alpha, fit in sorted(fits.items()):
-        print(f"{_fmt(alpha):>6} {fit.A:>10.4f} {fit.C:>10.4f} "
+        print(f"{_label(alpha):>6} {fit.A:>10.4f} {fit.C:>10.4f} "
               f"{fit.residual_rms:>10.4f}")
     for alpha, curve in sorted(curves.items()):
         pts = "  ".join(f"n={n}: {m:.4g}"
                         for n, m in zip(curve.n_values, curve.mean_mse))
-        print(f"curve alpha={_fmt(alpha)}:  {pts}")
+        print(f"curve alpha={_label(alpha)}:  {pts}")
     if stats:
         # show the most-trained block: prefer alpha=1, then the largest n
         keys = {(r["alpha"], r["n"]) for r in stats}
         ones = [k for k in keys if k[0] == 1.0]
         show = max(ones) if ones else max(keys)
-        print(f"\nattention masses at alpha={_fmt(show[0])}, n={show[1]} "
+        print(f"\nattention masses at alpha={_label(show[0])}, n={show[1]} "
               "(means over validation examples)")
         print(f"{'head':>4} {'w_same':>12} {'w_diff':>12} {'m_same':>9} "
               f"{'m_diff':>9}")

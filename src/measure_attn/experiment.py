@@ -23,7 +23,7 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -42,19 +42,21 @@ _STREAM_TRAIN, _STREAM_VAL, _STREAM_INIT, _STREAM_LOOP = range(4)
 # pickled, at the default student and 20 epochs)
 _MAX_CELLS = 100_000
 
+_AXIS = {"key": None}   # a grid axis (see _settings): a cell's key holds its own value
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    alpha_list: tuple[float, ...] = (0.5, 1.0, 2.0)
+    alpha_list: tuple[float, ...] = field(default=(0.5, 1.0, 2.0), metadata=_AXIS)
     M: int = 16
     T: int = 32
     n_tokens: int = 5000
-    n_list: tuple[int, ...] = (4, 8, 16, 32, 64)
+    n_list: tuple[int, ...] = field(default=(4, 8, 16, 32, 64), metadata=_AXIS)
     n_val: int = 2000
     clamp_eps: float = 1e-6
-    seeds: int = 3
+    seeds: int = field(default=3, metadata=_AXIS)
     n_stat_examples: int = 1000
-    seed: int = 0
+    seed: int = field(default=0, metadata={"key": "global_seed"})
     student: StudentConfig = field(default_factory=StudentConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
 
@@ -241,15 +243,6 @@ def _validate(models, data: Dataset, n_stat: int = 0) -> list[tuple]:
             in enumerate(((pred - data.targets) ** 2).mean(axis=-1).tolist())]
 
 
-def attention_mass_stats(model: StudentModel, examples) -> AttentionStats:
-    """Same-tag vs different-tag attention masses on given examples.
-
-    The query token itself is never among the keys, so rows cover the
-    partition exactly and m_same + m_diff = 1 per head and example.
-    """
-    return _validate([model], Dataset.of(examples), len(examples))[0][1]
-
-
 def query_shuffle_eval(model: StudentModel, examples, seed: int = 0
                        ) -> tuple[float, float]:
     """Clean MSE with original queries vs queries permuted across examples.
@@ -408,16 +401,23 @@ def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
     return curves, fits
 
 
+def _settings(config) -> dict:
+    """A config's part of a cell key: each field under its metadata "key"
+    name (its own by default; None leaves it out), a nested config as its
+    own dict, and a field declared "variant" only when off its default."""
+    payload = {}
+    for f in fields(config):
+        value, name = getattr(config, f.name), f.metadata.get("key", f.name)
+        if name is not None and not (f.metadata.get("variant") and value == (
+                f.default if f.default_factory is MISSING else f.default_factory())):
+            payload[name] = _settings(value) if is_dataclass(value) else value
+    return payload
+
+
 def _cell_key(cfg: ExperimentConfig, alpha: float, n: int, seed: int
               ) -> tuple[str, dict]:
-    """Content address: every value that feeds the cell's computation."""
-    payload = {
-        "alpha": float(alpha), "n": int(n), "seed": int(seed),
-        "M": cfg.M, "T": cfg.T, "n_tokens": cfg.n_tokens, "n_val": cfg.n_val,
-        "clamp_eps": cfg.clamp_eps, "global_seed": cfg.seed,
-        "n_stat_examples": cfg.n_stat_examples,
-        "student": asdict(cfg.student), "train": asdict(cfg.train),
-    }
+    """Content address: the config's _settings and the cell's alpha, n and seed."""
+    payload = {**_settings(cfg), "alpha": float(alpha), "n": int(n), "seed": int(seed)}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16], payload
 
@@ -559,6 +559,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _label(alpha: float) -> str:
+    """alpha as the shortest text that reads back as it, 2.0 as "2"."""
+    return repr(float(alpha)).removesuffix(".0")
+
+
 def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """Run the (alpha, n, seed) grid and persist the result bundle.
 
@@ -581,9 +586,8 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
     """
     jobs = _integer("jobs", jobs, 1)
     os.makedirs(os.path.join(out_dir, "cells"), exist_ok=True)
-    grid = [(alpha, n, s) for alpha in cfg.alpha_list for n in cfg.n_list
-            for s in range(cfg.seeds)]
-    key_pairs = {cell: _cell_key(cfg, *cell) for cell in grid}
+    key_pairs = {(alpha, n, s): _cell_key(cfg, alpha, n, s) for alpha in cfg.alpha_list
+                 for n in cfg.n_list for s in range(cfg.seeds)}
     keyed = {cell: key for cell, (key, _) in key_pairs.items()}
     results: dict[tuple, dict] = {}
     failures: dict[tuple, str] = {}
@@ -631,7 +635,7 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
                                for alpha, n, s in keyed if (alpha, n, s) in results)
     _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures)
     return {"curves": curves, "fits": fits, "failures": failures,
-            "cells_total": len(grid), "cells_failed": len(failures)}
+            "cells_total": len(keyed), "cells_failed": len(failures)}
 
 
 def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
@@ -640,7 +644,7 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
     w.writerow(["alpha", "n", "seed", "val_mse"])
     for alpha, n, s in keyed:   # in grid order
         if (alpha, n, s) in results:
-            w.writerow([_fmt(alpha), n, s, _fmt(results[(alpha, n, s)]["val_mse"])])
+            w.writerow([_label(alpha), n, s, _fmt(results[(alpha, n, s)]["val_mse"])])
     _atomic_write(os.path.join(out_dir, "risk_curve.csv"), risk.getvalue())
 
     stats = io.StringIO()
@@ -653,30 +657,26 @@ def _write_bundle(cfg, out_dir, results, curves, fits, keyed, failures):
             if not per_seed:
                 continue
             for h in range(len(per_seed[0]["w_same_mean"])):
-                w.writerow([_fmt(alpha), n, h,
+                w.writerow([_label(alpha), n, h,
                             *(_fmt(np.mean([st[k][h] for st in per_seed]))
                               for k in _STATS_COLUMNS)])
     _atomic_write(os.path.join(out_dir, "attention_stats.csv"), stats.getvalue())
 
-    fit_doc = {_fmt(alpha): {"A": fit.A, "C": fit.C,
-                             "residual_rms": fit.residual_rms,
-                             "n_list": list(curves[alpha].n_values)}
+    fit_doc = {_label(alpha): {"A": fit.A, "C": fit.C,
+                               "residual_rms": fit.residual_rms,
+                               "n_list": list(curves[alpha].n_values)}
                for alpha, fit in fits.items()}
     _atomic_write(os.path.join(out_dir, "fit.json"),
                   json.dumps(fit_doc, sort_keys=True, indent=1) + "\n")
 
     dat = []
-    for alpha in cfg.alpha_list:
-        curve = curves.get(alpha)
-        if curve is None or not curve.n_values:
-            continue
-        dat.append(f"# alpha={_fmt(alpha)}  t=(log n)^(alpha/(alpha+1))  log_mean_mse")
+    for alpha, curve in curves.items():   # in grid order, each with an n
+        dat.append(f"# alpha={_label(alpha)}  t=(log n)^(alpha/(alpha+1))  log_mean_mse")
         t = scaling_axis(alpha, curve.n_values)
         for ti, mse in zip(t, curve.mean_mse):
             if mse > 0:
                 dat.append(f"{_fmt(ti)} {_fmt(np.log(mse))}")
-        dat.append("")
-        dat.append("")
+        dat += ["", ""]
     _atomic_write(os.path.join(out_dir, "scaling_axis.dat"), "\n".join(dat))
 
     manifest = {

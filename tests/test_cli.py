@@ -307,15 +307,17 @@ def test_train_rejects_bad_sizes_and_seeds(tmp_path, capsys, monkeypatch,
     assert not out_dir.exists()   # rejected before anything is written
 
 
-@pytest.mark.parametrize("extra, config, alpha", [
-    ((), None, 1.0),
-    (("--alpha", "2"), None, 2.0),
-    ((), {"alpha_list": [2.0]}, 2.0),
-    (("--alpha", "0.5"), {"alpha_list": [2.0]}, 0.5),
-    (("--alpha", "0.5000001"), None, 0.5000001),   # :g would print 0.5
-], ids=["default", "flag", "config-file", "flag-over-config-file", "seven-digits"])
+@pytest.mark.parametrize("extra, config, alpha, label", [
+    ((), None, 1.0, "1"),
+    (("--alpha", "2"), None, 2.0, "2"),
+    ((), {"alpha_list": [2.0]}, 2.0, "2"),
+    (("--alpha", "0.5"), {"alpha_list": [2.0]}, 0.5, "0.5"),
+    (("--alpha", "0.5000001"), None, 0.5000001, "0.5000001"),   # :g would print 0.5
+    (("--alpha", "0.1"), None, 0.1, "0.1"),   # .17g would print 0.10000000000000001
+], ids=["default", "flag", "config-file", "flag-over-config-file", "seven-digits",
+        "one-tenth"])
 def test_train_uses_the_alpha_it_is_given(tmp_path, capsys, extra, config,
-                                          alpha):
+                                          alpha, label):
     if config is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         extra = (*extra, "--config", str(tmp_path / "cfg.json"))
@@ -323,7 +325,7 @@ def test_train_uses_the_alpha_it_is_given(tmp_path, capsys, extra, config,
     code, out, _ = run(capsys, ["train", *TINY, "--n-train", "2", *extra,
                                 "--out", str(out_dir)])
     assert code == 0
-    assert f"alpha={alpha:.17g} " in out   # as sweep and analyze print it
+    assert f"alpha={label} " in out   # as sweep and analyze print it
     assert json.loads((out_dir / "metrics.json").read_text())["alpha"] == alpha
     resolved = json.loads((out_dir / "config_resolved.json").read_text())
     assert resolved["alpha_list"] == [alpha]
@@ -342,9 +344,12 @@ def sweep_argv(out_dir, alpha="1.0", n_stat_examples="5", extra=()):
             "--n-stat-examples", n_stat_examples, "--out", out_dir, *extra]
 
 
-@pytest.mark.parametrize("alpha", ["1.0", "0.3333333333"])
-def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
-    key = f"{float(alpha):.17g}"   # the printed label and the json key
+@pytest.mark.parametrize("alpha, key", [
+    ("1.0", "1"), ("0.3333333333", "0.3333333333"),
+    ("0.1", "0.1"),   # .17g would write 0.10000000000000001
+], ids=["1.0", "0.3333333333", "0.1"])
+def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha, key):
+    # key is the printed label, the json key and the bundle files' label
     out_dir = str(tmp_path / "bundle")
     code, out, _ = run(capsys, sweep_argv(out_dir, alpha))
     assert code == 0
@@ -377,13 +382,18 @@ def test_sweep_bundle_then_analyze(tmp_path, capsys, alpha):
     fit_doc = json.loads(Path(os.path.join(out_dir, "fit.json")).read_text())
     (planted,) = fit_doc.values()
     assert doc["fits"][key]["C"] == pytest.approx(planted["C"], rel=1e-12)
+    assert list(fit_doc) == [key]
+    for name in ("risk_curve.csv", "attention_stats.csv"):
+        rows = Path(out_dir, name).read_text().splitlines()[1:]
+        assert {row.split(",")[0] for row in rows} == {key}, name
+    assert Path(out_dir, "scaling_axis.dat").read_text().startswith(f"# alpha={key} ")
 
 
 def test_alphas_equal_to_six_digits_keep_their_own_labels(tmp_path, capsys):
     out_dir = str(tmp_path / "bundle")
     code, out, _ = run(capsys, sweep_argv(out_dir, "0.5,0.5000001"))
     assert code == 0
-    labels = ["0.5", "0.50000009999999995"]
+    labels = ["0.5", "0.5000001"]
     assert [line.split(":")[0] for line in out.splitlines()
             if line.startswith("  alpha=")] == [f"  alpha={a}" for a in labels]
     fit_doc = json.loads(Path(out_dir, "fit.json").read_text())

@@ -17,11 +17,13 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, make_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from measure_attn import (
     Dataset,
@@ -31,7 +33,6 @@ from measure_attn import (
     StudentConfig,
     StudentModel,
     TrainConfig,
-    attention_mass_stats,
     fit_rate,
     gen_example,
     query_shuffle_eval,
@@ -44,10 +45,10 @@ from measure_attn import (
 from measure_attn.attention import _probe_trials
 from measure_attn.experiment import (_STACK, _STREAM_LOOP, _atomic_write,
                                      _attention_stats, _cell_key, _cell_seedseq,
-                                     _draw, _gen, _grid_atoms, _targets, _val_set,
-                                     _validate, risk_curves)
-from measure_attn.model import (_BLOCK, _block_views, _context_side, _forward,
-                                _head, _layout, _query_side, _score_rows)
+                                     _draw, _gen, _grid_atoms, _label, _targets,
+                                     _val_set, _validate, risk_curves)
+from measure_attn.model import (_ACTIVATIONS, _BLOCK, _block_views, _context_side,
+                                _forward, _head, _layout, _query_side, _score_rows)
 from measure_attn.spectrum import MercerSpectrum
 
 SMALL = ExperimentConfig(
@@ -91,6 +92,11 @@ def balanced_items(n_examples, T, query_tag=1.0, rng=None):
         items.append(on_atoms(context, ATOMS, np.array([0.0, query_tag]),
                               float(rng.standard_normal())))
     return items
+
+
+def mass_stats(model, items):
+    """One model's attention mass stats over all of items."""
+    return _validate([model], Dataset.of(items), len(items))[0][1]
 
 
 # ----------------------------------------------------------- generation
@@ -771,7 +777,7 @@ def test_uniform_attention_balanced_tags_mass_statistics():
     # half the mass on each tag side
     model = StudentModel(StudentConfig())
     items = balanced_items(3, T=5000)
-    stats = attention_mass_stats(model, items)
+    stats = mass_stats(model, items)
     np.testing.assert_allclose(stats.w_same_mean, 2e-4, rtol=1e-12)
     np.testing.assert_allclose(stats.w_diff_mean, 2e-4, rtol=1e-12)
     np.testing.assert_allclose(stats.m_same_mean, 0.5, rtol=1e-12)
@@ -782,17 +788,17 @@ def test_attention_masses_partition_to_one():
     rng = np.random.default_rng(3)
     model = StudentModel.init(StudentConfig(), rng)
     items = balanced_items(4, T=12, rng=rng)
-    stats = attention_mass_stats(model, items)
+    stats = mass_stats(model, items)
     np.testing.assert_allclose(stats.m_same_mean + stats.m_diff_mean, 1.0,
                                atol=1e-9)
 
 
 def test_attention_stats_round_trip_and_empty_input():
     model = StudentModel(StudentConfig())
-    stats = attention_mass_stats(model, balanced_items(2, T=6))
+    stats = mass_stats(model, balanced_items(2, T=6))
     np.testing.assert_array_equal(stats.to_dict()["m_same_mean"], stats.m_same_mean)
     with pytest.raises(ValueError):
-        attention_mass_stats(model, [])
+        mass_stats(model, [])
 
 
 # ----------------------------------------------------------- query shuffle
@@ -977,8 +983,6 @@ def test_train_and_validate_reject_examples_on_different_atoms(monkeypatch):
     # train and _validate read a Dataset, and Dataset.of refuses to stack these
     with pytest.raises(ValueError, match="atoms"):
         Dataset.of(examples)
-    with pytest.raises(ValueError, match="atoms"):
-        attention_mass_stats(model, examples)
     with pytest.raises(ValueError, match="atoms"):
         query_shuffle_eval(model, examples)
     np.testing.assert_array_equal(model.params, before)
@@ -1203,6 +1207,146 @@ def test_only_a_sweep_that_starts_a_pool_imports_the_pool_modules(tmp_path):
                           str(tmp_path / "pool")], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == ["[False, False]", "[False, False]"]
+
+
+# -------------------------------------------------------------- cell keys
+
+def reference_cell_key(cfg, alpha, n, seed):
+    """A cell's key and payload as _cell_key wrote them by hand, field by
+    field, before one rule over the config's fields replaced the list."""
+    payload = {
+        "alpha": float(alpha), "n": int(n), "seed": int(seed),
+        "M": cfg.M, "T": cfg.T, "n_tokens": cfg.n_tokens, "n_val": cfg.n_val,
+        "clamp_eps": cfg.clamp_eps, "global_seed": cfg.seed,
+        "n_stat_examples": cfg.n_stat_examples,
+        "student": asdict(cfg.student), "train": asdict(cfg.train),
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16], payload
+
+
+@st.composite
+def cell_configs(draw):
+    """A valid ExperimentConfig and one cell of its grid."""
+    M = draw(st.integers(1, 8))
+    heads = draw(st.integers(1, 4))
+    positive = st.floats(1e-12, 1e3)
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    student = StudentConfig(d_model=heads * draw(st.integers(1, 4)),
+                            d_hidden=draw(st.integers(1, 16)), n_heads=heads,
+                            activation=draw(st.sampled_from(sorted(_ACTIVATIONS))))
+    train_cfg = TrainConfig(epochs=draw(st.integers(0, 50)),
+                            batch_size=draw(st.integers(1, 64)), lr0=draw(positive),
+                            decay_per_epoch=draw(st.floats(1e-6, 1.0)),
+                            noise_std=draw(st.floats(0.0, 1.0)), beta1=draw(unit),
+                            beta2=draw(unit), eps=draw(positive))
+    cfg = ExperimentConfig(
+        alpha_list=tuple(draw(st.lists(st.floats(1e-3, 100.0), min_size=1,
+                                       max_size=3, unique=True))),
+        M=M, T=draw(st.integers(2 * M, 64)), n_tokens=draw(st.integers(1, 10**6)),
+        n_list=tuple(sorted(draw(st.sets(st.integers(1, 10**4), min_size=1,
+                                         max_size=4)))),
+        n_val=draw(st.integers(1, 10**4)), clamp_eps=draw(positive),
+        seeds=draw(st.integers(1, 5)), n_stat_examples=draw(st.integers(1, 10**4)),
+        seed=draw(st.integers(0, 2**64)), student=student, train=train_cfg)
+    cell = (draw(st.sampled_from(cfg.alpha_list)), draw(st.sampled_from(cfg.n_list)),
+            draw(st.integers(0, cfg.seeds - 1)))
+    return cfg, cell
+
+
+@settings(max_examples=200, deadline=None)
+@given(cell_configs())
+def test_cell_key_rule_gives_the_hand_written_payload(cfg_cell):
+    cfg, cell = cfg_cell
+    key, payload = _cell_key(cfg, *cell)
+    assert (key, payload) == reference_cell_key(cfg, *cell)
+
+
+# a grid of 8 cells, two values on each axis
+KEY_GRID = replace(SMALL, alpha_list=(0.5, 1.0), seeds=2)
+
+
+def grid_keys(cfg):
+    """{cell: (key, key_inputs)} over cfg's (alpha, n, seed) grid."""
+    return {(a, n, s): _cell_key(cfg, a, n, s)
+            for a in cfg.alpha_list for n in cfg.n_list for s in range(cfg.seeds)}
+
+
+def with_dummy(cfg, part, metadata, factory=False, **value):
+    """cfg with its ExperimentConfig, student or train (part) remade as a
+    copy of its class with one more field, dummy: default 0, or () through
+    default_factory, with the given metadata; value sets dummy."""
+    base = cfg if part == "experiment" else getattr(cfg, part)
+    spec = (field(default_factory=tuple, metadata=metadata) if factory
+            else field(default=0, metadata=metadata))
+    cls = make_dataclass("Dummy" + type(base).__name__, [("dummy", object, spec)],
+                         bases=(type(base),), frozen=True)
+    dummy = cls(**{f.name: getattr(base, f.name) for f in fields(base)}, **value)
+    return dummy if part == "experiment" else replace(cfg, **{part: dummy})
+
+
+def dummy_inputs(key_inputs, part):
+    return key_inputs if part == "experiment" else key_inputs[part]
+
+
+PARTS = ["experiment", "student", "train"]
+
+
+@pytest.mark.parametrize("factory", [False, True], ids=["default", "default_factory"])
+@pytest.mark.parametrize("part", PARTS)
+def test_variant_field_enters_the_key_only_off_its_default(part, factory):
+    parent = grid_keys(KEY_GRID)
+    variant = {"variant": True}
+    at_default = () if factory else 0
+    for cfg in (with_dummy(KEY_GRID, part, variant, factory),
+                with_dummy(KEY_GRID, part, variant, factory, dummy=at_default)):
+        assert grid_keys(cfg) == parent   # every key and key_inputs
+    off = grid_keys(with_dummy(KEY_GRID, part, variant, factory,
+                               dummy=(1,) if factory else 1))
+    assert off.keys() == parent.keys()
+    for cell, (key, key_inputs) in off.items():
+        assert key != parent[cell][0]
+        assert dummy_inputs(key_inputs, part)["dummy"] == ((1,) if factory else 1)
+        del dummy_inputs(key_inputs, part)["dummy"]
+        assert key_inputs == parent[cell][1]   # the one value it adds
+    assert len({key for key, _ in off.values()}) == len(off)
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_field_not_declared_variant_changes_every_key(part):
+    parent = grid_keys(KEY_GRID)
+    for metadata in ({}, {"variant": False}):
+        keys = grid_keys(with_dummy(KEY_GRID, part, metadata))
+        for cell, (key, key_inputs) in keys.items():
+            assert key != parent[cell][0]
+            assert dummy_inputs(key_inputs, part)["dummy"] == 0
+
+
+def test_cell_key_holds_the_cell_not_the_grid_axes():
+    key, key_inputs = _cell_key(KEY_GRID, 0.5, 4, 1)
+    assert {"alpha_list", "n_list", "seeds"}.isdisjoint(key_inputs)
+    assert (key_inputs["alpha"], key_inputs["n"], key_inputs["seed"],
+            key_inputs["global_seed"]) == (0.5, 4, 1, KEY_GRID.seed)
+    # the axes pick the cells, not their keys
+    assert _cell_key(replace(KEY_GRID, alpha_list=(0.5,), n_list=(4, 8), seeds=5),
+                     0.5, 4, 1) == (key, key_inputs)
+
+
+@pytest.mark.parametrize("alpha, label", [
+    (0.5, "0.5"), (1.0, "1"), (2, "2"), (0.1, "0.1"), (0.5000001, "0.5000001"),
+    (np.float64(1 / 3), "0.3333333333333333"), (1e16, "1e+16"), (1e-7, "1e-07"),
+])
+def test_alpha_label_is_the_shortest_text_of_the_same_float(alpha, label):
+    assert _label(alpha) == label
+    assert float(label) == alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_alpha_label_reads_back_as_the_same_float(alpha):
+    label = _label(alpha)
+    assert float(label) == alpha and not label.endswith(".0")
+    assert label == repr(alpha).removesuffix(".0")   # repr's shortest digits
 
 
 # ------------------------------------------------------------------ sweep
