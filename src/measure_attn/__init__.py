@@ -13,9 +13,8 @@ The package has three layers:
 ``measure-attn --help`` describes the command-line surface.
 """
 
-from .attention import (AttnHead, AttnParams, LipschitzReport,
-                        build_recall_params, featured_mixture,
-                        lipschitz_probe, measure_attention, recall_feature_map,
+from .attention import (AttnHead, AttnParams, build_recall_params,
+                        featured_mixture, measure_attention, recall_feature_map,
                         softmax_weights, temperature_for_error)
 from .experiment import (AttentionStats, CellResult, Example,
                          ExperimentConfig, FitResult, RiskCurve,
@@ -33,11 +32,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "AttentionStats", "AttnHead", "AttnParams", "CellResult",
     "Dataset", "DiscreteMeasure", "Example", "ExperimentConfig", "FitResult",
-    "LipschitzReport", "MercerSpectrum", "MixtureContext", "RiskCurve",
+    "MercerSpectrum", "MixtureContext", "RiskCurve",
     "StudentConfig", "StudentModel", "TrainConfig",
     "adam_step", "build_mixture", "build_recall_params",
     "featured_mixture", "fit_rate", "flatten", "gen_example", "gen_norm_sq",
-    "isometry_map", "lipschitz_probe", "measure_attention", "midpoint_grid",
+    "isometry_map", "measure_attention", "midpoint_grid",
     "query_shuffle_eval", "recall_feature_map",
     "run_cell", "scaling_axis", "softmax_weights", "sweep", "synth_density",
     "temperature_for_error", "train", "truncation_bound", "wasserstein1_1d",

@@ -21,8 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import (DiscreteMeasure, MixtureContext, _w1_line, flatten,
-                       wasserstein1_1d)
+from .measures import DiscreteMeasure, MixtureContext, _w1_line, flatten
 from .spectrum import MercerSpectrum, _integer, _positive, _real, _rng
 
 
@@ -277,21 +276,6 @@ def featured_mixture(spec: MercerSpectrum, ctx: MixtureContext, D: int
                            flat.weights)
 
 
-@dataclass(frozen=True)
-class LipschitzReport:
-    """One probe trial: observed ratio against the certified bound."""
-
-    ratio: float
-    bound: float
-    w1: float
-    dx: float
-    skipped: bool
-
-    @property
-    def violated(self) -> bool:
-        return (not self.skipped) and self.ratio > self.bound
-
-
 def _lipschitz_bound(heads, n_heads, skip, b_x, b_y) -> np.ndarray:
     """Explicit joint-Lipschitz constant of Attn in (W1, ||dx||_2).
 
@@ -312,7 +296,7 @@ def _lipschitz_bound(heads, n_heads, skip, b_x, b_y) -> np.ndarray:
 
 
 def _probe(heads, n_heads, skip, support, weights, x, w1):
-    """The probe over leading axes: (ratio, bound, dx, skipped).
+    """The probe over leading axes: (ratio, bound, skipped).
 
     Each instance pairs two measures, support (..., 2, n, d) with weights
     (..., 2, n), and two queries x (..., 2, d); w1 (...) is their W1.  The
@@ -327,31 +311,7 @@ def _probe(heads, n_heads, skip, support, weights, x, w1):
     skipped = denom == 0.0
     shift = np.abs(out[..., 0, :] - out[..., 1, :]).max(axis=-1)
     ratio = np.where(skipped, 0.0, shift / np.where(skipped, 1.0, denom))
-    return ratio, bound, dx, skipped
-
-
-def lipschitz_probe(params: AttnParams, mu1: DiscreteMeasure,
-                    mu2: DiscreteMeasure, x1, x2) -> LipschitzReport:
-    """Compare the realized attention shift against the certified bound.
-
-    ratio = ||Attn(mu1, x1) - Attn(mu2, x2)||_inf / (W1(mu1, mu2) + ||x1 - x2||_2).
-    A zero denominator (identical inputs) skips the trial.  mu1, mu2 must be
-    admissible for the one-dimensional W1 (vary in at most one coordinate).
-    """
-    d = params.d_attn
-    x = np.stack([_query(d, mu, v, "params") for mu, v in ((mu1, x1), (mu2, x2))])
-    w1 = wasserstein1_1d(mu1, mu2)
-    # the shorter support repeats its last point at weight 0
-    n = max(mu1.n_points, mu2.n_points)
-    support = np.stack([np.pad(mu.support, ((0, n - mu.n_points), (0, 0)), mode="edge")
-                        for mu in (mu1, mu2)])
-    weights = np.stack([np.pad(mu.weights, (0, n - mu.n_points)) for mu in (mu1, mu2)])
-    # a stack of one instance, so that the batch's vector loops do the math
-    ratio, bound, dx, skipped = _probe(
-        params._stacked[None], np.array([params.n_heads]),
-        params.skip[None], support[None], weights[None], x[None], np.array([w1]))
-    return LipschitzReport(float(ratio[0]), float(bound[0]), w1, float(dx[0]),
-                           bool(skipped[0]))
+    return ratio, bound, skipped
 
 
 @dataclass(frozen=True)
@@ -457,10 +417,9 @@ def _probe_trials(n_trials: int, rng_seed):
         line = np.take_along_axis(support, coord[:, None, None, None], axis=-1)
         w1 = _w1_line(line.reshape(n, -1),
                       np.concatenate([weights[:, 0], -weights[:, 1]], axis=-1))
-        ratio, bound, _, skipped = _probe(heads, n_heads, skip, support, weights, x, w1)
-        parts.append((ratio, bound, skipped))
+        parts.append(_probe(heads, n_heads, skip, support, weights, x, w1))
         # freed before the next pass is drawn, so passes do not overlap in memory
-        del heads, n_heads, skip, support, weights, x, coord, line, w1, _
+        del heads, n_heads, skip, support, weights, x, coord, line, w1
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 

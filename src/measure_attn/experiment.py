@@ -23,6 +23,7 @@ import json
 import os
 import pickle
 import tempfile
+from contextlib import suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -359,14 +360,15 @@ def fit_rate(curve: RiskCurve, alpha: float) -> FitResult:
 
     Closed form on centred sums, with no LAPACK or BLAS call: slope =
     sum(tc * yc) / sum(tc * tc), tc = t - mean(t), yc = y - mean(y).
+    Below an alpha of about 1e-16, t rounds to 1.0 at every n.
     """
     mse = np.asarray(curve.mean_mse, dtype=np.float64)
+    t = scaling_axis(alpha, curve.n_values)
     # a set, not np.unique, which imports numpy.ma on first use
-    if len(set(curve.n_values)) < 2:
-        raise ValueError("need at least 2 distinct n to fit a rate")
+    if len(set(t.tolist())) < 2:
+        raise ValueError("need at least 2 distinct t = (log n)^(alpha/(alpha+1)) to fit a rate")
     if not np.all((mse > 0) & (mse < np.inf)):
         raise ValueError("risk values must be positive and finite to fit in log space")
-    t = scaling_axis(alpha, curve.n_values)
     y = np.log(mse)
     tc = t - t.mean()
     slope = (tc * (y - y.mean())).sum() / (tc * tc).sum()
@@ -380,8 +382,8 @@ def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
     """Risk curves and rate fits from (alpha, n, val_mse) rows.
 
     Each curve holds the mean and std over the rows of each n, in increasing
-    n; alphas keep their first-seen order.  An alpha is fitted when it has
-    at least two n values and every mean is positive and finite.
+    n; alphas keep their first-seen order.  An alpha is fitted where
+    fit_rate accepts its curve.
     """
     by_alpha: dict[float, dict[int, list[float]]] = {}
     for alpha, n, val_mse in rows:
@@ -396,7 +398,7 @@ def risk_curves(rows) -> tuple[dict[float, RiskCurve], dict[float, FitResult]]:
                           tuple(float(np.std(by_n[n])) if np.isfinite(by_n[n]).all()
                                 else np.nan for n in ns))
         curves[alpha] = curve
-        if len(ns) >= 2 and all(0 < m < np.inf for m in curve.mean_mse):
+        with suppress(ValueError):
             fits[alpha] = fit_rate(curve, alpha)
     return curves, fits
 
@@ -600,7 +602,10 @@ def sweep(cfg: ExperimentConfig, out_dir: str, jobs: int = 1) -> dict:
             mse, stats = cached["val_mse"], cached["attention_stats"]
             if (cached["key_inputs"] == json.loads(json.dumps(key_inputs))
                     and isinstance(mse, float) and np.isfinite(mse)
-                    and all(len(stats[k]) == cfg.student.n_heads for k in _STATS_COLUMNS)):
+                    # float stats, NaN included: a side where no row has tokens is NaN
+                    and all(len(stats[k]) == cfg.student.n_heads
+                            and all(isinstance(v, float) for v in stats[k])
+                            for k in _STATS_COLUMNS)):
                 results[cell] = cached
                 continue
         except (json.JSONDecodeError, OSError, KeyError, TypeError):

@@ -1130,6 +1130,16 @@ def test_fit_rate_rejects_degenerate_input():
         fit_rate(RiskCurve(1.0, (4, 4), (0.5, 0.4), (0.0, 0.0)), 1.0)
     with pytest.raises(ValueError):
         fit_rate(RiskCurve(1.0, (4, 8), (0.5, 0.0), (0.0, 0.0)), 1.0)
+    # below an alpha of about 1e-16, t = (log n)^(alpha/(alpha+1)) is 1.0 at
+    # every n, so the distinct n give one t and the slope would be 0/0
+    assert np.all(scaling_axis(1e-17, (2, 4)) == 1.0)
+    with pytest.raises(ValueError, match="distinct t"):
+        fit_rate(RiskCurve(1e-17, (2, 4), (0.5, 0.4), (0.0, 0.0)), 1e-17)
+    # risk_curves keeps that alpha's curve and leaves its fit out, beside a
+    # fitted alpha
+    curves, fits = risk_curves([(1e-17, 2, 0.5), (1e-17, 4, 0.4),
+                                (1.0, 2, 0.5), (1.0, 4, 0.4)])
+    assert curves[1e-17].n_values == (2, 4) and list(fits) == [1.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
@@ -1456,7 +1466,7 @@ def test_sweep_resume_recomputes_cell_with_tampered_key_inputs(tmp_path):
 
 def test_sweep_resume_recomputes_a_cell_file_without_its_results(tmp_path, monkeypatch):
     from measure_attn import experiment
-    cfg = replace(SMALL, seeds=2)
+    cfg = replace(SMALL, seeds=3)
     out = str(tmp_path / "bundle")
     sweep(cfg, out)
     original = bundle_bytes(out)
@@ -1465,16 +1475,20 @@ def test_sweep_resume_recomputes_a_cell_file_without_its_results(tmp_path, monke
                for n in cfg.n_list for s in range(cfg.seeds)}
     names = sorted(by_name)
     # one file without val_mse, one without attention_stats, one with a
-    # stats column a head short: each parses and has the right key_inputs
-    for name, cut in zip(names, ("val_mse", "attention_stats", "m_diff_mean")):
+    # stats column a head short, one with a stats column of strings: each
+    # parses and has the right key_inputs
+    for name, cut in zip(names, ("val_mse", "attention_stats", "m_diff_mean",
+                                 "w_same_mean")):
         path = os.path.join(cells, name)
         doc = json.loads(Path(path).read_text())
         if cut in doc:
             del doc[cut]
-        else:
+        elif cut == "m_diff_mean":
             doc["attention_stats"][cut].pop()
+        else:
+            doc["attention_stats"][cut] = ["x"] * cfg.student.n_heads
         Path(path).write_text(json.dumps(doc))
-    kept = names[3]
+    kept = names[4]
     kept_stamp = os.stat(os.path.join(cells, kept)).st_mtime_ns
     recomputed = []
     real_setup = experiment._cell_setup
@@ -1485,7 +1499,7 @@ def test_sweep_resume_recomputes_a_cell_file_without_its_results(tmp_path, monke
 
     monkeypatch.setattr(experiment, "_cell_setup", spy)
     assert sweep(cfg, out)["cells_failed"] == 0
-    assert sorted(recomputed) == sorted(by_name[name] for name in names[:3])
+    assert sorted(recomputed) == sorted(by_name[name] for name in names[:4])
     assert os.stat(os.path.join(cells, kept)).st_mtime_ns == kept_stamp
     assert bundle_bytes(out) == original
 
