@@ -205,7 +205,7 @@ def temperature_for_error(I: int, eps2: float) -> float:
     O(eps2 / I) in total, so recall is eps2-accurate per unit mass.
     """
     I = _integer("I", I, 1)
-    _real("eps2", eps2, lambda x: x > 0, "positive")
+    _real("eps2", eps2, _positive, "positive and finite")
     val = np.log(I ** 3 / eps2)
     if val <= 0:
         raise ValueError(f"error budget too loose: ln(I^3/eps2) = {val} <= 0")

@@ -2,9 +2,7 @@
 
 Exit codes: 0 success, 1 property, training or sweep failure, 2 usage/IO
 error or a gen or train size too large to hold in memory.
-Config precedence is flags > config file > built-in defaults, except that
-the MEASURE_ATTN_SEED environment variable, when set, overrides the global
-seed from any source (operator-level override for reproducibility drills).
+Config precedence is flags > --profile > config file > built-in defaults.
 Commands with an output directory write config_resolved.json there.
 """
 
@@ -24,21 +22,8 @@ from .model import StudentConfig
 from .optim import TrainConfig, losses_to_csv
 from .spectrum import _integer, _length, _positive, _real
 
-ENV_SEED = "MEASURE_ATTN_SEED"
-
-
 class CliError(Exception):
     """Usage or IO problem; maps to exit code 2."""
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(f"{ENV_SEED} must be an integer, got {raw!r}")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -58,7 +43,7 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _resolve_config(args, **defaults) -> ExperimentConfig:
-    """Merge defaults < config file < --profile < flags < env seed.
+    """Merge defaults < config file < --profile < flags.
 
     defaults, when given, replace the built-in defaults of those fields.
     """
@@ -77,9 +62,6 @@ def _resolve_config(args, **defaults) -> ExperimentConfig:
             if attr in flags:
                 merged[key] = tuple(conv(x) for x in flags[attr].split(",")
                                     if x.strip())
-        env = _env_seed()
-        if env is not None:
-            merged["seed"] = env
         student = StudentConfig(**merged.pop("student", {}))
         train = TrainConfig(**{**merged.pop("train", {}), **train_over})
         return ExperimentConfig(student=student, train=train, **merged)
@@ -110,8 +92,7 @@ def _split_suites(arg) -> list[str] | None:
 
 def cmd_verify(args) -> int:
     try:
-        results = verify.run_suites(_split_suites(args.suite),
-                                    fault=args.inject_fault)
+        results = verify.run_suites(_split_suites(args.suite))
     except ValueError as e:
         raise CliError(str(e))
     width = max(len(r.suite) for r in results)
@@ -163,6 +144,8 @@ def cmd_train(args) -> int:
         raise CliError(str(e))
     cfg, alpha = _one_alpha_config(args, 1.0)
     # --out is made after training: fail now if it cannot be made
+    if not args.out:
+        raise CliError("--out must name a directory, got ''")
     parent = os.path.abspath(args.out)
     while not os.path.exists(parent):
         parent = os.path.dirname(parent)
@@ -258,7 +241,9 @@ def cmd_analyze(args) -> int:
                                  "mean_mse": list(c.mean_mse),
                                  "std_mse": list(c.std_mse)}
                        for a, c in curves.items()},
-            "attention_stats": stats,
+            # a side with no tokens has NaN stats, which strict JSON writes as null
+            "attention_stats": [{k: None if math.isnan(v) else v for k, v in r.items()}
+                                for r in stats],
         }
         print(json.dumps(doc, indent=1, sort_keys=True))
         return 0
@@ -301,9 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--suite", action="append",
                     help="comma-separated suite names (default: all); "
                          f"available: {', '.join(verify.SUITE_NAMES)}")
-    pv.add_argument("--inject-fault", choices=list(verify.SUITE_NAMES),
-                    help="deliberately corrupt one of the selected suites "
-                         "(tests the failure reporting)")
     pv.add_argument("--verbose", action="store_true",
                     help="print every check, not only failures")
     pv.set_defaults(fn=cmd_verify)

@@ -3,9 +3,8 @@
 Each suite checks one lemma-level guarantee at a stated tolerance and
 returns named per-check outcomes, so a failure points at the violated
 assertion rather than at a stack trace.  Every suite draws and checks its
-random instances as arrays of a fixed size.  A suite's fault flag
-deliberately corrupts one computation path, so that the failure reporting
-itself can be tested; run_suites names, times and faults every suite.
+random instances as arrays of a fixed size.  run_suites names and times
+every suite.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ class SuiteResult:
         return all(c.passed for c in self.checks)
 
 
-def suite_orthonormality(fault: bool) -> list[Check]:
+def suite_orthonormality() -> list[Check]:
     """(1/T) sum_t e_j(x_t) e_k(x_t) = delta_jk on the midpoint grid.
 
     Quantified over the sine modes 1 <= j, k < M plus the (0, 0) diagonal
@@ -57,8 +56,6 @@ def suite_orthonormality(fault: bool) -> list[Check]:
     for M, T in ((16, 32), (8, 64), (5, 10)):
         spec = spectrum.MercerSpectrum(1.0, M, T)
         B = spec.basis_matrix()
-        if fault:
-            B = B * (1.0 + 1e-6)
         gram = (B[1:] @ B[1:].T) / spec.T
         err_sine = float(np.max(np.abs(gram - np.eye(M - 1))))
         err_const = abs(float(B[0] @ B[0]) / spec.T - 1.0)
@@ -69,7 +66,7 @@ def suite_orthonormality(fault: bool) -> list[Check]:
     return checks
 
 
-def suite_isometry(fault: bool) -> list[Check]:
+def suite_isometry() -> list[Check]:
     """Norm transport and round-trip identity of the coefficient isometry."""
     checks = []
     rng = np.random.default_rng(2024)
@@ -79,8 +76,6 @@ def suite_isometry(fault: bool) -> list[Check]:
         b[:, 0] = 0.0
         b_norm, c_norm = rng.uniform(-2, 2, (2, _ISOMETRY_DRAWS))
         mapped = spectrum.isometry_map(spec, b, b_norm, c_norm)
-        if fault:
-            mapped = mapped * (1.0 + 1e-6)
         lhs = spectrum.gen_norm_sq(spec, mapped, c_norm)
         rhs = spectrum.gen_norm_sq(spec, b, b_norm)
         worst_norm = float(np.max(np.abs(lhs - rhs) / np.maximum(rhs, 1e-300)))
@@ -96,7 +91,7 @@ def suite_isometry(fault: bool) -> list[Check]:
     return checks
 
 
-def suite_truncation(fault: bool) -> list[Check]:
+def suite_truncation() -> list[Check]:
     """Tail-norm domination over random unit-ball draws per (alpha, D)."""
     checks = []
     rng = np.random.default_rng(7)
@@ -106,8 +101,6 @@ def suite_truncation(fault: bool) -> list[Check]:
         lam = spec.eigenvalues()
         for D in (2, 4, 8):
             bound = spectrum.truncation_bound(spec, D, gamma_f, gamma_b)
-            if fault:
-                bound = bound * 1e-3
             b = rng.standard_normal((_TRUNCATION_DRAWS, spec.M))
             b[:, 0] = 0.0
             scale = np.sqrt(spectrum.gen_norm_sq(spec, b, gamma_b))
@@ -146,7 +139,7 @@ def _recall_setup(spec, I: int, D: int, eps2: float, rng):
     return ctx, featured, fmap(query_vd), params, d1
 
 
-def suite_recall(fault: bool) -> list[Check]:
+def suite_recall() -> list[Check]:
     """One-hot selection: extracted coefficients match the star component.
 
     The oracle is the direct weighted sum over the starred component's pmf,
@@ -168,8 +161,6 @@ def suite_recall(fault: bool) -> list[Check]:
             vals = spec.basis_eval(j, star.support[:, 0])
             oracle = float(star.weights @ vals)
             extracted = out[d1 + 1 + (j - 1)]
-            if fault:
-                extracted = extracted + 10 * eps2
             tol = 5 * eps2 * max(float(np.max(np.abs(vals))), 1e-12)
             err = abs(extracted - oracle)
             worst = max(worst, err / tol)
@@ -180,14 +171,12 @@ def suite_recall(fault: bool) -> list[Check]:
     return checks
 
 
-def suite_lipschitz(fault: bool) -> list[Check]:
+def suite_lipschitz() -> list[Check]:
     """Joint Lipschitz inequality on random small instances, 2x slack.
 
     The trials are drawn as zero-padded arrays and probed in stacked passes.
     """
     ratio, bound, skipped = attention._probe_trials(_LIPSCHITZ_TRIALS, rng_seed=13)
-    if fault:
-        bound = bound * 1e-3
     summary = attention._summarize(ratio, bound, skipped)
     violations = summary.violations_2x
     return [
@@ -205,7 +194,7 @@ def suite_lipschitz(fault: bool) -> list[Check]:
 _FD_COORDS_PER_PASS = 50
 
 
-def suite_gradient(fault: bool) -> list[Check]:
+def suite_gradient() -> list[Check]:
     """Training-step gradient vs central differences, rel. err <= 1e-4.
 
     Checks _GRADIENT_COORDS coordinates on each of _GRADIENT_SEEDS random
@@ -232,9 +221,6 @@ def suite_gradient(fault: bool) -> list[Check]:
         targets = rng.standard_normal(B)
         _squared_loss_grads(model._blocks, model._grad_blocks, cfg, atoms, queries,
                             counts, targets)
-        analytic = model.grads.copy()
-        if fault:
-            analytic = analytic * (1.0 + 1e-3)
         pred = _forward(model._blocks, cfg, atoms, queries, counts)["pred"]
         upstream = 2.0 * (pred - targets) / B
         coords = rng.choice(model.n_params, size=_GRADIENT_COORDS, replace=False)
@@ -247,7 +233,7 @@ def suite_gradient(fault: bool) -> list[Check]:
             preds = _forward(_block_views(table, thetas), cfg, atoms, queries,
                              counts)["pred"]
             fd = (preds[:k] - preds[k:]) / (2.0 * step) @ upstream
-            a = analytic[part]
+            a = model.grads[part]
             rel = np.abs(a - fd) / np.maximum(np.maximum(np.abs(a), np.abs(fd)), 1e-8)
             worst = max(worst, float(rel.max()))
     return [Check(
@@ -267,11 +253,10 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def run_suites(names=None, fault: str | None = None) -> list[SuiteResult]:
+def run_suites(names=None) -> list[SuiteResult]:
     """Run the named suites once each, in order (default: all of them).
 
-    Each result carries its suite's name and wall time; fault names the one
-    suite whose computation is corrupted.
+    Each result carries its suite's name and wall time.
     """
     names = list(SUITE_NAMES) if names is None else list(dict.fromkeys(names))
     if not names:
@@ -279,12 +264,9 @@ def run_suites(names=None, fault: str | None = None) -> list[SuiteResult]:
     unknown = [n for n in names if n not in _SUITES]
     if unknown:
         raise ValueError(f"unknown suites: {unknown}; available: {list(SUITE_NAMES)}")
-    if fault is not None and fault not in names:
-        raise ValueError(f"fault {fault!r} is injected into no selected suite; "
-                         f"selected: {names}")
     results = []
     for name in names:
         t0 = time.perf_counter()
-        checks = _SUITES[name](fault == name)
+        checks = _SUITES[name]()
         results.append(SuiteResult(name, tuple(checks), time.perf_counter() - t0))
     return results

@@ -237,6 +237,8 @@ def test_temperature_for_error_frozen_value_and_validation():
         temperature_for_error(0, 1e-4)
     with pytest.raises(ValueError):
         temperature_for_error(2, 0.0)
+    with pytest.raises(ValueError, match="^eps2 must be positive and finite"):
+        temperature_for_error(2, np.inf)
     with pytest.raises(ValueError):
         temperature_for_error(1, 2.0)  # ln(1/2) < 0
     with pytest.raises(ValueError, match="^I must be an integer >= 1"):

@@ -1,7 +1,7 @@
-"""Command-line interface: exit codes, config precedence, environment seed
-override, and the artifact layout written by train/sweep/analyze.  Everything
-runs in-process through main(argv), except the one case that needs a
-memory-capped child process (CAPPED).  Also the package's exported names.
+"""Command-line interface: exit codes, config precedence and the artifact
+layout written by train/sweep/analyze.  Everything runs in-process through
+main(argv), except the one case that needs a memory-capped child process
+(CAPPED).  Also the package's exported names.
 """
 
 import json
@@ -17,12 +17,7 @@ import pytest
 
 import measure_attn
 from measure_attn import StudentModel, scaling_axis
-from measure_attn.cli import ENV_SEED, main
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv(ENV_SEED, raising=False)
+from measure_attn.cli import main
 
 
 TINY = ["--n-tokens", "60", "--n-val", "10", "--epochs", "2",
@@ -71,9 +66,9 @@ def test_verify_single_suite_passes(capsys):
 
 @pytest.mark.parametrize("suite", ["orthonormality", "isometry", "truncation",
                                    "recall", "lipschitz", "gradient"])
-def test_verify_injected_fault_fails_with_named_check(capsys, suite):
-    code, out, _ = run(capsys, ["verify", "--suite", suite,
-                                "--inject-fault", suite])
+def test_verify_injected_fault_fails_with_named_check(capsys, inject_fault, suite):
+    inject_fault(suite)
+    code, out, _ = run(capsys, ["verify", "--suite", suite])
     assert code == 1
     assert suite in out and "FAIL" in out
     assert "FAILED" in out  # the specific check is listed
@@ -87,7 +82,7 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--suite", "lipschitz", "--inject-fault", "gradient"],
+    ["--suite", "lipschitz,nonexistent"],   # refused before lipschitz runs
     ["--suite", ""],
     ["--suite", " , "],
 ])
@@ -155,24 +150,6 @@ def test_gen_reduced_profile_token_count(capsys):
     code, out, _ = run(capsys, ["gen", "--profile", "reduced", "--seed", "0"])
     assert code == 0
     assert len(json.loads(out)["context_tokens"]) == 1000
-
-
-def test_env_seed_overrides_flag(capsys, monkeypatch):
-    _, baseline, _ = run(capsys, ["gen", "--seed", "7", "--n-tokens", "40"])
-    monkeypatch.setenv(ENV_SEED, "7")
-    code, out, _ = run(capsys, ["gen", "--seed", "5", "--n-tokens", "40"])
-    assert code == 0
-    assert out == baseline
-    monkeypatch.delenv(ENV_SEED)
-    _, other, _ = run(capsys, ["gen", "--seed", "5", "--n-tokens", "40"])
-    assert other != baseline
-
-
-def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv(ENV_SEED, "not-a-number")
-    code, _, err = run(capsys, ["gen"])
-    assert code == 2
-    assert ENV_SEED in err
 
 
 # ------------------------------------------------------------------ train
@@ -278,9 +255,9 @@ def test_train_out_is_existing_file_is_io_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_cell", lambda *args: pytest.fail("trained"))
     path = tmp_path / "taken"
     path.write_text("")
-    # the file itself, or a path under it that cannot be made: each fails
-    # before training and writes nothing
-    for out in (path, path / "sub"):
+    # the file itself, a path under it that cannot be made, or an empty path
+    # (an unset shell variable): each fails before training and writes nothing
+    for out in (path, path / "sub", ""):
         code, _, err = run(capsys, ["train", *TINY, "--n-train", "2",
                                     "--out", str(out)])
         assert code == 2
@@ -288,18 +265,13 @@ def test_train_out_is_existing_file_is_io_error(tmp_path, capsys, monkeypatch):
     assert os.listdir(tmp_path) == ["taken"] and path.read_text() == ""
 
 
-@pytest.mark.parametrize("extra, env_seed, named", [
-    (("--n-train", "0"), None, "--n-train"),
-    (("--n-train", "99999999999999999999"), None, "--n-train"),
-    (("--cell-seed", "-1"), None, "--cell-seed"),
-    (("--seed", "-1"), None, "seed"),
-    ((), "-1", "seed"),
-], ids=["n-train-0", "n-train-beyond-int64", "cell-seed-negative", "seed-negative",
-        "env-seed-negative"])
-def test_train_rejects_bad_sizes_and_seeds(tmp_path, capsys, monkeypatch,
-                                           extra, env_seed, named):
-    if env_seed is not None:
-        monkeypatch.setenv(ENV_SEED, env_seed)
+@pytest.mark.parametrize("extra, named", [
+    (("--n-train", "0"), "--n-train"),
+    (("--n-train", "99999999999999999999"), "--n-train"),
+    (("--cell-seed", "-1"), "--cell-seed"),
+    (("--seed", "-1"), "seed"),
+], ids=["n-train-0", "n-train-beyond-int64", "cell-seed-negative", "seed-negative"])
+def test_train_rejects_bad_sizes_and_seeds(tmp_path, capsys, extra, named):
     out_dir = tmp_path / "cell"
     code, _, err = run(capsys, ["train", *TINY, *extra, "--out", str(out_dir)])
     assert code == 2
@@ -495,6 +467,25 @@ def test_analyze_json_gives_attention_stats_as_numbers(tmp_path, capsys):
                    "m_same_mean": 0.51, "m_diff_mean": 0.49}
     assert [type(row[k]) for k in ("alpha", "n", "head", "w_diff_std")] == [
         float, int, int, float]
+
+
+def test_analyze_json_is_strict_with_nan_stats_as_null(tmp_path, capsys):
+    # at one token per context a side with no tokens has NaN stats; the json
+    # form writes them as null, the table form as nan
+    out_dir = str(tmp_path / "bundle")
+    code, _, _ = run(capsys, ["sweep", "--alpha", "1", "--n", "2,4", "--seeds", "1",
+                              "--n-tokens", "1", "--n-val", "5", "--n-stat-examples",
+                              "1", "--epochs", "1", "--out", out_dir])
+    assert code == 0
+    code, out, _ = run(capsys, ["analyze", out_dir, "--format", "json"])
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+    rows = json.loads(out, parse_constant=refuse)["attention_stats"]
+    assert None in [v for row in rows for v in row.values()]
+    code, table, _ = run(capsys, ["analyze", out_dir])
+    assert code == 0 and " nan " in table
 
 
 def test_analyze_recovers_planted_collinear_fit(tmp_path, capsys):

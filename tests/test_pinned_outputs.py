@@ -23,7 +23,7 @@ import re
 import numpy as np
 import pytest
 
-from measure_attn.cli import ENV_SEED, main
+from measure_attn.cli import main
 from measure_attn.experiment import ExperimentConfig, _draw
 from measure_attn.model import (_BLOCK, StudentModel, _block_views, _layout,
                                 _score_rows)
@@ -107,7 +107,6 @@ def test_outputs_match_pinned_digests(tmp_path, monkeypatch, capsys):
     reason = _build_differs()
     if reason is not None:
         pytest.skip(reason)
-    monkeypatch.delenv(ENV_SEED, raising=False)
     # the runs write into runs/, beside the config file, which is not digested
     (tmp_path / "tanh.json").write_text('{"student": {"activation": "tanh"}}')
     runs = tmp_path / "runs"
